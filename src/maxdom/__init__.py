@@ -1,10 +1,10 @@
 """maxdom: pick at most k planar query points whose closed lower-left
 quadrants cover the maximum total weight of a weighted point set.
 
-The solver normalizes coordinates to rank space, optionally compresses the
-ground set to at most min(n, m^2) cell representatives, and runs a layered
-dynamic program in O(k*m^2 + n log m) time and O(n + m) space.  An
-exhaustive oracle provides ground truth at verification scale.
+The solver ranks the queries, sums the ground points into at most
+min(n, m^2) cells of the covered region in one pass over the point columns,
+and runs a layered dynamic program in O(k*m^2 + n log m) time and O(n + m)
+space.  An exhaustive oracle provides ground truth at verification scale.
 """
 
 from .cells import (
@@ -29,10 +29,24 @@ from .instances import (
     serialize_text,
     strict_skyline,
 )
-from .model import Instance, QueryPoint, Solution, WeightedPoint, dominates_closed, weight_of_dom
+from .model import (
+    Instance,
+    PointColumns,
+    QueryPoint,
+    Solution,
+    WeightedPoint,
+    dominates_closed,
+    weight_of_dom,
+)
 from .oracle import oracle_solve
 from .prng import SplitMix64
-from .ranking import RankedInstance, as_instance, drop_uncovered, rank_transform, y_sorted_queries
+from .ranking import (
+    RankedInstance,
+    as_instance,
+    drop_uncovered,
+    rank_transform,
+    y_sorted_queries,
+)
 from .render import render_svg
 from .solver import (
     SENTINEL_ID,
@@ -57,6 +71,7 @@ __all__ = [
     "Instance",
     "ParseError",
     "PipelineResult",
+    "PointColumns",
     "QueryPoint",
     "RankedInstance",
     "RowSums",

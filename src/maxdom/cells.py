@@ -1,12 +1,20 @@
 """Cell partition of the covered region and the representative compression.
 
-After rank normalization, the region covered by at least one query splits
-into axis-aligned cells: horizontal strips between consecutive query
-y-values, each strip cut at the x-values of the queries above it.  All
-points inside one cell are covered by exactly the same set of queries, so a
-cell can be replaced by a single representative carrying the cell's total
-weight without changing the value of any pick set.  The compressed ground
-set has at most min(n, m^2) points.
+The region covered by at least one query splits into axis-aligned cells:
+horizontal strips between consecutive query y-values, each strip cut at the
+x-values of the queries above it.  All points inside one cell are covered by
+exactly the same set of queries, so for every pick set the cell's total
+weight stands for all of its points: the non-empty cells are the compressed
+ground set, with at most min(n, m^2) entries.
+
+``build_grid`` sums the cells in one pass over the point columns: one bisect
+on the sorted query y-values finds a point's strip, one bisect on that
+strip's query x-prefix finds its cell, and points covered by no query are
+skipped.  It takes an instance in its own coordinates, as the solve path
+does, or a rank-normalized one, as the reference path does; both give the
+same cells, because each bisect counts the queries strictly below or left of
+the point, which the rank transform preserves.  ``compress`` turns the cells
+into representative points for ``maxdom compress`` and rendering.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import WeightedPoint, dominates_closed
+from .model import Instance, PointColumns, WeightedPoint, dominates_closed
 from .ranking import RankedInstance, y_sorted_queries
 
 
@@ -31,6 +39,7 @@ class CellGrid:
     m: int
     cells: dict[CellKey, float]
     per_row: tuple[tuple[tuple[int, float], ...], ...]  # per_row[i-1]: (col, weight), col-sorted
+    retained: int = 0  # ground points summed into the cells
 
 
 @dataclass(frozen=True)
@@ -50,45 +59,69 @@ def _check_parity(rinst: RankedInstance) -> None:
         )
 
 
-def assign_cells(rinst: RankedInstance) -> list[CellKey]:
-    """Cell key for every ground point; requires drop_uncovered beforehand.
+def _strips(queries, pts: PointColumns, tags):
+    """Bucket points by strip below ``queries``; yield ``(row, slots, tags)`` per strip.
 
-    Strips are processed bottom-up in index order while an ordered list of
-    the query x-values above the strip grows by one per step, so each point
-    costs two predecessor searches.
+    Row ``i`` (0..m) holds the points with exactly ``i`` queries at or above
+    them, in input order; row 0 lies above every query.  ``slots[t]`` counts
+    the ``i`` highest queries strictly left of the row's ``t``-th point and
+    ``tags[t]`` is that point's entry of ``tags``.  A point is covered iff
+    its slot is below its row; it then lies in cell ``(row, slot + 1)``.
+    Queries are ordered by decreasing (y, id), the rank transform's y-order.
     """
+    stair = sorted(queries, key=lambda q: (q.y, q.id), reverse=True)
+    m = len(stair)
+    ys_asc = sorted(q.y for q in stair)
+    strip_xs: list[list] = [[] for _ in range(m + 1)]
+    strip_tags: list[list] = [[] for _ in range(m + 1)]
+    for x, y, tag in zip(pts.xs, pts.ys, tags):
+        row = m - bisect_left(ys_asc, y)
+        strip_xs[row].append(x)
+        strip_tags[row].append(tag)
+    prefix: list = []  # x-values of the row highest queries, sorted
+    for row in range(m + 1):
+        if row:
+            insort(prefix, stair[row - 1].x)
+        yield row, [bisect_left(prefix, x) for x in strip_xs[row]], strip_tags[row]
+
+
+def assign_cells(rinst: RankedInstance) -> list[CellKey]:
+    """Cell key for every ground point; requires drop_uncovered beforehand."""
     _check_parity(rinst)
-    qs = y_sorted_queries(rinst)
-    m = len(qs)
-    ys_asc = sorted(q.y for q in qs)
-    strip_members: dict[int, list[int]] = {}
-    for idx, p in enumerate(rinst.P):
-        i = m - bisect_left(ys_asc, p.y)  # number of queries strictly above p
-        if i == 0:
-            raise ValueError("point above every query; run drop_uncovered first")
-        strip_members.setdefault(i, []).append(idx)
-    keys: list[CellKey] = [CellKey(0, 0)] * len(rinst.P)
-    xs_prefix: list[float] = []
-    for i in range(1, m + 1):
-        insort(xs_prefix, qs[i - 1].x)
-        for idx in strip_members.get(i, ()):
-            c = bisect_left(xs_prefix, rinst.P[idx].x)  # queries left of p among the first i
-            if c == i:
-                raise ValueError("point right of every query above it; run drop_uncovered first")
-            keys[idx] = CellKey(i, c + 1)
+    pts = PointColumns.of(rinst.P)
+    keys: list[CellKey] = [CellKey(0, 0)] * len(pts)
+    for row, slots, indices in _strips(rinst.Q, pts, range(len(pts))):
+        for slot, idx in zip(slots, indices):
+            if slot == row:
+                raise ValueError("point covered by no query; run drop_uncovered first")
+            keys[idx] = CellKey(row, slot + 1)
     return keys
 
 
-def build_grid(rinst: RankedInstance) -> CellGrid:
-    """Aggregate point weights per cell."""
-    keys = assign_cells(rinst)
+def build_grid(inst: Instance | RankedInstance) -> CellGrid:
+    """Sum point weights per cell in input order, skipping uncovered points.
+
+    A ``RankedInstance`` must be rank-normalized; an ``Instance`` is gridded
+    in its own coordinates, with the same cells as its ranked form.
+    """
+    if isinstance(inst, RankedInstance):
+        _check_parity(inst)
+    pts = PointColumns.of(inst.P)
     cells: dict[CellKey, float] = {}
-    for key, p in zip(keys, rinst.P):
-        cells[key] = cells.get(key, 0) + p.w
-    row_items: list[list[tuple[int, float]]] = [[] for _ in range(rinst.m)]
-    for key in sorted(cells):
-        row_items[key.row - 1].append((key.col, cells[key]))
-    return CellGrid(rinst.m, cells, tuple(tuple(r) for r in row_items))
+    per_row: list[tuple[tuple[int, float], ...]] = []
+    retained = 0
+    for row, slots, ws in _strips(inst.Q, pts, pts.ws):
+        sums: dict[int, float] = {}
+        get = sums.get
+        for slot, w in zip(slots, ws):
+            sums[slot] = get(slot, 0) + w
+        sums.pop(row, None)  # right of every query above the strip: uncovered
+        retained += len(slots) - slots.count(row)
+        if row:
+            items = tuple((slot + 1, sums[slot]) for slot in sorted(sums))
+            per_row.append(items)
+            cells.update((CellKey(row, col), w) for col, w in items)
+    return CellGrid(inst.m, cells, tuple(per_row), retained)
 
 
 def cell_boxes(grid: CellGrid, rinst: RankedInstance) -> dict[CellKey, tuple]:

@@ -10,6 +10,10 @@ File format (decimal numbers, whitespace separated)::
 Integer instances round-trip byte-exactly; float coordinates round-trip
 through shortest-exact decimal rendering.
 
+The parser reads the ground points straight into the x, y and w columns of
+``model.PointColumns``, the generators build those columns, and the
+serializer writes from them, so none of the three builds a per-point object.
+
 Generators draw every number from SplitMix64, so the same spec yields a
 byte-identical instance on every platform.
 """
@@ -66,16 +70,31 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
+# Point lines converted per batch; bounds the token strings alive at once.
+_BATCH = 4096
+
+
+def _is_data(line: str) -> bool:
+    line = line.strip()
+    return bool(line) and not line.startswith("#")
+
+
 def parse_text(text: str) -> Instance:
-    rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((line_no, line.split()))
-    if not rows:
+    """Parse an instance file into point columns.
+
+    The point lines are converted a batch at a time: a batch of three-field,
+    all-integer lines in one ``map(int, ...)`` per column, any other batch
+    line by line, which reports the first malformed line.
+    """
+    lines = text.splitlines()
+    if "#" not in text and all(map(str.strip, lines)):
+        data, line_nos = lines, range(1, len(lines) + 1)
+    else:
+        line_nos = [i for i, line in enumerate(lines, start=1) if _is_data(line)]
+        data = [lines[i - 1] for i in line_nos]
+    if not data:
         raise ParseError(1, "empty instance file")
-    head_no, head = rows[0]
+    head_no, head = line_nos[0], data[0].split()
     if len(head) != 3:
         raise ParseError(head_no, "expected header 'n m k'")
     n = _int(head[0], head_no, "n")
@@ -83,37 +102,61 @@ def parse_text(text: str) -> Instance:
     k = _int(head[2], head_no, "k")
     if n < 0 or m < 1 or k < 0:
         raise ParseError(head_no, "need n >= 0, m >= 1, k >= 0")
-    if len(rows) - 1 < n + m:
-        raise ParseError(rows[-1][0], f"expected {n + m} data lines after the header, got {len(rows) - 1}")
-    if len(rows) - 1 > n + m:
-        raise ParseError(rows[1 + n + m][0], "unexpected extra data line")
-    points = []
-    for line_no, toks in rows[1 : 1 + n]:
-        if len(toks) != 3:
-            raise ParseError(line_no, f"ground-point line needs 'x y w', got {len(toks)} fields")
-        points.append(tuple(_number(t, line_no) for t in toks))
+    if len(data) - 1 < n + m:
+        raise ParseError(line_nos[-1], f"expected {n + m} data lines after the header, got {len(data) - 1}")
+    if len(data) - 1 > n + m:
+        raise ParseError(line_nos[1 + n + m], "unexpected extra data line")
+    xs, ys, ws = [], [], []
+    for start in range(1, n + 1, _BATCH):
+        stop = min(start + _BATCH, n + 1)
+        tx, ty, tw = [], [], []
+        try:
+            for line in data[start:stop]:
+                x, y, w = line.split()
+                tx.append(x)
+                ty.append(y)
+                tw.append(w)
+            cols = list(map(int, tx)), list(map(int, ty)), list(map(int, tw))
+        except ValueError:
+            cols = _point_rows(data[start:stop], line_nos[start:stop])
+        xs.extend(cols[0])
+        ys.extend(cols[1])
+        ws.extend(cols[2])
     queries = []
-    for line_no, toks in rows[1 + n :]:
+    for line_no, line in zip(line_nos[1 + n :], data[1 + n :]):
+        toks = line.split()
         if len(toks) != 2:
             raise ParseError(line_no, f"query line needs 'x y', got {len(toks)} fields")
         queries.append(tuple(_number(t, line_no) for t in toks))
-    return Instance.from_rows(points, queries, k)
+    return Instance.from_columns(xs, ys, ws, queries, k)
+
+
+def _point_rows(lines: list[str], line_nos) -> tuple[list, list, list]:
+    """x, y and w columns of point lines, converted one line at a time."""
+    cols = [], [], []
+    for line_no, line in zip(line_nos, lines):
+        toks = line.split()
+        if len(toks) != 3:
+            raise ParseError(line_no, f"ground-point line needs 'x y w', got {len(toks)} fields")
+        for col, tok in zip(cols, toks):
+            col.append(_number(tok, line_no))
+    return cols
 
 
 def parse(path) -> Instance:
     return parse_text(Path(path).read_text())
 
 
-def _fmt(v) -> str:
-    return str(v) if isinstance(v, int) else repr(v)
-
-
 def serialize_text(inst: Instance) -> str:
+    """The instance file of ``inst``, written from its point columns.
+
+    Numbers are written with ``str``, which for a float is its shortest
+    round-trip representation.
+    """
+    P = inst.P
     lines = [f"{inst.n} {inst.m} {inst.k}"]
-    for p in inst.P:
-        lines.append(f"{_fmt(p.x)} {_fmt(p.y)} {_fmt(p.w)}")
-    for q in inst.Q:
-        lines.append(f"{_fmt(q.x)} {_fmt(q.y)}")
+    lines.extend(map("{} {} {}".format, P.xs, P.ys, P.ws))
+    lines.extend(f"{q.x} {q.y}" for q in inst.Q)
     return "\n".join(lines) + "\n"
 
 
@@ -145,31 +188,30 @@ def strict_skyline(coords: Iterable[tuple]) -> list[tuple]:
     return sorted(out)
 
 
-def _weights(rng: SplitMix64, n: int, lo: int, hi: int) -> list[int]:
-    return [rng.randint(lo, hi) for _ in range(n)]
-
-
 def _gen_uniform(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
     lo, hi = spec.weights
-    points = [
-        (rng.below(COORD_SPAN), rng.below(COORD_SPAN), rng.randint(lo, hi))
-        for _ in range(spec.n)
-    ]
+    xs, ys, ws = [], [], []
+    for _ in range(spec.n):
+        xs.append(rng.below(COORD_SPAN))
+        ys.append(rng.below(COORD_SPAN))
+        ws.append(rng.randint(lo, hi))
     queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
-    return Instance.from_rows(points, queries, spec.k)
+    return Instance.from_columns(xs, ys, ws, queries, spec.k)
 
 
 def _gen_negative_mix(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
     # nonzero weights with random sign, so mixed-sign corpora regardless of range
     magnitude = max(abs(spec.weights[0]), abs(spec.weights[1]), 1)
-    points = []
+    xs, ys, ws = [], [], []
     for _ in range(spec.n):
         w = rng.randint(1, magnitude)
         if rng.below(2):
             w = -w
-        points.append((rng.below(COORD_SPAN), rng.below(COORD_SPAN), w))
+        xs.append(rng.below(COORD_SPAN))
+        ys.append(rng.below(COORD_SPAN))
+        ws.append(w)
     queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
-    return Instance.from_rows(points, queries, spec.k)
+    return Instance.from_columns(xs, ys, ws, queries, spec.k)
 
 
 def _gen_clustered(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
@@ -177,12 +219,14 @@ def _gen_clustered(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
     n_clusters = max(1, min(8, spec.m))
     spread = max(1, COORD_SPAN // 200)
     centers = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(n_clusters)]
-    points = []
+    xs, ys, ws = [], [], []
     for _ in range(spec.n):
         cx, cy = centers[rng.below(n_clusters)]
-        points.append((cx + rng.below(spread), cy + rng.below(spread), rng.randint(lo, hi)))
+        xs.append(cx + rng.below(spread))
+        ys.append(cy + rng.below(spread))
+        ws.append(rng.randint(lo, hi))
     queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
-    return Instance.from_rows(points, queries, spec.k)
+    return Instance.from_columns(xs, ys, ws, queries, spec.k)
 
 
 def _gen_one_cell(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
@@ -193,11 +237,12 @@ def _gen_one_cell(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
     step = 1000
     queries = [((t + 1) * step, (spec.m - t) * step) for t in range(spec.m)]
     coords = [(1 + rng.below(step - 1), 1 + rng.below(step - 1)) for _ in range(spec.n)]
-    weights = _weights(rng, spec.n, lo, hi)
+    weights = [rng.randint(lo, hi) for _ in range(spec.n)]
     if sum(weights) == 0:
         weights[-1] += 1  # keep the single cell's total nonzero
-    points = [(x, y, w) for (x, y), w in zip(coords, weights)]
-    return Instance.from_rows(points, queries, spec.k)
+    return Instance.from_columns(
+        [x for x, _ in coords], [y for _, y in coords], weights, queries, spec.k
+    )
 
 
 def _gen_skyline(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
@@ -209,8 +254,10 @@ def _gen_skyline(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
         raise ValueError("skyline-unit-weight needs n >= 1")
     coords = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.n)]
     queries = strict_skyline(coords)
-    points = [(x, y, 1) for x, y in coords]
-    return Instance.from_rows(points, queries, min(spec.k, len(queries)))
+    return Instance.from_columns(
+        [x for x, _ in coords], [y for _, y in coords], [1] * spec.n, queries,
+        min(spec.k, len(queries)),
+    )
 
 
 _BUILDERS = {

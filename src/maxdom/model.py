@@ -5,15 +5,23 @@ A weighted point counts toward a selection's value when at least one chosen
 query covers it, and it counts exactly once no matter how many chosen queries
 cover it.  An empty cover has weight zero.  Weights may be negative.
 
+This module owns the ground-set format.  An ``Instance`` holds its points as
+``PointColumns``: three parallel tuples of x, y and w values, which the
+parser, the generators, the serializer and the cell grid read directly, so a
+solve builds no per-point object.  ``Instance.P`` still reads as a sequence
+of ``WeightedPoint`` for the oracle, ``weight_of_dom`` and the ranked
+reference path; those objects are built on first per-point access and cached.
+
 All types are immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,19 +50,91 @@ class QueryPoint:
             raise ValueError(f"non-finite query point ({self.x}, {self.y})")
 
 
+def _finite_sum(values) -> bool:
+    """True when ``sum(values)`` is finite, which no nan or infinite value allows."""
+    try:
+        return isfinite(sum(values))
+    except OverflowError:  # an int sum beyond the float range
+        return False
+
+
+class PointColumns(Sequence):
+    """Ground points stored as parallel ``xs``, ``ys`` and ``ws`` tuples.
+
+    Reads as an immutable sequence of ``WeightedPoint`` (length, indexing,
+    iteration, equality with any sequence of points).  The point objects are
+    built once, on the first per-point access, and cached; code that reads
+    the columns never builds them.  Every value must be finite.
+    """
+
+    __slots__ = ("xs", "ys", "ws", "_points")
+
+    def __init__(self, xs: Iterable, ys: Iterable, ws: Iterable):
+        xs, ys, ws = tuple(xs), tuple(ys), tuple(ws)
+        if not len(xs) == len(ys) == len(ws):
+            raise ValueError("point columns differ in length")
+        if not all(map(_finite_sum, (xs, ys, ws))):
+            for x, y, w in zip(xs, ys, ws):
+                if not (isfinite(x) and isfinite(y) and isfinite(w)):
+                    raise ValueError(f"non-finite weighted point ({x}, {y}, {w})")
+        self.xs, self.ys, self.ws = xs, ys, ws
+        self._points: tuple[WeightedPoint, ...] | None = None
+
+    @classmethod
+    def of(cls, points: Iterable) -> "PointColumns":
+        """``points`` itself if it is already columnar, else its columns."""
+        if isinstance(points, cls):
+            return points
+        pts = tuple(points)
+        cols = cls([p.x for p in pts], [p.y for p in pts], [p.w for p in pts])
+        cols._points = pts
+        return cols
+
+    def points(self) -> tuple[WeightedPoint, ...]:
+        """The cached ``WeightedPoint`` view, built on first use."""
+        if self._points is None:
+            self._points = tuple(map(WeightedPoint, self.xs, self.ys, self.ws))
+        return self._points
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, index):
+        return self.points()[index]
+
+    def __iter__(self):
+        return iter(self.points())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PointColumns):
+            return (self.xs, self.ys, self.ws) == (other.xs, other.ys, other.ws)
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and self.points() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.points())
+
+    def __repr__(self) -> str:
+        return f"PointColumns(xs={self.xs!r}, ys={self.ys!r}, ws={self.ws!r})"
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem input: ground set ``P``, query candidates ``Q``, pick budget ``k``.
 
-    ``k`` may exceed ``len(Q)``; that is equivalent to ``k == len(Q)``.
+    ``P`` may be given as any sequence of ``WeightedPoint``; it is stored as
+    ``PointColumns``.  ``dataclasses.replace`` passes the stored columns on,
+    so changing ``k`` builds no point objects.  ``k`` may exceed ``len(Q)``;
+    that is equivalent to ``k == len(Q)``.
     """
 
-    P: tuple[WeightedPoint, ...]
+    P: PointColumns
     Q: tuple[QueryPoint, ...]
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "P", tuple(self.P))
+        object.__setattr__(self, "P", PointColumns.of(self.P))
         object.__setattr__(self, "Q", tuple(self.Q))
         if len(self.Q) < 1:
             raise ValueError("instance needs at least one query point")
@@ -73,11 +153,20 @@ class Instance:
         return len(self.Q)
 
     @staticmethod
+    def from_columns(xs: Iterable, ys: Iterable, ws: Iterable, queries: Iterable[tuple], k: int) -> "Instance":
+        """Build from point columns and ``(x, y)`` query rows, assigning query ids by position."""
+        Q = tuple(QueryPoint(x, y, i) for i, (x, y) in enumerate(queries))
+        return Instance(PointColumns(xs, ys, ws), Q, k)
+
+    @staticmethod
     def from_rows(points: Iterable[tuple], queries: Iterable[tuple], k: int) -> "Instance":
         """Build from ``(x, y, w)`` and ``(x, y)`` rows, assigning query ids by position."""
-        P = tuple(WeightedPoint(x, y, w) for x, y, w in points)
-        Q = tuple(QueryPoint(x, y, i) for i, (x, y) in enumerate(queries))
-        return Instance(P, Q, k)
+        xs, ys, ws = [], [], []
+        for x, y, w in points:
+            xs.append(x)
+            ys.append(y)
+            ws.append(w)
+        return Instance.from_columns(xs, ys, ws, queries, k)
 
 
 @dataclass(frozen=True)

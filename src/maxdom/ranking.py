@@ -63,10 +63,10 @@ def rank_transform(inst: Instance) -> RankedInstance:
     """Map an instance to rank space, preserving every closed-dominance pair."""
     Q, P = inst.Q, inst.P
     ids = [q.id for q in Q]
-    qx, px = _axis_transform([q.x for q in Q], ids, [p.x for p in P])
-    qy, py = _axis_transform([q.y for q in Q], ids, [p.y for p in P])
+    qx, px = _axis_transform([q.x for q in Q], ids, P.xs)
+    qy, py = _axis_transform([q.y for q in Q], ids, P.ys)
     new_q = tuple(QueryPoint(qx[t], qy[t], Q[t].id) for t in range(len(Q)))
-    new_p = tuple(WeightedPoint(px[s], py[s], P[s].w) for s in range(len(P)))
+    new_p = tuple(map(WeightedPoint, px, py, P.ws))
     y_order = tuple(sorted(range(len(Q)), key=lambda t: -qy[t]))
     return RankedInstance(new_p, new_q, inst.k, y_order, {q.id: q for q in Q})
 

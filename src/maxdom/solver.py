@@ -1,5 +1,12 @@
 """Layered dynamic program over the query staircase, plus the full pipeline.
 
+The pipeline ranks the m queries, sums the ground points into the cells of
+the covered region in one pass over the instance's point columns
+(``cells.build_grid``), turns the cells into per-strip prefix sums and runs
+the DP on them.  The n-side is thus one bucketing pass, O(n log m), that
+builds no per-point object; the cell sums are themselves the compressed
+ground set, so nothing is compressed or gridded a second time.
+
 Layer l computes, for every position i in decreasing-y order (sentinel
 last), the best covered weight achievable with at most l picks drawn from
 the queries in the closed upper-left region of position i, measured on the
@@ -20,7 +27,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable
 
-from .cells import build_grid, compress
+from .cells import build_grid
 from .coverage import CoverageSweep, RowSums, build_position_table, build_row_sums
 from .model import Instance, QueryPoint, Solution
 from .ranking import RankedInstance, drop_uncovered, rank_transform, y_sorted_queries
@@ -137,14 +144,15 @@ def solve(
 
 @dataclass
 class PipelineResult:
-    """A solve with its stage timings and compression statistics."""
+    """A solve with its stage timings and grid statistics."""
 
     solution: Solution
     n: int
     m: int
     k: int
-    retained: int  # ground points surviving drop_uncovered
-    compressed_size: int | None  # |P'| when compression ran, else None
+    retained: int  # ground points covered by some query, i.e. summed into cells
+    cells: int  # non-empty cells, zero-weight ones included
+    compressed_size: int | None  # nonzero-weight cells; None on the reference path
     stage_seconds: dict[str, float]
 
 
@@ -155,22 +163,27 @@ def run_pipeline(
     pos_table_entries: int | None = None,
     collect_layers: bool = False,
 ) -> PipelineResult:
-    """rank-normalize -> drop uncovered -> (compress) -> sentinel -> layered DP.
+    """rank the queries -> sum the cells -> sentinel -> layered DP.
 
-    The reported value is identical with and without compression; the pick
-    sets may differ but achieve the same value.
+    By default the cells are summed straight from ``inst``'s point columns
+    in its own coordinates; the nonzero cells are the compressed ground set,
+    whose size is reported as ``compressed_size``.  With
+    ``use_compression=False`` the reference path runs instead: every point
+    is rank-transformed, uncovered points are dropped and the ranked points
+    are gridded.  Both paths give the same cell sums, so they report the
+    same value and the same picks.
     """
     t0 = perf_counter()
-    rr = drop_uncovered(rank_transform(inst))
-    t1 = perf_counter()
-    retained = len(rr.P)
-    grid = build_grid(rr)
-    compressed_size = None
     if use_compression:
-        comp = compress(grid, rr)
-        rr = replace(rr, P=comp.points)
+        rr = rank_transform(Instance((), inst.Q, inst.k))  # only the queries need ranks
+        t1 = perf_counter()
+        grid = build_grid(inst)
+        compressed_size = sum(1 for w in grid.cells.values() if w != 0)
+    else:
+        rr = drop_uncovered(rank_transform(inst))
+        t1 = perf_counter()
         grid = build_grid(rr)
-        compressed_size = len(comp.points)
+        compressed_size = None
     row_sums = build_row_sums(grid)
     factory = make_sweep_factory(rr, row_sums, pos_table_entries)
     rs = add_sentinel(rr)
@@ -186,7 +199,8 @@ def run_pipeline(
         inst.n,
         inst.m,
         inst.k,
-        retained,
+        grid.retained,
+        len(grid.cells),
         compressed_size,
         {"transform": t1 - t0, "grid": t2 - t1, "dp": t3 - t2, "reconstruct": t4 - t3},
     )

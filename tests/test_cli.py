@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from maxdom.cells import build_grid
 from maxdom.cli import main
 from maxdom.instances import GeneratorSpec, generate, serialize
 from maxdom.model import Instance
 from maxdom.oracle import oracle_solve
+from maxdom.ranking import drop_uncovered, rank_transform
 
 
 @pytest.fixture
@@ -150,3 +152,38 @@ def test_render_rejects_oversized(capsys, tmp_path):
     serialize(generate(GeneratorSpec("uniform", n=1, m=201, k=1, seed=0)), path)
     code, _, err = run(capsys, "render", path)
     assert code == 1 and "cap" in err
+
+
+def test_repeated_main_calls_share_no_state(capsys, tiny):
+    path, inst = tiny
+    _, out, _ = run(capsys, "solve", path, "--k", "1")
+    assert json.loads(out)["k"] == 1
+    _, out, _ = run(capsys, "solve", path, "--algo", "oracle", "--no-compress")
+    assert json.loads(out)["algo"] == "oracle"
+    _, out, _ = run(capsys, "verify", path, "--limit", "50")
+    assert json.loads(out)["equal"] is True
+    code, out, _ = run(capsys, "solve", path)
+    rec = json.loads(out)
+    assert code == 0
+    assert (rec["k"], rec["algo"]) == (inst.k, "dp") and rec["compressed_size"] is not None
+    code, _, err = run(capsys, "verify", path, "--limit", "1")
+    assert code == 1 and "oracle limit" in err
+    _, out, _ = run(capsys, "compress", path)
+    assert "out" not in json.loads(out)
+
+
+def test_solve_record_counters_and_wall_time(capsys, tiny):
+    path, inst = tiny
+    rr = drop_uncovered(rank_transform(inst))
+    grid = build_grid(rr)
+    for flags in ((), ("--no-compress",)):
+        _, out, _ = run(capsys, "solve", path, *flags)
+        rec = json.loads(out)
+        assert list(rec["stages"]) == ["parse", "transform", "grid", "dp", "reconstruct"]
+        assert rec["retained"] == len(rr.P) and rec["cells"] == len(grid.cells)
+        # measured from parse to reconstruction, so no shorter than its stages
+        assert rec["total_seconds"] >= sum(rec["stages"].values()) - 1e-5
+    _, out, _ = run(capsys, "solve", path, "--algo", "oracle")
+    rec = json.loads(out)
+    assert list(rec["stages"]) == ["parse", "oracle"]
+    assert rec["retained"] is rec["cells"] is rec["compressed_size"] is None

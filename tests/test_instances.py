@@ -1,17 +1,25 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxdom import instances
 from maxdom.cells import build_grid, compress
+from maxdom.cli import main
 from maxdom.instances import (
     GeneratorSpec,
     ParseError,
+    _int,
+    _number,
     generate,
+    parse,
     parse_text,
+    serialize,
     serialize_text,
     strict_skyline,
 )
-from maxdom.model import Instance
+from maxdom.model import Instance, WeightedPoint
 from maxdom.ranking import drop_uncovered, rank_transform
 
 from util import small_instances
@@ -120,3 +128,128 @@ def test_unknown_family_and_bad_sizes():
         generate(GeneratorSpec("uniform", n=1, m=0, k=1))
     with pytest.raises(ValueError):
         generate(GeneratorSpec("uniform", n=1, m=1, k=1, weights=(5, -5)))
+
+
+# The batched parser must agree with a plain line-by-line parser on every
+# file: the same values, or a ParseError on the same line.
+
+def test_decimal_and_exponent_tokens():
+    inst = parse_text("2 1 1\n1.5 2e3 -0.25\n3 4 1E2\n5 6.0\n")
+    assert inst.P[0] == WeightedPoint(1.5, 2000.0, -0.25)
+    assert inst.P[1] == WeightedPoint(3, 4, 100.0)
+    assert [type(v) for v in (inst.P[1].x, inst.P[1].w)] == [int, float]
+    assert (inst.Q[0].x, inst.Q[0].y) == (5, 6.0) and type(inst.Q[0].y) is float
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("2 1 0\n0 0 1\n1 nan 1\n1 1\n", 3),
+        ("1 1 0\n0 0 -inf\n1 1\n", 2),
+        ("1 2 0\n0 0 1\n1 1\n2 Infinity\n", 4),
+        ("1 1 0\n0 0 1e999\n1 1\n", 2),
+        ("2 1 0\n0 0 1\n0 0\n1 1\n", 3),  # point line with 2 fields
+        ("1 2 0\n0 0 1\n1 1\n2 2 2\n", 4),  # query line with 3 fields
+        ("2 1 0\n0 x 1\n0 0 y\n1 1\n", 2),  # first bad line wins
+        ("1 1 0\n\n# c\n0 0 1\n1 1\n\n7 7\n", 7),  # extra line after blanks
+    ],
+)
+def test_parse_error_line_numbers(text, line_no):
+    for variant in (text, text.replace("\n", "\r\n")):
+        with pytest.raises(ParseError) as err:
+            parse_text(variant)
+        assert err.value.line_no == line_no
+
+
+def test_comments_and_blanks_between_data_lines():
+    plain = "2 2 1\n0 0 1\n2 3 -4\n5 6\n7 8\n"
+    noisy = "\n# head\n2 2 1\n0 0 1\n\n# between points\n   \n2 3 -4\n# q\n5 6\n\n7 8\n\n# tail\n"
+    assert parse_text(noisy) == parse_text(plain)
+
+
+def test_crlf_line_endings():
+    text = "2 1 1\n0 0 1\n2.5 3 -4\n5 6\n"
+    assert parse_text(text.replace("\n", "\r\n")) == parse_text(text)
+
+
+def test_parse_path_equals_parse_text(tmp_path):
+    for i, text in enumerate(("2 1 1\n0 0 1\n2.5 3 -4\n5 6\n", "# c\r\n1 1 0\r\n1 2 3\r\n4 5\r\n")):
+        path = tmp_path / f"inst{i}.txt"
+        path.write_bytes(text.encode())
+        assert parse(path) == parse_text(text)
+
+
+def _parse_line_by_line(text):
+    """Reference parser: every data line tokenized and counted, then converted in order."""
+    rows = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            rows.append((line_no, line.split()))
+    if not rows:
+        raise ParseError(1, "empty instance file")
+    head_no, head = rows[0]
+    if len(head) != 3:
+        raise ParseError(head_no, "expected header 'n m k'")
+    n, m, k = (_int(t, head_no, what) for t, what in zip(head, "nmk"))
+    if n < 0 or m < 1 or k < 0:
+        raise ParseError(head_no, "need n >= 0, m >= 1, k >= 0")
+    if len(rows) - 1 < n + m:
+        raise ParseError(rows[-1][0], f"expected {n + m} data lines after the header, got {len(rows) - 1}")
+    if len(rows) - 1 > n + m:
+        raise ParseError(rows[1 + n + m][0], "unexpected extra data line")
+    converted = []
+    for i, (line_no, toks) in enumerate(rows[1:]):
+        if i < n and len(toks) != 3:
+            raise ParseError(line_no, f"ground-point line needs 'x y w', got {len(toks)} fields")
+        if i >= n and len(toks) != 2:
+            raise ParseError(line_no, f"query line needs 'x y', got {len(toks)} fields")
+        converted.append(tuple(_number(t, line_no) for t in toks))
+    return Instance.from_rows(converted[:n], converted[n:], k)
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return ("error", exc.line_no, str(exc))
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_instances(max_n=8, max_m=3), st.data())
+def test_parse_matches_line_by_line(inst, data):
+    lines = serialize_text(inst).splitlines()
+    noise = st.sampled_from(["", "  ", "# note", "1.5", "2e1", "nan", "x", "-0", "3 4", "\t9 9 9"])
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(lines)) | st.just(len(lines)))
+        if data.draw(st.booleans()):
+            lines.insert(at, data.draw(noise))
+        elif at < len(lines) and lines[at].split():
+            toks = lines[at].split()
+            toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(noise)
+            lines[at] = " ".join(toks)
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    expected = _outcome(_parse_line_by_line, text)
+    for batch in (instances._BATCH, 1, 3):  # small batches put a bad line in a later batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(instances, "_BATCH", batch)
+            assert _outcome(parse_text, text) == expected
+
+
+def test_point_view_is_built_once():
+    inst = parse_text("2 1 1\n0 0 1\n2 3 -4\n5 6\n")
+    first = list(inst.P)
+    assert all(a is b for a, b in zip(first, inst.P))
+    assert inst.P[1] is first[1]
+    assert replace(inst, k=0).P is inst.P
+
+
+def test_solve_builds_no_point_objects(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.txt"
+    built = []
+    monkeypatch.setattr(WeightedPoint, "__post_init__", lambda self: built.append(self))
+    serialize(generate(GeneratorSpec("uniform", n=500, m=12, k=3, seed=4)), path)
+    assert main(["solve", str(path)]) == 0
+    assert main(["solve", str(path), "--k", "1"]) == 0
+    capsys.readouterr()
+    assert built == []
