@@ -17,7 +17,7 @@ from .cells import (
     compress,
     same_dominators_check,
 )
-from .coverage import CoverageSweep, RowSums, build_position_table, build_row_sums, row_sum_upto
+from .coverage import CoverageSweep, RowSums, build_row_sums, row_sum_upto
 from .instances import (
     FAMILIES,
     GeneratorSpec,
@@ -83,7 +83,6 @@ __all__ = [
     "as_instance",
     "assign_cells",
     "build_grid",
-    "build_position_table",
     "build_row_sums",
     "cell_boxes",
     "compress",

@@ -38,11 +38,12 @@ def cmd_solve(args) -> int:
     if args.algo == "oracle":
         sol = oracle_solve(inst)
         stages = {"oracle": perf_counter() - t1}
-        retained = cells = compressed_size = None
+        retained = cells = compressed_size = row_sum_entries = dp_pairs = None
     else:
         res = run_pipeline(inst, use_compression=not args.no_compress)
         sol, stages = res.solution, res.stage_seconds
         retained, cells, compressed_size = res.retained, res.cells, res.compressed_size
+        row_sum_entries, dp_pairs = res.row_sum_entries, res.dp_pairs
     total = perf_counter() - t0
     record = {
         "algo": args.algo,
@@ -55,6 +56,8 @@ def cmd_solve(args) -> int:
         "compressed_size": compressed_size,
         "retained": retained,
         "cells": cells,
+        "row_sum_entries": row_sum_entries,
+        "dp_pairs": dp_pairs,
         "stages": {s: round(t, 6) for s, t in {"parse": t1 - t0, **stages}.items()},
         "total_seconds": round(total, 6),
     }
@@ -170,10 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Pick at most k query points whose closed lower-left quadrants cover "
             "the maximum total weight of a planar weighted point set."
-        ),
-        epilog=(
-            "MAXDOM_POS_TABLE_ENTRIES bounds the optional precomputed column-order "
-            "table of the coverage sweep (default 0: incremental, O(m) extra space)."
         ),
     )
     sub = parser.add_subparsers(required=True)

@@ -55,23 +55,6 @@ def row_sum_upto(row_sums: RowSums, row: int, col_bound: int) -> float:
     return pairs[lo - 1][1] if lo else 0
 
 
-def build_position_table(x_by_pos: Sequence[float], m: int) -> tuple[tuple[int, ...], ...]:
-    """Column orders for all rows: table[i-1] lists positions 1..i sorted by query x.
-
-    Costs m(m+1)/2 stored entries; sharing it across sweeps trades memory for
-    skipping the incremental order maintenance.
-    """
-    tables: list[tuple[int, ...]] = []
-    pi: list[int] = []
-    xs: list[float] = []
-    for t in range(1, m + 1):
-        s = bisect_left(xs, x_by_pos[t])
-        xs.insert(s, x_by_pos[t])
-        pi.insert(s, t)
-        tables.append(tuple(pi))
-    return tuple(tables)
-
-
 class CoverageSweep:
     """Single-owner cursor over rows; restarting reproduces identical values.
 
@@ -81,23 +64,21 @@ class CoverageSweep:
     share mid-sweep between threads.
     """
 
-    def __init__(self, row_sums: RowSums, x_by_pos: Sequence[float], pi_table=None):
+    def __init__(self, row_sums: RowSums, x_by_pos: Sequence[float]):
         self.m = row_sums.m
         self.row_sums = row_sums
         self.current = 1
         self.cov: list[float] = [0] * (self.m + 2)
         self._x_by_pos = x_by_pos
-        self._pi_table = pi_table
-        if pi_table is None:
-            self._pi = [1]
-            self._xs = [x_by_pos[1]]
+        self._pi = [1]
+        self._xs = [x_by_pos[1]]
 
     def advance(self) -> None:
         """Move from row i to i+1 by adding strip i's prefix sums in column order."""
         i = self.current
         if i > self.m:
             raise ValueError("cannot advance past the sentinel row")
-        pi = self._pi_table[i - 1] if self._pi_table is not None else self._pi
+        pi = self._pi
         pairs = self.row_sums.rows[i - 1]
         cov = self.cov
         ptr, cum, npairs = 0, 0, len(pairs)
@@ -108,7 +89,7 @@ class CoverageSweep:
             cov[j] += cum
         self.current = i + 1
         cov[i + 1] = 0
-        if self._pi_table is None and i + 1 <= self.m:
+        if i + 1 <= self.m:
             x = self._x_by_pos[i + 1]
             s = bisect_left(self._xs, x)
             self._xs.insert(s, x)

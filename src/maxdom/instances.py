@@ -10,9 +10,13 @@ File format (decimal numbers, whitespace separated)::
 Integer instances round-trip byte-exactly; float coordinates round-trip
 through shortest-exact decimal rendering.
 
-The parser reads the ground points straight into the x, y and w columns of
-``model.PointColumns``, the generators build those columns, and the
-serializer writes from them, so none of the three builds a per-point object.
+The parser streams the file: it reads about 1 MiB of text at a time
+(``_CHUNK``), cuts it after the last newline and converts its point lines
+straight into the x, y and w columns of ``model.PointColumns``.  It holds one
+chunk, never the whole text or a string per line, so its peak memory is the
+finished instance plus one column's list.  The generators build the same
+columns and the serializer writes from them, so none of the three builds a
+per-point object.
 
 Generators draw every number from SplitMix64, so the same spec yields a
 byte-identical instance on every platform.
@@ -21,9 +25,10 @@ byte-identical instance on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import Instance
 from .prng import SplitMix64
@@ -70,6 +75,9 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
+# Characters read per chunk; a chunk is cut after its last newline, so the
+# parser holds one chunk's text and lines at a time, never the whole file.
+_CHUNK = 1 << 20
 # Point lines converted per batch; bounds the token strings alive at once.
 _BATCH = 4096
 
@@ -79,55 +87,104 @@ def _is_data(line: str) -> bool:
     return bool(line) and not line.startswith("#")
 
 
-def parse_text(text: str) -> Instance:
-    """Parse an instance file into point columns.
+def _whole_lines(pieces: Iterable[str]) -> Iterator[str]:
+    """Re-cut text pieces so that each one ends with a newline (the last one
+    may not): ``str.splitlines`` of the blocks, concatenated, gives the lines
+    of the whole text."""
+    rest = ""
+    for piece in pieces:
+        text = rest + piece
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest
 
-    The point lines are converted a batch at a time: a batch of three-field,
-    all-integer lines in one ``map(int, ...)`` per column, any other batch
-    line by line, which reports the first malformed line.
-    """
-    lines = text.splitlines()
-    if "#" not in text and all(map(str.strip, lines)):
-        data, line_nos = lines, range(1, len(lines) + 1)
-    else:
-        line_nos = [i for i, line in enumerate(lines, start=1) if _is_data(line)]
-        data = [lines[i - 1] for i in line_nos]
-    if not data:
-        raise ParseError(1, "empty instance file")
-    head_no, head = line_nos[0], data[0].split()
+
+def _header(line: str, line_no: int) -> tuple[int, int, int]:
+    head = line.split()
     if len(head) != 3:
-        raise ParseError(head_no, "expected header 'n m k'")
-    n = _int(head[0], head_no, "n")
-    m = _int(head[1], head_no, "m")
-    k = _int(head[2], head_no, "k")
+        raise ParseError(line_no, "expected header 'n m k'")
+    n = _int(head[0], line_no, "n")
+    m = _int(head[1], line_no, "m")
+    k = _int(head[2], line_no, "k")
     if n < 0 or m < 1 or k < 0:
-        raise ParseError(head_no, "need n >= 0, m >= 1, k >= 0")
-    if len(data) - 1 < n + m:
-        raise ParseError(line_nos[-1], f"expected {n + m} data lines after the header, got {len(data) - 1}")
-    if len(data) - 1 > n + m:
-        raise ParseError(line_nos[1 + n + m], "unexpected extra data line")
-    xs, ys, ws = [], [], []
-    for start in range(1, n + 1, _BATCH):
-        stop = min(start + _BATCH, n + 1)
-        tx, ty, tw = [], [], []
+        raise ParseError(line_no, "need n >= 0, m >= 1, k >= 0")
+    return n, m, k
+
+
+def _parse_blocks(blocks: Iterable[str]) -> Instance:
+    """Parse an instance file given as blocks of whole lines, in file order.
+
+    Each block's point lines are converted a batch at a time: a batch of
+    three-field, all-integer lines in one ``map(int, ...)`` per column, any
+    other batch line by line, which finds the first malformed line.  A wrong
+    data-line count is reported in preference to a malformed line, so the
+    first conversion error is held until the whole file has been counted.
+    """
+    xs, ys, ws, queries = [], [], [], []
+    header = None
+    count = 0  # data lines after the header
+    last_no = 0  # line number of the last data line
+    first_bad = None  # the first conversion error, raised once the count is right
+    line_base = 0  # lines in the blocks before this one
+    for block in blocks:
+        lines = block.splitlines()
+        if "#" not in block and all(map(str.strip, lines)):
+            data, line_nos = lines, range(line_base + 1, line_base + len(lines) + 1)
+        else:
+            line_nos = [i for i, line in enumerate(lines, start=line_base + 1) if _is_data(line)]
+            data = [lines[i - line_base - 1] for i in line_nos]
+        line_base += len(lines)
+        if not data:
+            continue
+        last_no = line_nos[-1]
+        if header is None:
+            n, m, k = header = _header(data[0], line_nos[0])
+            data, line_nos = data[1:], line_nos[1:]
+        # data[:a] are point lines, data[a:b] query lines, anything after is extra
+        a = max(0, min(len(data), n - count))
+        b = max(0, min(len(data), n + m - count))
+        if b < len(data):
+            raise ParseError(line_nos[b], "unexpected extra data line")
+        count += len(data)
+        if first_bad is not None:
+            continue
         try:
-            for line in data[start:stop]:
-                x, y, w = line.split()
-                tx.append(x)
-                ty.append(y)
-                tw.append(w)
-            cols = list(map(int, tx)), list(map(int, ty)), list(map(int, tw))
-        except ValueError:
-            cols = _point_rows(data[start:stop], line_nos[start:stop])
-        xs.extend(cols[0])
-        ys.extend(cols[1])
-        ws.extend(cols[2])
-    queries = []
-    for line_no, line in zip(line_nos[1 + n :], data[1 + n :]):
-        toks = line.split()
-        if len(toks) != 2:
-            raise ParseError(line_no, f"query line needs 'x y', got {len(toks)} fields")
-        queries.append(tuple(_number(t, line_no) for t in toks))
+            for start in range(0, a, _BATCH):
+                stop = min(start + _BATCH, a)
+                tx, ty, tw = [], [], []
+                try:
+                    for line in data[start:stop]:
+                        x, y, w = line.split()
+                        tx.append(x)
+                        ty.append(y)
+                        tw.append(w)
+                    cols = list(map(int, tx)), list(map(int, ty)), list(map(int, tw))
+                except ValueError:
+                    cols = _point_rows(data[start:stop], line_nos[start:stop])
+                xs.extend(cols[0])
+                ys.extend(cols[1])
+                ws.extend(cols[2])
+            for line_no, line in zip(line_nos[a:b], data[a:b]):
+                toks = line.split()
+                if len(toks) != 2:
+                    raise ParseError(line_no, f"query line needs 'x y', got {len(toks)} fields")
+                queries.append(tuple(_number(t, line_no) for t in toks))
+        except ParseError as exc:
+            first_bad = exc
+    if header is None:
+        raise ParseError(1, "empty instance file")
+    if count < n + m:
+        raise ParseError(last_no, f"expected {n + m} data lines after the header, got {count}")
+    if first_bad is not None:
+        raise first_bad
+    # Each list is dropped as its tuple replaces it, so the peak is the
+    # finished columns plus one list, not two copies of all three.
+    xs = tuple(xs)
+    ys = tuple(ys)
+    ws = tuple(ws)
     return Instance.from_columns(xs, ys, ws, queries, k)
 
 
@@ -143,8 +200,29 @@ def _point_rows(lines: list[str], line_nos) -> tuple[list, list, list]:
     return cols
 
 
+def parse_text(text: str) -> Instance:
+    """Parse the text of an instance file; see ``parse``."""
+    return _parse_blocks(_whole_lines(text[i : i + _CHUNK] for i in range(0, len(text), _CHUNK)))
+
+
 def parse(path) -> Instance:
-    return parse_text(Path(path).read_text())
+    """Parse an instance file into point columns, streamed in chunks.
+
+    The file is read ``_CHUNK`` characters at a time in text mode, each
+    chunk cut after its last newline, and every chunk's point lines go
+    straight into the x, y and w columns.  So the parser never holds the
+    file text or a string per line beside the columns: its peak is the
+    finished instance plus one column's list and one chunk.  Values and
+    ``ParseError``s are those of parsing the whole text at once.
+    """
+    with open(path) as f:
+        pieces = iter(partial(f.read, _CHUNK), "")
+        try:
+            return _parse_blocks(_whole_lines(pieces))
+        except ParseError:
+            for _ in pieces:  # an undecodable byte later in the file still wins
+                pass
+            raise
 
 
 def serialize_text(inst: Instance) -> str:

@@ -22,18 +22,17 @@ predecessor links used for reconstruction.
 
 from __future__ import annotations
 
-import os
+from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable
 
 from .cells import build_grid
-from .coverage import CoverageSweep, RowSums, build_position_table, build_row_sums
+from .coverage import CoverageSweep, RowSums, build_row_sums
 from .model import Instance, QueryPoint, Solution
 from .ranking import RankedInstance, drop_uncovered, rank_transform, y_sorted_queries
 
 SENTINEL_ID = -1
-POS_TABLE_ENV = "MAXDOM_POS_TABLE_ENTRIES"
 
 
 def add_sentinel(rinst: RankedInstance) -> RankedInstance:
@@ -48,27 +47,10 @@ def _x_positions(rinst: RankedInstance) -> list[float]:
     return [0] + [q.x for q in y_sorted_queries(rinst)]
 
 
-def make_sweep_factory(
-    rinst: RankedInstance,
-    row_sums: RowSums,
-    pos_table_entries: int | None = None,
-) -> Callable[[], CoverageSweep]:
-    """Fresh-sweep factory; one sweep is consumed per DP layer.
-
-    A precomputed column-order table (m(m+1)/2 entries, shared by all layers)
-    is used when it fits the entry budget, which defaults to the
-    ``MAXDOM_POS_TABLE_ENTRIES`` environment variable and otherwise to 0;
-    below the budget each sweep maintains its column order incrementally in
-    O(m) extra space.  Both modes produce identical sweeps.
-    """
+def make_sweep_factory(rinst: RankedInstance, row_sums: RowSums) -> Callable[[], CoverageSweep]:
+    """Fresh-sweep factory; one sweep is consumed per DP layer."""
     xs = _x_positions(rinst)
-    m = rinst.m
-    if pos_table_entries is None:
-        pos_table_entries = int(os.environ.get(POS_TABLE_ENV, "0") or "0")
-    table = None
-    if 0 < m * (m + 1) // 2 <= pos_table_entries:
-        table = build_position_table(xs, m)
-    return lambda: CoverageSweep(row_sums, xs, table)
+    return lambda: CoverageSweep(row_sums, xs)
 
 
 def dp_layers(rinst: RankedInstance, sweep_factory: Callable[[], CoverageSweep], k: int | None = None):
@@ -129,6 +111,27 @@ def _chosen_ids(rinst: RankedInstance, preds, k_eff: int) -> frozenset[int]:
     return frozenset(ids)
 
 
+def _solution(rinst: RankedInstance, tables, preds, k_eff: int, collect_layers: bool) -> Solution:
+    """The optimum and its pick set, read off the DP's tables and links."""
+    last = len(rinst.Q)
+    layers = tuple(tables[l][last] for l in range(1, k_eff + 1)) if collect_layers else None
+    return Solution(_chosen_ids(rinst, preds, k_eff), tables[k_eff][last], layers)
+
+
+def _dp_pairs(rinst: RankedInstance, k_eff: int) -> int:
+    """Transitions the DP visits: (layer, i, j) with j < i in y-order and x_j <= x_i.
+
+    Counted from the query order alone, one bisect and one sorted insert per
+    query, so counting adds nothing to the DP loops.
+    """
+    seen: list = []
+    per_layer = 0
+    for q in y_sorted_queries(rinst):
+        per_layer += bisect_right(seen, q.x)
+        insort(seen, q.x)
+    return per_layer * k_eff
+
+
 def solve(
     rinst: RankedInstance,
     sweep_factory: Callable[[], CoverageSweep],
@@ -136,15 +139,12 @@ def solve(
     collect_layers: bool = False,
 ) -> Solution:
     """Optimal pick set for a ranked, sentinel-extended instance."""
-    tables, preds, k_eff = dp_layers(rinst, sweep_factory)
-    last = len(rinst.Q)
-    layers = tuple(tables[l][last] for l in range(1, k_eff + 1)) if collect_layers else None
-    return Solution(_chosen_ids(rinst, preds, k_eff), tables[k_eff][last], layers)
+    return _solution(rinst, *dp_layers(rinst, sweep_factory), collect_layers)
 
 
 @dataclass
 class PipelineResult:
-    """A solve with its stage timings and grid statistics."""
+    """A solve with its stage timings, grid statistics and DP work counts."""
 
     solution: Solution
     n: int
@@ -153,16 +153,12 @@ class PipelineResult:
     retained: int  # ground points covered by some query, i.e. summed into cells
     cells: int  # non-empty cells, zero-weight ones included
     compressed_size: int | None  # nonzero-weight cells; None on the reference path
+    row_sum_entries: int  # stored (col, cum) pairs, one per nonzero-weight cell
+    dp_pairs: int  # eligible (layer, i, j) transitions, see ``_dp_pairs``
     stage_seconds: dict[str, float]
 
 
-def run_pipeline(
-    inst: Instance,
-    use_compression: bool = True,
-    *,
-    pos_table_entries: int | None = None,
-    collect_layers: bool = False,
-) -> PipelineResult:
+def run_pipeline(inst: Instance, use_compression: bool = True, *, collect_layers: bool = False) -> PipelineResult:
     """rank the queries -> sum the cells -> sentinel -> layered DP.
 
     By default the cells are summed straight from ``inst``'s point columns
@@ -171,7 +167,8 @@ def run_pipeline(
     ``use_compression=False`` the reference path runs instead: every point
     is rank-transformed, uncovered points are dropped and the ranked points
     are gridded.  Both paths give the same cell sums, so they report the
-    same value and the same picks.
+    same value and the same picks.  The work counts are taken after the
+    timed stages.
     """
     t0 = perf_counter()
     if use_compression:
@@ -185,14 +182,12 @@ def run_pipeline(
         grid = build_grid(rr)
         compressed_size = None
     row_sums = build_row_sums(grid)
-    factory = make_sweep_factory(rr, row_sums, pos_table_entries)
+    factory = make_sweep_factory(rr, row_sums)
     rs = add_sentinel(rr)
     t2 = perf_counter()
     tables, preds, k_eff = dp_layers(rs, factory)
     t3 = perf_counter()
-    last = len(rs.Q)
-    layers = tuple(tables[l][last] for l in range(1, k_eff + 1)) if collect_layers else None
-    solution = Solution(_chosen_ids(rs, preds, k_eff), tables[k_eff][last], layers)
+    solution = _solution(rs, tables, preds, k_eff, collect_layers)
     t4 = perf_counter()
     return PipelineResult(
         solution,
@@ -202,6 +197,8 @@ def run_pipeline(
         grid.retained,
         len(grid.cells),
         compressed_size,
+        sum(map(len, row_sums.rows)),
+        _dp_pairs(rs, k_eff),
         {"transform": t1 - t0, "grid": t2 - t1, "dp": t3 - t2, "reconstruct": t4 - t3},
     )
 

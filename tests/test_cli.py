@@ -8,6 +8,7 @@ from maxdom.instances import GeneratorSpec, generate, serialize
 from maxdom.model import Instance
 from maxdom.oracle import oracle_solve
 from maxdom.ranking import drop_uncovered, rank_transform
+from maxdom.solver import run_pipeline
 
 
 @pytest.fixture
@@ -176,14 +177,18 @@ def test_solve_record_counters_and_wall_time(capsys, tiny):
     path, inst = tiny
     rr = drop_uncovered(rank_transform(inst))
     grid = build_grid(rr)
+    res = run_pipeline(inst)
+    assert res.row_sum_entries > 0 and res.dp_pairs > 0
     for flags in ((), ("--no-compress",)):
         _, out, _ = run(capsys, "solve", path, *flags)
         rec = json.loads(out)
         assert list(rec["stages"]) == ["parse", "transform", "grid", "dp", "reconstruct"]
         assert rec["retained"] == len(rr.P) and rec["cells"] == len(grid.cells)
+        assert (rec["row_sum_entries"], rec["dp_pairs"]) == (res.row_sum_entries, res.dp_pairs)
         # measured from parse to reconstruction, so no shorter than its stages
         assert rec["total_seconds"] >= sum(rec["stages"].values()) - 1e-5
     _, out, _ = run(capsys, "solve", path, "--algo", "oracle")
     rec = json.loads(out)
     assert list(rec["stages"]) == ["parse", "oracle"]
     assert rec["retained"] is rec["cells"] is rec["compressed_size"] is None
+    assert rec["row_sum_entries"] is rec["dp_pairs"] is None

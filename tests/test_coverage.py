@@ -17,7 +17,7 @@ def prepared(inst):
 
 
 def fresh_sweep(rr, rows):
-    return make_sweep_factory(rr, rows, pos_table_entries=0)()
+    return make_sweep_factory(rr, rows)()
 
 
 def direct_cov(rr, i, j):
@@ -122,31 +122,6 @@ def test_restarted_sweep_reproduces_values():
             trace.append(tuple(sweep.cov))
         runs.append(trace)
     assert runs[0] == runs[1]
-
-
-def test_position_table_mode_matches_incremental():
-    rng = SplitMix64(88)
-    for _ in range(15):
-        inst = random_instance(rng, max_n=30, max_m=8, span=12)
-        rr, rows = prepared(inst)
-        plain = make_sweep_factory(rr, rows, pos_table_entries=0)()
-        tabled = make_sweep_factory(rr, rows, pos_table_entries=10**6)()
-        assert tabled._pi_table is not None
-        for _ in range(rr.m):
-            plain.advance()
-            tabled.advance()
-            assert plain.cov == tabled.cov
-
-
-def test_position_table_env_budget(monkeypatch):
-    from maxdom.solver import POS_TABLE_ENV
-
-    inst = Instance.from_rows([(0, 0, 1)], [(1, 1), (2, 2)], 1)
-    rr, rows = prepared(inst)
-    monkeypatch.setenv(POS_TABLE_ENV, "1000")
-    assert make_sweep_factory(rr, rows)()._pi_table is not None
-    monkeypatch.setenv(POS_TABLE_ENV, "0")
-    assert make_sweep_factory(rr, rows)()._pi_table is None
 
 
 @settings(deadline=None, max_examples=50)

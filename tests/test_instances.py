@@ -1,3 +1,6 @@
+import codecs
+import locale
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -152,13 +155,19 @@ def test_decimal_and_exponent_tokens():
         ("1 2 0\n0 0 1\n1 1\n2 2 2\n", 4),  # query line with 3 fields
         ("2 1 0\n0 x 1\n0 0 y\n1 1\n", 2),  # first bad line wins
         ("1 1 0\n\n# c\n0 0 1\n1 1\n\n7 7\n", 7),  # extra line after blanks
+        # a wrong line count is reported before a malformed line
+        ("2 1 0\n0 x 1\n1 1\n", 3),  # bad token, a line short
+        ("1 1 0\n0 0 1\nx 1\n9 9\n", 4),  # bad token, a line over
+        ("1 1 0\n0 0\n# c\n\n", 2),  # bad field count, a line short
+        ("1 1 0\n0 0 nan\n1 1", 2),  # count right, no final newline: the token's error
     ],
 )
-def test_parse_error_line_numbers(text, line_no):
+def test_parse_error_line_numbers(tmp_path, text, line_no):
     for variant in (text, text.replace("\n", "\r\n")):
-        with pytest.raises(ParseError) as err:
-            parse_text(variant)
-        assert err.value.line_no == line_no
+        expected = _outcome(_parse_line_by_line, variant)
+        assert expected[:2] == ("error", line_no)
+        for result in _outcomes(variant, tmp_path / "inst.txt"):
+            assert result == expected
 
 
 def test_comments_and_blanks_between_data_lines():
@@ -215,9 +224,25 @@ def _outcome(parser, text):
         return ("error", exc.line_no, str(exc))
 
 
+CHUNKS = (instances._CHUNK, 1, 7)  # tiny chunks cut lines, tokens and CRLF pairs apart
+BATCHES = (instances._BATCH, 1, 3)  # small batches put a bad line in a later batch
+
+
+def _outcomes(text, path):
+    """``parse_text(text)`` and ``parse(path)`` at every chunk and batch size."""
+    path.write_bytes(text.encode())
+    for chunk in CHUNKS:
+        for batch in BATCHES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(instances, "_CHUNK", chunk)
+                mp.setattr(instances, "_BATCH", batch)
+                yield _outcome(parse_text, text)
+                yield _outcome(parse, path)
+
+
 @settings(deadline=None, max_examples=150)
 @given(small_instances(max_n=8, max_m=3), st.data())
-def test_parse_matches_line_by_line(inst, data):
+def test_parse_matches_line_by_line(tmp_path_factory, inst, data):
     lines = serialize_text(inst).splitlines()
     noise = st.sampled_from(["", "  ", "# note", "1.5", "2e1", "nan", "x", "-0", "3 4", "\t9 9 9"])
     for _ in range(data.draw(st.integers(0, 3))):
@@ -228,12 +253,44 @@ def test_parse_matches_line_by_line(inst, data):
             toks = lines[at].split()
             toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(noise)
             lines[at] = " ".join(toks)
-    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    sep = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = sep.join(lines) + data.draw(st.sampled_from(["", sep]))  # with or without a final newline
     expected = _outcome(_parse_line_by_line, text)
-    for batch in (instances._BATCH, 1, 3):  # small batches put a bad line in a later batch
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(instances, "_BATCH", batch)
-            assert _outcome(parse_text, text) == expected
+    path = tmp_path_factory.getbasetemp() / "parse_matches.txt"
+    for result in _outcomes(text, path):
+        assert result == expected
+
+
+@pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="needs UTF-8 as the default text encoding",
+)
+def test_undecodable_tail_wins_over_an_early_parse_error(tmp_path, monkeypatch):
+    # as when the whole file was read first, a bad byte after a bad header
+    # or an extra line is still a decoding error
+    monkeypatch.setattr(instances, "_CHUNK", 4)
+    for head in (b"1 2\n", b"1 1 0\n0 0 1\n1 1\n9 9\n"):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(head + b"# " + b"." * 20_000 + b"\xff\n")  # past the read buffer
+        with pytest.raises(UnicodeDecodeError):
+            parse(path)
+
+
+def test_parse_peak_memory_is_bounded_by_the_instance(tmp_path, monkeypatch):
+    path = tmp_path / "big.txt"
+    serialize(generate(GeneratorSpec("uniform", n=50_000, m=16, k=4, seed=6)), path)
+    monkeypatch.setattr(instances, "_CHUNK", 64 * 1024)
+    tracemalloc.start()
+    try:
+        inst = parse(path)
+        held, peak = tracemalloc.get_traced_memory()
+        assert inst.n == 50_000
+        del inst
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # neither the file text nor a string per line outlives its chunk
+    assert peak <= 1.5 * retained, (peak, retained)
 
 
 def test_point_view_is_built_once():

@@ -176,10 +176,21 @@ def test_unit_weight_skyline_case():
         assert solve_pipeline(inst).value == oracle_solve(inst).value
 
 
-def test_pos_table_budget_does_not_change_results():
-    rng = SplitMix64(41)
-    for _ in range(15):
+def test_work_counters_match_direct_count():
+    rng = SplitMix64(43)
+    for _ in range(30):
         inst = random_instance(rng, max_n=30, max_m=8, span=12)
-        a = run_pipeline(inst, pos_table_entries=0).solution
-        b = run_pipeline(inst, pos_table_entries=10**6).solution
-        assert a == b
+        rr = drop_uncovered(rank_transform(inst))
+        nonzero_cells = sum(1 for w in build_grid(rr).cells.values() if w != 0)
+        qs = y_sorted_queries(add_sentinel(rr))
+        pairs = sum(
+            1
+            for _layer in range(min(inst.k, inst.m))
+            for i in range(len(qs))
+            for j in range(i)
+            if qs[j].x <= qs[i].x
+        )
+        for use_compression in (True, False):
+            res = run_pipeline(inst, use_compression)
+            assert res.row_sum_entries == nonzero_cells
+            assert res.dp_pairs == pairs
