@@ -17,7 +17,7 @@ from .cells import (
     compress,
     same_dominators_check,
 )
-from .coverage import CoverageSweep, RowSums, build_row_sums, row_sum_upto
+from .coverage import CoverageSweep, RowSums, build_row_sums
 from .instances import (
     FAMILIES,
     GeneratorSpec,
@@ -42,7 +42,6 @@ from .oracle import oracle_solve
 from .prng import SplitMix64
 from .ranking import (
     RankedInstance,
-    as_instance,
     drop_uncovered,
     rank_transform,
     y_sorted_queries,
@@ -53,10 +52,9 @@ from .solver import (
     PipelineResult,
     add_sentinel,
     dp_layers,
-    make_sweep_factory,
     run_pipeline,
-    solve,
     solve_pipeline,
+    solve_reference,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +78,6 @@ __all__ = [
     "SplitMix64",
     "WeightedPoint",
     "add_sentinel",
-    "as_instance",
     "assign_cells",
     "build_grid",
     "build_row_sums",
@@ -90,19 +87,17 @@ __all__ = [
     "dp_layers",
     "drop_uncovered",
     "generate",
-    "make_sweep_factory",
     "oracle_solve",
     "parse",
     "parse_text",
     "rank_transform",
     "render_svg",
-    "row_sum_upto",
     "run_pipeline",
     "same_dominators_check",
     "serialize",
     "serialize_text",
-    "solve",
     "solve_pipeline",
+    "solve_reference",
     "strict_skyline",
     "weight_of_dom",
     "y_sorted_queries",

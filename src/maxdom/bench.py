@@ -12,11 +12,11 @@ STAGES = ("transform", "grid", "dp", "reconstruct")
 UNDER_TIMED = 0.005  # seconds; below this a cell is too fast to trust
 
 
-def time_pipeline(inst: Instance, use_compression: bool = True, reps: int = 1) -> dict[str, float]:
+def time_pipeline(inst: Instance, reps: int = 1) -> dict[str, float]:
     """Per-stage seconds for the fastest of ``reps`` runs, plus 'total'."""
     best = None
     for _ in range(max(1, reps)):
-        res = run_pipeline(inst, use_compression)
+        res = run_pipeline(inst)
         stages = dict(res.stage_seconds)
         stages["total"] = sum(stages.values())
         if best is None or stages["total"] < best["total"]:
@@ -33,7 +33,6 @@ def sweep(
     reps: int = 3,
     seed: int = 0,
     weights: tuple[int, int] = (-10, 10),
-    use_compression: bool = True,
 ) -> list[dict]:
     """Cartesian sweep over sizes; returns flat rows {family,n,m,k,stage,seconds}."""
     rows = []
@@ -44,7 +43,7 @@ def sweep(
                 spec = GeneratorSpec(family, n, m, k, weights, seed + 7919 * idx)
                 idx += 1
                 inst = generate(spec)
-                stages = time_pipeline(inst, use_compression, reps)
+                stages = time_pipeline(inst, reps)
                 for stage in (*STAGES, "total"):
                     rows.append(
                         {"family": family, "n": n, "m": m, "k": k, "stage": stage, "seconds": stages[stage]}

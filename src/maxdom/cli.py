@@ -17,7 +17,7 @@ from .model import Instance, weight_of_dom
 from .oracle import oracle_solve
 from .ranking import drop_uncovered, rank_transform
 from .render import render_svg
-from .solver import run_pipeline, solve_pipeline
+from .solver import run_pipeline, solve_pipeline, solve_reference
 
 
 def _load(args) -> Instance:
@@ -40,7 +40,7 @@ def cmd_solve(args) -> int:
         stages = {"oracle": perf_counter() - t1}
         retained = cells = compressed_size = row_sum_entries = dp_pairs = None
     else:
-        res = run_pipeline(inst, use_compression=not args.no_compress)
+        res = run_pipeline(inst)
         sol, stages = res.solution, res.stage_seconds
         retained, cells, compressed_size = res.retained, res.cells, res.compressed_size
         row_sum_entries, dp_pairs = res.row_sum_entries, res.dp_pairs
@@ -53,6 +53,7 @@ def cmd_solve(args) -> int:
         "k": inst.k,
         "value": sol.value,
         "chosen": sorted(sol.chosen),
+        "layers": sol.layer_values,
         "compressed_size": compressed_size,
         "retained": retained,
         "cells": cells,
@@ -68,16 +69,16 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load(args)
     sol_oracle = oracle_solve(inst, limit=args.limit)
-    sol_dp = solve_pipeline(inst, use_compression=True)
-    sol_raw = solve_pipeline(inst, use_compression=False)
+    sol_dp = solve_pipeline(inst)
+    sol_ref = solve_reference(inst)
     recomputed = weight_of_dom(inst.P, [q for q in inst.Q if q.id in sol_dp.chosen])
-    ok = sol_oracle.value == sol_dp.value == sol_raw.value == recomputed
+    ok = sol_oracle.value == sol_dp.value == sol_ref.value == recomputed
     print(
         json.dumps(
             {
                 "value_oracle": sol_oracle.value,
                 "value_dp": sol_dp.value,
-                "value_dp_no_compress": sol_raw.value,
+                "value_dp_no_compress": sol_ref.value,
                 "recomputed_from_chosen": recomputed,
                 "equal": ok,
             }
@@ -128,7 +129,6 @@ def cmd_bench(args) -> int:
         _ints(args.k),
         reps=args.reps,
         seed=args.seed,
-        use_compression=not args.no_compress,
     )
     flagged = False
     print(f"{'family':<22}{'n':>9}{'m':>6}{'k':>4}  {'stage':<12}{'seconds':>10}")
@@ -180,18 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance file")
     p.add_argument("path", type=Path)
     p.add_argument("--k", type=int, default=None, help="override the file's budget")
-    p.add_argument(
-        "--no-compress",
-        action="store_true",
-        help="use the ranked reference path (rank every point, drop uncovered, grid); same answer, slower",
-    )
     p.add_argument("--algo", choices=("dp", "oracle"), default="dp")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="exhaustive solve (alias for solve --algo oracle)")
     p.add_argument("path", type=Path)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_solve, algo="oracle", no_compress=False)
+    p.set_defaults(func=cmd_solve, algo="oracle")
 
     p = sub.add_parser("verify", help="cross-check the solver against the oracle")
     p.add_argument("path", type=Path)
@@ -223,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="8", help="comma-separated k values")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-compress", action="store_true", help="time the ranked reference path of solve --no-compress")
     p.add_argument("--csv", type=Path, default=None)
     p.set_defaults(func=cmd_bench)
 

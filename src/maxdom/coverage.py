@@ -42,19 +42,6 @@ def build_row_sums(grid: CellGrid) -> RowSums:
     return RowSums(grid.m, tuple(rows))
 
 
-def row_sum_upto(row_sums: RowSums, row: int, col_bound: int) -> float:
-    """Cumulative weight of strip ``row``'s cells with column <= ``col_bound``."""
-    pairs = row_sums.rows[row - 1]
-    lo, hi = 0, len(pairs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pairs[mid][0] <= col_bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return pairs[lo - 1][1] if lo else 0
-
-
 class CoverageSweep:
     """Single-owner cursor over rows; restarting reproduces identical values.
 

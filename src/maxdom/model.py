@@ -173,8 +173,9 @@ class Instance:
 class Solution:
     """A feasible pick set (query ids) together with its covered weight.
 
-    ``layer_values`` optionally records the best value after each budget
-    layer of the dynamic program, for diagnostics.
+    ``layer_values`` holds the dynamic program's best value with at most
+    1, 2, ..., min(k, m) picks (so its last entry is ``value``); the oracle
+    leaves it ``None``.
     """
 
     chosen: frozenset[int]

@@ -24,16 +24,14 @@ from .model import Instance, QueryPoint, WeightedPoint
 class RankedInstance:
     """An instance in rank space.
 
-    ``Q`` keeps the input order of the original queries (ids preserved),
-    ``y_order`` lists indices into ``Q`` by strictly decreasing y, and
-    ``back_map`` recovers the original query point for every id.
+    ``Q`` keeps the input order of the original queries (ids preserved) and
+    ``y_order`` lists indices into ``Q`` by strictly decreasing y.
     """
 
     P: tuple[WeightedPoint, ...]
     Q: tuple[QueryPoint, ...]
     k: int
     y_order: tuple[int, ...]
-    back_map: dict[int, QueryPoint]
 
     @property
     def m(self) -> int:
@@ -68,7 +66,7 @@ def rank_transform(inst: Instance) -> RankedInstance:
     new_q = tuple(QueryPoint(qx[t], qy[t], Q[t].id) for t in range(len(Q)))
     new_p = tuple(map(WeightedPoint, px, py, P.ws))
     y_order = tuple(sorted(range(len(Q)), key=lambda t: -qy[t]))
-    return RankedInstance(new_p, new_q, inst.k, y_order, {q.id: q for q in Q})
+    return RankedInstance(new_p, new_q, inst.k, y_order)
 
 
 def drop_uncovered(rinst: RankedInstance) -> RankedInstance:
@@ -90,7 +88,3 @@ def drop_uncovered(rinst: RankedInstance) -> RankedInstance:
             keep.append(p)
     return replace(rinst, P=tuple(keep))
 
-
-def as_instance(rinst: RankedInstance) -> Instance:
-    """View a ranked instance as a plain instance (for oracle cross-checks)."""
-    return Instance(rinst.P, rinst.Q, rinst.k)

@@ -6,6 +6,9 @@ the covered region in one pass over the instance's point columns
 the DP on them.  The n-side is thus one bucketing pass, O(n log m), that
 builds no per-point object; the cell sums are themselves the compressed
 ground set, so nothing is compressed or gridded a second time.
+``solve_reference`` reaches the same cell sums the ranked way (rank every
+point, drop the uncovered ones, grid in rank space) and runs the same DP;
+``verify`` and the tests compare the pipeline against it.
 
 Layer l computes, for every position i in decreasing-y order (sentinel
 last), the best covered weight achievable with at most l picks drawn from
@@ -25,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Callable
 
 from .cells import build_grid
 from .coverage import CoverageSweep, RowSums, build_row_sums
@@ -42,19 +44,12 @@ def add_sentinel(rinst: RankedInstance) -> RankedInstance:
     return replace(rinst, Q=rinst.Q + (sentinel,), y_order=rinst.y_order + (m,))
 
 
-def _x_positions(rinst: RankedInstance) -> list[float]:
-    # index 0 unused; positions are 1-based throughout the sweep and the DP
-    return [0] + [q.x for q in y_sorted_queries(rinst)]
-
-
-def make_sweep_factory(rinst: RankedInstance, row_sums: RowSums) -> Callable[[], CoverageSweep]:
-    """Fresh-sweep factory; one sweep is consumed per DP layer."""
-    xs = _x_positions(rinst)
-    return lambda: CoverageSweep(row_sums, xs)
-
-
-def dp_layers(rinst: RankedInstance, sweep_factory: Callable[[], CoverageSweep], k: int | None = None):
+def dp_layers(rinst: RankedInstance, row_sums: RowSums, k: int | None = None):
     """All layer tables and predecessor links; layer 0 is identically zero.
+
+    ``rinst`` must be sentinel-extended and ``row_sums`` must hold the
+    per-strip sums of its cells; every layer consumes a fresh
+    ``CoverageSweep`` over them.
 
     Returns ``(tables, preds, k_eff)`` where ``tables[l][i]`` is the layer-l
     optimum at position i (1-based, sentinel last) and ``preds[l][i]`` the
@@ -72,7 +67,7 @@ def dp_layers(rinst: RankedInstance, sweep_factory: Callable[[], CoverageSweep],
     tables: list[list[float]] = [[0] * (last + 1)]
     preds: list[list[int] | None] = [None]
     for _layer in range(1, k_eff + 1):
-        sweep = sweep_factory()
+        sweep = CoverageSweep(row_sums, qx)
         advance = sweep.advance
         cov = sweep.cov  # mutated in place by advance, never reassigned
         t_prev = tables[-1]
@@ -111,10 +106,10 @@ def _chosen_ids(rinst: RankedInstance, preds, k_eff: int) -> frozenset[int]:
     return frozenset(ids)
 
 
-def _solution(rinst: RankedInstance, tables, preds, k_eff: int, collect_layers: bool) -> Solution:
-    """The optimum and its pick set, read off the DP's tables and links."""
+def _solution(rinst: RankedInstance, tables, preds, k_eff: int) -> Solution:
+    """The optimum, its pick set and each layer's optimum, read off the DP's output."""
     last = len(rinst.Q)
-    layers = tuple(tables[l][last] for l in range(1, k_eff + 1)) if collect_layers else None
+    layers = tuple(tables[l][last] for l in range(1, k_eff + 1))
     return Solution(_chosen_ids(rinst, preds, k_eff), tables[k_eff][last], layers)
 
 
@@ -132,16 +127,6 @@ def _dp_pairs(rinst: RankedInstance, k_eff: int) -> int:
     return per_layer * k_eff
 
 
-def solve(
-    rinst: RankedInstance,
-    sweep_factory: Callable[[], CoverageSweep],
-    *,
-    collect_layers: bool = False,
-) -> Solution:
-    """Optimal pick set for a ranked, sentinel-extended instance."""
-    return _solution(rinst, *dp_layers(rinst, sweep_factory), collect_layers)
-
-
 @dataclass
 class PipelineResult:
     """A solve with its stage timings, grid statistics and DP work counts."""
@@ -152,42 +137,30 @@ class PipelineResult:
     k: int
     retained: int  # ground points covered by some query, i.e. summed into cells
     cells: int  # non-empty cells, zero-weight ones included
-    compressed_size: int | None  # nonzero-weight cells; None on the reference path
+    compressed_size: int  # nonzero-weight cells, the compressed ground set
     row_sum_entries: int  # stored (col, cum) pairs, one per nonzero-weight cell
     dp_pairs: int  # eligible (layer, i, j) transitions, see ``_dp_pairs``
     stage_seconds: dict[str, float]
 
 
-def run_pipeline(inst: Instance, use_compression: bool = True, *, collect_layers: bool = False) -> PipelineResult:
+def run_pipeline(inst: Instance) -> PipelineResult:
     """rank the queries -> sum the cells -> sentinel -> layered DP.
 
-    By default the cells are summed straight from ``inst``'s point columns
-    in its own coordinates; the nonzero cells are the compressed ground set,
-    whose size is reported as ``compressed_size``.  With
-    ``use_compression=False`` the reference path runs instead: every point
-    is rank-transformed, uncovered points are dropped and the ranked points
-    are gridded.  Both paths give the same cell sums, so they report the
-    same value and the same picks.  The work counts are taken after the
+    The cells are summed straight from ``inst``'s point columns in its own
+    coordinates; the nonzero cells are the compressed ground set, whose size
+    is reported as ``compressed_size``.  The work counts are taken after the
     timed stages.
     """
     t0 = perf_counter()
-    if use_compression:
-        rr = rank_transform(Instance((), inst.Q, inst.k))  # only the queries need ranks
-        t1 = perf_counter()
-        grid = build_grid(inst)
-        compressed_size = sum(1 for w in grid.cells.values() if w != 0)
-    else:
-        rr = drop_uncovered(rank_transform(inst))
-        t1 = perf_counter()
-        grid = build_grid(rr)
-        compressed_size = None
+    rr = rank_transform(Instance((), inst.Q, inst.k))  # only the queries need ranks
+    t1 = perf_counter()
+    grid = build_grid(inst)
     row_sums = build_row_sums(grid)
-    factory = make_sweep_factory(rr, row_sums)
     rs = add_sentinel(rr)
     t2 = perf_counter()
-    tables, preds, k_eff = dp_layers(rs, factory)
+    tables, preds, k_eff = dp_layers(rs, row_sums)
     t3 = perf_counter()
-    solution = _solution(rs, tables, preds, k_eff, collect_layers)
+    solution = _solution(rs, tables, preds, k_eff)
     t4 = perf_counter()
     return PipelineResult(
         solution,
@@ -196,13 +169,25 @@ def run_pipeline(inst: Instance, use_compression: bool = True, *, collect_layers
         inst.k,
         grid.retained,
         len(grid.cells),
-        compressed_size,
+        sum(1 for w in grid.cells.values() if w != 0),
         sum(map(len, row_sums.rows)),
         _dp_pairs(rs, k_eff),
         {"transform": t1 - t0, "grid": t2 - t1, "dp": t3 - t2, "reconstruct": t4 - t3},
     )
 
 
-def solve_pipeline(inst: Instance, use_compression: bool = True) -> Solution:
+def solve_pipeline(inst: Instance) -> Solution:
     """End-to-end solve; see ``run_pipeline`` for timings and statistics."""
-    return run_pipeline(inst, use_compression).solution
+    return run_pipeline(inst).solution
+
+
+def solve_reference(inst: Instance) -> Solution:
+    """The ranked reference solve that ``verify`` and the tests compare against.
+
+    Every point is rank-transformed, uncovered points are dropped and the
+    ranked points are gridded; the cell sums, and so the value and the picks,
+    equal ``solve_pipeline``'s.
+    """
+    rr = drop_uncovered(rank_transform(inst))
+    rs = add_sentinel(rr)
+    return _solution(rs, *dp_layers(rs, build_row_sums(build_grid(rr))))

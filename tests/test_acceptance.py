@@ -11,13 +11,13 @@ import pytest
 
 from maxdom import bench
 from maxdom.cells import build_grid, compress
-from maxdom.coverage import build_row_sums
+from maxdom.coverage import CoverageSweep, build_row_sums
 from maxdom.instances import GeneratorSpec, generate
 from maxdom.model import Instance, dominates_closed, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
-from maxdom.solver import dp_layers, make_sweep_factory, run_pipeline, solve_pipeline
+from maxdom.solver import dp_layers, run_pipeline, solve_pipeline, solve_reference
 
 from util import random_instance
 
@@ -34,8 +34,8 @@ def test_criterion_1_solver_matches_oracle():
     for trial in range(1000):
         inst = random_instance(rng, max_n=40, max_m=8, span=spans[trial % 4])
         expect = oracle_solve(inst).value
-        got_c = solve_pipeline(inst, True).value
-        got_r = solve_pipeline(inst, False).value
+        got_c = solve_pipeline(inst).value
+        got_r = solve_reference(inst).value
         assert got_c == expect and got_r == expect, (trial, expect, got_c, got_r)
         checked += 1
     _report("criterion 1 (oracle equivalence)", checked == 1000,
@@ -90,7 +90,7 @@ def test_criterion_4_coverage_sums_match_direct_definition():
         assert inst.n * inst.m**2 <= 10**6
         rr = drop_uncovered(rank_transform(inst))
         qs = y_sorted_queries(rr)
-        sweep = make_sweep_factory(rr, build_row_sums(build_grid(rr)))()
+        sweep = CoverageSweep(build_row_sums(build_grid(rr)), [0] + [q.x for q in qs])
         for i in range(2, rr.m + 2):
             sweep.advance()
             y_i = qs[i - 1].y if i <= rr.m else -1
@@ -119,7 +119,7 @@ def test_criterion_6_dp_structural_invariants():
     rng = SplitMix64(606)
     for _ in range(150):
         inst = random_instance(rng, max_n=30, max_m=8, span=12)
-        res = run_pipeline(inst, collect_layers=True)
+        res = run_pipeline(inst)
         sol = res.solution
         layers = sol.layer_values
         assert all(a <= b for a, b in zip(layers, layers[1:]))
@@ -130,8 +130,7 @@ def test_criterion_6_dp_structural_invariants():
     rr = drop_uncovered(rank_transform(inst))
     from maxdom.solver import add_sentinel
 
-    factory = make_sweep_factory(rr, build_row_sums(build_grid(rr)))
-    tables, _preds, _k = dp_layers(add_sentinel(rr), factory)
+    tables, _preds, _k = dp_layers(add_sentinel(rr), build_row_sums(build_grid(rr)))
     assert all(v == 0 for v in tables[0])
     for _ in range(40):
         neg = random_instance(rng, max_n=20, max_m=6, span=8, wlo=-10, whi=-1)

@@ -14,8 +14,8 @@ from maxdom.instances import GeneratorSpec, generate
 from maxdom.model import Instance, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
-from maxdom.ranking import as_instance, drop_uncovered, rank_transform
-from maxdom.solver import solve_pipeline
+from maxdom.ranking import drop_uncovered, rank_transform
+from maxdom.solver import solve_pipeline, solve_reference
 
 from util import random_instance, small_instances
 
@@ -141,7 +141,7 @@ def test_grid_of_compressed_equals_nonzero_cells(inst):
     grid = build_grid(rr)
     comp = compress(grid, rr)
     regrid = build_grid(
-        type(rr)(comp.points, rr.Q, rr.k, rr.y_order, rr.back_map)
+        type(rr)(comp.points, rr.Q, rr.k, rr.y_order)
     )
     assert regrid.cells == {key: w for key, w in grid.cells.items() if w != 0}
 
@@ -149,7 +149,7 @@ def test_grid_of_compressed_equals_nonzero_cells(inst):
 def test_build_grid_rejects_unranked_instance():
     inst = Instance.from_rows([(0, 0, 1)], [(1, 1)], 1)
     rr = rank_transform(inst)
-    fake = type(rr)(inst.P, inst.Q, 1, rr.y_order, rr.back_map)  # raw odd/even mix
+    fake = type(rr)(inst.P, inst.Q, 1, rr.y_order)  # raw odd/even mix
     with pytest.raises(ValueError):
         build_grid(fake)
 
@@ -191,5 +191,5 @@ def test_one_pass_cells_equal_ranked_reference(inst):
     assert repr(sorted(got.cells.items())) == repr(sorted(ref.cells.items()))
     assert repr(got.per_row) == repr(ref.per_row)
     assert got.retained == ref.retained == len(rr.P)
-    a, b = solve_pipeline(inst, True), solve_pipeline(inst, False)
+    a, b = solve_pipeline(inst), solve_reference(inst)
     assert repr(a.value) == repr(b.value) and a.chosen == b.chosen

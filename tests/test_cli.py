@@ -43,20 +43,14 @@ def test_solve_budget_zero(capsys, tiny):
     assert rec["value"] == 0 and rec["chosen"] == []
 
 
-def test_solve_without_compression_same_value(capsys, tiny):
-    path, _ = tiny
-    _, out_a, _ = run(capsys, "solve", path)
-    _, out_b, _ = run(capsys, "solve", path, "--no-compress")
-    a, b = json.loads(out_a), json.loads(out_b)
-    assert a["value"] == b["value"]
-    assert a["compressed_size"] is not None and b["compressed_size"] is None
-
-
 def test_verify_subcommand(capsys, tiny):
     path, _ = tiny
     code, out, _ = run(capsys, "verify", path)
     assert code == 0
-    assert json.loads(out)["equal"] is True
+    rec = json.loads(out)
+    assert set(rec) == {"value_oracle", "value_dp", "value_dp_no_compress", "recomputed_from_chosen", "equal"}
+    assert rec["equal"] is True
+    assert rec["value_dp_no_compress"] == rec["value_dp"]
 
 
 def test_oracle_subcommand(capsys, tiny):
@@ -159,7 +153,7 @@ def test_repeated_main_calls_share_no_state(capsys, tiny):
     path, inst = tiny
     _, out, _ = run(capsys, "solve", path, "--k", "1")
     assert json.loads(out)["k"] == 1
-    _, out, _ = run(capsys, "solve", path, "--algo", "oracle", "--no-compress")
+    _, out, _ = run(capsys, "solve", path, "--algo", "oracle")
     assert json.loads(out)["algo"] == "oracle"
     _, out, _ = run(capsys, "verify", path, "--limit", "50")
     assert json.loads(out)["equal"] is True
@@ -179,16 +173,22 @@ def test_solve_record_counters_and_wall_time(capsys, tiny):
     grid = build_grid(rr)
     res = run_pipeline(inst)
     assert res.row_sum_entries > 0 and res.dp_pairs > 0
-    for flags in ((), ("--no-compress",)):
-        _, out, _ = run(capsys, "solve", path, *flags)
+    _, out, _ = run(capsys, "solve", path)
+    rec = json.loads(out)
+    assert list(rec["stages"]) == ["parse", "transform", "grid", "dp", "reconstruct"]
+    assert rec["retained"] == len(rr.P) and rec["cells"] == len(grid.cells)
+    assert (rec["row_sum_entries"], rec["dp_pairs"]) == (res.row_sum_entries, res.dp_pairs)
+    # measured from parse to reconstruction, so no shorter than its stages
+    assert rec["total_seconds"] >= sum(rec["stages"].values()) - 1e-5
+    for k in range(inst.m + 2):
+        _, out, _ = run(capsys, "solve", path, "--k", k)
         rec = json.loads(out)
-        assert list(rec["stages"]) == ["parse", "transform", "grid", "dp", "reconstruct"]
-        assert rec["retained"] == len(rr.P) and rec["cells"] == len(grid.cells)
-        assert (rec["row_sum_entries"], rec["dp_pairs"]) == (res.row_sum_entries, res.dp_pairs)
-        # measured from parse to reconstruction, so no shorter than its stages
-        assert rec["total_seconds"] >= sum(rec["stages"].values()) - 1e-5
+        layers = rec["layers"]
+        assert len(layers) == min(k, inst.m)
+        assert all(a <= b for a, b in zip(layers, layers[1:]))
+        assert k == 0 or layers[-1] == rec["value"]
     _, out, _ = run(capsys, "solve", path, "--algo", "oracle")
     rec = json.loads(out)
     assert list(rec["stages"]) == ["parse", "oracle"]
     assert rec["retained"] is rec["cells"] is rec["compressed_size"] is None
-    assert rec["row_sum_entries"] is rec["dp_pairs"] is None
+    assert rec["row_sum_entries"] is rec["dp_pairs"] is rec["layers"] is None

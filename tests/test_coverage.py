@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from maxdom.cells import CellGrid, build_grid
-from maxdom.coverage import RowSums, build_row_sums, row_sum_upto
+from maxdom.coverage import CoverageSweep, build_row_sums
 from maxdom.model import Instance
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
-from maxdom.solver import make_sweep_factory
 
 from util import random_instance, small_instances
 
@@ -17,7 +16,7 @@ def prepared(inst):
 
 
 def fresh_sweep(rr, rows):
-    return make_sweep_factory(rr, rows)()
+    return CoverageSweep(rows, [0] + [q.x for q in y_sorted_queries(rr)])
 
 
 def direct_cov(rr, i, j):
@@ -32,22 +31,9 @@ def test_row_sums_accumulate_in_column_order():
     assert built.rows[0] == ((2, 5), (4, 2))
 
 
-def test_row_sum_queries():
-    rows = RowSums(1, (((2, 5), (4, 2)),))
-    assert row_sum_upto(rows, 1, 3) == 5
-    assert row_sum_upto(rows, 1, 1) == 0
-    assert row_sum_upto(rows, 1, 4) == 2
-
-
 def test_row_sums_skip_zero_weight_cells_but_keep_totals():
     built = build_row_sums(CellGrid(1, {}, (((1, 4), (2, 0), (3, -4), (4, 1)),)))
     assert built.rows[0] == ((1, 4), (3, 0), (4, 1))  # col 2 not stored
-    assert row_sum_upto(built, 1, 2) == 4  # unchanged by the omission
-
-
-def test_empty_row_returns_zero():
-    rows = RowSums(2, ((), ((1, 3),)))
-    assert row_sum_upto(rows, 1, 5) == 0
 
 
 def test_sweep_two_point_example():

@@ -4,7 +4,7 @@ from maxdom.cells import build_grid, compress
 from maxdom.model import Instance
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
-from maxdom.ranking import as_instance, drop_uncovered, rank_transform
+from maxdom.ranking import drop_uncovered, rank_transform
 
 from util import random_instance
 
@@ -45,9 +45,9 @@ def test_value_invariant_under_preprocessing():
         inst = random_instance(rng, max_n=20, max_m=5, span=8)
         expect = oracle_solve(inst).value
         rr = rank_transform(inst)
-        assert oracle_solve(as_instance(rr)).value == expect
+        assert oracle_solve(Instance(rr.P, rr.Q, rr.k)).value == expect
         rr = drop_uncovered(rr)
-        assert oracle_solve(as_instance(rr)).value == expect
+        assert oracle_solve(Instance(rr.P, rr.Q, rr.k)).value == expect
         comp = compress(build_grid(rr), rr)
         assert oracle_solve(Instance(comp.points, rr.Q, rr.k)).value == expect
 

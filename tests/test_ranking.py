@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from maxdom.model import Instance, dominates_closed, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
-from maxdom.ranking import as_instance, drop_uncovered, rank_transform, y_sorted_queries
+from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
 
 from util import random_instance, small_instances
 
@@ -53,14 +53,14 @@ def test_rank_space_invariants(inst):
     assert all(p.x % 2 == 1 and p.y % 2 == 1 for p in rr.P)
     ys = [q.y for q in y_sorted_queries(rr)]
     assert ys == sorted(ys, reverse=True)
-    assert all(rr.back_map[q.id] == orig for q, orig in zip(rr.Q, inst.Q))
+    assert [q.id for q in rr.Q] == [q.id for q in inst.Q]
 
 
 @settings(deadline=None, max_examples=50)
 @given(small_instances())
 def test_transform_idempotent_on_dominance(inst):
     rr = rank_transform(inst)
-    rr2 = rank_transform(as_instance(rr))
+    rr2 = rank_transform(Instance(rr.P, rr.Q, rr.k))
     assert _dominance_matrix(rr.P, rr.Q) == _dominance_matrix(rr2.P, rr2.Q)
 
 
@@ -69,7 +69,7 @@ def test_drop_uncovered_removes_everything():
     inst = Instance.from_rows([(5, 5, 3)], [(1, 1)], 1)
     rr = drop_uncovered(rank_transform(inst))
     assert rr.P == ()
-    assert oracle_solve(as_instance(rr)).value == 0
+    assert oracle_solve(Instance(rr.P, rr.Q, rr.k)).value == 0
 
 
 def test_drop_uncovered_keeps_covered_points():
@@ -83,8 +83,8 @@ def test_drop_uncovered_preserves_optimum():
     for _ in range(40):
         inst = random_instance(rng, max_n=20, max_m=5, span=8)
         rr = rank_transform(inst)
-        before = oracle_solve(as_instance(rr)).value
-        after = oracle_solve(as_instance(drop_uncovered(rr))).value
+        before = oracle_solve(Instance(rr.P, rr.Q, rr.k)).value
+        after = oracle_solve(Instance(drop_uncovered(rr).P, rr.Q, rr.k)).value
         assert before == after == oracle_solve(inst).value
 
 

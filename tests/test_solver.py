@@ -12,10 +12,9 @@ from maxdom.solver import (
     SENTINEL_ID,
     add_sentinel,
     dp_layers,
-    make_sweep_factory,
     run_pipeline,
-    solve,
     solve_pipeline,
+    solve_reference,
 )
 
 from util import random_instance, small_instances
@@ -23,8 +22,7 @@ from util import random_instance, small_instances
 
 def prepared(inst):
     rr = drop_uncovered(rank_transform(inst))
-    factory = make_sweep_factory(rr, build_row_sums(build_grid(rr)))
-    return add_sentinel(rr), factory
+    return add_sentinel(rr), build_row_sums(build_grid(rr))
 
 
 def test_sentinel_construction():
@@ -46,9 +44,8 @@ def test_sentinel_upper_left_region_holds_all_queries():
 def test_solve_requires_sentinel():
     inst = Instance.from_rows([(0, 0, 1)], [(1, 1)], 1)
     rr = drop_uncovered(rank_transform(inst))
-    factory = make_sweep_factory(rr, build_row_sums(build_grid(rr)))
     with pytest.raises(ValueError):
-        solve(rr, factory)
+        dp_layers(rr, build_row_sums(build_grid(rr)))
 
 
 def test_budget_zero_returns_empty():
@@ -98,7 +95,7 @@ def test_layer_values_monotone():
     rng = SplitMix64(19)
     for _ in range(25):
         inst = random_instance(rng, max_n=30, max_m=7, span=12)
-        res = run_pipeline(inst, collect_layers=True)
+        res = run_pipeline(inst)
         layers = res.solution.layer_values
         assert all(a <= b for a, b in zip(layers, layers[1:]))
 
@@ -140,9 +137,9 @@ def test_layers_match_independent_reference():
     rng = SplitMix64(23)
     for _ in range(20):
         inst = random_instance(rng, max_n=20, max_m=6, span=10)
-        rs, factory = prepared(inst)
+        rs, row_sums = prepared(inst)
         k = min(inst.k, inst.m)
-        tables, _preds, k_eff = dp_layers(rs, factory)
+        tables, _preds, k_eff = dp_layers(rs, row_sums)
         assert k_eff == k
         assert tables == reference_tables(rs, k)
 
@@ -152,15 +149,15 @@ def test_pipeline_matches_oracle():
     for _ in range(150):
         inst = random_instance(rng, max_n=30, max_m=7, span=14)
         expect = oracle_solve(inst).value
-        assert solve_pipeline(inst, True).value == expect
-        assert solve_pipeline(inst, False).value == expect
+        assert solve_pipeline(inst).value == expect
+        assert solve_reference(inst).value == expect
 
 
 def test_compression_does_not_change_the_value():
     rng = SplitMix64(37)
     for _ in range(40):
         inst = random_instance(rng, max_n=50, max_m=8, span=25)
-        assert solve_pipeline(inst, True).value == solve_pipeline(inst, False).value
+        assert solve_pipeline(inst).value == solve_reference(inst).value
 
 
 def test_clustered_input_shrinks_before_the_dp():
@@ -190,7 +187,6 @@ def test_work_counters_match_direct_count():
             for j in range(i)
             if qs[j].x <= qs[i].x
         )
-        for use_compression in (True, False):
-            res = run_pipeline(inst, use_compression)
-            assert res.row_sum_entries == nonzero_cells
-            assert res.dp_pairs == pairs
+        res = run_pipeline(inst)
+        assert res.row_sum_entries == nonzero_cells
+        assert res.dp_pairs == pairs
