@@ -1,10 +1,10 @@
 """maxdom: pick at most k planar query points whose closed lower-left
 quadrants cover the maximum total weight of a weighted point set.
 
-The solver ranks the queries, sums the ground points into at most
-min(n, m^2) cells of the covered region in one pass over the point columns,
-and runs a layered dynamic program in O(k*m^2 + n log m) time and O(n + m)
-space.  An exhaustive oracle provides ground truth at verification scale.
+The solver sums the ground points into at most min(n, m^2) cells of the
+covered region in one pass over the point columns, and runs a layered
+dynamic program in O(k*m^2 + n log m) time and O(n + m) space.  An
+exhaustive oracle provides ground truth at verification scale.
 """
 
 from .cells import (
@@ -40,17 +40,10 @@ from .model import (
 )
 from .oracle import oracle_solve
 from .prng import SplitMix64
-from .ranking import (
-    RankedInstance,
-    drop_uncovered,
-    rank_transform,
-    y_sorted_queries,
-)
+from .ranking import drop_uncovered, rank_transform, y_sorted_queries
 from .render import render_svg
 from .solver import (
-    SENTINEL_ID,
     PipelineResult,
-    add_sentinel,
     dp_layers,
     run_pipeline,
     solve_pipeline,
@@ -71,13 +64,10 @@ __all__ = [
     "PipelineResult",
     "PointColumns",
     "QueryPoint",
-    "RankedInstance",
     "RowSums",
-    "SENTINEL_ID",
     "Solution",
     "SplitMix64",
     "WeightedPoint",
-    "add_sentinel",
     "assign_cells",
     "build_grid",
     "build_row_sums",

@@ -8,7 +8,7 @@ from .instances import GeneratorSpec, generate
 from .model import Instance
 from .solver import run_pipeline
 
-STAGES = ("transform", "grid", "dp", "reconstruct")
+STAGES = ("grid", "dp", "reconstruct")
 UNDER_TIMED = 0.005  # seconds; below this a cell is too fast to trust
 
 

@@ -10,11 +10,12 @@ ground set, with at most min(n, m^2) entries.
 ``build_grid`` sums the cells in one pass over the point columns: one bisect
 on the sorted query y-values finds a point's strip, one bisect on that
 strip's query x-prefix finds its cell, and points covered by no query are
-skipped.  It takes an instance in its own coordinates, as the solve path
-does, or a rank-normalized one, as the reference path does; both give the
+skipped.  An instance gridded in its own coordinates, as the solve path
+does, and its rank-normalized form, as the reference path grids, give the
 same cells, because each bisect counts the queries strictly below or left of
-the point, which the rank transform preserves.  ``compress`` turns the cells
-into representative points for ``maxdom compress`` and rendering.
+the point, which the rank transform preserves.  ``cell_boxes`` and
+``compress`` read cell corners off the query coordinates, so they take a
+rank-normalized instance; they serve ``maxdom compress`` and rendering.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Instance, PointColumns, WeightedPoint, dominates_closed
-from .ranking import RankedInstance, y_sorted_queries
+from .model import Instance, WeightedPoint, dominates_closed
+from .ranking import y_sorted_queries
 
 
 class CellKey(NamedTuple):
@@ -50,31 +51,22 @@ class CompressedP:
     provenance: tuple[CellKey, ...]
 
 
-def _check_parity(rinst: RankedInstance) -> None:
-    if any(q.x % 2 or q.y % 2 for q in rinst.Q) or any(
-        not (p.x % 2) or not (p.y % 2) for p in rinst.P
-    ):
-        raise ValueError(
-            "instance is not rank-normalized (expected odd point / even query coordinates)"
-        )
-
-
-def _strips(queries, pts: PointColumns, tags):
-    """Bucket points by strip below ``queries``; yield ``(row, slots, tags)`` per strip.
+def _strips(inst: Instance, tags):
+    """Bucket ``inst``'s points by strip; yield ``(row, slots, tags)`` per strip.
 
     Row ``i`` (0..m) holds the points with exactly ``i`` queries at or above
     them, in input order; row 0 lies above every query.  ``slots[t]`` counts
     the ``i`` highest queries strictly left of the row's ``t``-th point and
     ``tags[t]`` is that point's entry of ``tags``.  A point is covered iff
     its slot is below its row; it then lies in cell ``(row, slot + 1)``.
-    Queries are ordered by decreasing (y, id), the rank transform's y-order.
+    Queries are taken in the staircase order of ``y_sorted_queries``.
     """
-    stair = sorted(queries, key=lambda q: (q.y, q.id), reverse=True)
+    stair = y_sorted_queries(inst)
     m = len(stair)
     ys_asc = sorted(q.y for q in stair)
     strip_xs: list[list] = [[] for _ in range(m + 1)]
     strip_tags: list[list] = [[] for _ in range(m + 1)]
-    for x, y, tag in zip(pts.xs, pts.ys, tags):
+    for x, y, tag in zip(inst.P.xs, inst.P.ys, tags):
         row = m - bisect_left(ys_asc, y)
         strip_xs[row].append(x)
         strip_tags[row].append(tag)
@@ -85,12 +77,11 @@ def _strips(queries, pts: PointColumns, tags):
         yield row, [bisect_left(prefix, x) for x in strip_xs[row]], strip_tags[row]
 
 
-def assign_cells(rinst: RankedInstance) -> list[CellKey]:
+def assign_cells(inst: Instance) -> list[CellKey]:
     """Cell key for every ground point; requires drop_uncovered beforehand."""
-    _check_parity(rinst)
-    pts = PointColumns.of(rinst.P)
-    keys: list[CellKey] = [CellKey(0, 0)] * len(pts)
-    for row, slots, indices in _strips(rinst.Q, pts, range(len(pts))):
+    n = len(inst.P)
+    keys: list[CellKey] = [CellKey(0, 0)] * n
+    for row, slots, indices in _strips(inst, range(n)):
         for slot, idx in zip(slots, indices):
             if slot == row:
                 raise ValueError("point covered by no query; run drop_uncovered first")
@@ -98,19 +89,16 @@ def assign_cells(rinst: RankedInstance) -> list[CellKey]:
     return keys
 
 
-def build_grid(inst: Instance | RankedInstance) -> CellGrid:
+def build_grid(inst: Instance) -> CellGrid:
     """Sum point weights per cell in input order, skipping uncovered points.
 
-    A ``RankedInstance`` must be rank-normalized; an ``Instance`` is gridded
-    in its own coordinates, with the same cells as its ranked form.
+    The cells are those of ``inst``'s ranked form, whichever coordinates it
+    is given in.
     """
-    if isinstance(inst, RankedInstance):
-        _check_parity(inst)
-    pts = PointColumns.of(inst.P)
     cells: dict[CellKey, float] = {}
     per_row: list[tuple[tuple[int, float], ...]] = []
     retained = 0
-    for row, slots, ws in _strips(inst.Q, pts, pts.ws):
+    for row, slots, ws in _strips(inst, inst.P.ws):
         sums: dict[int, float] = {}
         get = sums.get
         for slot, w in zip(slots, ws):
@@ -124,8 +112,8 @@ def build_grid(inst: Instance | RankedInstance) -> CellGrid:
     return CellGrid(inst.m, cells, tuple(per_row), retained)
 
 
-def cell_boxes(grid: CellGrid, rinst: RankedInstance) -> dict[CellKey, tuple]:
-    """``(x_lo, y_lo, x_hi, y_hi)`` in rank coordinates for every non-empty cell."""
+def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
+    """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance."""
     qs = y_sorted_queries(rinst)
     boxes: dict[CellKey, tuple] = {}
     xs_prefix: list[float] = []
@@ -142,7 +130,7 @@ def cell_boxes(grid: CellGrid, rinst: RankedInstance) -> dict[CellKey, tuple]:
     return boxes
 
 
-def compress(grid: CellGrid, rinst: RankedInstance) -> CompressedP:
+def compress(grid: CellGrid, rinst: Instance) -> CompressedP:
     """Replace each nonzero-weight cell by one interior representative point.
 
     Representatives sit one unit up-right of the cell's lower-left corner, so
@@ -163,19 +151,19 @@ def compress(grid: CellGrid, rinst: RankedInstance) -> CompressedP:
     return CompressedP(tuple(points), tuple(provenance))
 
 
-def same_dominators_check(grid: CellGrid, rinst: RankedInstance, max_work: int = 10**6) -> bool:
+def same_dominators_check(grid: CellGrid, inst: Instance, max_work: int = 10**6) -> bool:
     """Exhaustively confirm that the points of each cell share one cover set.
 
     Verification helper, quadratic on purpose; refuses oversized instances.
     """
-    if len(rinst.P) * max(1, rinst.m) > max_work:
+    if len(inst.P) * max(1, inst.m) > max_work:
         raise ValueError("instance too large for the exhaustive dominator check")
-    keys = assign_cells(rinst)
+    keys = assign_cells(inst)
     seen: dict[CellKey, frozenset[int]] = {}
-    for key, p in zip(keys, rinst.P):
+    for key, p in zip(keys, inst.P):
         if key not in grid.cells:
             return False
-        covers = frozenset(q.id for q in rinst.Q if dominates_closed(q, p))
+        covers = frozenset(q.id for q in inst.Q if dominates_closed(q, p))
         if seen.setdefault(key, covers) != covers:
             return False
     return True

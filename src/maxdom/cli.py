@@ -183,11 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("dp", "oracle"), default="dp")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("oracle", help="exhaustive solve (alias for solve --algo oracle)")
-    p.add_argument("path", type=Path)
-    p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=cmd_solve, algo="oracle")
-
     p = sub.add_parser("verify", help="cross-check the solver against the oracle")
     p.add_argument("path", type=Path)
     p.add_argument("--k", type=int, default=None)

@@ -8,9 +8,10 @@ cover it.  An empty cover has weight zero.  Weights may be negative.
 This module owns the ground-set format.  An ``Instance`` holds its points as
 ``PointColumns``: three parallel tuples of x, y and w values, which the
 parser, the generators, the serializer and the cell grid read directly, so a
-solve builds no per-point object.  ``Instance.P`` still reads as a sequence
-of ``WeightedPoint`` for the oracle, ``weight_of_dom`` and the ranked
-reference path; those objects are built on first per-point access and cached.
+solve builds no per-point object, and neither does the ranked reference
+solve.  ``Instance.P`` still reads as a sequence of ``WeightedPoint`` for the
+oracle, ``weight_of_dom`` and rendering; those objects are built on first
+per-point access and cached.
 
 All types are immutable after construction and all functions here are pure,
 so everything is safe to share across threads.

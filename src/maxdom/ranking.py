@@ -1,6 +1,7 @@
-"""Rank-space normalization of an instance.
+"""Rank-space normalization of an instance, and the query staircase order.
 
-Coordinates are replaced per axis by small integers chosen so that
+``rank_transform`` replaces coordinates per axis by small integers chosen so
+that
 
 * queries receive pairwise distinct even coordinates ``2, 4, ..., 2m``,
 * every ground point receives an odd coordinate, and
@@ -9,38 +10,25 @@ Coordinates are replaced per axis by small integers chosen so that
 The parity split guarantees that no ground point shares a coordinate with
 any query, so every later boundary comparison is strict and exact.  Ties
 among queries on an axis are broken by query id, making the transform
-deterministic across runs and platforms.
+deterministic across runs and platforms.  The result is a plain
+``Instance`` whose points stay columnar.  The solve path never ranks the
+points; ``solver.solve_reference``, compression and rendering do.
+
+``y_sorted_queries`` is the one definition of the staircase order, by
+decreasing ``(y, id)``, which the cell grid and the DP share.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .model import Instance, QueryPoint, WeightedPoint
-
-
-@dataclass(frozen=True)
-class RankedInstance:
-    """An instance in rank space.
-
-    ``Q`` keeps the input order of the original queries (ids preserved) and
-    ``y_order`` lists indices into ``Q`` by strictly decreasing y.
-    """
-
-    P: tuple[WeightedPoint, ...]
-    Q: tuple[QueryPoint, ...]
-    k: int
-    y_order: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.Q)
+from .model import Instance, PointColumns, QueryPoint
 
 
-def y_sorted_queries(rinst: RankedInstance) -> tuple[QueryPoint, ...]:
-    """Queries in strictly decreasing y; position t is the t-th highest."""
-    return tuple(rinst.Q[i] for i in rinst.y_order)
+def y_sorted_queries(inst: Instance) -> tuple[QueryPoint, ...]:
+    """Queries by decreasing ``(y, id)``; position t is the t-th highest."""
+    return tuple(sorted(inst.Q, key=lambda q: (q.y, q.id), reverse=True))
 
 
 def _axis_transform(q_values, q_ids, p_values):
@@ -57,34 +45,29 @@ def _axis_transform(q_values, q_ids, p_values):
     return q_coord, p_coord
 
 
-def rank_transform(inst: Instance) -> RankedInstance:
+def rank_transform(inst: Instance) -> Instance:
     """Map an instance to rank space, preserving every closed-dominance pair."""
     Q, P = inst.Q, inst.P
     ids = [q.id for q in Q]
     qx, px = _axis_transform([q.x for q in Q], ids, P.xs)
     qy, py = _axis_transform([q.y for q in Q], ids, P.ys)
     new_q = tuple(QueryPoint(qx[t], qy[t], Q[t].id) for t in range(len(Q)))
-    new_p = tuple(map(WeightedPoint, px, py, P.ws))
-    y_order = tuple(sorted(range(len(Q)), key=lambda t: -qy[t]))
-    return RankedInstance(new_p, new_q, inst.k, y_order)
+    return Instance(PointColumns(px, py, P.ws), new_q, inst.k)
 
 
-def drop_uncovered(rinst: RankedInstance) -> RankedInstance:
+def drop_uncovered(inst: Instance) -> Instance:
     """Remove ground points covered by no query; the optimum is unchanged.
 
     A point survives iff some query lies weakly above and right of it, which
     one pass over the x-sorted queries with a suffix maximum of y decides.
     """
-    m = rinst.m
-    by_x = sorted((q.x, q.y) for q in rinst.Q)
+    m = inst.m
+    by_x = sorted((q.x, q.y) for q in inst.Q)
     x_keys = [x for x, _ in by_x]
-    suff_max_y = [0] * (m + 1)
+    suff_max_y = [float("-inf")] * (m + 1)
     for t in range(m - 1, -1, -1):
         suff_max_y[t] = max(by_x[t][1], suff_max_y[t + 1])
-    keep = []
-    for p in rinst.P:
-        t = bisect_left(x_keys, p.x)  # queries right of p start here (parity: no equality)
-        if t < m and suff_max_y[t] > p.y:
-            keep.append(p)
-    return replace(rinst, P=tuple(keep))
-
+    P = inst.P
+    # the queries weakly right of a point start at bisect_left(x_keys, x)
+    keep = [i for i, (x, y) in enumerate(zip(P.xs, P.ys)) if suff_max_y[bisect_left(x_keys, x)] >= y]
+    return replace(inst, P=PointColumns(*([col[i] for i in keep] for col in (P.xs, P.ys, P.ws))))

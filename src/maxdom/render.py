@@ -19,12 +19,16 @@ MAX_DRAWN_POINTS = 2000
 def render_svg(inst: Instance, chosen: Iterable[int] | None = None, *, scale: int = 14) -> str:
     """SVG with query points, grid lines, shaded non-empty cells, representative
     points, and (optionally) the union of the chosen queries' quadrants.
+    A chosen id that names no query raises ``ValueError``.
 
     Ground points are drawn individually only when there are at most
     ``MAX_DRAWN_POINTS`` of them; the representatives are always drawn.
     """
     if inst.m > MAX_RENDER_M:
         raise ValueError(f"rendering is capped at m <= {MAX_RENDER_M}")
+    unknown = sorted(set(chosen or ()) - {q.id for q in inst.Q})
+    if unknown:
+        raise ValueError(f"unknown query ids: {', '.join(map(str, unknown))}")
     rr = drop_uncovered(rank_transform(inst))
     grid = build_grid(rr)
     comp = compress(grid, rr)

@@ -1,22 +1,26 @@
 """Layered dynamic program over the query staircase, plus the full pipeline.
 
-The pipeline ranks the m queries, sums the ground points into the cells of
-the covered region in one pass over the instance's point columns
-(``cells.build_grid``), turns the cells into per-strip prefix sums and runs
-the DP on them.  The n-side is thus one bucketing pass, O(n log m), that
-builds no per-point object; the cell sums are themselves the compressed
-ground set, so nothing is compressed or gridded a second time.
-``solve_reference`` reaches the same cell sums the ranked way (rank every
-point, drop the uncovered ones, grid in rank space) and runs the same DP;
-``verify`` and the tests compare the pipeline against it.
+The pipeline sums the ground points into the cells of the covered region in
+one pass over the instance's point columns (``cells.build_grid``), turns the
+cells into per-strip prefix sums and runs the DP on them.  The n-side is
+thus one bucketing pass, O(n log m), that builds no per-point object; the
+cell sums are themselves the compressed ground set, so nothing is compressed
+or gridded a second time.  ``solve_reference`` reaches the same cell sums the
+ranked way (rank every point, drop the uncovered ones, grid in rank space)
+and runs the same DP; ``verify`` and the tests compare the pipeline against
+it.
 
-Layer l computes, for every position i in decreasing-y order (sentinel
-last), the best covered weight achievable with at most l picks drawn from
-the queries in the closed upper-left region of position i, measured on the
-points strictly above position i.  A transition picks the lowest selected
-query j, whose quadrant contributes the sweep's cov(i, j), and inherits the
-rest from layer l-1 at j.  The sentinel placed right of and below everything
-turns the final entry into the global optimum.
+The DP takes any instance, ranked or not: it walks the queries in the
+staircase order of ``ranking.y_sorted_queries`` and compares their x-ranks,
+ties broken by id as in the rank transform.  Layer l computes, for every
+position i in decreasing-y order (sentinel last), the best covered weight
+achievable with at most l picks drawn from the queries in the closed
+upper-left region of position i, measured on the points strictly above
+position i.  A transition picks the lowest selected query j, whose quadrant
+contributes the sweep's cov(i, j), and inherits the rest from layer l-1 at
+j.  A sentinel position m + 1, right of and below every query, turns its
+entry into the global optimum; it exists only inside the DP and is never
+reported.
 
 One fresh coverage sweep is consumed per layer, so no quadratic coverage
 table is ever materialized: total space stays O(n + m) plus the O(k*m)
@@ -26,30 +30,32 @@ predecessor links used for reconstruction.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 from .cells import build_grid
 from .coverage import CoverageSweep, RowSums, build_row_sums
-from .model import Instance, QueryPoint, Solution
-from .ranking import RankedInstance, drop_uncovered, rank_transform, y_sorted_queries
-
-SENTINEL_ID = -1
+from .model import Instance, Solution
+from .ranking import _axis_transform, drop_uncovered, rank_transform, y_sorted_queries
 
 
-def add_sentinel(rinst: RankedInstance) -> RankedInstance:
-    """Append the below-right sentinel query; it is never reported in solutions."""
-    m = rinst.m
-    sentinel = QueryPoint(2 * m + 3, -1, SENTINEL_ID)
-    return replace(rinst, Q=rinst.Q + (sentinel,), y_order=rinst.y_order + (m,))
+def _staircase_x(inst: Instance) -> list[int]:
+    """``[0, x_1, ..., x_m, x_sentinel]``: x-ranks by staircase position.
+
+    Queries are ranked by ``(x, id)`` as in the rank transform; the sentinel
+    at position m + 1 lies right of all of them.
+    """
+    qs = y_sorted_queries(inst)
+    ranks, _ = _axis_transform([q.x for q in qs], [q.id for q in qs], ())
+    return [0, *ranks, 2 * len(qs) + 2]
 
 
-def dp_layers(rinst: RankedInstance, row_sums: RowSums, k: int | None = None):
+def dp_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
     """All layer tables and predecessor links; layer 0 is identically zero.
 
-    ``rinst`` must be sentinel-extended and ``row_sums`` must hold the
-    per-strip sums of its cells; every layer consumes a fresh
-    ``CoverageSweep`` over them.
+    ``row_sums`` must hold the per-strip sums of ``inst``'s cells; every
+    layer consumes a fresh ``CoverageSweep`` over them.  ``k`` overrides
+    ``inst.k``.
 
     Returns ``(tables, preds, k_eff)`` where ``tables[l][i]`` is the layer-l
     optimum at position i (1-based, sentinel last) and ``preds[l][i]`` the
@@ -57,13 +63,9 @@ def dp_layers(rinst: RankedInstance, row_sums: RowSums, k: int | None = None):
     smallest position, so an all-zero optimum reconstructs to the empty pick
     set; the optimum value is independent of tie-breaking.
     """
-    qs = y_sorted_queries(rinst)
-    last = len(qs)
-    if qs[-1].id != SENTINEL_ID:
-        raise ValueError("sentinel missing: call add_sentinel before solving")
-    k_eff = rinst.k if k is None else k
-    k_eff = min(k_eff, last - 1)
-    qx = [0] + [q.x for q in qs]
+    qx = _staircase_x(inst)
+    last = len(qx) - 1
+    k_eff = min(inst.k if k is None else k, last - 1)
     tables: list[list[float]] = [[0] * (last + 1)]
     preds: list[list[int] | None] = [None]
     for _layer in range(1, k_eff + 1):
@@ -93,11 +95,11 @@ def dp_layers(rinst: RankedInstance, row_sums: RowSums, k: int | None = None):
     return tables, preds, k_eff
 
 
-def _chosen_ids(rinst: RankedInstance, preds, k_eff: int) -> frozenset[int]:
+def _chosen_ids(inst: Instance, preds, k_eff: int) -> frozenset[int]:
     """Walk predecessor links from the sentinel, skipping self-links."""
-    qs = y_sorted_queries(rinst)
+    qs = y_sorted_queries(inst)
     ids = []
-    i = len(qs)
+    i = len(qs) + 1
     for layer in range(k_eff, 0, -1):
         j = preds[layer][i]
         if j != i:
@@ -106,24 +108,24 @@ def _chosen_ids(rinst: RankedInstance, preds, k_eff: int) -> frozenset[int]:
     return frozenset(ids)
 
 
-def _solution(rinst: RankedInstance, tables, preds, k_eff: int) -> Solution:
+def _solution(inst: Instance, tables, preds, k_eff: int) -> Solution:
     """The optimum, its pick set and each layer's optimum, read off the DP's output."""
-    last = len(rinst.Q)
+    last = inst.m + 1
     layers = tuple(tables[l][last] for l in range(1, k_eff + 1))
-    return Solution(_chosen_ids(rinst, preds, k_eff), tables[k_eff][last], layers)
+    return Solution(_chosen_ids(inst, preds, k_eff), tables[k_eff][last], layers)
 
 
-def _dp_pairs(rinst: RankedInstance, k_eff: int) -> int:
+def _dp_pairs(inst: Instance, k_eff: int) -> int:
     """Transitions the DP visits: (layer, i, j) with j < i in y-order and x_j <= x_i.
 
     Counted from the query order alone, one bisect and one sorted insert per
-    query, so counting adds nothing to the DP loops.
+    position (sentinel included), so counting adds nothing to the DP loops.
     """
     seen: list = []
     per_layer = 0
-    for q in y_sorted_queries(rinst):
-        per_layer += bisect_right(seen, q.x)
-        insort(seen, q.x)
+    for x in _staircase_x(inst)[1:]:
+        per_layer += bisect_right(seen, x)
+        insort(seen, x)
     return per_layer * k_eff
 
 
@@ -144,7 +146,7 @@ class PipelineResult:
 
 
 def run_pipeline(inst: Instance) -> PipelineResult:
-    """rank the queries -> sum the cells -> sentinel -> layered DP.
+    """sum the cells -> layered DP -> reconstruct.
 
     The cells are summed straight from ``inst``'s point columns in its own
     coordinates; the nonzero cells are the compressed ground set, whose size
@@ -152,16 +154,13 @@ def run_pipeline(inst: Instance) -> PipelineResult:
     timed stages.
     """
     t0 = perf_counter()
-    rr = rank_transform(Instance((), inst.Q, inst.k))  # only the queries need ranks
-    t1 = perf_counter()
     grid = build_grid(inst)
     row_sums = build_row_sums(grid)
-    rs = add_sentinel(rr)
+    t1 = perf_counter()
+    tables, preds, k_eff = dp_layers(inst, row_sums)
     t2 = perf_counter()
-    tables, preds, k_eff = dp_layers(rs, row_sums)
+    solution = _solution(inst, tables, preds, k_eff)
     t3 = perf_counter()
-    solution = _solution(rs, tables, preds, k_eff)
-    t4 = perf_counter()
     return PipelineResult(
         solution,
         inst.n,
@@ -171,8 +170,8 @@ def run_pipeline(inst: Instance) -> PipelineResult:
         len(grid.cells),
         sum(1 for w in grid.cells.values() if w != 0),
         sum(map(len, row_sums.rows)),
-        _dp_pairs(rs, k_eff),
-        {"transform": t1 - t0, "grid": t2 - t1, "dp": t3 - t2, "reconstruct": t4 - t3},
+        _dp_pairs(inst, k_eff),
+        {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
     )
 
 
@@ -189,5 +188,4 @@ def solve_reference(inst: Instance) -> Solution:
     equal ``solve_pipeline``'s.
     """
     rr = drop_uncovered(rank_transform(inst))
-    rs = add_sentinel(rr)
-    return _solution(rs, *dp_layers(rs, build_row_sums(build_grid(rr))))
+    return _solution(rr, *dp_layers(rr, build_row_sums(build_grid(rr))))

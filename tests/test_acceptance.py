@@ -128,9 +128,7 @@ def test_criterion_6_dp_structural_invariants():
         assert weight_of_dom(inst.P, chosen) == sol.value
     inst = random_instance(rng, max_n=20, max_m=6, span=10)
     rr = drop_uncovered(rank_transform(inst))
-    from maxdom.solver import add_sentinel
-
-    tables, _preds, _k = dp_layers(add_sentinel(rr), build_row_sums(build_grid(rr)))
+    tables, _preds, _k = dp_layers(rr, build_row_sums(build_grid(rr)))
     assert all(v == 0 for v in tables[0])
     for _ in range(40):
         neg = random_instance(rng, max_n=20, max_m=6, span=8, wlo=-10, whi=-1)

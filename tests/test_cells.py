@@ -140,18 +140,8 @@ def test_grid_of_compressed_equals_nonzero_cells(inst):
     rr = ranked(inst)
     grid = build_grid(rr)
     comp = compress(grid, rr)
-    regrid = build_grid(
-        type(rr)(comp.points, rr.Q, rr.k, rr.y_order)
-    )
+    regrid = build_grid(Instance(comp.points, rr.Q, rr.k))
     assert regrid.cells == {key: w for key, w in grid.cells.items() if w != 0}
-
-
-def test_build_grid_rejects_unranked_instance():
-    inst = Instance.from_rows([(0, 0, 1)], [(1, 1)], 1)
-    rr = rank_transform(inst)
-    fake = type(rr)(inst.P, inst.Q, 1, rr.y_order)  # raw odd/even mix
-    with pytest.raises(ValueError):
-        build_grid(fake)
 
 
 def test_assign_cells_rejects_uncovered_points():

@@ -53,13 +53,6 @@ def test_verify_subcommand(capsys, tiny):
     assert rec["value_dp_no_compress"] == rec["value_dp"]
 
 
-def test_oracle_subcommand(capsys, tiny):
-    path, inst = tiny
-    code, out, _ = run(capsys, "oracle", path)
-    assert code == 0
-    assert json.loads(out)["value"] == oracle_solve(inst).value
-
-
 def test_compress_inspect_and_out_file(capsys, tmp_path, tiny):
     path, inst = tiny
     out_file = tmp_path / "compressed.txt"
@@ -105,7 +98,7 @@ def test_bench_csv_schema(capsys, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "family,n,m,k,stage,seconds"
     stages = {line.split(",")[4] for line in lines[1:]}
-    assert stages == {"transform", "grid", "dp", "reconstruct", "total"}
+    assert stages == {"grid", "dp", "reconstruct", "total"}
 
 
 def test_render_marks_occupied_strip(capsys, tmp_path):
@@ -142,6 +135,16 @@ def test_render_solution_overlay(capsys, tmp_path):
     assert "data-chosen" in out_svg.read_text()
 
 
+@pytest.mark.parametrize("chosen", ["7", "-1", "0,7"])
+def test_render_rejects_unknown_chosen_id(capsys, tmp_path, chosen):
+    path = tmp_path / "sol.txt"
+    serialize(Instance.from_rows([(0, 0, 5)], [(1, 1), (9, 9)], 1), path)
+    out_svg = tmp_path / "sol.svg"
+    code, _, err = run(capsys, "render", path, "--chosen", chosen, "--out", out_svg)
+    assert code == 1 and err.startswith("error: ") and chosen.split(",")[-1] in err
+    assert not out_svg.exists()
+
+
 def test_render_rejects_oversized(capsys, tmp_path):
     path = tmp_path / "big.txt"
     serialize(generate(GeneratorSpec("uniform", n=1, m=201, k=1, seed=0)), path)
@@ -175,7 +178,7 @@ def test_solve_record_counters_and_wall_time(capsys, tiny):
     assert res.row_sum_entries > 0 and res.dp_pairs > 0
     _, out, _ = run(capsys, "solve", path)
     rec = json.loads(out)
-    assert list(rec["stages"]) == ["parse", "transform", "grid", "dp", "reconstruct"]
+    assert list(rec["stages"]) == ["parse", "grid", "dp", "reconstruct"]
     assert rec["retained"] == len(rr.P) and rec["cells"] == len(grid.cells)
     assert (rec["row_sum_entries"], rec["dp_pairs"]) == (res.row_sum_entries, res.dp_pairs)
     # measured from parse to reconstruction, so no shorter than its stages

@@ -45,9 +45,9 @@ def test_value_invariant_under_preprocessing():
         inst = random_instance(rng, max_n=20, max_m=5, span=8)
         expect = oracle_solve(inst).value
         rr = rank_transform(inst)
-        assert oracle_solve(Instance(rr.P, rr.Q, rr.k)).value == expect
+        assert oracle_solve(rr).value == expect
         rr = drop_uncovered(rr)
-        assert oracle_solve(Instance(rr.P, rr.Q, rr.k)).value == expect
+        assert oracle_solve(rr).value == expect
         comp = compress(build_grid(rr), rr)
         assert oracle_solve(Instance(comp.points, rr.Q, rr.k)).value == expect
 

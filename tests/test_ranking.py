@@ -60,7 +60,7 @@ def test_rank_space_invariants(inst):
 @given(small_instances())
 def test_transform_idempotent_on_dominance(inst):
     rr = rank_transform(inst)
-    rr2 = rank_transform(Instance(rr.P, rr.Q, rr.k))
+    rr2 = rank_transform(rr)
     assert _dominance_matrix(rr.P, rr.Q) == _dominance_matrix(rr2.P, rr2.Q)
 
 
@@ -69,7 +69,7 @@ def test_drop_uncovered_removes_everything():
     inst = Instance.from_rows([(5, 5, 3)], [(1, 1)], 1)
     rr = drop_uncovered(rank_transform(inst))
     assert rr.P == ()
-    assert oracle_solve(Instance(rr.P, rr.Q, rr.k)).value == 0
+    assert oracle_solve(rr).value == 0
 
 
 def test_drop_uncovered_keeps_covered_points():
@@ -83,8 +83,8 @@ def test_drop_uncovered_preserves_optimum():
     for _ in range(40):
         inst = random_instance(rng, max_n=20, max_m=5, span=8)
         rr = rank_transform(inst)
-        before = oracle_solve(Instance(rr.P, rr.Q, rr.k)).value
-        after = oracle_solve(Instance(drop_uncovered(rr).P, rr.Q, rr.k)).value
+        before = oracle_solve(rr).value
+        after = oracle_solve(drop_uncovered(rr)).value
         assert before == after == oracle_solve(inst).value
 
 

@@ -1,51 +1,35 @@
-import pytest
 from hypothesis import given, settings
 
-from maxdom.cells import build_grid, compress
+from maxdom.cells import build_grid
 from maxdom.coverage import build_row_sums
 from maxdom.instances import GeneratorSpec, generate
-from maxdom.model import Instance, weight_of_dom
+from maxdom.model import Instance, QueryPoint, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
-from maxdom.solver import (
-    SENTINEL_ID,
-    add_sentinel,
-    dp_layers,
-    run_pipeline,
-    solve_pipeline,
-    solve_reference,
-)
+from maxdom.solver import dp_layers, run_pipeline, solve_pipeline, solve_reference
 
 from util import random_instance, small_instances
 
 
 def prepared(inst):
     rr = drop_uncovered(rank_transform(inst))
-    return add_sentinel(rr), build_row_sums(build_grid(rr))
+    return rr, build_row_sums(build_grid(rr))
 
 
-def test_sentinel_construction():
-    inst = Instance.from_rows([], [(0, 0), (1, 1), (2, 2)], 1)
-    rs, _ = prepared(inst)
-    sentinel = rs.Q[-1]
-    assert (sentinel.x, sentinel.y, sentinel.id) == (9, -1, SENTINEL_ID)
-    assert all(sentinel.x > q.x and sentinel.y < q.y for q in rs.Q[:-1])
-    assert y_sorted_queries(rs)[-1] is sentinel
+def with_sentinel(queries):
+    """Rank-space ``queries`` followed by a sentinel right of every query and
+    below every point (rank coordinates are positive)."""
+    return (*queries, QueryPoint(max(q.x for q in queries) + 1, 0, -1))
 
 
-def test_sentinel_upper_left_region_holds_all_queries():
-    inst = Instance.from_rows([], [(3, 7), (9, 1), (5, 5)], 2)
-    rs, _ = prepared(inst)
-    sentinel = rs.Q[-1]
-    assert all(q.x <= sentinel.x and q.y >= sentinel.y for q in rs.Q)
-
-
-def test_solve_requires_sentinel():
-    inst = Instance.from_rows([(0, 0, 1)], [(1, 1)], 1)
+@settings(deadline=None, max_examples=150)
+@given(small_instances(span=4))  # tiny span: ties on both axes everywhere
+def test_dp_takes_any_instance(inst):
     rr = drop_uncovered(rank_transform(inst))
-    with pytest.raises(ValueError):
-        dp_layers(rr, build_row_sums(build_grid(rr)))
+    assert dp_layers(inst, build_row_sums(build_grid(inst))) == dp_layers(
+        rr, build_row_sums(build_grid(rr))
+    )
 
 
 def test_budget_zero_returns_empty():
@@ -86,7 +70,6 @@ def test_sentinel_never_reported():
     for _ in range(40):
         inst = random_instance(rng, max_n=25, max_m=6, span=10)
         sol = solve_pipeline(inst)
-        assert SENTINEL_ID not in sol.chosen
         assert sol.chosen <= {q.id for q in inst.Q}
         assert len(sol.chosen) <= inst.k
 
@@ -108,12 +91,13 @@ def test_reported_value_is_achieved_by_chosen(inst):
     assert weight_of_dom(inst.P, chosen) == sol.value
 
 
-def reference_tables(rs, k):
+def reference_tables(rr, k):
     """Independent layer tables: brute-force coverage sums and the literal
-    candidate set {j : x(q_j) <= x(q_i), y(q_j) >= y(q_i)}."""
-    qs = y_sorted_queries(rs)
+    candidate set {j : x(q_j) <= x(q_i), y(q_j) >= y(q_i)}, with a sentinel
+    query last."""
+    qs = with_sentinel(y_sorted_queries(rr))
     last = len(qs)
-    P = rs.P
+    P = rr.P
     cov = [[0] * (last + 1) for _ in range(last + 1)]
     for i in range(1, last + 1):
         for j in range(1, i + 1):
@@ -137,11 +121,11 @@ def test_layers_match_independent_reference():
     rng = SplitMix64(23)
     for _ in range(20):
         inst = random_instance(rng, max_n=20, max_m=6, span=10)
-        rs, row_sums = prepared(inst)
+        rr, row_sums = prepared(inst)
         k = min(inst.k, inst.m)
-        tables, _preds, k_eff = dp_layers(rs, row_sums)
+        tables, _preds, k_eff = dp_layers(rr, row_sums)
         assert k_eff == k
-        assert tables == reference_tables(rs, k)
+        assert tables == reference_tables(rr, k)
 
 
 def test_pipeline_matches_oracle():
@@ -179,7 +163,7 @@ def test_work_counters_match_direct_count():
         inst = random_instance(rng, max_n=30, max_m=8, span=12)
         rr = drop_uncovered(rank_transform(inst))
         nonzero_cells = sum(1 for w in build_grid(rr).cells.values() if w != 0)
-        qs = y_sorted_queries(add_sentinel(rr))
+        qs = with_sentinel(y_sorted_queries(rr))
         pairs = sum(
             1
             for _layer in range(min(inst.k, inst.m))
