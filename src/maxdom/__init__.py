@@ -3,19 +3,18 @@ quadrants cover the maximum total weight of a weighted point set.
 
 The solver sums the ground points into at most min(n, m^2) cells of the
 covered region in one pass over the point columns, and runs a layered
-dynamic program in O(k*m^2 + n log m) time and O(n + m) space.  An
-exhaustive oracle provides ground truth at verification scale.
+dynamic program in O(k*m^2 + n log m) time and O(n + m) space, or, when
+that is predicted faster, in O(k*(c + m)*log m) time for c nonzero cells.
+An exhaustive oracle provides ground truth at verification scale.
 """
 
 from .cells import (
     CellGrid,
     CellKey,
     CompressedP,
-    assign_cells,
     build_grid,
     cell_boxes,
     compress,
-    same_dominators_check,
 )
 from .coverage import CoverageSweep, RowSums, build_row_sums
 from .instances import (
@@ -68,7 +67,6 @@ __all__ = [
     "Solution",
     "SplitMix64",
     "WeightedPoint",
-    "assign_cells",
     "build_grid",
     "build_row_sums",
     "cell_boxes",
@@ -83,7 +81,6 @@ __all__ = [
     "rank_transform",
     "render_svg",
     "run_pipeline",
-    "same_dominators_check",
     "serialize",
     "serialize_text",
     "solve_pipeline",

@@ -24,7 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Instance, WeightedPoint, dominates_closed
+from .model import Instance, WeightedPoint
 from .ranking import y_sorted_queries
 
 
@@ -75,18 +75,6 @@ def _strips(inst: Instance, tags):
         if row:
             insort(prefix, stair[row - 1].x)
         yield row, [bisect_left(prefix, x) for x in strip_xs[row]], strip_tags[row]
-
-
-def assign_cells(inst: Instance) -> list[CellKey]:
-    """Cell key for every ground point; requires drop_uncovered beforehand."""
-    n = len(inst.P)
-    keys: list[CellKey] = [CellKey(0, 0)] * n
-    for row, slots, indices in _strips(inst, range(n)):
-        for slot, idx in zip(slots, indices):
-            if slot == row:
-                raise ValueError("point covered by no query; run drop_uncovered first")
-            keys[idx] = CellKey(row, slot + 1)
-    return keys
 
 
 def build_grid(inst: Instance) -> CellGrid:
@@ -149,21 +137,3 @@ def compress(grid: CellGrid, rinst: Instance) -> CompressedP:
         points.append(WeightedPoint(x_lo + 1, y_lo + 1, w))
         provenance.append(key)
     return CompressedP(tuple(points), tuple(provenance))
-
-
-def same_dominators_check(grid: CellGrid, inst: Instance, max_work: int = 10**6) -> bool:
-    """Exhaustively confirm that the points of each cell share one cover set.
-
-    Verification helper, quadratic on purpose; refuses oversized instances.
-    """
-    if len(inst.P) * max(1, inst.m) > max_work:
-        raise ValueError("instance too large for the exhaustive dominator check")
-    keys = assign_cells(inst)
-    seen: dict[CellKey, frozenset[int]] = {}
-    for key, p in zip(keys, inst.P):
-        if key not in grid.cells:
-            return False
-        covers = frozenset(q.id for q in inst.Q if dominates_closed(q, p))
-        if seen.setdefault(key, covers) != covers:
-            return False
-    return True

@@ -38,12 +38,13 @@ def cmd_solve(args) -> int:
     if args.algo == "oracle":
         sol = oracle_solve(inst)
         stages = {"oracle": perf_counter() - t1}
-        retained = cells = compressed_size = row_sum_entries = dp_pairs = None
+        retained = cells = compressed_size = row_sum_entries = dp_pairs = engine = estimates = None
     else:
-        res = run_pipeline(inst)
+        res = run_pipeline(inst, "auto")
         sol, stages = res.solution, res.stage_seconds
         retained, cells, compressed_size = res.retained, res.cells, res.compressed_size
         row_sum_entries, dp_pairs = res.row_sum_entries, res.dp_pairs
+        engine, estimates = res.engine, {e: round(t, 6) for e, t in res.estimates.items()}
     total = perf_counter() - t0
     record = {
         "algo": args.algo,
@@ -59,6 +60,8 @@ def cmd_solve(args) -> int:
         "cells": cells,
         "row_sum_entries": row_sum_entries,
         "dp_pairs": dp_pairs,
+        "engine": engine,
+        "estimates_s": estimates,
         "stages": {s: round(t, 6) for s, t in {"parse": t1 - t0, **stages}.items()},
         "total_seconds": round(total, 6),
     }
@@ -69,22 +72,21 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load(args)
     sol_oracle = oracle_solve(inst, limit=args.limit)
-    sol_dp = solve_pipeline(inst)
+    sol_dp = solve_pipeline(inst, "auto")
     sol_ref = solve_reference(inst)
-    recomputed = weight_of_dom(inst.P, [q for q in inst.Q if q.id in sol_dp.chosen])
-    ok = sol_oracle.value == sol_dp.value == sol_ref.value == recomputed
-    print(
-        json.dumps(
-            {
-                "value_oracle": sol_oracle.value,
-                "value_dp": sol_dp.value,
-                "value_dp_no_compress": sol_ref.value,
-                "recomputed_from_chosen": recomputed,
-                "equal": ok,
-            }
-        )
-    )
-    return 0 if ok else 1
+    values = {
+        "value_dp": sol_dp.value,
+        "value_dp_no_compress": sol_ref.value,
+        "recomputed_from_chosen": weight_of_dom(inst.P, [q for q in inst.Q if q.id in sol_dp.chosen]),
+    }
+    disagree = [key for key, value in values.items() if value != sol_oracle.value]
+    record = {"value_oracle": sol_oracle.value, **values, "equal": not disagree}
+    if disagree:  # only a failing record carries the explanation
+        layers = enumerate(zip(sol_dp.layer_values, sol_ref.layer_values))
+        record["disagree"] = disagree
+        record["first_layer_mismatch"] = next((i for i, (a, b) in layers if a != b), None)
+    print(json.dumps(record))
+    return 1 if disagree else 0
 
 
 def cmd_compress(args) -> int:

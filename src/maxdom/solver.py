@@ -22,9 +22,17 @@ j.  A sentinel position m + 1, right of and below every query, turns its
 entry into the global optimum; it exists only inside the DP and is never
 reported.
 
-One fresh coverage sweep is consumed per layer, so no quadratic coverage
-table is ever materialized: total space stays O(n + m) plus the O(k*m)
-predecessor links used for reconstruction.
+Two engines compute the same layer tables.  ``dp_layers``, the paper's
+simple algorithm ("sweep"), consumes one fresh coverage sweep per layer and
+scans every pair: O(m^2) time per layer, O(n + m) space plus the O(k*m)
+predecessor links used for reconstruction.  ``tree_layers`` ("tree") runs
+each layer as a sweep over a max segment tree on the x-ranks, O((c + m)
+log m) time per layer for c nonzero cells, and ``_tree_preds`` rebuilds
+only the coverage rows that the optimal walk visits.  The simple DP is the
+library default of ``run_pipeline`` and the one that ``maxdom bench`` times
+and sweeps; ``maxdom solve`` and ``maxdom verify`` pass ``"auto"``, which
+runs whichever engine ``_estimates`` predicts faster from m, k and c (the
+paper's min{}), and refuses a solve estimated over ``DP_BUDGET_S``.
 """
 
 from __future__ import annotations
@@ -95,6 +103,140 @@ def dp_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
     return tables, preds, k_eff
 
 
+def _strip_adds(qx: list[int], row_sums: RowSums) -> list[list[tuple[int, float]]]:
+    """Per strip, its nonzero cells as ``(leaf, weight)`` pairs.
+
+    Leaves index the queries by x-rank (``qx[i] // 2 - 1``).  A cell's leaf
+    is that of the leftmost query above its strip that covers it, so the
+    queries covering the cell are exactly those above the strip at that
+    leaf or right of it.
+    """
+    prefix: list[int] = []  # leaves of the queries above the strip, sorted
+    adds = []
+    for s, pairs in enumerate(row_sums.rows, 1):
+        insort(prefix, qx[s] // 2 - 1)
+        prev = 0
+        strip = []
+        for col, cum in pairs:
+            strip.append((prefix[col - 1], cum - prev))
+            prev = cum
+        adds.append(strip)
+    return adds
+
+
+def tree_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
+    """``dp_layers``' tables in O((c + m) log m) time per layer, c the nonzero cells.
+
+    Each layer sweeps the positions in staircase order over a max segment
+    tree whose leaves are the queries' x-ranks.  A leaf j holds
+    ``t_prev[j] + cov(i, j)`` once position j is inserted: before position
+    i, every nonzero cell of strip i - 1 adds its weight to the leaves at or
+    right of its own leaf, position i's entry is the better of its self-link
+    ``t_prev[i]`` and the maximum over the leaves left of it, and position i
+    is then inserted.  Leaves not yet inserted start below any reachable
+    value, so they never win.  Node ``p`` stores the maximum of its subtree
+    with every add applied at or below ``p``; ``tag[p]`` holds the adds
+    applied to ``p``'s whole subtree.
+
+    Returns ``(tables, k_eff)``; the picks come from ``_tree_preds``.
+    """
+    qx = _staircase_x(inst)
+    last = len(qx) - 1
+    k_eff = min(inst.k if k is None else k, last - 1)
+    adds = _strip_adds(qx, row_sums)
+    size = 1 << (last - 2).bit_length()  # a power of two, at least m leaves
+    leaf = [size + x // 2 - 1 for x in qx]  # the sentinel's is past the end: it only queries
+    # An inserted leaf holds at least -W, W the total absolute weight, and
+    # the adds move a leaf not yet inserted by at most W: it stays below -W.
+    floor = -1 - 2 * sum(abs(w) for strip in adds for _, w in strip)
+    tables: list[list[float]] = [[0] * (last + 1)]
+    for _layer in range(k_eff):
+        t_prev = tables[-1]
+        t_cur = [0] * (last + 1)
+        mx = [floor] * (2 * size)
+        tag = [0] * (2 * size)
+        for i in range(1, last + 1):
+            if i > 1:
+                for p, w in adds[i - 2]:  # strip i - 1: suffix add from leaf p
+                    p += size
+                    mx[p] += w
+                    while p > 1:
+                        if not p & 1:
+                            mx[p + 1] += w
+                            tag[p + 1] += w
+                        p >>= 1
+                        a, b = mx[2 * p], mx[2 * p + 1]
+                        mx[p] = (a if a > b else b) + tag[p]
+            best = t_prev[i]  # self-link
+            q = leaf[i] - 1
+            if q >= size:  # prefix maximum over the leaves up to q
+                res = mx[q]
+                while q > 1:
+                    if q & 1 and mx[q - 1] > res:
+                        res = mx[q - 1]
+                    q >>= 1
+                    res += tag[q]
+                if res > best:
+                    best = res
+            t_cur[i] = best
+            if i < last:  # insert position i: its leaf's value becomes t_prev[i]
+                p = leaf[i]
+                a = p >> 1
+                above = 0
+                while a:
+                    above += tag[a]
+                    a >>= 1
+                mx[p] = t_prev[i] - above
+                while p > 1:
+                    p >>= 1
+                    a, b = mx[2 * p], mx[2 * p + 1]
+                    a = (a if a > b else b) + tag[p]
+                    if a == mx[p]:
+                        break
+                    mx[p] = a
+        tables.append(t_cur)
+    return tables, k_eff
+
+
+def _tree_preds(inst: Instance, row_sums: RowSums, tables, k_eff: int):
+    """``dp_layers``' predecessor links along the optimal walk, one per layer.
+
+    Each step rebuilds the one row cov(i, .) it needs with a Fenwick tree
+    over the leaves: strips i - 1 down to 1 are added in turn, and cov(i, j)
+    is read right after strip j as the weight at leaves up to j's.  The pick
+    is ``dp_layers``' tie-break: the self-link first, then the smallest j.
+    Returns ``preds`` with ``preds[l]`` a one-entry ``{i: j}`` mapping.
+    """
+    qx = _staircase_x(inst)
+    last = len(qx) - 1
+    adds = _strip_adds(qx, row_sums)
+    preds: list[dict[int, int] | None] = [None] * (k_eff + 1)
+    i, row_i = last, 0
+    for layer in range(k_eff, 0, -1):
+        if row_i != i:  # a self-link keeps i, and so its row
+            row_i = i
+            fen = [0] * last  # 1-based over the m leaves
+            row = [0] * i
+            for j in range(i - 1, 0, -1):
+                for p, w in adds[j - 1]:
+                    p += 1
+                    while p < last:
+                        fen[p] += w
+                        p += p & -p
+                p = qx[j] // 2  # leaf of j, plus one
+                while p:
+                    row[j] += fen[p]
+                    p -= p & -p
+        t_prev = tables[layer - 1]
+        best, bj = t_prev[i], i
+        for j in range(1, i):
+            if qx[j] < qx[i] and t_prev[j] + row[j] > best:
+                best, bj = t_prev[j] + row[j], j
+        preds[layer] = {i: bj}
+        i = bj
+    return preds
+
+
 def _chosen_ids(inst: Instance, preds, k_eff: int) -> frozenset[int]:
     """Walk predecessor links from the sentinel, skipping self-links."""
     qs = y_sorted_queries(inst)
@@ -129,6 +271,49 @@ def _dp_pairs(inst: Instance, k_eff: int) -> int:
     return per_layer * k_eff
 
 
+# Nanoseconds per unit of each engine's work estimate (``_estimates``): the
+# mean of two medians over nine shapes from ``scripts/calibrate_engines.py``
+# (sweep 78.5 and 73.9, tree 176.3 and 166.2) on a 2-core x86-64 KVM guest
+# under CPython 3.11.
+SWEEP_NS = 76.0
+TREE_NS = 171.0
+# A solve whose chosen engine is estimated beyond this is refused before any
+# DP work: a few minutes of calibrated work.
+DP_BUDGET_S = 180.0
+
+
+def _estimates(m: int, k_eff: int, cells: int) -> dict[str, float]:
+    """Predicted dp-stage seconds of each engine, from closed-form work counts.
+
+    The simple DP (``dp_layers``, "sweep") scans k * m^2 (layer, i, j)
+    slots; the segment tree (``tree_layers``, "tree") walks k * (c + 2m)
+    root paths of depth ``m.bit_length()`` = ceil(log2(m + 1)), c the
+    nonzero cells.  The sweep comes first, so it wins a tie.
+    """
+    return {
+        "sweep": SWEEP_NS * 1e-9 * k_eff * m * m,
+        "tree": TREE_NS * 1e-9 * k_eff * (cells + 2 * m) * m.bit_length(),
+    }
+
+
+def _choose(engine: str, estimates: dict[str, float]) -> str:
+    """The engine to run: ``"auto"`` picks the cheaper estimate.
+
+    Refuses with ``ValueError`` when the engine's estimate is over
+    ``DP_BUDGET_S``.
+    """
+    if engine == "auto":
+        engine = min(estimates, key=estimates.__getitem__)
+    if engine not in estimates:
+        raise ValueError(f"unknown dp engine {engine!r}; known: auto, {', '.join(estimates)}")
+    if estimates[engine] > DP_BUDGET_S:
+        raise ValueError(
+            f"refusing to solve: the {engine} dp is estimated at {estimates[engine]:.3g} s, "
+            f"over the budget of {DP_BUDGET_S:g} s"
+        )
+    return engine
+
+
 @dataclass
 class PipelineResult:
     """A solve with its stage timings, grid statistics and DP work counts."""
@@ -143,22 +328,42 @@ class PipelineResult:
     row_sum_entries: int  # stored (col, cum) pairs, one per nonzero-weight cell
     dp_pairs: int  # eligible (layer, i, j) transitions, see ``_dp_pairs``
     stage_seconds: dict[str, float]
+    engine: str  # the DP that ran: "sweep" (``dp_layers``) or "tree" (``tree_layers``)
+    estimates: dict[str, float]  # predicted dp seconds per engine, see ``_estimates``
 
 
-def run_pipeline(inst: Instance) -> PipelineResult:
+def run_pipeline(inst: Instance, engine: str = "sweep") -> PipelineResult:
     """sum the cells -> layered DP -> reconstruct.
 
     The cells are summed straight from ``inst``'s point columns in its own
     coordinates; the nonzero cells are the compressed ground set, whose size
     is reported as ``compressed_size``.  The work counts are taken after the
     timed stages.
+
+    ``engine`` is ``"sweep"`` (the paper's simple DP, the default),
+    ``"tree"`` or ``"auto"``, which runs whichever ``_estimates`` predicts
+    faster once the cells are known; both give the same tables and, on
+    exact weights, the same picks.  A solve whose engine is estimated over
+    ``DP_BUDGET_S`` raises ``ValueError`` before any DP work, and before the
+    grid when even an instance with no cells would be over.
     """
+    k_eff = min(inst.k, inst.m)
+    # No cells is a lower bound; gridding alone takes 1.6 s at m = 100,000.
+    _choose(engine, _estimates(inst.m, k_eff, 0))
     t0 = perf_counter()
     grid = build_grid(inst)
     row_sums = build_row_sums(grid)
+    row_sum_entries = sum(map(len, row_sums.rows))  # the nonzero cells
+    estimates = _estimates(inst.m, k_eff, row_sum_entries)
+    engine = _choose(engine, estimates)
     t1 = perf_counter()
-    tables, preds, k_eff = dp_layers(inst, row_sums)
-    t2 = perf_counter()
+    if engine == "sweep":
+        tables, preds, k_eff = dp_layers(inst, row_sums)
+        t2 = perf_counter()
+    else:
+        tables, k_eff = tree_layers(inst, row_sums)
+        t2 = perf_counter()
+        preds = _tree_preds(inst, row_sums, tables, k_eff)
     solution = _solution(inst, tables, preds, k_eff)
     t3 = perf_counter()
     return PipelineResult(
@@ -169,15 +374,17 @@ def run_pipeline(inst: Instance) -> PipelineResult:
         grid.retained,
         len(grid.cells),
         sum(1 for w in grid.cells.values() if w != 0),
-        sum(map(len, row_sums.rows)),
+        row_sum_entries,
         _dp_pairs(inst, k_eff),
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
+        engine,
+        estimates,
     )
 
 
-def solve_pipeline(inst: Instance) -> Solution:
-    """End-to-end solve; see ``run_pipeline`` for timings and statistics."""
-    return run_pipeline(inst).solution
+def solve_pipeline(inst: Instance, engine: str = "sweep") -> Solution:
+    """End-to-end solve; see ``run_pipeline`` for the engines, timings and statistics."""
+    return run_pipeline(inst, engine).solution
 
 
 def solve_reference(inst: Instance) -> Solution:

@@ -2,14 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxdom.cells import (
-    CellKey,
-    assign_cells,
-    build_grid,
-    cell_boxes,
-    compress,
-    same_dominators_check,
-)
+from maxdom.cells import CellKey, build_grid, cell_boxes, compress
 from maxdom.instances import GeneratorSpec, generate
 from maxdom.model import Instance, weight_of_dom
 from maxdom.oracle import oracle_solve
@@ -17,7 +10,7 @@ from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform
 from maxdom.solver import solve_pipeline, solve_reference
 
-from util import random_instance, small_instances
+from util import assign_cells, random_instance, same_dominators_check, small_instances
 
 
 def ranked(inst):

@@ -1,14 +1,17 @@
 import json
+from time import perf_counter
 
 import pytest
 
+import maxdom.cli
+import maxdom.solver
 from maxdom.cells import build_grid
 from maxdom.cli import main
 from maxdom.instances import GeneratorSpec, generate, serialize
-from maxdom.model import Instance
+from maxdom.model import Instance, Solution
 from maxdom.oracle import oracle_solve
 from maxdom.ranking import drop_uncovered, rank_transform
-from maxdom.solver import run_pipeline
+from maxdom.solver import DP_BUDGET_S, run_pipeline, solve_reference
 
 
 @pytest.fixture
@@ -51,6 +54,32 @@ def test_verify_subcommand(capsys, tiny):
     assert set(rec) == {"value_oracle", "value_dp", "value_dp_no_compress", "recomputed_from_chosen", "equal"}
     assert rec["equal"] is True
     assert rec["value_dp_no_compress"] == rec["value_dp"]
+
+
+def test_verify_names_the_disagreeing_values(capsys, monkeypatch, tiny):
+    path, inst = tiny
+    right = solve_reference(inst)
+    assert len(right.layer_values) == 3
+    wrong = Solution(right.chosen, right.value + 1, (*right.layer_values[:2], right.value + 1))
+    monkeypatch.setattr(maxdom.cli, "solve_reference", lambda _inst: wrong)
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 1
+    rec = json.loads(out)
+    assert set(rec) == {
+        "value_oracle", "value_dp", "value_dp_no_compress", "recomputed_from_chosen", "equal",
+        "disagree", "first_layer_mismatch",
+    }
+    assert rec["equal"] is False
+    assert rec["disagree"] == ["value_dp_no_compress"]
+    assert rec["first_layer_mismatch"] == 2
+    # a wrong oracle: all three differ from it, while the two tables agree
+    monkeypatch.setattr(maxdom.cli, "solve_reference", solve_reference)
+    monkeypatch.setattr(maxdom.cli, "oracle_solve", lambda _inst, limit: Solution(frozenset(), -1, None))
+    code, out, _ = run(capsys, "verify", path)
+    rec = json.loads(out)
+    assert code == 1
+    assert rec["disagree"] == ["value_dp", "value_dp_no_compress", "recomputed_from_chosen"]
+    assert rec["first_layer_mismatch"] is None
 
 
 def test_compress_inspect_and_out_file(capsys, tmp_path, tiny):
@@ -195,3 +224,40 @@ def test_solve_record_counters_and_wall_time(capsys, tiny):
     assert list(rec["stages"]) == ["parse", "oracle"]
     assert rec["retained"] is rec["cells"] is rec["compressed_size"] is None
     assert rec["row_sum_entries"] is rec["dp_pairs"] is rec["layers"] is None
+
+
+@pytest.mark.parametrize("engine, n, m", [("tree", 100, 256), ("sweep", 20_000, 8)])
+def test_solve_picks_the_cheaper_engine(capsys, tmp_path, engine, n, m):
+    # m-heavy and n-heavy shapes, each far from the crossover
+    inst = generate(GeneratorSpec("uniform", n, m, 8, seed=5))
+    path = tmp_path / "inst.txt"
+    serialize(inst, path)
+    code, out, _ = run(capsys, "solve", path)
+    rec = json.loads(out)
+    assert code == 0 and rec["engine"] == engine
+    estimates = rec["estimates_s"]
+    assert set(estimates) == {"sweep", "tree"} and min(estimates, key=estimates.get) == engine
+    default = run_pipeline(inst)  # the library default stays the simple DP
+    assert default.engine == "sweep" and default.solution.value == rec["value"]
+    _, out, _ = run(capsys, "solve", path, "--algo", "oracle", "--k", "0")
+    rec = json.loads(out)
+    assert rec["engine"] is rec["estimates_s"] is None
+
+
+def test_solve_refuses_an_over_budget_dp_before_gridding(capsys, monkeypatch, tmp_path):
+    m = 100_000
+    lines = [f"5 {m} {m}"] + [f"{i} {i} 1" for i in range(5)] + [f"{i} {m - i}" for i in range(m)]
+    path = tmp_path / "wide.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_grid(_inst):
+        raise AssertionError("gridded an instance that is refused anyway")
+
+    monkeypatch.setattr(maxdom.solver, "build_grid", no_grid)
+    t0 = perf_counter()
+    code, out, err = run(capsys, "solve", path)
+    elapsed = perf_counter() - t0
+    assert code == 1 and out == ""
+    assert err.startswith("error: refusing to solve: the tree dp is estimated at ")
+    assert f"over the budget of {DP_BUDGET_S:g} s" in err
+    assert elapsed < 3.0

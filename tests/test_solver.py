@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdom.cells import build_grid
 from maxdom.coverage import build_row_sums
-from maxdom.instances import GeneratorSpec, generate
+from maxdom.instances import FAMILIES, GeneratorSpec, generate
 from maxdom.model import Instance, QueryPoint, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
-from maxdom.solver import dp_layers, run_pipeline, solve_pipeline, solve_reference
+from maxdom.solver import dp_layers, run_pipeline, solve_pipeline, solve_reference, tree_layers
 
 from util import random_instance, small_instances
 
@@ -174,3 +177,30 @@ def test_work_counters_match_direct_count():
         res = run_pipeline(inst)
         assert res.row_sum_entries == nonzero_cells
         assert res.dp_pairs == pairs
+
+
+def assert_engines_agree(inst):
+    """The tree engine's tables and solution equal the simple DP's; returns the solution."""
+    row_sums = build_row_sums(build_grid(inst))
+    tables, _preds, k_eff = dp_layers(inst, row_sums)
+    assert tree_layers(inst, row_sums) == (tables, k_eff)
+    sol = run_pipeline(inst, "tree").solution
+    assert sol == run_pipeline(inst).solution
+    return sol
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_tree_engine_matches_simple_dp_and_oracle(data):
+    # tie-heavy to wide spans, negative weights, budgets from 0 to m + 1
+    inst = data.draw(small_instances(span=data.draw(st.integers(2, 12))))
+    inst = replace(inst, k=data.draw(st.integers(0, inst.m + 1)))
+    assert assert_engines_agree(inst).value == oracle_solve(inst).value
+
+
+def test_tree_engine_matches_simple_dp_on_every_family():
+    for t, family in enumerate(FAMILIES):
+        for seed in range(3):
+            n, m, k = (2000, 300, 6) if seed == 0 else (300 + 500 * seed, 40 * seed, 2 + seed)
+            inst = generate(GeneratorSpec(family, n, m, k, seed=100 * t + seed))
+            assert_engines_agree(inst)

@@ -2,7 +2,8 @@
 
 import hypothesis.strategies as st
 
-from maxdom.model import Instance
+from maxdom.cells import CellGrid, CellKey, _strips
+from maxdom.model import Instance, dominates_closed
 from maxdom.prng import SplitMix64
 
 
@@ -25,3 +26,33 @@ def small_instances(draw, max_n=25, max_m=6, span=12, max_w=10):
     P = [(draw(coord), draw(coord), draw(st.integers(-max_w, max_w))) for _ in range(n)]
     Q = [(draw(coord), draw(coord)) for _ in range(m)]
     return Instance.from_rows(P, Q, k)
+
+
+def assign_cells(inst: Instance) -> list[CellKey]:
+    """Cell key for every ground point; requires drop_uncovered beforehand."""
+    n = len(inst.P)
+    keys: list[CellKey] = [CellKey(0, 0)] * n
+    for row, slots, indices in _strips(inst, range(n)):
+        for slot, idx in zip(slots, indices):
+            if slot == row:
+                raise ValueError("point covered by no query; run drop_uncovered first")
+            keys[idx] = CellKey(row, slot + 1)
+    return keys
+
+
+def same_dominators_check(grid: CellGrid, inst: Instance, max_work: int = 10**6) -> bool:
+    """Exhaustively confirm that the points of each cell share one cover set.
+
+    Verification helper, quadratic on purpose; refuses oversized instances.
+    """
+    if len(inst.P) * max(1, inst.m) > max_work:
+        raise ValueError("instance too large for the exhaustive dominator check")
+    keys = assign_cells(inst)
+    seen: dict[CellKey, frozenset[int]] = {}
+    for key, p in zip(keys, inst.P):
+        if key not in grid.cells:
+            return False
+        covers = frozenset(q.id for q in inst.Q if dominates_closed(q, p))
+        if seen.setdefault(key, covers) != covers:
+            return False
+    return True
