@@ -1,19 +1,22 @@
-"""Time both DP engines and print the seconds per unit of their work estimates.
+"""Time both DP engines and print the nanoseconds per unit of their work estimates.
 
     PYTHONPATH=src python3 scripts/calibrate_engines.py [--reps 3]
 
-For each shape it grids one ``uniform`` instance, times ``dp_layers`` (the
-simple DP) and ``tree_layers`` (the segment tree), best of ``--reps``, and
-divides each time by the engine's unit count from ``solver._estimates``:
-k * m^2 for the sweep, k * (c + 2m) * ceil(log2(m + 1)) for the tree.  The
-medians over the shapes are the values for ``solver.SWEEP_NS`` and
-``solver.TREE_NS``.
+For each shape it grids one ``uniform`` instance and times ``dp_layers``
+(the simple DP) at the shape's k and ``tree_layers`` (the segment tree) at
+every k of ``TREE_KS``, each best of ``--reps``.  Each time is divided by
+the engine's unit count from ``solver._estimates``: k * m^2 for the sweep
+and P = (c + 2m) * ceil(log2(m + 1)) node visits for the tree.  The median
+over the shapes is the value for ``solver.SWEEP_NS``; a least-squares line
+through the tree's (k, ns per node visit) points gives
+``solver.TREE_NODE_NS`` (its intercept) and ``solver.TREE_LANE_NS`` (its
+slope).
 """
 
 from __future__ import annotations
 
 import argparse
-from statistics import median
+from statistics import linear_regression, median
 from time import perf_counter
 
 from maxdom.cells import build_grid
@@ -33,6 +36,7 @@ SHAPES = (
     (2_000, 1024, 4),
     (2_000, 2048, 8),
 )
+TREE_KS = (1, 2, 4, 8, 16, 32)
 
 
 def best_of(reps: int, fn) -> float:
@@ -49,23 +53,28 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    sweep_ns, tree_ns = [], []
-    print(f"{'n':>8}{'m':>6}{'k':>4}{'cells':>7}  {'sweep_s':>9}{'ns/unit':>9}  {'tree_s':>9}{'ns/unit':>9}")
+    sweep_ns, tree_ks, tree_ns = [], [], []
+    print(
+        f"{'n':>8}{'m':>6}{'k':>4}{'cells':>7}  {'sweep_s':>9}{'ns/unit':>9}"
+        "  tree ns/unit at k = " + " ".join(f"{k:>5}" for k in TREE_KS)
+    )
     for n, m, k in SHAPES:
         inst = generate(GeneratorSpec("uniform", n, m, k, seed=args.seed))
         row_sums = build_row_sums(build_grid(inst))
         cells = sum(map(len, row_sums.rows))
         sweep_s = best_of(args.reps, lambda: dp_layers(inst, row_sums))
-        tree_s = best_of(args.reps, lambda: tree_layers(inst, row_sums))
         sweep_ns.append(sweep_s * 1e9 / (k * m * m))
-        tree_ns.append(tree_s * 1e9 / (k * (cells + 2 * m) * m.bit_length()))
+        paths = (cells + 2 * m) * m.bit_length()
+        tree = [best_of(args.reps, lambda: tree_layers(inst, row_sums, tk)) * 1e9 / paths for tk in TREE_KS]
+        tree_ks += TREE_KS
+        tree_ns += tree
         print(
             f"{n:>8}{m:>6}{k:>4}{cells:>7}  {sweep_s:>9.4f}{sweep_ns[-1]:>9.1f}"
-            f"  {tree_s:>9.4f}{tree_ns[-1]:>9.1f}",
+            + " " * 20 + " ".join(f"{t:>5.0f}" for t in tree),
             flush=True,
         )
-    print(f"median ns/unit: sweep {median(sweep_ns):.1f}, tree {median(tree_ns):.1f}")
-
+    slope, intercept = linear_regression(tree_ks, tree_ns)
+    print(f"SWEEP_NS {median(sweep_ns):.1f}  TREE_NODE_NS {intercept:.1f}  TREE_LANE_NS {slope:.2f}")
 
 if __name__ == "__main__":
     main()

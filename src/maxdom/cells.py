@@ -51,30 +51,51 @@ class CompressedP:
     provenance: tuple[CellKey, ...]
 
 
+def _merge_into(prefix: list, new) -> None:
+    """Merge the values of ``new`` into the sorted list ``prefix``, in place.
+
+    A few values are inserted one at a time; more are appended and sorted,
+    which timsort does as one merge of the sorted run with the sorted tail.
+    Either way a call moves O(len(prefix)) entries, however many values it
+    merges, instead of one shift of the list per value.
+    """
+    if len(new) <= 8:
+        for x in new:
+            insort(prefix, x)
+    else:
+        prefix += new
+        prefix.sort()
+
+
 def _strips(inst: Instance, tags):
-    """Bucket ``inst``'s points by strip; yield ``(row, slots, tags)`` per strip.
+    """Bucket ``inst``'s points by strip; yield ``(row, slots, tags)`` per strip with points.
 
     Row ``i`` (0..m) holds the points with exactly ``i`` queries at or above
     them, in input order; row 0 lies above every query.  ``slots[t]`` counts
     the ``i`` highest queries strictly left of the row's ``t``-th point and
     ``tags[t]`` is that point's entry of ``tags``.  A point is covered iff
     its slot is below its row; it then lies in cell ``(row, slot + 1)``.
-    Queries are taken in the staircase order of ``y_sorted_queries``.
+    Queries are taken in the staircase order of ``y_sorted_queries``; the
+    sorted x-values above a strip are brought up to date only at strips
+    with points, so a tall staircase over few points costs O(m) per such
+    strip rather than an insert per query.
     """
-    stair = y_sorted_queries(inst)
-    m = len(stair)
-    ys_asc = sorted(q.y for q in stair)
+    stair_xs = [q.x for q in y_sorted_queries(inst)]
+    m = len(stair_xs)
+    ys_asc = sorted(q.y for q in inst.Q)
     strip_xs: list[list] = [[] for _ in range(m + 1)]
     strip_tags: list[list] = [[] for _ in range(m + 1)]
     for x, y, tag in zip(inst.P.xs, inst.P.ys, tags):
         row = m - bisect_left(ys_asc, y)
         strip_xs[row].append(x)
         strip_tags[row].append(tag)
-    prefix: list = []  # x-values of the row highest queries, sorted
-    for row in range(m + 1):
-        if row:
-            insort(prefix, stair[row - 1].x)
-        yield row, [bisect_left(prefix, x) for x in strip_xs[row]], strip_tags[row]
+    prefix: list = []  # x-values of the ``done`` highest queries, sorted
+    done = 0
+    for row, xs in enumerate(strip_xs):
+        if xs:
+            _merge_into(prefix, stair_xs[done:row])
+            done = row
+            yield row, [bisect_left(prefix, x) for x in xs], strip_tags[row]
 
 
 def build_grid(inst: Instance) -> CellGrid:
@@ -84,7 +105,7 @@ def build_grid(inst: Instance) -> CellGrid:
     is given in.
     """
     cells: dict[CellKey, float] = {}
-    per_row: list[tuple[tuple[int, float], ...]] = []
+    per_row: list[tuple[tuple[int, float], ...]] = [()] * inst.m
     retained = 0
     for row, slots, ws in _strips(inst, inst.P.ws):
         sums: dict[int, float] = {}
@@ -95,7 +116,7 @@ def build_grid(inst: Instance) -> CellGrid:
         retained += len(slots) - slots.count(row)
         if row:
             items = tuple((slot + 1, sums[slot]) for slot in sorted(sums))
-            per_row.append(items)
+            per_row[row - 1] = items
             cells.update((CellKey(row, col), w) for col, w in items)
     return CellGrid(inst.m, cells, tuple(per_row), retained)
 
@@ -104,12 +125,14 @@ def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
     """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance."""
     qs = y_sorted_queries(rinst)
     boxes: dict[CellKey, tuple] = {}
-    xs_prefix: list[float] = []
+    xs_prefix: list[float] = []  # x-values of the ``done`` highest queries, sorted
+    done = 0
     for i in range(1, grid.m + 1):
-        insort(xs_prefix, qs[i - 1].x)
         row = grid.per_row[i - 1]
         if not row:
             continue
+        _merge_into(xs_prefix, [q.x for q in qs[done:i]])
+        done = i
         y_hi = qs[i - 1].y
         y_lo = qs[i].y if i < grid.m else 0
         for col, _w in row:

@@ -26,22 +26,25 @@ Two engines compute the same layer tables.  ``dp_layers``, the paper's
 simple algorithm ("sweep"), consumes one fresh coverage sweep per layer and
 scans every pair: O(m^2) time per layer, O(n + m) space plus the O(k*m)
 predecessor links used for reconstruction.  ``tree_layers`` ("tree") runs
-each layer as a sweep over a max segment tree on the x-ranks, O((c + m)
-log m) time per layer for c nonzero cells, and ``_tree_preds`` rebuilds
-only the coverage rows that the optimal walk visits.  The simple DP is the
-library default of ``run_pipeline`` and the one that ``maxdom bench`` times
-and sweeps; ``maxdom solve`` and ``maxdom verify`` pass ``"auto"``, which
-runs whichever engine ``_estimates`` predicts faster from m, k and c (the
-paper's min{}), and refuses a solve estimated over ``DP_BUDGET_S``.
+all k layers in one sweep over a max segment tree on the x-ranks, each node
+holding one value per layer, so the tree walks are made once for all
+layers: O(k (c + m) log m) time for c nonzero cells.  It leaves the picks
+to ``_tree_preds``, which rebuilds only the coverage rows that the optimal
+walk visits.  The simple DP is the library default of ``run_pipeline`` and
+the one that ``maxdom bench`` times and sweeps; ``maxdom solve`` and
+``maxdom verify`` pass ``"auto"``, which runs whichever engine
+``_estimates`` predicts faster from m, k and c (the paper's min{}), and
+refuses a solve estimated over ``DP_BUDGET_S`` or ``DP_SLOT_BUDGET``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import accumulate
 from time import perf_counter
 
-from .cells import build_grid
+from .cells import _merge_into, build_grid
 from .coverage import CoverageSweep, RowSums, build_row_sums
 from .model import Instance, Solution
 from .ranking import _axis_transform, drop_uncovered, rank_transform, y_sorted_queries
@@ -103,18 +106,25 @@ def dp_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
     return tables, preds, k_eff
 
 
-def _strip_adds(qx: list[int], row_sums: RowSums) -> list[list[tuple[int, float]]]:
+def _strip_adds(qx: list[int], row_sums: RowSums) -> list:
     """Per strip, its nonzero cells as ``(leaf, weight)`` pairs.
 
     Leaves index the queries by x-rank (``qx[i] // 2 - 1``).  A cell's leaf
     is that of the leftmost query above its strip that covers it, so the
     queries covering the cell are exactly those above the strip at that
-    leaf or right of it.
+    leaf or right of it.  The sorted leaves above a strip are brought up to
+    date only at strips with cells, as ``cells`` does for points.
     """
-    prefix: list[int] = []  # leaves of the queries above the strip, sorted
+    leaves = [x // 2 - 1 for x in qx]
+    prefix: list[int] = []  # leaves of the ``done`` highest queries, sorted
+    done = 0
     adds = []
     for s, pairs in enumerate(row_sums.rows, 1):
-        insort(prefix, qx[s] // 2 - 1)
+        if not pairs:
+            adds.append(())
+            continue
+        _merge_into(prefix, leaves[done + 1 : s + 1])
+        done = s
         prev = 0
         strip = []
         for col, cum in pairs:
@@ -125,80 +135,122 @@ def _strip_adds(qx: list[int], row_sums: RowSums) -> list[list[tuple[int, float]
 
 
 def tree_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
-    """``dp_layers``' tables in O((c + m) log m) time per layer, c the nonzero cells.
+    """``dp_layers``' tables from one segment-tree sweep that carries all k layers.
 
-    Each layer sweeps the positions in staircase order over a max segment
-    tree whose leaves are the queries' x-ranks.  A leaf j holds
-    ``t_prev[j] + cov(i, j)`` once position j is inserted: before position
+    The sweep visits the positions in staircase order over a max segment
+    tree whose leaves are the queries' x-ranks.  For layer l, leaf j holds
+    ``t_{l-1}[j] + cov(i, j)`` once position j is inserted: before position
     i, every nonzero cell of strip i - 1 adds its weight to the leaves at or
-    right of its own leaf, position i's entry is the better of its self-link
-    ``t_prev[i]`` and the maximum over the leaves left of it, and position i
-    is then inserted.  Leaves not yet inserted start below any reachable
-    value, so they never win.  Node ``p`` stores the maximum of its subtree
-    with every add applied at or below ``p``; ``tag[p]`` holds the adds
-    applied to ``p``'s whole subtree.
+    right of its own leaf, ``t_l[i]`` is the better of its self-link
+    ``t_{l-1}[i]`` and the maximum over the leaves left of it, and position
+    i is then inserted.  Leaves not yet inserted start below any reachable
+    value, so they never win.  The layers differ only in the values inserted
+    at the leaves, so one tree holds them all: each node keeps one lane per
+    layer and one add tag that all lanes share.  A cell's suffix add costs
+    O(log m) tag updates plus O(k) per ancestor recomputed; position i takes
+    every lane's prefix maximum in one walk up from its leaf, derives
+    ``t_1[i] .. t_k[i]`` from them at once and inserts ``t_0[i] ..
+    t_{k-1}[i]``.  O(k (c + m) log m) time in all, c the nonzero cells.
 
     Returns ``(tables, k_eff)``; the picks come from ``_tree_preds``.
     """
     qx = _staircase_x(inst)
+    k_eff = min(inst.k if k is None else k, len(qx) - 2)
+    return _tree_tables(qx, _strip_adds(qx, row_sums), k_eff), k_eff
+
+
+def _floor(adds) -> float:
+    """A value below every reachable leaf, for the leaves not yet inserted.
+
+    An inserted leaf holds at least -W, W the total absolute weight, and the
+    adds move a leaf not yet inserted by at most W: it stays below -W.
+    """
+    return -1 - 2 * sum(abs(w) for strip in adds for _, w in strip)
+
+
+def _tree_width(m: int) -> int:
+    """The segment tree's leaf count: a power of two, at least m."""
+    return 1 << (m - 1).bit_length()
+
+
+def _tree_tables(qx: list[int], adds, k_eff: int) -> list[list[float]]:
+    """``tree_layers``' tables from the staircase x-ranks and the strip adds.
+
+    Lane l - 1 of a node stands for layer l.  The maximum of lane l over
+    node ``p``'s subtree is ``lanes[p][l] + off[p] + tag[p]`` plus the tags
+    of ``p``'s strict ancestors: ``tag[p]`` holds the adds applied to
+    ``p``'s whole subtree and ``off[p]`` a scalar folded out of the lanes
+    when they were last recomputed.  A tag update thus touches one scalar,
+    and a recompute one list of k.  ``t_l[i]`` is the better of
+    ``t_{l-1}[i]`` and lane l - 1's maximum left of position i, so all of
+    position i's entries come from one ``accumulate``.
+    """
     last = len(qx) - 1
-    k_eff = min(inst.k if k is None else k, last - 1)
-    adds = _strip_adds(qx, row_sums)
-    size = 1 << (last - 2).bit_length()  # a power of two, at least m leaves
-    leaf = [size + x // 2 - 1 for x in qx]  # the sentinel's is past the end: it only queries
-    # An inserted leaf holds at least -W, W the total absolute weight, and
-    # the adds move a leaf not yet inserted by at most W: it stays below -W.
-    floor = -1 - 2 * sum(abs(w) for strip in adds for _, w in strip)
-    tables: list[list[float]] = [[0] * (last + 1)]
-    for _layer in range(k_eff):
-        t_prev = tables[-1]
-        t_cur = [0] * (last + 1)
-        mx = [floor] * (2 * size)
-        tag = [0] * (2 * size)
-        for i in range(1, last + 1):
-            if i > 1:
-                for p, w in adds[i - 2]:  # strip i - 1: suffix add from leaf p
-                    p += size
-                    mx[p] += w
-                    while p > 1:
-                        if not p & 1:
-                            mx[p + 1] += w
-                            tag[p + 1] += w
-                        p >>= 1
-                        a, b = mx[2 * p], mx[2 * p + 1]
-                        mx[p] = (a if a > b else b) + tag[p]
-            best = t_prev[i]  # self-link
-            q = leaf[i] - 1
-            if q >= size:  # prefix maximum over the leaves up to q
-                res = mx[q]
-                while q > 1:
-                    if q & 1 and mx[q - 1] > res:
-                        res = mx[q - 1]
-                    q >>= 1
-                    res += tag[q]
-                if res > best:
-                    best = res
-            t_cur[i] = best
-            if i < last:  # insert position i: its leaf's value becomes t_prev[i]
-                p = leaf[i]
-                a = p >> 1
-                above = 0
-                while a:
-                    above += tag[a]
-                    a >>= 1
-                mx[p] = t_prev[i] - above
-                while p > 1:
+    size = _tree_width(last - 1)
+    leaf = [size + x // 2 - 1 for x in qx]  # the sentinel's is past the end when m == size
+    lanes = [[_floor(adds)] * k_eff] * (2 * size)  # shared: every write stores a new list
+    off = [0] * (2 * size)
+    tag = [0] * (2 * size)
+    zeros = [0] * (k_eff + 1)
+    rows = [zeros]  # rows[i]: t_0[i], ..., t_k[i]
+    for i in range(1, last + 1):
+        if i > 1:
+            for p, w in adds[i - 2]:  # strip i - 1: suffix add from leaf p
+                p += size
+                while not p & 1 and p > 1:  # p's sibling is covered too: add to the parent
                     p >>= 1
-                    a, b = mx[2 * p], mx[2 * p + 1]
-                    a = (a if a > b else b) + tag[p]
-                    if a == mx[p]:
-                        break
-                    mx[p] = a
-        tables.append(t_cur)
-    return tables, k_eff
+                tag[p] += w
+                while p > 1:
+                    if not p & 1:
+                        tag[p + 1] += w
+                    p >>= 1
+                    a, b = 2 * p, 2 * p + 1
+                    base = off[a] + tag[a]
+                    d = off[b] + tag[b] - base
+                    lanes[p] = [u if u > (v := y + d) else v for u, y in zip(lanes[a], lanes[b])]
+                    off[p] = base
+        p = leaf[i]
+        if p < 2 * size:
+            res = None  # every lane's maximum left of the leaf, less ``shift``
+            below = 0  # tags of the path from the leaf up to p
+            while p > 1:
+                below += tag[p]
+                if p & 1:  # the left sibling lies wholly left of the leaf
+                    c = off[p - 1] + tag[p - 1] - below
+                    if res is None:
+                        res, shift = lanes[p - 1], c
+                    else:
+                        d = c - shift
+                        res = [u if u > (v := y + d) else v for u, y in zip(res, lanes[p - 1])]
+                p >>= 1
+            below += tag[1]  # now the tags of the whole path
+            if res is not None:
+                shift += below
+        else:  # the sentinel, m a power of two: every leaf lies left of it
+            res, shift = lanes[1], off[1] + tag[1]
+        if res is None:  # no leaf left of position i: it keeps t_0[i] = 0 everywhere
+            ts = zeros
+        else:
+            ts = list(accumulate([0, *[u + shift for u in res]], max))
+        rows.append(ts)
+        if i < last:  # insert position i: lane l's leaf value becomes t_l[i]
+            p = leaf[i]
+            lanes[p] = ts[:-1]
+            off[p] = -below  # cancels the tags on the leaf's path
+            while p > 1:
+                p >>= 1
+                a, b = 2 * p, 2 * p + 1
+                base = off[a] + tag[a]
+                d = off[b] + tag[b] - base
+                new = [u if u > (v := y + d) else v for u, y in zip(lanes[a], lanes[b])]
+                if base == off[p] and new == lanes[p]:
+                    break
+                lanes[p] = new
+                off[p] = base
+    return [list(t) for t in zip(*rows)]
 
 
-def _tree_preds(inst: Instance, row_sums: RowSums, tables, k_eff: int):
+def _tree_preds(qx: list[int], adds, tables, k_eff: int):
     """``dp_layers``' predecessor links along the optimal walk, one per layer.
 
     Each step rebuilds the one row cov(i, .) it needs with a Fenwick tree
@@ -207,9 +259,7 @@ def _tree_preds(inst: Instance, row_sums: RowSums, tables, k_eff: int):
     is ``dp_layers``' tie-break: the self-link first, then the smallest j.
     Returns ``preds`` with ``preds[l]`` a one-entry ``{i: j}`` mapping.
     """
-    qx = _staircase_x(inst)
     last = len(qx) - 1
-    adds = _strip_adds(qx, row_sums)
     preds: list[dict[int, int] | None] = [None] * (k_eff + 1)
     i, row_i = last, 0
     for layer in range(k_eff, 0, -1):
@@ -257,7 +307,7 @@ def _solution(inst: Instance, tables, preds, k_eff: int) -> Solution:
     return Solution(_chosen_ids(inst, preds, k_eff), tables[k_eff][last], layers)
 
 
-def _dp_pairs(inst: Instance, k_eff: int) -> int:
+def _dp_pairs(qx: list[int], k_eff: int) -> int:
     """Transitions the DP visits: (layer, i, j) with j < i in y-order and x_j <= x_i.
 
     Counted from the query order alone, one bisect and one sorted insert per
@@ -265,53 +315,82 @@ def _dp_pairs(inst: Instance, k_eff: int) -> int:
     """
     seen: list = []
     per_layer = 0
-    for x in _staircase_x(inst)[1:]:
+    for x in qx[1:]:
         per_layer += bisect_right(seen, x)
         insort(seen, x)
     return per_layer * k_eff
 
 
-# Nanoseconds per unit of each engine's work estimate (``_estimates``): the
-# mean of two medians over nine shapes from ``scripts/calibrate_engines.py``
-# (sweep 78.5 and 73.9, tree 176.3 and 166.2) on a 2-core x86-64 KVM guest
-# under CPython 3.11.
-SWEEP_NS = 76.0
-TREE_NS = 171.0
+# Nanoseconds per unit of each engine's work estimate (``_estimates``), from
+# ``scripts/calibrate_engines.py`` on a 2-core x86-64 KVM guest under CPython
+# 3.11.7, the mean of two runs (``--reps 5``, seeds 1 and 2).  SWEEP_NS: the
+# medians over nine shapes, 109.2 and 106.0.  TREE_NODE_NS and TREE_LANE_NS:
+# the least-squares fits over the same shapes at k = 1..32, 881.3 + 65.23 k
+# and 900.4 + 63.98 k.  Only their ratios steer ``auto``; the budget scales
+# with all three.
+SWEEP_NS = 107.6
+TREE_NODE_NS = 891.0
+TREE_LANE_NS = 64.6
 # A solve whose chosen engine is estimated beyond this is refused before any
 # DP work: a few minutes of calibrated work.
 DP_BUDGET_S = 180.0
+# A solve whose chosen engine would hold more list slots than this
+# (``_slots``) is refused as well.  A slot took 12-15 bytes under
+# tracemalloc (uniform shapes up to m = 4,096 and k = 256) and can take
+# about 32 (a pointer and a float of its own): 0.6-1.6 GB.
+DP_SLOT_BUDGET = 50_000_000
 
 
 def _estimates(m: int, k_eff: int, cells: int) -> dict[str, float]:
     """Predicted dp-stage seconds of each engine, from closed-form work counts.
 
     The simple DP (``dp_layers``, "sweep") scans k * m^2 (layer, i, j)
-    slots; the segment tree (``tree_layers``, "tree") walks k * (c + 2m)
-    root paths of depth ``m.bit_length()`` = ceil(log2(m + 1)), c the
-    nonzero cells.  The sweep comes first, so it wins a tie.
+    slots; the segment tree (``tree_layers``, "tree") walks c + 2m root
+    paths of depth ``m.bit_length()`` = ceil(log2(m + 1)), c the nonzero
+    cells, each node visit costing a fixed part plus one per lane.  The
+    sweep wins a tie.
     """
+    paths = (cells + 2 * m) * m.bit_length()
     return {
         "sweep": SWEEP_NS * 1e-9 * k_eff * m * m,
-        "tree": TREE_NS * 1e-9 * k_eff * (cells + 2 * m) * m.bit_length(),
+        "tree": (TREE_NODE_NS + TREE_LANE_NS * k_eff) * 1e-9 * paths,
     }
 
 
-def _choose(engine: str, estimates: dict[str, float]) -> str:
-    """The engine to run: ``"auto"`` picks the cheaper estimate.
+def _slots(m: int, k_eff: int) -> dict[str, int]:
+    """List slots each engine holds at its peak.
 
-    Refuses with ``ValueError`` when the engine's estimate is over
-    ``DP_BUDGET_S``.
+    Both hold the k + 1 layer tables of m + 2 entries and as many slots
+    again: the sweep's predecessor links, the tree's rows by position.  The
+    tree adds k lanes in each of its nodes.
     """
-    if engine == "auto":
-        engine = min(estimates, key=estimates.__getitem__)
-    if engine not in estimates:
+    tables = 2 * (k_eff + 1) * (m + 2)
+    return {"sweep": tables, "tree": tables + 2 * _tree_width(m) * k_eff}
+
+
+def _choose(engine: str, estimates: dict[str, float], slots: dict[str, int]) -> str:
+    """The engine to run: ``"auto"`` picks the cheapest estimate within both budgets.
+
+    Refuses with ``ValueError`` when no engine it may pick is within
+    ``DP_BUDGET_S`` and ``DP_SLOT_BUDGET``, naming the fastest one and the
+    budget that it is over.
+    """
+    if engine != "auto" and engine not in estimates:
         raise ValueError(f"unknown dp engine {engine!r}; known: auto, {', '.join(estimates)}")
+    names = list(estimates) if engine == "auto" else [engine]
+    fits = [e for e in names if estimates[e] <= DP_BUDGET_S and slots[e] <= DP_SLOT_BUDGET]
+    if fits:
+        return min(fits, key=estimates.__getitem__)
+    engine = min(names, key=estimates.__getitem__)
     if estimates[engine] > DP_BUDGET_S:
         raise ValueError(
             f"refusing to solve: the {engine} dp is estimated at {estimates[engine]:.3g} s, "
             f"over the budget of {DP_BUDGET_S:g} s"
         )
-    return engine
+    raise ValueError(
+        f"refusing to solve: the {engine} dp would hold {slots[engine]:.3g} list slots, "
+        f"over the budget of {DP_SLOT_BUDGET:.3g}"
+    )
 
 
 @dataclass
@@ -343,29 +422,37 @@ def run_pipeline(inst: Instance, engine: str = "sweep") -> PipelineResult:
     ``engine`` is ``"sweep"`` (the paper's simple DP, the default),
     ``"tree"`` or ``"auto"``, which runs whichever ``_estimates`` predicts
     faster once the cells are known; both give the same tables and, on
-    exact weights, the same picks.  A solve whose engine is estimated over
-    ``DP_BUDGET_S`` raises ``ValueError`` before any DP work, and before the
-    grid when even an instance with no cells would be over.
+    exact weights, the same picks.  The tree's ``dp`` stage includes the
+    staircase x-ranks and strip adds, computed once and shared with the
+    picks and the work count.  A solve whose engine is estimated over
+    ``DP_BUDGET_S`` or would hold more than ``DP_SLOT_BUDGET`` list slots
+    raises ``ValueError`` before any DP work, and before the grid when even
+    an instance with no cells would be over.
     """
     k_eff = min(inst.k, inst.m)
-    # No cells is a lower bound; gridding alone takes 1.6 s at m = 100,000.
-    _choose(engine, _estimates(inst.m, k_eff, 0))
+    slots = _slots(inst.m, k_eff)
+    # No cells is a lower bound: what is over the budget even so is refused ungridded.
+    _choose(engine, _estimates(inst.m, k_eff, 0), slots)
     t0 = perf_counter()
     grid = build_grid(inst)
     row_sums = build_row_sums(grid)
     row_sum_entries = sum(map(len, row_sums.rows))  # the nonzero cells
     estimates = _estimates(inst.m, k_eff, row_sum_entries)
-    engine = _choose(engine, estimates)
+    engine = _choose(engine, estimates, slots)
     t1 = perf_counter()
     if engine == "sweep":
         tables, preds, k_eff = dp_layers(inst, row_sums)
         t2 = perf_counter()
+        solution = _solution(inst, tables, preds, k_eff)
+        t3 = perf_counter()
+        qx = _staircase_x(inst)  # for the work count, outside the timed stages
     else:
-        tables, k_eff = tree_layers(inst, row_sums)
+        qx = _staircase_x(inst)
+        adds = _strip_adds(qx, row_sums)
+        tables = _tree_tables(qx, adds, k_eff)
         t2 = perf_counter()
-        preds = _tree_preds(inst, row_sums, tables, k_eff)
-    solution = _solution(inst, tables, preds, k_eff)
-    t3 = perf_counter()
+        solution = _solution(inst, tables, _tree_preds(qx, adds, tables, k_eff), k_eff)
+        t3 = perf_counter()
     return PipelineResult(
         solution,
         inst.n,
@@ -375,7 +462,7 @@ def run_pipeline(inst: Instance, engine: str = "sweep") -> PipelineResult:
         len(grid.cells),
         sum(1 for w in grid.cells.values() if w != 0),
         row_sum_entries,
-        _dp_pairs(inst, k_eff),
+        _dp_pairs(qx, k_eff),
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
         engine,
         estimates,

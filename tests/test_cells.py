@@ -176,3 +176,31 @@ def test_one_pass_cells_equal_ranked_reference(inst):
     assert got.retained == ref.retained == len(rr.P)
     a, b = solve_pipeline(inst), solve_reference(inst)
     assert repr(a.value) == repr(b.value) and a.chosen == b.chosen
+
+
+def test_tall_staircase_over_few_points_equals_ranked_reference():
+    # 100,000 queries and five points: the query x-prefix is merged at the
+    # five strips that hold points instead of grown one query at a time
+    m = 100_000
+    inst = Instance.from_rows(
+        [(i, 3 * i, i + 1) for i in range(5)], [(i, m - i) for i in range(m)], 4
+    )
+    got = build_grid(inst)
+    ref = build_grid(ranked(inst))
+    assert got == ref
+    assert got.retained == 5 and len(got.cells) == 5
+
+
+def test_cell_boxes_of_a_tall_staircase_over_few_points():
+    # x falls along the staircase, so every query enters the sorted x-prefix
+    # at its front; the boxes are checked against the definition
+    m = 20_000
+    P = [(19_000 - 3000 * j, 1000 + 3000 * j, 1) for j in range(5)]
+    rr = ranked(Instance.from_rows(P, [(i + 9, i + 9) for i in range(m)], 1))
+    grid = build_grid(rr)
+    assert len(grid.cells) == 5 and max(col for _row, col in grid.cells) > 10_000
+    qs = sorted(rr.Q, key=lambda q: -q.y)
+    for (row, col), box in cell_boxes(grid, rr).items():
+        xs = sorted(q.x for q in qs[:row])
+        x_lo = xs[col - 2] if col >= 2 else 0
+        assert box == (x_lo, qs[row].y if row < m else 0, xs[col - 1], qs[row - 1].y)

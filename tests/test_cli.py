@@ -11,7 +11,7 @@ from maxdom.instances import GeneratorSpec, generate, serialize
 from maxdom.model import Instance, Solution
 from maxdom.oracle import oracle_solve
 from maxdom.ranking import drop_uncovered, rank_transform
-from maxdom.solver import DP_BUDGET_S, run_pipeline, solve_reference
+from maxdom.solver import DP_BUDGET_S, DP_SLOT_BUDGET, run_pipeline, solve_reference
 
 
 @pytest.fixture
@@ -261,3 +261,26 @@ def test_solve_refuses_an_over_budget_dp_before_gridding(capsys, monkeypatch, tm
     assert err.startswith("error: refusing to solve: the tree dp is estimated at ")
     assert f"over the budget of {DP_BUDGET_S:g} s" in err
     assert elapsed < 3.0
+
+
+@pytest.mark.parametrize("k", [500, 1_000])
+def test_solve_refuses_an_over_memory_dp_before_gridding(capsys, monkeypatch, tmp_path, k):
+    # the tree's lanes and tables would take gigabytes; at k = 500 it is
+    # within the time budget, so only the slot budget refuses it
+    m = 100_000
+    assert maxdom.solver._slots(m, k)["tree"] > DP_SLOT_BUDGET
+    if k == 500:
+        assert maxdom.solver._estimates(m, k, 0)["tree"] < DP_BUDGET_S
+    lines = [f"5 {m} {k}"] + [f"{i} {i} 1" for i in range(5)] + [f"{i} {m - i}" for i in range(m)]
+    path = tmp_path / "wide.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_grid(_inst):
+        raise AssertionError("gridded an instance that is refused anyway")
+
+    monkeypatch.setattr(maxdom.solver, "build_grid", no_grid)
+    code, out, err = run(capsys, "solve", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: refusing to solve: the tree dp ")
+    if k == 500:
+        assert f"would hold 2.31e+08 list slots, over the budget of {DP_SLOT_BUDGET:.3g}" in err

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxdom.solver
 from maxdom.cells import build_grid
 from maxdom.coverage import build_row_sums
 from maxdom.instances import FAMILIES, GeneratorSpec, generate
@@ -10,7 +12,16 @@ from maxdom.model import Instance, QueryPoint, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
-from maxdom.solver import dp_layers, run_pipeline, solve_pipeline, solve_reference, tree_layers
+from maxdom.solver import (
+    _choose,
+    _estimates,
+    _slots,
+    dp_layers,
+    run_pipeline,
+    solve_pipeline,
+    solve_reference,
+    tree_layers,
+)
 
 from util import random_instance, small_instances
 
@@ -204,3 +215,30 @@ def test_tree_engine_matches_simple_dp_on_every_family():
             n, m, k = (2000, 300, 6) if seed == 0 else (300 + 500 * seed, 40 * seed, 2 + seed)
             inst = generate(GeneratorSpec(family, n, m, k, seed=100 * t + seed))
             assert_engines_agree(inst)
+            assert_engines_agree(replace(inst, k=4 * k))  # more lanes per tree node
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+def test_tree_engine_when_the_sentinel_reads_the_root(m):
+    # m a power of two fills the tree, so the sentinel's leaf lies past it;
+    # few points over a tall staircase also merge many queries at once
+    rng = SplitMix64(m)
+    for n in (0, 3, 40):
+        for _ in range(4):
+            inst = random_instance(rng, n=n, m=m, span=3 * m)
+            for k in range(m + 2):
+                assert_engines_agree(replace(inst, k=k))
+
+
+def test_auto_skips_an_engine_over_the_slot_budget(monkeypatch):
+    m, k = 256, 8
+    estimates, slots = _estimates(m, k, 300), _slots(m, k)
+    assert _choose("auto", estimates, slots) == "tree"
+    monkeypatch.setattr(maxdom.solver, "DP_SLOT_BUDGET", slots["sweep"])
+    assert _choose("auto", estimates, slots) == "sweep"  # the tree holds more than the sweep
+    message = r"the tree dp would hold 8\.74e\+03 list slots, over the budget of 4\.64e\+03$"
+    with pytest.raises(ValueError, match=message):
+        _choose("tree", estimates, slots)
+    monkeypatch.setattr(maxdom.solver, "DP_SLOT_BUDGET", slots["sweep"] - 1)
+    with pytest.raises(ValueError, match="the tree dp would hold"):  # the faster one is named
+        _choose("auto", estimates, slots)
