@@ -3,8 +3,10 @@
     PYTHONPATH=src python3 scripts/calibrate_engines.py [--reps 3]
 
 For each shape it grids one ``uniform`` instance and times ``dp_layers``
-(the simple DP) at the shape's k and ``tree_layers`` (the segment tree) at
-every k of ``TREE_KS``, each best of ``--reps``.  Each time is divided by
+(the simple DP) at the shape's k and the segment tree's tables at every k of
+``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``.  The tree is
+timed as ``tree_layers`` without its picks (``_tree_preds``), since its
+constants price the tree walks only.  Each time is divided by
 the engine's unit count from ``solver._estimates``: k * m^2 for the sweep
 and P = (c + 2m) * ceil(log2(m + 1)) node visits for the tree.  The median
 over the shapes is the value for ``solver.SWEEP_NS``; a least-squares line
@@ -16,13 +18,14 @@ slope).
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from statistics import linear_regression, median
 from time import perf_counter
 
 from maxdom.cells import build_grid
 from maxdom.coverage import build_row_sums
 from maxdom.instances import GeneratorSpec, generate
-from maxdom.solver import dp_layers, tree_layers
+from maxdom.solver import _staircase_x, _strip_adds, _tree_tables, dp_layers
 
 # (n, m, k): m from 64 to 2048, and few to many cells per query
 SHAPES = (
@@ -37,6 +40,12 @@ SHAPES = (
     (2_000, 2048, 8),
 )
 TREE_KS = (1, 2, 4, 8, 16, 32)
+
+
+def tree_tables(inst, row_sums):
+    """``tree_layers``' tables without its picks: the work the tree's constants price."""
+    qx = _staircase_x(inst)
+    return _tree_tables(qx, _strip_adds(qx, row_sums), min(inst.k, inst.m))
 
 
 def best_of(reps: int, fn) -> float:
@@ -65,7 +74,10 @@ def main() -> None:
         sweep_s = best_of(args.reps, lambda: dp_layers(inst, row_sums))
         sweep_ns.append(sweep_s * 1e9 / (k * m * m))
         paths = (cells + 2 * m) * m.bit_length()
-        tree = [best_of(args.reps, lambda: tree_layers(inst, row_sums, tk)) * 1e9 / paths for tk in TREE_KS]
+        tree = []
+        for tk in TREE_KS:
+            at_k = replace(inst, k=tk)
+            tree.append(best_of(args.reps, lambda: tree_tables(at_k, row_sums)) * 1e9 / paths)
         tree_ks += TREE_KS
         tree_ns += tree
         print(

@@ -40,7 +40,7 @@ def cmd_solve(args) -> int:
         stages = {"oracle": perf_counter() - t1}
         retained = cells = compressed_size = row_sum_entries = dp_pairs = engine = estimates = None
     else:
-        res = run_pipeline(inst, "auto")
+        res = run_pipeline(inst)
         sol, stages = res.solution, res.stage_seconds
         retained, cells, compressed_size = res.retained, res.cells, res.compressed_size
         row_sum_entries, dp_pairs = res.row_sum_entries, res.dp_pairs
@@ -72,7 +72,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load(args)
     sol_oracle = oracle_solve(inst, limit=args.limit)
-    sol_dp = solve_pipeline(inst, "auto")
+    sol_dp = solve_pipeline(inst)
     sol_ref = solve_reference(inst)
     values = {
         "value_dp": sol_dp.value,

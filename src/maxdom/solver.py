@@ -22,19 +22,18 @@ j.  A sentinel position m + 1, right of and below every query, turns its
 entry into the global optimum; it exists only inside the DP and is never
 reported.
 
-Two engines compute the same layer tables.  ``dp_layers``, the paper's
-simple algorithm ("sweep"), consumes one fresh coverage sweep per layer and
-scans every pair: O(m^2) time per layer, O(n + m) space plus the O(k*m)
-predecessor links used for reconstruction.  ``tree_layers`` ("tree") runs
-all k layers in one sweep over a max segment tree on the x-ranks, each node
-holding one value per layer, so the tree walks are made once for all
-layers: O(k (c + m) log m) time for c nonzero cells.  It leaves the picks
-to ``_tree_preds``, which rebuilds only the coverage rows that the optimal
-walk visits.  The simple DP is the library default of ``run_pipeline`` and
-the one that ``maxdom bench`` times and sweeps; ``maxdom solve`` and
-``maxdom verify`` pass ``"auto"``, which runs whichever engine
-``_estimates`` predicts faster from m, k and c (the paper's min{}), and
-refuses a solve estimated over ``DP_BUDGET_S`` or ``DP_SLOT_BUDGET``.
+Two engines return the same layer tables and picks.  ``dp_layers``, the
+paper's simple algorithm ("sweep"), consumes one fresh coverage sweep per
+layer and scans every pair: O(m^2) time per layer, O(n + m) space plus the
+O(k*m) predecessor links used for reconstruction.  ``tree_layers`` ("tree")
+runs all k layers in one sweep over a max segment tree on the x-ranks, each
+node holding one value per layer: O(k (c + m) log m) time for c nonzero
+cells.  Its picks come from ``_tree_preds``, which rebuilds only the
+coverage rows that the optimal walk visits.  ``run_pipeline`` defaults to
+``"auto"``, which runs whichever engine ``_estimates`` predicts faster from
+m, k and c (the paper's min{}), and refuses a solve estimated over
+``DP_BUDGET_S`` or ``DP_SLOT_BUDGET``; ``maxdom bench`` times the simple DP
+by name.
 """
 
 from __future__ import annotations
@@ -61,12 +60,11 @@ def _staircase_x(inst: Instance) -> list[int]:
     return [0, *ranks, 2 * len(qs) + 2]
 
 
-def dp_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
+def dp_layers(inst: Instance, row_sums: RowSums):
     """All layer tables and predecessor links; layer 0 is identically zero.
 
     ``row_sums`` must hold the per-strip sums of ``inst``'s cells; every
-    layer consumes a fresh ``CoverageSweep`` over them.  ``k`` overrides
-    ``inst.k``.
+    layer consumes a fresh ``CoverageSweep`` over them.
 
     Returns ``(tables, preds, k_eff)`` where ``tables[l][i]`` is the layer-l
     optimum at position i (1-based, sentinel last) and ``preds[l][i]`` the
@@ -76,7 +74,7 @@ def dp_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
     """
     qx = _staircase_x(inst)
     last = len(qx) - 1
-    k_eff = min(inst.k if k is None else k, last - 1)
+    k_eff = min(inst.k, last - 1)
     tables: list[list[float]] = [[0] * (last + 1)]
     preds: list[list[int] | None] = [None]
     for _layer in range(1, k_eff + 1):
@@ -134,8 +132,8 @@ def _strip_adds(qx: list[int], row_sums: RowSums) -> list:
     return adds
 
 
-def tree_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
-    """``dp_layers``' tables from one segment-tree sweep that carries all k layers.
+def tree_layers(inst: Instance, row_sums: RowSums):
+    """``dp_layers``' tables and picks from one segment-tree sweep that carries all k layers.
 
     The sweep visits the positions in staircase order over a max segment
     tree whose leaves are the queries' x-ranks.  For layer l, leaf j holds
@@ -152,11 +150,14 @@ def tree_layers(inst: Instance, row_sums: RowSums, k: int | None = None):
     ``t_1[i] .. t_k[i]`` from them at once and inserts ``t_0[i] ..
     t_{k-1}[i]``.  O(k (c + m) log m) time in all, c the nonzero cells.
 
-    Returns ``(tables, k_eff)``; the picks come from ``_tree_preds``.
+    Returns ``dp_layers``' ``(tables, preds, k_eff)``, but ``preds[l]``
+    holds only the link that the optimal walk follows (``_tree_preds``).
     """
     qx = _staircase_x(inst)
-    k_eff = min(inst.k if k is None else k, len(qx) - 2)
-    return _tree_tables(qx, _strip_adds(qx, row_sums), k_eff), k_eff
+    k_eff = min(inst.k, len(qx) - 2)
+    adds = _strip_adds(qx, row_sums)
+    tables = _tree_tables(qx, adds, k_eff)
+    return tables, _tree_preds(qx, adds, tables, k_eff), k_eff
 
 
 def _floor(adds) -> float:
@@ -368,6 +369,11 @@ def _slots(m: int, k_eff: int) -> dict[str, int]:
     return {"sweep": tables, "tree": tables + 2 * _tree_width(m) * k_eff}
 
 
+# Engine name -> the name of its function, looked up in the module at each
+# solve so that a wrapper set on it (perfbench's tracer) sees the calls.
+_ENGINES = {"sweep": "dp_layers", "tree": "tree_layers"}
+
+
 def _choose(engine: str, estimates: dict[str, float], slots: dict[str, int]) -> str:
     """The engine to run: ``"auto"`` picks the cheapest estimate within both budgets.
 
@@ -375,9 +381,9 @@ def _choose(engine: str, estimates: dict[str, float], slots: dict[str, int]) -> 
     ``DP_BUDGET_S`` and ``DP_SLOT_BUDGET``, naming the fastest one and the
     budget that it is over.
     """
-    if engine != "auto" and engine not in estimates:
-        raise ValueError(f"unknown dp engine {engine!r}; known: auto, {', '.join(estimates)}")
-    names = list(estimates) if engine == "auto" else [engine]
+    if engine != "auto" and engine not in _ENGINES:
+        raise ValueError(f"unknown dp engine {engine!r}; known: auto, {', '.join(_ENGINES)}")
+    names = list(_ENGINES) if engine == "auto" else [engine]
     fits = [e for e in names if estimates[e] <= DP_BUDGET_S and slots[e] <= DP_SLOT_BUDGET]
     if fits:
         return min(fits, key=estimates.__getitem__)
@@ -398,9 +404,6 @@ class PipelineResult:
     """A solve with its stage timings, grid statistics and DP work counts."""
 
     solution: Solution
-    n: int
-    m: int
-    k: int
     retained: int  # ground points covered by some query, i.e. summed into cells
     cells: int  # non-empty cells, zero-weight ones included
     compressed_size: int  # nonzero-weight cells, the compressed ground set
@@ -411,7 +414,7 @@ class PipelineResult:
     estimates: dict[str, float]  # predicted dp seconds per engine, see ``_estimates``
 
 
-def run_pipeline(inst: Instance, engine: str = "sweep") -> PipelineResult:
+def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
     """sum the cells -> layered DP -> reconstruct.
 
     The cells are summed straight from ``inst``'s point columns in its own
@@ -419,15 +422,14 @@ def run_pipeline(inst: Instance, engine: str = "sweep") -> PipelineResult:
     is reported as ``compressed_size``.  The work counts are taken after the
     timed stages.
 
-    ``engine`` is ``"sweep"`` (the paper's simple DP, the default),
-    ``"tree"`` or ``"auto"``, which runs whichever ``_estimates`` predicts
-    faster once the cells are known; both give the same tables and, on
-    exact weights, the same picks.  The tree's ``dp`` stage includes the
-    staircase x-ranks and strip adds, computed once and shared with the
-    picks and the work count.  A solve whose engine is estimated over
-    ``DP_BUDGET_S`` or would hold more than ``DP_SLOT_BUDGET`` list slots
-    raises ``ValueError`` before any DP work, and before the grid when even
-    an instance with no cells would be over.
+    ``engine`` is ``"auto"`` (the default), which runs whichever engine
+    ``_estimates`` predicts faster once the cells are known, ``"sweep"``
+    (the paper's simple DP) or ``"tree"``; both give the same tables and, on
+    exact weights, the same picks.  For either, ``dp`` times the tables and
+    picks and ``reconstruct`` reads the solution off them.  A solve whose
+    engine is estimated over ``DP_BUDGET_S`` or would hold more than
+    ``DP_SLOT_BUDGET`` list slots raises ``ValueError`` before any DP work,
+    and before the grid when even an instance with no cells would be over.
     """
     k_eff = min(inst.k, inst.m)
     slots = _slots(inst.m, k_eff)
@@ -436,42 +438,30 @@ def run_pipeline(inst: Instance, engine: str = "sweep") -> PipelineResult:
     t0 = perf_counter()
     grid = build_grid(inst)
     row_sums = build_row_sums(grid)
-    row_sum_entries = sum(map(len, row_sums.rows))  # the nonzero cells
-    estimates = _estimates(inst.m, k_eff, row_sum_entries)
+    nonzero = sum(map(len, row_sums.rows))  # one stored pair per nonzero cell
+    estimates = _estimates(inst.m, k_eff, nonzero)
     engine = _choose(engine, estimates, slots)
     t1 = perf_counter()
-    if engine == "sweep":
-        tables, preds, k_eff = dp_layers(inst, row_sums)
-        t2 = perf_counter()
-        solution = _solution(inst, tables, preds, k_eff)
-        t3 = perf_counter()
-        qx = _staircase_x(inst)  # for the work count, outside the timed stages
-    else:
-        qx = _staircase_x(inst)
-        adds = _strip_adds(qx, row_sums)
-        tables = _tree_tables(qx, adds, k_eff)
-        t2 = perf_counter()
-        solution = _solution(inst, tables, _tree_preds(qx, adds, tables, k_eff), k_eff)
-        t3 = perf_counter()
+    tables, preds, k_eff = globals()[_ENGINES[engine]](inst, row_sums)
+    t2 = perf_counter()
+    solution = _solution(inst, tables, preds, k_eff)
+    t3 = perf_counter()
     return PipelineResult(
         solution,
-        inst.n,
-        inst.m,
-        inst.k,
         grid.retained,
         len(grid.cells),
-        sum(1 for w in grid.cells.values() if w != 0),
-        row_sum_entries,
-        _dp_pairs(qx, k_eff),
+        nonzero,
+        nonzero,
+        _dp_pairs(_staircase_x(inst), k_eff),
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
         engine,
         estimates,
     )
 
 
-def solve_pipeline(inst: Instance, engine: str = "sweep") -> Solution:
-    """End-to-end solve; see ``run_pipeline`` for the engines, timings and statistics."""
-    return run_pipeline(inst, engine).solution
+def solve_pipeline(inst: Instance) -> Solution:
+    """End-to-end solve; see ``run_pipeline`` for the engine choice, timings and statistics."""
+    return run_pipeline(inst).solution
 
 
 def solve_reference(inst: Instance) -> Solution:

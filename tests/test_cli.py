@@ -1,4 +1,5 @@
 import json
+import re
 from time import perf_counter
 
 import pytest
@@ -7,11 +8,11 @@ import maxdom.cli
 import maxdom.solver
 from maxdom.cells import build_grid
 from maxdom.cli import main
-from maxdom.instances import GeneratorSpec, generate, serialize
+from maxdom.instances import GeneratorSpec, generate, parse, serialize
 from maxdom.model import Instance, Solution
 from maxdom.oracle import oracle_solve
 from maxdom.ranking import drop_uncovered, rank_transform
-from maxdom.solver import DP_BUDGET_S, DP_SLOT_BUDGET, run_pipeline, solve_reference
+from maxdom.solver import DP_BUDGET_S, DP_SLOT_BUDGET, run_pipeline, solve_pipeline, solve_reference
 
 
 @pytest.fixture
@@ -164,6 +165,23 @@ def test_render_solution_overlay(capsys, tmp_path):
     assert "data-chosen" in out_svg.read_text()
 
 
+def test_solve_render_and_library_report_the_same_picks(capsys, tmp_path):
+    # decimal weights: the two engines' float sums differ in the last bits
+    # here, and pick different optimal sets
+    inst = generate(GeneratorSpec("uniform", 46, 51, 4, (-1000, 1000), seed=6))
+    inst = Instance.from_rows([(p.x, p.y, p.w / 100) for p in inst.P], [(q.x, q.y) for q in inst.Q], 4)
+    path, out_svg = tmp_path / "inst.txt", tmp_path / "inst.svg"
+    serialize(inst, path)
+    code, out, _ = run(capsys, "solve", path)
+    rec = json.loads(out)
+    assert code == 0 and rec["engine"] == "tree"
+    code, _, _ = run(capsys, "render", path, "--solve", "--out", out_svg)
+    assert code == 0
+    drawn = sorted(int(qid) for qid in re.findall(r'data-chosen="(-?\d+)"', out_svg.read_text()))
+    assert drawn == rec["chosen"] != []
+    assert solve_pipeline(parse(path)).value == rec["value"]
+
+
 @pytest.mark.parametrize("chosen", ["7", "-1", "0,7"])
 def test_render_rejects_unknown_chosen_id(capsys, tmp_path, chosen):
     path = tmp_path / "sol.txt"
@@ -237,8 +255,8 @@ def test_solve_picks_the_cheaper_engine(capsys, tmp_path, engine, n, m):
     assert code == 0 and rec["engine"] == engine
     estimates = rec["estimates_s"]
     assert set(estimates) == {"sweep", "tree"} and min(estimates, key=estimates.get) == engine
-    default = run_pipeline(inst)  # the library default stays the simple DP
-    assert default.engine == "sweep" and default.solution.value == rec["value"]
+    default = run_pipeline(inst)  # the library default chooses as the command does
+    assert default.engine == engine and default.solution.value == rec["value"]
     _, out, _ = run(capsys, "solve", path, "--algo", "oracle", "--k", "0")
     rec = json.loads(out)
     assert rec["engine"] is rec["estimates_s"] is None

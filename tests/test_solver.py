@@ -16,6 +16,7 @@ from maxdom.solver import (
     _choose,
     _estimates,
     _slots,
+    _solution,
     dp_layers,
     run_pipeline,
     solve_pipeline,
@@ -186,17 +187,19 @@ def test_work_counters_match_direct_count():
             if qs[j].x <= qs[i].x
         )
         res = run_pipeline(inst)
-        assert res.row_sum_entries == nonzero_cells
+        assert res.row_sum_entries == res.compressed_size == nonzero_cells
         assert res.dp_pairs == pairs
 
 
 def assert_engines_agree(inst):
     """The tree engine's tables and solution equal the simple DP's; returns the solution."""
     row_sums = build_row_sums(build_grid(inst))
-    tables, _preds, k_eff = dp_layers(inst, row_sums)
-    assert tree_layers(inst, row_sums) == (tables, k_eff)
-    sol = run_pipeline(inst, "tree").solution
-    assert sol == run_pipeline(inst).solution
+    tables, preds, k_eff = dp_layers(inst, row_sums)
+    tree_tables, tree_preds, tree_k = tree_layers(inst, row_sums)
+    assert (tree_tables, tree_k) == (tables, k_eff)
+    sol = _solution(inst, tables, preds, k_eff)
+    assert _solution(inst, tree_tables, tree_preds, tree_k) == sol
+    assert run_pipeline(inst, "tree").solution == run_pipeline(inst, "sweep").solution == sol
     return sol
 
 
