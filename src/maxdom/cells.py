@@ -21,10 +21,10 @@ rank-normalized instance; they serve ``maxdom compress`` and rendering.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import Instance, WeightedPoint
+from .model import Instance, QueryPoint, WeightedPoint
 from .ranking import y_sorted_queries
 
 
@@ -41,6 +41,10 @@ class CellGrid:
     cells: dict[CellKey, float]
     per_row: tuple[tuple[tuple[int, float], ...], ...]  # per_row[i-1]: (col, weight), col-sorted
     retained: int = 0  # ground points summed into the cells
+    # The queries by staircase position (``y_sorted_queries``), in the gridded
+    # instance's own coordinates; strip i lies below stair[i - 1].  Sorted once
+    # here for the whole solve.  Not part of the cells, so not compared.
+    stair: tuple[QueryPoint, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ def _merge_into(prefix: list, new) -> None:
         prefix.sort()
 
 
-def _strips(inst: Instance, tags):
+def _strips(inst: Instance, tags, stair):
     """Bucket ``inst``'s points by strip; yield ``(row, slots, tags)`` per strip with points.
 
     Row ``i`` (0..m) holds the points with exactly ``i`` queries at or above
@@ -75,14 +79,14 @@ def _strips(inst: Instance, tags):
     the ``i`` highest queries strictly left of the row's ``t``-th point and
     ``tags[t]`` is that point's entry of ``tags``.  A point is covered iff
     its slot is below its row; it then lies in cell ``(row, slot + 1)``.
-    Queries are taken in the staircase order of ``y_sorted_queries``; the
+    ``stair`` is ``y_sorted_queries(inst)``, the staircase order; the
     sorted x-values above a strip are brought up to date only at strips
     with points, so a tall staircase over few points costs O(m) per such
     strip rather than an insert per query.
     """
-    stair_xs = [q.x for q in y_sorted_queries(inst)]
+    stair_xs = [q.x for q in stair]
     m = len(stair_xs)
-    ys_asc = sorted(q.y for q in inst.Q)
+    ys_asc = [q.y for q in reversed(stair)]
     strip_xs: list[list] = [[] for _ in range(m + 1)]
     strip_tags: list[list] = [[] for _ in range(m + 1)]
     for x, y, tag in zip(inst.P.xs, inst.P.ys, tags):
@@ -107,7 +111,8 @@ def build_grid(inst: Instance) -> CellGrid:
     cells: dict[CellKey, float] = {}
     per_row: list[tuple[tuple[int, float], ...]] = [()] * inst.m
     retained = 0
-    for row, slots, ws in _strips(inst, inst.P.ws):
+    stair = y_sorted_queries(inst)
+    for row, slots, ws in _strips(inst, inst.P.ws, stair):
         sums: dict[int, float] = {}
         get = sums.get
         for slot, w in zip(slots, ws):
@@ -118,7 +123,7 @@ def build_grid(inst: Instance) -> CellGrid:
             items = tuple((slot + 1, sums[slot]) for slot in sorted(sums))
             per_row[row - 1] = items
             cells.update((CellKey(row, col), w) for col, w in items)
-    return CellGrid(inst.m, cells, tuple(per_row), retained)
+    return CellGrid(inst.m, cells, tuple(per_row), retained, stair)
 
 
 def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:

@@ -14,10 +14,11 @@ beyond the stored sums.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cells import CellGrid
+from .model import QueryPoint
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,7 @@ class RowSums:
 
     m: int
     rows: tuple[tuple[tuple[int, float], ...], ...]
+    stair: tuple[QueryPoint, ...] = field(default=(), compare=False, repr=False)  # ``CellGrid.stair``
 
 
 def build_row_sums(grid: CellGrid) -> RowSums:
@@ -39,7 +41,7 @@ def build_row_sums(grid: CellGrid) -> RowSums:
             if w != 0:
                 pairs.append((col, cum))
         rows.append(tuple(pairs))
-    return RowSums(grid.m, tuple(rows))
+    return RowSums(grid.m, tuple(rows), grid.stair)
 
 
 class CoverageSweep:

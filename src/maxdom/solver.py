@@ -11,7 +11,9 @@ and runs the same DP; ``verify`` and the tests compare the pipeline against
 it.
 
 The DP takes any instance, ranked or not: it walks the queries in the
-staircase order of ``ranking.y_sorted_queries`` and compares their x-ranks,
+staircase order of ``ranking.y_sorted_queries``, sorted once per solve by
+``build_grid`` and carried on the grid and the row sums (``stair``), and
+compares their x-ranks,
 ties broken by id as in the rank transform.  Layer l computes, for every
 position i in decreasing-y order (sentinel last), the best covered weight
 achievable with at most l picks drawn from the queries in the closed
@@ -27,44 +29,51 @@ paper's simple algorithm ("sweep"), consumes one fresh coverage sweep per
 layer and scans every pair: O(m^2) time per layer, O(n + m) space plus the
 O(k*m) predecessor links used for reconstruction.  ``tree_layers`` ("tree")
 runs all k layers in one sweep over a max segment tree on the x-ranks, each
-node holding one value per layer: O(k (c + m) log m) time for c nonzero
-cells.  Its picks come from ``_tree_preds``, which rebuilds only the
-coverage rows that the optimal walk visits.  ``run_pipeline`` defaults to
-``"auto"``, which runs whichever engine ``_estimates`` predicts faster from
-m, k and c (the paper's min{}), and refuses a solve estimated over
-``DP_BUDGET_S`` or ``DP_SLOT_BUDGET``; ``maxdom bench`` times the simple DP
-by name.
+node packing one biased field per layer into one int, so that a node merge
+is a few int operations whatever k is: O(k (c + m) log m) time for c
+nonzero cells.  It runs on int weights; other weights are scaled exactly
+to ints and its tables divided back once.  Its picks come from
+``_tree_preds``, which builds only the coverage rows that the optimal walk
+visits, each from prefix sums.  ``run_pipeline`` defaults to ``"auto"``,
+which runs whichever engine ``_estimates`` predicts faster from m, k, c and
+the width of the tree's fields (the paper's min{}), and refuses a solve
+estimated over ``DP_BUDGET_S`` or ``DP_SLOT_BUDGET``; ``maxdom bench`` times
+the simple DP by name.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
+from math import lcm
 from time import perf_counter
 
 from .cells import _merge_into, build_grid
 from .coverage import CoverageSweep, RowSums, build_row_sums
 from .model import Instance, Solution
-from .ranking import _axis_transform, drop_uncovered, rank_transform, y_sorted_queries
+from .ranking import _axis_transform, drop_uncovered, rank_transform
 
 
-def _staircase_x(inst: Instance) -> list[int]:
+def _staircase_x(stair) -> list[int]:
     """``[0, x_1, ..., x_m, x_sentinel]``: x-ranks by staircase position.
 
+    ``stair`` is the queries in staircase order (``CellGrid.stair``).
     Queries are ranked by ``(x, id)`` as in the rank transform; the sentinel
     at position m + 1 lies right of all of them.
     """
-    qs = y_sorted_queries(inst)
-    ranks, _ = _axis_transform([q.x for q in qs], [q.id for q in qs], ())
-    return [0, *ranks, 2 * len(qs) + 2]
+    ranks, _ = _axis_transform([q.x for q in stair], [q.id for q in stair], ())
+    return [0, *ranks, 2 * len(stair) + 2]
 
 
 def dp_layers(inst: Instance, row_sums: RowSums):
     """All layer tables and predecessor links; layer 0 is identically zero.
 
-    ``row_sums`` must hold the per-strip sums of ``inst``'s cells; every
-    layer consumes a fresh ``CoverageSweep`` over them.
+    ``row_sums`` must hold the per-strip sums of ``inst``'s cells, as
+    ``build_row_sums(build_grid(inst))`` gives them; every layer consumes a
+    fresh ``CoverageSweep`` over them.
 
     Returns ``(tables, preds, k_eff)`` where ``tables[l][i]`` is the layer-l
     optimum at position i (1-based, sentinel last) and ``preds[l][i]`` the
@@ -72,7 +81,7 @@ def dp_layers(inst: Instance, row_sums: RowSums):
     smallest position, so an all-zero optimum reconstructs to the empty pick
     set; the optimum value is independent of tie-breaking.
     """
-    qx = _staircase_x(inst)
+    qx = _staircase_x(row_sums.stair)
     last = len(qx) - 1
     k_eff = min(inst.k, last - 1)
     tables: list[list[float]] = [[0] * (last + 1)]
@@ -104,31 +113,69 @@ def dp_layers(inst: Instance, row_sums: RowSums):
     return tables, preds, k_eff
 
 
-def _strip_adds(qx: list[int], row_sums: RowSums) -> list:
+def _int_cells(row_sums: RowSums):
+    """Per strip, its nonzero cells as ``(col, weight)`` pairs with int weights, and their scale.
+
+    A cell's weight is the difference of consecutive cumulative sums.  Int
+    weights are taken as they are, and the scale is ``None``.  Otherwise each
+    weight is multiplied by the least common denominator of the weights'
+    ``as_integer_ratio()``, which is exact, and that denominator is the
+    scale: a sum of the scaled weights divided by it is the exact sum,
+    correctly rounded.
+    """
+    cells = []
+    for pairs in row_sums.rows:
+        prev = 0
+        strip = []
+        for col, cum in pairs:
+            strip.append((col, cum - prev))
+            prev = cum
+        cells.append(strip)
+    ws = [w for strip in cells for _, w in strip]
+    if all(type(w) is int for w in ws):
+        return cells, None
+    ratios = [w.as_integer_ratio() for w in ws]
+    scale = lcm(*(den for _, den in ratios))
+    it = iter(ratios)
+    scaled = [[(col, num * (scale // den)) for (col, _), (num, den) in zip(strip, it)] for strip in cells]
+    return scaled, scale
+
+
+def _field_bytes(cells) -> int:
+    """Bytes per lane field of the tree over these int cell weights.
+
+    ``cells`` holds per-strip pairs whose second entries are the weights,
+    as ``_int_cells`` and ``_strip_adds`` give them.  With W the total
+    absolute weight, every value a field holds lies in
+    [0, 8W + 8) once biased by 4W + 4 (``_tree_tables``), and the field's
+    top bit must stay clear: 1, 2, 4 or 8 bytes, or as many as it takes.
+    """
+    total = sum(abs(w) for strip in cells for _, w in strip)
+    need = ((8 * total + 8).bit_length() + 8) // 8  # one bit more, in whole bytes
+    return need if need > 8 else 1 << (need - 1).bit_length()
+
+
+def _strip_adds(qx: list[int], cells) -> list:
     """Per strip, its nonzero cells as ``(leaf, weight)`` pairs.
 
-    Leaves index the queries by x-rank (``qx[i] // 2 - 1``).  A cell's leaf
-    is that of the leftmost query above its strip that covers it, so the
-    queries covering the cell are exactly those above the strip at that
-    leaf or right of it.  The sorted leaves above a strip are brought up to
-    date only at strips with cells, as ``cells`` does for points.
+    ``cells`` is ``_int_cells``' per-strip ``(col, weight)`` pairs.  Leaves
+    index the queries by x-rank (``qx[i] // 2 - 1``).  A cell's leaf is that
+    of the leftmost query above its strip that covers it, so the queries
+    covering the cell are exactly those above the strip at that leaf or
+    right of it.  The sorted leaves above a strip are brought up to date
+    only at strips with cells, as ``cells`` does for points.
     """
     leaves = [x // 2 - 1 for x in qx]
     prefix: list[int] = []  # leaves of the ``done`` highest queries, sorted
     done = 0
     adds = []
-    for s, pairs in enumerate(row_sums.rows, 1):
-        if not pairs:
+    for s, strip in enumerate(cells, 1):
+        if not strip:
             adds.append(())
             continue
         _merge_into(prefix, leaves[done + 1 : s + 1])
         done = s
-        prev = 0
-        strip = []
-        for col, cum in pairs:
-            strip.append((prefix[col - 1], cum - prev))
-            prev = cum
-        adds.append(strip)
+        adds.append([(prefix[col - 1], w) for col, w in strip])
     return adds
 
 
@@ -143,30 +190,26 @@ def tree_layers(inst: Instance, row_sums: RowSums):
     ``t_{l-1}[i]`` and the maximum over the leaves left of it, and position
     i is then inserted.  Leaves not yet inserted start below any reachable
     value, so they never win.  The layers differ only in the values inserted
-    at the leaves, so one tree holds them all: each node keeps one lane per
-    layer and one add tag that all lanes share.  A cell's suffix add costs
-    O(log m) tag updates plus O(k) per ancestor recomputed; position i takes
-    every lane's prefix maximum in one walk up from its leaf, derives
-    ``t_1[i] .. t_k[i]`` from them at once and inserts ``t_0[i] ..
-    t_{k-1}[i]``.  O(k (c + m) log m) time in all, c the nonzero cells.
+    at the leaves, so one tree holds them all: each node packs one field per
+    layer into one int, beside one add tag that all fields share
+    (``_tree_tables``).  O(k (c + m) log m) time in all, c the nonzero
+    cells, and a node merge is a few int operations on k fields at once.
 
-    Returns ``dp_layers``' ``(tables, preds, k_eff)``, but ``preds[l]``
-    holds only the link that the optimal walk follows (``_tree_preds``).
+    The tree runs on int weights: ``_int_cells`` scales other weights
+    exactly, and the tables are divided back once, so float weights give the
+    exact tables, correctly rounded.  Returns ``dp_layers``' ``(tables,
+    preds, k_eff)``, but ``preds[l]`` holds only the link that the optimal
+    walk follows (``_tree_preds``).
     """
-    qx = _staircase_x(inst)
+    qx = _staircase_x(row_sums.stair)
     k_eff = min(inst.k, len(qx) - 2)
-    adds = _strip_adds(qx, row_sums)
+    cells, scale = _int_cells(row_sums)
+    adds = _strip_adds(qx, cells)
     tables = _tree_tables(qx, adds, k_eff)
-    return tables, _tree_preds(qx, adds, tables, k_eff), k_eff
-
-
-def _floor(adds) -> float:
-    """A value below every reachable leaf, for the leaves not yet inserted.
-
-    An inserted leaf holds at least -W, W the total absolute weight, and the
-    adds move a leaf not yet inserted by at most W: it stays below -W.
-    """
-    return -1 - 2 * sum(abs(w) for strip in adds for _, w in strip)
+    preds = _tree_preds(qx, adds, tables, k_eff)
+    if scale is not None:  # zeros stay int 0, as the sweep keeps them
+        tables = [[t / scale if t else 0 for t in row] for row in tables]
+    return tables, preds, k_eff
 
 
 def _tree_width(m: int) -> int:
@@ -174,26 +217,74 @@ def _tree_width(m: int) -> int:
     return 1 << (m - 1).bit_length()
 
 
-def _tree_tables(qx: list[int], adds, k_eff: int) -> list[list[float]]:
-    """``tree_layers``' tables from the staircase x-ranks and the strip adds.
+def _codec(k: int, nbytes: int):
+    """``(pack, unpack)`` between k field values and one int of k ``nbytes``-byte fields.
 
-    Lane l - 1 of a node stands for layer l.  The maximum of lane l over
-    node ``p``'s subtree is ``lanes[p][l] + off[p] + tag[p]`` plus the tags
-    of ``p``'s strict ancestors: ``tag[p]`` holds the adds applied to
-    ``p``'s whole subtree and ``off[p]`` a scalar folded out of the lanes
-    when they were last recomputed.  A tag update thus touches one scalar,
-    and a recompute one list of k.  ``t_l[i]`` is the better of
-    ``t_{l-1}[i]`` and lane l - 1's maximum left of position i, so all of
-    position i's entries come from one ``accumulate``.
+    Fields of 1, 2, 4 or 8 bytes go through an ``array`` in one C call each
+    way, in the machine's byte order, so on a big-endian machine the first
+    value sits in the top field; the lanewise operations treat every field
+    alike.  Wider fields are cut from the int's bytes.
+    """
+    size = k * nbytes
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nbytes)
+    if code is not None and array(code).itemsize == nbytes:
+        order = sys.byteorder
+
+        def pack(values) -> int:
+            return int.from_bytes(array(code, values), order)
+
+        def unpack(x: int):
+            return array(code, x.to_bytes(size, order))
+
+    else:
+
+        def pack(values) -> int:
+            return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
+
+        def unpack(x: int):
+            b = x.to_bytes(size, "little")
+            return [int.from_bytes(b[s : s + nbytes], "little") for s in range(0, size, nbytes)]
+
+    return pack, unpack
+
+
+def _tree_tables(qx: list[int], adds, k_eff: int) -> list[list[int]]:
+    """``tree_layers``' tables from the staircase x-ranks and the int strip adds.
+
+    Field l - 1 of a node stands for layer l.  The maximum of layer l over
+    node ``p``'s subtree is field l - 1 of ``lanes[p]``, less the bias
+    ``4W + 4`` (W the total absolute weight), plus ``off[p] + tag[p]`` and
+    the tags of ``p``'s strict ancestors: ``tag[p]`` holds the adds applied
+    to ``p``'s whole subtree and ``off[p]`` a scalar folded out of the
+    fields when they were last recomputed.  A tag update thus touches one
+    scalar.  Every field then stays in [0, 8W + 8), so its top bit is a
+    guard (``_field_bytes``), and the fieldwise maximum of ``a`` and ``b +
+    d`` takes a fixed handful of int operations, whatever k is: add ``d``
+    to every field of ``b``; subtract fieldwise from ``a`` with the guards
+    set, so a guard survives where ``a`` is at least as large; spread the
+    surviving guards to masks over their fields; and take ``a`` under the
+    masks and ``b + d`` elsewhere.  ``t_l[i]`` is the better of
+    ``t_{l-1}[i]`` and layer l's maximum left of position i, so all of
+    position i's entries come from one unpack and one ``accumulate``, and
+    its insert is one pack.
     """
     last = len(qx) - 1
     size = _tree_width(last - 1)
     leaf = [size + x // 2 - 1 for x in qx]  # the sentinel's is past the end when m == size
-    lanes = [[_floor(adds)] * k_eff] * (2 * size)  # shared: every write stores a new list
+    total = sum(abs(w) for strip in adds for _, w in strip)
+    bias = 4 * total + 4
+    nbytes = _field_bytes(adds)
+    f = 8 * nbytes
+    g = f - 1
+    ones = sum(1 << (f * l) for l in range(k_eff))  # 1 in every field
+    guards = ones << g
+    pack, unpack = _codec(k_eff, nbytes)
+    # A leaf not yet inserted holds -2W - 1 plus the adds it has had, below -W.
+    lanes = [pack([bias - 2 * total - 1] * k_eff)] * (2 * size)
     off = [0] * (2 * size)
     tag = [0] * (2 * size)
-    zeros = [0] * (k_eff + 1)
-    rows = [zeros]  # rows[i]: t_0[i], ..., t_k[i]
+    start = [bias] * (k_eff + 1)
+    rows = [start]  # rows[i]: t_0[i], ..., t_k[i], each plus the bias
     for i in range(1, last + 1):
         if i > 1:
             for p, w in adds[i - 2]:  # strip i - 1: suffix add from leaf p
@@ -205,14 +296,16 @@ def _tree_tables(qx: list[int], adds, k_eff: int) -> list[list[float]]:
                     if not p & 1:
                         tag[p + 1] += w
                     p >>= 1
-                    a, b = 2 * p, 2 * p + 1
+                    a = 2 * p
                     base = off[a] + tag[a]
-                    d = off[b] + tag[b] - base
-                    lanes[p] = [u if u > (v := y + d) else v for u, y in zip(lanes[a], lanes[b])]
+                    b = lanes[a + 1] + (off[a + 1] + tag[a + 1] - base) * ones
+                    a = lanes[a]
+                    t = ((a | guards) - b) & guards
+                    lanes[p] = b ^ ((a ^ b) & (t - (t >> g)))
                     off[p] = base
         p = leaf[i]
         if p < 2 * size:
-            res = None  # every lane's maximum left of the leaf, less ``shift``
+            res = None  # every layer's maximum left of the leaf, less ``shift``, plus the bias
             below = 0  # tags of the path from the leaf up to p
             while p > 1:
                 below += tag[p]
@@ -221,8 +314,9 @@ def _tree_tables(qx: list[int], adds, k_eff: int) -> list[list[float]]:
                     if res is None:
                         res, shift = lanes[p - 1], c
                     else:
-                        d = c - shift
-                        res = [u if u > (v := y + d) else v for u, y in zip(res, lanes[p - 1])]
+                        b = lanes[p - 1] + (c - shift) * ones
+                        t = ((res | guards) - b) & guards
+                        res = b ^ ((res ^ b) & (t - (t >> g)))
                 p >>= 1
             below += tag[1]  # now the tags of the whole path
             if res is not None:
@@ -230,82 +324,104 @@ def _tree_tables(qx: list[int], adds, k_eff: int) -> list[list[float]]:
         else:  # the sentinel, m a power of two: every leaf lies left of it
             res, shift = lanes[1], off[1] + tag[1]
         if res is None:  # no leaf left of position i: it keeps t_0[i] = 0 everywhere
-            ts = zeros
+            ts = start
         else:
-            ts = list(accumulate([0, *[u + shift for u in res]], max))
+            ts = list(accumulate(unpack(res + shift * ones), max, initial=bias))
         rows.append(ts)
-        if i < last:  # insert position i: lane l's leaf value becomes t_l[i]
+        if i < last:  # insert position i: layer l's leaf value becomes t_l[i]
             p = leaf[i]
-            lanes[p] = ts[:-1]
+            lanes[p] = pack(ts[:-1])
             off[p] = -below  # cancels the tags on the leaf's path
             while p > 1:
                 p >>= 1
-                a, b = 2 * p, 2 * p + 1
+                a = 2 * p
                 base = off[a] + tag[a]
-                d = off[b] + tag[b] - base
-                new = [u if u > (v := y + d) else v for u, y in zip(lanes[a], lanes[b])]
+                b = lanes[a + 1] + (off[a + 1] + tag[a + 1] - base) * ones
+                a = lanes[a]
+                t = ((a | guards) - b) & guards
+                new = b ^ ((a ^ b) & (t - (t >> g)))
                 if base == off[p] and new == lanes[p]:
                     break
                 lanes[p] = new
                 off[p] = base
-    return [list(t) for t in zip(*rows)]
+    return [[t - bias for t in col] for col in zip(*rows)]
 
 
 def _tree_preds(qx: list[int], adds, tables, k_eff: int):
     """``dp_layers``' predecessor links along the optimal walk, one per layer.
 
-    Each step rebuilds the one row cov(i, .) it needs with a Fenwick tree
-    over the leaves: strips i - 1 down to 1 are added in turn, and cov(i, j)
-    is read right after strip j as the weight at leaves up to j's.  The pick
-    is ``dp_layers``' tie-break: the self-link first, then the smallest j.
-    Returns ``preds`` with ``preds[l]`` a one-entry ``{i: j}`` mapping.
+    With ``P(s, x)`` the weight of strips 1..s at leaves up to x, the walk
+    needs ``cov(i, j) = P(i - 1, leaf_j) - P(j - 1, leaf_j)``.  One Fenwick
+    pass over the strips gives the second terms for every j.  The walk's
+    rows come in decreasing i, so the per-leaf weights of strips 1..i - 1
+    are kept by taking strips off as i falls, and each row's first terms
+    are one ``accumulate`` over them.  The pick is ``dp_layers``'
+    tie-break: the self-link first, then the smallest j.  Returns ``preds``
+    with ``preds[l]`` a one-entry ``{i: j}`` mapping.
     """
     last = len(qx) - 1
+    leaves = [x // 2 - 1 for x in qx]
+    fen = [0] * last  # 1-based over the m leaves
+    corner = [0] * last  # corner[j] = P(j - 1, leaf_j)
+    for j in range(1, last):
+        if j > 1:
+            for p, w in adds[j - 2]:
+                p += 1
+                while p < last:
+                    fen[p] += w
+                    p += p & -p
+        p = leaves[j] + 1
+        while p:
+            corner[j] += fen[p]
+            p -= p & -p
+    dense = [0] * last  # per leaf, the weight of strips 1..upto
+    upto = last - 1
+    for strip in adds:
+        for p, w in strip:
+            dense[p] += w
     preds: list[dict[int, int] | None] = [None] * (k_eff + 1)
     i, row_i = last, 0
     for layer in range(k_eff, 0, -1):
         if row_i != i:  # a self-link keeps i, and so its row
             row_i = i
-            fen = [0] * last  # 1-based over the m leaves
-            row = [0] * i
-            for j in range(i - 1, 0, -1):
-                for p, w in adds[j - 1]:
-                    p += 1
-                    while p < last:
-                        fen[p] += w
-                        p += p & -p
-                p = qx[j] // 2  # leaf of j, plus one
-                while p:
-                    row[j] += fen[p]
-                    p -= p & -p
+            for strip in adds[i - 1 : upto]:
+                for p, w in strip:
+                    dense[p] -= w
+            upto = i - 1
+            prefix = list(accumulate(dense))
         t_prev = tables[layer - 1]
+        xi = qx[i]
         best, bj = t_prev[i], i
         for j in range(1, i):
-            if qx[j] < qx[i] and t_prev[j] + row[j] > best:
-                best, bj = t_prev[j] + row[j], j
+            if qx[j] < xi:
+                v = t_prev[j] + prefix[leaves[j]] - corner[j]
+                if v > best:
+                    best, bj = v, j
         preds[layer] = {i: bj}
         i = bj
     return preds
 
 
-def _chosen_ids(inst: Instance, preds, k_eff: int) -> frozenset[int]:
+def _chosen_ids(stair, preds, k_eff: int) -> frozenset[int]:
     """Walk predecessor links from the sentinel, skipping self-links."""
-    qs = y_sorted_queries(inst)
     ids = []
-    i = len(qs) + 1
+    i = len(stair) + 1
     for layer in range(k_eff, 0, -1):
         j = preds[layer][i]
         if j != i:
-            ids.append(qs[j - 1].id)
+            ids.append(stair[j - 1].id)
         i = j
     return frozenset(ids)
 
 
-def _solution(inst: Instance, tables, preds, k_eff: int) -> Solution:
-    """The optimum, its pick set and each layer's optimum, read off the DP's output."""
-    last = inst.m + 1
+def _solution(stair, tables, preds, k_eff: int) -> Solution:
+    """The optimum, its pick set and each layer's optimum, read off the DP's output.
+
+    ``stair`` is the queries in staircase order (``RowSums.stair``).
+    """
+    last = len(stair) + 1
     layers = tuple(tables[l][last] for l in range(1, k_eff + 1))
-    return Solution(_chosen_ids(inst, preds, k_eff), tables[k_eff][last], layers)
+    return Solution(_chosen_ids(stair, preds, k_eff), tables[k_eff][last], layers)
 
 
 def _dp_pairs(qx: list[int], k_eff: int) -> int:
@@ -324,49 +440,60 @@ def _dp_pairs(qx: list[int], k_eff: int) -> int:
 
 # Nanoseconds per unit of each engine's work estimate (``_estimates``), from
 # ``scripts/calibrate_engines.py`` on a 2-core x86-64 KVM guest under CPython
-# 3.11.7, the mean of two runs (``--reps 5``, seeds 1 and 2).  SWEEP_NS: the
-# medians over nine shapes, 109.2 and 106.0.  TREE_NODE_NS and TREE_LANE_NS:
-# the least-squares fits over the same shapes at k = 1..32, 881.3 + 65.23 k
-# and 900.4 + 63.98 k.  Only their ratios steer ``auto``; the budget scales
-# with all three.
+# 3.11.7 (``--reps 5``, seeds 1 and 2).  SWEEP_NS: the mean of two runs'
+# medians over nine shapes, 109.2 and 106.0.  TREE_NODE_NS and TREE_LANE_NS
+# (the packed tree): four later runs fit 581.1 + 10.19 k, 517.5 + 10.25 k,
+# 549.1 + 14.57 k and 580.6 + 11.41 k over the same shapes at k = 1..32,
+# while the machine ran faster and their sweep medians read 77.9, 72.6, 90.1
+# and 78.9; each is the mean ratio to its run's sweep median (7.010 and
+# 0.1446) times SWEEP_NS.  Only their ratios steer ``auto``; the budget
+# scales with all three.
 SWEEP_NS = 107.6
-TREE_NODE_NS = 891.0
-TREE_LANE_NS = 64.6
+TREE_NODE_NS = 754.3
+TREE_LANE_NS = 15.56
 # A solve whose chosen engine is estimated beyond this is refused before any
 # DP work: a few minutes of calibrated work.
 DP_BUDGET_S = 180.0
 # A solve whose chosen engine would hold more list slots than this
 # (``_slots``) is refused as well.  A slot took 12-15 bytes under
 # tracemalloc (uniform shapes up to m = 4,096 and k = 256) and can take
-# about 32 (a pointer and a float of its own): 0.6-1.6 GB.
+# about 32 (a pointer and a float of its own): 0.6-1.6 GB.  A 64-bit word
+# of a tree field takes 8.5 bytes (30-bit int digits).
 DP_SLOT_BUDGET = 50_000_000
 
 
-def _estimates(m: int, k_eff: int, cells: int) -> dict[str, float]:
+def _estimates(m: int, k_eff: int, cells: int, words: int = 1) -> dict[str, float]:
     """Predicted dp-stage seconds of each engine, from closed-form work counts.
 
     The simple DP (``dp_layers``, "sweep") scans k * m^2 (layer, i, j)
     slots; the segment tree (``tree_layers``, "tree") walks c + 2m root
     paths of depth ``m.bit_length()`` = ceil(log2(m + 1)), c the nonzero
-    cells, each node visit costing a fixed part plus one per lane.  The
-    sweep wins a tie.
+    cells, each node visit costing a fixed part plus one per lane and
+    64-bit word of its field (``words``, 1 up to 64 bits).  The sweep wins
+    a tie.
     """
     paths = (cells + 2 * m) * m.bit_length()
     return {
         "sweep": SWEEP_NS * 1e-9 * k_eff * m * m,
-        "tree": (TREE_NODE_NS + TREE_LANE_NS * k_eff) * 1e-9 * paths,
+        "tree": (TREE_NODE_NS + TREE_LANE_NS * k_eff * words) * 1e-9 * paths,
     }
 
 
-def _slots(m: int, k_eff: int) -> dict[str, int]:
-    """List slots each engine holds at its peak.
+def _slots(m: int, k_eff: int, words: int = 1) -> dict[str, int]:
+    """List slots each engine holds at its peak, a field of the tree counted per 64-bit word.
 
-    Both hold the k + 1 layer tables of m + 2 entries and as many slots
-    again: the sweep's predecessor links, the tree's rows by position.  The
-    tree adds k lanes in each of its nodes.
+    Both hold the k + 1 layer tables of m + 2 entries and as many entries
+    again: the sweep's predecessor links, the tree's rows by position, whose
+    ints are ``words`` 64-bit words wide.  The tree adds k fields of
+    ``words`` words in each of its nodes.  ``words`` is 1, a lower bound,
+    before the cells are known and where the tree cannot run
+    (``run_pipeline``).
     """
-    tables = 2 * (k_eff + 1) * (m + 2)
-    return {"sweep": tables, "tree": tables + 2 * _tree_width(m) * k_eff}
+    tables = (k_eff + 1) * (m + 2)
+    return {
+        "sweep": 2 * tables,
+        "tree": tables * (1 + words) + 2 * _tree_width(m) * k_eff * words,
+    }
 
 
 # Engine name -> the name of its function, looked up in the module at each
@@ -429,22 +556,29 @@ def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
     picks and ``reconstruct`` reads the solution off them.  A solve whose
     engine is estimated over ``DP_BUDGET_S`` or would hold more than
     ``DP_SLOT_BUDGET`` list slots raises ``ValueError`` before any DP work,
-    and before the grid when even an instance with no cells would be over.
+    and before the grid when even an instance with no cells and the
+    narrowest tree fields would be over.
     """
     k_eff = min(inst.k, inst.m)
-    slots = _slots(inst.m, k_eff)
-    # No cells is a lower bound: what is over the budget even so is refused ungridded.
-    _choose(engine, _estimates(inst.m, k_eff, 0), slots)
+    # No cells and one-word fields are a lower bound: what is over the budget
+    # even so is refused ungridded.
+    _choose(engine, _estimates(inst.m, k_eff, 0), _slots(inst.m, k_eff))
     t0 = perf_counter()
     grid = build_grid(inst)
     row_sums = build_row_sums(grid)
     nonzero = sum(map(len, row_sums.rows))  # one stored pair per nonzero cell
     estimates = _estimates(inst.m, k_eff, nonzero)
-    engine = _choose(engine, estimates, slots)
+    # Fields wider than one word only price the tree higher, so its field
+    # width matters only where the tree may run: named, or cheaper unpriced.
+    words = 1
+    if engine == "tree" or (engine == "auto" and estimates["tree"] < estimates["sweep"]):
+        words = -(-_field_bytes(_int_cells(row_sums)[0]) // 8)
+        estimates = _estimates(inst.m, k_eff, nonzero, words)
+    engine = _choose(engine, estimates, _slots(inst.m, k_eff, words))
     t1 = perf_counter()
     tables, preds, k_eff = globals()[_ENGINES[engine]](inst, row_sums)
     t2 = perf_counter()
-    solution = _solution(inst, tables, preds, k_eff)
+    solution = _solution(row_sums.stair, tables, preds, k_eff)
     t3 = perf_counter()
     return PipelineResult(
         solution,
@@ -452,7 +586,7 @@ def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
         len(grid.cells),
         nonzero,
         nonzero,
-        _dp_pairs(_staircase_x(inst), k_eff),
+        _dp_pairs(_staircase_x(row_sums.stair), k_eff),
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
         engine,
         estimates,
@@ -472,4 +606,5 @@ def solve_reference(inst: Instance) -> Solution:
     equal ``solve_pipeline``'s.
     """
     rr = drop_uncovered(rank_transform(inst))
-    return _solution(rr, *dp_layers(rr, build_row_sums(build_grid(rr))))
+    row_sums = build_row_sums(build_grid(rr))
+    return _solution(row_sums.stair, *dp_layers(rr, row_sums))

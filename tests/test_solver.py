@@ -1,18 +1,21 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxdom.cells
 import maxdom.solver
 from maxdom.cells import build_grid
-from maxdom.coverage import build_row_sums
+from maxdom.coverage import RowSums, build_row_sums
 from maxdom.instances import FAMILIES, GeneratorSpec, generate
 from maxdom.model import Instance, QueryPoint, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
 from maxdom.solver import (
+    DP_SLOT_BUDGET,
     _choose,
     _estimates,
     _slots,
@@ -197,8 +200,8 @@ def assert_engines_agree(inst):
     tables, preds, k_eff = dp_layers(inst, row_sums)
     tree_tables, tree_preds, tree_k = tree_layers(inst, row_sums)
     assert (tree_tables, tree_k) == (tables, k_eff)
-    sol = _solution(inst, tables, preds, k_eff)
-    assert _solution(inst, tree_tables, tree_preds, tree_k) == sol
+    sol = _solution(row_sums.stair, tables, preds, k_eff)
+    assert _solution(row_sums.stair, tree_tables, tree_preds, tree_k) == sol
     assert run_pipeline(inst, "tree").solution == run_pipeline(inst, "sweep").solution == sol
     return sol
 
@@ -245,3 +248,124 @@ def test_auto_skips_an_engine_over_the_slot_budget(monkeypatch):
     monkeypatch.setattr(maxdom.solver, "DP_SLOT_BUDGET", slots["sweep"] - 1)
     with pytest.raises(ValueError, match="the tree dp would hold"):  # the faster one is named
         _choose("auto", estimates, slots)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_tree_engine_matches_simple_dp_on_wide_zero_and_negative_weights(data):
+    # the packed fields widen with the total weight; zero and all-negative
+    # weights leave every table at 0
+    lo, hi = data.draw(st.sampled_from([(-(10**15), 10**15), (0, 0), (-(10**15), -1)]))
+    m = data.draw(st.integers(1, 7))
+    coord = st.integers(0, data.draw(st.integers(2, 12)))
+    weight, n = st.integers(lo, hi), data.draw(st.integers(0, 25))
+    P = [(data.draw(coord), data.draw(coord), data.draw(weight)) for _ in range(n)]
+    Q = [(data.draw(coord), data.draw(coord)) for _ in range(m)]
+    inst = Instance.from_rows(P, Q, data.draw(st.integers(0, m + 1)))
+    sol = assert_engines_agree(inst)
+    if hi <= 0:
+        assert sol.value == 0 and sol.chosen == frozenset()
+
+
+def exact_row_sums(row_sums):
+    """``row_sums`` with the same cell sums (differences of consecutive
+    cumulative sums) accumulated as ``Fraction``s, exactly."""
+    rows = []
+    for pairs in row_sums.rows:
+        prev, cum_exact, exact = 0, Fraction(0), []
+        for col, cum in pairs:
+            cum_exact += Fraction(cum - prev)
+            exact.append((col, cum_exact))
+            prev = cum
+        rows.append(tuple(exact))
+    return RowSums(row_sums.m, tuple(rows), row_sums.stair)
+
+
+@pytest.mark.parametrize("scale", [4, 100, 10**6, None])
+def test_tree_engine_gives_the_exact_tables_on_non_integer_weights(scale):
+    # decimal weights as floats, or (scale None) fractions with denominators
+    # 3..7, whose common denominator is no single one of them; the zeros
+    # stay int 0, as the sweep keeps them
+    rng = SplitMix64(scale or 3)
+    weight = (lambda w: w / scale) if scale else (lambda w: Fraction(w, 3 + w % 5))
+    for _ in range(15):
+        bound = 50 * (scale or 20)
+        inst = random_instance(rng, max_n=40, max_m=12, span=30, wlo=-bound, whi=bound)
+        inst = Instance.from_rows(
+            [(p.x, p.y, weight(p.w)) for p in inst.P], [(q.x, q.y) for q in inst.Q], inst.m
+        )
+        row_sums = build_row_sums(build_grid(inst))
+        exact, _preds, k_eff = dp_layers(inst, exact_row_sums(row_sums))
+        tables, _preds, tree_k = tree_layers(inst, row_sums)
+        assert tree_k == k_eff
+        assert repr(tables) == repr([[float(t) if t else 0 for t in row] for row in exact])
+
+
+def test_tree_refuses_very_wide_fields_after_the_grid(monkeypatch):
+    # floats from 1e-300 to 1e300 scale to ints of about 2,050 bits, so each
+    # of the tree's fields takes 33 words; the same points at weight 1 take one
+    m, k = 4096, 256
+    stair = [(i, m - i) for i in range(m)]
+    P = [(17 * j, m - 19 * j, (-1) ** j * 10.0 ** (300 - 120 * j)) for j in range(6)]
+    inst = Instance.from_rows(P, stair, k)
+    narrow = Instance.from_rows([(x, y, 1) for x, y, _w in P], stair, k)
+
+    def no_dp(*_args):
+        raise AssertionError("dp work on an instance that is refused anyway")
+
+    gridded = []
+    monkeypatch.setattr(maxdom.solver, "build_grid", lambda i: gridded.append(i) or build_grid(i))
+    monkeypatch.setattr(maxdom.solver, "tree_layers", no_dp)
+    monkeypatch.setattr(maxdom.solver, "dp_layers", no_dp)
+    assert _slots(m, k)["tree"] < DP_SLOT_BUDGET  # admitted before the grid
+    for engine in ("tree", "auto"):  # the sweep is over the time budget here
+        message = r"^refusing to solve: the tree dp would hold 1\.05e\+08 list slots, over"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(inst, engine)
+    assert gridded == [inst, inst]
+    with pytest.raises(AssertionError, match="dp work"):  # the narrow fields are admitted
+        run_pipeline(narrow, "tree")
+
+
+def wide(inst):
+    """``inst`` with its weights scaled by 1e-300 and 1e300 in turn: floats
+    whose exact sum needs fields of 33 words."""
+    return Instance.from_rows(
+        [(p.x, p.y, p.w * 10.0 ** (-300 + 600 * (t % 2))) for t, p in enumerate(inst.P)],
+        [(q.x, q.y) for q in inst.Q],
+        inst.k,
+    )
+
+
+def test_wide_fields_price_the_tree_higher(monkeypatch):
+    # the same cells priced with one-word fields favour the tree, with
+    # 33-word fields the sweep
+    base = generate(GeneratorSpec("uniform", 300, 64, 8, seed=4))
+    assert run_pipeline(base).engine == "tree"
+    res = run_pipeline(wide(base))
+    assert res.engine == "sweep" and res.estimates["tree"] > res.estimates["sweep"]
+    # a tree named on a tiny staircase, where it is not the cheaper one,
+    # is still held to the slot budget at its field width
+    small = generate(GeneratorSpec("uniform", 200, 6, 6, seed=4))
+    monkeypatch.setattr(maxdom.solver, "DP_SLOT_BUDGET", _slots(6, 6)["tree"])
+    assert run_pipeline(small, "tree").engine == "tree"
+    with pytest.raises(ValueError, match="the tree dp would hold"):
+        run_pipeline(wide(small), "tree")
+    assert run_pipeline(wide(small)).engine == "sweep"
+
+
+def test_one_staircase_sort_per_solve(monkeypatch):
+    # the grid sorts the queries, and the DP and the reconstruction reuse it
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return y_sorted_queries(inst)
+
+    for module in (maxdom.cells, maxdom.solver):
+        monkeypatch.setattr(module, "y_sorted_queries", counted, raising=False)
+    inst = random_instance(SplitMix64(47), n=30, m=8, k=3)
+    for engine in ("sweep", "tree"):
+        calls.clear()
+        run_pipeline(inst, engine)
+        assert calls == [inst]

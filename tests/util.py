@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 from maxdom.cells import CellGrid, CellKey, _strips
 from maxdom.model import Instance, dominates_closed
 from maxdom.prng import SplitMix64
+from maxdom.ranking import y_sorted_queries
 
 
 def random_instance(rng: SplitMix64, *, max_n=40, max_m=8, span=20, wlo=-10, whi=10,
@@ -32,7 +33,7 @@ def assign_cells(inst: Instance) -> list[CellKey]:
     """Cell key for every ground point; requires drop_uncovered beforehand."""
     n = len(inst.P)
     keys: list[CellKey] = [CellKey(0, 0)] * n
-    for row, slots, indices in _strips(inst, range(n)):
+    for row, slots, indices in _strips(inst, range(n), y_sorted_queries(inst)):
         for slot, idx in zip(slots, indices):
             if slot == row:
                 raise ValueError("point covered by no query; run drop_uncovered first")
