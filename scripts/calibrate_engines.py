@@ -6,8 +6,9 @@ For each shape it grids one ``uniform`` instance and times ``dp_layers``
 (the simple DP) at the shape's k and the segment tree's tables at every k of
 ``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``.  The tree is
 timed as ``tree_layers`` without its picks (``_tree_preds``), since its
-constants price the tree walks only; the shapes' weights (-10..10) fit
-one-word fields.  Each time is divided by
+constants price the tree walks only; the x-ranks and the int cells are kept
+on the row sums after the first repetition, and the shapes' weights
+(-10..10) fit one-word fields.  Each time is divided by
 the engine's unit count from ``solver._estimates``: k * m^2 for the sweep
 and P = (c + 2m) * ceil(log2(m + 1)) node visits for the tree.  The median
 over the shapes is the value for ``solver.SWEEP_NS``; a least-squares line
@@ -26,7 +27,7 @@ from time import perf_counter
 from maxdom.cells import build_grid
 from maxdom.coverage import build_row_sums
 from maxdom.instances import GeneratorSpec, generate
-from maxdom.solver import _int_cells, _staircase_x, _strip_adds, _tree_tables, dp_layers
+from maxdom.solver import _strip_adds, _tree_tables, dp_layers
 
 # (n, m, k): m from 64 to 2048, and few to many cells per query
 SHAPES = (
@@ -45,9 +46,9 @@ TREE_KS = (1, 2, 4, 8, 16, 32)
 
 def tree_tables(inst, row_sums):
     """``tree_layers``' tables without its picks: the work the tree's constants price."""
-    qx = _staircase_x(row_sums.stair)
-    cells, _scale = _int_cells(row_sums)
-    return _tree_tables(qx, _strip_adds(qx, cells), min(inst.k, inst.m))
+    qx = row_sums.qx
+    cells, _scale, total = row_sums.int_cells
+    return _tree_tables(qx, _strip_adds(qx, cells), min(inst.k, inst.m), total)
 
 
 def best_of(reps: int, fn) -> float:

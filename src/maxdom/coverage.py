@@ -8,17 +8,22 @@ from row i to i+1 adds exactly the strip-i cells left of each query, which
 is a prefix of strip i in column order.  Rows store sparse cumulative sums
 over their nonzero cells, so one advance costs time linear in the row index
 plus the row's stored cells, and a full sweep needs only O(m) working space
-beyond the stored sums.
+beyond the stored sums.  The row sums also carry what the DP engines derive
+from them, each computed once per solve on first use: the queries' x-ranks
+by staircase position and the cell weights as exact ints.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .cells import CellGrid
 from .model import QueryPoint
+from .ranking import _axis_transform
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,54 @@ class RowSums:
     m: int
     rows: tuple[tuple[tuple[int, float], ...], ...]
     stair: tuple[QueryPoint, ...] = field(default=(), compare=False, repr=False)  # ``CellGrid.stair``
+
+    # What the DP engines derive from the staircase and the rows, computed on
+    # first use and kept for the rest of the solve; not fields, so not compared.
+    @cached_property
+    def qx(self) -> list[int]:
+        """``[0, x_1, ..., x_m, x_sentinel]``: x-ranks by staircase position.
+
+        Queries are ranked by ``(x, id)`` as in the rank transform; the
+        sentinel at position m + 1 lies right of all of them.
+        """
+        stair = self.stair
+        ranks, _ = _axis_transform([q.x for q in stair], [q.id for q in stair], ())
+        return [0, *ranks, 2 * len(stair) + 2]
+
+    @cached_property
+    def int_cells(self):
+        """``(cells, scale, total)``: the nonzero cells with int weights (``_int_cells``)."""
+        return _int_cells(self.rows)
+
+
+def _int_cells(rows):
+    """Per strip, its nonzero cells as ``(col, weight)`` pairs with int weights; their scale and total.
+
+    A cell's weight is the difference of consecutive cumulative sums.  Int
+    weights are taken as they are, and the scale is ``None``.  Otherwise each
+    weight is multiplied by the least common denominator of the weights'
+    ``as_integer_ratio()``, which is exact, and that denominator is the
+    scale: a sum of the scaled weights divided by it is the exact sum,
+    correctly rounded.  The total is the sum of the int weights' absolute
+    values.
+    """
+    cells = []
+    for pairs in rows:
+        prev = 0
+        strip = []
+        for col, cum in pairs:
+            strip.append((col, cum - prev))
+            prev = cum
+        cells.append(strip)
+    ws = [w for strip in cells for _, w in strip]
+    scale = None
+    if not all(type(w) is int for w in ws):
+        ratios = [w.as_integer_ratio() for w in ws]
+        scale = lcm(*(den for _, den in ratios))
+        it = iter(ratios)
+        cells = [[(col, num * (scale // den)) for (col, _), (num, den) in zip(strip, it)] for strip in cells]
+        ws = [w for strip in cells for _, w in strip]
+    return cells, scale, sum(map(abs, ws))
 
 
 def build_row_sums(grid: CellGrid) -> RowSums:

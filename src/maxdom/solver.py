@@ -13,12 +13,11 @@ it.
 The DP takes any instance, ranked or not: it walks the queries in the
 staircase order of ``ranking.y_sorted_queries``, sorted once per solve by
 ``build_grid`` and carried on the grid and the row sums (``stair``), and
-compares their x-ranks,
-ties broken by id as in the rank transform.  Layer l computes, for every
-position i in decreasing-y order (sentinel last), the best covered weight
-achievable with at most l picks drawn from the queries in the closed
-upper-left region of position i, measured on the points strictly above
-position i.  A transition picks the lowest selected query j, whose quadrant
+compares their x-ranks (``RowSums.qx``, ranked once per solve), ties broken
+by id as in the rank transform.  Layer l computes, for every position i in
+decreasing-y order (sentinel last), the best covered weight achievable with
+at most l picks drawn from the queries in the closed upper-left region of
+position i, measured on the points strictly above position i.  A transition picks the lowest selected query j, whose quadrant
 contributes the sweep's cov(i, j), and inherits the rest from layer l-1 at
 j.  A sentinel position m + 1, right of and below every query, turns its
 entry into the global optimum; it exists only inside the DP and is never
@@ -28,11 +27,13 @@ Two engines return the same layer tables and picks.  ``dp_layers``, the
 paper's simple algorithm ("sweep"), consumes one fresh coverage sweep per
 layer and scans every pair: O(m^2) time per layer, O(n + m) space plus the
 O(k*m) predecessor links used for reconstruction.  ``tree_layers`` ("tree")
-runs all k layers in one sweep over a max segment tree on the x-ranks, each
-node packing one biased field per layer into one int, so that a node merge
-is a few int operations whatever k is: O(k (c + m) log m) time for c
-nonzero cells.  It runs on int weights; other weights are scaled exactly
-to ints and its tables divided back once.  Its picks come from
+runs all k layers in one sweep over a segment tree on the x-ranks whose
+nodes keep the sum of their leaves' adds and the best prefix sum over their
+leaves, each as one int that packs one biased field per layer, so that a
+cell's add is a point update and a node merge is a few int operations
+whatever k is: O(k (c + m) log m) time for c nonzero cells.  It runs on int
+weights (``RowSums.int_cells``); other weights are scaled exactly to ints
+and its tables divided back once.  Its picks come from
 ``_tree_preds``, which builds only the coverage rows that the optimal walk
 visits, each from prefix sums.  ``run_pipeline`` defaults to ``"auto"``,
 which runs whichever engine ``_estimates`` predicts faster from m, k, c and
@@ -48,24 +49,12 @@ from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
-from math import lcm
 from time import perf_counter
 
 from .cells import _merge_into, build_grid
 from .coverage import CoverageSweep, RowSums, build_row_sums
 from .model import Instance, Solution
-from .ranking import _axis_transform, drop_uncovered, rank_transform
-
-
-def _staircase_x(stair) -> list[int]:
-    """``[0, x_1, ..., x_m, x_sentinel]``: x-ranks by staircase position.
-
-    ``stair`` is the queries in staircase order (``CellGrid.stair``).
-    Queries are ranked by ``(x, id)`` as in the rank transform; the sentinel
-    at position m + 1 lies right of all of them.
-    """
-    ranks, _ = _axis_transform([q.x for q in stair], [q.id for q in stair], ())
-    return [0, *ranks, 2 * len(stair) + 2]
+from .ranking import drop_uncovered, rank_transform
 
 
 def dp_layers(inst: Instance, row_sums: RowSums):
@@ -81,7 +70,7 @@ def dp_layers(inst: Instance, row_sums: RowSums):
     smallest position, so an all-zero optimum reconstructs to the empty pick
     set; the optimum value is independent of tie-breaking.
     """
-    qx = _staircase_x(row_sums.stair)
+    qx = row_sums.qx
     last = len(qx) - 1
     k_eff = min(inst.k, last - 1)
     tables: list[list[float]] = [[0] * (last + 1)]
@@ -113,52 +102,21 @@ def dp_layers(inst: Instance, row_sums: RowSums):
     return tables, preds, k_eff
 
 
-def _int_cells(row_sums: RowSums):
-    """Per strip, its nonzero cells as ``(col, weight)`` pairs with int weights, and their scale.
+def _field_bytes(total: int) -> int:
+    """Bytes per lane field of the tree over int cell weights of total absolute weight ``total``.
 
-    A cell's weight is the difference of consecutive cumulative sums.  Int
-    weights are taken as they are, and the scale is ``None``.  Otherwise each
-    weight is multiplied by the least common denominator of the weights'
-    ``as_integer_ratio()``, which is exact, and that denominator is the
-    scale: a sum of the scaled weights divided by it is the exact sum,
-    correctly rounded.
+    With W = ``total``, every value a field holds lies in [0, 3W + 1] once
+    biased by 2W + 1 (``_tree_tables``), and the field's top bit must stay
+    clear: 1, 2, 4 or 8 bytes, or as many as it takes.
     """
-    cells = []
-    for pairs in row_sums.rows:
-        prev = 0
-        strip = []
-        for col, cum in pairs:
-            strip.append((col, cum - prev))
-            prev = cum
-        cells.append(strip)
-    ws = [w for strip in cells for _, w in strip]
-    if all(type(w) is int for w in ws):
-        return cells, None
-    ratios = [w.as_integer_ratio() for w in ws]
-    scale = lcm(*(den for _, den in ratios))
-    it = iter(ratios)
-    scaled = [[(col, num * (scale // den)) for (col, _), (num, den) in zip(strip, it)] for strip in cells]
-    return scaled, scale
-
-
-def _field_bytes(cells) -> int:
-    """Bytes per lane field of the tree over these int cell weights.
-
-    ``cells`` holds per-strip pairs whose second entries are the weights,
-    as ``_int_cells`` and ``_strip_adds`` give them.  With W the total
-    absolute weight, every value a field holds lies in
-    [0, 8W + 8) once biased by 4W + 4 (``_tree_tables``), and the field's
-    top bit must stay clear: 1, 2, 4 or 8 bytes, or as many as it takes.
-    """
-    total = sum(abs(w) for strip in cells for _, w in strip)
-    need = ((8 * total + 8).bit_length() + 8) // 8  # one bit more, in whole bytes
+    need = ((3 * total + 1).bit_length() + 8) // 8  # one bit more, in whole bytes
     return need if need > 8 else 1 << (need - 1).bit_length()
 
 
 def _strip_adds(qx: list[int], cells) -> list:
     """Per strip, its nonzero cells as ``(leaf, weight)`` pairs.
 
-    ``cells`` is ``_int_cells``' per-strip ``(col, weight)`` pairs.  Leaves
+    ``cells`` is ``RowSums.int_cells``' per-strip ``(col, weight)`` pairs.  Leaves
     index the queries by x-rank (``qx[i] // 2 - 1``).  A cell's leaf is that
     of the leftmost query above its strip that covers it, so the queries
     covering the cell are exactly those above the strip at that leaf or
@@ -182,30 +140,32 @@ def _strip_adds(qx: list[int], cells) -> list:
 def tree_layers(inst: Instance, row_sums: RowSums):
     """``dp_layers``' tables and picks from one segment-tree sweep that carries all k layers.
 
-    The sweep visits the positions in staircase order over a max segment
-    tree whose leaves are the queries' x-ranks.  For layer l, leaf j holds
+    The sweep visits the positions in staircase order over a segment tree
+    whose leaves are the queries' x-ranks.  For layer l, leaf j holds
     ``t_{l-1}[j] + cov(i, j)`` once position j is inserted: before position
     i, every nonzero cell of strip i - 1 adds its weight to the leaves at or
     right of its own leaf, ``t_l[i]`` is the better of its self-link
     ``t_{l-1}[i]`` and the maximum over the leaves left of it, and position
-    i is then inserted.  Leaves not yet inserted start below any reachable
-    value, so they never win.  The layers differ only in the values inserted
-    at the leaves, so one tree holds them all: each node packs one field per
-    layer into one int, beside one add tag that all fields share
-    (``_tree_tables``).  O(k (c + m) log m) time in all, c the nonzero
-    cells, and a node merge is a few int operations on k fields at once.
+    i is then inserted.  Leaves not yet inserted stay below any reachable
+    value, so they never win.  A suffix add is a point update of the adds'
+    difference at its leaf, and a node keeps the sum of its leaves' adds and
+    the prefix-sum maximum over its leaves (``_tree_tables``).  The layers
+    differ only in the values inserted at the leaves, so one tree holds them
+    all, each node value packing one field per layer into one int.  O(k (c
+    + m) log m) time in all, c the nonzero cells, and a node merge is a few
+    int operations on k fields at once.
 
-    The tree runs on int weights: ``_int_cells`` scales other weights
+    The tree runs on int weights: ``RowSums.int_cells`` scales other weights
     exactly, and the tables are divided back once, so float weights give the
     exact tables, correctly rounded.  Returns ``dp_layers``' ``(tables,
     preds, k_eff)``, but ``preds[l]`` holds only the link that the optimal
     walk follows (``_tree_preds``).
     """
-    qx = _staircase_x(row_sums.stair)
+    qx = row_sums.qx
     k_eff = min(inst.k, len(qx) - 2)
-    cells, scale = _int_cells(row_sums)
+    cells, scale, total = row_sums.int_cells
     adds = _strip_adds(qx, cells)
-    tables = _tree_tables(qx, adds, k_eff)
+    tables = _tree_tables(qx, adds, k_eff, total)
     preds = _tree_preds(qx, adds, tables, k_eff)
     if scale is not None:  # zeros stay int 0, as the sweep keeps them
         tables = [[t / scale if t else 0 for t in row] for row in tables]
@@ -217,134 +177,128 @@ def _tree_width(m: int) -> int:
     return 1 << (m - 1).bit_length()
 
 
-def _codec(k: int, nbytes: int):
-    """``(pack, unpack)`` between k field values and one int of k ``nbytes``-byte fields.
+def _unpack(rows: list[int], k: int, nbytes: int) -> list[list[int]]:
+    """Per field l < k, the list of field l of every row: ``rows`` are ints of k ``nbytes``-byte fields.
 
-    Fields of 1, 2, 4 or 8 bytes go through an ``array`` in one C call each
-    way, in the machine's byte order, so on a big-endian machine the first
-    value sits in the top field; the lanewise operations treat every field
-    alike.  Wider fields are cut from the int's bytes.
+    Fields of 1, 2, 4 or 8 bytes go through one ``array`` over all the rows'
+    bytes; wider fields are cut from them.
     """
-    size = k * nbytes
+    data = b"".join([r.to_bytes(k * nbytes, "little") for r in rows])
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nbytes)
     if code is not None and array(code).itemsize == nbytes:
-        order = sys.byteorder
-
-        def pack(values) -> int:
-            return int.from_bytes(array(code, values), order)
-
-        def unpack(x: int):
-            return array(code, x.to_bytes(size, order))
-
-    else:
-
-        def pack(values) -> int:
-            return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
-
-        def unpack(x: int):
-            b = x.to_bytes(size, "little")
-            return [int.from_bytes(b[s : s + nbytes], "little") for s in range(0, size, nbytes)]
-
-    return pack, unpack
+        flat = array(code, data)
+        if sys.byteorder == "big":
+            flat.byteswap()
+        return [flat[l::k].tolist() for l in range(k)]
+    flat = [int.from_bytes(data[s : s + nbytes], "little") for s in range(0, len(data), nbytes)]
+    return [flat[l::k] for l in range(k)]
 
 
-def _tree_tables(qx: list[int], adds, k_eff: int) -> list[list[int]]:
-    """``tree_layers``' tables from the staircase x-ranks and the int strip adds.
+def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> list[list[int]]:
+    """``tree_layers``' tables from the staircase x-ranks, the int strip adds and their total weight.
 
-    Field l - 1 of a node stands for layer l.  The maximum of layer l over
-    node ``p``'s subtree is field l - 1 of ``lanes[p]``, less the bias
-    ``4W + 4`` (W the total absolute weight), plus ``off[p] + tag[p]`` and
-    the tags of ``p``'s strict ancestors: ``tag[p]`` holds the adds applied
-    to ``p``'s whole subtree and ``off[p]`` a scalar folded out of the
-    fields when they were last recomputed.  A tag update thus touches one
-    scalar.  Every field then stays in [0, 8W + 8), so its top bit is a
-    guard (``_field_bytes``), and the fieldwise maximum of ``a`` and ``b +
-    d`` takes a fixed handful of int operations, whatever k is: add ``d``
-    to every field of ``b``; subtract fieldwise from ``a`` with the guards
-    set, so a guard survives where ``a`` is at least as large; spread the
-    surviving guards to masks over their fields; and take ``a`` under the
-    masks and ``b + d`` elsewhere.  ``t_l[i]`` is the better of
-    ``t_{l-1}[i]`` and layer l's maximum left of position i, so all of
-    position i's entries come from one unpack and one ``accumulate``, and
-    its insert is one pack.
+    A suffix add of w from leaf j is kept as a point add at leaf j: with
+    ``A[j]`` the adds made at leaf j so far, a leaf's value is its base plus
+    ``A`` summed over the leaves up to it.  The base is -W - 1 (W =
+    ``total``) until the leaf is inserted, so the value stays negative, and
+    is then set so that the value is the inserted entry.  Node ``p`` keeps
+    two ints of one field per layer, field l - 1 for layer l: ``S[p]``, the
+    sum of ``A`` over its leaves in every field, and ``M[p]``, per layer the
+    maximum over its leaves j of j's base plus ``A`` summed from ``p``'s
+    first leaf to j, so that ``S[p] = S[a] + S[a + 1]`` and ``M[p] =
+    fmax(M[a], M[a + 1] + S[a])`` over its children ``a`` and ``a + 1``.
+    An add updates the leaf's ``S`` and ``M`` by ``w * ones`` and recomputes
+    its ancestors.  The maximum over the leaves left of a leaf folds its
+    left siblings from the nearest, ``res = fmax(M[s], res + S[s])``, and
+    their ``S`` sum to the adds left of it, which its insert subtracts.
+
+    A sum of distinct cells lies in [-N, P], N and P the cells' total
+    negative and positive weight (W = N + P).  Every value that ``M`` and
+    the fold hold is one such sum less another, in [-W, W], or -W - 1 plus
+    one, in [-2W - 1, -1]: biased by 2W + 1, every field stays in
+    [0, 3W + 1], so its top bit is a guard (``_field_bytes``) and the
+    fieldwise maximum of two node values takes a fixed handful of int
+    operations, whatever k is: subtract fieldwise with the guards set, so a
+    guard survives where the first is at least as large; spread the
+    surviving guards to masks over their fields; and select under the
+    masks.  No operation multiplies a node value.
+
+    Every layer table is nondecreasing in l (the self-link), so layer l's
+    maximum left of position i never falls as l grows, and ``t_l[i]`` is
+    the larger of 0 and that maximum: one fieldwise maximum with 0 gives all
+    of position i's entries at once.  Its insert is the same row shifted up
+    one field, layer 1's field holding ``t_0[i] = 0``.  The rows stay packed
+    and are unpacked once, at the end.
     """
     last = len(qx) - 1
     size = _tree_width(last - 1)
     leaf = [size + x // 2 - 1 for x in qx]  # the sentinel's is past the end when m == size
-    total = sum(abs(w) for strip in adds for _, w in strip)
-    bias = 4 * total + 4
-    nbytes = _field_bytes(adds)
+    bias = 2 * total + 1
+    nbytes = _field_bytes(total)
     f = 8 * nbytes
     g = f - 1
     ones = sum(1 << (f * l) for l in range(k_eff))  # 1 in every field
     guards = ones << g
-    pack, unpack = _codec(k_eff, nbytes)
-    # A leaf not yet inserted holds -2W - 1 plus the adds it has had, below -W.
-    lanes = [pack([bias - 2 * total - 1] * k_eff)] * (2 * size)
-    off = [0] * (2 * size)
-    tag = [0] * (2 * size)
-    start = [bias] * (k_eff + 1)
-    rows = [start]  # rows[i]: t_0[i], ..., t_k[i], each plus the bias
+    full = (ones << f) - ones  # every field's bits
+    zero = bias * ones
+    S = [0] * (2 * size)
+    M = [(bias - total - 1) * ones] * (2 * size)
+    rows = [0]  # rows[i]: t_1[i], ..., t_k[i], packed
     for i in range(1, last + 1):
         if i > 1:
             for p, w in adds[i - 2]:  # strip i - 1: suffix add from leaf p
+                d = w * ones
                 p += size
-                while not p & 1 and p > 1:  # p's sibling is covered too: add to the parent
-                    p >>= 1
-                tag[p] += w
+                S[p] += d
+                M[p] += d
                 while p > 1:
-                    if not p & 1:
-                        tag[p + 1] += w
                     p >>= 1
                     a = 2 * p
-                    base = off[a] + tag[a]
-                    b = lanes[a + 1] + (off[a + 1] + tag[a + 1] - base) * ones
-                    a = lanes[a]
-                    t = ((a | guards) - b) & guards
-                    lanes[p] = b ^ ((a ^ b) & (t - (t >> g)))
-                    off[p] = base
+                    s = S[a]
+                    S[p] += d
+                    x = M[a]
+                    y = M[a + 1] + s
+                    t = ((x | guards) - y) & guards
+                    M[p] = y ^ ((x ^ y) & (t - (t >> g)))
         p = leaf[i]
         if p < 2 * size:
-            res = None  # every layer's maximum left of the leaf, less ``shift``, plus the bias
-            below = 0  # tags of the path from the leaf up to p
+            res = None  # every layer's maximum left of the leaf, plus the bias
+            left = 0  # the adds left of the leaf, times ``ones``
             while p > 1:
-                below += tag[p]
                 if p & 1:  # the left sibling lies wholly left of the leaf
-                    c = off[p - 1] + tag[p - 1] - below
+                    x = M[p - 1]
+                    s = S[p - 1]
                     if res is None:
-                        res, shift = lanes[p - 1], c
+                        res = x
                     else:
-                        b = lanes[p - 1] + (c - shift) * ones
-                        t = ((res | guards) - b) & guards
-                        res = b ^ ((res ^ b) & (t - (t >> g)))
+                        y = res + s
+                        t = ((x | guards) - y) & guards
+                        res = y ^ ((x ^ y) & (t - (t >> g)))
+                    left += s
                 p >>= 1
-            below += tag[1]  # now the tags of the whole path
-            if res is not None:
-                shift += below
         else:  # the sentinel, m a power of two: every leaf lies left of it
-            res, shift = lanes[1], off[1] + tag[1]
+            res = M[1]
         if res is None:  # no leaf left of position i: it keeps t_0[i] = 0 everywhere
-            ts = start
+            row = zero
         else:
-            ts = list(accumulate(unpack(res + shift * ones), max, initial=bias))
-        rows.append(ts)
-        if i < last:  # insert position i: layer l's leaf value becomes t_l[i]
+            t = ((res | guards) - zero) & guards
+            row = zero ^ ((res ^ zero) & (t - (t >> g)))
+        rows.append(row - zero)
+        if i < last:  # insert position i: layer l's leaf value becomes t_{l-1}[i]
             p = leaf[i]
-            lanes[p] = pack(ts[:-1])
-            off[p] = -below  # cancels the tags on the leaf's path
+            M[p] = (((row << f) | bias) & full) - left
             while p > 1:
                 p >>= 1
                 a = 2 * p
-                base = off[a] + tag[a]
-                b = lanes[a + 1] + (off[a + 1] + tag[a + 1] - base) * ones
-                a = lanes[a]
-                t = ((a | guards) - b) & guards
-                new = b ^ ((a ^ b) & (t - (t >> g)))
-                if base == off[p] and new == lanes[p]:
+                x = M[a]
+                y = M[a + 1] + S[a]
+                t = ((x | guards) - y) & guards
+                new = y ^ ((x ^ y) & (t - (t >> g)))
+                if new == M[p]:
                     break
-                lanes[p] = new
-                off[p] = base
-    return [[t - bias for t in col] for col in zip(*rows)]
+                M[p] = new
+    del S, M  # the tables take their place
+    return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)]
 
 
 def _tree_preds(qx: list[int], adds, tables, k_eff: int):
@@ -442,23 +396,24 @@ def _dp_pairs(qx: list[int], k_eff: int) -> int:
 # ``scripts/calibrate_engines.py`` on a 2-core x86-64 KVM guest under CPython
 # 3.11.7 (``--reps 5``, seeds 1 and 2).  SWEEP_NS: the mean of two runs'
 # medians over nine shapes, 109.2 and 106.0.  TREE_NODE_NS and TREE_LANE_NS
-# (the packed tree): four later runs fit 581.1 + 10.19 k, 517.5 + 10.25 k,
-# 549.1 + 14.57 k and 580.6 + 11.41 k over the same shapes at k = 1..32,
-# while the machine ran faster and their sweep medians read 77.9, 72.6, 90.1
-# and 78.9; each is the mean ratio to its run's sweep median (7.010 and
-# 0.1446) times SWEEP_NS.  Only their ratios steer ``auto``; the budget
-# scales with all three.
+# (the prefix-sum tree): four later runs fit 416.8 + 5.45 k, 350.0 + 6.83 k,
+# 304.4 + 3.86 k and 371.0 + 5.17 k over the same shapes at k = 1..32, while
+# the machine ran faster and their sweep medians read 75.4, 70.1, 63.4 and
+# 62.4; each is the mean ratio to its run's sweep median (5.317 and 0.0784)
+# times SWEEP_NS.  Only their ratios steer ``auto``; the budget scales with
+# all three.
 SWEEP_NS = 107.6
-TREE_NODE_NS = 754.3
-TREE_LANE_NS = 15.56
+TREE_NODE_NS = 572.1
+TREE_LANE_NS = 8.43
 # A solve whose chosen engine is estimated beyond this is refused before any
 # DP work: a few minutes of calibrated work.
 DP_BUDGET_S = 180.0
 # A solve whose chosen engine would hold more list slots than this
 # (``_slots``) is refused as well.  A slot took 12-15 bytes under
 # tracemalloc (uniform shapes up to m = 4,096 and k = 256) and can take
-# about 32 (a pointer and a float of its own): 0.6-1.6 GB.  A 64-bit word
-# of a tree field takes 8.5 bytes (30-bit int digits).
+# about 32 (a pointer and a float of its own): 0.6-1.6 GB.  The tree's peak
+# came to 6-11 bytes per slot that ``_slots`` counts, at fields of 1 to 33
+# words (uniform m = 256 to 4,096, k = 8 to 256).
 DP_SLOT_BUDGET = 50_000_000
 
 
@@ -484,15 +439,17 @@ def _slots(m: int, k_eff: int, words: int = 1) -> dict[str, int]:
 
     Both hold the k + 1 layer tables of m + 2 entries and as many entries
     again: the sweep's predecessor links, the tree's rows by position, whose
-    ints are ``words`` 64-bit words wide.  The tree adds k fields of
-    ``words`` words in each of its nodes.  ``words`` is 1, a lower bound,
-    before the cells are known and where the tree cannot run
+    ints are ``words`` 64-bit words wide.  Each node of the tree adds two
+    ints of k fields (``_tree_tables``' ``M`` and ``S``): a lane counts
+    once at one word, where both of its fields of at most 8 bytes fit the
+    bytes of one slot, and twice for every further word.  ``words`` is 1, a
+    lower bound, before the cells are known and where the tree cannot run
     (``run_pipeline``).
     """
     tables = (k_eff + 1) * (m + 2)
     return {
         "sweep": 2 * tables,
-        "tree": tables * (1 + words) + 2 * _tree_width(m) * k_eff * words,
+        "tree": tables * (1 + words) + 2 * _tree_width(m) * k_eff * (2 * words - 1),
     }
 
 
@@ -572,7 +529,7 @@ def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
     # width matters only where the tree may run: named, or cheaper unpriced.
     words = 1
     if engine == "tree" or (engine == "auto" and estimates["tree"] < estimates["sweep"]):
-        words = -(-_field_bytes(_int_cells(row_sums)[0]) // 8)
+        words = -(-_field_bytes(row_sums.int_cells[2]) // 8)
         estimates = _estimates(inst.m, k_eff, nonzero, words)
     engine = _choose(engine, estimates, _slots(inst.m, k_eff, words))
     t1 = perf_counter()
@@ -586,7 +543,7 @@ def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
         len(grid.cells),
         nonzero,
         nonzero,
-        _dp_pairs(_staircase_x(row_sums.stair), k_eff),
+        _dp_pairs(row_sums.qx, k_eff),
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
         engine,
         estimates,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxdom.cells
+import maxdom.coverage
 import maxdom.solver
 from maxdom.cells import build_grid
 from maxdom.coverage import RowSums, build_row_sums
@@ -18,6 +19,7 @@ from maxdom.solver import (
     DP_SLOT_BUDGET,
     _choose,
     _estimates,
+    _field_bytes,
     _slots,
     _solution,
     dp_layers,
@@ -281,6 +283,17 @@ def exact_row_sums(row_sums):
     return RowSums(row_sums.m, tuple(rows), row_sums.stair)
 
 
+def assert_exact_tables(inst):
+    """The tree's tables equal ``float(Fraction)`` of the simple DP's over the
+    same cell sums accumulated exactly, zeros int 0; returns the row sums."""
+    row_sums = build_row_sums(build_grid(inst))
+    exact, _preds, k_eff = dp_layers(inst, exact_row_sums(row_sums))
+    tables, _preds, tree_k = tree_layers(inst, row_sums)
+    assert tree_k == k_eff
+    assert repr(tables) == repr([[float(t) if t else 0 for t in row] for row in exact])
+    return row_sums
+
+
 @pytest.mark.parametrize("scale", [4, 100, 10**6, None])
 def test_tree_engine_gives_the_exact_tables_on_non_integer_weights(scale):
     # decimal weights as floats, or (scale None) fractions with denominators
@@ -291,14 +304,24 @@ def test_tree_engine_gives_the_exact_tables_on_non_integer_weights(scale):
     for _ in range(15):
         bound = 50 * (scale or 20)
         inst = random_instance(rng, max_n=40, max_m=12, span=30, wlo=-bound, whi=bound)
-        inst = Instance.from_rows(
-            [(p.x, p.y, weight(p.w)) for p in inst.P], [(q.x, q.y) for q in inst.Q], inst.m
+        assert_exact_tables(
+            Instance.from_rows([(p.x, p.y, weight(p.w)) for p in inst.P], [(q.x, q.y) for q in inst.Q], inst.m)
         )
-        row_sums = build_row_sums(build_grid(inst))
-        exact, _preds, k_eff = dp_layers(inst, exact_row_sums(row_sums))
-        tables, _preds, tree_k = tree_layers(inst, row_sums)
-        assert tree_k == k_eff
-        assert repr(tables) == repr([[float(t) if t else 0 for t in row] for row in exact])
+
+
+def test_tree_engine_gives_the_exact_tables_on_fields_wider_than_a_word():
+    # floats from 1e-300 to 1e300 scale to ints of up to about 2,050 bits, so
+    # the tree's fields take many words; a small m keeps the tree admitted
+    rng = SplitMix64(61)
+    widths = set()
+    for _ in range(30):
+        inst = random_instance(rng, max_n=12, max_m=6, span=16, wlo=-50, whi=50)
+        P = [(p.x, p.y, p.w * 10.0 ** (rng.randint(-300, 300))) for p in inst.P]
+        inst = Instance.from_rows(P, [(q.x, q.y) for q in inst.Q], inst.m)
+        row_sums = assert_exact_tables(inst)
+        widths.add(_field_bytes(row_sums.int_cells[2]))
+        assert run_pipeline(inst, "tree").engine == "tree"
+    assert max(widths) > 200  # fields of over 25 words among them
 
 
 def test_tree_refuses_very_wide_fields_after_the_grid(monkeypatch):
@@ -319,7 +342,7 @@ def test_tree_refuses_very_wide_fields_after_the_grid(monkeypatch):
     monkeypatch.setattr(maxdom.solver, "dp_layers", no_dp)
     assert _slots(m, k)["tree"] < DP_SLOT_BUDGET  # admitted before the grid
     for engine in ("tree", "auto"):  # the sweep is over the time budget here
-        message = r"^refusing to solve: the tree dp would hold 1\.05e\+08 list slots, over"
+        message = r"^refusing to solve: the tree dp would hold 1\.72e\+08 list slots, over"
         with pytest.raises(ValueError, match=message):
             run_pipeline(inst, engine)
     assert gridded == [inst, inst]
@@ -354,6 +377,19 @@ def test_wide_fields_price_the_tree_higher(monkeypatch):
     assert run_pipeline(wide(small)).engine == "sweep"
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_tables_are_nondecreasing_in_the_layer(data):
+    # the self-link keeps t_l[i] >= t_{l-1}[i] at every position; the tree's
+    # t_l[i] = max(0, layer l's best transition) relies on it
+    inst = data.draw(small_instances(span=data.draw(st.integers(2, 12))))
+    inst = replace(inst, k=data.draw(st.integers(0, inst.m + 1)))
+    row_sums = build_row_sums(build_grid(inst))
+    for engine in (dp_layers, tree_layers):
+        tables = engine(inst, row_sums)[0]
+        assert all(a <= b for lower, upper in zip(tables, tables[1:]) for a, b in zip(lower, upper))
+
+
 def test_one_staircase_sort_per_solve(monkeypatch):
     # the grid sorts the queries, and the DP and the reconstruction reuse it
     calls = []
@@ -369,3 +405,20 @@ def test_one_staircase_sort_per_solve(monkeypatch):
         calls.clear()
         run_pipeline(inst, engine)
         assert calls == [inst]
+
+
+def test_one_x_rank_pass_and_one_int_cell_pass_per_solve(monkeypatch):
+    # the x-ranks serve the engine and the pair count; the int cells serve
+    # the tree's width check and the tree
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("_axis_transform", "_int_cells"):
+        monkeypatch.setattr(maxdom.coverage, name, counted(name, getattr(maxdom.coverage, name)))
+    inst = random_instance(SplitMix64(47), n=30, m=8, k=3)
+    for engine, expect in (("sweep", ["_axis_transform"]), ("tree", ["_int_cells", "_axis_transform"])):
+        calls.clear()
+        run_pipeline(inst, engine)
+        assert calls == expect
