@@ -48,7 +48,8 @@ def tree_tables(inst, row_sums):
     """``tree_layers``' tables without its picks: the work the tree's constants price."""
     qx = row_sums.qx
     cells, _scale, total = row_sums.int_cells
-    return _tree_tables(qx, _strip_adds(qx, cells), min(inst.k, inst.m), total)
+    tables, _corner = _tree_tables(qx, _strip_adds(qx, cells), min(inst.k, inst.m), total)
+    return tables
 
 
 def best_of(reps: int, fn) -> float:

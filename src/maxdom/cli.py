@@ -38,12 +38,12 @@ def cmd_solve(args) -> int:
     if args.algo == "oracle":
         sol = oracle_solve(inst)
         stages = {"oracle": perf_counter() - t1}
-        retained = cells = compressed_size = row_sum_entries = dp_pairs = engine = estimates = None
+        retained = cells = compressed_size = dp_pairs = engine = estimates = None
     else:
         res = run_pipeline(inst)
         sol, stages = res.solution, res.stage_seconds
         retained, cells, compressed_size = res.retained, res.cells, res.compressed_size
-        row_sum_entries, dp_pairs = res.row_sum_entries, res.dp_pairs
+        dp_pairs = res.dp_pairs
         engine, estimates = res.engine, {e: round(t, 6) for e, t in res.estimates.items()}
     total = perf_counter() - t0
     record = {
@@ -58,7 +58,7 @@ def cmd_solve(args) -> int:
         "compressed_size": compressed_size,
         "retained": retained,
         "cells": cells,
-        "row_sum_entries": row_sum_entries,
+        "row_sum_entries": compressed_size,  # one stored cell per nonzero cell
         "dp_pairs": dp_pairs,
         "engine": engine,
         "estimates_s": estimates,

@@ -1,16 +1,16 @@
-"""Per-strip running sums and the incremental coverage sweep.
+"""Per-strip cell weights and the incremental coverage sweep.
 
 The solver needs, at sweep row i and for every position j <= i (positions
 count queries in decreasing y), the total weight of ground points that lie
 strictly above the i-th highest query and inside the closed quadrant of the
 j-th highest query.  Cell weights make this incremental: moving the sweep
 from row i to i+1 adds exactly the strip-i cells left of each query, which
-is a prefix of strip i in column order.  Rows store sparse cumulative sums
-over their nonzero cells, so one advance costs time linear in the row index
-plus the row's stored cells, and a full sweep needs only O(m) working space
-beyond the stored sums.  The row sums also carry what the DP engines derive
-from them, each computed once per solve on first use: the queries' x-ranks
-by staircase position and the cell weights as exact ints.
+is a prefix of strip i in column order.  Rows store each strip's nonzero
+cells as the grid summed them, so one advance costs time linear in the row
+index plus the row's stored cells, and a full sweep needs only O(m) working
+space beyond the stored cells.  The rows also carry what the DP engines
+derive from them, each computed once per solve on first use: the queries'
+x-ranks by staircase position and the cell weights as exact ints.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .ranking import _axis_transform
 
 @dataclass(frozen=True)
 class RowSums:
-    """rows[i-1] holds (col, cumulative weight) pairs for strip i's nonzero cells."""
+    """rows[i-1] holds strip i's nonzero cells as (col, weight) pairs, in column order."""
 
     m: int
     rows: tuple[tuple[tuple[int, float], ...], ...]
@@ -56,45 +56,27 @@ class RowSums:
 def _int_cells(rows):
     """Per strip, its nonzero cells as ``(col, weight)`` pairs with int weights; their scale and total.
 
-    A cell's weight is the difference of consecutive cumulative sums.  Int
-    weights are taken as they are, and the scale is ``None``.  Otherwise each
-    weight is multiplied by the least common denominator of the weights'
-    ``as_integer_ratio()``, which is exact, and that denominator is the
-    scale: a sum of the scaled weights divided by it is the exact sum,
-    correctly rounded.  The total is the sum of the int weights' absolute
-    values.
+    Rows of int weights are returned as they are, and the scale is
+    ``None``.  Otherwise each weight is multiplied by the least common
+    denominator of the weights' ``as_integer_ratio()``, which is exact, and
+    that denominator is the scale: a sum of the scaled weights divided by it
+    is the exact sum, correctly rounded.  The total is the sum of the int
+    weights' absolute values.
     """
-    cells = []
-    for pairs in rows:
-        prev = 0
-        strip = []
-        for col, cum in pairs:
-            strip.append((col, cum - prev))
-            prev = cum
-        cells.append(strip)
-    ws = [w for strip in cells for _, w in strip]
-    scale = None
-    if not all(type(w) is int for w in ws):
-        ratios = [w.as_integer_ratio() for w in ws]
-        scale = lcm(*(den for _, den in ratios))
-        it = iter(ratios)
-        cells = [[(col, num * (scale // den)) for (col, _), (num, den) in zip(strip, it)] for strip in cells]
-        ws = [w for strip in cells for _, w in strip]
-    return cells, scale, sum(map(abs, ws))
+    ws = [w for strip in rows for _, w in strip]
+    if all(type(w) is int for w in ws):
+        return rows, None, sum(map(abs, ws))
+    ratios = [w.as_integer_ratio() for w in ws]
+    scale = lcm(*(den for _, den in ratios))
+    it = iter(ratios)
+    cells = [[(col, num * (scale // den)) for (col, _), (num, den) in zip(strip, it)] for strip in rows]
+    return cells, scale, sum(abs(w) for strip in cells for _, w in strip)
 
 
 def build_row_sums(grid: CellGrid) -> RowSums:
-    """Sparse prefix sums per strip; zero-weight cells add nothing and are not stored."""
-    rows = []
-    for items in grid.per_row:
-        cum = 0
-        pairs = []
-        for col, w in items:
-            cum += w
-            if w != 0:
-                pairs.append((col, cum))
-        rows.append(tuple(pairs))
-    return RowSums(grid.m, tuple(rows), grid.stair)
+    """Each strip's cells as the grid summed them; zero-weight cells add nothing and are not stored."""
+    rows = tuple(tuple([cell for cell in items if cell[1] != 0]) for items in grid.per_row)
+    return RowSums(grid.m, rows, grid.stair)
 
 
 class CoverageSweep:
@@ -116,7 +98,7 @@ class CoverageSweep:
         self._xs = [x_by_pos[1]]
 
     def advance(self) -> None:
-        """Move from row i to i+1 by adding strip i's prefix sums in column order."""
+        """Move from row i to i+1 by adding strip i's cells in column order."""
         i = self.current
         if i > self.m:
             raise ValueError("cannot advance past the sentinel row")
@@ -126,7 +108,7 @@ class CoverageSweep:
         ptr, cum, npairs = 0, 0, len(pairs)
         for s1, j in enumerate(pi, 1):
             while ptr < npairs and pairs[ptr][0] <= s1:
-                cum = pairs[ptr][1]
+                cum += pairs[ptr][1]
                 ptr += 1
             cov[j] += cum
         self.current = i + 1

@@ -21,8 +21,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isfinite
+from math import fsum, isfinite, nan
+from sys import float_info
 from typing import Iterable
+
+
+def _finite(v) -> bool:
+    """False for a nan or an infinity; an int is always finite and is never converted to float."""
+    return isinstance(v, int) or isfinite(v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +40,7 @@ class WeightedPoint:
     w: float
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.w)):
+        if not (_finite(self.x) and _finite(self.y) and _finite(self.w)):
             raise ValueError(f"non-finite weighted point ({self.x}, {self.y}, {self.w})")
 
 
@@ -47,16 +53,16 @@ class QueryPoint:
     id: int
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.x) and isfinite(self.y)):
+        if not (_finite(self.x) and _finite(self.y)):
             raise ValueError(f"non-finite query point ({self.x}, {self.y})")
 
 
-def _finite_sum(values) -> bool:
-    """True when ``sum(values)`` is finite, which no nan or infinite value allows."""
+def _sum(values, add=sum):
+    """``add(values)``, or nan on overflow: a float beside an int beyond the float range, or ``fsum`` past it."""
     try:
-        return isfinite(sum(values))
-    except OverflowError:  # an int sum beyond the float range
-        return False
+        return add(values)
+    except OverflowError:
+        return nan
 
 
 class PointColumns(Sequence):
@@ -65,7 +71,9 @@ class PointColumns(Sequence):
     Reads as an immutable sequence of ``WeightedPoint`` (length, indexing,
     iteration, equality with any sequence of points).  The point objects are
     built once, on the first per-point access, and cached; code that reads
-    the columns never builds them.  Every value must be finite.
+    the columns never builds them.  Every value must be finite, and where a
+    weight is a float, the weights' absolute total must be below half the
+    float maximum, so that no float sum of them overflows.
     """
 
     __slots__ = ("xs", "ys", "ws", "_points")
@@ -74,10 +82,14 @@ class PointColumns(Sequence):
         xs, ys, ws = tuple(xs), tuple(ys), tuple(ws)
         if not len(xs) == len(ys) == len(ws):
             raise ValueError("point columns differ in length")
-        if not all(map(_finite_sum, (xs, ys, ws))):
+        sums = [_sum(c) for c in (xs, ys, ws)]
+        if not all(map(_finite, sums)):  # a finite sum leaves no nan or infinity
             for x, y, w in zip(xs, ys, ws):
-                if not (isfinite(x) and isfinite(y) and isfinite(w)):
+                if not (_finite(x) and _finite(y) and _finite(w)):
                     raise ValueError(f"non-finite weighted point ({x}, {y}, {w})")
+        limit = float_info.max / 2  # only all-int weights, whose sum is an int, skip the float check
+        if not isinstance(sums[2], int) and not _sum(map(abs, ws), fsum) < limit:
+            raise ValueError(f"float weights of absolute total at least {limit:.3g}: their sums could overflow")
         self.xs, self.ys, self.ws = xs, ys, ws
         self._points: tuple[WeightedPoint, ...] | None = None
 

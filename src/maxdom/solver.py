@@ -2,7 +2,7 @@
 
 The pipeline sums the ground points into the cells of the covered region in
 one pass over the instance's point columns (``cells.build_grid``), turns the
-cells into per-strip prefix sums and runs the DP on them.  The n-side is
+nonzero cells into per-strip rows and runs the DP on them.  The n-side is
 thus one bucketing pass, O(n log m), that builds no per-point object; the
 cell sums are themselves the compressed ground set, so nothing is compressed
 or gridded a second time.  ``solve_reference`` reaches the same cell sums the
@@ -35,11 +35,12 @@ whatever k is: O(k (c + m) log m) time for c nonzero cells.  It runs on int
 weights (``RowSums.int_cells``); other weights are scaled exactly to ints
 and its tables divided back once.  Its picks come from
 ``_tree_preds``, which builds only the coverage rows that the optimal walk
-visits, each from prefix sums.  ``run_pipeline`` defaults to ``"auto"``,
-which runs whichever engine ``_estimates`` predicts faster from m, k, c and
-the width of the tree's fields (the paper's min{}), and refuses a solve
-estimated over ``DP_BUDGET_S`` or ``DP_SLOT_BUDGET``; ``maxdom bench`` times
-the simple DP by name.
+visits, each from prefix sums and the corner sums that the tree's inserts
+record.  ``run_pipeline`` defaults to ``"auto"``, which runs whichever
+engine ``_estimates`` predicts faster from m, k, c and the width of the
+tree's fields (the paper's min{}), and refuses a solve estimated over
+``DP_BUDGET_S`` or ``DP_SLOT_BUDGET``; ``maxdom bench`` times the simple DP
+by name.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .ranking import drop_uncovered, rank_transform
 def dp_layers(inst: Instance, row_sums: RowSums):
     """All layer tables and predecessor links; layer 0 is identically zero.
 
-    ``row_sums`` must hold the per-strip sums of ``inst``'s cells, as
+    ``row_sums`` must hold the per-strip cells of ``inst``, as
     ``build_row_sums(build_grid(inst))`` gives them; every layer consumes a
     fresh ``CoverageSweep`` over them.
 
@@ -157,16 +158,16 @@ def tree_layers(inst: Instance, row_sums: RowSums):
 
     The tree runs on int weights: ``RowSums.int_cells`` scales other weights
     exactly, and the tables are divided back once, so float weights give the
-    exact tables, correctly rounded.  Returns ``dp_layers``' ``(tables,
-    preds, k_eff)``, but ``preds[l]`` holds only the link that the optimal
-    walk follows (``_tree_preds``).
+    exact tables over the grid's cell sums, correctly rounded.  Returns
+    ``dp_layers``' ``(tables, preds, k_eff)``, but ``preds[l]`` holds only
+    the link that the optimal walk follows (``_tree_preds``).
     """
     qx = row_sums.qx
     k_eff = min(inst.k, len(qx) - 2)
     cells, scale, total = row_sums.int_cells
     adds = _strip_adds(qx, cells)
-    tables = _tree_tables(qx, adds, k_eff, total)
-    preds = _tree_preds(qx, adds, tables, k_eff)
+    tables, corner = _tree_tables(qx, adds, k_eff, total)
+    preds = _tree_preds(qx, adds, tables, corner, k_eff)
     if scale is not None:  # zeros stay int 0, as the sweep keeps them
         tables = [[t / scale if t else 0 for t in row] for row in tables]
     return tables, preds, k_eff
@@ -194,8 +195,8 @@ def _unpack(rows: list[int], k: int, nbytes: int) -> list[list[int]]:
     return [flat[l::k] for l in range(k)]
 
 
-def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> list[list[int]]:
-    """``tree_layers``' tables from the staircase x-ranks, the int strip adds and their total weight.
+def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> tuple[list[list[int]], list[int]]:
+    """``tree_layers``' tables and corner sums from the staircase x-ranks, the int strip adds and their total.
 
     A suffix add of w from leaf j is kept as a point add at leaf j: with
     ``A[j]`` the adds made at leaf j so far, a leaf's value is its base plus
@@ -229,6 +230,11 @@ def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> list[list[int]]
     of position i's entries at once.  Its insert is the same row shifted up
     one field, layer 1's field holding ``t_0[i] = 0``.  The rows stay packed
     and are unpacked once, at the end.
+
+    No cell of strips 1..i - 1 lies at position i's leaf, so the adds left
+    of the leaf that its insert subtracts are ``corner[i]`` in every field,
+    the weight of strips 1..i - 1 at leaves up to it, which ``_tree_preds``
+    needs.  Returns ``(tables, corner)``, ``corner`` indexed by position.
     """
     last = len(qx) - 1
     size = _tree_width(last - 1)
@@ -244,6 +250,7 @@ def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> list[list[int]]
     S = [0] * (2 * size)
     M = [(bias - total - 1) * ones] * (2 * size)
     rows = [0]  # rows[i]: t_1[i], ..., t_k[i], packed
+    corner = [0] * last
     for i in range(1, last + 1):
         if i > 1:
             for p, w in adds[i - 2]:  # strip i - 1: suffix add from leaf p
@@ -285,6 +292,8 @@ def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> list[list[int]]
             row = zero ^ ((res ^ zero) & (t - (t >> g)))
         rows.append(row - zero)
         if i < last:  # insert position i: layer l's leaf value becomes t_{l-1}[i]
+            if ones:  # none at k = 0, where the picks need no corner sums
+                corner[i] = left // ones
             p = leaf[i]
             M[p] = (((row << f) | bias) & full) - left
             while p > 1:
@@ -298,15 +307,15 @@ def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> list[list[int]]
                     break
                 M[p] = new
     del S, M  # the tables take their place
-    return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)]
+    return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)], corner
 
 
-def _tree_preds(qx: list[int], adds, tables, k_eff: int):
+def _tree_preds(qx: list[int], adds, tables, corner, k_eff: int):
     """``dp_layers``' predecessor links along the optimal walk, one per layer.
 
     With ``P(s, x)`` the weight of strips 1..s at leaves up to x, the walk
-    needs ``cov(i, j) = P(i - 1, leaf_j) - P(j - 1, leaf_j)``.  One Fenwick
-    pass over the strips gives the second terms for every j.  The walk's
+    needs ``cov(i, j) = P(i - 1, leaf_j) - P(j - 1, leaf_j)``.  The second
+    terms are ``corner[j]``, as ``_tree_tables`` records them.  The walk's
     rows come in decreasing i, so the per-leaf weights of strips 1..i - 1
     are kept by taking strips off as i falls, and each row's first terms
     are one ``accumulate`` over them.  The pick is ``dp_layers``'
@@ -315,19 +324,6 @@ def _tree_preds(qx: list[int], adds, tables, k_eff: int):
     """
     last = len(qx) - 1
     leaves = [x // 2 - 1 for x in qx]
-    fen = [0] * last  # 1-based over the m leaves
-    corner = [0] * last  # corner[j] = P(j - 1, leaf_j)
-    for j in range(1, last):
-        if j > 1:
-            for p, w in adds[j - 2]:
-                p += 1
-                while p < last:
-                    fen[p] += w
-                    p += p & -p
-        p = leaves[j] + 1
-        while p:
-            corner[j] += fen[p]
-            p -= p & -p
     dense = [0] * last  # per leaf, the weight of strips 1..upto
     upto = last - 1
     for strip in adds:
@@ -491,7 +487,6 @@ class PipelineResult:
     retained: int  # ground points covered by some query, i.e. summed into cells
     cells: int  # non-empty cells, zero-weight ones included
     compressed_size: int  # nonzero-weight cells, the compressed ground set
-    row_sum_entries: int  # stored (col, cum) pairs, one per nonzero-weight cell
     dp_pairs: int  # eligible (layer, i, j) transitions, see ``_dp_pairs``
     stage_seconds: dict[str, float]
     engine: str  # the DP that ran: "sweep" (``dp_layers``) or "tree" (``tree_layers``)
@@ -523,7 +518,7 @@ def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
     t0 = perf_counter()
     grid = build_grid(inst)
     row_sums = build_row_sums(grid)
-    nonzero = sum(map(len, row_sums.rows))  # one stored pair per nonzero cell
+    nonzero = sum(map(len, row_sums.rows))
     estimates = _estimates(inst.m, k_eff, nonzero)
     # Fields wider than one word only price the tree higher, so its field
     # width matters only where the tree may run: named, or cheaper unpriced.
@@ -541,7 +536,6 @@ def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
         solution,
         grid.retained,
         len(grid.cells),
-        nonzero,
         nonzero,
         _dp_pairs(row_sums.qx, k_eff),
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},

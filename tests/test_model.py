@@ -88,6 +88,26 @@ def test_points_reject_non_finite():
         QueryPoint(float("nan"), 0, 0)
 
 
+def test_ints_beyond_the_float_range_are_finite():
+    big = 10**400  # no float holds it
+    assert WeightedPoint(big, -big, big).w == big and QueryPoint(big, 0, 0).x == big
+    inst = Instance.from_rows([(big, 0.5, big), (0, 1, 2)], [(big, 1)], 1)
+    assert inst.P.ws == (big, 2)
+    with pytest.raises(ValueError, match="non-finite"):  # a float beside it is still checked
+        Instance.from_rows([(big, 0, 1), (float("nan"), 0, 1)], [(0, 0)], 1)
+
+
+@pytest.mark.parametrize("ws", [(1e308, 1e308), (1e308, -1e308), (10**400, 0.5), (4.5e307, 4.5e307)])
+def test_float_weights_whose_sums_could_overflow_are_refused(ws):
+    with pytest.raises(ValueError, match="absolute total at least 8.99e\\+307: their sums could overflow"):
+        Instance.from_rows([(0, 0, w) for w in ws], [(1, 1)], 1)
+
+
+def test_weights_within_the_float_range_are_kept():
+    for ws in ((4e307, 4e307), (10**400, 10**400), (8.9e307, 0)):
+        assert Instance.from_rows([(0, 0, w) for w in ws], [(1, 1)], 1).P.ws == ws
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         Instance((), (), 1)  # no queries

@@ -1,5 +1,7 @@
+import importlib.util
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -192,7 +194,7 @@ def test_work_counters_match_direct_count():
             if qs[j].x <= qs[i].x
         )
         res = run_pipeline(inst)
-        assert res.row_sum_entries == res.compressed_size == nonzero_cells
+        assert res.compressed_size == nonzero_cells
         assert res.dp_pairs == pairs
 
 
@@ -270,22 +272,15 @@ def test_tree_engine_matches_simple_dp_on_wide_zero_and_negative_weights(data):
 
 
 def exact_row_sums(row_sums):
-    """``row_sums`` with the same cell sums (differences of consecutive
-    cumulative sums) accumulated as ``Fraction``s, exactly."""
-    rows = []
-    for pairs in row_sums.rows:
-        prev, cum_exact, exact = 0, Fraction(0), []
-        for col, cum in pairs:
-            cum_exact += Fraction(cum - prev)
-            exact.append((col, cum_exact))
-            prev = cum
-        rows.append(tuple(exact))
-    return RowSums(row_sums.m, tuple(rows), row_sums.stair)
+    """``row_sums`` with each of the grid's cell sums as a ``Fraction``, so
+    that the simple DP over them sums exactly."""
+    rows = tuple(tuple((col, Fraction(w)) for col, w in cells) for cells in row_sums.rows)
+    return RowSums(row_sums.m, rows, row_sums.stair)
 
 
 def assert_exact_tables(inst):
     """The tree's tables equal ``float(Fraction)`` of the simple DP's over the
-    same cell sums accumulated exactly, zeros int 0; returns the row sums."""
+    grid's cell sums summed exactly, zeros int 0; returns the row sums."""
     row_sums = build_row_sums(build_grid(inst))
     exact, _preds, k_eff = dp_layers(inst, exact_row_sums(row_sums))
     tables, _preds, tree_k = tree_layers(inst, row_sums)
@@ -307,6 +302,15 @@ def test_tree_engine_gives_the_exact_tables_on_non_integer_weights(scale):
         assert_exact_tables(
             Instance.from_rows([(p.x, p.y, weight(p.w)) for p in inst.P], [(q.x, q.y) for q in inst.Q], inst.m)
         )
+
+
+def test_tree_engine_sums_the_grid_cells_exactly():
+    # one strip with cells 1e16, 3.0 and 3.0, whose exact sum 1e16 + 6 is a
+    # float; a float running sum over them rounds 1e16 + 3 up to 1e16 + 4,
+    # and so ends at 1e16 + 8
+    inst = Instance.from_rows([(0, 1, 1e16), (1, 0, 3.0), (5, 1, 3.0)], [(5, 1), (0, 1), (2, 1)], 1)
+    assert_exact_tables(inst)
+    assert run_pipeline(inst, "tree").solution.value == 1.0000000000000006e16
 
 
 def test_tree_engine_gives_the_exact_tables_on_fields_wider_than_a_word():
@@ -422,3 +426,13 @@ def test_one_x_rank_pass_and_one_int_cell_pass_per_solve(monkeypatch):
         calls.clear()
         run_pipeline(inst, engine)
         assert calls == expect
+
+
+def test_calibration_script_times_the_trees_tables():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_engines.py"
+    spec = importlib.util.spec_from_file_location("calibrate_engines", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    inst = generate(GeneratorSpec("uniform", 200, 16, 4, seed=3))
+    row_sums = build_row_sums(build_grid(inst))
+    assert script.tree_tables(inst, row_sums) == tree_layers(inst, row_sums)[0]
