@@ -20,8 +20,10 @@ rank-normalized instance; they serve ``maxdom compress`` and rendering.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 from .model import Instance, QueryPoint, WeightedPoint
@@ -83,12 +85,17 @@ def _strips(inst: Instance, tags, stair):
     sorted x-values above a strip are brought up to date only at strips
     with points, so a tall staircase over few points costs O(m) per such
     strip rather than an insert per query.
+
+    Each strip keeps its points' x-values and tags in a container of the
+    same kind as their column, an ``array`` of its typecode for an int64
+    column and a list otherwise, so that an array column's values are not
+    held as one ``int`` object each while the strips fill.
     """
     stair_xs = [q.x for q in stair]
     m = len(stair_xs)
     ys_asc = [q.y for q in reversed(stair)]
-    strip_xs: list[list] = [[] for _ in range(m + 1)]
-    strip_tags: list[list] = [[] for _ in range(m + 1)]
+    strip_xs = _buckets(inst.P.xs, m + 1)
+    strip_tags = _buckets(tags, m + 1)
     for x, y, tag in zip(inst.P.xs, inst.P.ys, tags):
         row = m - bisect_left(ys_asc, y)
         strip_xs[row].append(x)
@@ -99,7 +106,14 @@ def _strips(inst: Instance, tags, stair):
         if xs:
             _merge_into(prefix, stair_xs[done:row])
             done = row
-            yield row, [bisect_left(prefix, x) for x in xs], strip_tags[row]
+            yield row, list(map(bisect_left, repeat(prefix), xs)), strip_tags[row]
+
+
+def _buckets(col, count: int) -> list:
+    """``count`` empty containers for values of ``col``: arrays of its typecode, or lists."""
+    if isinstance(col, array):
+        return [array(col.typecode) for _ in range(count)]
+    return [[] for _ in range(count)]
 
 
 def build_grid(inst: Instance) -> CellGrid:

@@ -10,6 +10,11 @@ from functools import cache
 from pathlib import Path
 from time import perf_counter
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from . import bench as bench_mod
 from .cells import build_grid, compress
 from .instances import FAMILIES, GeneratorSpec, generate, parse, serialize_text
@@ -29,6 +34,14 @@ def _load(args) -> Instance:
 
 def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident memory so far, in MB, or None where it cannot be read."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
 def cmd_solve(args) -> int:
@@ -64,6 +77,7 @@ def cmd_solve(args) -> int:
         "estimates_s": estimates,
         "stages": {s: round(t, 6) for s, t in {"parse": t1 - t0, **stages}.items()},
         "total_seconds": round(total, 6),
+        "peak_rss_mb": _peak_rss_mb(),
     }
     print(json.dumps(record))
     return 0

@@ -12,11 +12,14 @@ through shortest-exact decimal rendering.
 
 The parser streams the file: it reads about 1 MiB of text at a time
 (``_CHUNK``), cuts it after the last newline and converts its point lines
-straight into the x, y and w columns of ``model.PointColumns``.  It holds one
-chunk, never the whole text or a string per line, so its peak memory is the
-finished instance plus one column's list.  The generators build the same
-columns and the serializer writes from them, so none of the three builds a
-per-point object.
+straight into the x, y and w columns of ``model.PointColumns``.  Each column
+starts as an int64 ``array('q')`` and takes whole converted batches; the
+first batch it cannot take (a float, or an int beyond int64) turns that
+column alone into a list.  The parser holds one chunk and one batch, never
+the whole text, a string per line or an ``int`` object per value, so on an
+all-integer file its peak memory is the finished instance, 8 bytes a value,
+plus that working set.  The generators build the same columns and the
+serializer writes from them, so none of the three builds a per-point object.
 
 Generators draw every number from SplitMix64, so the same spec yields a
 byte-identical instance on every platform.
@@ -24,13 +27,14 @@ byte-identical instance on every platform.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .model import Instance
+from .model import Instance, _column
 from .prng import SplitMix64
 
 COORD_SPAN = 1_000_000
@@ -123,7 +127,8 @@ def _parse_blocks(blocks: Iterable[str]) -> Instance:
     data-line count is reported in preference to a malformed line, so the
     first conversion error is held until the whole file has been counted.
     """
-    xs, ys, ws, queries = [], [], [], []
+    xs, ys, ws = array("q"), array("q"), array("q")
+    queries = []
     header = None
     count = 0  # data lines after the header
     last_no = 0  # line number of the last data line
@@ -164,9 +169,9 @@ def _parse_blocks(blocks: Iterable[str]) -> Instance:
                     cols = list(map(int, tx)), list(map(int, ty)), list(map(int, tw))
                 except ValueError:
                     cols = _point_rows(data[start:stop], line_nos[start:stop])
-                xs.extend(cols[0])
-                ys.extend(cols[1])
-                ws.extend(cols[2])
+                xs = _append(xs, cols[0])
+                ys = _append(ys, cols[1])
+                ws = _append(ws, cols[2])
             for line_no, line in zip(line_nos[a:b], data[a:b]):
                 toks = line.split()
                 if len(toks) != 2:
@@ -180,12 +185,28 @@ def _parse_blocks(blocks: Iterable[str]) -> Instance:
         raise ParseError(last_no, f"expected {n + m} data lines after the header, got {count}")
     if first_bad is not None:
         raise first_bad
-    # Each list is dropped as its tuple replaces it, so the peak is the
-    # finished columns plus one list, not two copies of all three.
-    xs = tuple(xs)
-    ys = tuple(ys)
-    ws = tuple(ws)
+    # Each list column is dropped as its tuple replaces it, so the peak is
+    # the finished columns plus one list, not two copies of all three.
+    xs = _column(xs)
+    ys = _column(ys)
+    ws = _column(ws)
     return Instance.from_columns(xs, ys, ws, queries, k)
+
+
+def _append(col, values: list):
+    """``col`` with ``values`` appended: an int64 array while every value fits, else a list.
+
+    ``array.fromlist`` leaves the array unchanged when a value does not fit,
+    so the list that replaces it holds every earlier value.
+    """
+    if isinstance(col, array):
+        try:
+            col.fromlist(values)
+            return col
+        except (TypeError, OverflowError):
+            col = col.tolist()
+    col.extend(values)
+    return col
 
 
 def _point_rows(lines: list[str], line_nos) -> tuple[list, list, list]:
@@ -212,7 +233,8 @@ def parse(path) -> Instance:
     chunk cut after its last newline, and every chunk's point lines go
     straight into the x, y and w columns.  So the parser never holds the
     file text or a string per line beside the columns: its peak is the
-    finished instance plus one column's list and one chunk.  Values and
+    finished instance plus one chunk and one batch, and, for a column that
+    a float or a beyond-int64 value made a list, that list.  Values and
     ``ParseError``s are those of parsing the whole text at once.
     """
     with open(path) as f:

@@ -6,12 +6,15 @@ query covers it, and it counts exactly once no matter how many chosen queries
 cover it.  An empty cover has weight zero.  Weights may be negative.
 
 This module owns the ground-set format.  An ``Instance`` holds its points as
-``PointColumns``: three parallel tuples of x, y and w values, which the
+``PointColumns``: three parallel columns of x, y and w values, which the
 parser, the generators, the serializer and the cell grid read directly, so a
 solve builds no per-point object, and neither does the ranked reference
-solve.  ``Instance.P`` still reads as a sequence of ``WeightedPoint`` for the
-oracle, ``weight_of_dom`` and rendering; those objects are built on first
-per-point access and cached.
+solve.  A column whose values are all ints that fit in 64 bits is an
+``array('q')``, 8 bytes a value; any other column is a tuple, so floats,
+mixed columns and larger ints keep their values and types.  ``Instance.P``
+still reads as a sequence of ``WeightedPoint`` for the oracle,
+``weight_of_dom`` and rendering; those objects are built on first per-point
+access and cached.
 
 All types are immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
@@ -19,6 +22,7 @@ so everything is safe to share across threads.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import fsum, isfinite, nan
@@ -57,6 +61,22 @@ class QueryPoint:
             raise ValueError(f"non-finite query point ({self.x}, {self.y})")
 
 
+def _column(values):
+    """``values`` as an ``array('q')`` if every one is an int that fits in int64, else as a tuple.
+
+    An ``array('q')`` is kept as given, not copied, so its owner must not
+    change it afterwards.
+    """
+    if isinstance(values, array) and values.typecode == "q":
+        return values
+    if not isinstance(values, (list, tuple)):
+        values = tuple(values)
+    try:
+        return array("q", values)
+    except (TypeError, OverflowError):
+        return tuple(values)
+
+
 def _sum(values, add=sum):
     """``add(values)``, or nan on overflow: a float beside an int beyond the float range, or ``fsum`` past it."""
     try:
@@ -66,7 +86,10 @@ def _sum(values, add=sum):
 
 
 class PointColumns(Sequence):
-    """Ground points stored as parallel ``xs``, ``ys`` and ``ws`` tuples.
+    """Ground points stored as parallel ``xs``, ``ys`` and ``ws`` columns.
+
+    Each column is an ``array('q')`` when all its values are ints that fit
+    in int64, and a tuple otherwise; equality compares values, not storage.
 
     Reads as an immutable sequence of ``WeightedPoint`` (length, indexing,
     iteration, equality with any sequence of points).  The point objects are
@@ -79,10 +102,11 @@ class PointColumns(Sequence):
     __slots__ = ("xs", "ys", "ws", "_points")
 
     def __init__(self, xs: Iterable, ys: Iterable, ws: Iterable):
-        xs, ys, ws = tuple(xs), tuple(ys), tuple(ws)
+        xs, ys, ws = _column(xs), _column(ys), _column(ws)
         if not len(xs) == len(ys) == len(ws):
             raise ValueError("point columns differ in length")
-        sums = [_sum(c) for c in (xs, ys, ws)]
+        # an int64 array holds only ints, so it is finite and stands in as the int 0
+        sums = [_sum(c) if type(c) is tuple else 0 for c in (xs, ys, ws)]
         if not all(map(_finite, sums)):  # a finite sum leaves no nan or infinity
             for x, y, w in zip(xs, ys, ws):
                 if not (_finite(x) and _finite(y) and _finite(w)):
@@ -120,7 +144,10 @@ class PointColumns(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PointColumns):
-            return (self.xs, self.ys, self.ws) == (other.xs, other.ys, other.ws)
+            return all(
+                a == b if type(a) is type(b) else tuple(a) == tuple(b)
+                for a, b in zip((self.xs, self.ys, self.ws), (other.xs, other.ys, other.ws))
+            )
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
             return len(self) == len(other) and self.points() == tuple(other)
         return NotImplemented

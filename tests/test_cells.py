@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdom.cells import CellKey, build_grid, cell_boxes, compress
-from maxdom.instances import GeneratorSpec, generate
+from maxdom.instances import GeneratorSpec, generate, parse_text, serialize_text
 from maxdom.model import Instance, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
@@ -204,3 +206,19 @@ def test_cell_boxes_of_a_tall_staircase_over_few_points():
         xs = sorted(q.x for q in qs[:row])
         x_lo = xs[col - 2] if col >= 2 else 0
         assert box == (x_lo, qs[row].y if row < m else 0, xs[col - 1], qs[row - 1].y)
+
+
+def test_grid_holds_no_int_object_per_point():
+    # strips of int64 values and slot lists of small cached ints: about 19
+    # bytes a point, where strips of int objects would take about 50
+    n = 50_000
+    inst = parse_text(serialize_text(generate(GeneratorSpec("uniform", n=n, m=16, k=4, seed=8))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid = build_grid(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.retained > n // 10
+    assert peak - before <= 24 * n, (peak - before) / n

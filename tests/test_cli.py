@@ -251,6 +251,9 @@ def test_solve_record_counters_and_wall_time(capsys, tiny):
     assert (rec["row_sum_entries"], rec["dp_pairs"]) == (res.compressed_size, res.dp_pairs)
     # measured from parse to reconstruction, so no shorter than its stages
     assert rec["total_seconds"] >= sum(rec["stages"].values()) - 1e-5
+    # the process's peak so far: the test run's own, so never above a later reading
+    peak = rec["peak_rss_mb"]
+    assert peak is None if maxdom.cli.resource is None else 0 < peak <= maxdom.cli._peak_rss_mb()
     for k in range(inst.m + 2):
         _, out, _ = run(capsys, "solve", path, "--k", k)
         rec = json.loads(out)

@@ -1,6 +1,7 @@
 import codecs
 import locale
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -135,6 +136,28 @@ def test_unknown_family_and_bad_sizes():
 
 # The batched parser must agree with a plain line-by-line parser on every
 # file: the same values, or a ParseError on the same line.
+
+def test_integer_columns_are_int64_arrays():
+    inst = parse_text(f"3 1 1\n0 -5 {2**63 - 1}\n-7 4 -2\n{-2**63} 1 0\n1 1\n")
+    assert [type(c) for c in (inst.P.xs, inst.P.ys, inst.P.ws)] == [array] * 3
+    assert list(inst.P.ws) == [2**63 - 1, -2, 0] and inst.P.xs[2] == -2**63
+
+
+@pytest.mark.parametrize("family", instances.FAMILIES)
+def test_parse_of_serialize_is_the_generated_instance(family):
+    inst = generate(GeneratorSpec(family, n=60, m=7, k=3, seed=9))
+    assert all(type(c) is array for c in (inst.P.xs, inst.P.ys, inst.P.ws))
+    assert parse_text(serialize_text(inst)) == inst
+
+
+def test_a_late_float_turns_only_its_column_into_a_tuple(monkeypatch):
+    monkeypatch.setattr(instances, "_BATCH", 2)
+    rows = ["0 1 2", "3 4 5", "6 7 8", "9 10 1.5", "11 12 13", f"14 15 {2**63}"]
+    inst = parse_text(f"{len(rows)} 1 1\n" + "\n".join(rows) + "\n1 1\n")
+    assert type(inst.P.xs) is array and type(inst.P.ys) is array
+    assert inst.P.ws == (2, 5, 8, 1.5, 13, 2**63)
+    assert [type(w) for w in inst.P.ws] == [int, int, int, float, int, int]
+
 
 def test_decimal_and_exponent_tokens():
     inst = parse_text("2 1 1\n1.5 2e3 -0.25\n3 4 1E2\n5 6.0\n")
@@ -276,21 +299,34 @@ def test_undecodable_tail_wins_over_an_early_parse_error(tmp_path, monkeypatch):
             parse(path)
 
 
-def test_parse_peak_memory_is_bounded_by_the_instance(tmp_path, monkeypatch):
-    path = tmp_path / "big.txt"
-    serialize(generate(GeneratorSpec("uniform", n=50_000, m=16, k=4, seed=6)), path)
-    monkeypatch.setattr(instances, "_CHUNK", 64 * 1024)
+def _parse_memory(path):
+    """``(peak - retained, retained)`` in bytes while ``parse(path)`` runs."""
     tracemalloc.start()
     try:
         inst = parse(path)
         held, peak = tracemalloc.get_traced_memory()
-        assert inst.n == 50_000
         del inst
         retained = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # neither the file text nor a string per line outlives its chunk
-    assert peak <= 1.5 * retained, (peak, retained)
+    return peak - retained, retained
+
+
+def test_parse_peak_memory_is_bounded_by_the_instance(tmp_path, monkeypatch):
+    monkeypatch.setattr(instances, "_CHUNK", 64 * 1024)
+    sizes, memory = [], []
+    for n in (50_000, 100_000):
+        path = tmp_path / f"big{n}.txt"
+        serialize(generate(GeneratorSpec("uniform", n=n, m=16, k=4, seed=6)), path)
+        sizes.append(path.stat().st_size)
+        memory.append(_parse_memory(path))
+        # int64 columns: 8 bytes a value, plus the arrays' spare room and the queries
+        assert memory[-1][1] <= 9 * 3 * n, (n, memory[-1])
+    # Neither the file text nor a string per line outlives its chunk: holding
+    # the text would add at least the extra file bytes to the working set,
+    # and a string per line about four times that.
+    extra = sizes[1] - sizes[0]
+    assert memory[1][0] - memory[0][0] < extra / 2, (memory, extra)
 
 
 def test_point_view_is_built_once():

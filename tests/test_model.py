@@ -1,9 +1,12 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdom.model import (
     Instance,
+    PointColumns,
     QueryPoint,
     Solution,
     WeightedPoint,
@@ -105,7 +108,31 @@ def test_float_weights_whose_sums_could_overflow_are_refused(ws):
 
 def test_weights_within_the_float_range_are_kept():
     for ws in ((4e307, 4e307), (10**400, 10**400), (8.9e307, 0)):
-        assert Instance.from_rows([(0, 0, w) for w in ws], [(1, 1)], 1).P.ws == ws
+        kept = Instance.from_rows([(0, 0, w) for w in ws], [(1, 1)], 1).P.ws
+        assert kept == ws and list(map(type, kept)) == list(map(type, ws))  # 0 stays an int
+
+
+@pytest.mark.parametrize("col", [(0, 1, 2), (-3, 0, -(2**63)), (2**63 - 1, 5, -1), ()])
+def test_int64_columns_are_arrays(col):
+    cols = PointColumns(col, col, col)
+    assert all(type(c) is array and c.typecode == "q" for c in (cols.xs, cols.ys, cols.ws))
+    assert list(cols.ws) == list(col)
+
+
+@pytest.mark.parametrize("col", [(2**63, 0), (-(2**63) - 1,), (10**400, 1), (0.5, 1.5), (1, 2.0, 3)])
+def test_other_columns_stay_tuples_with_their_values_and_types(col):
+    cols = PointColumns(col, [0] * len(col), col)
+    assert cols.xs == cols.ws == col and type(cols.ys) is array
+    assert [type(v) for v in cols.ws] == [type(v) for v in col]
+
+
+def test_columns_compare_and_hash_by_value_not_storage():
+    a = PointColumns((1, 2), (3, 4), (5, -6))
+    b = PointColumns(array("q", [1, 2]), iter([3, 4]), [5, -6])
+    c = PointColumns((1.0, 2), (3, 4), (5, -6))  # a float column equal in value
+    assert type(c.xs) is tuple and type(a.xs) is array
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a != PointColumns((1, 2), (3, 4), (5, 6))
 
 
 def test_instance_validation():
