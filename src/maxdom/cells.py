@@ -112,7 +112,7 @@ def _strips(inst: Instance, tags, stair):
 def _buckets(col, count: int) -> list:
     """``count`` empty containers for values of ``col``: arrays of its typecode, or lists."""
     if isinstance(col, array):
-        return [array(col.typecode) for _ in range(count)]
+        return list(map(array.__copy__, repeat(array(col.typecode), count)))
     return [[] for _ in range(count)]
 
 
@@ -138,6 +138,28 @@ def build_grid(inst: Instance) -> CellGrid:
             per_row[row - 1] = items
             cells.update((CellKey(row, col), w) for col, w in items)
     return CellGrid(inst.m, cells, tuple(per_row), retained, stair)
+
+
+def add_parts(inst: Instance, parts) -> CellGrid:
+    """The grid of ``inst``'s queries over a ground set in parts, from each part's ``(per_row, retained)``.
+
+    ``parts`` holds those two fields of ``build_grid`` over each part of the
+    points.  A cell is non-empty if it is in any part and holds the sum of
+    the parts' weights, added in the order of ``parts``; the result equals
+    ``build_grid`` of all the points exactly where those sums are exact, as
+    on int weights.
+    """
+    per_row = []
+    for rows in zip(*(part_rows for part_rows, _ in parts)):
+        sums: dict[int, float] = {}
+        get = sums.get
+        for row in rows:
+            for col, w in row:
+                sums[col] = get(col, 0) + w
+        per_row.append(tuple(sorted(sums.items())))
+    cells = {CellKey(i, col): w for i, row in enumerate(per_row, 1) for col, w in row}
+    retained = sum(part_retained for _, part_retained in parts)
+    return CellGrid(inst.m, cells, tuple(per_row), retained, y_sorted_queries(inst))
 
 
 def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:

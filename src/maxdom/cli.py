@@ -22,7 +22,7 @@ from .model import Instance, weight_of_dom
 from .oracle import oracle_solve
 from .ranking import drop_uncovered, rank_transform
 from .render import render_svg
-from .solver import run_pipeline, solve_pipeline, solve_reference
+from .solver import grid_parts, run_pipeline, solve_pipeline, solve_reference
 
 
 def _load(args) -> Instance:
@@ -36,24 +36,37 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
-def _peak_rss_mb() -> float | None:
-    """This process's peak resident memory so far, in MB, or None where it cannot be read."""
+def _peak_rss_mb(children: bool = False) -> float | None:
+    """Peak resident memory so far in MB, or None where it cannot be read.
+
+    This process's, or with ``children`` the largest of its reaped child
+    processes' (0 if none).
+    """
     if resource is None:
         return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    peak = resource.getrusage(who).ru_maxrss  # bytes on macOS, KiB elsewhere
     return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
 def cmd_solve(args) -> int:
     t0 = perf_counter()
-    inst = _load(args)
+    split = grid_parts(args.path) if args.algo == "dp" else None
+    if split is None:
+        parts = None
+        inst = parse(args.path)
+        n = inst.n
+    else:
+        n, inst, parts = split  # inst: the queries and k, with no points
+    if args.k is not None:
+        inst = replace(inst, k=args.k)
     t1 = perf_counter()
     if args.algo == "oracle":
         sol = oracle_solve(inst)
         stages = {"oracle": perf_counter() - t1}
         retained = cells = compressed_size = dp_pairs = engine = estimates = None
     else:
-        res = run_pipeline(inst)
+        res = run_pipeline(inst, parts=parts)
         sol, stages = res.solution, res.stage_seconds
         retained, cells, compressed_size = res.retained, res.cells, res.compressed_size
         dp_pairs = res.dp_pairs
@@ -62,7 +75,7 @@ def cmd_solve(args) -> int:
     record = {
         "algo": args.algo,
         "file": str(args.path),
-        "n": inst.n,
+        "n": n,
         "m": inst.m,
         "k": inst.k,
         "value": sol.value,
@@ -77,7 +90,9 @@ def cmd_solve(args) -> int:
         "estimates_s": estimates,
         "stages": {s: round(t, 6) for s, t in {"parse": t1 - t0, **stages}.items()},
         "total_seconds": round(total, 6),
+        "parts": 1 if parts is None else len(parts),  # processes that parsed and gridded the points
         "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_children_mb": _peak_rss_mb(children=True),
     }
     print(json.dumps(record))
     return 0

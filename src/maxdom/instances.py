@@ -21,18 +21,26 @@ all-integer file its peak memory is the finished instance, 8 bytes a value,
 plus that working set.  The generators build the same columns and the
 serializer writes from them, so none of the three builds a per-point object.
 
+``point_ranges`` and ``parse_points`` let ``maxdom solve`` parse a large
+file's point lines in parts: the header and the queries are read from the
+file's head and tail, and each byte range of point lines goes through the
+same data-line filter and batch conversion (``_data_lines``,
+``_add_points``) as ``parse``.
+
 Generators draw every number from SplitMix64, so the same spec yields a
 byte-identical instance on every platform.
 """
 
 from __future__ import annotations
 
+import codecs
+import os
 from array import array
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .model import Instance, _column
 from .prng import SplitMix64
@@ -118,21 +126,12 @@ def _header(line: str, line_no: int) -> tuple[int, int, int]:
     return n, m, k
 
 
-def _parse_blocks(blocks: Iterable[str]) -> Instance:
-    """Parse an instance file given as blocks of whole lines, in file order.
+def _data_lines(blocks: Iterable[str]) -> Iterator[tuple[list[str], Sequence[int]]]:
+    """``(data, line_nos)`` for each block of whole lines that holds data lines.
 
-    Each block's point lines are converted a batch at a time: a batch of
-    three-field, all-integer lines in one ``map(int, ...)`` per column, any
-    other batch line by line, which finds the first malformed line.  A wrong
-    data-line count is reported in preference to a malformed line, so the
-    first conversion error is held until the whole file has been counted.
+    ``data`` are the block's lines that are neither blank nor comments and
+    ``line_nos`` their line numbers, counted from the first block.
     """
-    xs, ys, ws = array("q"), array("q"), array("q")
-    queries = []
-    header = None
-    count = 0  # data lines after the header
-    last_no = 0  # line number of the last data line
-    first_bad = None  # the first conversion error, raised once the count is right
     line_base = 0  # lines in the blocks before this one
     for block in blocks:
         lines = block.splitlines()
@@ -142,8 +141,51 @@ def _parse_blocks(blocks: Iterable[str]) -> Instance:
             line_nos = [i for i, line in enumerate(lines, start=line_base + 1) if _is_data(line)]
             data = [lines[i - line_base - 1] for i in line_nos]
         line_base += len(lines)
-        if not data:
-            continue
+        if data:
+            yield data, line_nos
+
+
+def _add_points(cols: tuple, data: list[str], line_nos: Sequence[int], stop: int) -> tuple:
+    """``cols``, the x, y and w columns, with the point lines ``data[:stop]`` appended.
+
+    The lines are converted a batch at a time: a batch of three-field,
+    all-integer lines in one ``map(int, ...)`` per column, any other batch
+    line by line, which finds the first malformed line.
+    """
+    xs, ys, ws = cols
+    for start in range(0, stop, _BATCH):
+        end = min(start + _BATCH, stop)
+        tx, ty, tw = [], [], []
+        try:
+            for line in data[start:end]:
+                x, y, w = line.split()
+                tx.append(x)
+                ty.append(y)
+                tw.append(w)
+            batch = list(map(int, tx)), list(map(int, ty)), list(map(int, tw))
+        except ValueError:
+            batch = _point_rows(data[start:end], line_nos[start:end])
+        xs = _append(xs, batch[0])
+        ys = _append(ys, batch[1])
+        ws = _append(ws, batch[2])
+    return xs, ys, ws
+
+
+def _parse_blocks(blocks: Iterable[str]) -> Instance:
+    """Parse an instance file given as blocks of whole lines, in file order.
+
+    Each block's point lines go into the columns through ``_add_points``.
+    A wrong data-line count is reported in preference to a malformed line,
+    so the first conversion error is held until the whole file has been
+    counted.
+    """
+    cols = array("q"), array("q"), array("q")
+    queries = []
+    header = None
+    count = 0  # data lines after the header
+    last_no = 0  # line number of the last data line
+    first_bad = None  # the first conversion error, raised once the count is right
+    for data, line_nos in _data_lines(blocks):
         last_no = line_nos[-1]
         if header is None:
             n, m, k = header = _header(data[0], line_nos[0])
@@ -157,21 +199,7 @@ def _parse_blocks(blocks: Iterable[str]) -> Instance:
         if first_bad is not None:
             continue
         try:
-            for start in range(0, a, _BATCH):
-                stop = min(start + _BATCH, a)
-                tx, ty, tw = [], [], []
-                try:
-                    for line in data[start:stop]:
-                        x, y, w = line.split()
-                        tx.append(x)
-                        ty.append(y)
-                        tw.append(w)
-                    cols = list(map(int, tx)), list(map(int, ty)), list(map(int, tw))
-                except ValueError:
-                    cols = _point_rows(data[start:stop], line_nos[start:stop])
-                xs = _append(xs, cols[0])
-                ys = _append(ys, cols[1])
-                ws = _append(ws, cols[2])
+            cols = _add_points(cols, data, line_nos, a)
             for line_no, line in zip(line_nos[a:b], data[a:b]):
                 toks = line.split()
                 if len(toks) != 2:
@@ -187,6 +215,8 @@ def _parse_blocks(blocks: Iterable[str]) -> Instance:
         raise first_bad
     # Each list column is dropped as its tuple replaces it, so the peak is
     # the finished columns plus one list, not two copies of all three.
+    xs, ys, ws = cols
+    del cols
     xs = _column(xs)
     ys = _column(ys)
     ws = _column(ws)
@@ -245,6 +275,92 @@ def parse(path) -> Instance:
             for _ in pieces:  # an undecodable byte later in the file still wins
                 pass
             raise
+
+
+# Point-line bytes below which ``point_ranges`` declines a parse in parts:
+# under it, starting a second process costs more than half the parse and
+# grid saves (measured in the README, "Parsing in parts").
+SPLIT_MIN_BYTES = 1 << 20
+# Bytes read back from the end of the file per query line: room for two
+# shortest-repr floats; a tail of longer lines is left to ``parse``.
+_TAIL_BYTES_PER_QUERY = 64
+
+
+def point_ranges(path, parts: int):
+    """``(n, queries, ranges)`` for parsing the point lines of an all-plain file in parts, or None.
+
+    The header is read from the head of the file and the queries from its
+    tail: the last m lines, which must all be query lines, each with two
+    numbers, the last one with or without a final newline.  ``queries`` is
+    the instance of those queries with no points and the file's k.  The
+    bytes between the header line and the first query line, which should
+    hold the n point lines, are cut after a newline into at most ``parts``
+    ``(start, stop)`` ranges of about equal size.  None where the file, or
+    its point lines, are smaller than ``SPLIT_MIN_BYTES``, the file's text
+    encoding is not UTF-8, the header is not within the first ``_CHUNK``
+    bytes or anything above does not hold; ``parse`` then reads the file
+    whole and reports what is wrong.  Whether the ranges hold n point lines
+    is for their parser to count (``parse_points``).
+    """
+    if os.stat(path).st_size < SPLIT_MIN_BYTES:
+        return None
+    with open(path) as text:  # the encoding ``parse`` reads the file with
+        if codecs.lookup(text.encoding).name != "utf-8":
+            return None
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_CHUNK)
+        start = 0  # the end of the header line
+        for line in head[: head.rfind(b"\n") + 1].decode().splitlines(True):
+            start += len(line.encode())
+            if _is_data(line):
+                n, m, k = _header(line, 0)  # a bad header raises; ``parse`` names its line
+                break
+        else:
+            return None
+        f.seek(max(start, size - _TAIL_BYTES_PER_QUERY * m))
+        tail = f.read()
+        cut = len(tail) - tail.endswith(b"\n")
+        for _ in range(m):  # back to the newline before the last m lines
+            cut = tail.rfind(b"\n", 0, cut)
+            if cut < 0:
+                return None
+        tail = tail[cut + 1 :]
+        rows = [line.split() for line in tail.decode().splitlines()]
+        if len(rows) != m or any(len(toks) != 2 for toks in rows):  # a comment fails as a number
+            return None
+        queries = Instance.from_columns((), (), (), [[_number(t, 0) for t in toks] for toks in rows], k)
+        stop = size - len(tail)
+        if stop - start < max(SPLIT_MIN_BYTES, 1):
+            return None
+        cuts = [start]
+        for i in range(1, parts):
+            f.seek(start + (stop - start) * i // parts)
+            f.readline()
+            cuts.append(min(f.tell(), stop))
+    cuts.append(stop)
+    return n, queries, [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def parse_points(path, start: int, stop: int) -> tuple[tuple, int]:
+    """The x, y and w columns of the point lines in bytes ``[start, stop)`` of a file, and their count.
+
+    The range must start and end at line starts.  It is read ``_CHUNK``
+    bytes at a time and decoded as UTF-8; its blank and comment lines are
+    skipped and every other line is converted as a point line by the same
+    code as in ``parse``, which raises ``ParseError`` (with line numbers
+    counted from the range's start) for the first malformed one.
+    """
+    cols = array("q"), array("q"), array("q")
+    count = 0
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    with open(path, "rb") as f:
+        f.seek(start)
+        pieces = (decode(f.read(min(_CHUNK, stop - at))) for at in range(start, stop, _CHUNK))
+        for data, line_nos in _data_lines(_whole_lines(pieces)):
+            count += len(data)
+            cols = _add_points(cols, data, line_nos, len(data))
+    return cols, count
 
 
 def serialize_text(inst: Instance) -> str:

@@ -48,6 +48,19 @@ class WeightedPoint:
             raise ValueError(f"non-finite weighted point ({self.x}, {self.y}, {self.w})")
 
 
+# The slots of a ``WeightedPoint``, set directly by ``_checked_point``.
+_SET_X, _SET_Y, _SET_W = WeightedPoint.x.__set__, WeightedPoint.y.__set__, WeightedPoint.w.__set__
+
+
+def _checked_point(x, y, w) -> WeightedPoint:
+    """``WeightedPoint(x, y, w)`` of values already checked finite, built without checking them again."""
+    point = object.__new__(WeightedPoint)
+    _SET_X(point, x)
+    _SET_Y(point, y)
+    _SET_W(point, w)
+    return point
+
+
 @dataclass(frozen=True, slots=True)
 class QueryPoint:
     """A candidate pick; ``id`` is its stable index in the input order."""
@@ -130,7 +143,8 @@ class PointColumns(Sequence):
     def points(self) -> tuple[WeightedPoint, ...]:
         """The cached ``WeightedPoint`` view, built on first use."""
         if self._points is None:
-            self._points = tuple(map(WeightedPoint, self.xs, self.ys, self.ws))
+            # ``__init__`` has checked every value, so the points skip ``__post_init__``
+            self._points = tuple(map(_checked_point, self.xs, self.ys, self.ws))
         return self._points
 
     def __len__(self) -> int:

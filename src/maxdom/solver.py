@@ -8,7 +8,9 @@ cell sums are themselves the compressed ground set, so nothing is compressed
 or gridded a second time.  ``solve_reference`` reaches the same cell sums the
 ranked way (rank every point, drop the uncovered ones, grid in rank space)
 and runs the same DP; ``verify`` and the tests compare the pipeline against
-it.
+it.  ``maxdom solve`` of a large all-integer file parses and grids its point
+lines in parts, one process per CPU (``grid_parts``), and hands the parts'
+cells to the same pipeline, which adds them in its grid stage.
 
 The DP takes any instance, ranked or not: it walks the queries in the
 staircase order of ``ranking.y_sorted_queries``, sorted once per solve by
@@ -45,16 +47,20 @@ by name.
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import threading
 from array import array
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from time import perf_counter
 
-from .cells import _merge_into, build_grid
+from .cells import _merge_into, add_parts, build_grid
 from .coverage import CoverageSweep, RowSums, build_row_sums
-from .model import Instance, Solution
+from .instances import parse_points, point_ranges
+from .model import Instance, PointColumns, Solution
 from .ranking import drop_uncovered, rank_transform
 
 
@@ -493,13 +499,16 @@ class PipelineResult:
     estimates: dict[str, float]  # predicted dp seconds per engine, see ``_estimates``
 
 
-def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
+def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineResult:
     """sum the cells -> layered DP -> reconstruct.
 
     The cells are summed straight from ``inst``'s point columns in its own
     coordinates; the nonzero cells are the compressed ground set, whose size
     is reported as ``compressed_size``.  The work counts are taken after the
-    timed stages.
+    timed stages.  Where ``parts`` is given, it holds the int-weight cells
+    of ``inst``'s queries over each part of the ground set, as
+    ``grid_parts`` returns them, and the grid stage adds them
+    (``cells.add_parts``) instead of reading ``inst.P``.
 
     ``engine`` is ``"auto"`` (the default), which runs whichever engine
     ``_estimates`` predicts faster once the cells are known, ``"sweep"``
@@ -516,7 +525,7 @@ def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
     # even so is refused ungridded.
     _choose(engine, _estimates(inst.m, k_eff, 0), _slots(inst.m, k_eff))
     t0 = perf_counter()
-    grid = build_grid(inst)
+    grid = build_grid(inst) if parts is None else add_parts(inst, parts)
     row_sums = build_row_sums(grid)
     nonzero = sum(map(len, row_sums.rows))
     estimates = _estimates(inst.m, k_eff, nonzero)
@@ -542,6 +551,83 @@ def run_pipeline(inst: Instance, engine: str = "auto") -> PipelineResult:
         engine,
         estimates,
     )
+
+
+def _grid_range(path, start: int, stop: int, queries: Instance) -> tuple:
+    """``(per_row, retained, count)`` of the point lines in bytes ``[start, stop)``.
+
+    ``per_row`` and ``retained`` are those of their grid over ``queries``
+    (``build_grid``) and ``count`` is how many there are.  They are what a
+    child sends back: the grid's cells are ``per_row`` over again, and
+    pickling them as ``CellKey``s would cost ten times as much.
+
+    Raises ``ValueError`` for a column that is not int64: float cell sums
+    depend on the order they are added in, so parts of them do not add up to
+    the whole.
+    """
+    cols, count = parse_points(path, start, stop)
+    if not all(type(col) is array for col in cols):
+        raise ValueError("a point column that is not int64")
+    grid = build_grid(replace(queries, P=PointColumns(*cols)))
+    return grid.per_row, grid.retained, count
+
+
+def grid_parts(path, _parts: int | None = None):
+    """``(n, queries, parts)`` for the instance file at ``path``, parsed and gridded in parts, or None.
+
+    The point lines are cut into one byte range per usable CPU, or
+    ``_parts`` (``instances.point_ranges``).  This process parses and grids
+    the first range; one forked child does each other one and sends back
+    ``_grid_range``'s result, pickled over a pipe.  ``queries`` is the
+    file's queries and k with no points, ``parts`` each part's
+    ``(per_row, retained)``, and ``add_parts(queries, parts)`` is the file's
+    cell grid: ``build_grid(parse(path))`` exactly, since every weight is an
+    int.  None, leaving the file to ``parse``, where the file is small or not
+    plain enough to be split, ``fork`` is missing or this process runs other
+    threads (a lock one of them holds would stay held in the child), a
+    part's column is not int64, a part fails in any way or the parts' point
+    counts do not add up to n; the children are reaped in every case.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    parts = _parts or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    children = []  # (pid, the read end of its pipe)
+    results = None
+    try:
+        plan = point_ranges(path, parts)
+        if plan is None:
+            return None
+        n, queries, ranges = plan
+        import pickle  # here, so that a process that never splits does not hold the module
+
+        for start, stop in ranges[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: send the part, then exit at once, whatever happened
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as out:
+                        pickle.dump(_grid_range(path, start, stop, queries), out, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [_grid_range(path, *ranges[0], queries)]
+        results += [pickle.load(reader) for _, reader in children]
+    except Exception:  # whatever went wrong, ``parse`` of the whole file reports it
+        results = None
+    finally:
+        for pid, reader in children:
+            reader.close()
+            if results is None:
+                os.kill(pid, signal.SIGKILL)
+            if os.waitpid(pid, 0)[1]:
+                results = None
+    if results is None or sum(count for _, _, count in results) != n:
+        return None
+    return n, queries, [(per_row, retained) for per_row, retained, _ in results]
 
 
 def solve_pipeline(inst: Instance) -> Solution:

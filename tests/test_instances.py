@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxdom import instances
+from maxdom import instances, model
 from maxdom.cells import build_grid, compress
 from maxdom.cli import main
 from maxdom.instances import (
@@ -167,24 +167,25 @@ def test_decimal_and_exponent_tokens():
     assert (inst.Q[0].x, inst.Q[0].y) == (5, 6.0) and type(inst.Q[0].y) is float
 
 
-@pytest.mark.parametrize(
-    "text, line_no",
-    [
-        ("2 1 0\n0 0 1\n1 nan 1\n1 1\n", 3),
-        ("1 1 0\n0 0 -inf\n1 1\n", 2),
-        ("1 2 0\n0 0 1\n1 1\n2 Infinity\n", 4),
-        ("1 1 0\n0 0 1e999\n1 1\n", 2),
-        ("2 1 0\n0 0 1\n0 0\n1 1\n", 3),  # point line with 2 fields
-        ("1 2 0\n0 0 1\n1 1\n2 2 2\n", 4),  # query line with 3 fields
-        ("2 1 0\n0 x 1\n0 0 y\n1 1\n", 2),  # first bad line wins
-        ("1 1 0\n\n# c\n0 0 1\n1 1\n\n7 7\n", 7),  # extra line after blanks
-        # a wrong line count is reported before a malformed line
-        ("2 1 0\n0 x 1\n1 1\n", 3),  # bad token, a line short
-        ("1 1 0\n0 0 1\nx 1\n9 9\n", 4),  # bad token, a line over
-        ("1 1 0\n0 0\n# c\n\n", 2),  # bad field count, a line short
-        ("1 1 0\n0 0 nan\n1 1", 2),  # count right, no final newline: the token's error
-    ],
-)
+# Malformed files and the line each one's ParseError names.
+MALFORMED = [
+    ("2 1 0\n0 0 1\n1 nan 1\n1 1\n", 3),
+    ("1 1 0\n0 0 -inf\n1 1\n", 2),
+    ("1 2 0\n0 0 1\n1 1\n2 Infinity\n", 4),
+    ("1 1 0\n0 0 1e999\n1 1\n", 2),
+    ("2 1 0\n0 0 1\n0 0\n1 1\n", 3),  # point line with 2 fields
+    ("1 2 0\n0 0 1\n1 1\n2 2 2\n", 4),  # query line with 3 fields
+    ("2 1 0\n0 x 1\n0 0 y\n1 1\n", 2),  # first bad line wins
+    ("1 1 0\n\n# c\n0 0 1\n1 1\n\n7 7\n", 7),  # extra line after blanks
+    # a wrong line count is reported before a malformed line
+    ("2 1 0\n0 x 1\n1 1\n", 3),  # bad token, a line short
+    ("1 1 0\n0 0 1\nx 1\n9 9\n", 4),  # bad token, a line over
+    ("1 1 0\n0 0\n# c\n\n", 2),  # bad field count, a line short
+    ("1 1 0\n0 0 nan\n1 1", 2),  # count right, no final newline: the token's error
+]
+
+
+@pytest.mark.parametrize("text, line_no", MALFORMED)
 def test_parse_error_line_numbers(tmp_path, text, line_no):
     for variant in (text, text.replace("\n", "\r\n")):
         expected = _outcome(_parse_line_by_line, variant)
@@ -341,6 +342,7 @@ def test_solve_builds_no_point_objects(tmp_path, monkeypatch, capsys):
     path = tmp_path / "inst.txt"
     built = []
     monkeypatch.setattr(WeightedPoint, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(model, "_checked_point", lambda *values: built.append(values))
     serialize(generate(GeneratorSpec("uniform", n=500, m=12, k=3, seed=4)), path)
     assert main(["solve", str(path)]) == 0
     assert main(["solve", str(path), "--k", "1"]) == 0
