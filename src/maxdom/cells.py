@@ -10,10 +10,13 @@ ground set, with at most min(n, m^2) entries.
 ``build_grid`` sums the cells in one pass over the point columns: one bisect
 on the sorted query y-values finds a point's strip, one bisect on that
 strip's query x-prefix finds its cell, and points covered by no query are
-skipped.  An instance gridded in its own coordinates, as the solve path
-does, and its rank-normalized form, as the reference path grids, give the
-same cells, because each bisect counts the queries strictly below or left of
-the point, which the rank transform preserves.  ``cell_boxes`` and
+skipped.  ``sum_batches`` reaches the same cells from points that arrive in
+batches and are not kept, by way of each point's strip and x-rank; it adds a
+cell's weights in another order, so it serves int weights only.  An
+instance gridded in its own coordinates, as the solve path does, and its
+rank-normalized form, as the reference path grids, give the same cells,
+because each bisect counts the queries strictly below or left of the point,
+which the rank transform preserves.  ``cell_boxes`` and
 ``compress`` read cell corners off the query coordinates, so they take a
 rank-normalized instance; they serve ``maxdom compress`` and rendering.
 """
@@ -22,8 +25,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .model import Instance, QueryPoint, WeightedPoint
@@ -140,12 +145,65 @@ def build_grid(inst: Instance) -> CellGrid:
     return CellGrid(inst.m, cells, tuple(per_row), retained, stair)
 
 
+def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
+    """``(per_row, retained, count)`` of ``build_grid`` over the points of ``batches``, which are not kept.
+
+    ``batches`` yields ``(xs, ys, ws)`` columns of points with int weights;
+    ``count`` is how many points they hold.  Each point is keyed by its
+    strip, the number of query y-values below it, and its x-rank, the
+    number of query x-values left of it: ``strip * (m + 1) + xrank``, two
+    C-level bisect maps a batch.  Only each key's weight sum and point count
+    are kept, O(min(n, m^2)) entries however many points there are.  At the
+    end the keys are walked strip by strip in staircase order, and each key's
+    cell is read off its x-rank: a query lies left of the point exactly when
+    its own x-rank among the query x-values is below the point's, so the
+    slot is a bisect of the x-ranks of the queries above the strip, brought
+    up to date only at strips with keys, as in ``_strips``.
+
+    The weights of a cell are added by key, not in input order, which
+    equals ``build_grid``'s sums exactly on ints, not on floats.
+    """
+    m = queries.m
+    stair = y_sorted_queries(queries)
+    ys_asc = [q.y for q in reversed(stair)]
+    xs_asc = sorted(q.x for q in stair)
+    width = m + 1
+    sums: dict[int, int] = {}
+    get = sums.get
+    counts: Counter = Counter()
+    for xs, ys, ws in batches:
+        strips = map(bisect_left, repeat(ys_asc), ys)
+        keys = list(map(add, map(mul, strips, repeat(width)), map(bisect_left, repeat(xs_asc), xs)))
+        counts.update(keys)
+        for key, w in zip(keys, ws):
+            sums[key] = get(key, 0) + w
+    stair_ranks = [bisect_left(xs_asc, q.x) for q in stair]
+    per_row: list[tuple[tuple[int, int], ...]] = [()] * m
+    retained = 0
+    prefix: list = []  # x-ranks of the ``done`` highest queries, sorted
+    done = 0
+    for strip, keys in groupby(sorted(sums, reverse=True), key=lambda key: key // width):
+        row = m - strip
+        _merge_into(prefix, stair_ranks[done:row])
+        done = row
+        cells: dict[int, int] = {}
+        for key in keys:
+            slot = bisect_left(prefix, key % width)
+            if slot < row:  # else right of every query above the strip: uncovered
+                cells[slot + 1] = cells.get(slot + 1, 0) + sums[key]
+                retained += counts[key]
+        if cells:
+            per_row[row - 1] = tuple(sorted(cells.items()))
+    return tuple(per_row), retained, counts.total()
+
+
 def add_parts(inst: Instance, parts) -> CellGrid:
     """The grid of ``inst``'s queries over a ground set in parts, from each part's ``(per_row, retained)``.
 
     ``parts`` holds those two fields of ``build_grid`` over each part of the
-    points.  A cell is non-empty if it is in any part and holds the sum of
-    the parts' weights, added in the order of ``parts``; the result equals
+    points, or of ``sum_batches``, which are the same on int weights.  A
+    cell is non-empty if it is in any part and holds the sum of the parts'
+    weights, added in the order of ``parts``; the result equals
     ``build_grid`` of all the points exactly where those sums are exact, as
     on int weights.
     """

@@ -53,14 +53,14 @@ import sys
 import threading
 from array import array
 from bisect import bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from time import perf_counter
 
-from .cells import _merge_into, add_parts, build_grid
+from .cells import _merge_into, add_parts, build_grid, sum_batches
 from .coverage import CoverageSweep, RowSums, build_row_sums
-from .instances import parse_points, point_ranges
-from .model import Instance, PointColumns, Solution
+from .instances import point_batches, point_ranges
+from .model import Instance, Solution
 from .ranking import drop_uncovered, rank_transform
 
 
@@ -557,19 +557,25 @@ def _grid_range(path, start: int, stop: int, queries: Instance) -> tuple:
     """``(per_row, retained, count)`` of the point lines in bytes ``[start, stop)``.
 
     ``per_row`` and ``retained`` are those of their grid over ``queries``
-    (``build_grid``) and ``count`` is how many there are.  They are what a
-    child sends back: the grid's cells are ``per_row`` over again, and
-    pickling them as ``CellKey``s would cost ten times as much.
+    and ``count`` is how many there are.  They are what a child sends back:
+    the grid's cells are ``per_row`` over again, and pickling them as
+    ``CellKey``s would cost ten times as much.  Each converted batch is
+    summed into the cells as it is parsed (``cells.sum_batches``), so the
+    part holds no point column.
 
-    Raises ``ValueError`` for a column that is not int64: float cell sums
-    depend on the order they are added in, so parts of them do not add up to
-    the whole.
+    Raises ``ValueError`` for a value that is not an int64: float cell sums
+    depend on the order they are added in, so neither the parts nor
+    ``sum_batches``' order of adding give ``build_grid``'s sums.
     """
-    cols, count = parse_points(path, start, stop)
-    if not all(type(col) is array for col in cols):
-        raise ValueError("a point column that is not int64")
-    grid = build_grid(replace(queries, P=PointColumns(*cols)))
-    return grid.per_row, grid.retained, count
+    return sum_batches(queries, map(_int64, point_batches(path, start, stop)))
+
+
+def _int64(batch: tuple) -> list:
+    """``batch``'s columns as int64 arrays; ``ValueError`` for a value that is not an int64."""
+    try:
+        return [array("q", col) for col in batch]
+    except (TypeError, OverflowError):
+        raise ValueError("a point value that is not an int64") from None
 
 
 def grid_parts(path, _parts: int | None = None):

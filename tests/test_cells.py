@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxdom.cells import CellKey, build_grid, cell_boxes, compress
+from maxdom.cells import CellKey, build_grid, cell_boxes, compress, sum_batches
 from maxdom.instances import GeneratorSpec, generate, parse_text, serialize_text
 from maxdom.model import Instance, weight_of_dom
 from maxdom.oracle import oracle_solve
@@ -12,7 +12,7 @@ from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform
 from maxdom.solver import solve_pipeline, solve_reference
 
-from util import assign_cells, random_instance, same_dominators_check, small_instances
+from util import assign_cells, random_instance, same_dominators_check, small_instances, tie_instances
 
 
 def ranked(inst):
@@ -180,6 +180,17 @@ def test_one_pass_cells_equal_ranked_reference(inst):
     assert repr(a.value) == repr(b.value) and a.chosen == b.chosen
 
 
+@settings(deadline=None, max_examples=100)
+@given(tie_instances(), st.integers(1, 7))
+def test_cells_summed_by_key_equal_the_grid(inst, size):
+    # int weights: the sums by strip and x-rank equal the input-order ones
+    P = inst.P
+    batches = [(P.xs[i : i + size], P.ys[i : i + size], P.ws[i : i + size]) for i in range(0, inst.n, size)]
+    grid = build_grid(inst)
+    assert sum_batches(inst, batches) == (grid.per_row, grid.retained, inst.n)
+    assert sum_batches(inst, []) == (((),) * inst.m, 0, 0)
+
+
 def test_tall_staircase_over_few_points_equals_ranked_reference():
     # 100,000 queries and five points: the query x-prefix is merged at the
     # five strips that hold points instead of grown one query at a time
@@ -191,6 +202,7 @@ def test_tall_staircase_over_few_points_equals_ranked_reference():
     ref = build_grid(ranked(inst))
     assert got == ref
     assert got.retained == 5 and len(got.cells) == 5
+    assert sum_batches(inst, [(inst.P.xs, inst.P.ys, inst.P.ws)]) == (got.per_row, 5, 5)
 
 
 def test_cell_boxes_of_a_tall_staircase_over_few_points():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxdom import instances, model
+from maxdom import instances, model, solver
 from maxdom.cells import build_grid, compress
 from maxdom.cli import main
 from maxdom.instances import (
@@ -328,6 +328,25 @@ def test_parse_peak_memory_is_bounded_by_the_instance(tmp_path, monkeypatch):
     # and a string per line about four times that.
     extra = sizes[1] - sizes[0]
     assert memory[1][0] - memory[0][0] < extra / 2, (memory, extra)
+
+
+def test_part_grid_peak_memory_does_not_grow_with_the_points(tmp_path, monkeypatch):
+    # A part of a split solve sums each converted batch into its cells and
+    # keeps no point: point columns would add 24 bytes a point line, strips 16.
+    monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+    peaks = []
+    for n in (50_000, 100_000):
+        path = tmp_path / f"big{n}.txt"
+        serialize(generate(GeneratorSpec("uniform", n=n, m=16, k=4, seed=6)), path)
+        _, queries, [(start, stop)] = instances.point_ranges(path, 1)
+        tracemalloc.start()
+        try:
+            per_row, retained, count = solver._grid_range(path, start, stop, queries)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert count == n and retained > n // 10
+    assert peaks[1] - peaks[0] < 100_000 - 50_000, peaks
 
 
 def test_point_view_is_built_once():

@@ -29,6 +29,25 @@ def small_instances(draw, max_n=25, max_m=6, span=12, max_w=10):
     return Instance.from_rows(P, Q, k)
 
 
+@st.composite
+def tie_instances(draw):
+    """All-int instances with at least one point and many ties: repeated query
+    x- and y-values, points on a query's x or y line, negative coordinates and
+    points above or right of every query."""
+    span = draw(st.integers(1, 8))
+    coord = st.integers(-span, span)
+    m = draw(st.integers(1, 40))
+    Q = [(draw(coord), draw(coord)) for _ in range(m)]
+    qx = st.sampled_from([x for x, _ in Q])
+    qy = st.sampled_from([y for _, y in Q])
+    beyond = st.integers(span + 1, span + 3)  # above or right of every query
+    P = [
+        (draw(coord | qx | beyond), draw(coord | qy | beyond), draw(st.integers(-9, 9)))
+        for _ in range(draw(st.integers(1, 60)))
+    ]
+    return Instance.from_rows(P, Q, draw(st.integers(0, m)))
+
+
 def assign_cells(inst: Instance) -> list[CellKey]:
     """Cell key for every ground point; requires drop_uncovered beforehand."""
     n = len(inst.P)
