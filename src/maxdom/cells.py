@@ -7,23 +7,19 @@ exactly the same set of queries, so for every pick set the cell's total
 weight stands for all of its points: the non-empty cells are the compressed
 ground set, with at most min(n, m^2) entries.
 
-``build_grid`` sums the cells in one pass over the point columns: one bisect
-on the sorted query y-values finds a point's strip, one bisect on that
-strip's query x-prefix finds its cell, and points covered by no query are
-skipped.  ``sum_batches`` reaches the same cells from points that arrive in
-batches and are not kept, by way of each point's strip and x-rank; it adds a
-cell's weights in another order, so it serves int weights only.  An
-instance gridded in its own coordinates, as the solve path does, and its
-rank-normalized form, as the reference path grids, give the same cells,
-because each bisect counts the queries strictly below or left of the point,
-which the rank transform preserves.  ``cell_boxes`` and
-``compress`` read cell corners off the query coordinates, so they take a
-rank-normalized instance; they serve ``maxdom compress`` and rendering.
+``build_grid`` sums the cells over slices of the point columns and
+``sum_batches`` over batches of parsed points that are not kept; both run
+``_sum_cells``.  An instance gridded in its own coordinates, as the solve
+path does, and its rank-normalized form, as the reference path grids, give
+the same cells and add their weights in the same order, float ones too,
+since each point's key counts the queries strictly below or left of it,
+which the rank transform preserves.  ``cell_boxes`` and ``compress`` read
+cell corners off the query coordinates, so they take a rank-normalized
+instance; they serve ``maxdom compress`` and rendering.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,6 +29,8 @@ from typing import NamedTuple
 
 from .model import Instance, QueryPoint, WeightedPoint
 from .ranking import y_sorted_queries
+
+_SLICE = 4096  # points ``build_grid`` keys at a time: bounds its memory whatever n is
 
 
 class CellKey(NamedTuple):
@@ -78,97 +76,25 @@ def _merge_into(prefix: list, new) -> None:
         prefix.sort()
 
 
-def _strips(inst: Instance, tags, stair):
-    """Bucket ``inst``'s points by strip; yield ``(row, slots, tags)`` per strip with points.
+def _sum_cells(stair, batches) -> tuple[tuple, int, int]:
+    """``(per_row, retained, count)`` of the ``(xs, ys, ws)`` point batches under the staircase ``stair``.
 
-    Row ``i`` (0..m) holds the points with exactly ``i`` queries at or above
-    them, in input order; row 0 lies above every query.  ``slots[t]`` counts
-    the ``i`` highest queries strictly left of the row's ``t``-th point and
-    ``tags[t]`` is that point's entry of ``tags``.  A point is covered iff
-    its slot is below its row; it then lies in cell ``(row, slot + 1)``.
-    ``stair`` is ``y_sorted_queries(inst)``, the staircase order; the
-    sorted x-values above a strip are brought up to date only at strips
-    with points, so a tall staircase over few points costs O(m) per such
-    strip rather than an insert per query.
-
-    Each strip keeps its points' x-values and tags in a container of the
-    same kind as their column, an ``array`` of its typecode for an int64
-    column and a list otherwise, so that an array column's values are not
-    held as one ``int`` object each while the strips fill.
-    """
-    stair_xs = [q.x for q in stair]
-    m = len(stair_xs)
-    ys_asc = [q.y for q in reversed(stair)]
-    strip_xs = _buckets(inst.P.xs, m + 1)
-    strip_tags = _buckets(tags, m + 1)
-    for x, y, tag in zip(inst.P.xs, inst.P.ys, tags):
-        row = m - bisect_left(ys_asc, y)
-        strip_xs[row].append(x)
-        strip_tags[row].append(tag)
-    prefix: list = []  # x-values of the ``done`` highest queries, sorted
-    done = 0
-    for row, xs in enumerate(strip_xs):
-        if xs:
-            _merge_into(prefix, stair_xs[done:row])
-            done = row
-            yield row, list(map(bisect_left, repeat(prefix), xs)), strip_tags[row]
-
-
-def _buckets(col, count: int) -> list:
-    """``count`` empty containers for values of ``col``: arrays of its typecode, or lists."""
-    if isinstance(col, array):
-        return list(map(array.__copy__, repeat(array(col.typecode), count)))
-    return [[] for _ in range(count)]
-
-
-def build_grid(inst: Instance) -> CellGrid:
-    """Sum point weights per cell in input order, skipping uncovered points.
-
-    The cells are those of ``inst``'s ranked form, whichever coordinates it
-    is given in.
-    """
-    cells: dict[CellKey, float] = {}
-    per_row: list[tuple[tuple[int, float], ...]] = [()] * inst.m
-    retained = 0
-    stair = y_sorted_queries(inst)
-    for row, slots, ws in _strips(inst, inst.P.ws, stair):
-        sums: dict[int, float] = {}
-        get = sums.get
-        for slot, w in zip(slots, ws):
-            sums[slot] = get(slot, 0) + w
-        sums.pop(row, None)  # right of every query above the strip: uncovered
-        retained += len(slots) - slots.count(row)
-        if row:
-            items = tuple((slot + 1, sums[slot]) for slot in sorted(sums))
-            per_row[row - 1] = items
-            cells.update((CellKey(row, col), w) for col, w in items)
-    return CellGrid(inst.m, cells, tuple(per_row), retained, stair)
-
-
-def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
-    """``(per_row, retained, count)`` of ``build_grid`` over the points of ``batches``, which are not kept.
-
-    ``batches`` yields ``(xs, ys, ws)`` columns of points with int weights;
-    ``count`` is how many points they hold.  Each point is keyed by its
-    strip, the number of query y-values below it, and its x-rank, the
+    ``count`` is how many points the batches hold.  Each point is keyed by
+    its strip, the number of query y-values below it, and its x-rank, the
     number of query x-values left of it: ``strip * (m + 1) + xrank``, two
     C-level bisect maps a batch.  Only each key's weight sum and point count
     are kept, O(min(n, m^2)) entries however many points there are.  At the
-    end the keys are walked strip by strip in staircase order, and each key's
-    cell is read off its x-rank: a query lies left of the point exactly when
-    its own x-rank among the query x-values is below the point's, so the
-    slot is a bisect of the x-ranks of the queries above the strip, brought
-    up to date only at strips with keys, as in ``_strips``.
-
-    The weights of a cell are added by key, not in input order, which
-    equals ``build_grid``'s sums exactly on ints, not on floats.
+    end the keys are walked strip by strip in staircase order: a query lies
+    left of a point exactly when its own x-rank is below the point's, so a
+    key's slot is a bisect of the x-ranks of the queries above the strip,
+    brought up to date only at strips with keys, so that a tall staircase
+    over few points costs O(m) per such strip, not an insert per query.
     """
-    m = queries.m
-    stair = y_sorted_queries(queries)
+    m = len(stair)
     ys_asc = [q.y for q in reversed(stair)]
     xs_asc = sorted(q.x for q in stair)
     width = m + 1
-    sums: dict[int, int] = {}
+    sums: dict[int, float] = {}
     get = sums.get
     counts: Counter = Counter()
     for xs, ys, ws in batches:
@@ -178,7 +104,7 @@ def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
         for key, w in zip(keys, ws):
             sums[key] = get(key, 0) + w
     stair_ranks = [bisect_left(xs_asc, q.x) for q in stair]
-    per_row: list[tuple[tuple[int, int], ...]] = [()] * m
+    per_row: list[tuple[tuple[int, float], ...]] = [()] * m
     retained = 0
     prefix: list = []  # x-ranks of the ``done`` highest queries, sorted
     done = 0
@@ -186,7 +112,7 @@ def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
         row = m - strip
         _merge_into(prefix, stair_ranks[done:row])
         done = row
-        cells: dict[int, int] = {}
+        cells: dict[int, float] = {}
         for key in keys:
             slot = bisect_left(prefix, key % width)
             if slot < row:  # else right of every query above the strip: uncovered
@@ -197,15 +123,38 @@ def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
     return tuple(per_row), retained, counts.total()
 
 
+def _grid(per_row, retained: int, stair) -> CellGrid:
+    """The ``CellGrid`` of the per-strip cells ``per_row`` under the staircase ``stair``."""
+    cells = {CellKey(i, col): w for i, row in enumerate(per_row, 1) for col, w in row}
+    return CellGrid(len(stair), cells, tuple(per_row), retained, stair)
+
+
+def build_grid(inst: Instance) -> CellGrid:
+    """Sum point weights per cell, ``_SLICE`` points at a time, skipping uncovered points.
+
+    The cells and their sums are those of ``inst``'s ranked form, whichever
+    coordinates it is given in.
+    """
+    stair = y_sorted_queries(inst)
+    cols = (inst.P.xs, inst.P.ys, inst.P.ws)
+    batches = ([col[i : i + _SLICE] for col in cols] for i in range(0, inst.n, _SLICE))
+    per_row, retained, _count = _sum_cells(stair, batches)
+    return _grid(per_row, retained, stair)
+
+
+def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
+    """``(per_row, retained, count)`` of ``build_grid`` over ``(xs, ys, ws)`` point batches, which are not kept."""
+    return _sum_cells(y_sorted_queries(queries), batches)
+
+
 def add_parts(inst: Instance, parts) -> CellGrid:
     """The grid of ``inst``'s queries over a ground set in parts, from each part's ``(per_row, retained)``.
 
-    ``parts`` holds those two fields of ``build_grid`` over each part of the
-    points, or of ``sum_batches``, which are the same on int weights.  A
-    cell is non-empty if it is in any part and holds the sum of the parts'
-    weights, added in the order of ``parts``; the result equals
-    ``build_grid`` of all the points exactly where those sums are exact, as
-    on int weights.
+    ``parts`` holds those two fields of ``build_grid`` or ``sum_batches``
+    over each part of the points.  A cell is non-empty if it is in any part
+    and holds the sum of the parts' weights, added in the order of
+    ``parts``; the result equals ``build_grid`` of all the points exactly
+    where those sums are exact, as on int weights.
     """
     per_row = []
     for rows in zip(*(part_rows for part_rows, _ in parts)):
@@ -215,9 +164,8 @@ def add_parts(inst: Instance, parts) -> CellGrid:
             for col, w in row:
                 sums[col] = get(col, 0) + w
         per_row.append(tuple(sorted(sums.items())))
-    cells = {CellKey(i, col): w for i, row in enumerate(per_row, 1) for col, w in row}
     retained = sum(part_retained for _, part_retained in parts)
-    return CellGrid(inst.m, cells, tuple(per_row), retained, y_sorted_queries(inst))
+    return _grid(per_row, retained, y_sorted_queries(inst))
 
 
 def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:

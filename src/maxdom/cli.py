@@ -39,9 +39,20 @@ def _ints(text: str) -> list[int]:
 def _peak_rss_mb(children: bool = False) -> float | None:
     """Peak resident memory so far in MB, or None where it cannot be read.
 
-    This process's, or with ``children`` the largest of its reaped child
-    processes' (0 if none).
+    This process's, from ``VmHWM`` in ``/proc/self/status`` where that
+    exists, since Linux's ``ru_maxrss`` keeps the peak of the process that
+    exec'd this one; elsewhere from ``getrusage``.  With ``children``, the
+    largest of its reaped child processes' peaks (0 if none), from
+    ``getrusage``.
     """
+    if not children:
+        try:
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmHWM:"):
+                        return round(int(line.split()[1]) / 1024, 1)  # in kB
+        except OSError:
+            pass
     if resource is None:
         return None
     who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF

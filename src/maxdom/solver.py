@@ -1,9 +1,9 @@
 """Layered dynamic program over the query staircase, plus the full pipeline.
 
-The pipeline sums the ground points into the cells of the covered region in
-one pass over the instance's point columns (``cells.build_grid``), turns the
+The pipeline sums the ground points into the cells of the covered region
+straight from the instance's point columns (``cells.build_grid``), turns the
 nonzero cells into per-strip rows and runs the DP on them.  The n-side is
-thus one bucketing pass, O(n log m), that builds no per-point object; the
+thus two bisects a point, O(n log m), that build no per-point object; the
 cell sums are themselves the compressed ground set, so nothing is compressed
 or gridded a second time.  ``solve_reference`` reaches the same cell sums the
 ranked way (rank every point, drop the uncovered ones, grid in rank space)
@@ -504,21 +504,20 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
 
     The cells are summed straight from ``inst``'s point columns in its own
     coordinates; the nonzero cells are the compressed ground set, whose size
-    is reported as ``compressed_size``.  The work counts are taken after the
-    timed stages.  Where ``parts`` is given, it holds the int-weight cells
-    of ``inst``'s queries over each part of the ground set, as
-    ``grid_parts`` returns them, and the grid stage adds them
+    is reported as ``compressed_size``.  Where ``parts`` is given, it holds
+    the int-weight cells of ``inst``'s queries over each part of the ground
+    set, as ``grid_parts`` returns them, and the grid stage adds them
     (``cells.add_parts``) instead of reading ``inst.P``.
 
     ``engine`` is ``"auto"`` (the default), which runs whichever engine
     ``_estimates`` predicts faster once the cells are known, ``"sweep"``
     (the paper's simple DP) or ``"tree"``; both give the same tables and, on
     exact weights, the same picks.  For either, ``dp`` times the tables and
-    picks and ``reconstruct`` reads the solution off them.  A solve whose
-    engine is estimated over ``DP_BUDGET_S`` or would hold more than
-    ``DP_SLOT_BUDGET`` list slots raises ``ValueError`` before any DP work,
-    and before the grid when even an instance with no cells and the
-    narrowest tree fields would be over.
+    picks and ``reconstruct`` reads the solution off them and counts
+    ``dp_pairs``.  A solve whose engine is estimated over ``DP_BUDGET_S`` or
+    would hold more than ``DP_SLOT_BUDGET`` list slots raises ``ValueError``
+    before any DP work, and before the grid when even an instance with no
+    cells and the narrowest tree fields would be over.
     """
     k_eff = min(inst.k, inst.m)
     # No cells and one-word fields are a lower bound: what is over the budget
@@ -540,13 +539,14 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
     tables, preds, k_eff = globals()[_ENGINES[engine]](inst, row_sums)
     t2 = perf_counter()
     solution = _solution(row_sums.stair, tables, preds, k_eff)
+    dp_pairs = _dp_pairs(row_sums.qx, k_eff)
     t3 = perf_counter()
     return PipelineResult(
         solution,
         grid.retained,
         len(grid.cells),
         nonzero,
-        _dp_pairs(row_sums.qx, k_eff),
+        dp_pairs,
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
         engine,
         estimates,
@@ -564,8 +564,8 @@ def _grid_range(path, start: int, stop: int, queries: Instance) -> tuple:
     part holds no point column.
 
     Raises ``ValueError`` for a value that is not an int64: float cell sums
-    depend on the order they are added in, so neither the parts nor
-    ``sum_batches``' order of adding give ``build_grid``'s sums.
+    depend on the order they are added in, and adding up the parts' sums
+    does not add in ``build_grid``'s order.
     """
     return sum_batches(queries, map(_int64, point_batches(path, start, stop)))
 

@@ -168,8 +168,8 @@ def gridding_instances(draw):
 @settings(deadline=None, max_examples=200)
 @given(gridding_instances())
 def test_one_pass_cells_equal_ranked_reference(inst):
-    # Same cells, rows and sums in the same (input) order, so even float sums
-    # agree bit for bit; zero-weight cells included.
+    # Same keys, so the same cells, rows and sums added in the same order:
+    # even float sums agree bit for bit; zero-weight cells included.
     rr = ranked(inst)
     ref = build_grid(rr)
     got = build_grid(inst)
@@ -221,8 +221,8 @@ def test_cell_boxes_of_a_tall_staircase_over_few_points():
 
 
 def test_grid_holds_no_int_object_per_point():
-    # strips of int64 values and slot lists of small cached ints: about 19
-    # bytes a point, where strips of int objects would take about 50
+    # the columns are keyed a slice at a time, so the grid holds no int
+    # object per point, which would take about 50 bytes a point
     n = 50_000
     inst = parse_text(serialize_text(generate(GeneratorSpec("uniform", n=n, m=16, k=4, seed=8))))
     tracemalloc.start()
@@ -234,3 +234,20 @@ def test_grid_holds_no_int_object_per_point():
         tracemalloc.stop()
     assert grid.retained > n // 10
     assert peak - before <= 24 * n, (peak - before) / n
+
+
+def test_grid_memory_does_not_grow_with_n():
+    # one slice of keys and one sum per key at a time: eight times the
+    # points add less than 0.5 MB to the peak
+    def peak(n):
+        inst = generate(GeneratorSpec("uniform", n=n, m=64, k=4, seed=8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_grid(inst)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(160_000)
+    assert large - small < 500_000, (small, large)

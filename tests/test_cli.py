@@ -1,6 +1,10 @@
 import json
+import os
 import re
-from time import perf_counter
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter, sleep
 
 import pytest
 
@@ -266,6 +270,37 @@ def test_solve_record_counters_and_wall_time(capsys, tiny):
     assert list(rec["stages"]) == ["parse", "oracle"]
     assert rec["retained"] is rec["cells"] is rec["compressed_size"] is None
     assert rec["row_sum_entries"] is rec["dp_pairs"] is rec["layers"] is None
+
+
+def test_dp_pairs_are_counted_in_the_reconstruct_stage(monkeypatch, tiny):
+    _, inst = tiny
+    count = maxdom.solver._dp_pairs
+
+    def slow(*args):
+        sleep(0.05)
+        return count(*args)
+
+    monkeypatch.setattr(maxdom.solver, "_dp_pairs", slow)
+    res = run_pipeline(inst)
+    assert res.stage_seconds["reconstruct"] >= 0.05 and res.dp_pairs > 0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+def test_solve_reports_its_own_peak_not_its_starters(tiny):
+    # Linux keeps ru_maxrss across exec: a solve started by a process that
+    # touched 300 MB would report that process's peak as its own.
+    path, _ = tiny
+    src = str(Path(maxdom.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    starter = (
+        "import subprocess, sys\n"
+        "held = b'x' * (300 << 20)\n"
+        "subprocess.run([sys.executable, '-m', 'maxdom', 'solve', sys.argv[1]], check=True)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", starter, str(path)], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert json.loads(out)["peak_rss_mb"] < 100
 
 
 @pytest.mark.parametrize("engine, n, m", [("tree", 100, 256), ("sweep", 20_000, 8)])

@@ -2,10 +2,9 @@
 
 import hypothesis.strategies as st
 
-from maxdom.cells import CellGrid, CellKey, _strips
+from maxdom.cells import CellGrid, CellKey
 from maxdom.model import Instance, dominates_closed
 from maxdom.prng import SplitMix64
-from maxdom.ranking import y_sorted_queries
 
 
 def random_instance(rng: SplitMix64, *, max_n=40, max_m=8, span=20, wlo=-10, whi=10,
@@ -49,14 +48,18 @@ def tie_instances(draw):
 
 
 def assign_cells(inst: Instance) -> list[CellKey]:
-    """Cell key for every ground point; requires drop_uncovered beforehand."""
-    n = len(inst.P)
-    keys: list[CellKey] = [CellKey(0, 0)] * n
-    for row, slots, indices in _strips(inst, range(n), y_sorted_queries(inst)):
-        for slot, idx in zip(slots, indices):
-            if slot == row:
-                raise ValueError("point covered by no query; run drop_uncovered first")
-            keys[idx] = CellKey(row, slot + 1)
+    """Cell key for every ground point, by brute force; requires drop_uncovered beforehand.
+
+    A point's row counts the queries at or above it, and its slot those of
+    them strictly left of it; it is covered iff the slot is below the row.
+    """
+    keys: list[CellKey] = []
+    for p in inst.P:
+        above = [q for q in inst.Q if q.y >= p.y]
+        slot = sum(1 for q in above if q.x < p.x)
+        if slot == len(above):
+            raise ValueError("point covered by no query; run drop_uncovered first")
+        keys.append(CellKey(len(above), slot + 1))
     return keys
 
 
