@@ -9,19 +9,18 @@ ground set, with at most min(n, m^2) entries.
 
 ``build_grid`` sums the cells over slices of the point columns and
 ``sum_batches`` over batches of parsed points that are not kept; both run
-``_sum_cells``.  An instance gridded in its own coordinates, as the solve
-path does, and its rank-normalized form, as the reference path grids, give
-the same cells and add their weights in the same order, float ones too,
-since each point's key counts the queries strictly below or left of it,
-which the rank transform preserves.  ``cell_boxes`` and ``compress`` read
-cell corners off the query coordinates, so they take a rank-normalized
-instance; they serve ``maxdom compress`` and rendering.
+``_sum_cells``, which adds each cell's weights in input order.  An instance
+gridded in its own coordinates, as the solve path does, and its
+rank-normalized form, as the reference path grids, give the same cells and
+sums, float ones too, since a point's key counts the queries strictly below
+or left of it, which the rank transform preserves.  ``cell_boxes`` and
+``compress`` read cell corners off the query coordinates, so they take a
+rank-normalized instance; they serve ``maxdom compress`` and rendering.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import add, mul
@@ -76,51 +75,66 @@ def _merge_into(prefix: list, new) -> None:
         prefix.sort()
 
 
+def _find_cells(keys, ranks: list, blocks: list, cell_of: dict) -> None:
+    """Set ``cell_of[key]`` for each of ``keys`` to its cell's ``row * (m + 1) + col``, or 0 if uncovered.
+
+    Key ``strip * (m + 1) + xrank`` (``_sum_cells``) lies in row
+    ``m - strip``, and its slot counts the ``row`` highest queries whose
+    x-rank (``ranks``, in staircase order) is below ``xrank``: those left of
+    the point, all ``row`` of them where it is uncovered.  The count adds up
+    bisects of at most log2(m) + 1 blocks of a Fenwick tree, ``blocks[i]``
+    being ``ranks[i - (i & -i) : i]`` sorted, made at its first use and kept
+    for later calls: O(log^2 m) a key however tall the staircase, and
+    O(m log m) values in all.
+    """
+    width = len(ranks) + 1
+    for key in keys:
+        strip, xrank = divmod(key, width)
+        row = i = width - 1 - strip
+        slot = 0
+        while i:
+            block = blocks[i]
+            if block is None:
+                block = blocks[i] = sorted(ranks[i - (i & -i) : i])
+            slot += bisect_left(block, xrank)
+            i &= i - 1
+        cell_of[key] = row * width + slot + 1 if slot < row else 0
+
+
 def _sum_cells(stair, batches) -> tuple[tuple, int, int]:
     """``(per_row, retained, count)`` of the ``(xs, ys, ws)`` point batches under the staircase ``stair``.
 
-    ``count`` is how many points the batches hold.  Each point is keyed by
-    its strip, the number of query y-values below it, and its x-rank, the
-    number of query x-values left of it: ``strip * (m + 1) + xrank``, two
-    C-level bisect maps a batch.  Only each key's weight sum and point count
-    are kept, O(min(n, m^2)) entries however many points there are.  At the
-    end the keys are walked strip by strip in staircase order: a query lies
-    left of a point exactly when its own x-rank is below the point's, so a
-    key's slot is a bisect of the x-ranks of the queries above the strip,
-    brought up to date only at strips with keys, so that a tall staircase
-    over few points costs O(m) per such strip, not an insert per query.
+    ``count`` is how many points the batches hold.  A point's key is
+    ``strip * (m + 1) + xrank``, the query y-values below it and x-values
+    left of it, in two C-level bisect maps a batch.  The keys a batch is the
+    first to hold are mapped to their cells (``_find_cells``), and each
+    point's weight is added to its cell's sum in input order, so that a
+    float sum is that of its points in file order.  Only O(min(n, m^2)) keys
+    and cells are held, however many points there are.
     """
-    m = len(stair)
+    width = len(stair) + 1
     ys_asc = [q.y for q in reversed(stair)]
     xs_asc = sorted(q.x for q in stair)
-    width = m + 1
+    ranks = [bisect_left(xs_asc, q.x) for q in stair]
+    blocks: list = [None] * width
+    cell_of: dict[int, int] = {}
     sums: dict[int, float] = {}
     get = sums.get
-    counts: Counter = Counter()
+    count = uncovered = 0
     for xs, ys, ws in batches:
         strips = map(bisect_left, repeat(ys_asc), ys)
         keys = list(map(add, map(mul, strips, repeat(width)), map(bisect_left, repeat(xs_asc), xs)))
-        counts.update(keys)
-        for key, w in zip(keys, ws):
-            sums[key] = get(key, 0) + w
-    stair_ranks = [bisect_left(xs_asc, q.x) for q in stair]
-    per_row: list[tuple[tuple[int, float], ...]] = [()] * m
-    retained = 0
-    prefix: list = []  # x-ranks of the ``done`` highest queries, sorted
-    done = 0
-    for strip, keys in groupby(sorted(sums, reverse=True), key=lambda key: key // width):
-        row = m - strip
-        _merge_into(prefix, stair_ranks[done:row])
-        done = row
-        cells: dict[int, float] = {}
-        for key in keys:
-            slot = bisect_left(prefix, key % width)
-            if slot < row:  # else right of every query above the strip: uncovered
-                cells[slot + 1] = cells.get(slot + 1, 0) + sums[key]
-                retained += counts[key]
-        if cells:
-            per_row[row - 1] = tuple(sorted(cells.items()))
-    return tuple(per_row), retained, counts.total()
+        _find_cells(set(keys).difference(cell_of), ranks, blocks, cell_of)
+        cells = list(map(cell_of.__getitem__, keys))
+        count += len(cells)
+        uncovered += cells.count(0)
+        for cell, w in zip(cells, ws):
+            sums[cell] = get(cell, 0) + w
+    sums.pop(0, None)
+    per_row: list[tuple[tuple[int, float], ...]] = [()] * (width - 1)
+    for row, group in groupby(sorted(sums), key=lambda cell: cell // width):
+        per_row[row - 1] = tuple((cell % width, sums[cell]) for cell in group)
+    return tuple(per_row), count - uncovered, count
 
 
 def _grid(per_row, retained: int, stair) -> CellGrid:

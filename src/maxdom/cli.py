@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -41,18 +42,14 @@ def _peak_rss_mb(children: bool = False) -> float | None:
 
     This process's, from ``VmHWM`` in ``/proc/self/status`` where that
     exists, since Linux's ``ru_maxrss`` keeps the peak of the process that
-    exec'd this one; elsewhere from ``getrusage``.  With ``children``, the
-    largest of its reaped child processes' peaks (0 if none), from
-    ``getrusage``.
+    exec'd this one, and else from ``getrusage``; with ``children``, the
+    largest of its reaped child processes' (0 if none), from ``getrusage``.
     """
     if not children:
-        try:
-            with open("/proc/self/status") as status:
-                for line in status:
-                    if line.startswith("VmHWM:"):
-                        return round(int(line.split()[1]) / 1024, 1)  # in kB
-        except OSError:
-            pass
+        with suppress(OSError), open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 1)  # in kB
     if resource is None:
         return None
     who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF

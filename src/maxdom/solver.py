@@ -2,15 +2,15 @@
 
 The pipeline sums the ground points into the cells of the covered region
 straight from the instance's point columns (``cells.build_grid``), turns the
-nonzero cells into per-strip rows and runs the DP on them.  The n-side is
-thus two bisects a point, O(n log m), that build no per-point object; the
-cell sums are themselves the compressed ground set, so nothing is compressed
-or gridded a second time.  ``solve_reference`` reaches the same cell sums the
-ranked way (rank every point, drop the uncovered ones, grid in rank space)
-and runs the same DP; ``verify`` and the tests compare the pipeline against
-it.  ``maxdom solve`` of a large all-integer file parses and grids its point
-lines in parts, one process per CPU (``grid_parts``), and hands the parts'
-cells to the same pipeline, which adds them in its grid stage.
+nonzero cells into per-strip rows and runs the DP on them.  The n-side is thus
+two bisects and a lookup a point, O(n log m), that build no per-point object;
+the cell sums are themselves the compressed ground set, so nothing is
+compressed or gridded a second time.  ``solve_reference`` reaches the same cell
+sums the ranked way (rank every point, drop the uncovered ones, grid in rank
+space) and runs the same DP; ``verify`` and the tests compare the pipeline
+against it.  ``maxdom solve`` of a large all-integer file parses and grids its
+point lines in parts, one process per CPU (``grid_parts``), and hands the
+parts' cells to the same pipeline, which adds them in its grid stage.
 
 The DP takes any instance, ranked or not: it walks the queries in the
 staircase order of ``ranking.y_sorted_queries``, sorted once per solve by

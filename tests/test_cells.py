@@ -12,7 +12,14 @@ from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform
 from maxdom.solver import solve_pipeline, solve_reference
 
-from util import assign_cells, random_instance, same_dominators_check, small_instances, tie_instances
+from util import (
+    assign_cells,
+    random_instance,
+    reference_grid,
+    same_dominators_check,
+    small_instances,
+    tie_instances,
+)
 
 
 def ranked(inst):
@@ -180,20 +187,40 @@ def test_one_pass_cells_equal_ranked_reference(inst):
     assert repr(a.value) == repr(b.value) and a.chosen == b.chosen
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(tie_instances(), small_instances(), gridding_instances()))
+def test_grid_equals_brute_force_reference(inst):
+    # cells, rows and retained count against a point-by-point brute force
+    # that adds each cell's weights in input order: float sums bit for bit
+    got, ref = build_grid(inst), reference_grid(inst)
+    assert got == ref
+    assert repr(sorted(got.cells.items())) == repr(sorted(ref.cells.items()))
+    assert repr(got.per_row) == repr(ref.per_row)
+
+
+def test_a_cells_float_weights_add_in_file_order():
+    # x = 3 and x = 7 lie either side of the low query's x but in one cell
+    # below the top query: the cell holds (0.1 + 0.1) + 1.1 = 1.3, not the
+    # sums by x-rank added up, 0.1 + (0.1 + 1.1) = 1.3000000000000003
+    inst = Instance.from_rows([(3, 5, 0.1), (7, 5, 0.1), (3, 5, 1.1)], [(10, 10), (5, 2)], 1)
+    assert build_grid(inst).cells == reference_grid(inst).cells == {CellKey(1, 1): 1.3}
+
+
 @settings(deadline=None, max_examples=100)
 @given(tie_instances(), st.integers(1, 7))
 def test_cells_summed_by_key_equal_the_grid(inst, size):
-    # int weights: the sums by strip and x-rank equal the input-order ones
+    # batches of any size give the brute-force grid's cells and count
     P = inst.P
     batches = [(P.xs[i : i + size], P.ys[i : i + size], P.ws[i : i + size]) for i in range(0, inst.n, size)]
-    grid = build_grid(inst)
-    assert sum_batches(inst, batches) == (grid.per_row, grid.retained, inst.n)
+    ref = reference_grid(inst)
+    assert sum_batches(inst, batches) == (ref.per_row, ref.retained, inst.n)
+    assert build_grid(inst) == ref
     assert sum_batches(inst, []) == (((),) * inst.m, 0, 0)
 
 
 def test_tall_staircase_over_few_points_equals_ranked_reference():
-    # 100,000 queries and five points: the query x-prefix is merged at the
-    # five strips that hold points instead of grown one query at a time
+    # 100,000 queries and five points: each point's cell is read off at most
+    # 17 sorted blocks of query x-ranks, made for the five keys alone
     m = 100_000
     inst = Instance.from_rows(
         [(i, 3 * i, i + 1) for i in range(5)], [(i, m - i) for i in range(m)], 4

@@ -288,13 +288,13 @@ def test_dp_pairs_are_counted_in_the_reconstruct_stage(monkeypatch, tiny):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
 def test_solve_reports_its_own_peak_not_its_starters(tiny):
     # Linux keeps ru_maxrss across exec: a solve started by a process that
-    # touched 300 MB would report that process's peak as its own.
+    # touched 150 MB would report that process's peak as its own.
     path, _ = tiny
     src = str(Path(maxdom.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     starter = (
         "import subprocess, sys\n"
-        "held = b'x' * (300 << 20)\n"
+        "held = b'x' * (150 << 20)\n"
         "subprocess.run([sys.executable, '-m', 'maxdom', 'solve', sys.argv[1]], check=True)\n"
     )
     out = subprocess.run(

@@ -26,7 +26,7 @@ from maxdom.instances import FAMILIES, GeneratorSpec, generate, parse, serialize
 from maxdom.solver import grid_parts, run_pipeline
 
 from test_instances import MALFORMED
-from util import tie_instances
+from util import reference_grid, tie_instances
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -104,6 +104,7 @@ def test_split_grid_and_record_equal_the_plain_ones(tmp_path_factory, case):
     path.write_bytes(text.encode())
     inst = parse(path)
     grid = build_grid(inst)
+    assert grid == reference_grid(inst)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(instances, "SPLIT_MIN_BYTES", 0)
         for parts in range(1, 5):
@@ -128,6 +129,7 @@ def test_split_grid_with_ties_equals_the_plain_one(tmp_path_factory, inst):
     path = tmp_path_factory.getbasetemp() / "ties.txt"
     serialize(inst, path)
     grid = build_grid(parse(path))
+    assert grid == reference_grid(inst)
     forks, fork = [], os.fork
 
     def counted_fork():

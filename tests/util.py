@@ -47,6 +47,12 @@ def tie_instances(draw):
     return Instance.from_rows(P, Q, draw(st.integers(0, m)))
 
 
+def _brute_row_slot(inst: Instance, p) -> tuple[int, int]:
+    """``(row, slot)`` of point ``p``: the queries at or above it, and those of them strictly left of it."""
+    above = [q for q in inst.Q if q.y >= p.y]
+    return len(above), sum(1 for q in above if q.x < p.x)
+
+
 def assign_cells(inst: Instance) -> list[CellKey]:
     """Cell key for every ground point, by brute force; requires drop_uncovered beforehand.
 
@@ -55,12 +61,31 @@ def assign_cells(inst: Instance) -> list[CellKey]:
     """
     keys: list[CellKey] = []
     for p in inst.P:
-        above = [q for q in inst.Q if q.y >= p.y]
-        slot = sum(1 for q in above if q.x < p.x)
-        if slot == len(above):
+        row, slot = _brute_row_slot(inst, p)
+        if slot == row:
             raise ValueError("point covered by no query; run drop_uncovered first")
-        keys.append(CellKey(len(above), slot + 1))
+        keys.append(CellKey(row, slot + 1))
     return keys
+
+
+def reference_grid(inst: Instance) -> CellGrid:
+    """The cell grid by brute force: each covered point's weight added to its cell in input order.
+
+    Uncovered points are skipped, so any instance will do; ``stair`` is left
+    empty, as it is not compared.
+    """
+    cells: dict[CellKey, float] = {}
+    retained = 0
+    for p in inst.P:
+        row, slot = _brute_row_slot(inst, p)
+        if slot < row:
+            key = CellKey(row, slot + 1)
+            cells[key] = cells.get(key, 0) + p.w
+            retained += 1
+    per_row = tuple(
+        tuple((col, w) for (r, col), w in sorted(cells.items()) if r == row) for row in range(1, inst.m + 1)
+    )
+    return CellGrid(inst.m, cells, per_row, retained)
 
 
 def same_dominators_check(grid: CellGrid, inst: Instance, max_work: int = 10**6) -> bool:
