@@ -6,8 +6,8 @@ For each shape it grids one ``uniform`` instance and times ``dp_layers``
 (the simple DP) at the shape's k and the segment tree's tables at every k of
 ``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``.  The tree is
 timed as ``tree_layers`` without its picks (``_tree_preds``), since its
-constants price the tree walks only; the x-ranks and the int cells are kept
-on the row sums after the first repetition, and the shapes' weights
+constants price the tree walks only; the x-ranks and the cells' total are
+kept on the row sums after the first repetition, and the shapes' weights
 (-10..10) fit one-word fields.  Each time is divided by
 the engine's unit count from ``solver._estimates``: k * m^2 for the sweep
 and P = (c + 2m) * ceil(log2(m + 1)) node visits for the tree.  The median
@@ -47,8 +47,8 @@ TREE_KS = (1, 2, 4, 8, 16, 32)
 def tree_tables(inst, row_sums):
     """``tree_layers``' tables without its picks: the work the tree's constants price."""
     qx = row_sums.qx
-    cells, _scale, total = row_sums.int_cells
-    tables, _corner = _tree_tables(qx, _strip_adds(qx, cells), min(inst.k, inst.m), total)
+    adds = _strip_adds(qx, row_sums.rows)
+    tables, _corner = _tree_tables(qx, adds, min(inst.k, inst.m), row_sums.total)
     return tables
 
 

@@ -7,26 +7,26 @@ exactly the same set of queries, so for every pick set the cell's total
 weight stands for all of its points: the non-empty cells are the compressed
 ground set, with at most min(n, m^2) entries.
 
-``build_grid`` sums the cells over slices of the point columns and
-``sum_batches`` over batches of parsed points that are not kept; both run
-``_sum_cells``, which adds each cell's weights in input order.  An instance
-gridded in its own coordinates, as the solve path does, and its
-rank-normalized form, as the reference path grids, give the same cells and
-sums, float ones too, since a point's key counts the queries strictly below
-or left of it, which the rank transform preserves.  ``cell_boxes`` and
-``compress`` read cell corners off the query coordinates, so they take a
-rank-normalized instance; they serve ``maxdom compress`` and rendering.
+``build_grid`` sums the points' int weights (``PointColumns.int_weights``)
+over slices of the point columns, and ``sum_batches`` over batches of parsed
+points that are not kept; both run ``_sum_cells``.  An instance gridded in
+its own coordinates and its rank-normalized form give the same cells and
+sums, since a point's key counts the queries strictly below or left of it,
+which the rank transform preserves.  ``cell_boxes`` and ``compress`` read
+cell corners off the query coordinates, so they take a rank-normalized
+instance; they serve ``maxdom compress`` and rendering.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import add, mul
 from typing import NamedTuple
 
-from .model import Instance, QueryPoint, WeightedPoint
+from .model import Instance, QueryPoint, WeightedPoint, exact
 from .ranking import y_sorted_queries
 
 _SLICE = 4096  # points ``build_grid`` keys at a time: bounds its memory whatever n is
@@ -42,9 +42,10 @@ class CellGrid:
     """Sparse per-cell weight totals; zero-weight non-empty cells are kept."""
 
     m: int
-    cells: dict[CellKey, float]
-    per_row: tuple[tuple[tuple[int, float], ...], ...]  # per_row[i-1]: (col, weight), col-sorted
+    cells: dict[CellKey, int]
+    per_row: tuple[tuple[tuple[int, int], ...], ...]  # per_row[i-1]: (col, weight), col-sorted
     retained: int = 0  # ground points summed into the cells
+    scale: int = 1  # a cell holds its points' weights summed times this (``PointColumns.int_weights``)
     # The queries by staircase position (``y_sorted_queries``), in the gridded
     # instance's own coordinates; strip i lies below stair[i - 1].  Sorted once
     # here for the whole solve.  Not part of the cells, so not compared.
@@ -75,104 +76,86 @@ def _merge_into(prefix: list, new) -> None:
         prefix.sort()
 
 
-def _find_cells(keys, ranks: list, blocks: list, cell_of: dict) -> None:
-    """Set ``cell_of[key]`` for each of ``keys`` to its cell's ``row * (m + 1) + col``, or 0 if uncovered.
-
-    Key ``strip * (m + 1) + xrank`` (``_sum_cells``) lies in row
-    ``m - strip``, and its slot counts the ``row`` highest queries whose
-    x-rank (``ranks``, in staircase order) is below ``xrank``: those left of
-    the point, all ``row`` of them where it is uncovered.  The count adds up
-    bisects of at most log2(m) + 1 blocks of a Fenwick tree, ``blocks[i]``
-    being ``ranks[i - (i & -i) : i]`` sorted, made at its first use and kept
-    for later calls: O(log^2 m) a key however tall the staircase, and
-    O(m log m) values in all.
-    """
-    width = len(ranks) + 1
-    for key in keys:
-        strip, xrank = divmod(key, width)
-        row = i = width - 1 - strip
-        slot = 0
-        while i:
-            block = blocks[i]
-            if block is None:
-                block = blocks[i] = sorted(ranks[i - (i & -i) : i])
-            slot += bisect_left(block, xrank)
-            i &= i - 1
-        cell_of[key] = row * width + slot + 1 if slot < row else 0
-
-
 def _sum_cells(stair, batches) -> tuple[tuple, int, int]:
-    """``(per_row, retained, count)`` of the ``(xs, ys, ws)`` point batches under the staircase ``stair``.
+    """``(per_row, retained, count)`` of ``(xs, ys, ws)`` batches of int-weight points under ``stair``.
 
-    ``count`` is how many points the batches hold.  A point's key is
-    ``strip * (m + 1) + xrank``, the query y-values below it and x-values
-    left of it, in two C-level bisect maps a batch.  The keys a batch is the
-    first to hold are mapped to their cells (``_find_cells``), and each
-    point's weight is added to its cell's sum in input order, so that a
-    float sum is that of its points in file order.  Only O(min(n, m^2)) keys
-    and cells are held, however many points there are.
+    ``count`` is how many points the batches hold.  Each point is keyed by
+    its strip, the number of query y-values below it, and its x-rank, the
+    number of query x-values left of it: ``strip * (m + 1) + xrank``, two
+    C-level bisect maps a batch.  Only each key's weight sum and point count
+    are kept, O(min(n, m^2)) entries however many points there are; int sums
+    do not depend on the order of the points.  At the end the keys are walked
+    strip by strip: a query lies left of a point exactly when its own x-rank
+    is below the point's, so a key's slot is a bisect of the x-ranks of the
+    queries above the strip, brought up to date only at strips with keys.
     """
-    width = len(stair) + 1
+    m = len(stair)
     ys_asc = [q.y for q in reversed(stair)]
     xs_asc = sorted(q.x for q in stair)
-    ranks = [bisect_left(xs_asc, q.x) for q in stair]
-    blocks: list = [None] * width
-    cell_of: dict[int, int] = {}
-    sums: dict[int, float] = {}
+    width = m + 1
+    sums: dict[int, int] = {}
     get = sums.get
-    count = uncovered = 0
+    counts: Counter = Counter()
     for xs, ys, ws in batches:
         strips = map(bisect_left, repeat(ys_asc), ys)
         keys = list(map(add, map(mul, strips, repeat(width)), map(bisect_left, repeat(xs_asc), xs)))
-        _find_cells(set(keys).difference(cell_of), ranks, blocks, cell_of)
-        cells = list(map(cell_of.__getitem__, keys))
-        count += len(cells)
-        uncovered += cells.count(0)
-        for cell, w in zip(cells, ws):
-            sums[cell] = get(cell, 0) + w
-    sums.pop(0, None)
-    per_row: list[tuple[tuple[int, float], ...]] = [()] * (width - 1)
-    for row, group in groupby(sorted(sums), key=lambda cell: cell // width):
-        per_row[row - 1] = tuple((cell % width, sums[cell]) for cell in group)
-    return tuple(per_row), count - uncovered, count
+        counts.update(keys)
+        for key, w in zip(keys, ws):
+            sums[key] = get(key, 0) + w
+    stair_ranks = [bisect_left(xs_asc, q.x) for q in stair]
+    per_row: list[tuple[tuple[int, int], ...]] = [()] * m
+    retained = 0
+    prefix: list = []  # x-ranks of the ``done`` highest queries, sorted
+    done = 0
+    for strip, keys in groupby(sorted(sums, reverse=True), key=lambda key: key // width):
+        row = m - strip
+        _merge_into(prefix, stair_ranks[done:row])
+        done = row
+        cells: dict[int, int] = {}
+        for key in keys:
+            slot = bisect_left(prefix, key % width)
+            if slot < row:  # else right of every query above the strip: uncovered
+                cells[slot + 1] = cells.get(slot + 1, 0) + sums[key]
+                retained += counts[key]
+        if cells:
+            per_row[row - 1] = tuple(sorted(cells.items()))
+    return tuple(per_row), retained, counts.total()
 
 
-def _grid(per_row, retained: int, stair) -> CellGrid:
+def _grid(per_row, retained: int, stair, scale: int = 1) -> CellGrid:
     """The ``CellGrid`` of the per-strip cells ``per_row`` under the staircase ``stair``."""
     cells = {CellKey(i, col): w for i, row in enumerate(per_row, 1) for col, w in row}
-    return CellGrid(len(stair), cells, tuple(per_row), retained, stair)
+    return CellGrid(len(stair), cells, tuple(per_row), retained, scale, stair)
 
 
 def build_grid(inst: Instance) -> CellGrid:
-    """Sum point weights per cell, ``_SLICE`` points at a time, skipping uncovered points.
+    """Sum ``inst.P.int_weights()`` per cell, ``_SLICE`` points at a time, skipping uncovered points.
 
     The cells and their sums are those of ``inst``'s ranked form, whichever
     coordinates it is given in.
     """
     stair = y_sorted_queries(inst)
-    cols = (inst.P.xs, inst.P.ys, inst.P.ws)
+    ws, scale = inst.P.int_weights()
+    cols = (inst.P.xs, inst.P.ys, ws)
     batches = ([col[i : i + _SLICE] for col in cols] for i in range(0, inst.n, _SLICE))
     per_row, retained, _count = _sum_cells(stair, batches)
-    return _grid(per_row, retained, stair)
+    return _grid(per_row, retained, stair, scale)
 
 
 def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
-    """``(per_row, retained, count)`` of ``build_grid`` over ``(xs, ys, ws)`` point batches, which are not kept."""
+    """``(per_row, retained, count)`` of ``build_grid`` over ``(xs, ys, ws)`` int-weight batches, not kept."""
     return _sum_cells(y_sorted_queries(queries), batches)
 
 
 def add_parts(inst: Instance, parts) -> CellGrid:
     """The grid of ``inst``'s queries over a ground set in parts, from each part's ``(per_row, retained)``.
 
-    ``parts`` holds those two fields of ``build_grid`` or ``sum_batches``
-    over each part of the points.  A cell is non-empty if it is in any part
-    and holds the sum of the parts' weights, added in the order of
-    ``parts``; the result equals ``build_grid`` of all the points exactly
-    where those sums are exact, as on int weights.
+    ``parts`` holds those two fields of ``sum_batches`` over each part of
+    the int-weight points; the result equals ``build_grid`` of all of them.
     """
     per_row = []
     for rows in zip(*(part_rows for part_rows, _ in parts)):
-        sums: dict[int, float] = {}
+        sums: dict[int, int] = {}
         get = sums.get
         for row in rows:
             for col, w in row:
@@ -186,7 +169,7 @@ def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
     """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance."""
     qs = y_sorted_queries(rinst)
     boxes: dict[CellKey, tuple] = {}
-    xs_prefix: list[float] = []  # x-values of the ``done`` highest queries, sorted
+    xs_prefix: list = []  # x-values of the ``done`` highest queries, sorted
     done = 0
     for i in range(1, grid.m + 1):
         row = grid.per_row[i - 1]
@@ -207,8 +190,9 @@ def compress(grid: CellGrid, rinst: Instance) -> CompressedP:
 
     Representatives sit one unit up-right of the cell's lower-left corner, so
     they keep odd coordinates and are covered by exactly the queries that
-    cover the cell.  For every subset of queries, the covered representatives
-    carry exactly the weight of the covered original points.
+    cover the cell, and carry the cell's total divided by the grid's scale
+    (``model.exact``): for every subset of queries, the covered
+    representatives carry exactly the weight of the covered original points.
     """
     boxes = cell_boxes(grid, rinst)
     points: list[WeightedPoint] = []
@@ -218,6 +202,6 @@ def compress(grid: CellGrid, rinst: Instance) -> CompressedP:
         if w == 0:
             continue
         x_lo, y_lo, _x_hi, _y_hi = boxes[key]
-        points.append(WeightedPoint(x_lo + 1, y_lo + 1, w))
+        points.append(WeightedPoint(x_lo + 1, y_lo + 1, exact(w, grid.scale)))
         provenance.append(key)
     return CompressedP(tuple(points), tuple(provenance))

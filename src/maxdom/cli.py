@@ -1,4 +1,8 @@
-"""Command-line front door: solve, verify, compress, generate, bench, render."""
+"""Command-line front door: solve, verify, compress, generate, bench, render.
+
+Every record is one line of JSON, with each value that is not an int written
+as a JSON number of its exact decimal expansion (``_dumps``).
+"""
 
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ except ImportError:  # not on every platform
 
 from . import bench as bench_mod
 from .cells import build_grid, compress
-from .instances import FAMILIES, GeneratorSpec, generate, parse, serialize_text
+from .instances import FAMILIES, GeneratorSpec, decimal_text, generate, parse, serialize_text
 from .model import Instance, weight_of_dom
 from .oracle import oracle_solve
 from .ranking import drop_uncovered, rank_transform
@@ -31,6 +35,16 @@ def _load(args) -> Instance:
     if getattr(args, "k", None) is not None:
         inst = replace(inst, k=args.k)
     return inst
+
+
+_MARK = "\0"  # stands in for a non-int value in ``_dumps``; no other string in a record holds it
+
+
+def _dumps(record: dict) -> str:
+    """``json.dumps(record)``, with each non-int value, such as a ``Fraction``, as its exact decimal text."""
+    texts = []  # the values' texts, in the order json meets them
+    text = json.dumps(record, default=lambda v: texts.append(decimal_text(v)) or _MARK)
+    return "".join(p + t for p, t in zip(text.split(json.dumps(_MARK)), [*texts, ""]))
 
 
 def _ints(text: str) -> list[int]:
@@ -102,7 +116,7 @@ def cmd_solve(args) -> int:
         "peak_rss_mb": _peak_rss_mb(),
         "peak_rss_children_mb": _peak_rss_mb(children=True),
     }
-    print(json.dumps(record))
+    print(_dumps(record))
     return 0
 
 
@@ -122,7 +136,7 @@ def cmd_verify(args) -> int:
         layers = enumerate(zip(sol_dp.layer_values, sol_ref.layer_values))
         record["disagree"] = disagree
         record["first_layer_mismatch"] = next((i for i, (a, b) in layers if a != b), None)
-    print(json.dumps(record))
+    print(_dumps(record))
     return 1 if disagree else 0
 
 

@@ -6,11 +6,10 @@ strictly above the i-th highest query and inside the closed quadrant of the
 j-th highest query.  Cell weights make this incremental: moving the sweep
 from row i to i+1 adds exactly the strip-i cells left of each query, which
 is a prefix of strip i in column order.  Rows store each strip's nonzero
-cells as the grid summed them, so one advance costs time linear in the row
-index plus the row's stored cells, and a full sweep needs only O(m) working
-space beyond the stored cells.  The rows also carry what the DP engines
-derive from them, each computed once per solve on first use: the queries'
-x-ranks by staircase position and the cell weights as exact ints.
+cells as the grid summed them, ints, so one advance costs time linear in
+the row index plus the row's stored cells.  The rows also carry the grid's
+scale and what the DP engines derive from them, each computed once per solve
+on first use: the queries' x-ranks and the cells' absolute total.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 from typing import Sequence
 
 from .cells import CellGrid
@@ -31,8 +29,9 @@ class RowSums:
     """rows[i-1] holds strip i's nonzero cells as (col, weight) pairs, in column order."""
 
     m: int
-    rows: tuple[tuple[tuple[int, float], ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
     stair: tuple[QueryPoint, ...] = field(default=(), compare=False, repr=False)  # ``CellGrid.stair``
+    scale: int = 1  # ``CellGrid.scale``
 
     # What the DP engines derive from the staircase and the rows, computed on
     # first use and kept for the rest of the solve; not fields, so not compared.
@@ -48,35 +47,15 @@ class RowSums:
         return [0, *ranks, 2 * len(stair) + 2]
 
     @cached_property
-    def int_cells(self):
-        """``(cells, scale, total)``: the nonzero cells with int weights (``_int_cells``)."""
-        return _int_cells(self.rows)
-
-
-def _int_cells(rows):
-    """Per strip, its nonzero cells as ``(col, weight)`` pairs with int weights; their scale and total.
-
-    Rows of int weights are returned as they are, and the scale is
-    ``None``.  Otherwise each weight is multiplied by the least common
-    denominator of the weights' ``as_integer_ratio()``, which is exact, and
-    that denominator is the scale: a sum of the scaled weights divided by it
-    is the exact sum, correctly rounded.  The total is the sum of the int
-    weights' absolute values.
-    """
-    ws = [w for strip in rows for _, w in strip]
-    if all(type(w) is int for w in ws):
-        return rows, None, sum(map(abs, ws))
-    ratios = [w.as_integer_ratio() for w in ws]
-    scale = lcm(*(den for _, den in ratios))
-    it = iter(ratios)
-    cells = [[(col, num * (scale // den)) for (col, _), (num, den) in zip(strip, it)] for strip in rows]
-    return cells, scale, sum(abs(w) for strip in cells for _, w in strip)
+    def total(self) -> int:
+        """The sum of the cells' absolute weights, which bounds the tree's fields."""
+        return sum(abs(w) for strip in self.rows for _, w in strip)
 
 
 def build_row_sums(grid: CellGrid) -> RowSums:
     """Each strip's cells as the grid summed them; zero-weight cells add nothing and are not stored."""
     rows = tuple(tuple([cell for cell in items if cell[1] != 0]) for items in grid.per_row)
-    return RowSums(grid.m, rows, grid.stair)
+    return RowSums(grid.m, rows, grid.stair, grid.scale)
 
 
 class CoverageSweep:
@@ -88,11 +67,11 @@ class CoverageSweep:
     share mid-sweep between threads.
     """
 
-    def __init__(self, row_sums: RowSums, x_by_pos: Sequence[float]):
+    def __init__(self, row_sums: RowSums, x_by_pos: Sequence):
         self.m = row_sums.m
         self.row_sums = row_sums
         self.current = 1
-        self.cov: list[float] = [0] * (self.m + 2)
+        self.cov: list[int] = [0] * (self.m + 2)
         self._x_by_pos = x_by_pos
         self._pi = [1]
         self._xs = [x_by_pos[1]]

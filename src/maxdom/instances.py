@@ -7,20 +7,18 @@ File format (decimal numbers, whitespace separated)::
     x y w      <- n ground-point lines
     x y        <- m query lines; ids are assigned in file order
 
-Integer instances round-trip byte-exactly; float coordinates round-trip
-through shortest-exact decimal rendering.
+Every number is read exactly (``_number``): an integer token as an ``int``,
+any other finite number, such as ``0.07`` or ``25e-2``, as a ``Decimal``.
+Integer instances round-trip byte-exactly, and a float is written as its
+shortest round-trip text, which reads back as exactly that decimal.
 
-The parser streams the file: it reads 64 KiB of text at a time
-(``_CHUNK``), cuts it after the last newline and converts its point lines a
-batch at a time (``_batches``) straight into the x, y and w columns of
-``model.PointColumns``.  Each column starts as an int64 ``array('q')`` and
-takes whole converted batches; the first batch it cannot take (a float, or
-an int beyond int64) turns that column alone into a list.  The parser holds
-one chunk and one batch, never the whole text, a string per line or an
-``int`` object per value, so on an all-integer file its peak memory is the
-finished instance, 8 bytes a value, plus that working set.  The generators
-build the same columns and the serializer writes from them, so none of the
-three builds a per-point object.
+The parser streams the file (``parse``), converting its point lines a batch
+at a time (``_batches``) straight into the columns of ``model.PointColumns``.
+Each column starts as an int64 ``array('q')`` and takes whole converted
+batches; the first batch it cannot take (a decimal, or an int beyond int64)
+turns that column alone into a list.  The generators build the same columns
+and the serializer writes from them, so none of the three builds a
+per-point object.
 
 ``point_ranges`` and ``point_batches`` let ``maxdom solve`` parse a large
 file's point lines in parts: the header and the queries are read from the
@@ -38,7 +36,7 @@ import codecs
 import os
 from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -67,7 +65,19 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _number(token: str, line_no: int) -> float:
+@cache
+def _decimal():
+    """``decimal.Decimal``, imported on first use, so that an all-int file never loads the module."""
+    from decimal import Decimal
+    return Decimal
+
+
+def _number(token: str, line_no: int):
+    """``token`` as an int, or else exactly as a ``Decimal`` where ``float`` reads it as a finite number.
+
+    A nonzero token that ``float`` rounds to 0 is refused: read exactly,
+    ``1e-99999999`` would scale the weights by 10**99999999.
+    """
     try:
         return int(token)
     except ValueError:
@@ -78,7 +88,10 @@ def _number(token: str, line_no: int) -> float:
         raise ParseError(line_no, f"not a number: {token!r}") from None
     if not isfinite(value):
         raise ParseError(line_no, f"non-finite number: {token!r}")
-    return value
+    number = _decimal()(token)
+    if number and not value:
+        raise ParseError(line_no, f"nonzero number too small for a float: {token!r}")
+    return number
 
 
 def _int(token: str, line_no: int, what: str) -> int:
@@ -267,7 +280,7 @@ def parse(path) -> Instance:
     straight into the x, y and w columns.  So the parser never holds the
     file text or a string per line beside the columns: its peak is the
     finished instance plus one chunk and one batch, and, for a column that
-    a float or a beyond-int64 value made a list, that list.  Values and
+    a decimal or a beyond-int64 value made a list, that list.  Values and
     ``ParseError``s are those of parsing the whole text at once.
     """
     with open(path) as f:
@@ -368,16 +381,36 @@ def point_batches(path, start: int, stop: int) -> Iterator[tuple[list, list, lis
             yield from _batches(data, line_nos, len(data))
 
 
+def decimal_text(value) -> str:
+    """The exact decimal text of ``value``, as a solve of a parsed file reports it; ``ValueError`` for 1/3."""
+    num, den = value.as_integer_ratio()
+    places = den.bit_length()  # 10**places is a multiple of any 2**a * 5**b up to den
+    whole, rest = divmod(abs(num) * 10**places, den)
+    if rest:
+        raise ValueError(f"{value} has no finite decimal expansion")
+    digits = str(_decimal()(whole)).rjust(places + 1, "0")  # ``str`` of an int stops at 4,300 digits
+    text = f"{digits[:-places]}.{digits[-places:]}".rstrip("0").rstrip(".")
+    return "-" + text if num < 0 else text
+
+
+def _text(value) -> str:
+    """``str(value)``, but a ``Fraction``'s exact decimal text, which ``parse`` reads back."""
+    text = str(value)
+    return decimal_text(value) if "/" in text else text
+
+
 def serialize_text(inst: Instance) -> str:
     """The instance file of ``inst``, written from its point columns.
 
     Numbers are written with ``str``, which for a float is its shortest
-    round-trip representation.
+    round-trip representation; a ``Fraction``, such as a weight of
+    ``cells.compress``, is written as its exact decimal text.
     """
     P = inst.P
+    cols = [col if type(col) is array else list(map(_text, col)) for col in (P.xs, P.ys, P.ws)]
     lines = [f"{inst.n} {inst.m} {inst.k}"]
-    lines.extend(map("{} {} {}".format, P.xs, P.ys, P.ws))
-    lines.extend(f"{q.x} {q.y}" for q in inst.Q)
+    lines.extend(map("{} {} {}".format, *cols))
+    lines.extend(f"{_text(q.x)} {_text(q.y)}" for q in inst.Q)
     return "\n".join(lines) + "\n"
 
 

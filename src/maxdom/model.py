@@ -6,15 +6,14 @@ query covers it, and it counts exactly once no matter how many chosen queries
 cover it.  An empty cover has weight zero.  Weights may be negative.
 
 This module owns the ground-set format.  An ``Instance`` holds its points as
-``PointColumns``: three parallel columns of x, y and w values, which the
-parser, the generators, the serializer and the cell grid read directly, so a
-solve builds no per-point object, and neither does the ranked reference
-solve.  A column whose values are all ints that fit in 64 bits is an
-``array('q')``, 8 bytes a value; any other column is a tuple, so floats,
-mixed columns and larger ints keep their values and types.  ``Instance.P``
-still reads as a sequence of ``WeightedPoint`` for the oracle,
-``weight_of_dom`` and rendering; those objects are built on first per-point
-access and cached.
+``PointColumns``: three parallel columns of x, y and w values, which every
+stage reads directly, so no solve builds a per-point object.  A column of
+ints that fit in 64 bits is an ``array('q')``; any other column (``Decimal``s
+from a file, library floats or ``Fraction``s, larger ints) is a tuple.
+
+Weights are summed exactly: ``PointColumns.int_weights`` scales them once by
+their least common denominator, every stage that sums weights adds those
+ints, and only a reported value is divided by the scale (``exact``).
 
 All types are immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
@@ -25,48 +24,51 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import fsum, isfinite, nan
-from sys import float_info
-from typing import Iterable
+from functools import cache
+from math import inf, lcm, nan
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:  # a file gives ints and Decimals; library callers may pass floats and Fractions too
+    from decimal import Decimal
+    from fractions import Fraction
+
+
+@cache
+def _fraction():
+    """``fractions.Fraction``, imported on first use, so that a process that only sums ints never loads it."""
+    from fractions import Fraction
+    return Fraction
+
+
+def exact(num: int, scale: int) -> int | Fraction:
+    """``num / scale`` exactly: ``num`` itself where ``scale`` is 1, else a ``Fraction``."""
+    return num if scale == 1 else _fraction()(num, scale)
 
 
 def _finite(v) -> bool:
-    """False for a nan or an infinity; an int is always finite and is never converted to float."""
-    return isinstance(v, int) or isfinite(v)
+    """False for a nan or an infinity of any type; no value is converted to float."""
+    return v == v and abs(v) != inf
 
 
 @dataclass(frozen=True, slots=True)
 class WeightedPoint:
     """A ground-set point carrying a (possibly negative) weight."""
 
-    x: float
-    y: float
-    w: float
+    x: int | float | Decimal | Fraction
+    y: int | float | Decimal | Fraction
+    w: int | float | Decimal | Fraction
 
     def __post_init__(self) -> None:
         if not (_finite(self.x) and _finite(self.y) and _finite(self.w)):
             raise ValueError(f"non-finite weighted point ({self.x}, {self.y}, {self.w})")
 
 
-# The slots of a ``WeightedPoint``, set directly by ``_checked_point``.
-_SET_X, _SET_Y, _SET_W = WeightedPoint.x.__set__, WeightedPoint.y.__set__, WeightedPoint.w.__set__
-
-
-def _checked_point(x, y, w) -> WeightedPoint:
-    """``WeightedPoint(x, y, w)`` of values already checked finite, built without checking them again."""
-    point = object.__new__(WeightedPoint)
-    _SET_X(point, x)
-    _SET_Y(point, y)
-    _SET_W(point, w)
-    return point
-
-
 @dataclass(frozen=True, slots=True)
 class QueryPoint:
     """A candidate pick; ``id`` is its stable index in the input order."""
 
-    x: float
-    y: float
+    x: int | float | Decimal | Fraction
+    y: int | float | Decimal | Fraction
     id: int
 
     def __post_init__(self) -> None:
@@ -90,11 +92,11 @@ def _column(values):
         return tuple(values)
 
 
-def _sum(values, add=sum):
-    """``add(values)``, or nan on overflow: a float beside an int beyond the float range, or ``fsum`` past it."""
+def _sum(values):
+    """``sum(values)``, or nan where it raises: a float beside a ``Decimal`` or a huge int."""
     try:
-        return add(values)
-    except OverflowError:
+        return sum(values)
+    except (ArithmeticError, TypeError):
         return nan
 
 
@@ -107,12 +109,10 @@ class PointColumns(Sequence):
     Reads as an immutable sequence of ``WeightedPoint`` (length, indexing,
     iteration, equality with any sequence of points).  The point objects are
     built once, on the first per-point access, and cached; code that reads
-    the columns never builds them.  Every value must be finite, and where a
-    weight is a float, the weights' absolute total must be below half the
-    float maximum, so that no float sum of them overflows.
+    the columns never builds them.  Every value must be finite.
     """
 
-    __slots__ = ("xs", "ys", "ws", "_points")
+    __slots__ = ("xs", "ys", "ws", "_points", "_int_weights")
 
     def __init__(self, xs: Iterable, ys: Iterable, ws: Iterable):
         xs, ys, ws = _column(xs), _column(ys), _column(ws)
@@ -124,11 +124,9 @@ class PointColumns(Sequence):
             for x, y, w in zip(xs, ys, ws):
                 if not (_finite(x) and _finite(y) and _finite(w)):
                     raise ValueError(f"non-finite weighted point ({x}, {y}, {w})")
-        limit = float_info.max / 2  # only all-int weights, whose sum is an int, skip the float check
-        if not isinstance(sums[2], int) and not _sum(map(abs, ws), fsum) < limit:
-            raise ValueError(f"float weights of absolute total at least {limit:.3g}: their sums could overflow")
         self.xs, self.ys, self.ws = xs, ys, ws
         self._points: tuple[WeightedPoint, ...] | None = None
+        self._int_weights: tuple | None = None
 
     @classmethod
     def of(cls, points: Iterable) -> "PointColumns":
@@ -140,11 +138,26 @@ class PointColumns(Sequence):
         cols._points = pts
         return cols
 
+    def int_weights(self) -> tuple:
+        """``(ints, scale)``: the weights times their least common denominator ``scale``, computed once.
+
+        Exact for ints, floats, ``Decimal``s and ``Fraction``s alike
+        (``as_integer_ratio``); a column of ints is returned as it is, scale 1.
+        """
+        if self._int_weights is None:
+            ws = self.ws
+            if type(ws) is array or all(type(w) is int for w in ws):
+                self._int_weights = ws, 1
+            else:
+                ratios = [w.as_integer_ratio() for w in ws]
+                scale = lcm(*[den for _, den in ratios])
+                self._int_weights = [num * (scale // den) for num, den in ratios], scale
+        return self._int_weights
+
     def points(self) -> tuple[WeightedPoint, ...]:
         """The cached ``WeightedPoint`` view, built on first use."""
         if self._points is None:
-            # ``__init__`` has checked every value, so the points skip ``__post_init__``
-            self._points = tuple(map(_checked_point, self.xs, self.ys, self.ws))
+            self._points = tuple(map(WeightedPoint, self.xs, self.ys, self.ws))
         return self._points
 
     def __len__(self) -> int:
@@ -215,17 +228,13 @@ class Instance:
     @staticmethod
     def from_rows(points: Iterable[tuple], queries: Iterable[tuple], k: int) -> "Instance":
         """Build from ``(x, y, w)`` and ``(x, y)`` rows, assigning query ids by position."""
-        xs, ys, ws = [], [], []
-        for x, y, w in points:
-            xs.append(x)
-            ys.append(y)
-            ws.append(w)
+        xs, ys, ws = list(zip(*points)) or ((), (), ())
         return Instance.from_columns(xs, ys, ws, queries, k)
 
 
 @dataclass(frozen=True)
 class Solution:
-    """A feasible pick set (query ids) together with its covered weight.
+    """A feasible pick set (query ids) together with its exact covered weight (``exact``).
 
     ``layer_values`` holds the dynamic program's best value with at most
     1, 2, ..., min(k, m) picks (so its last entry is ``value``); the oracle
@@ -233,8 +242,8 @@ class Solution:
     """
 
     chosen: frozenset[int]
-    value: float
-    layer_values: tuple[float, ...] | None = None
+    value: int | Fraction
+    layer_values: tuple[int | Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chosen", frozenset(self.chosen))
@@ -245,8 +254,8 @@ def dominates_closed(q, p) -> bool:
     return p.x <= q.x and p.y <= q.y
 
 
-def weight_of_dom(points: Sequence[WeightedPoint], chosen: Iterable[QueryPoint]) -> float:
-    """Total weight of the points covered by at least one query in ``chosen``.
+def weight_of_dom(points: Sequence[WeightedPoint], chosen: Iterable[QueryPoint]) -> int | Fraction:
+    """Total weight of the points covered by at least one query in ``chosen``, exactly.
 
     Each covered point contributes once.  Returns 0 when nothing is covered,
     in particular for an empty ``chosen``.
@@ -254,11 +263,17 @@ def weight_of_dom(points: Sequence[WeightedPoint], chosen: Iterable[QueryPoint])
     queries = tuple(chosen)
     if not queries:
         return 0
+    P = PointColumns.of(points)
+    ws, scale = P.int_weights()
+    return exact(covered_total(zip(P.xs, P.ys, ws), queries), scale)
+
+
+def covered_total(points: Iterable[tuple], queries: Sequence[QueryPoint]) -> int:
+    """Sum of the weights of the ``(x, y, w)`` ``points`` that some query in ``queries`` covers, each once."""
     total = 0
-    for p in points:
-        px, py = p.x, p.y
+    for px, py, w in points:
         for q in queries:
             if px <= q.x and py <= q.y:
-                total += p.w
+                total += w
                 break
     return total

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .model import Instance, Solution, weight_of_dom
+from .model import Instance, Solution, covered_total, exact
 
 
 def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
@@ -14,6 +14,8 @@ def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
     Enumeration goes by size and then by id-lexicographic order, and only a
     strict improvement replaces the incumbent, so the reported witness is the
     first maximizer in that order (the empty set when nothing beats zero).
+    Every pick set's weight is summed over the scaled int weights
+    (``PointColumns.int_weights``) and only the best one is divided back.
     Deliberately free of shortcuts so it stays obviously correct; refuses
     instances whose subset count exceeds ``limit``.
     """
@@ -22,10 +24,12 @@ def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
     if total > limit:
         raise ValueError(f"{total} subsets exceed the oracle limit of {limit}")
     queries = sorted(inst.Q, key=lambda q: q.id)
-    best = Solution(frozenset(), 0)
+    ws, scale = inst.P.int_weights()
+    points = list(zip(inst.P.xs, inst.P.ys, ws))
+    best, best_value = frozenset(), 0
     for size in range(1, k + 1):
         for combo in combinations(queries, size):
-            value = weight_of_dom(inst.P, combo)
-            if value > best.value:
-                best = Solution(frozenset(q.id for q in combo), value)
-    return best
+            value = covered_total(points, combo)
+            if value > best_value:
+                best, best_value = frozenset(q.id for q in combo), value
+    return Solution(best, exact(best_value, scale))

@@ -1,48 +1,35 @@
 """Layered dynamic program over the query staircase, plus the full pipeline.
 
-The pipeline sums the ground points into the cells of the covered region
-straight from the instance's point columns (``cells.build_grid``), turns the
-nonzero cells into per-strip rows and runs the DP on them.  The n-side is thus
-two bisects and a lookup a point, O(n log m), that build no per-point object;
-the cell sums are themselves the compressed ground set, so nothing is
-compressed or gridded a second time.  ``solve_reference`` reaches the same cell
-sums the ranked way (rank every point, drop the uncovered ones, grid in rank
-space) and runs the same DP; ``verify`` and the tests compare the pipeline
-against it.  ``maxdom solve`` of a large all-integer file parses and grids its
-point lines in parts, one process per CPU (``grid_parts``), and hands the
-parts' cells to the same pipeline, which adds them in its grid stage.
+The pipeline sums the ground points' int weights into the cells of the
+covered region straight from the instance's point columns
+(``cells.build_grid``), turns the nonzero cells into per-strip rows and runs
+the DP on them: O(n log m) on the n-side, with no per-point object, and the
+cell sums are themselves the compressed ground set.  ``solve_reference``
+reaches the same cell sums the ranked way (rank every point, drop the
+uncovered ones, grid in rank space) and runs the same DP; ``verify`` and the
+tests compare the pipeline against it.  ``maxdom solve`` of a large
+all-integer file parses and grids its point lines in parts, one process per
+CPU (``grid_parts``), and hands the parts' cells to the same pipeline.
 
 The DP takes any instance, ranked or not: it walks the queries in the
-staircase order of ``ranking.y_sorted_queries``, sorted once per solve by
-``build_grid`` and carried on the grid and the row sums (``stair``), and
-compares their x-ranks (``RowSums.qx``, ranked once per solve), ties broken
-by id as in the rank transform.  Layer l computes, for every position i in
-decreasing-y order (sentinel last), the best covered weight achievable with
-at most l picks drawn from the queries in the closed upper-left region of
-position i, measured on the points strictly above position i.  A transition picks the lowest selected query j, whose quadrant
+staircase order (``RowSums.stair``) and compares their x-ranks
+(``RowSums.qx``), ties broken by id as in the rank transform.  Layer l
+computes, for every position i in decreasing-y order, the best covered
+weight achievable with at most l picks drawn from the queries in the closed
+upper-left region of position i, measured on the points strictly above
+position i.  A transition picks the lowest selected query j, whose quadrant
 contributes the sweep's cov(i, j), and inherits the rest from layer l-1 at
 j.  A sentinel position m + 1, right of and below every query, turns its
-entry into the global optimum; it exists only inside the DP and is never
-reported.
+entry into the global optimum; it exists only inside the DP.
 
-Two engines return the same layer tables and picks.  ``dp_layers``, the
-paper's simple algorithm ("sweep"), consumes one fresh coverage sweep per
-layer and scans every pair: O(m^2) time per layer, O(n + m) space plus the
-O(k*m) predecessor links used for reconstruction.  ``tree_layers`` ("tree")
-runs all k layers in one sweep over a segment tree on the x-ranks whose
-nodes keep the sum of their leaves' adds and the best prefix sum over their
-leaves, each as one int that packs one biased field per layer, so that a
-cell's add is a point update and a node merge is a few int operations
-whatever k is: O(k (c + m) log m) time for c nonzero cells.  It runs on int
-weights (``RowSums.int_cells``); other weights are scaled exactly to ints
-and its tables divided back once.  Its picks come from
-``_tree_preds``, which builds only the coverage rows that the optimal walk
-visits, each from prefix sums and the corner sums that the tree's inserts
-record.  ``run_pipeline`` defaults to ``"auto"``, which runs whichever
-engine ``_estimates`` predicts faster from m, k, c and the width of the
-tree's fields (the paper's min{}), and refuses a solve estimated over
-``DP_BUDGET_S`` or ``DP_SLOT_BUDGET``; ``maxdom bench`` times the simple DP
-by name.
+Two engines return the same int layer tables and picks: ``dp_layers``, the
+paper's simple algorithm ("sweep"), in O(m^2) time per layer, and
+``tree_layers`` ("tree"), all k layers in one sweep over a segment tree in
+O(k (c + m) log m) time for c nonzero cells.  ``_solution`` divides the
+reported values by the grid's scale once.  ``run_pipeline`` defaults to
+``"auto"``, which runs whichever engine ``_estimates`` predicts faster (the
+paper's min{}), and refuses a solve estimated over ``DP_BUDGET_S`` or
+``DP_SLOT_BUDGET``; ``maxdom bench`` times the simple DP by name.
 """
 
 from __future__ import annotations
@@ -60,7 +47,7 @@ from time import perf_counter
 from .cells import _merge_into, add_parts, build_grid, sum_batches
 from .coverage import CoverageSweep, RowSums, build_row_sums
 from .instances import point_batches, point_ranges
-from .model import Instance, Solution
+from .model import Instance, Solution, exact
 from .ranking import drop_uncovered, rank_transform
 
 
@@ -80,7 +67,7 @@ def dp_layers(inst: Instance, row_sums: RowSums):
     qx = row_sums.qx
     last = len(qx) - 1
     k_eff = min(inst.k, last - 1)
-    tables: list[list[float]] = [[0] * (last + 1)]
+    tables: list[list[int]] = [[0] * (last + 1)]
     preds: list[list[int] | None] = [None]
     for _layer in range(1, k_eff + 1):
         sweep = CoverageSweep(row_sums, qx)
@@ -123,7 +110,7 @@ def _field_bytes(total: int) -> int:
 def _strip_adds(qx: list[int], cells) -> list:
     """Per strip, its nonzero cells as ``(leaf, weight)`` pairs.
 
-    ``cells`` is ``RowSums.int_cells``' per-strip ``(col, weight)`` pairs.  Leaves
+    ``cells`` is ``RowSums.rows``' per-strip ``(col, weight)`` pairs.  Leaves
     index the queries by x-rank (``qx[i] // 2 - 1``).  A cell's leaf is that
     of the leftmost query above its strip that covers it, so the queries
     covering the cell are exactly those above the strip at that leaf or
@@ -153,29 +140,18 @@ def tree_layers(inst: Instance, row_sums: RowSums):
     i, every nonzero cell of strip i - 1 adds its weight to the leaves at or
     right of its own leaf, ``t_l[i]`` is the better of its self-link
     ``t_{l-1}[i]`` and the maximum over the leaves left of it, and position
-    i is then inserted.  Leaves not yet inserted stay below any reachable
-    value, so they never win.  A suffix add is a point update of the adds'
-    difference at its leaf, and a node keeps the sum of its leaves' adds and
-    the prefix-sum maximum over its leaves (``_tree_tables``).  The layers
-    differ only in the values inserted at the leaves, so one tree holds them
-    all, each node value packing one field per layer into one int.  O(k (c
-    + m) log m) time in all, c the nonzero cells, and a node merge is a few
-    int operations on k fields at once.
+    i is then inserted.  One tree holds all k layers, each node value
+    packing one field per layer into one int (``_tree_tables``): O(k (c + m)
+    log m) time in all, c the nonzero cells.
 
-    The tree runs on int weights: ``RowSums.int_cells`` scales other weights
-    exactly, and the tables are divided back once, so float weights give the
-    exact tables over the grid's cell sums, correctly rounded.  Returns
-    ``dp_layers``' ``(tables, preds, k_eff)``, but ``preds[l]`` holds only
-    the link that the optimal walk follows (``_tree_preds``).
+    Returns ``dp_layers``' ``(tables, preds, k_eff)``, but ``preds[l]``
+    holds only the link that the optimal walk follows (``_tree_preds``).
     """
     qx = row_sums.qx
     k_eff = min(inst.k, len(qx) - 2)
-    cells, scale, total = row_sums.int_cells
-    adds = _strip_adds(qx, cells)
-    tables, corner = _tree_tables(qx, adds, k_eff, total)
+    adds = _strip_adds(qx, row_sums.rows)
+    tables, corner = _tree_tables(qx, adds, k_eff, row_sums.total)
     preds = _tree_preds(qx, adds, tables, corner, k_eff)
-    if scale is not None:  # zeros stay int 0, as the sweep keeps them
-        tables = [[t / scale if t else 0 for t in row] for row in tables]
     return tables, preds, k_eff
 
 
@@ -370,14 +346,12 @@ def _chosen_ids(stair, preds, k_eff: int) -> frozenset[int]:
     return frozenset(ids)
 
 
-def _solution(stair, tables, preds, k_eff: int) -> Solution:
-    """The optimum, its pick set and each layer's optimum, read off the DP's output.
-
-    ``stair`` is the queries in staircase order (``RowSums.stair``).
-    """
+def _solution(row_sums: RowSums, tables, preds, k_eff: int) -> Solution:
+    """The optimum, its pick set and each layer's optimum off the DP's int tables, divided by the scale once."""
+    stair, scale = row_sums.stair, row_sums.scale
     last = len(stair) + 1
-    layers = tuple(tables[l][last] for l in range(1, k_eff + 1))
-    return Solution(_chosen_ids(stair, preds, k_eff), tables[k_eff][last], layers)
+    layers = tuple(exact(tables[l][last], scale) for l in range(1, k_eff + 1))
+    return Solution(_chosen_ids(stair, preds, k_eff), layers[-1] if layers else 0, layers)
 
 
 def _dp_pairs(qx: list[int], k_eff: int) -> int:
@@ -505,14 +479,13 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
     The cells are summed straight from ``inst``'s point columns in its own
     coordinates; the nonzero cells are the compressed ground set, whose size
     is reported as ``compressed_size``.  Where ``parts`` is given, it holds
-    the int-weight cells of ``inst``'s queries over each part of the ground
-    set, as ``grid_parts`` returns them, and the grid stage adds them
-    (``cells.add_parts``) instead of reading ``inst.P``.
+    the cells of ``inst``'s queries over each part of the ground set, as
+    ``grid_parts`` returns them, and the grid stage adds them instead.
 
     ``engine`` is ``"auto"`` (the default), which runs whichever engine
     ``_estimates`` predicts faster once the cells are known, ``"sweep"``
-    (the paper's simple DP) or ``"tree"``; both give the same tables and, on
-    exact weights, the same picks.  For either, ``dp`` times the tables and
+    (the paper's simple DP) or ``"tree"``; both give the same tables and
+    picks.  For either, ``dp`` times the tables and
     picks and ``reconstruct`` reads the solution off them and counts
     ``dp_pairs``.  A solve whose engine is estimated over ``DP_BUDGET_S`` or
     would hold more than ``DP_SLOT_BUDGET`` list slots raises ``ValueError``
@@ -532,13 +505,13 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
     # width matters only where the tree may run: named, or cheaper unpriced.
     words = 1
     if engine == "tree" or (engine == "auto" and estimates["tree"] < estimates["sweep"]):
-        words = -(-_field_bytes(row_sums.int_cells[2]) // 8)
+        words = -(-_field_bytes(row_sums.total) // 8)
         estimates = _estimates(inst.m, k_eff, nonzero, words)
     engine = _choose(engine, estimates, _slots(inst.m, k_eff, words))
     t1 = perf_counter()
     tables, preds, k_eff = globals()[_ENGINES[engine]](inst, row_sums)
     t2 = perf_counter()
-    solution = _solution(row_sums.stair, tables, preds, k_eff)
+    solution = _solution(row_sums, tables, preds, k_eff)
     dp_pairs = _dp_pairs(row_sums.qx, k_eff)
     t3 = perf_counter()
     return PipelineResult(
@@ -557,15 +530,11 @@ def _grid_range(path, start: int, stop: int, queries: Instance) -> tuple:
     """``(per_row, retained, count)`` of the point lines in bytes ``[start, stop)``.
 
     ``per_row`` and ``retained`` are those of their grid over ``queries``
-    and ``count`` is how many there are.  They are what a child sends back:
-    the grid's cells are ``per_row`` over again, and pickling them as
-    ``CellKey``s would cost ten times as much.  Each converted batch is
-    summed into the cells as it is parsed (``cells.sum_batches``), so the
-    part holds no point column.
-
-    Raises ``ValueError`` for a value that is not an int64: float cell sums
-    depend on the order they are added in, and adding up the parts' sums
-    does not add in ``build_grid``'s order.
+    and ``count`` is how many there are: what a child sends back, summed
+    batch by batch as it is parsed (``cells.sum_batches``).  Raises
+    ``ValueError`` for a value that is not an int64: the parts' cell sums
+    are added as they are, while decimal weights would first need one scale
+    common to every part.
     """
     return sum_batches(queries, map(_int64, point_batches(path, start, stop)))
 
@@ -586,13 +555,13 @@ def grid_parts(path, _parts: int | None = None):
     the first range; one forked child does each other one and sends back
     ``_grid_range``'s result, pickled over a pipe.  ``queries`` is the
     file's queries and k with no points, ``parts`` each part's
-    ``(per_row, retained)``, and ``add_parts(queries, parts)`` is the file's
-    cell grid: ``build_grid(parse(path))`` exactly, since every weight is an
-    int.  None, leaving the file to ``parse``, where the file is small or not
-    plain enough to be split, ``fork`` is missing or this process runs other
-    threads (a lock one of them holds would stay held in the child), a
-    part's column is not int64, a part fails in any way or the parts' point
-    counts do not add up to n; the children are reaped in every case.
+    ``(per_row, retained)``, and ``add_parts(queries, parts)`` is
+    ``build_grid(parse(path))`` exactly.  None, leaving the file to
+    ``parse``, where the file is small or not plain enough to be split,
+    ``fork`` is missing or this process runs other threads (a lock one of
+    them holds would stay held in the child), a part's column is not int64,
+    a part fails in any way or the parts' point counts do not add up to n;
+    the children are reaped in every case.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
@@ -650,4 +619,4 @@ def solve_reference(inst: Instance) -> Solution:
     """
     rr = drop_uncovered(rank_transform(inst))
     row_sums = build_row_sums(build_grid(rr))
-    return _solution(row_sums.stair, *dp_layers(rr, row_sums))
+    return _solution(row_sums, *dp_layers(rr, row_sums))

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from maxdom.solver import solve_pipeline, solve_reference
 
 from util import (
     assign_cells,
+    exact_cells,
     random_instance,
     reference_grid,
     same_dominators_check,
@@ -175,35 +177,44 @@ def gridding_instances(draw):
 @settings(deadline=None, max_examples=200)
 @given(gridding_instances())
 def test_one_pass_cells_equal_ranked_reference(inst):
-    # Same keys, so the same cells, rows and sums added in the same order:
-    # even float sums agree bit for bit; zero-weight cells included.
+    # Same keys, so the same cells and the same exact sums, zero-weight cells
+    # included.  The ranked form drops uncovered points, and with them some
+    # denominators, so its scale may be smaller: the sums are compared
+    # divided by each grid's scale.
     rr = ranked(inst)
     ref = build_grid(rr)
     got = build_grid(inst)
-    assert repr(sorted(got.cells.items())) == repr(sorted(ref.cells.items()))
-    assert repr(got.per_row) == repr(ref.per_row)
+    assert exact_cells(got) == exact_cells(ref)
+    assert [[col for col, _ in row] for row in got.per_row] == [[col for col, _ in row] for row in ref.per_row]
     assert got.retained == ref.retained == len(rr.P)
     a, b = solve_pipeline(inst), solve_reference(inst)
-    assert repr(a.value) == repr(b.value) and a.chosen == b.chosen
+    assert a.value == b.value and a.chosen == b.chosen
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.one_of(tie_instances(), small_instances(), gridding_instances()))
 def test_grid_equals_brute_force_reference(inst):
-    # cells, rows and retained count against a point-by-point brute force
-    # that adds each cell's weights in input order: float sums bit for bit
+    # cells, rows, retained count and scale against a point-by-point brute
+    # force that adds each cell's weights as Fractions
     got, ref = build_grid(inst), reference_grid(inst)
     assert got == ref
     assert repr(sorted(got.cells.items())) == repr(sorted(ref.cells.items()))
     assert repr(got.per_row) == repr(ref.per_row)
 
 
-def test_a_cells_float_weights_add_in_file_order():
+def test_a_cells_weights_add_exactly():
     # x = 3 and x = 7 lie either side of the low query's x but in one cell
-    # below the top query: the cell holds (0.1 + 0.1) + 1.1 = 1.3, not the
-    # sums by x-rank added up, 0.1 + (0.1 + 1.1) = 1.3000000000000003
-    inst = Instance.from_rows([(3, 5, 0.1), (7, 5, 0.1), (3, 5, 1.1)], [(10, 10), (5, 2)], 1)
-    assert build_grid(inst).cells == reference_grid(inst).cells == {CellKey(1, 1): 1.3}
+    # below the top query.  Read from a file, the cell holds exactly 13/10,
+    # in whatever order its points are added; float weights sum to the
+    # exact total of the floats' values, which no float sum gives.
+    parsed = parse_text("3 2 1\n3 5 0.1\n7 5 0.1\n3 5 1.1\n10 10\n5 2\n")
+    for inst in (parsed, Instance(tuple(reversed(parsed.P)), parsed.Q, 1)):
+        grid = build_grid(inst)
+        assert grid == reference_grid(inst)
+        assert (grid.cells, grid.scale) == ({CellKey(1, 1): 13}, 10)
+        assert solve_pipeline(inst).value == Fraction(13, 10)
+    floats = Instance.from_rows([(3, 5, 0.1), (7, 5, 0.1), (3, 5, 1.1)], [(10, 10), (5, 2)], 1)
+    assert exact_cells(build_grid(floats)) == {CellKey(1, 1): 2 * Fraction(0.1) + Fraction(1.1)}
 
 
 @settings(deadline=None, max_examples=100)

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter, sleep
 
@@ -134,13 +136,27 @@ def test_integers_beyond_the_float_range_solve_exactly(capsys, tmp_path):
 
 @pytest.mark.parametrize("weights", [("1e308", "1e308"), (str(10**400), "0.5")])
 @pytest.mark.parametrize("command", ["solve", "verify"])
-def test_float_weights_past_the_float_range_are_refused(capsys, tmp_path, command, weights):
-    # one cell's float sum would be infinite, or its int cannot meet a float
+def test_weights_past_the_float_range_solve_exactly(capsys, tmp_path, command, weights):
+    # one cell's float sum would be infinite, or would lose the 0.5: the
+    # exact sum is written as a JSON number of its exact decimal text
     path = tmp_path / "huge.txt"
     path.write_text(f"2 1 1\n0 0 {weights[0]}\n0 0 {weights[1]}\n1 1\n")
     code, out, err = run(capsys, command, path)
-    assert code == 1 and out == ""
-    assert err.startswith("error: float weights of absolute total at least")
+    assert code == 0 and err == ""
+    rec = json.loads(out, parse_float=Decimal)
+    value = rec["value" if command == "solve" else "value_dp"]
+    assert Fraction(value) == Fraction(weights[0]) + Fraction(weights[1])
+    assert command == "solve" or rec["equal"] is True
+
+
+def test_a_value_of_thousands_of_digits_is_written_exactly(capsys, tmp_path):
+    # ``str`` of an int stops at 4,300 digits; the record's decimal text does not
+    weight = "0." + "7" * 5000
+    path = tmp_path / "long.txt"
+    path.write_text(f"2 1 1\n0 0 {weight}\n0 0 1\n1 1\n")
+    code, out, err = run(capsys, "solve", path)
+    assert (code, err) == (0, "")
+    assert Fraction(json.loads(out, parse_float=Decimal)["value"]) == Fraction(Decimal(weight)) + 1
 
 
 def test_bench_csv_schema(capsys, tmp_path):
@@ -191,20 +207,24 @@ def test_render_solution_overlay(capsys, tmp_path):
 
 
 def test_solve_render_and_library_report_the_same_picks(capsys, tmp_path):
-    # decimal weights: the two engines' float sums differ in the last bits
-    # here, and pick different optimal sets
+    # decimal weights whose binary-float sums differ in the last bits with
+    # the order they are added in, so that engines adding floats in
+    # different orders pick different optimal sets; both add the same ints
     inst = generate(GeneratorSpec("uniform", 46, 51, 4, (-1000, 1000), seed=6))
     inst = Instance.from_rows([(p.x, p.y, p.w / 100) for p in inst.P], [(q.x, q.y) for q in inst.Q], 4)
     path, out_svg = tmp_path / "inst.txt", tmp_path / "inst.svg"
     serialize(inst, path)
     code, out, _ = run(capsys, "solve", path)
-    rec = json.loads(out)
+    rec = json.loads(out, parse_float=Decimal)
     assert code == 0 and rec["engine"] == "tree"
     code, _, _ = run(capsys, "render", path, "--solve", "--out", out_svg)
     assert code == 0
     drawn = sorted(int(qid) for qid in re.findall(r'data-chosen="(-?\d+)"', out_svg.read_text()))
     assert drawn == rec["chosen"] != []
-    assert solve_pipeline(parse(path)).value == rec["value"]
+    parsed = parse(path)
+    tree, sweep = run_pipeline(parsed, "tree").solution, run_pipeline(parsed, "sweep").solution
+    assert tree == sweep == solve_pipeline(parsed)
+    assert tree.value == Fraction(rec["value"]) and sorted(tree.chosen) == rec["chosen"]
 
 
 @pytest.mark.parametrize("chosen", ["7", "-1", "0,7"])

@@ -3,12 +3,13 @@ import locale
 import tracemalloc
 from array import array
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxdom import instances, model, solver
+from maxdom import instances, solver
 from maxdom.cells import build_grid, compress
 from maxdom.cli import main
 from maxdom.instances import (
@@ -48,8 +49,15 @@ def test_round_trip_integer_instances(inst):
 
 
 def test_round_trip_float_coordinates():
+    # a float is written as its shortest round-trip text, which reads back
+    # as exactly that decimal, and so as the same float
     inst = Instance.from_rows([(0.5, 1.25, 3), (1e-3, 2.0, -1)], [(0.75, 9.5)], 1)
-    assert parse_text(serialize_text(inst)) == inst
+    text = serialize_text(inst)
+    back = parse_text(text)
+    assert serialize_text(back) == text
+    assert back.P.xs == (Decimal("0.5"), Decimal("0.001")) and back.Q[0].y == Decimal("9.5")
+    for read, written in zip((back.P.xs, back.P.ys, back.P.ws), (inst.P.xs, inst.P.ys, inst.P.ws)):
+        assert list(map(float, read)) == list(written)
 
 
 def test_missing_weight_reports_line():
@@ -156,15 +164,41 @@ def test_a_late_float_turns_only_its_column_into_a_tuple(monkeypatch):
     inst = parse_text(f"{len(rows)} 1 1\n" + "\n".join(rows) + "\n1 1\n")
     assert type(inst.P.xs) is array and type(inst.P.ys) is array
     assert inst.P.ws == (2, 5, 8, 1.5, 13, 2**63)
-    assert [type(w) for w in inst.P.ws] == [int, int, int, float, int, int]
+    assert [type(w) for w in inst.P.ws] == [int, int, int, Decimal, int, int]
 
 
 def test_decimal_and_exponent_tokens():
     inst = parse_text("2 1 1\n1.5 2e3 -0.25\n3 4 1E2\n5 6.0\n")
     assert inst.P[0] == WeightedPoint(1.5, 2000.0, -0.25)
     assert inst.P[1] == WeightedPoint(3, 4, 100.0)
-    assert [type(v) for v in (inst.P[1].x, inst.P[1].w)] == [int, float]
-    assert (inst.Q[0].x, inst.Q[0].y) == (5, 6.0) and type(inst.Q[0].y) is float
+    assert [type(v) for v in (inst.P[1].x, inst.P[1].w)] == [int, Decimal]
+    assert (inst.Q[0].x, inst.Q[0].y) == (5, 6.0) and type(inst.Q[0].y) is Decimal
+
+
+def test_decimal_tokens_are_read_exactly():
+    inst = parse_text("2 1 1\n0.1 1 0.07\n0.10000000000000000001 1 25e-2\n0.1 1\n")
+    assert inst.P.ws == (Decimal("0.07"), Decimal("0.25")) and 0.07 not in inst.P.ws
+    assert inst.P.xs[0] < inst.P.xs[1]  # one float, two decimals
+    assert parse_text("1 1 1\n0 0 -0.0\n1 1\n").P.ws == (0,)
+
+
+# Tokens that are refused as numbers, each with the start of its message.
+REFUSED_TOKENS = [
+    ("1e-400", "nonzero number too small for a float"),  # float() rounds it to 0
+    ("-1e-99999999", "nonzero number too small for a float"),  # read exactly, 10**99999999 would be built
+    ("nan", "non-finite number"),
+    ("inf", "non-finite number"),
+    ("1e400", "non-finite number"),
+    ("7/100", "not a number"),
+]
+
+
+@pytest.mark.parametrize("token, message", REFUSED_TOKENS)
+def test_refused_tokens_name_their_line(token, message):
+    for text in (f"2 1 1\n0 0 1\n0 0 {token}\n1 1\n", f"1 1 1\n0 0 1\n1 {token}\n"):
+        with pytest.raises(ParseError, match=f"^line 3: {message}") as err:
+            parse_text(text)
+        assert err.value.line_no == 3
 
 
 # Malformed files and the line each one's ParseError names.
@@ -361,7 +395,6 @@ def test_solve_builds_no_point_objects(tmp_path, monkeypatch, capsys):
     path = tmp_path / "inst.txt"
     built = []
     monkeypatch.setattr(WeightedPoint, "__post_init__", lambda self: built.append(self))
-    monkeypatch.setattr(model, "_checked_point", lambda *values: built.append(values))
     serialize(generate(GeneratorSpec("uniform", n=500, m=12, k=3, seed=4)), path)
     assert main(["solve", str(path)]) == 0
     assert main(["solve", str(path), "--k", "1"]) == 0

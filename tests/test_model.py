@@ -1,4 +1,6 @@
 from array import array
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from maxdom.model import (
     dominates_closed,
     weight_of_dom,
 )
+from maxdom.oracle import oracle_solve
+from maxdom.solver import solve_pipeline
 
 
 def q(x, y, qid=0):
@@ -100,10 +104,44 @@ def test_ints_beyond_the_float_range_are_finite():
         Instance.from_rows([(big, 0, 1), (float("nan"), 0, 1)], [(0, 0)], 1)
 
 
-@pytest.mark.parametrize("ws", [(1e308, 1e308), (1e308, -1e308), (10**400, 0.5), (4.5e307, 4.5e307)])
-def test_float_weights_whose_sums_could_overflow_are_refused(ws):
-    with pytest.raises(ValueError, match="absolute total at least 8.99e\\+307: their sums could overflow"):
-        Instance.from_rows([(0, 0, w) for w in ws], [(1, 1)], 1)
+@pytest.mark.parametrize(
+    "ws",
+    [
+        (1e308, 1e308),
+        (1e308, -1e308),
+        (10**400, 0.5),
+        (4.5e307, 4.5e307),
+        (Decimal("1e400"), Decimal("-1e-300")),
+        (Fraction(10**400, 3), 1),
+    ],
+)
+def test_float_weights_past_the_float_range_sum_exactly(ws):
+    # their float sums would overflow or lose the small weight; the int sums
+    # do not, and a Decimal or Fraction past the float range is finite
+    inst = Instance.from_rows([(0, 0, w) for w in ws], [(1, 1)], 1)
+    best = max(sum(map(Fraction, ws)), 0)
+    assert weight_of_dom(inst.P, inst.Q) == sum(map(Fraction, ws))
+    assert oracle_solve(inst).value == solve_pipeline(inst).value == best
+
+
+@pytest.mark.parametrize(
+    "ws, ints, scale",
+    [
+        ((Decimal("0.07"), Decimal("-2.5"), 3), [7, -250, 300], 100),
+        ((0.5, Fraction(1, 3), Decimal("25e-2")), [6, 4, 3], 12),
+        ((10**400, -1), (10**400, -1), 1),
+    ],
+)
+def test_int_weights_scale_by_the_least_common_denominator(ws, ints, scale):
+    cols = PointColumns([0] * len(ws), [0] * len(ws), ws)
+    assert cols.int_weights() == (ints, scale)
+    assert cols.int_weights() is cols.int_weights()  # computed once
+
+
+def test_an_int64_weight_column_is_its_own_int_weights():
+    cols = PointColumns((0, 1), (0, 1), (5, -6))
+    ws, scale = cols.int_weights()
+    assert ws is cols.ws and scale == 1
 
 
 def test_weights_within_the_float_range_are_kept():

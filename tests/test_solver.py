@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import maxdom.cells
 import maxdom.coverage
+import maxdom.model
 import maxdom.solver
 from maxdom.cells import build_grid
-from maxdom.coverage import RowSums, build_row_sums
+from maxdom.coverage import build_row_sums
 from maxdom.instances import FAMILIES, GeneratorSpec, generate
 from maxdom.model import Instance, QueryPoint, weight_of_dom
 from maxdom.oracle import oracle_solve
@@ -204,8 +205,8 @@ def assert_engines_agree(inst):
     tables, preds, k_eff = dp_layers(inst, row_sums)
     tree_tables, tree_preds, tree_k = tree_layers(inst, row_sums)
     assert (tree_tables, tree_k) == (tables, k_eff)
-    sol = _solution(row_sums.stair, tables, preds, k_eff)
-    assert _solution(row_sums.stair, tree_tables, tree_preds, tree_k) == sol
+    sol = _solution(row_sums, tables, preds, k_eff)
+    assert _solution(row_sums, tree_tables, tree_preds, tree_k) == sol
     assert run_pipeline(inst, "tree").solution == run_pipeline(inst, "sweep").solution == sol
     return sol
 
@@ -271,29 +272,22 @@ def test_tree_engine_matches_simple_dp_on_wide_zero_and_negative_weights(data):
         assert sol.value == 0 and sol.chosen == frozenset()
 
 
-def exact_row_sums(row_sums):
-    """``row_sums`` with each of the grid's cell sums as a ``Fraction``, so
-    that the simple DP over them sums exactly."""
-    rows = tuple(tuple((col, Fraction(w)) for col, w in cells) for cells in row_sums.rows)
-    return RowSums(row_sums.m, rows, row_sums.stair)
-
-
 def assert_exact_tables(inst):
-    """The tree's tables equal ``float(Fraction)`` of the simple DP's over the
-    grid's cell sums summed exactly, zeros int 0; returns the row sums."""
+    """The tree's int tables equal the sweep's, and both engines report the
+    same exact solution; returns the row sums."""
     row_sums = build_row_sums(build_grid(inst))
-    exact, _preds, k_eff = dp_layers(inst, exact_row_sums(row_sums))
-    tables, _preds, tree_k = tree_layers(inst, row_sums)
-    assert tree_k == k_eff
-    assert repr(tables) == repr([[float(t) if t else 0 for t in row] for row in exact])
+    tables, _preds, k_eff = dp_layers(inst, row_sums)
+    tree_tables, _preds, tree_k = tree_layers(inst, row_sums)
+    assert (tree_tables, tree_k) == (tables, k_eff)
+    assert all(type(t) is int for row in tree_tables for t in row)
+    assert run_pipeline(inst, "tree").solution == run_pipeline(inst, "sweep").solution
     return row_sums
 
 
 @pytest.mark.parametrize("scale", [4, 100, 10**6, None])
 def test_tree_engine_gives_the_exact_tables_on_non_integer_weights(scale):
     # decimal weights as floats, or (scale None) fractions with denominators
-    # 3..7, whose common denominator is no single one of them; the zeros
-    # stay int 0, as the sweep keeps them
+    # 3..7, whose common denominator is no single one of them
     rng = SplitMix64(scale or 3)
     weight = (lambda w: w / scale) if scale else (lambda w: Fraction(w, 3 + w % 5))
     for _ in range(15):
@@ -305,9 +299,9 @@ def test_tree_engine_gives_the_exact_tables_on_non_integer_weights(scale):
 
 
 def test_tree_engine_sums_the_grid_cells_exactly():
-    # one strip with cells 1e16, 3.0 and 3.0, whose exact sum 1e16 + 6 is a
-    # float; a float running sum over them rounds 1e16 + 3 up to 1e16 + 4,
-    # and so ends at 1e16 + 8
+    # one strip with cells 1e16, 3.0 and 3.0, whose exact sum is 1e16 + 6; a
+    # float running sum over them would round 1e16 + 3 up to 1e16 + 4, and
+    # so end at 1e16 + 8
     inst = Instance.from_rows([(0, 1, 1e16), (1, 0, 3.0), (5, 1, 3.0)], [(5, 1), (0, 1), (2, 1)], 1)
     assert_exact_tables(inst)
     assert run_pipeline(inst, "tree").solution.value == 1.0000000000000006e16
@@ -323,7 +317,7 @@ def test_tree_engine_gives_the_exact_tables_on_fields_wider_than_a_word():
         P = [(p.x, p.y, p.w * 10.0 ** (rng.randint(-300, 300))) for p in inst.P]
         inst = Instance.from_rows(P, [(q.x, q.y) for q in inst.Q], inst.m)
         row_sums = assert_exact_tables(inst)
-        widths.add(_field_bytes(row_sums.int_cells[2]))
+        widths.add(_field_bytes(row_sums.total))
         assert run_pipeline(inst, "tree").engine == "tree"
     assert max(widths) > 200  # fields of over 25 words among them
 
@@ -411,21 +405,30 @@ def test_one_staircase_sort_per_solve(monkeypatch):
         assert calls == [inst]
 
 
-def test_one_x_rank_pass_and_one_int_cell_pass_per_solve(monkeypatch):
-    # the x-ranks serve the engine and the pair count; the int cells serve
-    # the tree's width check and the tree
+def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(monkeypatch):
+    # the x-ranks serve the engine and the pair count; the weights of a point
+    # set are scaled to ints once, for every solve, the oracle and
+    # ``weight_of_dom`` alike, while the ranked reference solve scales its
+    # own, smaller point set
     calls = []
 
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    for name in ("_axis_transform", "_int_cells"):
-        monkeypatch.setattr(maxdom.coverage, name, counted(name, getattr(maxdom.coverage, name)))
-    inst = random_instance(SplitMix64(47), n=30, m=8, k=3)
-    for engine, expect in (("sweep", ["_axis_transform"]), ("tree", ["_int_cells", "_axis_transform"])):
+    monkeypatch.setattr(maxdom.coverage, "_axis_transform", counted("ranks", maxdom.coverage._axis_transform))
+    monkeypatch.setattr(maxdom.model, "lcm", counted("scale", maxdom.model.lcm))
+    base = random_instance(SplitMix64(47), n=30, m=8, k=3)
+    inst = Instance.from_rows([(p.x, p.y, Fraction(p.w, 4)) for p in base.P], [(q.x, q.y) for q in base.Q], 3)
+    for engine, expect in (("sweep", ["scale", "ranks"]), ("tree", ["ranks"])):
         calls.clear()
         run_pipeline(inst, engine)
         assert calls == expect
+    calls.clear()
+    oracle_solve(inst)
+    weight_of_dom(inst.P, inst.Q)
+    assert calls == []
+    solve_reference(inst)
+    assert calls == ["scale", "ranks"]
 
 
 def test_calibration_script_times_the_trees_tables():

@@ -1,5 +1,9 @@
 """Shared builders for the test suite."""
 
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
+
 import hypothesis.strategies as st
 
 from maxdom.cells import CellGrid, CellKey
@@ -69,23 +73,95 @@ def assign_cells(inst: Instance) -> list[CellKey]:
 
 
 def reference_grid(inst: Instance) -> CellGrid:
-    """The cell grid by brute force: each covered point's weight added to its cell in input order.
+    """The cell grid by brute force: each covered point's weight added to its cell as a ``Fraction``.
 
-    Uncovered points are skipped, so any instance will do; ``stair`` is left
-    empty, as it is not compared.
+    The grid keeps each cell's sum times the least common denominator of all
+    the weights, its scale, as an int.  Uncovered points are skipped, so any
+    instance will do; ``stair`` is left empty, as it is not compared.
     """
-    cells: dict[CellKey, float] = {}
+    scale = lcm(*(Fraction(p.w).denominator for p in inst.P))
+    sums: dict[CellKey, Fraction] = {}
     retained = 0
     for p in inst.P:
         row, slot = _brute_row_slot(inst, p)
         if slot < row:
             key = CellKey(row, slot + 1)
-            cells[key] = cells.get(key, 0) + p.w
+            sums[key] = sums.get(key, 0) + Fraction(p.w)
             retained += 1
+    cells = {key: int(w * scale) for key, w in sums.items()}
     per_row = tuple(
         tuple((col, w) for (r, col), w in sorted(cells.items()) if r == row) for row in range(1, inst.m + 1)
     )
-    return CellGrid(inst.m, cells, per_row, retained)
+    return CellGrid(inst.m, cells, per_row, retained, scale)
+
+
+def exact_cells(grid: CellGrid) -> dict[CellKey, Fraction]:
+    """Each cell's sum of weights: its int total divided by the grid's scale."""
+    return {key: Fraction(w, grid.scale) for key, w in grid.cells.items()}
+
+
+def brute_force_optimum(text: str) -> Fraction:
+    """The optimum of an instance file's text, read and summed as ``Fraction``s.
+
+    Shares no code with ``maxdom``: every token is read by ``Fraction``, and
+    every pick set of at most k queries is tried, its covered weight summed
+    exactly.  For files without comments or blank lines.
+    """
+    rows = [line.split() for line in text.splitlines()]
+    n, m, k = map(int, rows[0])
+    points = [tuple(map(Fraction, row)) for row in rows[1 : n + 1]]
+    queries = [tuple(map(Fraction, row)) for row in rows[n + 1 : n + m + 1]]
+    # the points that exactly the same queries cover are summed once
+    groups: dict[int, Fraction] = {}
+    for x, y, w in points:
+        mask = sum(1 << i for i, (qx, qy) in enumerate(queries) if x <= qx and y <= qy)
+        if mask:
+            groups[mask] = groups.get(mask, 0) + w
+    best = Fraction(0)
+    for size in range(1, min(k, m) + 1):
+        for combo in combinations(range(m), size):
+            picked = sum(1 << i for i in combo)
+            best = max(best, sum(w for mask, w in groups.items() if mask & picked))
+    return best
+
+
+# Decimal tokens for the files of ``decimal_instance_files``.  Coordinates
+# include values that one float cannot tell apart, such as 0.1 and
+# 0.10000000000000000001, and one value written in several ways.
+DECIMAL_COORDS = (
+    "0", "1", "1.0", "10e-1", "0.1", "0.10000000000000000001", "0.09999999999999999999",
+    "0.25", "25e-2", "2.5", "-0.5", "-5e-1", "3",
+)
+
+
+@st.composite
+def decimal_weights(draw) -> str:
+    """A weight token: hundredths, quarter steps, an exponent form or an int, of either sign."""
+    sign = draw(st.sampled_from(("", "-")))
+    units = draw(st.integers(0, 1000))
+    form = draw(st.sampled_from(("hundredths", "quarters", "exponent", "int")))
+    if form == "hundredths":
+        return f"{sign}{units // 100}.{units % 100:02d}"
+    if form == "quarters":
+        return f"{sign}{units // 4}.{(units % 4) * 25:02d}"
+    if form == "exponent":
+        return f"{sign}{units}e-{draw(st.integers(0, 3))}"
+    return f"{sign}{units // 10}"
+
+
+@st.composite
+def decimal_instance_files(draw, max_n=12, max_m=5) -> str:
+    """The text of an instance file with decimal weights and coordinates, ties among them."""
+    m = draw(st.integers(1, max_m))
+    coord = st.sampled_from(DECIMAL_COORDS)
+    queries = [(draw(coord), draw(coord)) for _ in range(m)]
+    # points on the queries' own lines as well as anywhere
+    x = coord | st.sampled_from([qx for qx, _ in queries])
+    y = coord | st.sampled_from([qy for _, qy in queries])
+    points = [(draw(x), draw(y), draw(decimal_weights())) for _ in range(draw(st.integers(0, max_n)))]
+    lines = [f"{len(points)} {m} {draw(st.integers(0, m))}"]
+    lines += [" ".join(row) for row in points + queries]
+    return "\n".join(lines) + "\n"
 
 
 def same_dominators_check(grid: CellGrid, inst: Instance, max_work: int = 10**6) -> bool:
