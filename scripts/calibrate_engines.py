@@ -44,11 +44,11 @@ SHAPES = (
 TREE_KS = (1, 2, 4, 8, 16, 32)
 
 
-def tree_tables(inst, row_sums):
+def tree_tables(inst, grid):
     """``tree_layers``' tables without its picks: the work the tree's constants price."""
-    qx = row_sums.qx
-    adds = _strip_adds(qx, row_sums.rows)
-    tables, _corner = _tree_tables(qx, adds, min(inst.k, inst.m), row_sums.total)
+    qx = grid.qx
+    adds = _strip_adds(qx, grid.per_row)
+    tables, _corner = _tree_tables(qx, adds, min(inst.k, inst.m), grid.total)
     return tables
 
 
@@ -73,15 +73,15 @@ def main() -> None:
     )
     for n, m, k in SHAPES:
         inst = generate(GeneratorSpec("uniform", n, m, k, seed=args.seed))
-        row_sums = build_row_sums(build_grid(inst))
-        cells = sum(map(len, row_sums.rows))
-        sweep_s = best_of(args.reps, lambda: dp_layers(inst, row_sums))
+        grid = build_row_sums(build_grid(inst))
+        cells = sum(map(len, grid.per_row))
+        sweep_s = best_of(args.reps, lambda: dp_layers(inst, grid))
         sweep_ns.append(sweep_s * 1e9 / (k * m * m))
         paths = (cells + 2 * m) * m.bit_length()
         tree = []
         for tk in TREE_KS:
             at_k = replace(inst, k=tk)
-            tree.append(best_of(args.reps, lambda: tree_tables(at_k, row_sums)) * 1e9 / paths)
+            tree.append(best_of(args.reps, lambda: tree_tables(at_k, grid)) * 1e9 / paths)
         tree_ks += TREE_KS
         tree_ns += tree
         print(

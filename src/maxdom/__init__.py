@@ -16,7 +16,7 @@ from .cells import (
     cell_boxes,
     compress,
 )
-from .coverage import CoverageSweep, RowSums, build_row_sums
+from .coverage import CoverageSweep, build_row_sums
 from .instances import (
     FAMILIES,
     GeneratorSpec,
@@ -63,7 +63,6 @@ __all__ = [
     "PipelineResult",
     "PointColumns",
     "QueryPoint",
-    "RowSums",
     "Solution",
     "SplitMix64",
     "WeightedPoint",

@@ -22,12 +22,13 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, repeat
 from operator import add, mul
 from typing import NamedTuple
 
 from .model import Instance, QueryPoint, WeightedPoint, exact
-from .ranking import y_sorted_queries
+from .ranking import _axis_transform, y_sorted_queries
 
 _SLICE = 4096  # points ``build_grid`` keys at a time: bounds its memory whatever n is
 
@@ -39,10 +40,12 @@ class CellKey(NamedTuple):
 
 @dataclass(frozen=True)
 class CellGrid:
-    """Sparse per-cell weight totals; zero-weight non-empty cells are kept."""
+    """Per-strip weight totals of the non-empty cells, zero-weight ones kept until ``build_row_sums``.
+
+    The one stored form of the cells: the DP reads ``per_row``, ``qx`` and ``total``.
+    """
 
     m: int
-    cells: dict[CellKey, int]
     per_row: tuple[tuple[tuple[int, int], ...], ...]  # per_row[i-1]: (col, weight), col-sorted
     retained: int = 0  # ground points summed into the cells
     scale: int = 1  # a cell holds its points' weights summed times this (``PointColumns.int_weights``)
@@ -50,6 +53,29 @@ class CellGrid:
     # instance's own coordinates; strip i lies below stair[i - 1].  Sorted once
     # here for the whole solve.  Not part of the cells, so not compared.
     stair: tuple[QueryPoint, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def cells(self) -> dict[CellKey, int]:
+        """``{CellKey(row, col): weight}`` of the stored cells, built from ``per_row`` on each access."""
+        return {CellKey(i, col): w for i, row in enumerate(self.per_row, 1) for col, w in row}
+
+    # What the DP engines derive from the staircase and the cells, computed on
+    # first use and kept for the rest of the solve; not fields, so not compared.
+    @cached_property
+    def qx(self) -> list[int]:
+        """``[0, x_1, ..., x_m, x_sentinel]``: x-ranks by staircase position.
+
+        Queries are ranked by ``(x, id)`` as in the rank transform; the
+        sentinel at position m + 1 lies right of all of them.
+        """
+        stair = self.stair
+        ranks, _ = _axis_transform([q.x for q in stair], [q.id for q in stair], ())
+        return [0, *ranks, 2 * len(stair) + 2]
+
+    @cached_property
+    def total(self) -> int:
+        """The sum of the cells' absolute weights, which bounds the tree's fields."""
+        return sum(abs(w) for row in self.per_row for _, w in row)
 
 
 @dataclass(frozen=True)
@@ -122,12 +148,6 @@ def _sum_cells(stair, batches) -> tuple[tuple, int, int]:
     return tuple(per_row), retained, counts.total()
 
 
-def _grid(per_row, retained: int, stair, scale: int = 1) -> CellGrid:
-    """The ``CellGrid`` of the per-strip cells ``per_row`` under the staircase ``stair``."""
-    cells = {CellKey(i, col): w for i, row in enumerate(per_row, 1) for col, w in row}
-    return CellGrid(len(stair), cells, tuple(per_row), retained, scale, stair)
-
-
 def build_grid(inst: Instance) -> CellGrid:
     """Sum ``inst.P.int_weights()`` per cell, ``_SLICE`` points at a time, skipping uncovered points.
 
@@ -139,7 +159,7 @@ def build_grid(inst: Instance) -> CellGrid:
     cols = (inst.P.xs, inst.P.ys, ws)
     batches = ([col[i : i + _SLICE] for col in cols] for i in range(0, inst.n, _SLICE))
     per_row, retained, _count = _sum_cells(stair, batches)
-    return _grid(per_row, retained, stair, scale)
+    return CellGrid(len(stair), per_row, retained, scale, stair)
 
 
 def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
@@ -162,7 +182,8 @@ def add_parts(inst: Instance, parts) -> CellGrid:
                 sums[col] = get(col, 0) + w
         per_row.append(tuple(sorted(sums.items())))
     retained = sum(part_retained for _, part_retained in parts)
-    return _grid(per_row, retained, y_sorted_queries(inst))
+    stair = y_sorted_queries(inst)
+    return CellGrid(len(stair), tuple(per_row), retained, stair=stair)
 
 
 def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
@@ -197,11 +218,11 @@ def compress(grid: CellGrid, rinst: Instance) -> CompressedP:
     boxes = cell_boxes(grid, rinst)
     points: list[WeightedPoint] = []
     provenance: list[CellKey] = []
-    for key in sorted(boxes):
-        w = grid.cells[key]
-        if w == 0:
-            continue
-        x_lo, y_lo, _x_hi, _y_hi = boxes[key]
-        points.append(WeightedPoint(x_lo + 1, y_lo + 1, exact(w, grid.scale)))
-        provenance.append(key)
+    for i, row in enumerate(grid.per_row, 1):
+        for col, w in row:
+            if w:
+                key = CellKey(i, col)
+                x_lo, y_lo, _x_hi, _y_hi = boxes[key]
+                points.append(WeightedPoint(x_lo + 1, y_lo + 1, exact(w, grid.scale)))
+                provenance.append(key)
     return CompressedP(tuple(points), tuple(provenance))

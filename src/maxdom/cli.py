@@ -25,7 +25,7 @@ from .cells import build_grid, compress
 from .instances import FAMILIES, GeneratorSpec, decimal_text, generate, parse, serialize_text
 from .model import Instance, weight_of_dom
 from .oracle import oracle_solve
-from .ranking import drop_uncovered, rank_transform
+from .ranking import rank_transform
 from .render import render_svg
 from .solver import grid_parts, run_pipeline, solve_pipeline, solve_reference
 
@@ -142,16 +142,16 @@ def cmd_verify(args) -> int:
 
 def cmd_compress(args) -> int:
     inst = _load(args)
-    rr = drop_uncovered(rank_transform(inst))
-    grid = build_grid(rr)
+    rr = rank_transform(inst)
+    grid = build_grid(rr)  # skips the uncovered points
     comp = compress(grid, rr)
     bound = min(inst.n, inst.m**2)
     record = {
         "n": inst.n,
         "m": inst.m,
         "k": inst.k,
-        "retained": len(rr.P),
-        "nonempty_cells": len(grid.cells),
+        "retained": grid.retained,
+        "nonempty_cells": sum(map(len, grid.per_row)),
         "compressed_size": len(comp.points),
         "bound": bound,
         "bound_ok": len(comp.points) <= bound,

@@ -1,65 +1,34 @@
-"""Per-strip cell weights and the incremental coverage sweep.
+"""Zero-free cell rows for the DP and the incremental coverage sweep.
 
 The solver needs, at sweep row i and for every position j <= i (positions
 count queries in decreasing y), the total weight of ground points that lie
 strictly above the i-th highest query and inside the closed quadrant of the
 j-th highest query.  Cell weights make this incremental: moving the sweep
 from row i to i+1 adds exactly the strip-i cells left of each query, which
-is a prefix of strip i in column order.  Rows store each strip's nonzero
-cells as the grid summed them, ints, so one advance costs time linear in
-the row index plus the row's stored cells.  The rows also carry the grid's
-scale and what the DP engines derive from them, each computed once per solve
-on first use: the queries' x-ranks and the cells' absolute total.
+is a prefix of strip i in column order.  The DP reads the grid itself
+(``CellGrid.per_row``), each strip's nonzero cells as the grid summed them,
+ints, so one advance costs time linear in the row index plus the row's
+stored cells.  ``CellGrid.qx`` and ``CellGrid.total`` carry what the DP
+engines derive from the grid, each computed once per solve on first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import replace
 from typing import Sequence
 
 from .cells import CellGrid
-from .model import QueryPoint
-from .ranking import _axis_transform
 
 
-@dataclass(frozen=True)
-class RowSums:
-    """rows[i-1] holds strip i's nonzero cells as (col, weight) pairs, in column order."""
-
-    m: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-    stair: tuple[QueryPoint, ...] = field(default=(), compare=False, repr=False)  # ``CellGrid.stair``
-    scale: int = 1  # ``CellGrid.scale``
-
-    # What the DP engines derive from the staircase and the rows, computed on
-    # first use and kept for the rest of the solve; not fields, so not compared.
-    @cached_property
-    def qx(self) -> list[int]:
-        """``[0, x_1, ..., x_m, x_sentinel]``: x-ranks by staircase position.
-
-        Queries are ranked by ``(x, id)`` as in the rank transform; the
-        sentinel at position m + 1 lies right of all of them.
-        """
-        stair = self.stair
-        ranks, _ = _axis_transform([q.x for q in stair], [q.id for q in stair], ())
-        return [0, *ranks, 2 * len(stair) + 2]
-
-    @cached_property
-    def total(self) -> int:
-        """The sum of the cells' absolute weights, which bounds the tree's fields."""
-        return sum(abs(w) for strip in self.rows for _, w in strip)
-
-
-def build_row_sums(grid: CellGrid) -> RowSums:
-    """Each strip's cells as the grid summed them; zero-weight cells add nothing and are not stored."""
-    rows = tuple(tuple([cell for cell in items if cell[1] != 0]) for items in grid.per_row)
-    return RowSums(grid.m, rows, grid.stair, grid.scale)
+def build_row_sums(grid: CellGrid) -> CellGrid:
+    """``grid`` without its zero-weight cells, which add nothing; a row that has none is kept as it is."""
+    rows = tuple(row if all(w for _, w in row) else tuple([c for c in row if c[1]]) for row in grid.per_row)
+    return replace(grid, per_row=rows)
 
 
 class CoverageSweep:
-    """Single-owner cursor over rows; restarting reproduces identical values.
+    """Single-owner cursor over a grid's rows; restarting reproduces identical values.
 
     After advancing to row i, ``cov[j]`` equals the total weight of ground
     points strictly above the i-th highest query that the j-th highest query
@@ -67,9 +36,9 @@ class CoverageSweep:
     share mid-sweep between threads.
     """
 
-    def __init__(self, row_sums: RowSums, x_by_pos: Sequence):
-        self.m = row_sums.m
-        self.row_sums = row_sums
+    def __init__(self, grid: CellGrid, x_by_pos: Sequence):
+        self.m = grid.m
+        self.per_row = grid.per_row
         self.current = 1
         self.cov: list[int] = [0] * (self.m + 2)
         self._x_by_pos = x_by_pos
@@ -82,7 +51,7 @@ class CoverageSweep:
         if i > self.m:
             raise ValueError("cannot advance past the sentinel row")
         pi = self._pi
-        pairs = self.row_sums.rows[i - 1]
+        pairs = self.per_row[i - 1]
         cov = self.cov
         ptr, cum, npairs = 0, 0, len(pairs)
         for s1, j in enumerate(pi, 1):

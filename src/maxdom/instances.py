@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import codecs
 import os
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, partial
@@ -76,7 +77,8 @@ def _number(token: str, line_no: int):
     """``token`` as an int, or else exactly as a ``Decimal`` where ``float`` reads it as a finite number.
 
     A nonzero token that ``float`` rounds to 0 is refused: read exactly,
-    ``1e-99999999`` would scale the weights by 10**99999999.
+    ``1e-99999999`` would scale the weights by 10**99999999.  So is an integer
+    token over ``int``'s digit limit, which ``Decimal`` would read only slowly.
     """
     try:
         return int(token)
@@ -87,6 +89,10 @@ def _number(token: str, line_no: int):
     except ValueError:
         raise ParseError(line_no, f"not a number: {token!r}") from None
     if not isfinite(value):
+        digits = token.lstrip("+-")
+        if digits.isdigit():  # refused by ``int`` for its length alone
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(line_no, f"integer of {len(digits)} digits, over the int-string limit of {limit}")
         raise ParseError(line_no, f"non-finite number: {token!r}")
     number = _decimal()(token)
     if number and not value:

@@ -2,8 +2,8 @@
 
 The pipeline sums the ground points' int weights into the cells of the
 covered region straight from the instance's point columns
-(``cells.build_grid``), turns the nonzero cells into per-strip rows and runs
-the DP on them: O(n log m) on the n-side, with no per-point object, and the
+(``cells.build_grid``), drops the zero-weight cells and runs the DP on the
+grid's rows: O(n log m) on the n-side, with no per-point object, and the
 cell sums are themselves the compressed ground set.  ``solve_reference``
 reaches the same cell sums the ranked way (rank every point, drop the
 uncovered ones, grid in rank space) and runs the same DP; ``verify`` and the
@@ -12,8 +12,8 @@ all-integer file parses and grids its point lines in parts, one process per
 CPU (``grid_parts``), and hands the parts' cells to the same pipeline.
 
 The DP takes any instance, ranked or not: it walks the queries in the
-staircase order (``RowSums.stair``) and compares their x-ranks
-(``RowSums.qx``), ties broken by id as in the rank transform.  Layer l
+staircase order (``CellGrid.stair``) and compares their x-ranks
+(``CellGrid.qx``), ties broken by id as in the rank transform.  Layer l
 computes, for every position i in decreasing-y order, the best covered
 weight achievable with at most l picks drawn from the queries in the closed
 upper-left region of position i, measured on the points strictly above
@@ -44,17 +44,17 @@ from dataclasses import dataclass
 from itertools import accumulate
 from time import perf_counter
 
-from .cells import _merge_into, add_parts, build_grid, sum_batches
-from .coverage import CoverageSweep, RowSums, build_row_sums
+from .cells import CellGrid, _merge_into, add_parts, build_grid, sum_batches
+from .coverage import CoverageSweep, build_row_sums
 from .instances import point_batches, point_ranges
 from .model import Instance, Solution, exact
 from .ranking import drop_uncovered, rank_transform
 
 
-def dp_layers(inst: Instance, row_sums: RowSums):
+def dp_layers(inst: Instance, grid: CellGrid):
     """All layer tables and predecessor links; layer 0 is identically zero.
 
-    ``row_sums`` must hold the per-strip cells of ``inst``, as
+    ``grid`` must hold the per-strip cells of ``inst``, as
     ``build_row_sums(build_grid(inst))`` gives them; every layer consumes a
     fresh ``CoverageSweep`` over them.
 
@@ -64,13 +64,13 @@ def dp_layers(inst: Instance, row_sums: RowSums):
     smallest position, so an all-zero optimum reconstructs to the empty pick
     set; the optimum value is independent of tie-breaking.
     """
-    qx = row_sums.qx
+    qx = grid.qx
     last = len(qx) - 1
     k_eff = min(inst.k, last - 1)
     tables: list[list[int]] = [[0] * (last + 1)]
     preds: list[list[int] | None] = [None]
     for _layer in range(1, k_eff + 1):
-        sweep = CoverageSweep(row_sums, qx)
+        sweep = CoverageSweep(grid, qx)
         advance = sweep.advance
         cov = sweep.cov  # mutated in place by advance, never reassigned
         t_prev = tables[-1]
@@ -107,21 +107,21 @@ def _field_bytes(total: int) -> int:
     return need if need > 8 else 1 << (need - 1).bit_length()
 
 
-def _strip_adds(qx: list[int], cells) -> list:
+def _strip_adds(qx: list[int], per_row) -> list:
     """Per strip, its nonzero cells as ``(leaf, weight)`` pairs.
 
-    ``cells`` is ``RowSums.rows``' per-strip ``(col, weight)`` pairs.  Leaves
+    ``per_row`` is the zero-free grid's per-strip ``(col, weight)`` pairs.  Leaves
     index the queries by x-rank (``qx[i] // 2 - 1``).  A cell's leaf is that
     of the leftmost query above its strip that covers it, so the queries
     covering the cell are exactly those above the strip at that leaf or
     right of it.  The sorted leaves above a strip are brought up to date
-    only at strips with cells, as ``cells`` does for points.
+    only at strips with cells, as ``cells._sum_cells`` does for points.
     """
     leaves = [x // 2 - 1 for x in qx]
     prefix: list[int] = []  # leaves of the ``done`` highest queries, sorted
     done = 0
     adds = []
-    for s, strip in enumerate(cells, 1):
+    for s, strip in enumerate(per_row, 1):
         if not strip:
             adds.append(())
             continue
@@ -131,7 +131,7 @@ def _strip_adds(qx: list[int], cells) -> list:
     return adds
 
 
-def tree_layers(inst: Instance, row_sums: RowSums):
+def tree_layers(inst: Instance, grid: CellGrid):
     """``dp_layers``' tables and picks from one segment-tree sweep that carries all k layers.
 
     The sweep visits the positions in staircase order over a segment tree
@@ -147,10 +147,10 @@ def tree_layers(inst: Instance, row_sums: RowSums):
     Returns ``dp_layers``' ``(tables, preds, k_eff)``, but ``preds[l]``
     holds only the link that the optimal walk follows (``_tree_preds``).
     """
-    qx = row_sums.qx
+    qx = grid.qx
     k_eff = min(inst.k, len(qx) - 2)
-    adds = _strip_adds(qx, row_sums.rows)
-    tables, corner = _tree_tables(qx, adds, k_eff, row_sums.total)
+    adds = _strip_adds(qx, grid.per_row)
+    tables, corner = _tree_tables(qx, adds, k_eff, grid.total)
     preds = _tree_preds(qx, adds, tables, corner, k_eff)
     return tables, preds, k_eff
 
@@ -346,9 +346,9 @@ def _chosen_ids(stair, preds, k_eff: int) -> frozenset[int]:
     return frozenset(ids)
 
 
-def _solution(row_sums: RowSums, tables, preds, k_eff: int) -> Solution:
+def _solution(grid: CellGrid, tables, preds, k_eff: int) -> Solution:
     """The optimum, its pick set and each layer's optimum off the DP's int tables, divided by the scale once."""
-    stair, scale = row_sums.stair, row_sums.scale
+    stair, scale = grid.stair, grid.scale
     last = len(stair) + 1
     layers = tuple(exact(tables[l][last], scale) for l in range(1, k_eff + 1))
     return Solution(_chosen_ids(stair, preds, k_eff), layers[-1] if layers else 0, layers)
@@ -498,26 +498,27 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
     _choose(engine, _estimates(inst.m, k_eff, 0), _slots(inst.m, k_eff))
     t0 = perf_counter()
     grid = build_grid(inst) if parts is None else add_parts(inst, parts)
-    row_sums = build_row_sums(grid)
-    nonzero = sum(map(len, row_sums.rows))
+    cells = sum(map(len, grid.per_row))
+    grid = build_row_sums(grid)
+    nonzero = sum(map(len, grid.per_row))
     estimates = _estimates(inst.m, k_eff, nonzero)
     # Fields wider than one word only price the tree higher, so its field
     # width matters only where the tree may run: named, or cheaper unpriced.
     words = 1
     if engine == "tree" or (engine == "auto" and estimates["tree"] < estimates["sweep"]):
-        words = -(-_field_bytes(row_sums.total) // 8)
+        words = -(-_field_bytes(grid.total) // 8)
         estimates = _estimates(inst.m, k_eff, nonzero, words)
     engine = _choose(engine, estimates, _slots(inst.m, k_eff, words))
     t1 = perf_counter()
-    tables, preds, k_eff = globals()[_ENGINES[engine]](inst, row_sums)
+    tables, preds, k_eff = globals()[_ENGINES[engine]](inst, grid)
     t2 = perf_counter()
-    solution = _solution(row_sums, tables, preds, k_eff)
-    dp_pairs = _dp_pairs(row_sums.qx, k_eff)
+    solution = _solution(grid, tables, preds, k_eff)
+    dp_pairs = _dp_pairs(grid.qx, k_eff)
     t3 = perf_counter()
     return PipelineResult(
         solution,
         grid.retained,
-        len(grid.cells),
+        cells,
         nonzero,
         dp_pairs,
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
@@ -618,5 +619,5 @@ def solve_reference(inst: Instance) -> Solution:
     equal ``solve_pipeline``'s.
     """
     rr = drop_uncovered(rank_transform(inst))
-    row_sums = build_row_sums(build_grid(rr))
-    return _solution(row_sums, *dp_layers(rr, row_sums))
+    grid = build_row_sums(build_grid(rr))
+    return _solution(grid, *dp_layers(rr, grid))

@@ -159,6 +159,28 @@ def test_a_value_of_thousands_of_digits_is_written_exactly(capsys, tmp_path):
     assert Fraction(json.loads(out, parse_float=Decimal)["value"]) == Fraction(Decimal(weight)) + 1
 
 
+def test_an_integer_over_the_int_string_limit_is_refused_by_name(capsys, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text(f"1 1 1\n0 0 {'7' * 5000}\n1 1\n")
+    code, out, err = run(capsys, "solve", path)
+    assert (code, out) == (1, "")
+    assert f"line 2: integer of 5000 digits, over the int-string limit of {sys.get_int_max_str_digits()}" in err
+
+
+def test_compress_of_a_file_with_uncovered_points(capsys, tmp_path):
+    # three points lie outside every quadrant, one of them with the only
+    # eighths; two covered ones cancel out in one cell
+    path, out_path = tmp_path / "in.txt", tmp_path / "out.txt"
+    path.write_text("8 3 2\n0 0 3\n1 1 -3\n2 4 1.25\n5 1 2\n0 7 4\n7 7 0.125\n10 0 2.25\n4 9 -1\n3 5\n6 2\n1 8\n")
+    code, out, _ = run(capsys, "compress", path, "--out", out_path)
+    assert code == 0
+    assert out == (
+        '{"n": 8, "m": 3, "k": 2, "retained": 5, "nonempty_cells": 4, "compressed_size": 3, '
+        f'"bound": 8, "bound_ok": true, "out": "{out_path}"}}\n'
+    )
+    assert out_path.read_text() == "3 3 2\n1 5 4\n3 3 1.25\n5 1 2\n4 4\n6 2\n2 6\n"
+
+
 def test_bench_csv_schema(capsys, tmp_path):
     csv_path = tmp_path / "bench.csv"
     code, out, _ = run(

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from maxdom.cells import CellGrid, build_grid
 from maxdom.coverage import CoverageSweep, build_row_sums
-from maxdom.model import Instance
+from maxdom.model import Instance, QueryPoint
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
 
@@ -26,15 +26,18 @@ def direct_cov(rr, i, j):
     return sum(p.w for p in rr.P if p.y > qi.y and p.x <= qj.x and p.y <= qj.y)
 
 
-def test_row_sums_accumulate_in_column_order():
-    # rows hold the cells as the grid summed them; the sweep accumulates them
-    built = build_row_sums(CellGrid(1, {}, (((2, 5), (4, -3)),)))
-    assert built.rows[0] == ((2, 5), (4, -3))
+def test_build_row_sums_keeps_a_row_without_zero_cells_as_it_is():
+    row = ((2, 5), (4, -3))
+    built = build_row_sums(CellGrid(2, (row, ())))
+    assert built.per_row[0] is row and built.per_row == (row, ())
 
 
-def test_row_sums_skip_zero_weight_cells_but_keep_totals():
-    built = build_row_sums(CellGrid(1, {}, (((1, 4), (2, 0), (3, -4), (4, 1)),)))
-    assert built.rows[0] == ((1, 4), (3, -4), (4, 1))  # col 2 not stored
+def test_build_row_sums_drops_zero_weight_cells_and_keeps_the_rest_of_the_grid():
+    stair = (QueryPoint(1, 2, 0), QueryPoint(2, 1, 1))
+    grid = CellGrid(2, (((1, 0),), ((1, 4), (2, 0), (3, -4), (4, 1))), 9, 10, stair)
+    built = build_row_sums(grid)
+    assert built.per_row == ((), ((1, 4), (3, -4), (4, 1)))  # col 2 of row 2 not stored
+    assert (built.m, built.retained, built.scale, built.stair) == (2, 9, 10, stair)
 
 
 def test_sweep_two_point_example():
@@ -115,5 +118,5 @@ def test_restarted_sweep_reproduces_values():
 @given(small_instances())
 def test_row_storage_within_bound(inst):
     rr, rows = prepared(inst)
-    stored = sum(len(r) for r in rows.rows)
+    stored = sum(len(r) for r in rows.per_row)
     assert stored <= min(max(1, len(rr.P)), rr.m**2)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxdom.cells
-import maxdom.coverage
 import maxdom.model
 import maxdom.solver
 from maxdom.cells import build_grid
@@ -415,7 +414,7 @@ def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(mon
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    monkeypatch.setattr(maxdom.coverage, "_axis_transform", counted("ranks", maxdom.coverage._axis_transform))
+    monkeypatch.setattr(maxdom.cells, "_axis_transform", counted("ranks", maxdom.cells._axis_transform))
     monkeypatch.setattr(maxdom.model, "lcm", counted("scale", maxdom.model.lcm))
     base = random_instance(SplitMix64(47), n=30, m=8, k=3)
     inst = Instance.from_rows([(p.x, p.y, Fraction(p.w, 4)) for p in base.P], [(q.x, q.y) for q in base.Q], 3)

@@ -88,11 +88,11 @@ def reference_grid(inst: Instance) -> CellGrid:
             key = CellKey(row, slot + 1)
             sums[key] = sums.get(key, 0) + Fraction(p.w)
             retained += 1
-    cells = {key: int(w * scale) for key, w in sums.items()}
     per_row = tuple(
-        tuple((col, w) for (r, col), w in sorted(cells.items()) if r == row) for row in range(1, inst.m + 1)
+        tuple((col, int(w * scale)) for (r, col), w in sorted(sums.items()) if r == row)
+        for row in range(1, inst.m + 1)
     )
-    return CellGrid(inst.m, cells, per_row, retained, scale)
+    return CellGrid(inst.m, per_row, retained, scale)
 
 
 def exact_cells(grid: CellGrid) -> dict[CellKey, Fraction]:
