@@ -7,10 +7,10 @@ For each shape it grids one ``uniform`` instance and times ``dp_layers``
 ``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``.  The tree is
 timed as ``tree_layers`` without its picks (``_tree_preds``), since its
 constants price the tree walks only; the x-ranks and the cells' total are
-kept on the row sums after the first repetition, and the shapes' weights
-(-10..10) fit one-word fields.  Each time is divided by
-the engine's unit count from ``solver._estimates``: k * m^2 for the sweep
-and P = (c + 2m) * ceil(log2(m + 1)) node visits for the tree.  The median
+kept on the grid after the first repetition, and the shapes' weights
+(-10..10) fit one-word fields.  Each time is divided by the engine's unit
+count, read off ``solver._costs`` (``units``): k * m^2 for the sweep and
+P = (c + 2m) * ceil(log2(m + 1)) node visits for the tree.  The median
 over the shapes is the value for ``solver.SWEEP_NS``; a least-squares line
 through the tree's (k, ns per node visit) points gives
 ``solver.TREE_NODE_NS`` (its intercept) and ``solver.TREE_LANE_NS`` (its
@@ -27,7 +27,15 @@ from time import perf_counter
 from maxdom.cells import build_grid
 from maxdom.coverage import build_row_sums
 from maxdom.instances import GeneratorSpec, generate
-from maxdom.solver import _strip_adds, _tree_tables, dp_layers
+from maxdom.solver import (
+    SWEEP_NS,
+    TREE_LANE_NS,
+    TREE_NODE_NS,
+    _costs,
+    _strip_adds,
+    _tree_tables,
+    dp_layers,
+)
 
 # (n, m, k): m from 64 to 2048, and few to many cells per query
 SHAPES = (
@@ -50,6 +58,12 @@ def tree_tables(inst, grid):
     adds = _strip_adds(qx, grid.per_row)
     tables, _corner = _tree_tables(qx, adds, min(inst.k, inst.m), grid.total)
     return tables
+
+
+def units(m: int, k: int, cells: int) -> tuple[float, float]:
+    """The sweep's and the tree's unit counts: ``solver._costs``' estimates over their prices per unit."""
+    seconds = _costs(m, k, cells)[0]
+    return seconds["sweep"] / (SWEEP_NS * 1e-9), seconds["tree"] / ((TREE_NODE_NS + TREE_LANE_NS * k) * 1e-9)
 
 
 def best_of(reps: int, fn) -> float:
@@ -76,12 +90,11 @@ def main() -> None:
         grid = build_row_sums(build_grid(inst))
         cells = sum(map(len, grid.per_row))
         sweep_s = best_of(args.reps, lambda: dp_layers(inst, grid))
-        sweep_ns.append(sweep_s * 1e9 / (k * m * m))
-        paths = (cells + 2 * m) * m.bit_length()
+        sweep_ns.append(sweep_s * 1e9 / units(m, k, cells)[0])
         tree = []
         for tk in TREE_KS:
             at_k = replace(inst, k=tk)
-            tree.append(best_of(args.reps, lambda: tree_tables(at_k, grid)) * 1e9 / paths)
+            tree.append(best_of(args.reps, lambda: tree_tables(at_k, grid)) * 1e9 / units(m, tk, cells)[1])
         tree_ks += TREE_KS
         tree_ns += tree
         print(

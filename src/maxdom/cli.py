@@ -73,15 +73,13 @@ def _peak_rss_mb(children: bool = False) -> float | None:
 
 def cmd_solve(args) -> int:
     t0 = perf_counter()
-    split = grid_parts(args.path) if args.algo == "dp" else None
+    split = grid_parts(args.path, args.k) if args.algo == "dp" else None
     if split is None:
         parts = None
-        inst = parse(args.path)
+        inst = _load(args)
         n = inst.n
     else:
         n, inst, parts = split  # inst: the queries and k, with no points
-    if args.k is not None:
-        inst = replace(inst, k=args.k)
     t1 = perf_counter()
     if args.algo == "oracle":
         sol = oracle_solve(inst)

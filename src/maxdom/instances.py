@@ -281,15 +281,16 @@ def parse_text(text: str) -> Instance:
 def parse(path) -> Instance:
     """Parse an instance file into point columns, streamed in chunks.
 
-    The file is read ``_CHUNK`` characters at a time in text mode, each
-    chunk cut after its last newline, and every chunk's point lines go
-    straight into the x, y and w columns.  So the parser never holds the
-    file text or a string per line beside the columns: its peak is the
-    finished instance plus one chunk and one batch, and, for a column that
-    a decimal or a beyond-int64 value made a list, that list.  Values and
-    ``ParseError``s are those of parsing the whole text at once.
+    The file is read as UTF-8, whatever the locale, ``_CHUNK`` characters
+    at a time in text mode, each chunk cut after its last newline, and
+    every chunk's point lines go straight into the x, y and w columns.  So
+    the parser never holds the file text or a string per line beside the
+    columns: its peak is the finished instance plus one chunk and one
+    batch, and, for a column that a decimal or a beyond-int64 value made a
+    list, that list.  Values and ``ParseError``s are those of parsing the
+    whole text at once.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         pieces = iter(partial(f.read, _CHUNK), "")
         try:
             return _parse_blocks(_whole_lines(pieces))
@@ -308,27 +309,24 @@ SPLIT_MIN_BYTES = 1 << 20
 _TAIL_BYTES_PER_QUERY = 64
 
 
-def point_ranges(path, parts: int):
+def point_ranges(path, parts: int, k: int | None = None):
     """``(n, queries, ranges)`` for parsing the point lines of an all-plain file in parts, or None.
 
     The header is read from the head of the file and the queries from its
     tail: the last m lines, which must all be query lines, each with two
     numbers, the last one with or without a final newline.  ``queries`` is
-    the instance of those queries with no points and the file's k.  The
-    bytes between the header line and the first query line, which should
-    hold the n point lines, are cut after a newline into at most ``parts``
-    ``(start, stop)`` ranges of about equal size.  None where the file, or
-    its point lines, are smaller than ``SPLIT_MIN_BYTES``, the file's text
-    encoding is not UTF-8, the header is not within the first ``_CHUNK``
-    bytes or anything above does not hold; ``parse`` then reads the file
-    whole and reports what is wrong.  Whether the ranges hold n point lines
-    is for their parser to count (``point_batches``).
+    the instance of those queries with no points and budget ``k``, the
+    file's own where ``k`` is None.  The bytes between the header line and
+    the first query line, which should hold the n point lines, are cut
+    after a newline into at most ``parts`` ``(start, stop)`` ranges of about
+    equal size.  None where the file, or its point lines, are smaller than
+    ``SPLIT_MIN_BYTES``, the header is not within the first ``_CHUNK`` bytes
+    or anything above does not hold; ``parse`` then reads the file whole and
+    reports what is wrong.  Whether the ranges hold n point lines is for
+    their parser to count (``point_batches``).
     """
     if os.stat(path).st_size < SPLIT_MIN_BYTES:
         return None
-    with open(path) as text:  # the encoding ``parse`` reads the file with
-        if codecs.lookup(text.encoding).name != "utf-8":
-            return None
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         start = 0  # the end of the header line
@@ -343,7 +341,7 @@ def point_ranges(path, parts: int):
                 if _is_data(line):
                     header = _header(line, 0)  # a bad header raises; ``parse`` names its line
                     break
-        n, m, k = header
+        n, m, file_k = header
         f.seek(max(start, size - _TAIL_BYTES_PER_QUERY * m))
         tail = f.read()
         cut = len(tail) - tail.endswith(b"\n")
@@ -355,7 +353,8 @@ def point_ranges(path, parts: int):
         rows = [line.split() for line in tail.decode().splitlines()]
         if len(rows) != m or any(len(toks) != 2 for toks in rows):  # a comment fails as a number
             return None
-        queries = Instance.from_columns((), (), (), [[_number(t, 0) for t in toks] for toks in rows], k)
+        rows = [[_number(t, 0) for t in toks] for toks in rows]
+        queries = Instance.from_columns((), (), (), rows, file_k if k is None else k)
         stop = size - len(tail)
         if stop - start < max(SPLIT_MIN_BYTES, 1):
             return None

@@ -5,11 +5,12 @@ covered region straight from the instance's point columns
 (``cells.build_grid``), drops the zero-weight cells and runs the DP on the
 grid's rows: O(n log m) on the n-side, with no per-point object, and the
 cell sums are themselves the compressed ground set.  ``solve_reference``
-reaches the same cell sums the ranked way (rank every point, drop the
-uncovered ones, grid in rank space) and runs the same DP; ``verify`` and the
-tests compare the pipeline against it.  ``maxdom solve`` of a large
-all-integer file parses and grids its point lines in parts, one process per
-CPU (``grid_parts``), and hands the parts' cells to the same pipeline.
+reaches the same cell sums the ranked way (rank every point and grid in rank
+space, where the grid skips the uncovered points) and runs the same DP;
+``verify`` and the tests compare the pipeline against it.  ``maxdom solve``
+of a large all-integer file parses and grids its point lines in parts, one
+process per CPU (``grid_parts``), and hands the parts' cells to the same
+pipeline.
 
 The DP takes any instance, ranked or not: it walks the queries in the
 staircase order (``CellGrid.stair``) and compares their x-ranks
@@ -26,10 +27,13 @@ Two engines return the same int layer tables and picks: ``dp_layers``, the
 paper's simple algorithm ("sweep"), in O(m^2) time per layer, and
 ``tree_layers`` ("tree"), all k layers in one sweep over a segment tree in
 O(k (c + m) log m) time for c nonzero cells.  ``_solution`` divides the
-reported values by the grid's scale once.  ``run_pipeline`` defaults to
-``"auto"``, which runs whichever engine ``_estimates`` predicts faster (the
-paper's min{}), and refuses a solve estimated over ``DP_BUDGET_S`` or
-``DP_SLOT_BUDGET``; ``maxdom bench`` times the simple DP by name.
+reported values by the grid's scale once.  ``_costs`` prices both engines,
+seconds and list slots, and ``_choose`` picks one: ``run_pipeline`` defaults
+to ``"auto"``, which runs whichever engine is priced faster on the grid (the
+paper's min{}), and refuses a solve priced over ``DP_BUDGET_S`` or
+``DP_SLOT_BUDGET``, already before the grid where even no cells would be
+over; ``grid_parts`` runs that pre-grid pricing before it forks.  ``maxdom
+bench`` times the simple DP by name.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .cells import CellGrid, _merge_into, add_parts, build_grid, sum_batches
 from .coverage import CoverageSweep, build_row_sums
 from .instances import point_batches, point_ranges
 from .model import Instance, Solution, exact
-from .ranking import drop_uncovered, rank_transform
+from .ranking import rank_transform
 
 
 def dp_layers(inst: Instance, grid: CellGrid):
@@ -368,7 +372,7 @@ def _dp_pairs(qx: list[int], k_eff: int) -> int:
     return per_layer * k_eff
 
 
-# Nanoseconds per unit of each engine's work estimate (``_estimates``), from
+# Nanoseconds per unit of each engine's work estimate (``_costs``), from
 # ``scripts/calibrate_engines.py`` on a 2-core x86-64 KVM guest under CPython
 # 3.11.7 (``--reps 5``, seeds 1 and 2).  SWEEP_NS: the mean of two runs'
 # medians over nine shapes, 109.2 and 106.0.  TREE_NODE_NS and TREE_LANE_NS
@@ -385,48 +389,43 @@ TREE_LANE_NS = 8.43
 # DP work: a few minutes of calibrated work.
 DP_BUDGET_S = 180.0
 # A solve whose chosen engine would hold more list slots than this
-# (``_slots``) is refused as well.  A slot took 12-15 bytes under
+# (``_costs``) is refused as well.  A slot took 12-15 bytes under
 # tracemalloc (uniform shapes up to m = 4,096 and k = 256) and can take
 # about 32 (a pointer and a float of its own): 0.6-1.6 GB.  The tree's peak
-# came to 6-11 bytes per slot that ``_slots`` counts, at fields of 1 to 33
+# came to 6-11 bytes per slot that ``_costs`` counts, at fields of 1 to 33
 # words (uniform m = 256 to 4,096, k = 8 to 256).
 DP_SLOT_BUDGET = 50_000_000
 
 
-def _estimates(m: int, k_eff: int, cells: int, words: int = 1) -> dict[str, float]:
-    """Predicted dp-stage seconds of each engine, from closed-form work counts.
+def _costs(m: int, k_eff: int, cells: int = 0, total: int = 0) -> tuple[dict[str, float], dict[str, int]]:
+    """Each engine's predicted dp-stage seconds and peak list slots, from closed-form work counts.
 
     The simple DP (``dp_layers``, "sweep") scans k * m^2 (layer, i, j)
     slots; the segment tree (``tree_layers``, "tree") walks c + 2m root
     paths of depth ``m.bit_length()`` = ceil(log2(m + 1)), c the nonzero
     cells, each node visit costing a fixed part plus one per lane and
-    64-bit word of its field (``words``, 1 up to 64 bits).  The sweep wins
-    a tie.
-    """
-    paths = (cells + 2 * m) * m.bit_length()
-    return {
-        "sweep": SWEEP_NS * 1e-9 * k_eff * m * m,
-        "tree": (TREE_NODE_NS + TREE_LANE_NS * k_eff * words) * 1e-9 * paths,
-    }
-
-
-def _slots(m: int, k_eff: int, words: int = 1) -> dict[str, int]:
-    """List slots each engine holds at its peak, a field of the tree counted per 64-bit word.
+    64-bit word of its field (``_field_bytes(total)``, ``total`` the cells'
+    absolute total).  No cells and a total of 0, one-byte fields, price an
+    instance before its grid: a lower bound for both engines.
 
     Both hold the k + 1 layer tables of m + 2 entries and as many entries
     again: the sweep's predecessor links, the tree's rows by position, whose
-    ints are ``words`` 64-bit words wide.  Each node of the tree adds two
-    ints of k fields (``_tree_tables``' ``M`` and ``S``): a lane counts
-    once at one word, where both of its fields of at most 8 bytes fit the
-    bytes of one slot, and twice for every further word.  ``words`` is 1, a
-    lower bound, before the cells are known and where the tree cannot run
-    (``run_pipeline``).
+    ints are a field wide.  Each node of the tree adds two ints of k fields
+    (``_tree_tables``' ``M`` and ``S``): a lane counts once at one word,
+    where both of its fields of at most 8 bytes fit the bytes of one slot,
+    and twice for every further word.
     """
+    words = -(-_field_bytes(total) // 8)
     tables = (k_eff + 1) * (m + 2)
-    return {
+    estimates = {
+        "sweep": SWEEP_NS * 1e-9 * k_eff * m * m,
+        "tree": (TREE_NODE_NS + TREE_LANE_NS * k_eff * words) * 1e-9 * (cells + 2 * m) * m.bit_length(),
+    }
+    slots = {
         "sweep": 2 * tables,
         "tree": tables * (1 + words) + 2 * _tree_width(m) * k_eff * (2 * words - 1),
     }
+    return estimates, slots
 
 
 # Engine name -> the name of its function, looked up in the module at each
@@ -435,7 +434,7 @@ _ENGINES = {"sweep": "dp_layers", "tree": "tree_layers"}
 
 
 def _choose(engine: str, estimates: dict[str, float], slots: dict[str, int]) -> str:
-    """The engine to run: ``"auto"`` picks the cheapest estimate within both budgets.
+    """The engine to run: ``"auto"`` picks the cheapest estimate within both budgets, the sweep on a tie.
 
     Refuses with ``ValueError`` when no engine it may pick is within
     ``DP_BUDGET_S`` and ``DP_SLOT_BUDGET``, naming the fastest one and the
@@ -470,7 +469,7 @@ class PipelineResult:
     dp_pairs: int  # eligible (layer, i, j) transitions, see ``_dp_pairs``
     stage_seconds: dict[str, float]
     engine: str  # the DP that ran: "sweep" (``dp_layers``) or "tree" (``tree_layers``)
-    estimates: dict[str, float]  # predicted dp seconds per engine, see ``_estimates``
+    estimates: dict[str, float]  # predicted dp seconds per engine, see ``_costs``
 
 
 def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineResult:
@@ -483,32 +482,24 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
     ``grid_parts`` returns them, and the grid stage adds them instead.
 
     ``engine`` is ``"auto"`` (the default), which runs whichever engine
-    ``_estimates`` predicts faster once the cells are known, ``"sweep"``
-    (the paper's simple DP) or ``"tree"``; both give the same tables and
-    picks.  For either, ``dp`` times the tables and
-    picks and ``reconstruct`` reads the solution off them and counts
-    ``dp_pairs``.  A solve whose engine is estimated over ``DP_BUDGET_S`` or
-    would hold more than ``DP_SLOT_BUDGET`` list slots raises ``ValueError``
-    before any DP work, and before the grid when even an instance with no
-    cells and the narrowest tree fields would be over.
+    ``_costs`` predicts faster on the zero-free grid, ``"sweep"`` (the
+    paper's simple DP) or ``"tree"``; both give the same tables and picks.
+    For either, ``dp`` times the tables and picks and ``reconstruct`` reads
+    the solution off them and counts ``dp_pairs``.  The engine is priced
+    twice: before the grid, with no cells, and on the grid.  A solve whose
+    engine is estimated over ``DP_BUDGET_S`` or would hold more than
+    ``DP_SLOT_BUDGET`` list slots raises ``ValueError`` at the first pricing
+    that is over, so before any DP work.
     """
     k_eff = min(inst.k, inst.m)
-    # No cells and one-word fields are a lower bound: what is over the budget
-    # even so is refused ungridded.
-    _choose(engine, _estimates(inst.m, k_eff, 0), _slots(inst.m, k_eff))
+    _choose(engine, *_costs(inst.m, k_eff))
     t0 = perf_counter()
     grid = build_grid(inst) if parts is None else add_parts(inst, parts)
     cells = sum(map(len, grid.per_row))
     grid = build_row_sums(grid)
     nonzero = sum(map(len, grid.per_row))
-    estimates = _estimates(inst.m, k_eff, nonzero)
-    # Fields wider than one word only price the tree higher, so its field
-    # width matters only where the tree may run: named, or cheaper unpriced.
-    words = 1
-    if engine == "tree" or (engine == "auto" and estimates["tree"] < estimates["sweep"]):
-        words = -(-_field_bytes(grid.total) // 8)
-        estimates = _estimates(inst.m, k_eff, nonzero, words)
-    engine = _choose(engine, estimates, _slots(inst.m, k_eff, words))
+    estimates, slots = _costs(inst.m, k_eff, nonzero, grid.total)
+    engine = _choose(engine, estimates, slots)
     t1 = perf_counter()
     tables, preds, k_eff = globals()[_ENGINES[engine]](inst, grid)
     t2 = perf_counter()
@@ -548,34 +539,40 @@ def _int64(batch: tuple) -> list:
         raise ValueError("a point value that is not an int64") from None
 
 
-def grid_parts(path, _parts: int | None = None):
+def grid_parts(path, k: int | None = None, _parts: int | None = None):
     """``(n, queries, parts)`` for the instance file at ``path``, parsed and gridded in parts, or None.
 
     The point lines are cut into one byte range per usable CPU, or
     ``_parts`` (``instances.point_ranges``).  This process parses and grids
     the first range; one forked child does each other one and sends back
     ``_grid_range``'s result, pickled over a pipe.  ``queries`` is the
-    file's queries and k with no points, ``parts`` each part's
-    ``(per_row, retained)``, and ``add_parts(queries, parts)`` is
-    ``build_grid(parse(path))`` exactly.  None, leaving the file to
-    ``parse``, where the file is small or not plain enough to be split,
-    ``fork`` is missing or this process runs other threads (a lock one of
-    them holds would stay held in the child), a part's column is not int64,
-    a part fails in any way or the parts' point counts do not add up to n;
-    the children are reaped in every case.
+    file's queries and ``k``, the file's own where None, with no points,
+    ``parts`` each part's ``(per_row, retained)``, and ``add_parts(queries,
+    parts)`` is ``build_grid(parse(path))`` exactly.  Before a fork or a
+    point line is read, ``queries`` is priced as ``run_pipeline`` prices an
+    ungridded instance, and a refusal raises its ``ValueError``.  None,
+    leaving the file to ``parse``, where the file is small or not plain
+    enough to be split, ``fork`` is missing or this process runs other
+    threads (a lock one of them holds would stay held in the child), a
+    part's column is not int64, a part fails in any way or the parts' point
+    counts do not add up to n; the children are reaped in every case.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
     parts = _parts or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    try:
+        plan = point_ranges(path, parts, k)
+    except Exception:  # whatever is wrong with the file, ``parse`` of the whole file reports it
+        return None
+    if plan is None:
+        return None
+    n, queries, ranges = plan
+    _choose("auto", *_costs(queries.m, min(queries.k, queries.m)))
+    import pickle  # here, so that a process that never splits does not hold the module
+
     children = []  # (pid, the read end of its pipe)
     results = None
     try:
-        plan = point_ranges(path, parts)
-        if plan is None:
-            return None
-        n, queries, ranges = plan
-        import pickle  # here, so that a process that never splits does not hold the module
-
         for start, stop in ranges[1:]:
             read, write = os.pipe()
             pid = os.fork()
@@ -614,10 +611,10 @@ def solve_pipeline(inst: Instance) -> Solution:
 def solve_reference(inst: Instance) -> Solution:
     """The ranked reference solve that ``verify`` and the tests compare against.
 
-    Every point is rank-transformed, uncovered points are dropped and the
-    ranked points are gridded; the cell sums, and so the value and the picks,
+    Every point is rank-transformed and the ranked points are gridded, the
+    uncovered ones skipped; the cell sums, and so the value and the picks,
     equal ``solve_pipeline``'s.
     """
-    rr = drop_uncovered(rank_transform(inst))
+    rr = rank_transform(inst)
     grid = build_row_sums(build_grid(rr))
     return _solution(grid, *dp_layers(rr, grid))

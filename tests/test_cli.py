@@ -387,9 +387,10 @@ def test_solve_refuses_an_over_memory_dp_before_gridding(capsys, monkeypatch, tm
     # the tree's lanes and tables would take gigabytes; at k = 500 it is
     # within the time budget, so only the slot budget refuses it
     m = 100_000
-    assert maxdom.solver._slots(m, k)["tree"] > DP_SLOT_BUDGET
+    estimates, slots = maxdom.solver._costs(m, k)
+    assert slots["tree"] > DP_SLOT_BUDGET
     if k == 500:
-        assert maxdom.solver._estimates(m, k, 0)["tree"] < DP_BUDGET_S
+        assert estimates["tree"] < DP_BUDGET_S
     lines = [f"5 {m} {k}"] + [f"{i} {i} 1" for i in range(5)] + [f"{i} {m - i}" for i in range(m)]
     path = tmp_path / "wide.txt"
     path.write_text("\n".join(lines) + "\n")

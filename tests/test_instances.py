@@ -1,5 +1,3 @@
-import codecs
-import locale
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -319,10 +317,6 @@ def test_parse_matches_line_by_line(tmp_path_factory, inst, data):
         assert result == expected
 
 
-@pytest.mark.skipif(
-    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
-    reason="needs UTF-8 as the default text encoding",
-)
 def test_undecodable_tail_wins_over_an_early_parse_error(tmp_path, monkeypatch):
     # as when the whole file was read first, a bad byte after a bad header
     # or an extra line is still a decoding error

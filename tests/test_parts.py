@@ -34,19 +34,19 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 UNTIMED = ("stages", "total_seconds", "peak_rss_mb", "peak_rss_children_mb", "parts")
 
 
-def _solve(path) -> tuple[int, dict | None, str]:
+def _solve(path, *args) -> tuple[int, dict | None, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["solve", str(path)])
+        code = main(["solve", str(path), *args])
     rec = json.loads(out.getvalue()) if code == 0 else None
     return code, rec, err.getvalue()
 
 
-def _plain(path) -> tuple[int, dict | None, str]:
+def _plain(path, *args) -> tuple[int, dict | None, str]:
     """``maxdom solve`` of ``path`` on the plain path, with no split."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(instances, "SPLIT_MIN_BYTES", 1 << 62)
-        return _solve(path)
+        return _solve(path, *args)
 
 
 def _untimed(rec: dict) -> dict:
@@ -260,6 +260,41 @@ def test_split_record_keys_and_stages(tmp_path, monkeypatch):
     assert rec["total_seconds"] >= sum(rec["stages"].values()) - 1e-5
     assert rec["peak_rss_children_mb"] is None or rec["peak_rss_children_mb"] > 0
     assert _untimed(rec) == _untimed(plain)
+
+
+def test_an_over_budget_file_is_refused_before_a_fork(tmp_path, monkeypatch):
+    # at m = 20,000 and k = 1,000 the tree would hold 1.06e8 list slots and
+    # the sweep take hours: refused once the header and the queries are read
+    m, points = 20_000, [f"{j % 47} {j % 53} {j % 21 - 10}" for j in range(150_000)]
+    path = tmp_path / "over.txt"
+
+    def write():
+        queries = [f"{i} {m - i}" for i in range(m)]
+        path.write_text("\n".join([f"{len(points)} {m} 1000", *points, *queries]) + "\n")
+
+    write()
+    assert path.stat().st_size > instances.SPLIT_MIN_BYTES
+    refusal = (
+        "error: refusing to solve: the tree dp would hold 1.06e+08 list slots, over the budget of 5e+07\n"
+    )
+    assert _plain(path) == (1, None, refusal)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls, fork, grid_range = [], os.fork, solver._grid_range
+    monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or fork())
+    monkeypatch.setattr(solver, "_grid_range", lambda *args: calls.append("grid") or grid_range(*args))
+    assert _solve(path) == (1, None, refusal)
+    assert calls == []
+    code, rec, _ = _solve(path, "--k", "2")  # within the budgets: split and solved
+    assert code == 0 and rec["k"] == 2 and rec["parts"] == 2 and calls == ["fork", "grid"]
+    assert _untimed(rec) == _untimed(_plain(path, "--k", "2")[1])
+    points[len(points) // 2] = "1 2 x"  # the refusal comes first, where the plain parse names the line
+    write()
+    assert _plain(path)[2] == "error: line 75002: not a number: 'x'\n"
+    calls.clear()
+    assert _solve(path) == (1, None, refusal) and calls == []
+    # a bad --k is left to the plain path, which names the line first
+    assert _solve(path, "--k", "-1") == _plain(path, "--k", "-1") == _plain(path)
+    assert _unreaped() == 0
 
 
 def test_small_files_and_the_oracle_are_not_split(tmp_path, monkeypatch):

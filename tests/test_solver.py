@@ -20,9 +20,8 @@ from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
 from maxdom.solver import (
     DP_SLOT_BUDGET,
     _choose,
-    _estimates,
+    _costs,
     _field_bytes,
-    _slots,
     _solution,
     dp_layers,
     run_pipeline,
@@ -242,7 +241,7 @@ def test_tree_engine_when_the_sentinel_reads_the_root(m):
 
 def test_auto_skips_an_engine_over_the_slot_budget(monkeypatch):
     m, k = 256, 8
-    estimates, slots = _estimates(m, k, 300), _slots(m, k)
+    estimates, slots = _costs(m, k, 300)
     assert _choose("auto", estimates, slots) == "tree"
     monkeypatch.setattr(maxdom.solver, "DP_SLOT_BUDGET", slots["sweep"])
     assert _choose("auto", estimates, slots) == "sweep"  # the tree holds more than the sweep
@@ -337,7 +336,7 @@ def test_tree_refuses_very_wide_fields_after_the_grid(monkeypatch):
     monkeypatch.setattr(maxdom.solver, "build_grid", lambda i: gridded.append(i) or build_grid(i))
     monkeypatch.setattr(maxdom.solver, "tree_layers", no_dp)
     monkeypatch.setattr(maxdom.solver, "dp_layers", no_dp)
-    assert _slots(m, k)["tree"] < DP_SLOT_BUDGET  # admitted before the grid
+    assert _costs(m, k)[1]["tree"] < DP_SLOT_BUDGET  # admitted before the grid
     for engine in ("tree", "auto"):  # the sweep is over the time budget here
         message = r"^refusing to solve: the tree dp would hold 1\.72e\+08 list slots, over"
         with pytest.raises(ValueError, match=message):
@@ -367,11 +366,20 @@ def test_wide_fields_price_the_tree_higher(monkeypatch):
     # a tree named on a tiny staircase, where it is not the cheaper one,
     # is still held to the slot budget at its field width
     small = generate(GeneratorSpec("uniform", 200, 6, 6, seed=4))
-    monkeypatch.setattr(maxdom.solver, "DP_SLOT_BUDGET", _slots(6, 6)["tree"])
+    monkeypatch.setattr(maxdom.solver, "DP_SLOT_BUDGET", _costs(6, 6)[1]["tree"])
     assert run_pipeline(small, "tree").engine == "tree"
     with pytest.raises(ValueError, match="the tree dp would hold"):
         run_pipeline(wide(small), "tree")
     assert run_pipeline(wide(small)).engine == "sweep"
+    # a dense shape, where the sweep wins even at one word per field: the
+    # reported tree estimate is priced at the fields' width all the same
+    dense = wide(generate(GeneratorSpec("uniform", 2000, 16, 4, seed=4)))
+    total = build_row_sums(build_grid(dense)).total
+    res = run_pipeline(dense)
+    narrow, at_width = (_costs(16, 4, res.compressed_size, t)[0] for t in (0, total))
+    assert res.engine == "sweep" and _field_bytes(total) > 8
+    assert narrow["tree"] > narrow["sweep"]
+    assert res.estimates == at_width and at_width["tree"] > narrow["tree"]
 
 
 @settings(deadline=None, max_examples=150)
@@ -408,7 +416,7 @@ def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(mon
     # the x-ranks serve the engine and the pair count; the weights of a point
     # set are scaled to ints once, for every solve, the oracle and
     # ``weight_of_dom`` alike, while the ranked reference solve scales its
-    # own, smaller point set
+    # own, ranked point set
     calls = []
 
     def counted(name, fn):
@@ -438,3 +446,8 @@ def test_calibration_script_times_the_trees_tables():
     inst = generate(GeneratorSpec("uniform", 200, 16, 4, seed=3))
     row_sums = build_row_sums(build_grid(inst))
     assert script.tree_tables(inst, row_sums) == tree_layers(inst, row_sums)[0]
+    # the counts that the constants are fitted per: a change to ``_costs``
+    # that these no longer give would need a new calibration
+    for m, k, cells in ((1, 1, 0), (64, 8, 300), (512, 16, 9_000), (2048, 32, 2)):
+        paths = (cells + 2 * m) * m.bit_length()
+        assert script.units(m, k, cells) == (pytest.approx(k * m * m), pytest.approx(paths))
