@@ -6,8 +6,8 @@ For each shape it grids one ``uniform`` instance and times ``dp_layers``
 (the simple DP) at the shape's k and the segment tree's tables at every k of
 ``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``.  The tree is
 timed as ``tree_layers`` without its picks (``_tree_preds``), since its
-constants price the tree walks only; the x-ranks and the cells' total are
-kept on the grid after the first repetition, and the shapes' weights
+constants price the tree walks only; the grid stores the x-ranks, the
+cells' total is kept on it after the first repetition, and the shapes' weights
 (-10..10) fit one-word fields.  Each time is divided by the engine's unit
 count, read off ``solver._costs`` (``units``): k * m^2 for the sweep and
 P = (c + 2m) * ceil(log2(m + 1)) node visits for the tree.  The median
@@ -32,7 +32,6 @@ from maxdom.solver import (
     TREE_LANE_NS,
     TREE_NODE_NS,
     _costs,
-    _strip_adds,
     _tree_tables,
     dp_layers,
 )
@@ -54,9 +53,7 @@ TREE_KS = (1, 2, 4, 8, 16, 32)
 
 def tree_tables(inst, grid):
     """``tree_layers``' tables without its picks: the work the tree's constants price."""
-    qx = grid.qx
-    adds = _strip_adds(qx, grid.per_row)
-    tables, _corner = _tree_tables(qx, adds, min(inst.k, inst.m), grid.total)
+    tables, _corner = _tree_tables(grid.qx, grid.per_row, min(inst.k, inst.m), grid.total)
     return tables
 
 

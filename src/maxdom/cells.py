@@ -9,12 +9,13 @@ ground set, with at most min(n, m^2) entries.
 
 ``build_grid`` sums the points' int weights (``PointColumns.int_weights``)
 over slices of the point columns, and ``sum_batches`` over batches of parsed
-points that are not kept; both run ``_sum_cells``.  An instance gridded in
-its own coordinates and its rank-normalized form give the same cells and
-sums, since a point's key counts the queries strictly below or left of it,
-which the rank transform preserves.  ``cell_boxes`` and ``compress`` read
-cell corners off the query coordinates, so they take a rank-normalized
-instance; they serve ``maxdom compress`` and rendering.
+points that are not kept; both run ``_sum_cells``.  A cell is named by its
+strip and by the rank x (``CellGrid.qx``, as in ``rank_transform``) of the
+query at its right edge, the leftmost query above the strip that covers it,
+so an instance gridded in its own coordinates and its rank-normalized form
+give the same cells and sums.  ``cell_boxes`` and ``compress`` read cell
+corners off the query coordinates, so they take a rank-normalized instance;
+they serve ``maxdom compress`` and rendering.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, repeat
 from operator import add, mul
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .model import Instance, QueryPoint, WeightedPoint, exact
 from .ranking import _axis_transform, y_sorted_queries
@@ -35,7 +36,7 @@ _SLICE = 4096  # points ``build_grid`` keys at a time: bounds its memory whateve
 
 class CellKey(NamedTuple):
     row: int  # strip index: between the row-th and (row+1)-th highest query
-    col: int  # x-slot among the queries above the strip, leftmost slot first
+    col: int  # the rank x of the query at the cell's right edge (``CellGrid.qx``)
 
 
 @dataclass(frozen=True)
@@ -49,29 +50,18 @@ class CellGrid:
     per_row: tuple[tuple[tuple[int, int], ...], ...]  # per_row[i-1]: (col, weight), col-sorted
     retained: int = 0  # ground points summed into the cells
     scale: int = 1  # a cell holds its points' weights summed times this (``PointColumns.int_weights``)
-    # The queries by staircase position (``y_sorted_queries``), in the gridded
-    # instance's own coordinates; strip i lies below stair[i - 1].  Sorted once
-    # here for the whole solve.  Not part of the cells, so not compared.
+    # The queries by staircase position (``y_sorted_queries``) in the gridded
+    # instance's own coordinates, strip i below stair[i - 1], and their rank
+    # x's (``_x_ranks``): found once for the whole solve, not part of the cells.
     stair: tuple[QueryPoint, ...] = field(default=(), compare=False, repr=False)
+    qx: Sequence[int] = field(default=(), compare=False, repr=False)
 
     @property
     def cells(self) -> dict[CellKey, int]:
         """``{CellKey(row, col): weight}`` of the stored cells, built from ``per_row`` on each access."""
         return {CellKey(i, col): w for i, row in enumerate(self.per_row, 1) for col, w in row}
 
-    # What the DP engines derive from the staircase and the cells, computed on
-    # first use and kept for the rest of the solve; not fields, so not compared.
-    @cached_property
-    def qx(self) -> list[int]:
-        """``[0, x_1, ..., x_m, x_sentinel]``: x-ranks by staircase position.
-
-        Queries are ranked by ``(x, id)`` as in the rank transform; the
-        sentinel at position m + 1 lies right of all of them.
-        """
-        stair = self.stair
-        ranks, _ = _axis_transform([q.x for q in stair], [q.id for q in stair], ())
-        return [0, *ranks, 2 * len(stair) + 2]
-
+    # Computed on first use and kept for the rest of the solve; not a field, so not compared.
     @cached_property
     def total(self) -> int:
         """The sum of the cells' absolute weights, which bounds the tree's fields."""
@@ -102,18 +92,25 @@ def _merge_into(prefix: list, new) -> None:
         prefix.sort()
 
 
-def _sum_cells(stair, batches) -> tuple[tuple, int, int]:
+def _x_ranks(stair) -> list[int]:
+    """``[0, x_1, ..., x_m, 2m + 2]``: ``stair``'s x-ranks by ``(x, id)`` as in ``rank_transform``, sentinel last."""
+    ranks, _ = _axis_transform([q.x for q in stair], [q.id for q in stair], ())
+    return [0, *ranks, 2 * len(stair) + 2]
+
+
+def _sum_cells(stair, qx, batches) -> tuple[tuple, int, int]:
     """``(per_row, retained, count)`` of ``(xs, ys, ws)`` batches of int-weight points under ``stair``.
 
-    ``count`` is how many points the batches hold.  Each point is keyed by
-    its strip, the number of query y-values below it, and its x-rank, the
-    number of query x-values left of it: ``strip * (m + 1) + xrank``, two
-    C-level bisect maps a batch.  Only each key's weight sum and point count
-    are kept, O(min(n, m^2)) entries however many points there are; int sums
-    do not depend on the order of the points.  At the end the keys are walked
-    strip by strip: a query lies left of a point exactly when its own x-rank
-    is below the point's, so a key's slot is a bisect of the x-ranks of the
-    queries above the strip, brought up to date only at strips with keys.
+    ``qx`` is ``_x_ranks(stair)`` and ``count`` how many points the batches
+    hold.  Each point is keyed by its strip, the number of query y-values
+    below it, and its x-slot r, the number of query x-values left of it:
+    ``strip * (m + 1) + r``, two C-level bisect maps a batch.  Only each
+    key's weight sum and point count are kept, O(min(n, m^2)) entries however
+    many points there are; int sums do not depend on the order of the points.
+    At the end the keys are walked strip by strip: the r queries left of a
+    point hold the rank x's 2..2r, so the cell's name is the first rank x
+    above 2r + 1 among the sorted rank x's of the queries above the strip,
+    brought up to date only at strips with keys.
     """
     m = len(stair)
     ys_asc = [q.y for q in reversed(stair)]
@@ -128,20 +125,20 @@ def _sum_cells(stair, batches) -> tuple[tuple, int, int]:
         counts.update(keys)
         for key, w in zip(keys, ws):
             sums[key] = get(key, 0) + w
-    stair_ranks = [bisect_left(xs_asc, q.x) for q in stair]
     per_row: list[tuple[tuple[int, int], ...]] = [()] * m
     retained = 0
-    prefix: list = []  # x-ranks of the ``done`` highest queries, sorted
+    prefix: list = []  # rank x's of the ``done`` highest queries, sorted
     done = 0
     for strip, keys in groupby(sorted(sums, reverse=True), key=lambda key: key // width):
         row = m - strip
-        _merge_into(prefix, stair_ranks[done:row])
+        _merge_into(prefix, qx[done + 1 : row + 1])
         done = row
         cells: dict[int, int] = {}
         for key in keys:
-            slot = bisect_left(prefix, key % width)
+            slot = bisect_left(prefix, 2 * (key % width) + 1)
             if slot < row:  # else right of every query above the strip: uncovered
-                cells[slot + 1] = cells.get(slot + 1, 0) + sums[key]
+                col = prefix[slot]
+                cells[col] = cells.get(col, 0) + sums[key]
                 retained += counts[key]
         if cells:
             per_row[row - 1] = tuple(sorted(cells.items()))
@@ -156,15 +153,17 @@ def build_grid(inst: Instance) -> CellGrid:
     """
     stair = y_sorted_queries(inst)
     ws, scale = inst.P.int_weights()
+    qx = _x_ranks(stair)
     cols = (inst.P.xs, inst.P.ys, ws)
     batches = ([col[i : i + _SLICE] for col in cols] for i in range(0, inst.n, _SLICE))
-    per_row, retained, _count = _sum_cells(stair, batches)
-    return CellGrid(len(stair), per_row, retained, scale, stair)
+    per_row, retained, _count = _sum_cells(stair, qx, batches)
+    return CellGrid(len(stair), per_row, retained, scale, stair, qx)
 
 
 def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
     """``(per_row, retained, count)`` of ``build_grid`` over ``(xs, ys, ws)`` int-weight batches, not kept."""
-    return _sum_cells(y_sorted_queries(queries), batches)
+    stair = y_sorted_queries(queries)
+    return _sum_cells(stair, _x_ranks(stair), batches)
 
 
 def add_parts(inst: Instance, parts) -> CellGrid:
@@ -183,17 +182,16 @@ def add_parts(inst: Instance, parts) -> CellGrid:
         per_row.append(tuple(sorted(sums.items())))
     retained = sum(part_retained for _, part_retained in parts)
     stair = y_sorted_queries(inst)
-    return CellGrid(len(stair), tuple(per_row), retained, stair=stair)
+    return CellGrid(len(stair), tuple(per_row), retained, stair=stair, qx=_x_ranks(stair))
 
 
 def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
-    """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance."""
+    """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance, ``x_hi`` its name."""
     qs = y_sorted_queries(rinst)
     boxes: dict[CellKey, tuple] = {}
     xs_prefix: list = []  # x-values of the ``done`` highest queries, sorted
     done = 0
-    for i in range(1, grid.m + 1):
-        row = grid.per_row[i - 1]
+    for i, row in enumerate(grid.per_row, 1):
         if not row:
             continue
         _merge_into(xs_prefix, [q.x for q in qs[done:i]])
@@ -201,8 +199,8 @@ def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
         y_hi = qs[i - 1].y
         y_lo = qs[i].y if i < grid.m else 0
         for col, _w in row:
-            x_lo = xs_prefix[col - 2] if col >= 2 else 0
-            boxes[CellKey(i, col)] = (x_lo, y_lo, xs_prefix[col - 1], y_hi)
+            s = bisect_left(xs_prefix, col)
+            boxes[CellKey(i, col)] = (xs_prefix[s - 1] if s else 0, y_lo, col, y_hi)
     return boxes
 
 

@@ -27,7 +27,7 @@ from .model import Instance, weight_of_dom
 from .oracle import oracle_solve
 from .ranking import rank_transform
 from .render import render_svg
-from .solver import grid_parts, run_pipeline, solve_pipeline, solve_reference
+from .solver import _price_header, grid_parts, run_pipeline, solve_pipeline, solve_reference
 
 
 def _load(args) -> Instance:
@@ -73,6 +73,8 @@ def _peak_rss_mb(children: bool = False) -> float | None:
 
 def cmd_solve(args) -> int:
     t0 = perf_counter()
+    if args.algo == "dp":  # an over-budget solve is refused before any point line is read
+        _price_header(args.path, args.k)
     split = grid_parts(args.path, args.k) if args.algo == "dp" else None
     if split is None:
         parts = None

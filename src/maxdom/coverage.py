@@ -4,12 +4,12 @@ The solver needs, at sweep row i and for every position j <= i (positions
 count queries in decreasing y), the total weight of ground points that lie
 strictly above the i-th highest query and inside the closed quadrant of the
 j-th highest query.  Cell weights make this incremental: moving the sweep
-from row i to i+1 adds exactly the strip-i cells left of each query, which
-is a prefix of strip i in column order.  The DP reads the grid itself
-(``CellGrid.per_row``), each strip's nonzero cells as the grid summed them,
-ints, so one advance costs time linear in the row index plus the row's
-stored cells.  ``CellGrid.qx`` and ``CellGrid.total`` carry what the DP
-engines derive from the grid, each computed once per solve on first use.
+from row i to i+1 adds, for each query, the strip-i cells named at or left
+of its rank x (``cells.CellKey``), a prefix of strip i in name order.  The
+DP reads the grid itself (``CellGrid.per_row``), each strip's nonzero cells
+as the grid summed them, ints, so one advance costs time linear in the row
+index plus the row's stored cells.  The grid also stores the rank x's
+(``CellGrid.qx``) and caches the cells' absolute total (``CellGrid.total``).
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ class CoverageSweep:
 
     After advancing to row i, ``cov[j]`` equals the total weight of ground
     points strictly above the i-th highest query that the j-th highest query
-    covers, for every j <= i; ``cov[i]`` itself is always 0.  Not safe to
-    share mid-sweep between threads.
+    covers, for every j <= i; ``cov[i]`` itself is always 0.  ``x_by_pos[j]``
+    must be position j's rank x, as ``CellGrid.qx`` or a rank-normalized
+    instance gives it.  Not safe to share mid-sweep between threads.
     """
 
     def __init__(self, grid: CellGrid, x_by_pos: Sequence):
@@ -46,7 +47,7 @@ class CoverageSweep:
         self._xs = [x_by_pos[1]]
 
     def advance(self) -> None:
-        """Move from row i to i+1 by adding strip i's cells in column order."""
+        """Move from row i to i+1 by adding strip i's cells in name order."""
         i = self.current
         if i > self.m:
             raise ValueError("cannot advance past the sentinel row")
@@ -54,8 +55,8 @@ class CoverageSweep:
         pairs = self.per_row[i - 1]
         cov = self.cov
         ptr, cum, npairs = 0, 0, len(pairs)
-        for s1, j in enumerate(pi, 1):
-            while ptr < npairs and pairs[ptr][0] <= s1:
+        for x, j in zip(self._xs, pi):  # queries by rank x, each covering the cells named up to it
+            while ptr < npairs and pairs[ptr][0] <= x:
                 cum += pairs[ptr][1]
                 ptr += 1
             cov[j] += cum

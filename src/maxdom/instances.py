@@ -309,39 +309,44 @@ SPLIT_MIN_BYTES = 1 << 20
 _TAIL_BYTES_PER_QUERY = 64
 
 
+def _read_header(f) -> tuple[tuple[int, int, int], int]:
+    """``((n, m, k), end)`` off the lines of the binary file ``f`` up to its header, ``end`` the byte after it.
+
+    A bad header, or none within the first ``_CHUNK`` bytes, raises ``ParseError`` (``parse`` names the line).
+    """
+    end = 0
+    while True:
+        raw = f.readline(_CHUNK - end)
+        if not raw.endswith(b"\n"):  # the file or its first ``_CHUNK`` bytes end first
+            raise ParseError(0, "no header line within the first chunk")
+        # ``parse``'s lines: ``str.splitlines`` also breaks at "\r" and a few other characters
+        for line in raw.decode().splitlines(True):
+            end += len(line.encode())
+            if _is_data(line):
+                return _header(line, 0), end
+
+
 def point_ranges(path, parts: int, k: int | None = None):
     """``(n, queries, ranges)`` for parsing the point lines of an all-plain file in parts, or None.
 
-    The header is read from the head of the file and the queries from its
-    tail: the last m lines, which must all be query lines, each with two
-    numbers, the last one with or without a final newline.  ``queries`` is
-    the instance of those queries with no points and budget ``k``, the
-    file's own where ``k`` is None.  The bytes between the header line and
-    the first query line, which should hold the n point lines, are cut
-    after a newline into at most ``parts`` ``(start, stop)`` ranges of about
-    equal size.  None where the file, or its point lines, are smaller than
-    ``SPLIT_MIN_BYTES``, the header is not within the first ``_CHUNK`` bytes
-    or anything above does not hold; ``parse`` then reads the file whole and
-    reports what is wrong.  Whether the ranges hold n point lines is for
-    their parser to count (``point_batches``).
+    The header is read from the head of the file (``_read_header``) and the
+    queries from its tail: the last m lines, which must all be query lines,
+    each with two numbers, the last one with or without a final newline.
+    ``queries`` is the instance of those queries with no points and budget
+    ``k``, the file's own where ``k`` is None.  The bytes between the header
+    line and the first query line, which should hold the n point lines, are
+    cut after a newline into at most ``parts`` ``(start, stop)`` ranges of
+    about equal size.  None where the file, or its point lines, are smaller
+    than ``SPLIT_MIN_BYTES`` or anything above does not hold (a bad header
+    raises); ``parse`` then reads the file whole and reports what is wrong.
+    Whether the ranges hold n point lines is for their parser to count
+    (``point_batches``).
     """
     if os.stat(path).st_size < SPLIT_MIN_BYTES:
         return None
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        start = 0  # the end of the header line
-        header = None
-        while header is None:  # only the lines up to the header are read and decoded
-            raw = f.readline(_CHUNK - start)
-            if not raw.endswith(b"\n"):  # the file or its first ``_CHUNK`` bytes end first
-                return None
-            # ``parse``'s lines: ``str.splitlines`` also breaks at "\r" and a few other characters
-            for line in raw.decode().splitlines(True):
-                start += len(line.encode())
-                if _is_data(line):
-                    header = _header(line, 0)  # a bad header raises; ``parse`` names its line
-                    break
-        n, m, file_k = header
+        (n, m, file_k), start = _read_header(f)
         f.seek(max(start, size - _TAIL_BYTES_PER_QUERY * m))
         tail = f.read()
         cut = len(tail) - tail.endswith(b"\n")

@@ -1,7 +1,8 @@
 """Static SVG rendering of the cell structure, representatives, and a pick set.
 
-Everything is drawn in rank coordinates, where the cell partition lives.
-File emission only; there is no interactive viewer.
+Everything is drawn in rank coordinates, where the cell partition lives and
+a cell's ``data-col`` is its right edge's x (``CellKey.col``).  File
+emission only; there is no interactive viewer.
 """
 
 from __future__ import annotations

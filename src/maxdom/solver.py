@@ -13,7 +13,7 @@ process per CPU (``grid_parts``), and hands the parts' cells to the same
 pipeline.
 
 The DP takes any instance, ranked or not: it walks the queries in the
-staircase order (``CellGrid.stair``) and compares their x-ranks
+staircase order (``CellGrid.stair``) and compares their rank x's
 (``CellGrid.qx``), ties broken by id as in the rank transform.  Layer l
 computes, for every position i in decreasing-y order, the best covered
 weight achievable with at most l picks drawn from the queries in the closed
@@ -32,8 +32,9 @@ seconds and list slots, and ``_choose`` picks one: ``run_pipeline`` defaults
 to ``"auto"``, which runs whichever engine is priced faster on the grid (the
 paper's min{}), and refuses a solve priced over ``DP_BUDGET_S`` or
 ``DP_SLOT_BUDGET``, already before the grid where even no cells would be
-over; ``grid_parts`` runs that pre-grid pricing before it forks.  ``maxdom
-bench`` times the simple DP by name.
+over; ``maxdom solve`` runs that pre-grid pricing off the file's header
+before it reads a point line (``_price_header``).  ``maxdom bench`` times
+the simple DP by name.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ import signal
 import sys
 import threading
 from array import array
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from time import perf_counter
 
-from .cells import CellGrid, _merge_into, add_parts, build_grid, sum_batches
+from .cells import CellGrid, add_parts, build_grid, sum_batches
 from .coverage import CoverageSweep, build_row_sums
-from .instances import point_batches, point_ranges
+from .instances import _read_header, point_batches, point_ranges
 from .model import Instance, Solution, exact
 from .ranking import rank_transform
 
@@ -111,51 +111,26 @@ def _field_bytes(total: int) -> int:
     return need if need > 8 else 1 << (need - 1).bit_length()
 
 
-def _strip_adds(qx: list[int], per_row) -> list:
-    """Per strip, its nonzero cells as ``(leaf, weight)`` pairs.
-
-    ``per_row`` is the zero-free grid's per-strip ``(col, weight)`` pairs.  Leaves
-    index the queries by x-rank (``qx[i] // 2 - 1``).  A cell's leaf is that
-    of the leftmost query above its strip that covers it, so the queries
-    covering the cell are exactly those above the strip at that leaf or
-    right of it.  The sorted leaves above a strip are brought up to date
-    only at strips with cells, as ``cells._sum_cells`` does for points.
-    """
-    leaves = [x // 2 - 1 for x in qx]
-    prefix: list[int] = []  # leaves of the ``done`` highest queries, sorted
-    done = 0
-    adds = []
-    for s, strip in enumerate(per_row, 1):
-        if not strip:
-            adds.append(())
-            continue
-        _merge_into(prefix, leaves[done + 1 : s + 1])
-        done = s
-        adds.append([(prefix[col - 1], w) for col, w in strip])
-    return adds
-
-
 def tree_layers(inst: Instance, grid: CellGrid):
     """``dp_layers``' tables and picks from one segment-tree sweep that carries all k layers.
 
     The sweep visits the positions in staircase order over a segment tree
-    whose leaves are the queries' x-ranks.  For layer l, leaf j holds
-    ``t_{l-1}[j] + cov(i, j)`` once position j is inserted: before position
-    i, every nonzero cell of strip i - 1 adds its weight to the leaves at or
-    right of its own leaf, ``t_l[i]`` is the better of its self-link
-    ``t_{l-1}[i]`` and the maximum over the leaves left of it, and position
-    i is then inserted.  One tree holds all k layers, each node value
-    packing one field per layer into one int (``_tree_tables``): O(k (c + m)
-    log m) time in all, c the nonzero cells.
+    whose leaves are the queries' rank x's (x at leaf ``x // 2 - 1``).  For
+    layer l, leaf j holds ``t_{l-1}[j] + cov(i, j)`` once position j is
+    inserted: before position i, every nonzero cell of strip i - 1 adds its
+    weight to the leaves at or right of its name's, ``t_l[i]`` is the better
+    of its self-link ``t_{l-1}[i]`` and the maximum over the leaves left of
+    it, and position i is then inserted.  One tree holds all k layers, each
+    node value packing one field per layer into one int (``_tree_tables``):
+    O(k (c + m) log m) time in all, c the nonzero cells.
 
     Returns ``dp_layers``' ``(tables, preds, k_eff)``, but ``preds[l]``
     holds only the link that the optimal walk follows (``_tree_preds``).
     """
     qx = grid.qx
     k_eff = min(inst.k, len(qx) - 2)
-    adds = _strip_adds(qx, grid.per_row)
-    tables, corner = _tree_tables(qx, adds, k_eff, grid.total)
-    preds = _tree_preds(qx, adds, tables, corner, k_eff)
+    tables, corner = _tree_tables(qx, grid.per_row, k_eff, grid.total)
+    preds = _tree_preds(qx, grid.per_row, tables, corner, k_eff)
     return tables, preds, k_eff
 
 
@@ -181,8 +156,8 @@ def _unpack(rows: list[int], k: int, nbytes: int) -> list[list[int]]:
     return [flat[l::k] for l in range(k)]
 
 
-def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> tuple[list[list[int]], list[int]]:
-    """``tree_layers``' tables and corner sums from the staircase x-ranks, the int strip adds and their total.
+def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], list[int]]:
+    """``tree_layers``' tables and corner sums from the stair's rank x's and the zero-free grid's rows and total.
 
     A suffix add of w from leaf j is kept as a point add at leaf j: with
     ``A[j]`` the adds made at leaf j so far, a leaf's value is its base plus
@@ -239,9 +214,9 @@ def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> tuple[list[list
     corner = [0] * last
     for i in range(1, last + 1):
         if i > 1:
-            for p, w in adds[i - 2]:  # strip i - 1: suffix add from leaf p
+            for x, w in per_row[i - 2]:  # strip i - 1: suffix add from rank x's leaf
                 d = w * ones
-                p += size
+                p = x // 2 + size - 1
                 S[p] += d
                 M[p] += d
                 while p > 1:
@@ -296,33 +271,32 @@ def _tree_tables(qx: list[int], adds, k_eff: int, total: int) -> tuple[list[list
     return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)], corner
 
 
-def _tree_preds(qx: list[int], adds, tables, corner, k_eff: int):
+def _tree_preds(qx, per_row, tables, corner, k_eff: int):
     """``dp_layers``' predecessor links along the optimal walk, one per layer.
 
-    With ``P(s, x)`` the weight of strips 1..s at leaves up to x, the walk
-    needs ``cov(i, j) = P(i - 1, leaf_j) - P(j - 1, leaf_j)``.  The second
+    With ``P(s, x)`` the weight of strips 1..s at rank x's up to x, the walk
+    needs ``cov(i, j) = P(i - 1, qx[j]) - P(j - 1, qx[j])``.  The second
     terms are ``corner[j]``, as ``_tree_tables`` records them.  The walk's
-    rows come in decreasing i, so the per-leaf weights of strips 1..i - 1
+    rows come in decreasing i, so the per-rank weights of strips 1..i - 1
     are kept by taking strips off as i falls, and each row's first terms
     are one ``accumulate`` over them.  The pick is ``dp_layers``'
     tie-break: the self-link first, then the smallest j.  Returns ``preds``
     with ``preds[l]`` a one-entry ``{i: j}`` mapping.
     """
     last = len(qx) - 1
-    leaves = [x // 2 - 1 for x in qx]
-    dense = [0] * last  # per leaf, the weight of strips 1..upto
+    dense = [0] * qx[last]  # per rank x below the sentinel's, the weight of strips 1..upto
     upto = last - 1
-    for strip in adds:
-        for p, w in strip:
-            dense[p] += w
+    for strip in per_row:
+        for x, w in strip:
+            dense[x] += w
     preds: list[dict[int, int] | None] = [None] * (k_eff + 1)
     i, row_i = last, 0
     for layer in range(k_eff, 0, -1):
         if row_i != i:  # a self-link keeps i, and so its row
             row_i = i
-            for strip in adds[i - 1 : upto]:
-                for p, w in strip:
-                    dense[p] -= w
+            for strip in per_row[i - 1 : upto]:
+                for x, w in strip:
+                    dense[x] -= w
             upto = i - 1
             prefix = list(accumulate(dense))
         t_prev = tables[layer - 1]
@@ -330,7 +304,7 @@ def _tree_preds(qx: list[int], adds, tables, corner, k_eff: int):
         best, bj = t_prev[i], i
         for j in range(1, i):
             if qx[j] < xi:
-                v = t_prev[j] + prefix[leaves[j]] - corner[j]
+                v = t_prev[j] + prefix[qx[j]] - corner[j]
                 if v > best:
                     best, bj = v, j
         preds[layer] = {i: bj}
@@ -358,17 +332,22 @@ def _solution(grid: CellGrid, tables, preds, k_eff: int) -> Solution:
     return Solution(_chosen_ids(stair, preds, k_eff), layers[-1] if layers else 0, layers)
 
 
-def _dp_pairs(qx: list[int], k_eff: int) -> int:
+def _dp_pairs(qx, k_eff: int) -> int:
     """Transitions the DP visits: (layer, i, j) with j < i in y-order and x_j <= x_i.
 
-    Counted from the query order alone, one bisect and one sorted insert per
-    position (sentinel included), so counting adds nothing to the DP loops.
+    Counted off the rank x's alone, in O(m log m): a Fenwick tree over x // 2
+    (sentinel included) counts each position's earlier ones left of it.
     """
-    seen: list = []
+    seen = [0] * len(qx)  # Fenwick sums of the positions counted so far
     per_layer = 0
     for x in qx[1:]:
-        per_layer += bisect_right(seen, x)
-        insort(seen, x)
+        r = s = x // 2
+        while r:
+            per_layer += seen[r]
+            r &= r - 1
+        while s < len(seen):
+            seen[s] += 1
+            s += s & -s
     return per_layer * k_eff
 
 
@@ -518,6 +497,21 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
     )
 
 
+def _price_header(path, k: int | None) -> None:
+    """``run_pipeline``'s pre-grid pricing of the file at ``path`` off its header and ``k``, the file's own where None.
+
+    Nothing is priced where the header cannot be read or k is negative, so that ``parse`` reports the file.
+    """
+    try:
+        with open(path, "rb") as f:
+            (_n, m, file_k), _end = _read_header(f)
+    except (ValueError, OSError):
+        return
+    k = file_k if k is None else k
+    if k >= 0:
+        _choose("auto", *_costs(m, min(k, m)))
+
+
 def _grid_range(path, start: int, stop: int, queries: Instance) -> tuple:
     """``(per_row, retained, count)`` of the point lines in bytes ``[start, stop)``.
 
@@ -548,9 +542,8 @@ def grid_parts(path, k: int | None = None, _parts: int | None = None):
     ``_grid_range``'s result, pickled over a pipe.  ``queries`` is the
     file's queries and ``k``, the file's own where None, with no points,
     ``parts`` each part's ``(per_row, retained)``, and ``add_parts(queries,
-    parts)`` is ``build_grid(parse(path))`` exactly.  Before a fork or a
-    point line is read, ``queries`` is priced as ``run_pipeline`` prices an
-    ungridded instance, and a refusal raises its ``ValueError``.  None,
+    parts)`` is ``build_grid(parse(path))`` exactly; ``maxdom solve``
+    prices the file (``_price_header``) before it calls this.  None,
     leaving the file to ``parse``, where the file is small or not plain
     enough to be split, ``fork`` is missing or this process runs other
     threads (a lock one of them holds would stay held in the child), a
@@ -567,7 +560,6 @@ def grid_parts(path, k: int | None = None, _parts: int | None = None):
     if plan is None:
         return None
     n, queries, ranges = plan
-    _choose("auto", *_costs(queries.m, min(queries.k, queries.m)))
     import pickle  # here, so that a process that never splits does not hold the module
 
     children = []  # (pid, the read end of its pipe)

@@ -10,7 +10,7 @@ from maxdom.instances import GeneratorSpec, generate, parse_text, serialize_text
 from maxdom.model import Instance, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
-from maxdom.ranking import drop_uncovered, rank_transform
+from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
 from maxdom.solver import solve_pipeline, solve_reference
 
 from util import (
@@ -31,29 +31,30 @@ def ranked(inst):
 def test_single_point_single_cell():
     rr = ranked(Instance.from_rows([(0, 0, 7)], [(1, 1)], 1))
     grid = build_grid(rr)
-    assert grid.cells == {CellKey(1, 1): 7}
+    assert grid.cells == {CellKey(1, 2): 7}
 
 
 def test_cancelling_points_keep_zero_weight_cell():
     rr = ranked(Instance.from_rows([(0, 0, 3), (0, 0, -3)], [(1, 1)], 1))
     grid = build_grid(rr)
-    assert grid.cells == {CellKey(1, 1): 0}
+    assert grid.cells == {CellKey(1, 2): 0}
     assert compress(grid, rr).points == ()  # dropped only at compression time
 
 
 def test_cell_key_matches_corner_definition():
-    # Five queries in strictly decreasing y; x-order of the top three is
-    # q3 < q1 < q2.  A point below q3's line, above q4's line, with x between
-    # the 1st and 2nd smallest of those x-values lands in cell (3, 2).
+    # Five queries in strictly decreasing y; the x-order of all five is
+    # q3 < q5 < q1 < q2 < q4, so their rank x's are 2, 4, 6, 8 and 10.  A
+    # point below q3's line, above q4's line, with x between x(q3) and x(q1)
+    # lands in the cell of strip 3 whose right edge is q1: cell (3, 6).
     queries = [(50, 90), (70, 80), (10, 70), (90, 40), (30, 20)]
     point = (30, 60, 1)  # 10 < 30 < 50, 40 < 60 < 70
     rr = ranked(Instance.from_rows([point], queries, 1))
     grid = build_grid(rr)
-    assert list(grid.cells) == [CellKey(3, 2)]
+    assert list(grid.cells) == [CellKey(3, 6)]
     # the box's x-range is (x(q3), x(q1)) and its y-range is (y(q4), y(q3))
-    x0, y0, x1, y1 = cell_boxes(grid, rr)[CellKey(3, 2)]
+    x0, y0, x1, y1 = cell_boxes(grid, rr)[CellKey(3, 6)]
     ranked_q = {q.id: q for q in rr.Q}
-    assert (x0, x1) == (ranked_q[2].x, ranked_q[0].x)
+    assert (x0, x1) == (ranked_q[2].x, ranked_q[0].x) == (2, 6)
     assert (y0, y1) == (ranked_q[3].y, ranked_q[2].y)
 
 
@@ -64,7 +65,8 @@ def test_partition_covers_each_point_once(inst):
     keys = assign_cells(rr)
     grid = build_grid(rr)
     assert len(keys) == len(rr.P)
-    assert all(1 <= key.col <= key.row <= rr.m for key in keys)
+    qs = y_sorted_queries(rr)  # rank x's, as ``rr`` is ranked
+    assert all(key.col in {q.x for q in qs[: key.row]} for key in keys)
     assert sum(grid.cells.values()) == sum(p.w for p in rr.P)
     assert len(grid.cells) <= min(max(1, len(rr.P)), rr.m**2)
 
@@ -211,10 +213,10 @@ def test_a_cells_weights_add_exactly():
     for inst in (parsed, Instance(tuple(reversed(parsed.P)), parsed.Q, 1)):
         grid = build_grid(inst)
         assert grid == reference_grid(inst)
-        assert (grid.cells, grid.scale) == ({CellKey(1, 1): 13}, 10)
+        assert (grid.cells, grid.scale) == ({CellKey(1, 4): 13}, 10)
         assert solve_pipeline(inst).value == Fraction(13, 10)
     floats = Instance.from_rows([(3, 5, 0.1), (7, 5, 0.1), (3, 5, 1.1)], [(10, 10), (5, 2)], 1)
-    assert exact_cells(build_grid(floats)) == {CellKey(1, 1): 2 * Fraction(0.1) + Fraction(1.1)}
+    assert exact_cells(build_grid(floats)) == {CellKey(1, 4): 2 * Fraction(0.1) + Fraction(1.1)}
 
 
 @settings(deadline=None, max_examples=100)
@@ -245,17 +247,20 @@ def test_tall_staircase_over_few_points_equals_ranked_reference():
 
 def test_cell_boxes_of_a_tall_staircase_over_few_points():
     # x falls along the staircase, so every query enters the sorted x-prefix
-    # at its front; the boxes are checked against the definition
+    # at its front; the boxes are checked against the definition: a cell's
+    # right edge is the query above its strip that names it, and its left
+    # edge the next x-value left of that one above the strip, or 0
     m = 20_000
     P = [(19_000 - 3000 * j, 1000 + 3000 * j, 1) for j in range(5)]
     rr = ranked(Instance.from_rows(P, [(i + 9, i + 9) for i in range(m)], 1))
     grid = build_grid(rr)
-    assert len(grid.cells) == 5 and max(col for _row, col in grid.cells) > 10_000
+    assert len(grid.cells) == 5 and max(col for _row, col in grid.cells) > 20_000
     qs = sorted(rr.Q, key=lambda q: -q.y)
     for (row, col), box in cell_boxes(grid, rr).items():
-        xs = sorted(q.x for q in qs[:row])
-        x_lo = xs[col - 2] if col >= 2 else 0
-        assert box == (x_lo, qs[row].y if row < m else 0, xs[col - 1], qs[row - 1].y)
+        xs = [q.x for q in qs[:row]]
+        assert col in xs
+        x_lo = max((x for x in xs if x < col), default=0)
+        assert box == (x_lo, qs[row].y if row < m else 0, col, qs[row - 1].y)
 
 
 def test_grid_holds_no_int_object_per_point():

@@ -277,7 +277,11 @@ def test_an_over_budget_file_is_refused_before_a_fork(tmp_path, monkeypatch):
     refusal = (
         "error: refusing to solve: the tree dp would hold 1.06e+08 list slots, over the budget of 5e+07\n"
     )
-    assert _plain(path) == (1, None, refusal)
+    batches, convert = [], instances._batches
+    with pytest.MonkeyPatch.context() as mp:  # the plain path refuses before it converts a point line
+        mp.setattr(instances, "_batches", lambda *args: batches.append(1) or convert(*args))
+        assert _plain(path) == (1, None, refusal)
+    assert batches == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     calls, fork, grid_range = [], os.fork, solver._grid_range
     monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or fork())
@@ -287,13 +291,14 @@ def test_an_over_budget_file_is_refused_before_a_fork(tmp_path, monkeypatch):
     code, rec, _ = _solve(path, "--k", "2")  # within the budgets: split and solved
     assert code == 0 and rec["k"] == 2 and rec["parts"] == 2 and calls == ["fork", "grid"]
     assert _untimed(rec) == _untimed(_plain(path, "--k", "2")[1])
-    points[len(points) // 2] = "1 2 x"  # the refusal comes first, where the plain parse names the line
+    points[len(points) // 2] = "1 2 x"  # the refusal comes first, before the parse could name the line
     write()
-    assert _plain(path)[2] == "error: line 75002: not a number: 'x'\n"
+    assert _plain(path) == (1, None, refusal)
     calls.clear()
     assert _solve(path) == (1, None, refusal) and calls == []
     # a bad --k is left to the plain path, which names the line first
-    assert _solve(path, "--k", "-1") == _plain(path, "--k", "-1") == _plain(path)
+    named = (1, None, "error: line 75002: not a number: 'x'\n")
+    assert _solve(path, "--k", "-1") == _plain(path, "--k", "-1") == named
     assert _unreaped() == 0
 
 

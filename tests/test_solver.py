@@ -180,8 +180,9 @@ def test_unit_weight_skyline_case():
 
 def test_work_counters_match_direct_count():
     rng = SplitMix64(43)
-    for _ in range(30):
-        inst = random_instance(rng, max_n=30, max_m=8, span=12)
+    cases = [random_instance(rng, max_n=30, max_m=8, span=12) for _ in range(30)]
+    cases += [random_instance(rng, n=300, m=m, k=2, span=600) for m in (200, 350, 500)]
+    for inst in cases:
         rr = drop_uncovered(rank_transform(inst))
         nonzero_cells = sum(1 for w in build_grid(rr).cells.values() if w != 0)
         qs = with_sentinel(y_sorted_queries(rr))

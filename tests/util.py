@@ -51,24 +51,30 @@ def tie_instances(draw):
     return Instance.from_rows(P, Q, draw(st.integers(0, m)))
 
 
-def _brute_row_slot(inst: Instance, p) -> tuple[int, int]:
-    """``(row, slot)`` of point ``p``: the queries at or above it, and those of them strictly left of it."""
+def _brute_row_col(inst: Instance, p) -> tuple[int, int | None]:
+    """``(row, col)`` of point ``p``, col None where no query covers it.
+
+    The row counts the queries at or above ``p``.  Of those, the ones with
+    x at least ``p``'s cover it, and the one of them with the smallest
+    ``(x, id)`` names the cell: 2 * (1 + the number of queries, above or
+    not, with a smaller ``(x, id)``).
+    """
     above = [q for q in inst.Q if q.y >= p.y]
-    return len(above), sum(1 for q in above if q.x < p.x)
+    covering = [(q.x, q.id) for q in above if q.x >= p.x]
+    if not covering:
+        return len(above), None
+    edge = min(covering)
+    return len(above), 2 * (1 + sum(1 for q in inst.Q if (q.x, q.id) < edge))
 
 
 def assign_cells(inst: Instance) -> list[CellKey]:
-    """Cell key for every ground point, by brute force; requires drop_uncovered beforehand.
-
-    A point's row counts the queries at or above it, and its slot those of
-    them strictly left of it; it is covered iff the slot is below the row.
-    """
+    """Cell key for every ground point, by brute force; requires drop_uncovered beforehand."""
     keys: list[CellKey] = []
     for p in inst.P:
-        row, slot = _brute_row_slot(inst, p)
-        if slot == row:
+        row, col = _brute_row_col(inst, p)
+        if col is None:
             raise ValueError("point covered by no query; run drop_uncovered first")
-        keys.append(CellKey(row, slot + 1))
+        keys.append(CellKey(row, col))
     return keys
 
 
@@ -83,9 +89,9 @@ def reference_grid(inst: Instance) -> CellGrid:
     sums: dict[CellKey, Fraction] = {}
     retained = 0
     for p in inst.P:
-        row, slot = _brute_row_slot(inst, p)
-        if slot < row:
-            key = CellKey(row, slot + 1)
+        row, col = _brute_row_col(inst, p)
+        if col is not None:
+            key = CellKey(row, col)
             sums[key] = sums.get(key, 0) + Fraction(p.w)
             retained += 1
     per_row = tuple(
