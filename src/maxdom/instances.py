@@ -22,9 +22,13 @@ per-point object.
 
 ``point_ranges`` and ``point_batches`` let ``maxdom solve`` parse a large
 file's point lines in parts: the header and the queries are read from the
-file's head and tail, and each byte range of point lines goes through the
-same data-line filter and batch conversion (``_data_lines``, ``_batches``)
-as ``parse``, which hands its batches to the caller instead of keeping them.
+file's head and tail, and each byte range of point lines is read as bytes,
+a block of whole lines at a time.  A block of plain point lines (three
+integer tokens one space apart, as the serializer writes them) is converted
+in one go from its bytes (``_plain_points``); any other block is decoded
+and goes through the same data-line filter and batch conversion as
+``parse`` (``_block_data``, ``_batches``), which hands its batches to the
+caller instead of keeping them.
 
 Generators draw every number from SplitMix64, so the same spec yields a
 byte-identical instance on every platform.
@@ -32,7 +36,6 @@ byte-identical instance on every platform.
 
 from __future__ import annotations
 
-import codecs
 import os
 import sys
 from array import array
@@ -107,12 +110,13 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
-# Characters read per chunk; a chunk is cut after its last newline, so the
-# parser holds one chunk's text and lines at a time, never the whole file.
-# Reading point lines at 64 KiB a chunk peaks at about 1.8 MB of traced
-# memory (chunk, lines and one batch), against 8.7 MB at 1 MiB, and parses
-# no slower (n-heavy's 16 MB file: 0.63-0.70 s of CPU at 64 KiB against
-# 0.64-0.72 s at 1 MiB, x86-64, CPython 3.11).
+# Characters (``parse``) or bytes (``point_batches``) read per chunk; a
+# chunk is cut after its last newline, so a reader holds one chunk's lines at
+# a time, never the whole file.  On n-heavy's 16 MB file (x86-64, CPython
+# 3.11), ``parse`` takes 0.63-0.70 s of CPU at 64 KiB against 0.64-0.72 s at
+# 1 MiB, and ``point_batches`` over all its point lines 0.57-0.70 s at a
+# traced peak of 1.4 MB (chunk, tokens and one block's columns), against
+# 0.54-0.67 s and 22.9 MB at 1 MiB.
 _CHUNK = 1 << 16
 # Point lines converted per batch; bounds the token strings alive at once.
 _BATCH = 4096
@@ -123,14 +127,14 @@ def _is_data(line: str) -> bool:
     return bool(line) and not line.startswith("#")
 
 
-def _whole_lines(pieces: Iterable[str]) -> Iterator[str]:
-    """Re-cut text pieces so that each one ends with a newline (the last one
-    may not): ``str.splitlines`` of the blocks, concatenated, gives the lines
-    of the whole text."""
-    rest = ""
+def _whole_lines(pieces: Iterable, newline="\n") -> Iterator:
+    """Re-cut text (or, with ``newline=b"\\n"``, bytes) pieces so that each
+    one ends with a newline (the last one may not): ``str.splitlines`` of the
+    blocks, concatenated, gives the lines of the whole text."""
+    rest = newline[:0]  # "" or b""
     for piece in pieces:
         text = rest + piece
-        cut = text.rfind("\n") + 1
+        cut = text.rfind(newline) + 1
         if cut:
             yield text[:cut]
         rest = text[cut:]
@@ -158,15 +162,21 @@ def _data_lines(blocks: Iterable[str]) -> Iterator[tuple[list[str], Sequence[int
     """
     line_base = 0  # lines in the blocks before this one
     for block in blocks:
-        lines = block.splitlines()
-        if "#" not in block and all(map(str.strip, lines)):
-            data, line_nos = lines, range(line_base + 1, line_base + len(lines) + 1)
-        else:
-            line_nos = [i for i, line in enumerate(lines, start=line_base + 1) if _is_data(line)]
-            data = [lines[i - line_base - 1] for i in line_nos]
-        line_base += len(lines)
+        data, line_nos, count = _block_data(block, line_base)
+        line_base += count
         if data:
             yield data, line_nos
+
+
+def _block_data(block: str, line_base: int) -> tuple[list[str], Sequence[int], int]:
+    """``_data_lines``' ``(data, line_nos)`` for one block of whole lines, numbered after ``line_base``, and its line count."""
+    lines = block.splitlines()
+    if "#" not in block and all(map(str.strip, lines)):
+        data, line_nos = lines, range(line_base + 1, line_base + len(lines) + 1)
+    else:
+        line_nos = [i for i, line in enumerate(lines, start=line_base + 1) if _is_data(line)]
+        data = [lines[i - line_base - 1] for i in line_nos]
+    return data, line_nos, len(lines)
 
 
 def _batches(data: list[str], line_nos: Sequence[int], stop: int) -> Iterator[tuple[list, list, list]]:
@@ -376,19 +386,53 @@ def point_batches(path, start: int, stop: int) -> Iterator[tuple[list, list, lis
     """The x, y and w values of the point lines in bytes ``[start, stop)`` of a file, a batch at a time.
 
     The range must start and end at line starts.  It is read ``_CHUNK``
-    bytes at a time and decoded as UTF-8; its blank and comment lines are
-    skipped and every other line is converted as a point line by the same
-    code as in ``parse`` (``_batches``), which raises ``ParseError`` (with
-    line numbers counted from the range's start) for the first malformed
-    one.  The batches hold every point line once, so their lengths add up
-    to the range's data-line count.
+    bytes at a time, each chunk cut after its last newline into a block of
+    whole lines.  A block of plain point lines (``_plain_points``) is
+    converted in one go, straight from its bytes.  Any other block is
+    decoded on its own as UTF-8 (it ends at a newline, so no character is
+    cut), its blank and comment lines are skipped and every other line is
+    converted as a point line by the same code as in ``parse``
+    (``_batches``), which raises ``ParseError`` (with line numbers counted
+    from the range's start) for the first malformed one.  The batches hold
+    every point line once, so their lengths add up to the range's data-line
+    count.
     """
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+    line_base = 0  # lines in the blocks before this one
     with open(path, "rb") as f:
         f.seek(start)
-        pieces = (decode(f.read(min(_CHUNK, stop - at))) for at in range(start, stop, _CHUNK))
-        for data, line_nos in _data_lines(_whole_lines(pieces)):
-            yield from _batches(data, line_nos, len(data))
+        pieces = (f.read(min(_CHUNK, stop - at)) for at in range(start, stop, _CHUNK))
+        for block in _whole_lines(pieces, b"\n"):
+            batch = _plain_points(block)
+            if batch is None:
+                data, line_nos, count = _block_data(block.decode(), line_base)
+                yield from _batches(data, line_nos, len(data))
+            else:
+                yield batch
+                count = len(batch[0])
+            line_base += count
+
+
+def _plain_points(block: bytes) -> tuple[list, list, list] | None:
+    """The x, y and w columns of a block of plain point lines, or None where it holds anything else.
+
+    Plain lines are three tokens of digits and ``-``, one space apart, each
+    line ended by ``"\\n"``, and every token reads as an ``int`` (``5-3``
+    does not).  The block is checked by C-level calls over its bytes alone:
+    with the digits and minus signs deleted it must be ``"  \\n"`` once per
+    line, and split at whitespace it must give three tokens a line (no
+    token is empty).  Such a block is neither decoded nor cut into line
+    strings, and ``int`` reads each token's bytes as it reads its text.
+    """
+    lines = block.count(b"\n")
+    if block.translate(None, b"0123456789-") != b"  \n" * lines:
+        return None
+    toks = block.split()
+    if len(toks) != 3 * lines:
+        return None
+    try:
+        return list(map(int, toks[0::3])), list(map(int, toks[1::3])), list(map(int, toks[2::3]))
+    except ValueError:  # ``5-3``, ``-``, ``--1``, or a token over ``int``'s digit limit
+        return None
 
 
 def decimal_text(value) -> str:

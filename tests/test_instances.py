@@ -214,6 +214,12 @@ MALFORMED = [
     ("1 1 0\n0 0 1\nx 1\n9 9\n", 4),  # bad token, a line over
     ("1 1 0\n0 0\n# c\n\n", 2),  # bad field count, a line short
     ("1 1 0\n0 0 nan\n1 1", 2),  # count right, no final newline: the token's error
+    # only digits, "-" and spaces, but not ints
+    ("2 1 0\n0 0 1\n5-3 1 1\n1 1\n", 3),
+    ("2 1 0\n0 0 1\n1 - 1\n1 1\n", 3),
+    ("1 1 0\n0 0 --1\n1 1\n", 2),
+    ("1 1 0\n0  1\n1 1\n", 2),  # two spaces, two fields
+    ("2 1 0\n0 0 1 2 2 2\n\n1 1\n", 4),  # six fields and a blank line: three a line on average
 ]
 
 
@@ -315,6 +321,31 @@ def test_parse_matches_line_by_line(tmp_path_factory, inst, data):
     path = tmp_path_factory.getbasetemp() / "parse_matches.txt"
     for result in _outcomes(text, path):
         assert result == expected
+
+
+def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
+    # 64-byte chunks: blocks of plain lines are converted from their bytes,
+    # only the blocks with a comment or a bad line go through ``_batches``
+    monkeypatch.setattr(instances, "_CHUNK", 64)
+    fallbacks, batches = [], instances._batches
+    monkeypatch.setattr(instances, "_batches", lambda data, *args: fallbacks.append(data) or batches(data, *args))
+    lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(60)]
+    lines[20] = "# note"
+    path = tmp_path / "points.txt"
+    head, query = b"59 1 0\n", b"1 1\n"
+
+    def point_batches():
+        path.write_bytes(head + "\n".join(lines).encode() + b"\n" + query)
+        return list(instances.point_batches(path, len(head), path.stat().st_size - len(query)))
+
+    found = point_batches()
+    assert len(found) > 5 and len(fallbacks) == 1 and "# note" not in fallbacks[0]
+    points = [list(map(int, line.split())) for line in lines if line != "# note"]
+    assert [sum((batch[i] for batch in found), []) for i in range(3)] == [list(col) for col in zip(*points)]
+    lines[45] = "5-3 1 1"  # the 46th line of the range, the 47th of the file
+    with pytest.raises(ParseError) as bad:
+        point_batches()
+    assert bad.value.line_no == 46 and "'5-3'" in str(bad.value)
 
 
 def test_undecodable_tail_wins_over_an_early_parse_error(tmp_path, monkeypatch):

@@ -62,7 +62,7 @@ def _unreaped() -> int:
 
 
 # Tokens that replace one point value: int64 ones keep the split, the others make it fall back.
-INT64_TOKENS = ["-7", "0", str(-(2**63)), str(2**63 - 1)]
+INT64_TOKENS = ["-7", "0", str(-(2**63)), str(2**63 - 1), "+5", "1_000", "007", "-0"]
 OTHER_TOKENS = ["1.5", "-0.25", "3e2", str(2**63), str(-(2**63) - 1)]
 NOISE = ["", "   ", "# note", "\t# x y w"]
 
@@ -105,21 +105,24 @@ def test_split_grid_and_record_equal_the_plain_ones(tmp_path_factory, case):
     inst = parse(path)
     grid = build_grid(inst)
     assert grid == reference_grid(inst)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(instances, "SPLIT_MIN_BYTES", 0)
-        for parts in range(1, 5):
-            split = grid_parts(path, _parts=parts)
-            assert (split is not None) == splits, parts
-            if split is not None:
-                n, queries, found = split
-                assert (n, queries.Q, queries.k, len(queries.P)) == (inst.n, inst.Q, inst.k, 0)
-                assert 1 <= len(found) <= parts
-                assert add_parts(queries, found) == grid  # cells, per_row and retained
-        code, rec, err = _solve(path)
     plain_code, plain, plain_err = _plain(path)
-    assert (code, err, plain_code, plain_err) == (0, "", 0, "")
-    assert _untimed(rec) == _untimed(plain)
-    assert plain["parts"] == 1 and (rec["parts"] > 1) <= splits
+    assert (plain_code, plain_err, plain["parts"]) == (0, "", 1)
+    for chunk in (instances._CHUNK, 64):  # at 64 bytes a part mixes plain and other blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(instances, "SPLIT_MIN_BYTES", 0)
+            mp.setattr(instances, "_CHUNK", chunk)
+            for parts in range(1, 5):
+                split = grid_parts(path, _parts=parts)
+                assert (split is not None) == splits, (chunk, parts)
+                if split is not None:
+                    n, queries, found = split
+                    assert (n, queries.Q, queries.k, len(queries.P)) == (inst.n, inst.Q, inst.k, 0)
+                    assert 1 <= len(found) <= parts
+                    assert add_parts(queries, found) == grid  # cells, per_row and retained
+            code, rec, err = _solve(path)
+        assert (code, err) == (0, "")
+        assert _untimed(rec) == _untimed(plain)
+        assert (rec["parts"] > 1) <= splits
     assert _unreaped() == 0
 
 
