@@ -12,23 +12,24 @@ any other finite number, such as ``0.07`` or ``25e-2``, as a ``Decimal``.
 Integer instances round-trip byte-exactly, and a float is written as its
 shortest round-trip text, which reads back as exactly that decimal.
 
-The parser streams the file (``parse``), converting its point lines a batch
-at a time (``_batches``) straight into the columns of ``model.PointColumns``.
-Each column starts as an int64 ``array('q')`` and takes whole converted
-batches; the first batch it cannot take (a decimal, or an int beyond int64)
-turns that column alone into a list.  The generators build the same columns
-and the serializer writes from them, so none of the three builds a
-per-point object.
+The parser streams the file (``parse``) as bytes, a block of whole lines at
+a time (``_whole_lines``), straight into the columns of
+``model.PointColumns``.  A block that lies wholly inside the point lines and
+holds plain point lines (three integer tokens one space apart, as the
+serializer writes them) is converted in one go from its bytes
+(``_plain_points``); any other block is decoded, its blank and comment
+lines are dropped (``_block_data``) and its point and query lines are
+converted a batch at a time (``_batches``).  Each column starts as an int64
+``array('q')`` and takes whole converted batches; the first batch it cannot
+take (a decimal, or an int beyond int64) turns that column alone into a
+list.  The generators build the same columns and the serializer writes from
+them, so none of the three builds a per-point object.
 
 ``point_ranges`` and ``point_batches`` let ``maxdom solve`` parse a large
 file's point lines in parts: the header and the queries are read from the
-file's head and tail, and each byte range of point lines is read as bytes,
-a block of whole lines at a time.  A block of plain point lines (three
-integer tokens one space apart, as the serializer writes them) is converted
-in one go from its bytes (``_plain_points``); any other block is decoded
-and goes through the same data-line filter and batch conversion as
-``parse`` (``_block_data``, ``_batches``), which hands its batches to the
-caller instead of keeping them.
+file's head and tail, and each byte range of point lines goes through the
+same blocks and the same per-block conversion as ``parse`` (``_block``),
+which hands its batches to the caller instead of keeping them.
 
 Generators draw every number from SplitMix64, so the same spec yields a
 byte-identical instance on every platform.
@@ -36,6 +37,7 @@ byte-identical instance on every platform.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from array import array
@@ -110,15 +112,13 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
-# Characters (``parse``) or bytes (``point_batches``) read per chunk; a
-# chunk is cut after its last newline, so a reader holds one chunk's lines at
-# a time, never the whole file.  On n-heavy's 16 MB file (x86-64, CPython
-# 3.11), ``parse`` takes 0.63-0.70 s of CPU at 64 KiB against 0.64-0.72 s at
-# 1 MiB, and ``point_batches`` over all its point lines 0.57-0.70 s at a
-# traced peak of 1.4 MB (chunk, tokens and one block's columns), against
-# 0.54-0.67 s and 22.9 MB at 1 MiB.
+# Bytes read per chunk; a chunk is cut after its last newline, so a reader
+# holds one chunk's lines at a time, never the whole file.  On n-heavy's 16 MB
+# file (x86-64, CPython 3.11), ``point_batches`` over all its point lines
+# takes 0.57-0.70 s of CPU at a traced peak of 1.4 MB (chunk, tokens and one
+# block's columns), against 0.54-0.67 s and 22.9 MB at 1 MiB.
 _CHUNK = 1 << 16
-# Point lines converted per batch; bounds the token strings alive at once.
+# Lines converted per batch; bounds the token strings alive at once.
 _BATCH = 4096
 
 
@@ -127,17 +127,20 @@ def _is_data(line: str) -> bool:
     return bool(line) and not line.startswith("#")
 
 
-def _whole_lines(pieces: Iterable, newline="\n") -> Iterator:
-    """Re-cut text (or, with ``newline=b"\\n"``, bytes) pieces so that each
-    one ends with a newline (the last one may not): ``str.splitlines`` of the
-    blocks, concatenated, gives the lines of the whole text."""
-    rest = newline[:0]  # "" or b""
+def _whole_lines(pieces: Iterable[bytes]) -> Iterator[bytes]:
+    """Re-cut byte pieces so that each one ends with a newline (the last one may not).
+
+    A block never cuts a UTF-8 character or a ``"\\r\\n"`` pair, so the
+    lines of the blocks, decoded one at a time, are the lines of the whole
+    text.
+    """
+    rest = b""
     for piece in pieces:
-        text = rest + piece
-        cut = text.rfind(newline) + 1
+        block = rest + piece
+        cut = block.rfind(b"\n") + 1
         if cut:
-            yield text[:cut]
-        rest = text[cut:]
+            yield block[:cut]
+        rest = block[cut:]
     if rest:
         yield rest
 
@@ -154,24 +157,15 @@ def _header(line: str, line_no: int) -> tuple[int, int, int]:
     return n, m, k
 
 
-def _data_lines(blocks: Iterable[str]) -> Iterator[tuple[list[str], Sequence[int]]]:
-    """``(data, line_nos)`` for each block of whole lines that holds data lines.
+def _block_data(block: bytes, line_base: int) -> tuple[list[str], Sequence[int], int]:
+    """``(data, line_nos, count)`` for a block of whole lines, decoded as UTF-8.
 
-    ``data`` are the block's lines that are neither blank nor comments and
-    ``line_nos`` their line numbers, counted from the first block.
+    ``data`` are the block's lines that are neither blank nor comments,
+    ``line_nos`` their line numbers, counted on after ``line_base``, and
+    ``count`` the number of lines in the block.
     """
-    line_base = 0  # lines in the blocks before this one
-    for block in blocks:
-        data, line_nos, count = _block_data(block, line_base)
-        line_base += count
-        if data:
-            yield data, line_nos
-
-
-def _block_data(block: str, line_base: int) -> tuple[list[str], Sequence[int], int]:
-    """``_data_lines``' ``(data, line_nos)`` for one block of whole lines, numbered after ``line_base``, and its line count."""
-    lines = block.splitlines()
-    if "#" not in block and all(map(str.strip, lines)):
+    lines = block.decode().splitlines()
+    if b"#" not in block and all(map(str.strip, lines)):
         data, line_nos = lines, range(line_base + 1, line_base + len(lines) + 1)
     else:
         line_nos = [i for i, line in enumerate(lines, start=line_base + 1) if _is_data(line)]
@@ -179,67 +173,104 @@ def _block_data(block: str, line_base: int) -> tuple[list[str], Sequence[int], i
     return data, line_nos, len(lines)
 
 
-def _batches(data: list[str], line_nos: Sequence[int], stop: int) -> Iterator[tuple[list, list, list]]:
-    """The x, y and w values of the point lines ``data[:stop]``, one batch of lines at a time.
+def _batches(data: list[str], line_nos: Sequence[int], fields: int = 3) -> Iterator[list[list]]:
+    """The columns of the point lines (``fields`` 3) or query lines (2) ``data``, one batch of lines at a time.
 
-    A batch of three-field, all-integer lines is converted in one
+    A batch of all-integer lines of ``fields`` fields is converted in one
     ``map(int, ...)`` per column, any other batch line by line, which finds
     the first malformed line.
     """
-    for start in range(0, stop, _BATCH):
-        end = min(start + _BATCH, stop)
-        tx, ty, tw = [], [], []
+    for start in range(0, len(data), _BATCH):
+        lines = data[start : start + _BATCH]
+        toks = []  # the batch's tokens, line after line; column i is toks[i::fields]
         try:
-            for line in data[start:end]:
-                x, y, w = line.split()
-                tx.append(x)
-                ty.append(y)
-                tw.append(w)
-            batch = list(map(int, tx)), list(map(int, ty)), list(map(int, tw))
+            for line in lines:
+                line_toks = line.split()
+                if len(line_toks) != fields:
+                    raise ValueError
+                toks += line_toks
+            batch = [list(map(int, toks[i::fields])) for i in range(fields)]
         except ValueError:
-            batch = _point_rows(data[start:end], line_nos[start:end])
+            batch = _rows(lines, line_nos[start : start + _BATCH], fields)
         yield batch
 
 
-def _parse_blocks(blocks: Iterable[str]) -> Instance:
-    """Parse an instance file given as blocks of whole lines, in file order.
+def _rows(lines: list[str], line_nos: Sequence[int], fields: int) -> list[list]:
+    """``_batches``' columns of ``lines``, converted one line at a time."""
+    cols = [[] for _ in range(fields)]
+    for line_no, line in zip(line_nos, lines):
+        toks = line.split()
+        if len(toks) != fields:
+            what = "ground-point line needs 'x y w'" if fields == 3 else "query line needs 'x y'"
+            raise ParseError(line_no, f"{what}, got {len(toks)} fields")
+        for col, tok in zip(cols, toks):
+            col.append(_number(tok, line_no))
+    return cols
 
-    Each block's point lines are converted by ``_batches`` and appended to
-    the columns.
-    A wrong data-line count is reported in preference to a malformed line,
-    so the first conversion error is held until the whole file has been
-    counted.
+
+def _block(block: bytes, line_base: int, plain: bool) -> tuple[tuple | None, list[str], Sequence[int], int]:
+    """``(batch, data, line_nos, count)`` for a block of whole lines numbered on after ``line_base``.
+
+    Where ``plain`` and the block holds plain point lines, ``batch`` is
+    their columns (``_plain_points``) and ``data`` is empty; otherwise
+    ``batch`` is None and ``data`` and ``line_nos`` are the block's data
+    lines (``_block_data``).  ``count`` is the number of lines in the block.
+    """
+    batch = _plain_points(block) if plain else None
+    if batch is None:
+        return None, *_block_data(block, line_base)
+    return batch, [], (), len(batch[0])
+
+
+def _parse(f) -> Instance:
+    """Parse the instance file open for binary reading as ``f``; see ``parse``.
+
+    Every block is read before an error is raised, so an undecodable byte
+    anywhere in the file wins.  A wrong header or data-line count is
+    reported in preference to a malformed line, so the first conversion
+    error is held until the whole file has been counted.
     """
     cols = array("q"), array("q"), array("q")
     queries = []
-    header = None
+    n = -1  # until the header is read; no block is plain before it
+    error = first_bad = None  # error: a bad header or an extra line; first_bad: a bad value
     count = 0  # data lines after the header
+    line_base = 0  # lines in the blocks before this one
     last_no = 0  # line number of the last data line
-    first_bad = None  # the first conversion error, raised once the count is right
-    for data, line_nos in _data_lines(blocks):
+    for block in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
+        batch, data, line_nos, lines = _block(block, line_base, count + block.count(b"\n") <= n)
+        line_base += lines
+        if batch is not None:
+            cols = tuple(map(_append, cols, batch))
+            count += lines
+            last_no = line_base
+        if not data or error is not None:
+            continue
         last_no = line_nos[-1]
-        if header is None:
-            n, m, k = header = _header(data[0], line_nos[0])
+        if n < 0:
+            try:
+                n, m, k = _header(data[0], line_nos[0])
+            except ParseError as exc:
+                error = exc
+                continue
             data, line_nos = data[1:], line_nos[1:]
         # data[:a] are point lines, data[a:b] query lines, anything after is extra
         a = max(0, min(len(data), n - count))
         b = max(0, min(len(data), n + m - count))
-        if b < len(data):
-            raise ParseError(line_nos[b], "unexpected extra data line")
         count += len(data)
-        if first_bad is not None:
-            continue
-        try:
-            for batch in _batches(data, line_nos, a):
-                cols = tuple(map(_append, cols, batch))
-            for line_no, line in zip(line_nos[a:b], data[a:b]):
-                toks = line.split()
-                if len(toks) != 2:
-                    raise ParseError(line_no, f"query line needs 'x y', got {len(toks)} fields")
-                queries.append(tuple(_number(t, line_no) for t in toks))
-        except ParseError as exc:
-            first_bad = exc
-    if header is None:
+        if b < len(data):
+            error = ParseError(line_nos[b], "unexpected extra data line")
+        elif first_bad is None:
+            try:
+                for batch in _batches(data[:a], line_nos[:a]):
+                    cols = tuple(map(_append, cols, batch))
+                for batch in _batches(data[a:b], line_nos[a:b], 2):
+                    queries += zip(*batch)
+            except ParseError as exc:
+                first_bad = exc
+    if error is not None:
+        raise error
+    if n < 0:
         raise ParseError(1, "empty instance file")
     if count < n + m:
         raise ParseError(last_no, f"expected {n + m} data lines after the header, got {count}")
@@ -271,43 +302,36 @@ def _append(col, values: list):
     return col
 
 
-def _point_rows(lines: list[str], line_nos) -> tuple[list, list, list]:
-    """x, y and w columns of point lines, converted one line at a time."""
-    cols = [], [], []
-    for line_no, line in zip(line_nos, lines):
-        toks = line.split()
-        if len(toks) != 3:
-            raise ParseError(line_no, f"ground-point line needs 'x y w', got {len(toks)} fields")
-        for col, tok in zip(cols, toks):
-            col.append(_number(tok, line_no))
-    return cols
-
-
 def parse_text(text: str) -> Instance:
-    """Parse the text of an instance file; see ``parse``."""
-    return _parse_blocks(_whole_lines(text[i : i + _CHUNK] for i in range(0, len(text), _CHUNK)))
+    """Parse the text of an instance file: ``parse`` of its UTF-8 bytes.
+
+    A str that UTF-8 cannot encode, such as one with a lone surrogate, even
+    in a comment, raises ``UnicodeEncodeError`` (a ``ValueError``); no file
+    can hold such text.
+    """
+    return _parse(io.BytesIO(text.encode()))
 
 
 def parse(path) -> Instance:
-    """Parse an instance file into point columns, streamed in chunks.
+    """Parse an instance file into point columns, streamed in blocks.
 
-    The file is read as UTF-8, whatever the locale, ``_CHUNK`` characters
-    at a time in text mode, each chunk cut after its last newline, and
-    every chunk's point lines go straight into the x, y and w columns.  So
-    the parser never holds the file text or a string per line beside the
+    The file is read as bytes, ``_CHUNK`` at a time, each chunk cut after
+    its last newline into a block of whole lines (``_whole_lines``), as a
+    split part reads its range (``point_batches``).  A block that lies
+    wholly inside the point lines and holds plain point lines is converted
+    in one go from its bytes (``_plain_points``).  Any other block, such as
+    one that holds the header, a comment or query lines, is decoded on its
+    own as UTF-8, whatever the locale, its blank and comment lines are
+    skipped and its data lines converted a batch at a time (``_batches``).
+    The point values go straight into the x, y and w columns.  So the
+    parser never holds the file text or a string per line beside the
     columns: its peak is the finished instance plus one chunk and one
-    batch, and, for a column that a decimal or a beyond-int64 value made a
-    list, that list.  Values and ``ParseError``s are those of parsing the
-    whole text at once.
+    block's tokens, and, for a column that a decimal or a beyond-int64
+    value made a list, that list.  Values and ``ParseError``s are those of
+    parsing the whole text at once, with ``str.splitlines``' line breaks.
     """
-    with open(path, encoding="utf-8") as f:
-        pieces = iter(partial(f.read, _CHUNK), "")
-        try:
-            return _parse_blocks(_whole_lines(pieces))
-        except ParseError:
-            for _ in pieces:  # an undecodable byte later in the file still wins
-                pass
-            raise
+    with open(path, "rb") as f:
+        return _parse(f)
 
 
 # Point-line bytes below which ``point_ranges`` declines a parse in parts:
@@ -341,14 +365,16 @@ def point_ranges(path, parts: int, k: int | None = None):
 
     The header is read from the head of the file (``_read_header``) and the
     queries from its tail: the last m lines, which must all be query lines,
-    each with two numbers, the last one with or without a final newline.
+    each with two numbers, the last one with or without a final newline;
+    they are converted by ``parse``'s batch converter (``_batches``).
     ``queries`` is the instance of those queries with no points and budget
     ``k``, the file's own where ``k`` is None.  The bytes between the header
     line and the first query line, which should hold the n point lines, are
     cut after a newline into at most ``parts`` ``(start, stop)`` ranges of
     about equal size.  None where the file, or its point lines, are smaller
     than ``SPLIT_MIN_BYTES`` or anything above does not hold (a bad header
-    raises); ``parse`` then reads the file whole and reports what is wrong.
+    or query line raises ``ParseError``, its line number not the file's);
+    ``parse`` then reads the file whole and reports what is wrong.
     Whether the ranges hold n point lines is for their parser to count
     (``point_batches``).
     """
@@ -365,10 +391,10 @@ def point_ranges(path, parts: int, k: int | None = None):
             if cut < 0:
                 return None
         tail = tail[cut + 1 :]
-        rows = [line.split() for line in tail.decode().splitlines()]
-        if len(rows) != m or any(len(toks) != 2 for toks in rows):  # a comment fails as a number
+        lines = tail.decode().splitlines()
+        if len(lines) != m:
             return None
-        rows = [[_number(t, 0) for t in toks] for toks in rows]
+        rows = [row for batch in _batches(lines, [0] * m, 2) for row in zip(*batch)]
         queries = Instance.from_columns((), (), (), rows, file_k if k is None else k)
         stop = size - len(tail)
         if stop - start < max(SPLIT_MIN_BYTES, 1):
@@ -382,33 +408,23 @@ def point_ranges(path, parts: int, k: int | None = None):
     return n, queries, [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def point_batches(path, start: int, stop: int) -> Iterator[tuple[list, list, list]]:
+def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
     """The x, y and w values of the point lines in bytes ``[start, stop)`` of a file, a batch at a time.
 
-    The range must start and end at line starts.  It is read ``_CHUNK``
-    bytes at a time, each chunk cut after its last newline into a block of
-    whole lines.  A block of plain point lines (``_plain_points``) is
-    converted in one go, straight from its bytes.  Any other block is
-    decoded on its own as UTF-8 (it ends at a newline, so no character is
-    cut), its blank and comment lines are skipped and every other line is
-    converted as a point line by the same code as in ``parse``
-    (``_batches``), which raises ``ParseError`` (with line numbers counted
-    from the range's start) for the first malformed one.  The batches hold
-    every point line once, so their lengths add up to the range's data-line
-    count.
+    The range must start and end at line starts.  It is read and converted
+    block by block as ``parse`` reads a file (``_whole_lines``, ``_block``),
+    except that every data line is a point line: the first malformed one
+    raises ``ParseError``, with line numbers counted from the range's start.
+    The batches hold every point line once, so their lengths add up to the
+    range's data-line count.
     """
     line_base = 0  # lines in the blocks before this one
     with open(path, "rb") as f:
         f.seek(start)
         pieces = (f.read(min(_CHUNK, stop - at)) for at in range(start, stop, _CHUNK))
-        for block in _whole_lines(pieces, b"\n"):
-            batch = _plain_points(block)
-            if batch is None:
-                data, line_nos, count = _block_data(block.decode(), line_base)
-                yield from _batches(data, line_nos, len(data))
-            else:
-                yield batch
-                count = len(batch[0])
+        for block in _whole_lines(pieces):
+            batch, data, line_nos, count = _block(block, line_base, True)
+            yield from _batches(data, line_nos) if batch is None else (batch,)
             line_base += count
 
 

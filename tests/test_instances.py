@@ -214,6 +214,7 @@ MALFORMED = [
     ("1 1 0\n0 0 1\nx 1\n9 9\n", 4),  # bad token, a line over
     ("1 1 0\n0 0\n# c\n\n", 2),  # bad field count, a line short
     ("1 1 0\n0 0 nan\n1 1", 2),  # count right, no final newline: the token's error
+    ("3 1 0\n0 0 1\n1 1 1\n", 3),  # two lines short, the last one a plain point line
     # only digits, "-" and spaces, but not ints
     ("2 1 0\n0 0 1\n5-3 1 1\n1 1\n", 3),
     ("2 1 0\n0 0 1\n1 - 1\n1 1\n", 3),
@@ -241,6 +242,12 @@ def test_comments_and_blanks_between_data_lines():
 def test_crlf_line_endings():
     text = "2 1 1\n0 0 1\n2.5 3 -4\n5 6\n"
     assert parse_text(text.replace("\n", "\r\n")) == parse_text(text)
+
+
+def test_parse_text_of_a_str_that_utf8_cannot_encode():
+    # read as its UTF-8 bytes, like a file: a lone surrogate, even in a comment, is a ValueError
+    with pytest.raises(UnicodeEncodeError):
+        parse_text("# \udc80\n1 1 0\n0 0 1\n1 1\n")
 
 
 def test_parse_path_equals_parse_text(tmp_path):
@@ -315,7 +322,7 @@ def test_parse_matches_line_by_line(tmp_path_factory, inst, data):
             toks = lines[at].split()
             toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(noise)
             lines[at] = " ".join(toks)
-    sep = data.draw(st.sampled_from(["\n", "\r\n"]))
+    sep = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = sep.join(lines) + data.draw(st.sampled_from(["", sep]))  # with or without a final newline
     expected = _outcome(_parse_line_by_line, text)
     path = tmp_path_factory.getbasetemp() / "parse_matches.txt"
@@ -346,6 +353,43 @@ def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
     with pytest.raises(ParseError) as bad:
         point_batches()
     assert bad.value.line_no == 46 and "'5-3'" in str(bad.value)
+
+
+def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
+    # 64-byte chunks: every block that lies wholly inside the point lines
+    # goes through ``_plain_points``, and only those that hold the header, a
+    # comment or query lines are decoded and go through ``_batches``
+    monkeypatch.setattr(instances, "_CHUNK", 64)
+    plain, fallbacks = [], []
+    plain_points, batches = instances._plain_points, instances._batches
+    monkeypatch.setattr(instances, "_plain_points", lambda block: plain.append(block) or plain_points(block))
+    monkeypatch.setattr(instances, "_batches", lambda data, *args: fallbacks.extend(data) or batches(data, *args))
+    lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(60)]
+    lines[20] = "# note"
+    path = tmp_path / "inst.txt"
+
+    def parsed():
+        text = "\n".join(["59 2 0", *lines, "1 1", "5 6"]) + "\n"
+        path.write_bytes(text.encode())
+        plain.clear()
+        fallbacks.clear()
+        return text, _outcome(parse, path)
+
+    text, found = parsed()
+    assert found == _parse_line_by_line(text)
+    data = text.encode()
+    blocks = list(instances._whole_lines(data[i : i + 64] for i in range(0, len(data), 64)))
+    inside = [b for b in blocks[1:] if all(len(line.split()) == 3 or b"#" in line for line in b.splitlines())]
+    assert len(inside) > 5 and plain == inside
+    mixed = [b for b in blocks if b not in inside or b"#" in b]  # the header's, the note's and the queries'
+    assert len(mixed) == 4
+    assert sorted(fallbacks) == sorted(
+        line for b in mixed for line in b.decode().splitlines()[b is blocks[0] :] if line != "# note"
+    )
+    lines[45] = "5-3 1 1"  # the 47th line of the file, after plain blocks
+    _, found = parsed()
+    assert found[:2] == ("error", 47) and "'5-3'" in found[2]
+    assert "5-3 1 1" in fallbacks and any(b"5-3" in b for b in plain)
 
 
 def test_undecodable_tail_wins_over_an_early_parse_error(tmp_path, monkeypatch):
@@ -387,6 +431,15 @@ def test_parse_peak_memory_is_bounded_by_the_instance(tmp_path, monkeypatch):
     # and a string per line about four times that.
     extra = sizes[1] - sizes[0]
     assert memory[1][0] - memory[0][0] < extra / 2, (memory, extra)
+
+
+def test_parse_peak_memory_of_crlf_files(tmp_path, monkeypatch):
+    # No block of a CRLF file is plain: every one is decoded and converted by ``_batches``.
+    def serialize_crlf(inst, path):
+        path.write_bytes(serialize_text(inst).replace("\n", "\r\n").encode())
+
+    monkeypatch.setitem(globals(), "serialize", serialize_crlf)
+    test_parse_peak_memory_is_bounded_by_the_instance(tmp_path, monkeypatch)
 
 
 def test_part_grid_peak_memory_does_not_grow_with_the_points(tmp_path, monkeypatch):
