@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Check that two source trees give the same ``maxdom`` records on the benchmark's own files.
+
+    python3 scripts/same_records.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B
+
+For each seed from A to B (or the one seed ``--seeds A``) the workload's
+files are written as the benchmark writes them: ``write_files`` of the first
+tree's ``perfbench/workloads.py``, imported as it is, with that tree's
+``maxdom``, into a temporary directory that is removed after the seed.
+Every operation (``maxdom solve FILE`` or ``maxdom verify FILE``) then runs
+once per tree, each in a fresh ``python -m maxdom`` process with that
+tree's ``src`` on ``PYTHONPATH``, the two at the same time.  Their exit
+statuses, their stderr and their JSON records are compared, the records
+without the keys that hold times, memory or the process count
+(``UNTIMED``).  One line is printed per differing value; at the end, the
+number of operations, the ``parts`` that each tree's solves used, and the
+keys found in one tree's records only.  Exits 1 where any value differs,
+else 0: a key on one side only is listed but is not a difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from decimal import Decimal
+from pathlib import Path
+
+# Record keys that hold times, memory or the process count, which may differ between two runs.
+UNTIMED = ("stages", "total_seconds", "peak_rss_mb", "peak_rss_children_mb", "parts")
+
+
+def seeds(text: str) -> range:
+    """``"A-B"`` as the seeds A to B, ``"A"`` as A alone."""
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def write_files(tree: Path, workload: str, seed: int, out_dir: Path) -> list:
+    """The benchmark's ``[command, path]`` operations for one seed, their files written by ``tree``'s code."""
+    for sub in ("src", "perfbench"):
+        if str(tree / sub) not in sys.path:
+            sys.path.insert(0, str(tree / sub))
+    import workloads
+
+    return workloads.write_files(workload, seed, out_dir)["ops"]
+
+
+def start(tree: Path, command: str, path: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "maxdom", command, path]
+    return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def outcome(proc: subprocess.Popen) -> dict:
+    """The exit status, stderr and JSON record of a finished operation, in one dict."""
+    out, err = proc.communicate()
+    try:
+        record = json.loads(out, parse_float=Decimal)
+    except ValueError:
+        record = {"stdout": out}
+    return {"exit": proc.returncode, "stderr": err, **record}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="PARENT_TREE CHANGE_TREE")
+    ap.add_argument("--workload", required=True, help="n-heavy, m-heavy or desk-verify")
+    ap.add_argument("--seeds", type=seeds, required=True, metavar="A-B")
+    args = ap.parse_args()
+    trees = [tree.resolve() for tree in args.trees]
+    differ = ops = 0
+    parts = [Counter(), Counter()]
+    one_side: list[set] = [set(), set()]
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory(prefix="same_records_") as tmp:
+            for command, path in write_files(trees[0], args.workload, seed, Path(tmp)):
+                procs = [start(tree, command, path) for tree in trees]
+                a, b = [outcome(proc) for proc in procs]
+                ops += 1
+                for side, rec in enumerate((a, b)):
+                    if "parts" in rec:
+                        parts[side][rec["parts"]] += 1
+                for key in sorted(set(a) | set(b)):
+                    if key in UNTIMED:
+                        continue
+                    if key not in a or key not in b:
+                        one_side[key not in a].add(key)
+                    elif a[key] != b[key]:
+                        differ += 1
+                        print(f"seed {seed} {command} {Path(path).name} {key}: {a[key]!r} != {b[key]!r}")
+    print(f"{args.workload}: {ops} operations, {differ} differing values")
+    for tree, used, keys in zip(trees, parts, one_side):
+        print(f"{tree}: parts {dict(sorted(used.items()))}, keys in its records only: {sorted(keys)}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,7 +3,7 @@ quadrants cover the maximum total weight of a weighted point set.
 
 The solver sums the ground points into at most min(n, m^2) cells of the
 covered region in one pass over the point columns, and runs a layered
-dynamic program in O(k*m^2 + n log m) time and O(n + m) space, or, when
+dynamic program in O(k*m^2 + n log m) time and O(n + k*m) space, or, when
 that is predicted faster, in O(k*(c + m)*log m) time for c nonzero cells.
 An exhaustive oracle provides ground truth at verification scale.
 """

@@ -28,23 +28,14 @@ def time_pipeline(inst: Instance, reps: int = 1) -> dict[str, float]:
     return best
 
 
-def sweep(
-    family: str,
-    ns,
-    ms,
-    ks,
-    *,
-    reps: int = 3,
-    seed: int = 0,
-    weights: tuple[int, int] = (-10, 10),
-) -> list[dict]:
+def sweep(family: str, ns, ms, ks, *, reps: int = 3, seed: int = 0) -> list[dict]:
     """Cartesian sweep over sizes; returns flat rows {family,n,m,k,stage,seconds}."""
     rows = []
     idx = 0
     for n in ns:
         for m in ms:
             for k in ks:
-                spec = GeneratorSpec(family, n, m, k, weights, seed + 7919 * idx)
+                spec = GeneratorSpec(family, n, m, k, seed=seed + 7919 * idx)
                 idx += 1
                 inst = generate(spec)
                 stages = time_pipeline(inst, reps)

@@ -46,8 +46,7 @@ class CellGrid:
     The one stored form of the cells: the DP reads ``per_row``, ``qx`` and ``total``.
     """
 
-    m: int
-    per_row: tuple[tuple[tuple[int, int], ...], ...]  # per_row[i-1]: (col, weight), col-sorted
+    per_row: tuple[tuple[tuple[int, int], ...], ...]  # per_row[i-1]: strip i's (col, weight), col-sorted; m strips
     retained: int = 0  # ground points summed into the cells
     scale: int = 1  # a cell holds its points' weights summed times this (``PointColumns.int_weights``)
     # The queries by staircase position (``y_sorted_queries``) in the gridded
@@ -157,7 +156,7 @@ def build_grid(inst: Instance) -> CellGrid:
     cols = (inst.P.xs, inst.P.ys, ws)
     batches = ([col[i : i + _SLICE] for col in cols] for i in range(0, inst.n, _SLICE))
     per_row, retained, _count = _sum_cells(stair, qx, batches)
-    return CellGrid(len(stair), per_row, retained, scale, stair, qx)
+    return CellGrid(per_row, retained, scale, stair, qx)
 
 
 def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
@@ -182,7 +181,7 @@ def add_parts(inst: Instance, parts) -> CellGrid:
         per_row.append(tuple(sorted(sums.items())))
     retained = sum(part_retained for _, part_retained in parts)
     stair = y_sorted_queries(inst)
-    return CellGrid(len(stair), tuple(per_row), retained, stair=stair, qx=_x_ranks(stair))
+    return CellGrid(tuple(per_row), retained, stair=stair, qx=_x_ranks(stair))
 
 
 def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
@@ -197,7 +196,7 @@ def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
         _merge_into(xs_prefix, [q.x for q in qs[done:i]])
         done = i
         y_hi = qs[i - 1].y
-        y_lo = qs[i].y if i < grid.m else 0
+        y_lo = qs[i].y if i < len(qs) else 0
         for col, _w in row:
             s = bisect_left(xs_prefix, col)
             boxes[CellKey(i, col)] = (xs_prefix[s - 1] if s else 0, y_lo, col, y_hi)

@@ -106,7 +106,6 @@ def cmd_solve(args) -> int:
         "compressed_size": compressed_size,
         "retained": retained,
         "cells": cells,
-        "row_sum_entries": compressed_size,  # one stored cell per nonzero cell
         "dp_pairs": dp_pairs,
         "engine": engine,
         "estimates_s": estimates,

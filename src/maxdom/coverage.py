@@ -38,7 +38,7 @@ class CoverageSweep:
     """
 
     def __init__(self, grid: CellGrid, x_by_pos: Sequence):
-        self.m = grid.m
+        self.m = len(grid.per_row)
         self.per_row = grid.per_row
         self.current = 1
         self.cov: list[int] = [0] * (self.m + 2)

@@ -92,6 +92,15 @@ def _column(values):
         return tuple(values)
 
 
+def _all_ints(values) -> bool:
+    """Whether every one of ``values`` is an ``int`` (a bool is not), so that they sum at scale 1.
+
+    One C-level pass over the values' types, not a Python loop per value;
+    a column's ``array`` (int64, ``_column``) holds only ints as it is.
+    """
+    return type(values) is array or set(map(type, values)) <= {int}
+
+
 def _sum(values):
     """``sum(values)``, or nan where it raises: a float beside a ``Decimal`` or a huge int."""
     try:
@@ -146,7 +155,7 @@ class PointColumns(Sequence):
         """
         if self._int_weights is None:
             ws = self.ws
-            if type(ws) is array or all(type(w) is int for w in ws):
+            if _all_ints(ws):
                 self._int_weights = ws, 1
             else:
                 ratios = [w.as_integer_ratio() for w in ws]

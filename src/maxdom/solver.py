@@ -8,9 +8,9 @@ cell sums are themselves the compressed ground set.  ``solve_reference``
 reaches the same cell sums the ranked way (rank every point and grid in rank
 space, where the grid skips the uncovered points) and runs the same DP;
 ``verify`` and the tests compare the pipeline against it.  ``maxdom solve``
-of a large all-integer file parses and grids its point lines in parts, one
-process per CPU (``grid_parts``), and hands the parts' cells to the same
-pipeline.
+of a large file whose weights are all ints parses and grids its point lines
+in parts, one process per CPU (``grid_parts``), and hands the parts' cells
+to the same pipeline.
 
 The DP takes any instance, ranked or not: it walks the queries in the
 staircase order (``CellGrid.stair``) and compares their rank x's
@@ -51,7 +51,7 @@ from time import perf_counter
 from .cells import CellGrid, add_parts, build_grid, sum_batches
 from .coverage import CoverageSweep, build_row_sums
 from .instances import _read_header, point_batches, point_ranges
-from .model import Instance, Solution, exact
+from .model import Instance, Solution, _all_ints, exact
 from .ranking import rank_transform
 
 
@@ -370,7 +370,7 @@ DP_BUDGET_S = 180.0
 # A solve whose chosen engine would hold more list slots than this
 # (``_costs``) is refused as well.  A slot took 12-15 bytes under
 # tracemalloc (uniform shapes up to m = 4,096 and k = 256) and can take
-# about 32 (a pointer and a float of its own): 0.6-1.6 GB.  The tree's peak
+# about 32 (a pointer and an int of its own): 0.6-1.6 GB.  The tree's peak
 # came to 6-11 bytes per slot that ``_costs`` counts, at fields of 1 to 33
 # words (uniform m = 256 to 4,096, k = 8 to 256).
 DP_SLOT_BUDGET = 50_000_000
@@ -518,19 +518,20 @@ def _grid_range(path, start: int, stop: int, queries: Instance) -> tuple:
     ``per_row`` and ``retained`` are those of their grid over ``queries``
     and ``count`` is how many there are: what a child sends back, summed
     batch by batch as it is parsed (``cells.sum_batches``).  Raises
-    ``ValueError`` for a value that is not an int64: the parts' cell sums
-    are added as they are, while decimal weights would first need one scale
-    common to every part.
+    ``ValueError`` for a batch whose weights are not all ints
+    (``model._all_ints``, ``PointColumns.int_weights``' rule for scale 1):
+    the parts' cell sums are added as they are, while decimal weights would
+    first need one scale common to every part.  Coordinates may be any
+    numbers ``parse`` reads.
     """
-    return sum_batches(queries, map(_int64, point_batches(path, start, stop)))
+    return sum_batches(queries, map(_int_weight_batch, point_batches(path, start, stop)))
 
 
-def _int64(batch: tuple) -> list:
-    """``batch``'s columns as int64 arrays; ``ValueError`` for a value that is not an int64."""
-    try:
-        return [array("q", col) for col in batch]
-    except (TypeError, OverflowError):
-        raise ValueError("a point value that is not an int64") from None
+def _int_weight_batch(batch):
+    """``batch`` itself; ``ValueError`` where a weight is not an int."""
+    if not _all_ints(batch[2]):
+        raise ValueError("a point weight that is not an int")
+    return batch
 
 
 def grid_parts(path, k: int | None = None, _parts: int | None = None):
@@ -547,8 +548,9 @@ def grid_parts(path, k: int | None = None, _parts: int | None = None):
     leaving the file to ``parse``, where the file is small or not plain
     enough to be split, ``fork`` is missing or this process runs other
     threads (a lock one of them holds would stay held in the child), a
-    part's column is not int64, a part fails in any way or the parts' point
-    counts do not add up to n; the children are reaped in every case.
+    part holds a weight that is not an int (``_grid_range``), a part fails
+    in any way or the parts' point counts do not add up to n; the children
+    are reaped in every case.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None

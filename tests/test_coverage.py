@@ -28,16 +28,16 @@ def direct_cov(rr, i, j):
 
 def test_build_row_sums_keeps_a_row_without_zero_cells_as_it_is():
     row = ((2, 5), (4, -3))
-    built = build_row_sums(CellGrid(2, (row, ())))
+    built = build_row_sums(CellGrid((row, ())))
     assert built.per_row[0] is row and built.per_row == (row, ())
 
 
 def test_build_row_sums_drops_zero_weight_cells_and_keeps_the_rest_of_the_grid():
     stair = (QueryPoint(1, 2, 0), QueryPoint(2, 1, 1))
-    grid = CellGrid(2, (((1, 0),), ((1, 4), (2, 0), (3, -4), (4, 1))), 9, 10, stair)
+    grid = CellGrid((((1, 0),), ((1, 4), (2, 0), (3, -4), (4, 1))), 9, 10, stair)
     built = build_row_sums(grid)
     assert built.per_row == ((), ((1, 4), (3, -4), (4, 1)))  # col 2 of row 2 not stored
-    assert (built.m, built.retained, built.scale, built.stair) == (2, 9, 10, stair)
+    assert (built.retained, built.scale, built.stair) == (9, 10, stair)
 
 
 def test_sweep_two_point_example():

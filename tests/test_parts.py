@@ -61,9 +61,9 @@ def _unreaped() -> int:
         return 0
 
 
-# Tokens that replace one point value: int64 ones keep the split, the others make it fall back.
-INT64_TOKENS = ["-7", "0", str(-(2**63)), str(2**63 - 1), "+5", "1_000", "007", "-0"]
-OTHER_TOKENS = ["1.5", "-0.25", "3e2", str(2**63), str(-(2**63) - 1)]
+# Tokens that replace one point value: only a decimal one in the weight column makes the split fall back.
+INT_TOKENS = ["-7", "0", str(-(2**63)), str(2**63 - 1), "+5", "1_000", "007", "-0", str(2**63), str(-(2**63) - 1)]
+DECIMAL_TOKENS = ["1.5", "-0.25", "3e2"]
 NOISE = ["", "   ", "# note", "\t# x y w"]
 
 
@@ -78,10 +78,10 @@ def instance_files(draw):
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, inst.n - 1))
         toks = points[at].split()
-        toks[draw(st.integers(0, 2))] = draw(st.sampled_from(INT64_TOKENS + OTHER_TOKENS))
+        toks[draw(st.integers(0, 2))] = draw(st.sampled_from(INT_TOKENS + DECIMAL_TOKENS))
         points[at] = " ".join(toks)
     # from the final lines: a second token may overwrite the first
-    splits = not any(tok in OTHER_TOKENS for line in points for tok in line.split())
+    splits = not any(line.split()[2] in DECIMAL_TOKENS for line in points)
     for _ in range(draw(st.integers(0, 4))):
         points.insert(draw(st.integers(0, len(points))), draw(st.sampled_from(NOISE)))
     if draw(st.booleans()):  # before the first query it lies among the point lines
@@ -162,6 +162,40 @@ def test_malformed_files_raise_the_plain_parse_error(tmp_path, monkeypatch, text
         for parts in range(1, 5):
             assert grid_parts(path, _parts=parts) is None
         assert _solve(path) == (1, None, f"error: {expected.value}\n")
+    assert _unreaped() == 0
+
+
+def test_only_a_decimal_weight_keeps_a_file_whole(tmp_path, monkeypatch):
+    # decimal and beyond-int64 coordinates and beyond-int64 weights, on both sides of the cut
+    inst = generate(GeneratorSpec("uniform", 400, 6, 3, seed=5))
+    big = 2**64
+    points = [f"{p.x}.{i % 7} {p.y + big} {p.w * big}" for i, p in enumerate(inst.P)]
+    queries = [f"{q.x}.5 {q.y + big}" for q in inst.Q]
+    path = tmp_path / "wide.txt"
+
+    def write():
+        path.write_text("\n".join([f"{inst.n} {inst.m} {inst.k}", *points, *queries]) + "\n")
+
+    write()
+    plain_code, plain, _ = _plain(path)
+    assert plain_code == 0 and plain["value"] != 0
+    monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    n, queries_only, found = grid_parts(path, _parts=2)
+    assert (n, len(found)) == (inst.n, 2)
+    assert add_parts(queries_only, found) == build_grid(parse(path))
+    code, rec, _ = _solve(path)
+    assert (code, rec["parts"]) == (0, 2)
+    assert _untimed(rec) == _untimed(plain)
+    for at in (0, len(points) - 1):  # in the parent's part, then in the child's
+        whole = points[at]
+        points[at] = whole.rsplit(" ", 1)[0] + " 0.5"
+        write()
+        assert grid_parts(path, _parts=2) is None
+        code, rec, _ = _solve(path)
+        assert (code, rec["parts"]) == (0, 1)
+        assert _untimed(rec) == _untimed(_plain(path)[1])
+        points[at] = whole
     assert _unreaped() == 0
 
 

@@ -98,7 +98,7 @@ def reference_grid(inst: Instance) -> CellGrid:
         tuple((col, int(w * scale)) for (r, col), w in sorted(sums.items()) if r == row)
         for row in range(1, inst.m + 1)
     )
-    return CellGrid(inst.m, per_row, retained, scale)
+    return CellGrid(per_row, retained, scale)
 
 
 def exact_cells(grid: CellGrid) -> dict[CellKey, Fraction]:
