@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Check that two source trees give the same ``maxdom`` records on the benchmark's own files.
 
-    python3 scripts/same_records.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B
+    python3 scripts/same_records.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B [--args "--k 1"]
 
 For each seed from A to B (or the one seed ``--seeds A``) the workload's
 files are written as the benchmark writes them: ``write_files`` of the first
 tree's ``perfbench/workloads.py``, imported as it is, with that tree's
 ``maxdom``, into a temporary directory that is removed after the seed.
-Every operation (``maxdom solve FILE`` or ``maxdom verify FILE``) then runs
-once per tree, each in a fresh ``python -m maxdom`` process with that
-tree's ``src`` on ``PYTHONPATH``, the two at the same time.  Their exit
-statuses, their stderr and their JSON records are compared, the records
-without the keys that hold times, memory or the process count
-(``UNTIMED``).  One line is printed per differing value; at the end, the
-number of operations, the ``parts`` that each tree's solves used, and the
-keys found in one tree's records only.  Exits 1 where any value differs,
+Every operation (``maxdom solve FILE`` or ``maxdom verify FILE``, followed
+by the ``--args`` arguments, if any) then runs once per tree, each in a
+fresh ``python -m maxdom`` process with that tree's ``src`` on
+``PYTHONPATH``, the two at the same time.  Their exit statuses, their
+stderr and their JSON records are compared, the records without the keys
+that hold times, memory or the process count (``UNTIMED``).  One line is
+printed per differing value; at the end, the number of operations, the
+``parts`` that each tree's solves used, and the keys found in one tree's
+records only.  Exits 1 where any value differs,
 else 0: a key on one side only is listed but is not a difference.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -50,9 +52,9 @@ def write_files(tree: Path, workload: str, seed: int, out_dir: Path) -> list:
     return workloads.write_files(workload, seed, out_dir)["ops"]
 
 
-def start(tree: Path, command: str, path: str) -> subprocess.Popen:
+def start(tree: Path, command: str, path: str, extra: list) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "maxdom", command, path]
+    cmd = [sys.executable, "-m", "maxdom", command, path, *extra]
     return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -71,6 +73,7 @@ def main() -> int:
     ap.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="PARENT_TREE CHANGE_TREE")
     ap.add_argument("--workload", required=True, help="n-heavy, m-heavy or desk-verify")
     ap.add_argument("--seeds", type=seeds, required=True, metavar="A-B")
+    ap.add_argument("--args", type=shlex.split, default=[], help='arguments appended to every operation, such as "--k 1"')
     args = ap.parse_args()
     trees = [tree.resolve() for tree in args.trees]
     differ = ops = 0
@@ -79,7 +82,7 @@ def main() -> int:
     for seed in args.seeds:
         with tempfile.TemporaryDirectory(prefix="same_records_") as tmp:
             for command, path in write_files(trees[0], args.workload, seed, Path(tmp)):
-                procs = [start(tree, command, path) for tree in trees]
+                procs = [start(tree, command, path, args.args) for tree in trees]
                 a, b = [outcome(proc) for proc in procs]
                 ops += 1
                 for side, rec in enumerate((a, b)):

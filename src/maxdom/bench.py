@@ -7,6 +7,7 @@ whichever engine a solve would pick: its dp stage is what they measure.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .instances import GeneratorSpec, generate
 from .model import Instance
@@ -29,20 +30,26 @@ def time_pipeline(inst: Instance, reps: int = 1) -> dict[str, float]:
 
 
 def sweep(family: str, ns, ms, ks, *, reps: int = 3, seed: int = 0) -> list[dict]:
-    """Cartesian sweep over sizes; returns flat rows {family,n,m,k,stage,seconds}."""
+    """Cartesian sweep over sizes; returns flat rows {family,n,m,k,stage,seconds}.
+
+    Every shape's instance is generated first, and all of them are held at
+    once.  Then each of ``reps`` rounds times every shape once
+    (``time_pipeline``), and each shape keeps its fastest round: a CPU whose
+    speed changes every few seconds then slows the small shapes as often as
+    the large ones, where back-to-back reps of a small shape would all fall
+    in one speed phase.
+    """
+    shapes = [(n, m, k) for n in ns for m in ms for k in ks]
+    insts = [
+        generate(GeneratorSpec(family, n, m, k, seed=seed + 7919 * idx))
+        for idx, (n, m, k) in enumerate(shapes)
+    ]
+    rounds = [[time_pipeline(inst) for inst in insts] for _ in range(max(1, reps))]
     rows = []
-    idx = 0
-    for n in ns:
-        for m in ms:
-            for k in ks:
-                spec = GeneratorSpec(family, n, m, k, seed=seed + 7919 * idx)
-                idx += 1
-                inst = generate(spec)
-                stages = time_pipeline(inst, reps)
-                for stage in (*STAGES, "total"):
-                    rows.append(
-                        {"family": family, "n": n, "m": m, "k": k, "stage": stage, "seconds": stages[stage]}
-                    )
+    for (n, m, k), timings in zip(shapes, zip(*rounds)):
+        stages = min(timings, key=itemgetter("total"))
+        for stage in (*STAGES, "total"):
+            rows.append({"family": family, "n": n, "m": m, "k": k, "stage": stage, "seconds": stages[stage]})
     return rows
 
 

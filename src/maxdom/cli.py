@@ -30,11 +30,13 @@ from .render import render_svg
 from .solver import _price_header, grid_parts, run_pipeline, solve_pipeline, solve_reference
 
 
+def _with_k(inst: Instance, args) -> Instance:
+    """``inst`` with ``--k`` as its budget, where that is given."""
+    return inst if args.k is None else replace(inst, k=args.k)
+
+
 def _load(args) -> Instance:
-    inst = parse(args.path)
-    if getattr(args, "k", None) is not None:
-        inst = replace(inst, k=args.k)
-    return inst
+    return _with_k(parse(args.path), args)
 
 
 _MARK = "\0"  # stands in for a non-int value in ``_dumps``; no other string in a record holds it
@@ -75,13 +77,13 @@ def cmd_solve(args) -> int:
     t0 = perf_counter()
     if args.algo == "dp":  # an over-budget solve is refused before any point line is read
         _price_header(args.path, args.k)
-    split = grid_parts(args.path, args.k) if args.algo == "dp" else None
+    split = grid_parts(args.path) if args.algo == "dp" else None
     if split is None:
-        parts = None
-        inst = _load(args)
+        inst, parts = parse(args.path), None
         n = inst.n
     else:
-        n, inst, parts = split  # inst: the queries and k, with no points
+        n, inst, parts = split  # inst: the queries and the file's k, with no points
+    inst = _with_k(inst, args)
     t1 = perf_counter()
     if args.algo == "oracle":
         sol = oracle_solve(inst)

@@ -228,7 +228,9 @@ def _parse(f) -> Instance:
     Every block is read before an error is raised, so an undecodable byte
     anywhere in the file wins.  A wrong header or data-line count is
     reported in preference to a malformed line, so the first conversion
-    error is held until the whole file has been counted.
+    error is held until the whole file has been counted.  Once an error is
+    held, no later block is converted: each is only decoded and, after a
+    bad value, its data lines counted.
     """
     cols = array("q"), array("q"), array("q")
     queries = []
@@ -238,7 +240,8 @@ def _parse(f) -> Instance:
     line_base = 0  # lines in the blocks before this one
     last_no = 0  # line number of the last data line
     for block in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
-        batch, data, line_nos, lines = _block(block, line_base, count + block.count(b"\n") <= n)
+        plain = error is None and first_bad is None and count + block.count(b"\n") <= n
+        batch, data, line_nos, lines = _block(block, line_base, plain)
         line_base += lines
         if batch is not None:
             cols = tuple(map(_append, cols, batch))
@@ -360,21 +363,21 @@ def _read_header(f) -> tuple[tuple[int, int, int], int]:
                 return _header(line, 0), end
 
 
-def point_ranges(path, parts: int, k: int | None = None):
+def point_ranges(path, parts: int):
     """``(n, queries, ranges)`` for parsing the point lines of an all-plain file in parts, or None.
 
     The header is read from the head of the file (``_read_header``) and the
     queries from its tail: the last m lines, which must all be query lines,
     each with two numbers, the last one with or without a final newline;
     they are converted by ``parse``'s batch converter (``_batches``).
-    ``queries`` is the instance of those queries with no points and budget
-    ``k``, the file's own where ``k`` is None.  The bytes between the header
-    line and the first query line, which should hold the n point lines, are
-    cut after a newline into at most ``parts`` ``(start, stop)`` ranges of
-    about equal size.  None where the file, or its point lines, are smaller
-    than ``SPLIT_MIN_BYTES`` or anything above does not hold (a bad header
-    or query line raises ``ParseError``, its line number not the file's);
-    ``parse`` then reads the file whole and reports what is wrong.
+    ``queries`` is the instance of those queries with no points and the
+    file's budget k.  The bytes between the header line and the first query
+    line, which should hold the n point lines, are cut after a newline into
+    at most ``parts`` ``(start, stop)`` ranges of about equal size.  None
+    where the file, or its point lines, are smaller than ``SPLIT_MIN_BYTES``
+    or anything above does not hold (a bad header or query line raises
+    ``ParseError``, its line number not the file's); ``parse`` then reads
+    the file whole and reports what is wrong.
     Whether the ranges hold n point lines is for their parser to count
     (``point_batches``).
     """
@@ -382,7 +385,7 @@ def point_ranges(path, parts: int, k: int | None = None):
         return None
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        (n, m, file_k), start = _read_header(f)
+        (n, m, k), start = _read_header(f)
         f.seek(max(start, size - _TAIL_BYTES_PER_QUERY * m))
         tail = f.read()
         cut = len(tail) - tail.endswith(b"\n")
@@ -395,7 +398,7 @@ def point_ranges(path, parts: int, k: int | None = None):
         if len(lines) != m:
             return None
         rows = [row for batch in _batches(lines, [0] * m, 2) for row in zip(*batch)]
-        queries = Instance.from_columns((), (), (), rows, file_k if k is None else k)
+        queries = Instance.from_columns((), (), (), rows, k)
         stop = size - len(tail)
         if stop - start < max(SPLIT_MIN_BYTES, 1):
             return None

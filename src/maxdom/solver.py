@@ -534,29 +534,29 @@ def _int_weight_batch(batch):
     return batch
 
 
-def grid_parts(path, k: int | None = None, _parts: int | None = None):
+def grid_parts(path):
     """``(n, queries, parts)`` for the instance file at ``path``, parsed and gridded in parts, or None.
 
-    The point lines are cut into one byte range per usable CPU, or
-    ``_parts`` (``instances.point_ranges``).  This process parses and grids
-    the first range; one forked child does each other one and sends back
+    The point lines are cut into one byte range per usable CPU
+    (``instances.point_ranges``).  This process parses and grids the first
+    range; one forked child does each other one and sends back
     ``_grid_range``'s result, pickled over a pipe.  ``queries`` is the
-    file's queries and ``k``, the file's own where None, with no points,
-    ``parts`` each part's ``(per_row, retained)``, and ``add_parts(queries,
-    parts)`` is ``build_grid(parse(path))`` exactly; ``maxdom solve``
-    prices the file (``_price_header``) before it calls this.  None,
-    leaving the file to ``parse``, where the file is small or not plain
-    enough to be split, ``fork`` is missing or this process runs other
-    threads (a lock one of them holds would stay held in the child), a
-    part holds a weight that is not an int (``_grid_range``), a part fails
-    in any way or the parts' point counts do not add up to n; the children
-    are reaped in every case.
+    file's queries and k with no points, ``parts`` each part's
+    ``(per_row, retained)``, and ``add_parts(queries, parts)`` is
+    ``build_grid(parse(path))`` exactly; ``maxdom solve`` prices the file
+    (``_price_header``) before it calls this and sets ``--k`` on what it
+    returns.  None, leaving the file to ``parse``, where the file is small
+    or not plain enough to be split, ``fork`` is missing or this process
+    runs other threads (a lock one of them holds would stay held in the
+    child), a part holds a weight that is not an int (``_grid_range``), a
+    part fails in any way or the parts' point counts do not add up to n;
+    the children are reaped in every case.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
-    parts = _parts or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    parts = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     try:
-        plan = point_ranges(path, parts, k)
+        plan = point_ranges(path, parts)
     except Exception:  # whatever is wrong with the file, ``parse`` of the whole file reports it
         return None
     if plan is None:

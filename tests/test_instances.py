@@ -392,6 +392,28 @@ def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
     assert "5-3 1 1" in fallbacks and any(b"5-3" in b for b in plain)
 
 
+def test_no_block_is_converted_after_a_bad_value(tmp_path, monkeypatch):
+    # 64-byte chunks: once a block's bad value is held, every later block
+    # is only decoded and counted, and none goes through ``_plain_points``
+    monkeypatch.setattr(instances, "_CHUNK", 64)
+    events = []  # ("plain" or "data", block), in call order
+    plain_points, block_data = instances._plain_points, instances._block_data
+    monkeypatch.setattr(instances, "_plain_points", lambda block: events.append(("plain", block)) or plain_points(block))
+    monkeypatch.setattr(
+        instances, "_block_data", lambda block, *args: events.append(("data", block)) or block_data(block, *args)
+    )
+    lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(60)]
+    lines[20] = "20 x 1"  # the 22nd line of the file, after plain blocks
+    text = "\n".join(["60 2 0", *lines, "1 1", "5 6"]) + "\n"
+    path = tmp_path / "inst.txt"
+    path.write_bytes(text.encode())
+    found = _outcome(parse, path)
+    assert found == _outcome(_parse_line_by_line, text) and found[:2] == ("error", 22)
+    bad = events.index(next(e for e in events if e[0] == "data" and b"20 x 1" in e[1]))
+    assert ("plain", events[bad][1]) in events[:bad]  # tried as plain, before the error was held
+    assert len(events[bad + 1 :]) > 5 and all(kind == "data" for kind, _ in events[bad + 1 :])
+
+
 def test_undecodable_tail_wins_over_an_early_parse_error(tmp_path, monkeypatch):
     # as when the whole file was read first, a bad byte after a bad header
     # or an extra line is still a decoding error

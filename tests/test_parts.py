@@ -49,6 +49,13 @@ def _plain(path, *args) -> tuple[int, dict | None, str]:
         return _solve(path, *args)
 
 
+def _grid_parts(path, cpus: int):
+    """``grid_parts(path)`` in a process that may use ``cpus`` CPUs, so with at most ``cpus`` parts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return grid_parts(path)
+
+
 def _untimed(rec: dict) -> dict:
     return {key: value for key, value in rec.items() if key not in UNTIMED}
 
@@ -112,7 +119,7 @@ def test_split_grid_and_record_equal_the_plain_ones(tmp_path_factory, case):
             mp.setattr(instances, "SPLIT_MIN_BYTES", 0)
             mp.setattr(instances, "_CHUNK", chunk)
             for parts in range(1, 5):
-                split = grid_parts(path, _parts=parts)
+                split = _grid_parts(path, parts)
                 assert (split is not None) == splits, (chunk, parts)
                 if split is not None:
                     n, queries, found = split
@@ -144,7 +151,7 @@ def test_split_grid_with_ties_equals_the_plain_one(tmp_path_factory, inst):
         mp.setattr(os, "fork", counted_fork)
         for parts in range(1, 5):
             forks.clear()
-            _, queries, found = grid_parts(path, _parts=parts)
+            _, queries, found = _grid_parts(path, parts)
             assert add_parts(queries, found) == grid  # cells, per_row and retained
             assert len(forks) == len(found) - 1 and len(found) <= parts  # no fork for one part
     assert _unreaped() == 0
@@ -160,7 +167,7 @@ def test_malformed_files_raise_the_plain_parse_error(tmp_path, monkeypatch, text
             parse(path)
         assert expected.value.line_no == line_no
         for parts in range(1, 5):
-            assert grid_parts(path, _parts=parts) is None
+            assert _grid_parts(path, parts) is None
         assert _solve(path) == (1, None, f"error: {expected.value}\n")
     assert _unreaped() == 0
 
@@ -181,7 +188,7 @@ def test_only_a_decimal_weight_keeps_a_file_whole(tmp_path, monkeypatch):
     assert plain_code == 0 and plain["value"] != 0
     monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    n, queries_only, found = grid_parts(path, _parts=2)
+    n, queries_only, found = grid_parts(path)
     assert (n, len(found)) == (inst.n, 2)
     assert add_parts(queries_only, found) == build_grid(parse(path))
     code, rec, _ = _solve(path)
@@ -191,7 +198,7 @@ def test_only_a_decimal_weight_keeps_a_file_whole(tmp_path, monkeypatch):
         whole = points[at]
         points[at] = whole.rsplit(" ", 1)[0] + " 0.5"
         write()
-        assert grid_parts(path, _parts=2) is None
+        assert grid_parts(path) is None
         code, rec, _ = _solve(path)
         assert (code, rec["parts"]) == (0, 1)
         assert _untimed(rec) == _untimed(_plain(path)[1])
@@ -205,7 +212,7 @@ def test_an_undecodable_point_line_raises_the_plain_error(tmp_path, monkeypatch)
     path.write_bytes(b"3 1 1\n0 0 1\n1 1 \xff\n2 2 2\n5 5\n")
     with pytest.raises(UnicodeDecodeError) as expected:
         parse(path)
-    assert grid_parts(path, _parts=2) is None
+    assert _grid_parts(path, 2) is None
     assert _solve(path) == (1, None, f"error: {expected.value}\n")
 
 
@@ -233,7 +240,7 @@ def test_a_failing_part_falls_back_and_leaves_no_child(tmp_path, monkeypatch, fa
         return per_row, retained, count + 1
 
     monkeypatch.setattr(solver, "_grid_range", faulty)
-    assert grid_parts(path, _parts=3) is None
+    assert _grid_parts(path, 3) is None
     assert _unreaped() == 0
     code, rec, err = _solve(path)
     assert (code, err, rec["parts"]) == (plain_code, "", 1)
@@ -253,7 +260,7 @@ def test_a_failing_parent_part_stops_the_children(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "_grid_range", parent_fails)
     t0 = time.perf_counter()
-    assert grid_parts(path, _parts=3) is None
+    assert _grid_parts(path, 3) is None
     assert time.perf_counter() - t0 < 30
     assert _unreaped() == 0
 
@@ -261,12 +268,12 @@ def test_a_failing_parent_part_stops_the_children(tmp_path, monkeypatch):
 def test_a_process_with_other_threads_is_not_forked(tmp_path, monkeypatch):
     path = _big_file(tmp_path)
     monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
-    assert grid_parts(path, _parts=2) is not None
+    assert _grid_parts(path, 2) is not None
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(30,))
     waiter.start()
     try:
-        assert grid_parts(path, _parts=2) is None
+        assert _grid_parts(path, 2) is None
     finally:
         release.set()
         waiter.join(30)
@@ -280,7 +287,7 @@ def test_the_header_is_read_from_the_first_chunk(tmp_path, monkeypatch, head, sp
     path.write_bytes(head.encode() + path.read_bytes())
     monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
     monkeypatch.setattr(instances, "_CHUNK", 64)
-    split = grid_parts(path, _parts=2)
+    split = _grid_parts(path, 2)
     assert (split is not None) == splits
     if split is not None:
         assert add_parts(split[1], split[2]) == build_grid(parse(path))
@@ -342,12 +349,64 @@ def test_an_over_budget_file_is_refused_before_a_fork(tmp_path, monkeypatch):
 def test_small_files_and_the_oracle_are_not_split(tmp_path, monkeypatch):
     path = _big_file(tmp_path, n=200)
     assert path.stat().st_size < instances.SPLIT_MIN_BYTES
-    assert grid_parts(path, _parts=2) is None
+    assert _grid_parts(path, 2) is None
     monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["solve", str(path), "--algo", "oracle", "--k", "1"]) == 0
     assert json.loads(out.getvalue())["parts"] == 1
+
+
+def _declined_as_plain(path):
+    """Check that ``grid_parts`` declines ``path`` and that ``maxdom solve`` gives the plain record or error."""
+    assert grid_parts(path) is None
+    code, rec, err = _solve(path)
+    plain_code, plain, plain_err = _plain(path)
+    assert (code, err) == (plain_code, plain_err)
+    if plain is not None:
+        assert (rec["parts"], _untimed(rec)) == (1, _untimed(plain))
+    assert _unreaped() == 0
+
+
+def _file_with_queries(tmp_path, query) -> Path:
+    """``_big_file``'s instance with each query line written as ``query.format(x, y)``."""
+    inst = generate(GeneratorSpec("uniform", 3_000, 8, 3, seed=11))
+    points = serialize_text(inst).splitlines()[1 : 1 + inst.n]
+    path = tmp_path / "queries.txt"
+    path.write_text("\n".join([f"{inst.n} {inst.m} {inst.k}", *points, *(query.format(q.x, q.y) for q in inst.Q)]) + "\n")
+    return path
+
+
+def test_query_lines_longer_than_the_tail_read_are_left_to_parse(tmp_path, monkeypatch):
+    # the tail read back for m queries holds fewer than m line breaks
+    monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+    long = "{}." + "0" * instances._TAIL_BYTES_PER_QUERY + "1 {}"
+    _declined_as_plain(_file_with_queries(tmp_path, long))
+
+
+@pytest.mark.parametrize("query", ["{} {}\f", "{}\f{}"])
+def test_a_form_feed_in_a_query_line_leaves_the_file_to_parse(tmp_path, monkeypatch, query):
+    # "\f" ends a line for ``parse``: the last m lines are m + 1 lines, a
+    # blank one after each query (a record) or each query cut in two (an error)
+    monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+    _declined_as_plain(_file_with_queries(tmp_path, query))
+
+
+def test_point_lines_under_the_split_size_are_left_to_parse(tmp_path, monkeypatch):
+    path = _big_file(tmp_path)
+    monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", path.stat().st_size)  # the file is not under it
+    _declined_as_plain(path)
+
+
+@pytest.mark.parametrize("head", ["#" * 70 + "\n", "8 3\n"])
+def test_a_header_that_cannot_be_priced_is_left_to_parse(tmp_path, monkeypatch, head):
+    # past the first 64-byte chunk (a record) or of two fields (an error):
+    # neither ``_price_header`` nor ``point_ranges`` reads it
+    path = _big_file(tmp_path)
+    path.write_bytes(head.encode() + path.read_bytes())
+    monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(instances, "_CHUNK", 64)
+    _declined_as_plain(path)
 
 
 # Megabytes that a split solve's process, or one of its children, may peak
