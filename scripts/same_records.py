@@ -4,19 +4,20 @@
     python3 scripts/same_records.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B [--args "--k 1"]
 
 For each seed from A to B (or the one seed ``--seeds A``) the workload's
-files are written as the benchmark writes them: ``write_files`` of the first
-tree's ``perfbench/workloads.py``, imported as it is, with that tree's
-``maxdom``, into a temporary directory that is removed after the seed.
-Every operation (``maxdom solve FILE`` or ``maxdom verify FILE``, followed
-by the ``--args`` arguments, if any) then runs once per tree, each in a
-fresh ``python -m maxdom`` process with that tree's ``src`` on
-``PYTHONPATH``, the two at the same time.  Their exit statuses, their
-stderr and their JSON records are compared, the records without the keys
-that hold times, memory or the process count (``UNTIMED``).  One line is
-printed per differing value; at the end, the number of operations, the
-``parts`` that each tree's solves used, and the keys found in one tree's
-records only.  Exits 1 where any value differs,
-else 0: a key on one side only is listed but is not a difference.
+files are written as the benchmark writes them, once per tree: the first
+tree's ``perfbench/workloads.py`` runs as a script with that tree's ``src``
+on ``PYTHONPATH``, into a temporary directory that is removed after the
+seed.  Every file whose bytes differ between the two trees counts as a
+difference.  Every operation on the first tree's files (``maxdom solve
+FILE`` or ``maxdom verify FILE``, followed by the ``--args`` arguments, if
+any) then runs once per tree, each in a fresh ``python -m maxdom`` process
+with that tree's ``src`` on ``PYTHONPATH``, the two at the same time.  Their
+exit statuses, their stderr and their JSON records are compared, the records
+without the keys that hold times, memory or the process count (``UNTIMED``).
+One line is printed per differing file or value; at the end, the number of
+files and of operations, the ``parts`` that each tree's solves used, and the
+keys found in one tree's records only.  Exits 1 where any file or value
+differs, else 0: a key on one side only is listed but is not a difference.
 """
 
 from __future__ import annotations
@@ -42,14 +43,12 @@ def seeds(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
-def write_files(tree: Path, workload: str, seed: int, out_dir: Path) -> list:
-    """The benchmark's ``[command, path]`` operations for one seed, their files written by ``tree``'s code."""
-    for sub in ("src", "perfbench"):
-        if str(tree / sub) not in sys.path:
-            sys.path.insert(0, str(tree / sub))
-    import workloads
-
-    return workloads.write_files(workload, seed, out_dir)["ops"]
+def write_files(script: Path, tree: Path, workload: str, seed: int, out_dir: Path) -> list:
+    """The benchmark's ``[command, path]`` operations for one seed, their files written by ``script`` with ``tree``'s ``maxdom``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, str(script), "--workload", workload, "--seed", str(seed), "--dir", str(out_dir)]
+    out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, check=True, text=True).stdout
+    return json.loads(out)["ops"]
 
 
 def start(tree: Path, command: str, path: str, extra: list) -> subprocess.Popen:
@@ -76,12 +75,20 @@ def main() -> int:
     ap.add_argument("--args", type=shlex.split, default=[], help='arguments appended to every operation, such as "--k 1"')
     args = ap.parse_args()
     trees = [tree.resolve() for tree in args.trees]
-    differ = ops = 0
+    script = trees[0] / "perfbench" / "workloads.py"
+    differ = ops = files = differ_files = 0
     parts = [Counter(), Counter()]
     one_side: list[set] = [set(), set()]
     for seed in args.seeds:
         with tempfile.TemporaryDirectory(prefix="same_records_") as tmp:
-            for command, path in write_files(trees[0], args.workload, seed, Path(tmp)):
+            dirs = [Path(tmp) / "a", Path(tmp) / "b"]
+            made = [write_files(script, tree, args.workload, seed, out) for tree, out in zip(trees, dirs)]
+            for (_, path), (_, other) in zip(*made):
+                files += 1
+                if Path(path).read_bytes() != Path(other).read_bytes():
+                    differ_files += 1
+                    print(f"seed {seed} file {Path(path).name}: bytes differ")
+            for command, path in made[0]:
                 procs = [start(tree, command, path, args.args) for tree in trees]
                 a, b = [outcome(proc) for proc in procs]
                 ops += 1
@@ -96,10 +103,11 @@ def main() -> int:
                     elif a[key] != b[key]:
                         differ += 1
                         print(f"seed {seed} {command} {Path(path).name} {key}: {a[key]!r} != {b[key]!r}")
+    print(f"{args.workload}: {files} files, {differ_files} differing files")
     print(f"{args.workload}: {ops} operations, {differ} differing values")
     for tree, used, keys in zip(trees, parts, one_side):
         print(f"{tree}: parts {dict(sorted(used.items()))}, keys in its records only: {sorted(keys)}")
-    return 1 if differ else 0
+    return 1 if differ or differ_files else 0
 
 
 if __name__ == "__main__":

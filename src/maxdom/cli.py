@@ -22,7 +22,7 @@ except ImportError:  # not on every platform
 
 from . import bench as bench_mod
 from .cells import build_grid, compress
-from .instances import FAMILIES, GeneratorSpec, decimal_text, generate, parse, serialize_text
+from .instances import FAMILIES, GeneratorSpec, decimal_text, generate, parse, serialize, serialize_blocks
 from .model import Instance, weight_of_dom
 from .oracle import oracle_solve
 from .ranking import rank_transform
@@ -158,7 +158,7 @@ def cmd_compress(args) -> int:
         "bound_ok": len(comp.points) <= bound,
     }
     if args.out:
-        Path(args.out).write_text(serialize_text(Instance(comp.points, rr.Q, inst.k)))
+        serialize(Instance(comp.points, rr.Q, inst.k), args.out)
         record["out"] = str(args.out)
     print(json.dumps(record))
     return 0
@@ -166,12 +166,12 @@ def cmd_compress(args) -> int:
 
 def cmd_generate(args) -> int:
     spec = GeneratorSpec(args.family, args.n, args.m, args.k, (args.wmin, args.wmax), args.seed)
-    text = serialize_text(generate(spec))
+    inst = generate(spec)
     if args.out:
-        Path(args.out).write_text(text)
+        serialize(inst, args.out)
         print(args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(serialize_blocks(inst))
     return 0
 
 

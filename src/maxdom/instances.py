@@ -31,8 +31,15 @@ file's head and tail, and each byte range of point lines goes through the
 same blocks and the same per-block conversion as ``parse`` (``_block``),
 which hands its batches to the caller instead of keeping them.
 
+The serializer writes a file a block of ``_BATCH`` point lines at a time
+(``serialize_blocks``), as UTF-8 with ``"\\n"`` line ends on every platform.
+
 Generators draw every number from SplitMix64, so the same spec yields a
-byte-identical instance on every platform.
+byte-identical instance on every platform.  They take the numbers
+``_BATCH`` points at a time from ``SplitMix64.draws`` (``_blocks``), in the
+order of one ``next_u64`` call per number, and map each column's draws to
+values with C-level ``map`` calls (``_below``, ``_randint``) straight into
+the int64 columns.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import repeat
 from math import isfinite
+from operator import add, mod, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -118,7 +127,8 @@ def _int(token: str, line_no: int, what: str) -> int:
 # takes 0.57-0.70 s of CPU at a traced peak of 1.4 MB (chunk, tokens and one
 # block's columns), against 0.54-0.67 s and 22.9 MB at 1 MiB.
 _CHUNK = 1 << 16
-# Lines converted per batch; bounds the token strings alive at once.
+# Lines converted per batch, written per serializer block and points drawn
+# per generator block; bounds the token strings, text or draws alive at once.
 _BATCH = 4096
 
 
@@ -472,23 +482,32 @@ def _text(value) -> str:
     return decimal_text(value) if "/" in text else text
 
 
-def serialize_text(inst: Instance) -> str:
-    """The instance file of ``inst``, written from its point columns.
+def serialize_blocks(inst: Instance) -> Iterator[str]:
+    """The instance file of ``inst`` as text blocks, written from its point columns.
 
-    Numbers are written with ``str``, which for a float is its shortest
-    round-trip representation; a ``Fraction``, such as a weight of
-    ``cells.compress``, is written as its exact decimal text.
+    The header, then ``_BATCH`` point lines per block, then the query lines;
+    every line ends with ``"\\n"``.  Numbers are written with ``str``, which
+    for a float is its shortest round-trip representation; a ``Fraction``,
+    such as a weight of ``cells.compress``, is written as its exact decimal
+    text.
     """
     P = inst.P
     cols = [col if type(col) is array else list(map(_text, col)) for col in (P.xs, P.ys, P.ws)]
-    lines = [f"{inst.n} {inst.m} {inst.k}"]
-    lines.extend(map("{} {} {}".format, *cols))
-    lines.extend(f"{_text(q.x)} {_text(q.y)}" for q in inst.Q)
-    return "\n".join(lines) + "\n"
+    yield f"{inst.n} {inst.m} {inst.k}\n"
+    for start in range(0, inst.n, _BATCH):
+        yield "".join(map("{} {} {}\n".format, *[col[start : start + _BATCH] for col in cols]))
+    yield "".join(f"{_text(q.x)} {_text(q.y)}\n" for q in inst.Q)
+
+
+def serialize_text(inst: Instance) -> str:
+    """The instance file of ``inst`` as one string (``serialize_blocks``, joined)."""
+    return "".join(serialize_blocks(inst))
 
 
 def serialize(inst: Instance, path) -> None:
-    Path(path).write_text(serialize_text(inst))
+    """Write the instance file of ``inst`` to ``path`` a block at a time, as UTF-8 with ``"\\n"`` line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(serialize_blocks(inst))
 
 
 @dataclass(frozen=True)
@@ -515,61 +534,83 @@ def strict_skyline(coords: Iterable[tuple]) -> list[tuple]:
     return sorted(out)
 
 
+def _below(draws, bound: int) -> Iterator[int]:
+    """``SplitMix64.below(bound)`` of each of ``draws``, by one C-level ``map``."""
+    return map(mod, draws, repeat(bound))
+
+
+def _randint(draws, lo: int, hi: int) -> Iterator[int]:
+    """``SplitMix64.randint(lo, hi)`` of each of ``draws``."""
+    return map(add, _below(draws, hi - lo + 1), repeat(lo))
+
+
+def _coords(draws) -> array:
+    return array("q", _below(draws, COORD_SPAN))
+
+
+def _blocks(rng: SplitMix64, n: int, per_point: int) -> Iterator[array]:
+    """The next ``per_point`` draws of each of ``n`` points, ``_BATCH`` points at a time.
+
+    So a generator holds one block's draws beside its columns, not all of them.
+    """
+    for start in range(0, n, _BATCH):
+        yield rng.draws(per_point * min(_BATCH, n - start))
+
+
+def _queries(rng: SplitMix64, m: int) -> Iterator[tuple[int, int]]:
+    d = rng.draws(2 * m)
+    return zip(_coords(d[0::2]), _coords(d[1::2]))
+
+
 def _gen_uniform(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
-    lo, hi = spec.weights
-    xs, ys, ws = [], [], []
-    for _ in range(spec.n):
-        xs.append(rng.below(COORD_SPAN))
-        ys.append(rng.below(COORD_SPAN))
-        ws.append(rng.randint(lo, hi))
-    queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
-    return Instance.from_columns(xs, ys, ws, queries, spec.k)
+    xs, ys, ws = array("q"), array("q"), []
+    for d in _blocks(rng, spec.n, 3):  # x, y, w per point
+        xs += _coords(d[0::3])
+        ys += _coords(d[1::3])
+        ws += _randint(d[2::3], *spec.weights)
+    return Instance.from_columns(xs, ys, ws, _queries(rng, spec.m), spec.k)
 
 
 def _gen_negative_mix(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
     # nonzero weights with random sign, so mixed-sign corpora regardless of range
     magnitude = max(abs(spec.weights[0]), abs(spec.weights[1]), 1)
-    xs, ys, ws = [], [], []
-    for _ in range(spec.n):
-        w = rng.randint(1, magnitude)
-        if rng.below(2):
-            w = -w
-        xs.append(rng.below(COORD_SPAN))
-        ys.append(rng.below(COORD_SPAN))
-        ws.append(w)
-    queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
-    return Instance.from_columns(xs, ys, ws, queries, spec.k)
+    xs, ys, ws = array("q"), array("q"), []
+    for d in _blocks(rng, spec.n, 4):  # w, sign, x, y per point
+        ws += map(mul, _randint(d[0::4], 1, magnitude), map((1, -1).__getitem__, _below(d[1::4], 2)))
+        xs += _coords(d[2::4])
+        ys += _coords(d[3::4])
+    return Instance.from_columns(xs, ys, ws, _queries(rng, spec.m), spec.k)
 
 
 def _gen_clustered(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
-    lo, hi = spec.weights
     n_clusters = max(1, min(8, spec.m))
     spread = max(1, COORD_SPAN // 200)
-    centers = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(n_clusters)]
-    xs, ys, ws = [], [], []
-    for _ in range(spec.n):
-        cx, cy = centers[rng.below(n_clusters)]
-        xs.append(cx + rng.below(spread))
-        ys.append(cy + rng.below(spread))
-        ws.append(rng.randint(lo, hi))
-    queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
-    return Instance.from_columns(xs, ys, ws, queries, spec.k)
+    centers = rng.draws(2 * n_clusters)
+    cxs, cys = _coords(centers[0::2]), _coords(centers[1::2])
+    xs, ys, ws = array("q"), array("q"), []
+    for d in _blocks(rng, spec.n, 4):  # cluster, dx, dy, w per point
+        cluster = list(_below(d[0::4], n_clusters))
+        xs.extend(map(add, map(cxs.__getitem__, cluster), _below(d[1::4], spread)))
+        ys.extend(map(add, map(cys.__getitem__, cluster), _below(d[2::4], spread)))
+        ws += _randint(d[3::4], *spec.weights)
+    return Instance.from_columns(xs, ys, ws, _queries(rng, spec.m), spec.k)
 
 
 def _gen_one_cell(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
     """Every ground point inside one cell of a fixed staircase: maximal compression."""
     if spec.n < 1:
         raise ValueError("one-cell-adversarial needs n >= 1")
-    lo, hi = spec.weights
     step = 1000
     queries = [((t + 1) * step, (spec.m - t) * step) for t in range(spec.m)]
-    coords = [(1 + rng.below(step - 1), 1 + rng.below(step - 1)) for _ in range(spec.n)]
-    weights = [rng.randint(lo, hi) for _ in range(spec.n)]
+    xs, ys, weights = array("q"), array("q"), []
+    for d in _blocks(rng, spec.n, 2):  # x, y per point
+        xs.extend(_randint(d[0::2], 1, step - 1))
+        ys.extend(_randint(d[1::2], 1, step - 1))
+    for d in _blocks(rng, spec.n, 1):  # then every weight
+        weights += _randint(d, *spec.weights)
     if sum(weights) == 0:
         weights[-1] += 1  # keep the single cell's total nonzero
-    return Instance.from_columns(
-        [x for x, _ in coords], [y for _, y in coords], weights, queries, spec.k
-    )
+    return Instance.from_columns(xs, ys, weights, queries, spec.k)
 
 
 def _gen_skyline(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
@@ -579,12 +620,12 @@ def _gen_skyline(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
     """
     if spec.n < 1:
         raise ValueError("skyline-unit-weight needs n >= 1")
-    coords = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.n)]
-    queries = strict_skyline(coords)
-    return Instance.from_columns(
-        [x for x, _ in coords], [y for _, y in coords], [1] * spec.n, queries,
-        min(spec.k, len(queries)),
-    )
+    xs, ys = array("q"), array("q")
+    for d in _blocks(rng, spec.n, 2):  # x, y per point
+        xs += _coords(d[0::2])
+        ys += _coords(d[1::2])
+    queries = strict_skyline(zip(xs, ys))
+    return Instance.from_columns(xs, ys, [1] * spec.n, queries, min(spec.k, len(queries)))
 
 
 _BUILDERS = {

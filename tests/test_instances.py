@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -25,7 +26,7 @@ from maxdom.instances import (
 from maxdom.model import Instance, WeightedPoint
 from maxdom.ranking import drop_uncovered, rank_transform
 
-from util import small_instances
+from util import scalar_generate, small_instances
 
 
 def test_parse_minimal():
@@ -92,6 +93,49 @@ def test_generator_is_byte_deterministic():
     assert a == b
     c = serialize_text(generate(GeneratorSpec("uniform", n=50, m=6, k=3, seed=124)))
     assert a != c
+
+
+# n crosses the 4,096-point block of ``_blocks`` and m the 4,096-lane pass of
+# ``SplitMix64.draws`` (2 * 2,049 query draws); 1,365 and 1,366 points are
+# 4,095 and 4,098 draws of a three-draw family.
+@pytest.mark.parametrize("family", instances.FAMILIES)
+@pytest.mark.parametrize("n", [0, 1, 1365, 1366, 4096, 4097])
+def test_generate_matches_the_scalar_reference(family, n):
+    for m in (1, 2049):
+        for seed in (7, 2**64 - 1):
+            spec = GeneratorSpec(family, n=n, m=m, k=3, seed=seed)
+            if n == 0 and family in ("one-cell-adversarial", "skyline-unit-weight"):
+                with pytest.raises(ValueError):
+                    generate(spec)
+                continue
+            same = serialize_text(generate(spec)) == serialize_text(scalar_generate(spec))
+            assert same, spec  # a bool, so that a failure does not diff two long texts
+
+
+# SHA-256 of ``serialize_text`` of GeneratorSpec(family, 5000, 300, 4, seed=7),
+# as the one-draw-at-a-time generators wrote it.
+GENERATED_SHA256 = {
+    "uniform": "fbb71edc9b6c6336bfaa669969a6299456cad5dc86d73a58b5ad9e367c541028",
+    "clustered": "455f7bc40ab426e21e187b17a5345e431a99b37488ed663a8ad56af0d7b4e93c",
+    "one-cell-adversarial": "c801a7b0ec8409978e7e71dba4de6cdfe4adca7e5b7c9b20071cba2384c4c18f",
+    "skyline-unit-weight": "f49a28a882d3b6fa5ea69eb75bd1f8749efa9790d9b8a3c113700dca9bb54915",
+    "negative-mix": "0bc45407f45074fbce0f3edc9a8f740d74e18439e38bbe4597c32cb4dac5130d",
+}
+
+
+@pytest.mark.parametrize("family", instances.FAMILIES)
+def test_generated_files_are_pinned(family):
+    spec = GeneratorSpec(family, n=5000, m=300, k=4, seed=7)
+    for make in (generate, scalar_generate):
+        assert hashlib.sha256(serialize_text(make(spec)).encode()).hexdigest() == GENERATED_SHA256[family]
+
+
+def test_serialize_writes_the_text_as_utf8_with_newline_ends(tmp_path):
+    inst = Instance.from_rows([(0, 1, Decimal("0.5")), (-3, 2, 7)] * 3000, [(1, 1), (2, 2)], 1)
+    path = tmp_path / "inst.txt"
+    serialize(inst, path)
+    assert path.read_bytes() == serialize_text(inst).encode("utf-8")
+    assert b"\r" not in path.read_bytes() and serialize_text(inst).count("\n") == 1 + 6000 + 2
 
 
 def test_all_families_generate():

@@ -38,3 +38,21 @@ def test_bad_bounds_raise():
         g.below(0)
     with pytest.raises(ValueError):
         g.randint(2, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10000])
+def test_draws_are_the_scalar_stream(seed, count):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    d = a.draws(count)
+    assert d.typecode == "Q" and d.tolist() == [b.next_u64() for _ in range(count)]
+    assert a.next_u64() == b.next_u64()  # the state moved on by count steps
+
+
+def test_draws_and_scalar_calls_continue_one_stream():
+    g, ref = SplitMix64(42), SplitMix64(42)
+    got = []
+    for count in (3, 4096, 0, 1, 5000):
+        got += g.draws(count)
+        got.append(g.next_u64())
+    assert got == [ref.next_u64() for _ in range(len(got))]

@@ -7,6 +7,7 @@ from math import lcm
 import hypothesis.strategies as st
 
 from maxdom.cells import CellGrid, CellKey
+from maxdom.instances import COORD_SPAN, GeneratorSpec, strict_skyline
 from maxdom.model import Instance, dominates_closed
 from maxdom.prng import SplitMix64
 
@@ -186,3 +187,93 @@ def same_dominators_check(grid: CellGrid, inst: Instance, max_work: int = 10**6)
         if seen.setdefault(key, covers) != covers:
             return False
     return True
+
+
+# The generator families as they drew every number, one ``next_u64`` at a
+# time: the reference that ``instances.generate`` must match byte for byte.
+
+def _gen_uniform(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
+    lo, hi = spec.weights
+    xs, ys, ws = [], [], []
+    for _ in range(spec.n):
+        xs.append(rng.below(COORD_SPAN))
+        ys.append(rng.below(COORD_SPAN))
+        ws.append(rng.randint(lo, hi))
+    queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
+    return Instance.from_columns(xs, ys, ws, queries, spec.k)
+
+
+def _gen_negative_mix(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
+    # nonzero weights with random sign, so mixed-sign corpora regardless of range
+    magnitude = max(abs(spec.weights[0]), abs(spec.weights[1]), 1)
+    xs, ys, ws = [], [], []
+    for _ in range(spec.n):
+        w = rng.randint(1, magnitude)
+        if rng.below(2):
+            w = -w
+        xs.append(rng.below(COORD_SPAN))
+        ys.append(rng.below(COORD_SPAN))
+        ws.append(w)
+    queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
+    return Instance.from_columns(xs, ys, ws, queries, spec.k)
+
+
+def _gen_clustered(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
+    lo, hi = spec.weights
+    n_clusters = max(1, min(8, spec.m))
+    spread = max(1, COORD_SPAN // 200)
+    centers = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(n_clusters)]
+    xs, ys, ws = [], [], []
+    for _ in range(spec.n):
+        cx, cy = centers[rng.below(n_clusters)]
+        xs.append(cx + rng.below(spread))
+        ys.append(cy + rng.below(spread))
+        ws.append(rng.randint(lo, hi))
+    queries = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.m)]
+    return Instance.from_columns(xs, ys, ws, queries, spec.k)
+
+
+def _gen_one_cell(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
+    """Every ground point inside one cell of a fixed staircase: maximal compression."""
+    if spec.n < 1:
+        raise ValueError("one-cell-adversarial needs n >= 1")
+    lo, hi = spec.weights
+    step = 1000
+    queries = [((t + 1) * step, (spec.m - t) * step) for t in range(spec.m)]
+    coords = [(1 + rng.below(step - 1), 1 + rng.below(step - 1)) for _ in range(spec.n)]
+    weights = [rng.randint(lo, hi) for _ in range(spec.n)]
+    if sum(weights) == 0:
+        weights[-1] += 1  # keep the single cell's total nonzero
+    return Instance.from_columns(
+        [x for x, _ in coords], [y for _, y in coords], weights, queries, spec.k
+    )
+
+
+def _gen_skyline(spec: GeneratorSpec, rng: SplitMix64) -> Instance:
+    """Unit weights with the queries placed on the ground set's own skyline.
+
+    The query count comes from the data; ``spec.m`` is ignored here.
+    """
+    if spec.n < 1:
+        raise ValueError("skyline-unit-weight needs n >= 1")
+    coords = [(rng.below(COORD_SPAN), rng.below(COORD_SPAN)) for _ in range(spec.n)]
+    queries = strict_skyline(coords)
+    return Instance.from_columns(
+        [x for x, _ in coords], [y for _, y in coords], [1] * spec.n, queries,
+        min(spec.k, len(queries)),
+    )
+
+
+_SCALAR_BUILDERS = {
+    "uniform": _gen_uniform,
+    "clustered": _gen_clustered,
+    "one-cell-adversarial": _gen_one_cell,
+    "skyline-unit-weight": _gen_skyline,
+    "negative-mix": _gen_negative_mix,
+}
+
+
+
+def scalar_generate(spec: GeneratorSpec) -> Instance:
+    """``instances.generate(spec)``, drawn one number at a time (the spec is not checked)."""
+    return _SCALAR_BUILDERS[spec.family](spec, SplitMix64(spec.seed))
