@@ -2,34 +2,94 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections.abc import Callable
+from itertools import repeat
 from math import comb
+from operator import le, sub
 
-from .model import Instance, Solution, covered_total, exact
+from .model import Instance, Solution, exact
+
+# _DIGITS[j] maps a byte to b"1" where its bit j is set, else to b"0"
+_DIGITS = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
+
+
+def _cover(inst: Instance) -> tuple[list[int], Callable[[int], int]]:
+    """``(masks, weigh)``: one int per query in id order, bit i set where it covers point i,
+    and the function from a set of point bits to the sum of their scaled int weights.
+
+    Up to 256 points the set bits are summed one at a time.  Past that, each
+    lowest-bit step would copy a long int, so the weight is read from the
+    bit planes of each weight's excess over the least weight ``lo``:
+    lo · popcount(bits) + the sum of 2^b · popcount(bits & plane_b).
+    """
+
+    def bits_of(data: bytes, j: int = 0) -> int:
+        """The int whose bit i is bit ``j`` of ``data[i]``, read in one ``int(s, 2)``."""
+        return int(b"0" + data[::-1].translate(_DIGITS[j]), 2)
+
+    P = inst.P
+    ws = P.int_weights()[0]
+    masks = [
+        bits_of(bytes(map(le, P.xs, repeat(q.x)))) & bits_of(bytes(map(le, P.ys, repeat(q.y))))
+        for q in sorted(inst.Q, key=lambda q: q.id)
+    ]
+    if len(ws) <= 256:
+        def weigh(new: int) -> int:
+            total = 0
+            while new:
+                low = new & -new
+                total += ws[low.bit_length() - 1]
+                new ^= low
+            return total
+        return masks, weigh
+    lo = min(ws)
+    width = ((max(ws) - lo).bit_length() + 7) // 8
+    data = b"".join(map(int.to_bytes, map(sub, ws, repeat(lo)), repeat(width), repeat("little")))
+    planes = [(b, plane) for b in range(8 * width) if (plane := bits_of(data[b // 8 :: width], b % 8))]
+
+    def weigh(new: int) -> int:
+        return lo * new.bit_count() + sum((new & plane).bit_count() << b for b, plane in planes)
+    return masks, weigh
 
 
 def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
     """Try every pick set of size at most k on the original coordinates.
 
-    Enumeration goes by size and then by id-lexicographic order, and only a
-    strict improvement replaces the incumbent, so the reported witness is the
-    first maximizer in that order (the empty set when nothing beats zero).
-    Every pick set's weight is summed over the scaled int weights
-    (``PointColumns.int_weights``) and only the best one is divided back.
-    Deliberately free of shortcuts so it stays obviously correct; refuses
-    instances whose subset count exceeds ``limit``.
+    Each query's cover is one int of point bits (``_cover``).  A depth-first
+    walk in id order extends its pick set by one query a step: the union
+    takes one OR, and the step's gain is the weight of the newly covered
+    bits only, in the scaled int weights (``PointColumns.int_weights``);
+    only the best value is divided back.  The walk visits the sets of each
+    size in id-lexicographic order, and a set replaces the incumbent on a
+    strict gain or on an equal value with fewer picks, so the witness is the
+    first maximizer by size and then by id order (the empty set when nothing
+    beats zero).  ``model.covered_total`` stays the definition of a pick
+    set's weight, since it reads the closed quadrant straight off the
+    points; the tests hold the bitset weight and this walk to it.  Refuses
+    instances whose subset count exceeds ``limit`` before building any mask.
     """
     k = min(inst.k, inst.m)
     total = sum(comb(inst.m, t) for t in range(k + 1))
     if total > limit:
         raise ValueError(f"{total} subsets exceed the oracle limit of {limit}")
-    queries = sorted(inst.Q, key=lambda q: q.id)
-    ws, scale = inst.P.int_weights()
-    points = list(zip(inst.P.xs, inst.P.ys, ws))
-    best, best_value = frozenset(), 0
-    for size in range(1, k + 1):
-        for combo in combinations(queries, size):
-            value = covered_total(points, combo)
-            if value > best_value:
-                best, best_value = frozenset(q.id for q in combo), value
-    return Solution(best, exact(best_value, scale))
+    masks, weigh = _cover(inst)
+    picks = [0] * k  # picks[:size]: the current pick set, as indices into masks
+    best, best_value = [], 0
+
+    def walk(start: int, union: int, value: int, size: int) -> None:
+        """Visit in preorder each pick set of ``size`` to k picks that starts with ``picks[:size - 1]``,
+        whose cover is ``union`` and weight ``value``, and goes on from query ``start``."""
+        nonlocal best, best_value
+        for i in range(start, len(masks)):
+            mask = masks[i]
+            picks[size - 1] = i
+            v = value + weigh(mask & ~union)
+            if v > best_value or (v == best_value and size < len(best)):
+                best, best_value = picks[:size], v
+            if size < k:
+                walk(i + 1, union | mask, v, size + 1)
+
+    if k:
+        walk(0, 0, 0, 1)
+    ids = sorted(q.id for q in inst.Q)
+    return Solution(frozenset(ids[i] for i in best), exact(best_value, inst.P.int_weights()[1]))

@@ -1,12 +1,18 @@
+from dataclasses import replace
+from decimal import Decimal
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxdom.cells import build_grid, compress
-from maxdom.model import Instance
-from maxdom.oracle import oracle_solve
+from maxdom.model import Instance, PointColumns, QueryPoint, covered_total
+from maxdom.oracle import _cover, oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform
+from maxdom.solver import run_pipeline
 
-from util import random_instance
+from util import random_instance, reference_oracle, tie_instances
 
 
 def test_budget_zero():
@@ -57,3 +63,83 @@ def test_witness_is_first_maximizer_in_order():
     # beats a larger one because sizes are enumerated first
     inst = Instance.from_rows([(0, 0, 3)], [(1, 1), (1, 1)], 2)
     assert oracle_solve(inst).chosen == {0}
+
+
+# weight draws: ints, quarter steps, two-digit decimals and all-negative ints
+WEIGHTS = {
+    "int": st.integers(-9, 9),
+    "quarter": st.integers(-40, 40).map(lambda u: Decimal(u) / 4),
+    "hundredth": st.integers(-1000, 1000).map(lambda u: Decimal(u) / 100),
+    "negative": st.integers(-9, -1),
+}
+
+
+@st.composite
+def witness_instances(draw):
+    """Tie-heavy instances (``tie_instances``) of up to six queries, with up to two duplicate
+    queries added and the ids shuffled, the first 0 to all of their points with weights of one
+    ``WEIGHTS`` kind, and any budget from 0 to m + 2."""
+    base = draw(tie_instances(max_m=6, max_n=40))
+    rows = [(q.x, q.y) for q in base.Q]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    ids = draw(st.permutations(range(len(rows))))
+    Q = [QueryPoint(x, y, i) for (x, y), i in zip(rows, ids)]
+    n = draw(st.integers(0, base.n))
+    weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
+    P = PointColumns(base.P.xs[:n], base.P.ys[:n], [draw(weight) for _ in range(n)])
+    return Instance(P, Q, draw(st.integers(0, len(Q) + 2)))
+
+
+def assert_same_as_reference(inst):
+    sol, ref = oracle_solve(inst), reference_oracle(inst)
+    assert (sol.value, sol.chosen) == (ref.value, ref.chosen)
+
+
+@settings(deadline=None, max_examples=200)
+@given(witness_instances())
+def test_value_and_witness_match_the_reference_enumerator(inst):
+    assert_same_as_reference(inst)
+
+
+def test_value_and_witness_match_the_reference_enumerator_past_256_points():
+    # both ways of weighing the new bits: one bit at a time up to 256 points, bit planes past it
+    rng = SplitMix64(311)
+    for n, wlo, whi, scale in ((256, -10, 10, 1), (257, -10, 10, 1), (300, -1000, 1000, 100),
+                               (400, -40, 40, 4), (500, -9, -1, 1), (300, 0, 3, 1)):
+        base = random_instance(rng, n=n, m=7, k=3, span=12, wlo=wlo, whi=whi)
+        inst = Instance.from_columns(base.P.xs, base.P.ys, [Decimal(w) / scale for w in base.P.ws],
+                                     [(q.x, q.y) for q in base.Q], base.k)
+        assert_same_as_reference(inst)
+
+
+def test_bitset_weight_is_the_covered_total():
+    # ``covered_total`` is the definition of a pick set's weight
+    rng = SplitMix64(313)
+    for n in (0, 1, 40, 256, 257, 600):
+        for kind in ("small", "wide", "positive", "decimal"):
+            inst = random_instance(rng, n=n, m=8, span=12)
+            ws = [rng.randint(-10, 10) << rng.below(72) if kind == "wide"
+                  else rng.randint(1, 9) if kind == "positive"
+                  else Decimal(rng.randint(-10**5, 10**5)) / 100 if kind == "decimal" else w
+                  for w in inst.P.ws]
+            inst = Instance(PointColumns(inst.P.xs, inst.P.ys, ws), inst.Q, inst.k)
+            masks, weigh = _cover(inst)
+            points = list(zip(inst.P.xs, inst.P.ys, inst.P.int_weights()[0]))
+            for _ in range(20):
+                picks = [i for i in range(inst.m) if rng.below(2)]
+                union = 0
+                for i in picks:
+                    union |= masks[i]
+                assert weigh(union) == covered_total(points, [inst.Q[i] for i in picks]), (n, kind)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 39), st.integers(0, 4), st.integers(2, 30))
+@example(seed=1, fewer=0, lower=0, span=3)
+@example(seed=2, fewer=0, lower=0, span=30)
+def test_both_engines_match_the_oracle_at_every_budget_up_to_40_queries(seed, fewer, lower, span):
+    # m and k count down from 40 and 4, as the draws favour small numbers
+    inst = random_instance(SplitMix64(seed), max_n=40, m=40 - fewer, k=4 - lower, span=span)
+    expect = tuple(oracle_solve(replace(inst, k=l)).value for l in range(1, min(inst.k, inst.m) + 1))
+    for engine in ("sweep", "tree"):
+        assert run_pipeline(inst, engine).solution.layer_values == expect, engine

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import hypothesis.strategies as st
 
 from maxdom.cells import CellGrid, CellKey
 from maxdom.instances import COORD_SPAN, GeneratorSpec, strict_skyline
-from maxdom.model import Instance, dominates_closed
+from maxdom.model import Instance, Solution, covered_total, dominates_closed, exact
 from maxdom.prng import SplitMix64
 
 
@@ -34,20 +34,20 @@ def small_instances(draw, max_n=25, max_m=6, span=12, max_w=10):
 
 
 @st.composite
-def tie_instances(draw):
+def tie_instances(draw, max_m=40, max_n=60):
     """All-int instances with at least one point and many ties: repeated query
     x- and y-values, points on a query's x or y line, negative coordinates and
     points above or right of every query."""
     span = draw(st.integers(1, 8))
     coord = st.integers(-span, span)
-    m = draw(st.integers(1, 40))
+    m = draw(st.integers(1, max_m))
     Q = [(draw(coord), draw(coord)) for _ in range(m)]
     qx = st.sampled_from([x for x, _ in Q])
     qy = st.sampled_from([y for _, y in Q])
     beyond = st.integers(span + 1, span + 3)  # above or right of every query
     P = [
         (draw(coord | qx | beyond), draw(coord | qy | beyond), draw(st.integers(-9, 9)))
-        for _ in range(draw(st.integers(1, 60)))
+        for _ in range(draw(st.integers(1, max_n)))
     ]
     return Instance.from_rows(P, Q, draw(st.integers(0, m)))
 
@@ -100,6 +100,30 @@ def reference_grid(inst: Instance) -> CellGrid:
         for row in range(1, inst.m + 1)
     )
     return CellGrid(per_row, retained, scale)
+
+
+def reference_oracle(inst: Instance, limit: int = 1_000_000) -> Solution:
+    """An exhaustive oracle that sums each pick set with ``covered_total``, one combination at a
+    time: the reference that ``oracle.oracle_solve`` must match in value and witness.
+
+    Enumeration goes by size and then by id-lexicographic order, and only a
+    strict improvement replaces the incumbent, so the reported witness is the
+    first maximizer in that order (the empty set when nothing beats zero).
+    """
+    k = min(inst.k, inst.m)
+    total = sum(comb(inst.m, t) for t in range(k + 1))
+    if total > limit:
+        raise ValueError(f"{total} subsets exceed the oracle limit of {limit}")
+    queries = sorted(inst.Q, key=lambda q: q.id)
+    ws, scale = inst.P.int_weights()
+    points = list(zip(inst.P.xs, inst.P.ys, ws))
+    best, best_value = frozenset(), 0
+    for size in range(1, k + 1):
+        for combo in combinations(queries, size):
+            value = covered_total(points, combo)
+            if value > best_value:
+                best, best_value = frozenset(q.id for q in combo), value
+    return Solution(best, exact(best_value, scale))
 
 
 def exact_cells(grid: CellGrid) -> dict[CellKey, Fraction]:
