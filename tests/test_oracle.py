@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from maxdom.cells import build_grid, compress
 from maxdom.model import Instance, PointColumns, QueryPoint, covered_total
-from maxdom.oracle import _cover, oracle_solve
+from maxdom.oracle import _BIT_BY_BIT_MAX_N, _cover, oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform
 from maxdom.solver import run_pipeline
@@ -101,10 +101,11 @@ def test_value_and_witness_match_the_reference_enumerator(inst):
     assert_same_as_reference(inst)
 
 
-def test_value_and_witness_match_the_reference_enumerator_past_256_points():
-    # both ways of weighing the new bits: one bit at a time up to 256 points, bit planes past it
+def test_value_and_witness_match_the_reference_enumerator_on_both_weighing_paths():
+    # one bit at a time up to _BIT_BY_BIT_MAX_N points, bit planes past it
     rng = SplitMix64(311)
-    for n, wlo, whi, scale in ((256, -10, 10, 1), (257, -10, 10, 1), (300, -1000, 1000, 100),
+    cut = _BIT_BY_BIT_MAX_N
+    for n, wlo, whi, scale in ((cut, -10, 10, 1), (cut + 1, -10, 10, 1), (300, -1000, 1000, 100),
                                (400, -40, 40, 4), (500, -9, -1, 1), (300, 0, 3, 1)):
         base = random_instance(rng, n=n, m=7, k=3, span=12, wlo=wlo, whi=whi)
         inst = Instance.from_columns(base.P.xs, base.P.ys, [Decimal(w) / scale for w in base.P.ws],
@@ -115,7 +116,7 @@ def test_value_and_witness_match_the_reference_enumerator_past_256_points():
 def test_bitset_weight_is_the_covered_total():
     # ``covered_total`` is the definition of a pick set's weight
     rng = SplitMix64(313)
-    for n in (0, 1, 40, 256, 257, 600):
+    for n in (0, 1, 40, _BIT_BY_BIT_MAX_N, _BIT_BY_BIT_MAX_N + 1, 600):
         for kind in ("small", "wide", "positive", "decimal"):
             inst = random_instance(rng, n=n, m=8, span=12)
             ws = [rng.randint(-10, 10) << rng.below(72) if kind == "wide"
