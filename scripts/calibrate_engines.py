@@ -3,12 +3,12 @@
     PYTHONPATH=src python3 scripts/calibrate_engines.py [--reps 3]
 
 For each shape it grids one ``uniform`` instance and times ``dp_layers``
-(the simple DP) at the shape's k and the segment tree's tables at every k of
-``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``.  The tree is
-timed as ``tree_layers`` without its picks (``_tree_preds``), since its
-constants price the tree walks only; the grid stores the x-ranks, the
-cells' total is kept on it after the first repetition, and the shapes' weights
-(-10..10) fit one-word fields.  Each time is divided by the engine's unit
+(the simple DP) at the shape's k and ``tree_layers`` (the segment tree) at
+every k of ``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``.
+Both engines return their tables and no picks, which the walk finds later
+(``solver._walk``); the grid stores the x-ranks, the cells' total is kept on
+it after the first repetition, and the shapes' weights (-10..10) fit
+one-word fields.  Each time is divided by the engine's unit
 count, read off ``solver._costs`` (``units``): k * m^2 for the sweep and
 P = (c + 2m) * ceil(log2(m + 1)) node visits for the tree.  The median
 over the shapes is the value for ``solver.SWEEP_NS``; a least-squares line
@@ -32,8 +32,8 @@ from maxdom.solver import (
     TREE_LANE_NS,
     TREE_NODE_NS,
     _costs,
-    _tree_tables,
     dp_layers,
+    tree_layers,
 )
 
 # (n, m, k): m from 64 to 2048, and few to many cells per query
@@ -49,12 +49,6 @@ SHAPES = (
     (2_000, 2048, 8),
 )
 TREE_KS = (1, 2, 4, 8, 16, 32)
-
-
-def tree_tables(inst, grid):
-    """``tree_layers``' tables without its picks: the work the tree's constants price."""
-    tables, _corner = _tree_tables(grid.qx, grid.per_row, min(inst.k, inst.m), grid.total)
-    return tables
 
 
 def units(m: int, k: int, cells: int) -> tuple[float, float]:
@@ -91,7 +85,7 @@ def main() -> None:
         tree = []
         for tk in TREE_KS:
             at_k = replace(inst, k=tk)
-            tree.append(best_of(args.reps, lambda: tree_tables(at_k, grid)) * 1e9 / units(m, tk, cells)[1])
+            tree.append(best_of(args.reps, lambda: tree_layers(at_k, grid)) * 1e9 / units(m, tk, cells)[1])
         tree_ks += TREE_KS
         tree_ns += tree
         print(

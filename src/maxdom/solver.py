@@ -23,11 +23,15 @@ contributes the sweep's cov(i, j), and inherits the rest from layer l-1 at
 j.  A sentinel position m + 1, right of and below every query, turns its
 entry into the global optimum; it exists only inside the DP.
 
-Two engines return the same int layer tables and picks: ``dp_layers``, the
-paper's simple algorithm ("sweep"), in O(m^2) time per layer, and
-``tree_layers`` ("tree"), all k layers in one sweep over a segment tree in
-O(k (c + m) log m) time for c nonzero cells.  ``_solution`` divides the
-reported values by the grid's scale once.  ``_costs`` prices both engines,
+Two engines return the same int layer tables and the same list ``alone``,
+each query's covered weight on its own: ``dp_layers``, the paper's simple
+algorithm ("sweep"), in O(m^2) time per layer, and ``tree_layers``
+("tree"), all k layers in one sweep over a segment tree in O(k (c + m) log
+m) time for c nonzero cells.  Neither keeps predecessor links: one walk
+(``_walk``) finds the picks off either engine's tables, back along the
+optimal path from the sentinel, recomputing cov(i, j) from ``alone`` at the
+k rows it visits.  ``_solution`` runs it and divides the reported values by
+the grid's scale once.  ``_costs`` prices both engines,
 seconds and list slots, and ``_choose`` picks one: ``run_pipeline`` defaults
 to ``"auto"``, which runs whichever engine is priced faster on the grid (the
 paper's min{}), and refuses a solve priced over ``DP_BUDGET_S`` or
@@ -56,48 +60,43 @@ from .ranking import rank_transform
 
 
 def dp_layers(inst: Instance, grid: CellGrid):
-    """All layer tables and predecessor links; layer 0 is identically zero.
+    """All layer tables, layer 0 identically zero, and each query's weight on its own.
 
     ``grid`` must hold the per-strip cells of ``inst``, as
     ``build_row_sums(build_grid(inst))`` gives them; every layer consumes a
     fresh ``CoverageSweep`` over them.
 
-    Returns ``(tables, preds, k_eff)`` where ``tables[l][i]`` is the layer-l
-    optimum at position i (1-based, sentinel last) and ``preds[l][i]`` the
-    maximizing position.  Ties resolve to the self-link first and then to the
-    smallest position, so an all-zero optimum reconstructs to the empty pick
-    set; the optimum value is independent of tie-breaking.
+    Returns ``(tables, alone, k_eff)`` where ``tables[l][i]`` is the layer-l
+    optimum at position i (1-based, sentinel last) and ``alone[j]`` is
+    cov(m + 1, j), the weight that position j's query covers on its own: the
+    last layer's sweep holds it after its final advance.  ``alone`` is empty
+    at ``k_eff == 0``, where no layer runs and the walk (``_walk``) takes
+    nothing.
     """
     qx = grid.qx
     last = len(qx) - 1
     k_eff = min(inst.k, last - 1)
     tables: list[list[int]] = [[0] * (last + 1)]
-    preds: list[list[int] | None] = [None]
+    alone: list[int] = []
     for _layer in range(1, k_eff + 1):
         sweep = CoverageSweep(grid, qx)
         advance = sweep.advance
-        cov = sweep.cov  # mutated in place by advance, never reassigned
+        cov = alone = sweep.cov  # mutated in place by advance, never reassigned
         t_prev = tables[-1]
         t_cur = [0] * (last + 1)
-        pred = [0] * (last + 1)
         t_cur[1] = t_prev[1]
-        pred[1] = 1
         for i in range(2, last + 1):
             advance()
             xi = qx[i]
             best = t_prev[i]  # self-link: keep the layer-(l-1) set, pick nothing at i
-            bj = i
             for j in range(1, i):
                 if qx[j] <= xi:
                     v = t_prev[j] + cov[j]
                     if v > best:
                         best = v
-                        bj = j
             t_cur[i] = best
-            pred[i] = bj
         tables.append(t_cur)
-        preds.append(pred)
-    return tables, preds, k_eff
+    return tables, alone, k_eff
 
 
 def _field_bytes(total: int) -> int:
@@ -112,7 +111,7 @@ def _field_bytes(total: int) -> int:
 
 
 def tree_layers(inst: Instance, grid: CellGrid):
-    """``dp_layers``' tables and picks from one segment-tree sweep that carries all k layers.
+    """``dp_layers``' tables and ``alone`` from one segment-tree sweep that carries all k layers.
 
     The sweep visits the positions in staircase order over a segment tree
     whose leaves are the queries' rank x's (x at leaf ``x // 2 - 1``).  For
@@ -124,14 +123,23 @@ def tree_layers(inst: Instance, grid: CellGrid):
     node value packing one field per layer into one int (``_tree_tables``):
     O(k (c + m) log m) time in all, c the nonzero cells.
 
-    Returns ``dp_layers``' ``(tables, preds, k_eff)``, but ``preds[l]``
-    holds only the link that the optimal walk follows (``_tree_preds``).
+    Returns ``dp_layers``' ``(tables, alone, k_eff)``.  With ``P(s, x)`` the
+    weight of strips 1..s at rank x's up to x, ``alone[j] = P(m, qx[j]) -
+    corner[j]``, the corner sums as ``_tree_tables`` records them: one pass
+    over the cells and one ``accumulate``.
     """
     qx = grid.qx
-    k_eff = min(inst.k, len(qx) - 2)
+    last = len(qx) - 1
+    k_eff = min(inst.k, last - 1)
     tables, corner = _tree_tables(qx, grid.per_row, k_eff, grid.total)
-    preds = _tree_preds(qx, grid.per_row, tables, corner, k_eff)
-    return tables, preds, k_eff
+    if not k_eff:
+        return tables, [], k_eff
+    dense = [0] * qx[last]  # per rank x below the sentinel's, the weight of all strips
+    for strip in grid.per_row:
+        for x, w in strip:
+            dense[x] += w
+    below = list(accumulate(dense))
+    return tables, [below[qx[j]] - corner[j] for j in range(last)] + [0], k_eff
 
 
 def _tree_width(m: int) -> int:
@@ -194,8 +202,9 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
 
     No cell of strips 1..i - 1 lies at position i's leaf, so the adds left
     of the leaf that its insert subtracts are ``corner[i]`` in every field,
-    the weight of strips 1..i - 1 at leaves up to it, which ``_tree_preds``
-    needs.  Returns ``(tables, corner)``, ``corner`` indexed by position.
+    the weight of strips 1..i - 1 at leaves up to it, which ``tree_layers``
+    needs for ``alone``.  Returns ``(tables, corner)``, ``corner`` indexed by
+    position.
     """
     last = len(qx) - 1
     size = _tree_width(last - 1)
@@ -253,7 +262,7 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
             row = zero ^ ((res ^ zero) & (t - (t >> g)))
         rows.append(row - zero)
         if i < last:  # insert position i: layer l's leaf value becomes t_{l-1}[i]
-            if ones:  # none at k = 0, where the picks need no corner sums
+            if ones:  # none at k = 0, where ``alone`` needs no corner sums
                 corner[i] = left // ones
             p = leaf[i]
             M[p] = (((row << f) | bias) & full) - left
@@ -271,65 +280,50 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
     return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)], corner
 
 
-def _tree_preds(qx, per_row, tables, corner, k_eff: int):
-    """``dp_layers``' predecessor links along the optimal walk, one per layer.
+def _walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
+    """The ids of the picks along the optimal path from the sentinel, read off either engine's tables.
 
-    With ``P(s, x)`` the weight of strips 1..s at rank x's up to x, the walk
-    needs ``cov(i, j) = P(i - 1, qx[j]) - P(j - 1, qx[j])``.  The second
-    terms are ``corner[j]``, as ``_tree_tables`` records them.  The walk's
-    rows come in decreasing i, so the per-rank weights of strips 1..i - 1
-    are kept by taking strips off as i falls, and each row's first terms
-    are one ``accumulate`` over them.  The pick is ``dp_layers``'
-    tie-break: the self-link first, then the smallest j.  Returns ``preds``
-    with ``preds[l]`` a one-entry ``{i: j}`` mapping.
+    At row i the walk needs ``cov(i, j) = alone[j] - S_i(qx[j])``, with
+    ``S_i(x)`` the weight of strips i..m at rank x's up to x.  Its rows come
+    in decreasing i, so the per-rank weights of strips i..m are kept by
+    adding strips as i falls, and each row's ``S_i`` is one ``accumulate``
+    over them.  Ties resolve to the self-link first, which picks nothing,
+    then to the smallest j, so an all-zero optimum walks to the empty pick
+    set; the optimum value is independent of tie-breaking.
     """
+    qx, per_row, stair = grid.qx, grid.per_row, grid.stair
     last = len(qx) - 1
-    dense = [0] * qx[last]  # per rank x below the sentinel's, the weight of strips 1..upto
-    upto = last - 1
-    for strip in per_row:
-        for x, w in strip:
-            dense[x] += w
-    preds: list[dict[int, int] | None] = [None] * (k_eff + 1)
-    i, row_i = last, 0
+    dense = [0] * qx[last]  # per rank x below the sentinel's, the weight of strips upto..m
+    below = [0] * qx[last]  # S_last: no strip
+    upto = last
+    ids = []
+    i = last
     for layer in range(k_eff, 0, -1):
-        if row_i != i:  # a self-link keeps i, and so its row
-            row_i = i
-            for strip in per_row[i - 1 : upto]:
+        if upto != i:  # a self-link keeps i, and so its row
+            for strip in per_row[i - 1 : upto - 1]:
                 for x, w in strip:
-                    dense[x] -= w
-            upto = i - 1
-            prefix = list(accumulate(dense))
+                    dense[x] += w
+            upto = i
+            below = list(accumulate(dense))
         t_prev = tables[layer - 1]
         xi = qx[i]
         best, bj = t_prev[i], i
         for j in range(1, i):
             if qx[j] < xi:
-                v = t_prev[j] + prefix[qx[j]] - corner[j]
+                v = t_prev[j] + alone[j] - below[qx[j]]
                 if v > best:
                     best, bj = v, j
-        preds[layer] = {i: bj}
-        i = bj
-    return preds
-
-
-def _chosen_ids(stair, preds, k_eff: int) -> frozenset[int]:
-    """Walk predecessor links from the sentinel, skipping self-links."""
-    ids = []
-    i = len(stair) + 1
-    for layer in range(k_eff, 0, -1):
-        j = preds[layer][i]
-        if j != i:
-            ids.append(stair[j - 1].id)
-        i = j
+        if bj != i:
+            ids.append(stair[bj - 1].id)
+            i = bj
     return frozenset(ids)
 
 
-def _solution(grid: CellGrid, tables, preds, k_eff: int) -> Solution:
-    """The optimum, its pick set and each layer's optimum off the DP's int tables, divided by the scale once."""
-    stair, scale = grid.stair, grid.scale
-    last = len(stair) + 1
-    layers = tuple(exact(tables[l][last], scale) for l in range(1, k_eff + 1))
-    return Solution(_chosen_ids(stair, preds, k_eff), layers[-1] if layers else 0, layers)
+def _solution(grid: CellGrid, tables, alone, k_eff: int) -> Solution:
+    """The optimum, its pick set (``_walk``) and each layer's optimum off the DP's int tables, divided by the scale once."""
+    last = len(grid.stair) + 1
+    layers = tuple(exact(tables[l][last], grid.scale) for l in range(1, k_eff + 1))
+    return Solution(_walk(grid, tables, alone, k_eff), layers[-1] if layers else 0, layers)
 
 
 def _dp_pairs(qx, k_eff: int) -> int:
@@ -368,9 +362,9 @@ TREE_LANE_NS = 8.43
 # DP work: a few minutes of calibrated work.
 DP_BUDGET_S = 180.0
 # A solve whose chosen engine would hold more list slots than this
-# (``_costs``) is refused as well.  A slot took 12-15 bytes under
-# tracemalloc (uniform shapes up to m = 4,096 and k = 256) and can take
-# about 32 (a pointer and an int of its own): 0.6-1.6 GB.  The tree's peak
+# (``_costs``) is refused as well.  A sweep slot, one table entry, took 19
+# bytes under tracemalloc (uniform n = 20,000, m = 512, k = 32) and can take
+# about 32 (a pointer and an int of its own): up to 1.6 GB.  The tree's peak
 # came to 6-11 bytes per slot that ``_costs`` counts, at fields of 1 to 33
 # words (uniform m = 256 to 4,096, k = 8 to 256).
 DP_SLOT_BUDGET = 50_000_000
@@ -387,12 +381,15 @@ def _costs(m: int, k_eff: int, cells: int = 0, total: int = 0) -> tuple[dict[str
     absolute total).  No cells and a total of 0, one-byte fields, price an
     instance before its grid: a lower bound for both engines.
 
-    Both hold the k + 1 layer tables of m + 2 entries and as many entries
-    again: the sweep's predecessor links, the tree's rows by position, whose
-    ints are a field wide.  Each node of the tree adds two ints of k fields
+    Both hold the k + 1 layer tables of m + 2 entries; the walk's
+    (``_walk``) lists of m + 2 entries are not counted.  The tree holds as
+    many entries again, its rows by position, whose ints are a field wide.
+    Each node of the tree adds two ints of k fields
     (``_tree_tables``' ``M`` and ``S``): a lane counts once at one word,
     where both of its fields of at most 8 bytes fit the bytes of one slot,
-    and twice for every further word.
+    and twice for every further word.  The sweep's time budget binds before
+    its slots do: over ``DP_SLOT_BUDGET`` slots at k <= m needs m above
+    7,000, hours of sweep.
     """
     words = -(-_field_bytes(total) // 8)
     tables = (k_eff + 1) * (m + 2)
@@ -401,7 +398,7 @@ def _costs(m: int, k_eff: int, cells: int = 0, total: int = 0) -> tuple[dict[str
         "tree": (TREE_NODE_NS + TREE_LANE_NS * k_eff * words) * 1e-9 * (cells + 2 * m) * m.bit_length(),
     }
     slots = {
-        "sweep": 2 * tables,
+        "sweep": tables,
         "tree": tables * (1 + words) + 2 * _tree_width(m) * k_eff * (2 * words - 1),
     }
     return estimates, slots
@@ -445,7 +442,7 @@ class PipelineResult:
     retained: int  # ground points covered by some query, i.e. summed into cells
     cells: int  # non-empty cells, zero-weight ones included
     compressed_size: int  # nonzero-weight cells, the compressed ground set
-    dp_pairs: int  # eligible (layer, i, j) transitions, see ``_dp_pairs``
+    dp_pairs: int | None  # eligible (layer, i, j) transitions where the sweep ran, see ``_dp_pairs``
     stage_seconds: dict[str, float]
     engine: str  # the DP that ran: "sweep" (``dp_layers``) or "tree" (``tree_layers``)
     estimates: dict[str, float]  # predicted dp seconds per engine, see ``_costs``
@@ -462,9 +459,11 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
 
     ``engine`` is ``"auto"`` (the default), which runs whichever engine
     ``_costs`` predicts faster on the zero-free grid, ``"sweep"`` (the
-    paper's simple DP) or ``"tree"``; both give the same tables and picks.
-    For either, ``dp`` times the tables and picks and ``reconstruct`` reads
-    the solution off them and counts ``dp_pairs``.  The engine is priced
+    paper's simple DP) or ``"tree"``; both give the same tables and
+    ``alone``.  For either, ``dp`` times the tables and ``reconstruct``
+    walks the picks and reads the solution off them (``_solution``); where
+    the sweep ran it also counts ``dp_pairs``, None for the tree, which
+    visits no pairs.  The engine is priced
     twice: before the grid, with no cells, and on the grid.  A solve whose
     engine is estimated over ``DP_BUDGET_S`` or would hold more than
     ``DP_SLOT_BUDGET`` list slots raises ``ValueError`` at the first pricing
@@ -480,10 +479,10 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
     estimates, slots = _costs(inst.m, k_eff, nonzero, grid.total)
     engine = _choose(engine, estimates, slots)
     t1 = perf_counter()
-    tables, preds, k_eff = globals()[_ENGINES[engine]](inst, grid)
+    tables, alone, k_eff = globals()[_ENGINES[engine]](inst, grid)
     t2 = perf_counter()
-    solution = _solution(grid, tables, preds, k_eff)
-    dp_pairs = _dp_pairs(grid.qx, k_eff)
+    solution = _solution(grid, tables, alone, k_eff)
+    dp_pairs = _dp_pairs(grid.qx, k_eff) if engine == "sweep" else None
     t3 = perf_counter()
     return PipelineResult(
         solution,
