@@ -16,10 +16,12 @@ The parser streams the file (``parse``) as bytes, a block of whole lines at
 a time (``_whole_lines``), straight into the columns of
 ``model.PointColumns``.  A block that lies wholly inside the point lines and
 holds plain point lines (three integer tokens one space apart, as the
-serializer writes them) is converted in one go from its bytes
-(``_plain_points``); any other block is decoded, its blank and comment
-lines are dropped (``_block_data``) and its point and query lines are
-converted a batch at a time (``_batches``).  Each column starts as an int64
+serializer writes them) is converted in one go from its bytes, by one JSON
+scan (``_plain_points``); the block that runs past the point lines is cut
+where they end (``_cut``), so its point lines may be plain too.  Any other
+block is decoded, its blank and comment lines are dropped (``_block_data``)
+and its point and query lines are converted a batch at a time
+(``_batches``).  Each column starts as an int64
 ``array('q')`` and takes whole converted batches; the first batch it cannot
 take (a decimal, or an int beyond int64) turns that column alone into a
 list.  The generators build the same columns and the serializer writes from
@@ -45,12 +47,13 @@ the int64 columns.
 from __future__ import annotations
 
 import io
+import json
 import os
 import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 from math import isfinite
 from operator import add, mod, mul
 from pathlib import Path
@@ -124,8 +127,8 @@ def _int(token: str, line_no: int, what: str) -> int:
 # Bytes read per chunk; a chunk is cut after its last newline, so a reader
 # holds one chunk's lines at a time, never the whole file.  On n-heavy's 16 MB
 # file (x86-64, CPython 3.11), ``point_batches`` over all its point lines
-# takes 0.57-0.70 s of CPU at a traced peak of 1.4 MB (chunk, tokens and one
-# block's columns), against 0.54-0.67 s and 22.9 MB at 1 MiB.
+# takes 0.29-0.43 s of CPU at a traced peak of 0.96 MB (chunk, one block's
+# values and columns), against 0.29-0.48 s and 15.2 MB at 1 MiB.
 _CHUNK = 1 << 16
 # Lines converted per batch, written per serializer block and points drawn
 # per generator block; bounds the token strings, text or draws alive at once.
@@ -153,6 +156,22 @@ def _whole_lines(pieces: Iterable[bytes]) -> Iterator[bytes]:
         rest = block[cut:]
     if rest:
         yield rest
+
+
+def _cut(block: bytes, lines: int) -> list[tuple[bytes, int]]:
+    """``(piece, newlines)`` for ``block`` cut after its ``lines``-th newline, or for all of it if none follows.
+
+    ``_parse`` cuts the block that runs past the point lines where they end,
+    so that its point lines may be plain.  The cut falls after a ``"\\n"``,
+    as a block's end does, so the lines of the two pieces are the block's.
+    """
+    newlines = block.count(b"\n")
+    if not 0 < lines < newlines:
+        return [(block, newlines)]
+    cut = 0
+    for _ in range(lines):
+        cut = block.index(b"\n", cut) + 1
+    return [(block[:cut], lines), (block[cut:], newlines - lines)]
 
 
 def _header(line: str, line_no: int) -> tuple[int, int, int]:
@@ -244,43 +263,44 @@ def _parse(f) -> Instance:
     """
     cols = array("q"), array("q"), array("q")
     queries = []
-    n = -1  # until the header is read; no block is plain before it
+    n = -1  # until the header is read; no block is cut or plain before it
     error = first_bad = None  # error: a bad header or an extra line; first_bad: a bad value
     count = 0  # data lines after the header
     line_base = 0  # lines in the blocks before this one
     last_no = 0  # line number of the last data line
-    for block in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
-        plain = error is None and first_bad is None and count + block.count(b"\n") <= n
-        batch, data, line_nos, lines = _block(block, line_base, plain)
-        line_base += lines
-        if batch is not None:
-            cols = tuple(map(_append, cols, batch))
-            count += lines
-            last_no = line_base
-        if not data or error is not None:
-            continue
-        last_no = line_nos[-1]
-        if n < 0:
-            try:
-                n, m, k = _header(data[0], line_nos[0])
-            except ParseError as exc:
-                error = exc
+    for whole in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
+        for block, newlines in _cut(whole, n - count):
+            plain = error is None and first_bad is None and count + newlines <= n
+            batch, data, line_nos, lines = _block(block, line_base, plain)
+            line_base += lines
+            if batch is not None:
+                cols = tuple(map(_append, cols, batch))
+                count += lines
+                last_no = line_base
+            if not data or error is not None:
                 continue
-            data, line_nos = data[1:], line_nos[1:]
-        # data[:a] are point lines, data[a:b] query lines, anything after is extra
-        a = max(0, min(len(data), n - count))
-        b = max(0, min(len(data), n + m - count))
-        count += len(data)
-        if b < len(data):
-            error = ParseError(line_nos[b], "unexpected extra data line")
-        elif first_bad is None:
-            try:
-                for batch in _batches(data[:a], line_nos[:a]):
-                    cols = tuple(map(_append, cols, batch))
-                for batch in _batches(data[a:b], line_nos[a:b], 2):
-                    queries += zip(*batch)
-            except ParseError as exc:
-                first_bad = exc
+            last_no = line_nos[-1]
+            if n < 0:
+                try:
+                    n, m, k = _header(data[0], line_nos[0])
+                except ParseError as exc:
+                    error = exc
+                    continue
+                data, line_nos = data[1:], line_nos[1:]
+            # data[:a] are point lines, data[a:b] query lines, anything after is extra
+            a = max(0, min(len(data), n - count))
+            b = max(0, min(len(data), n + m - count))
+            count += len(data)
+            if b < len(data):
+                error = ParseError(line_nos[b], "unexpected extra data line")
+            elif first_bad is None:
+                try:
+                    for batch in _batches(data[:a], line_nos[:a]):
+                        cols = tuple(map(_append, cols, batch))
+                    for batch in _batches(data[a:b], line_nos[a:b], 2):
+                        queries += zip(*batch)
+                except ParseError as exc:
+                    first_bad = exc
     if error is not None:
         raise error
     if n < 0:
@@ -330,7 +350,9 @@ def parse(path) -> Instance:
 
     The file is read as bytes, ``_CHUNK`` at a time, each chunk cut after
     its last newline into a block of whole lines (``_whole_lines``), as a
-    split part reads its range (``point_batches``).  A block that lies
+    split part reads its range (``point_batches``).  The block that runs
+    past the point lines is cut after their last newline (``_cut``), as a
+    chunk could have been cut.  A block, or the head of that cut, that lies
     wholly inside the point lines and holds plain point lines is converted
     in one go from its bytes (``_plain_points``).  Any other block, such as
     one that holds the header, a comment or query lines, is decoded on its
@@ -339,7 +361,7 @@ def parse(path) -> Instance:
     The point values go straight into the x, y and w columns.  So the
     parser never holds the file text or a string per line beside the
     columns: its peak is the finished instance plus one chunk and one
-    block's tokens, and, for a column that a decimal or a beyond-int64
+    block's values, and, for a column that a decimal or a beyond-int64
     value made a list, that list.  Values and ``ParseError``s are those of
     parsing the whole text at once, with ``str.splitlines``' line breaks.
     """
@@ -441,27 +463,35 @@ def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
             line_base += count
 
 
+# Turns a plain block's spaces and newlines into the commas of a JSON array.
+_COMMAS = bytes.maketrans(b" \n", b",,")
+
+
 def _plain_points(block: bytes) -> tuple[list, list, list] | None:
     """The x, y and w columns of a block of plain point lines, or None where it holds anything else.
 
     Plain lines are three tokens of digits and ``-``, one space apart, each
-    line ended by ``"\\n"``, and every token reads as an ``int`` (``5-3``
-    does not).  The block is checked by C-level calls over its bytes alone:
-    with the digits and minus signs deleted it must be ``"  \\n"`` once per
-    line, and split at whitespace it must give three tokens a line (no
-    token is empty).  Such a block is neither decoded nor cut into line
-    strings, and ``int`` reads each token's bytes as it reads its text.
+    line ended by ``"\\n"``, and every token a JSON integer: an optional
+    minus sign and digits without a leading zero.  The block is checked and
+    converted by C-level calls over its bytes alone: with the digits and
+    minus signs deleted it must be ``"  \\n"`` once per line, and with its
+    spaces and newlines turned into commas it must read as one JSON array
+    of three numbers a line (a last line without its newline adds tokens).
+    Such a block is neither decoded into line strings nor split into
+    tokens.  Every token JSON reads, ``int`` reads as the same value; the
+    tokens it refuses go to the caller's line-by-line path, which reads
+    ``007`` as ``int`` does and names the line of ``5-3``.
     """
     lines = block.count(b"\n")
     if block.translate(None, b"0123456789-") != b"  \n" * lines:
         return None
-    toks = block.split()
-    if len(toks) != 3 * lines:
-        return None
     try:
-        return list(map(int, toks[0::3])), list(map(int, toks[1::3])), list(map(int, toks[2::3]))
-    except ValueError:  # ``5-3``, ``-``, ``--1``, or a token over ``int``'s digit limit
+        values = json.loads(b"[" + block.rstrip(b"\n").translate(_COMMAS) + b"]")
+    except ValueError:  # ``007``, ``5-3``, ``-``, ``--1``, or a token over ``int``'s digit limit
         return None
+    if len(values) != 3 * lines:
+        return None
+    return values[0::3], values[1::3], values[2::3]
 
 
 def decimal_text(value) -> str:
@@ -489,13 +519,15 @@ def serialize_blocks(inst: Instance) -> Iterator[str]:
     every line ends with ``"\\n"``.  Numbers are written with ``str``, which
     for a float is its shortest round-trip representation; a ``Fraction``,
     such as a weight of ``cells.compress``, is written as its exact decimal
-    text.
+    text.  A column that is not an int64 array is turned into these texts
+    first, so each block is one ``%`` format of its values, line by line.
     """
     P = inst.P
     cols = [col if type(col) is array else list(map(_text, col)) for col in (P.xs, P.ys, P.ws)]
     yield f"{inst.n} {inst.m} {inst.k}\n"
     for start in range(0, inst.n, _BATCH):
-        yield "".join(map("{} {} {}\n".format, *[col[start : start + _BATCH] for col in cols]))
+        xs, ys, ws = (col[start : start + _BATCH] for col in cols)
+        yield ("%s %s %s\n" * len(xs)) % tuple(chain.from_iterable(zip(xs, ys, ws)))
     yield "".join(f"{_text(q.x)} {_text(q.y)}\n" for q in inst.Q)
 
 

@@ -357,7 +357,7 @@ def _outcomes(text, path):
 @given(small_instances(max_n=8, max_m=3), st.data())
 def test_parse_matches_line_by_line(tmp_path_factory, inst, data):
     lines = serialize_text(inst).splitlines()
-    noise = st.sampled_from(["", "  ", "# note", "1.5", "2e1", "nan", "x", "-0", "3 4", "\t9 9 9"])
+    noise = st.sampled_from(["", "  ", "# note", "1.5", "2e1", "nan", "x", "-0", "007", "5-3", "3 4", "\t9 9 9"])
     for _ in range(data.draw(st.integers(0, 3))):
         at = data.draw(st.integers(0, len(lines)) | st.just(len(lines)))
         if data.draw(st.booleans()):
@@ -372,6 +372,25 @@ def test_parse_matches_line_by_line(tmp_path_factory, inst, data):
     path = tmp_path_factory.getbasetemp() / "parse_matches.txt"
     for result in _outcomes(text, path):
         assert result == expected
+
+
+# Tokens of digits and "-" alone: JSON reads some of them as ``int`` does
+# and refuses the others, of which ``int`` reads ``007``, ``-007`` and ``00``.
+PLAIN_LOOKING = ["007", "-007", "00", "-0", "5-3", "--1", "-", "1-", "9" * 19, "1" * 4301]
+
+
+@pytest.mark.parametrize("token", PLAIN_LOOKING, ids=lambda token: token[:20])
+def test_plain_points_reads_each_token_as_int_or_declines_the_block(token):
+    for at in range(3):
+        toks = ["3", "-4", "5"]
+        toks[at] = token
+        rows = [["1", "2", "3"], toks, ["-6", "0", "8"]]
+        found = instances._plain_points(b"".join(" ".join(row).encode() + b"\n" for row in rows))
+        try:
+            expected = tuple([int(row[i]) for row in rows] for i in range(3))
+        except ValueError:  # ``int`` refuses it: so must the block
+            expected = None
+        assert found is None or found == expected, (token[:20], at)
 
 
 def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
@@ -400,9 +419,10 @@ def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
 
 
 def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
-    # 64-byte chunks: every block that lies wholly inside the point lines
-    # goes through ``_plain_points``, and only those that hold the header, a
-    # comment or query lines are decoded and go through ``_batches``
+    # 64-byte chunks: every block that lies wholly inside the point lines,
+    # and the head of the block that runs past them, cut where they end, go
+    # through ``_plain_points``; only the header's block, the note's block
+    # and the query lines are decoded and go through ``_batches``
     monkeypatch.setattr(instances, "_CHUNK", 64)
     plain, fallbacks = [], []
     plain_points, batches = instances._plain_points, instances._batches
@@ -423,17 +443,47 @@ def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
     assert found == _parse_line_by_line(text)
     data = text.encode()
     blocks = list(instances._whole_lines(data[i : i + 64] for i in range(0, len(data), 64)))
-    inside = [b for b in blocks[1:] if all(len(line.split()) == 3 or b"#" in line for line in b.splitlines())]
+    at = next(i for i, b in enumerate(blocks) if b"\n1 1\n" in b)  # the queries' block, after point lines
+    cut = blocks[at].index(b"\n1 1\n") + 1
+    pieces = blocks[:at] + [blocks[at][:cut], blocks[at][cut:]] + blocks[at + 1 :]
+    inside = [b for b in pieces[1:] if all(len(line.split()) == 3 or b"#" in line for line in b.splitlines())]
     assert len(inside) > 5 and plain == inside
-    mixed = [b for b in blocks if b not in inside or b"#" in b]  # the header's, the note's and the queries'
+    mixed = [b for b in pieces if b not in inside or b"#" in b]  # the header's, the note's and the query lines'
     assert len(mixed) == 4
     assert sorted(fallbacks) == sorted(
-        line for b in mixed for line in b.decode().splitlines()[b is blocks[0] :] if line != "# note"
+        line for b in mixed for line in b.decode().splitlines()[b is pieces[0] :] if line != "# note"
     )
     lines[45] = "5-3 1 1"  # the 47th line of the file, after plain blocks
     _, found = parsed()
     assert found[:2] == ("error", 47) and "'5-3'" in found[2]
     assert "5-3 1 1" in fallbacks and any(b"5-3" in b for b in plain)
+
+
+@pytest.mark.parametrize("gap", ["# queries", "", "  "])
+def test_parse_cuts_the_queries_block_before_a_comment_or_blank_line(tmp_path, monkeypatch, gap):
+    # 64-byte chunks: the last point lines, cut from the block that holds
+    # the queries, are plain; the gap line goes with the queries
+    monkeypatch.setattr(instances, "_CHUNK", 64)
+    plain, plain_points = [], instances._plain_points
+    monkeypatch.setattr(instances, "_plain_points", lambda block: plain.append(block) or plain_points(block))
+    lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(40)]
+    text = "\n".join(["40 2 0", *lines, gap, "1 1", "5 6"]) + "\n"
+    path = tmp_path / "inst.txt"
+    path.write_bytes(text.encode())
+    assert _outcome(parse, path) == _parse_line_by_line(text)
+    last = plain[-1]
+    assert last.endswith(b"\n39 78 1\n") and plain_points(last)[0][-1] == 39
+    for result in _outcomes(text, path):
+        assert result == _parse_line_by_line(text)
+
+
+def test_parse_of_a_cr_only_file_is_one_block(tmp_path, monkeypatch):
+    # no "\n" to cut at: the header's block is the whole file, and none of it is plain
+    monkeypatch.setattr(instances, "_plain_points", lambda block: pytest.fail("a plain block in a CR-only file"))
+    lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(40)]
+    text = "\r".join(["40 2 0", *lines, "# queries", "1 1", "5 6"]) + "\r"
+    for result in _outcomes(text, tmp_path / "inst.txt"):
+        assert result == _parse_line_by_line(text)
 
 
 def test_no_block_is_converted_after_a_bad_value(tmp_path, monkeypatch):
