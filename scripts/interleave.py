@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Time two source trees' ``maxdom`` against each other in one process, one operation at a time.
+
+    python3 scripts/interleave.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B [--rounds R] [--call FUNC]
+
+Each tree's ``src/maxdom`` is imported under its own package name
+(``maxdom_parent`` and ``maxdom_change``), so both run in this process, on
+the same heap and at the same CPU speed: runs in separate processes swing by
+15-30 % with the speed phases of some machines (``perfbench/speed.py``).
+For each seed from A to B the workload's files are written as
+``scripts/same_records.py`` writes them (PARENT_TREE's
+``perfbench/workloads.py``, run as a script), into a temporary directory
+that is removed at the end.  Then, ``--rounds`` times, every file's
+operation runs once on each tree, the tree that goes first alternating from
+one operation to the next: ``cli.main([command, FILE])`` with its output
+discarded, or, with ``--call instances.parse`` (any ``module.function`` of
+the package), that function of the file's path.  Each pair gives the ratio
+of the change's time to the parent's.  Prints the median ratio, its
+quartiles, the pairs in which the change was faster and each tree's median
+time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import io
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from statistics import median, quantiles
+from time import perf_counter_ns
+
+from same_records import seeds, write_files
+
+NAMES = ("maxdom_parent", "maxdom_change")
+
+
+def load(tree: Path, name: str) -> None:
+    """Import ``tree``'s ``src/maxdom`` package as ``name``, with its ``cli`` module."""
+    init = tree / "src" / "maxdom" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
+
+
+def operation(name: str, call: str | None, command: str, path: str):
+    """A no-argument callable that runs one operation on the package ``name``; a failed ``cli.main`` raises."""
+    if call is None:
+        main = sys.modules[f"{name}.cli"].main
+        argv = [command, path]
+
+        def run():
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            if code:  # a failed operation's time says nothing about the change
+                raise RuntimeError(f"{name}: maxdom {command} {path} exited {code}")
+
+        return run
+    module, _, func = call.rpartition(".")
+    func = getattr(importlib.import_module(f"{name}.{module}"), func)
+    return lambda: func(path)
+
+
+def timed(run) -> int:
+    t0 = perf_counter_ns()
+    run()
+    return perf_counter_ns() - t0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="PARENT_TREE CHANGE_TREE")
+    ap.add_argument("--workload", required=True, help="n-heavy, m-heavy or desk-verify")
+    ap.add_argument("--seeds", type=seeds, required=True, metavar="A-B")
+    ap.add_argument("--rounds", type=int, default=5, help="passes over every file (default 5)")
+    ap.add_argument("--call", help="time this module.function of the package on each file instead of cli.main")
+    args = ap.parse_args()
+    trees = [tree.resolve() for tree in args.trees]
+    for tree, name in zip(trees, NAMES):
+        load(tree, name)
+    script = trees[0] / "perfbench" / "workloads.py"
+    times: list[list[int]] = [[], []]
+    with tempfile.TemporaryDirectory(prefix="interleave_") as tmp:
+        ops = []
+        for seed in args.seeds:
+            for command, path in write_files(script, trees[0], args.workload, seed, Path(tmp) / str(seed)):
+                ops.append([operation(name, args.call, command, path) for name in NAMES])
+        for _ in range(args.rounds):
+            for pair in ops:
+                first = len(times[0]) % 2  # the tree that goes first alternates
+                for side in (first, 1 - first):
+                    times[side].append(timed(pair[side]))
+            gc.collect()  # outside the timings, as perfbench's worker does between rounds
+    ratios = [b / a for a, b in zip(*times)]
+    q1, _, q3 = quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    won = sum(r < 1 for r in ratios)
+    print(f"{args.workload} {args.call or 'cli.main'}: change/parent ratio {median(ratios):.3f} "
+          f"(IQR {q1:.3f}-{q3:.3f}), change faster in {won} of {len(ratios)} pairs")
+    for tree, ts in zip(trees, times):
+        print(f"{tree}: median {median(ts) / 1e6:.3f} ms per operation")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import replace
+from operator import itemgetter
 from typing import Sequence
 
 from .cells import CellGrid
@@ -23,7 +24,8 @@ from .cells import CellGrid
 
 def build_row_sums(grid: CellGrid) -> CellGrid:
     """``grid`` without its zero-weight cells, which add nothing; a row that has none is kept as it is."""
-    rows = tuple(row if all(w for _, w in row) else tuple([c for c in row if c[1]]) for row in grid.per_row)
+    weight = itemgetter(1)
+    rows = tuple(row if all(map(weight, row)) else tuple(filter(weight, row)) for row in grid.per_row)
     return replace(grid, per_row=rows)
 
 

@@ -14,13 +14,14 @@ shortest round-trip text, which reads back as exactly that decimal.
 
 The parser streams the file (``parse``) as bytes, a block of whole lines at
 a time (``_whole_lines``), straight into the columns of
-``model.PointColumns``.  A block that lies wholly inside the point lines and
-holds plain point lines (three integer tokens one space apart, as the
-serializer writes them) is converted in one go from its bytes, by one JSON
-scan (``_plain_points``); the block that runs past the point lines is cut
-where they end (``_cut``), so its point lines may be plain too.  Any other
-block is decoded, its blank and comment lines are dropped (``_block_data``)
-and its point and query lines are converted a batch at a time
+``model.PointColumns``.  A block is cut after the header line and where
+the point lines end (``_cut``), so that a piece lies wholly inside the
+point lines or wholly inside the query lines.  Such a piece that holds
+plain lines (integer tokens one space apart, three a point line and two a
+query line, as the serializer writes them) is converted in one go from its
+bytes, by one JSON scan (``_plain_lines``).  Any other piece is decoded,
+its blank and comment lines are dropped (``_block_data``) and its point and
+query lines are converted a batch at a time, a column at a time
 (``_batches``).  Each column starts as an int64
 ``array('q')`` and takes whole converted batches; the first batch it cannot
 take (a decimal, or an int beyond int64) turns that column alone into a
@@ -158,20 +159,38 @@ def _whole_lines(pieces: Iterable[bytes]) -> Iterator[bytes]:
         yield rest
 
 
-def _cut(block: bytes, lines: int) -> list[tuple[bytes, int]]:
-    """``(piece, newlines)`` for ``block`` cut after its ``lines``-th newline, or for all of it if none follows.
+def _cut(block: bytes, newlines: int, lines: int) -> tuple[bytes, int, bytes, int]:
+    """``(head, its newlines, rest, its newlines)``: ``block``, of ``newlines`` newlines, cut after its ``lines``-th.
 
-    ``_parse`` cuts the block that runs past the point lines where they end,
-    so that its point lines may be plain.  The cut falls after a ``"\\n"``,
-    as a block's end does, so the lines of the two pieces are the block's.
+    Where no newline follows the ``lines``-th, the head is all of ``block``
+    and the rest is empty.  ``_parse`` cuts a block after the header line
+    (``_header_lines``) and where the point lines end, so that the point
+    lines and the query lines may each be plain.  The cut falls after a
+    ``"\\n"``, as a block's end does, so the lines of the two pieces are the
+    block's.
     """
-    newlines = block.count(b"\n")
     if not 0 < lines < newlines:
-        return [(block, newlines)]
+        return block, newlines, b"", 0
     cut = 0
     for _ in range(lines):
         cut = block.index(b"\n", cut) + 1
-    return [(block[:cut], lines), (block[cut:], newlines - lines)]
+    return block[:cut], lines, block[cut:], newlines - lines
+
+
+def _header_lines(block: bytes) -> int:
+    """The newlines of ``block`` up to the one that ends its first data line, the header; 0 where none does.
+
+    Each ``"\\n"``-ended piece is decoded on its own and split as
+    ``str.splitlines`` splits it, so a header after a ``"\\r"`` in the same
+    piece is found, and the piece goes before the cut whole.
+    """
+    start = lines = 0
+    while end := block.find(b"\n", start) + 1:
+        lines += 1
+        if any(map(_is_data, block[start:end].decode().splitlines())):
+            return lines
+        start = end
+    return 0
 
 
 def _header(line: str, line_no: int) -> tuple[int, int, int]:
@@ -205,12 +224,15 @@ def _block_data(block: bytes, line_base: int) -> tuple[list[str], Sequence[int],
 def _batches(data: list[str], line_nos: Sequence[int], fields: int = 3) -> Iterator[list[list]]:
     """The columns of the point lines (``fields`` 3) or query lines (2) ``data``, one batch of lines at a time.
 
-    A batch of all-integer lines of ``fields`` fields is converted in one
-    ``map(int, ...)`` per column, any other batch line by line, which finds
-    the first malformed line.
+    A batch of lines of ``fields`` fields each is converted a column at a
+    time: by one ``map(int, ...)``, or, for a column that it refuses, such
+    as one of decimal weights, token by token (``_number``).  A batch with
+    a line of another field count, or a token that no number reads, is
+    converted line by line (``_rows``), which finds its first malformed line.
     """
     for start in range(0, len(data), _BATCH):
         lines = data[start : start + _BATCH]
+        nos = line_nos[start : start + _BATCH]
         toks = []  # the batch's tokens, line after line; column i is toks[i::fields]
         try:
             for line in lines:
@@ -218,10 +240,18 @@ def _batches(data: list[str], line_nos: Sequence[int], fields: int = 3) -> Itera
                 if len(line_toks) != fields:
                     raise ValueError
                 toks += line_toks
-            batch = [list(map(int, toks[i::fields])) for i in range(fields)]
-        except ValueError:
-            batch = _rows(lines, line_nos[start : start + _BATCH], fields)
+            batch = [_numbers(toks[i::fields], nos) for i in range(fields)]
+        except ValueError:  # a field count, or a ``ParseError`` of a column's token
+            batch = _rows(lines, nos, fields)
         yield batch
+
+
+def _numbers(toks: list[str], line_nos: Sequence[int]) -> list:
+    """``toks``, one per line of ``line_nos``, by one ``map(int, ...)``, else each by ``_number``."""
+    try:
+        return list(map(int, toks))
+    except ValueError:
+        return list(map(_number, toks, line_nos))
 
 
 def _rows(lines: list[str], line_nos: Sequence[int], fields: int) -> list[list]:
@@ -237,15 +267,16 @@ def _rows(lines: list[str], line_nos: Sequence[int], fields: int) -> list[list]:
     return cols
 
 
-def _block(block: bytes, line_base: int, plain: bool) -> tuple[tuple | None, list[str], Sequence[int], int]:
+def _block(block: bytes, line_base: int, fields: int) -> tuple[tuple | None, list[str], Sequence[int], int]:
     """``(batch, data, line_nos, count)`` for a block of whole lines numbered on after ``line_base``.
 
-    Where ``plain`` and the block holds plain point lines, ``batch`` is
-    their columns (``_plain_points``) and ``data`` is empty; otherwise
-    ``batch`` is None and ``data`` and ``line_nos`` are the block's data
-    lines (``_block_data``).  ``count`` is the number of lines in the block.
+    Where ``fields`` is 3 or 2 and the block holds plain lines of that many
+    fields, ``batch`` is their columns (``_plain_lines``) and ``data`` is
+    empty; otherwise ``batch`` is None and ``data`` and ``line_nos`` are the
+    block's data lines (``_block_data``).  ``count`` is the number of lines
+    in the block.
     """
-    batch = _plain_points(block) if plain else None
+    batch = _plain_lines(block, fields) if fields else None
     if batch is None:
         return None, *_block_data(block, line_base)
     return batch, [], (), len(batch[0])
@@ -254,27 +285,39 @@ def _block(block: bytes, line_base: int, plain: bool) -> tuple[tuple | None, lis
 def _parse(f) -> Instance:
     """Parse the instance file open for binary reading as ``f``; see ``parse``.
 
+    Each block is cut into pieces (``_cut``): while the header is unread,
+    after the header line (``_header_lines``), and then where the point
+    lines end.  A piece that lies wholly inside the point lines, or wholly
+    inside the query lines, is tried as plain lines of 3 or 2 fields.
     Every block is read before an error is raised, so an undecodable byte
     anywhere in the file wins.  A wrong header or data-line count is
     reported in preference to a malformed line, so the first conversion
     error is held until the whole file has been counted.  Once an error is
-    held, no later block is converted: each is only decoded and, after a
+    held, no later piece is converted: each is only decoded and, after a
     bad value, its data lines counted.
     """
     cols = array("q"), array("q"), array("q")
     queries = []
-    n = -1  # until the header is read; no block is cut or plain before it
+    n = m = -1  # until the header is read
     error = first_bad = None  # error: a bad header or an extra line; first_bad: a bad value
     count = 0  # data lines after the header
     line_base = 0  # lines in the blocks before this one
     last_no = 0  # line number of the last data line
-    for whole in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
-        for block, newlines in _cut(whole, n - count):
-            plain = error is None and first_bad is None and count + newlines <= n
-            batch, data, line_nos, lines = _block(block, line_base, plain)
+    for rest in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
+        newlines = rest.count(b"\n")
+        while rest:
+            cut = n - count if n >= 0 else _header_lines(rest) if error is None else 0
+            block, ends, rest, newlines = _cut(rest, newlines, cut)
+            fields = 0  # the plain lines to try the piece as: none, points (3) or queries (2)
+            if error is None and first_bad is None and n >= 0:
+                fields = 3 if count + ends <= n else 2 if n <= count and count + ends <= n + m else 0
+            batch, data, line_nos, lines = _block(block, line_base, fields)
             line_base += lines
             if batch is not None:
-                cols = tuple(map(_append, cols, batch))
+                if fields == 3:
+                    cols = tuple(map(_append, cols, batch))
+                else:
+                    queries += zip(*batch)
                 count += lines
                 last_no = line_base
             if not data or error is not None:
@@ -350,15 +393,17 @@ def parse(path) -> Instance:
 
     The file is read as bytes, ``_CHUNK`` at a time, each chunk cut after
     its last newline into a block of whole lines (``_whole_lines``), as a
-    split part reads its range (``point_batches``).  The block that runs
-    past the point lines is cut after their last newline (``_cut``), as a
-    chunk could have been cut.  A block, or the head of that cut, that lies
-    wholly inside the point lines and holds plain point lines is converted
-    in one go from its bytes (``_plain_points``).  Any other block, such as
-    one that holds the header, a comment or query lines, is decoded on its
-    own as UTF-8, whatever the locale, its blank and comment lines are
-    skipped and its data lines converted a batch at a time (``_batches``).
-    The point values go straight into the x, y and w columns.  So the
+    split part reads its range (``point_batches``).  The block that holds
+    the header is cut after the header line, and the block that runs past
+    the point lines after their last newline (``_cut``), as a chunk could
+    have been cut.  A piece that lies wholly inside the point lines, or
+    wholly inside the query lines, and holds plain lines of three or two
+    integers is converted in one go from its bytes (``_plain_lines``).  Any
+    other piece, such as the header line or one that holds a comment, a
+    blank line or a decimal, is decoded on its own as UTF-8, whatever the
+    locale, its blank and comment lines are skipped and its data lines
+    converted a batch at a time (``_batches``).  The point values go
+    straight into the x, y and w columns.  So the
     parser never holds the file text or a string per line beside the
     columns: its peak is the finished instance plus one chunk and one
     block's values, and, for a column that a decimal or a beyond-int64
@@ -458,7 +503,7 @@ def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
         f.seek(start)
         pieces = (f.read(min(_CHUNK, stop - at)) for at in range(start, stop, _CHUNK))
         for block in _whole_lines(pieces):
-            batch, data, line_nos, count = _block(block, line_base, True)
+            batch, data, line_nos, count = _block(block, line_base, 3)
             yield from _batches(data, line_nos) if batch is None else (batch,)
             line_base += count
 
@@ -467,31 +512,33 @@ def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
 _COMMAS = bytes.maketrans(b" \n", b",,")
 
 
-def _plain_points(block: bytes) -> tuple[list, list, list] | None:
-    """The x, y and w columns of a block of plain point lines, or None where it holds anything else.
+def _plain_lines(block: bytes, fields: int) -> tuple[list, ...] | None:
+    """The ``fields`` columns of a block of plain lines, or None where it holds anything else.
 
-    Plain lines are three tokens of digits and ``-``, one space apart, each
-    line ended by ``"\\n"``, and every token a JSON integer: an optional
-    minus sign and digits without a leading zero.  The block is checked and
-    converted by C-level calls over its bytes alone: with the digits and
-    minus signs deleted it must be ``"  \\n"`` once per line, and with its
-    spaces and newlines turned into commas it must read as one JSON array
-    of three numbers a line (a last line without its newline adds tokens).
-    Such a block is neither decoded into line strings nor split into
-    tokens.  Every token JSON reads, ``int`` reads as the same value; the
-    tokens it refuses go to the caller's line-by-line path, which reads
-    ``007`` as ``int`` does and names the line of ``5-3``.
+    Plain lines are ``fields`` tokens of digits and ``-``, one space apart,
+    each line ended by ``"\\n"``, and every token a JSON integer: an
+    optional minus sign and digits without a leading zero.  Point lines
+    have 3 fields and query lines 2.  The block is checked and converted by
+    C-level calls over its bytes alone: with the digits and minus signs
+    deleted it must be ``fields - 1`` spaces and a newline once per line,
+    and with its spaces and newlines turned into commas it must read as
+    one JSON array of ``fields`` numbers a line (a last line without its
+    newline adds tokens).  Such a block is neither decoded into line
+    strings nor split into tokens.  Every token JSON reads, ``int`` reads
+    as the same value; the tokens it refuses go to the caller's
+    line-by-line path, which reads ``007`` as ``int`` does and names the
+    line of ``5-3``.
     """
     lines = block.count(b"\n")
-    if block.translate(None, b"0123456789-") != b"  \n" * lines:
+    if block.translate(None, b"0123456789-") != (b" " * (fields - 1) + b"\n") * lines:
         return None
     try:
         values = json.loads(b"[" + block.rstrip(b"\n").translate(_COMMAS) + b"]")
     except ValueError:  # ``007``, ``5-3``, ``-``, ``--1``, or a token over ``int``'s digit limit
         return None
-    if len(values) != 3 * lines:
+    if len(values) != fields * lines:
         return None
-    return values[0::3], values[1::3], values[2::3]
+    return tuple(values[i::fields] for i in range(fields))
 
 
 def decimal_text(value) -> str:

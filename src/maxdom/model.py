@@ -72,6 +72,8 @@ class QueryPoint:
     id: int
 
     def __post_init__(self) -> None:
+        if type(self.x) is int and type(self.y) is int:  # finite as it is; a bool is not an ``int`` here
+            return
         if not (_finite(self.x) and _finite(self.y)):
             raise ValueError(f"non-finite query point ({self.x}, {self.y})")
 
@@ -231,7 +233,8 @@ class Instance:
     @staticmethod
     def from_columns(xs: Iterable, ys: Iterable, ws: Iterable, queries: Iterable[tuple], k: int) -> "Instance":
         """Build from point columns and ``(x, y)`` query rows, assigning query ids by position."""
-        Q = tuple(QueryPoint(x, y, i) for i, (x, y) in enumerate(queries))
+        qxs, qys = list(zip(*queries, strict=True)) or ((), ())
+        Q = tuple(map(QueryPoint, qxs, qys, range(len(qxs))))
         return Instance(PointColumns(xs, ys, ws), Q, k)
 
     @staticmethod

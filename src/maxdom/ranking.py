@@ -22,19 +22,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import replace
+from operator import attrgetter
 
 from .model import Instance, PointColumns, QueryPoint
 
 
 def y_sorted_queries(inst: Instance) -> tuple[QueryPoint, ...]:
     """Queries by decreasing ``(y, id)``; position t is the t-th highest."""
-    return tuple(sorted(inst.Q, key=lambda q: (q.y, q.id), reverse=True))
+    return tuple(sorted(inst.Q, key=attrgetter("y", "id"), reverse=True))
 
 
 def _axis_transform(q_values, q_ids, p_values):
     """Per-axis rank mapping: queries to even ranks, points to odd ranks."""
     m = len(q_values)
-    order = sorted(range(m), key=lambda t: (q_values[t], q_ids[t]))
+    order = sorted(range(m), key=list(zip(q_values, q_ids)).__getitem__)
     q_coord = [0] * m
     for rank, t in enumerate(order, start=1):
         q_coord[t] = 2 * rank

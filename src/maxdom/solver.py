@@ -30,11 +30,12 @@ algorithm ("sweep"), in O(m^2) time per layer, and ``tree_layers``
 m) time for c nonzero cells.  Neither keeps predecessor links: one walk
 (``_walk``) finds the picks off either engine's tables, back along the
 optimal path from the sentinel, recomputing cov(i, j) from ``alone`` at the
-k rows it visits.  ``_solution`` runs it and divides the reported values by
-the grid's scale once.  ``_costs`` prices both engines,
-seconds and list slots, and ``_choose`` picks one: ``run_pipeline`` defaults
-to ``"auto"``, which runs whichever engine is priced faster on the grid (the
-paper's min{}), and refuses a solve priced over ``DP_BUDGET_S`` or
+rows it visits until it meets the value the tables hold there.
+``_solution`` runs it and divides the reported values by the grid's scale
+once.  ``_costs`` prices both engines, seconds and list slots, and
+``_choose`` picks one: ``run_pipeline`` defaults to ``"auto"``, which runs
+whichever engine is priced faster on the grid (the paper's min{}), and
+refuses a solve priced over ``DP_BUDGET_S`` or
 ``DP_SLOT_BUDGET``, already before the grid where even no cells would be
 over; ``maxdom solve`` runs that pre-grid pricing off the file's header
 before it reads a point line (``_price_header``).  ``maxdom bench`` times
@@ -283,13 +284,18 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
 def _walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
     """The ids of the picks along the optimal path from the sentinel, read off either engine's tables.
 
-    At row i the walk needs ``cov(i, j) = alone[j] - S_i(qx[j])``, with
-    ``S_i(x)`` the weight of strips i..m at rank x's up to x.  Its rows come
-    in decreasing i, so the per-rank weights of strips i..m are kept by
-    adding strips as i falls, and each row's ``S_i`` is one ``accumulate``
-    over them.  Ties resolve to the self-link first, which picks nothing,
-    then to the smallest j, so an all-zero optimum walks to the empty pick
-    set; the optimum value is independent of tie-breaking.
+    At row i of layer l the walk looks for the value ``tables[l][i]`` that
+    the tables already hold.  Where it equals the self-link ``t_{l-1}[i]``,
+    the walk keeps i and picks nothing.  Otherwise it scans the eligible j
+    in increasing order and stops at the first whose ``t_{l-1}[j] + cov(i,
+    j)`` equals it: the smallest argmax, so an all-zero optimum walks to the
+    empty pick set, and the optimum value is independent of tie-breaking.
+    A row where no j reaches the value raises ``RuntimeError``: the tables
+    are not the DP's.  The scan needs ``cov(i, j) = alone[j] - S_i(qx[j])``,
+    with ``S_i(x)`` the weight of strips i..m at rank x's up to x.  Its rows
+    come in decreasing i, so the per-rank weights of strips i..m are kept by
+    adding strips as i falls, and each scanned row's ``S_i`` is one
+    ``accumulate`` over them.
     """
     qx, per_row, stair = grid.qx, grid.per_row, grid.stair
     last = len(qx) - 1
@@ -299,23 +305,25 @@ def _walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
     ids = []
     i = last
     for layer in range(k_eff, 0, -1):
-        if upto != i:  # a self-link keeps i, and so its row
+        t_prev = tables[layer - 1]
+        target = tables[layer][i]
+        if target == t_prev[i]:  # the self-link: keep i
+            continue
+        if upto != i:
             for strip in per_row[i - 1 : upto - 1]:
                 for x, w in strip:
                     dense[x] += w
             upto = i
             below = list(accumulate(dense))
-        t_prev = tables[layer - 1]
         xi = qx[i]
-        best, bj = t_prev[i], i
         for j in range(1, i):
-            if qx[j] < xi:
-                v = t_prev[j] + alone[j] - below[qx[j]]
-                if v > best:
-                    best, bj = v, j
-        if bj != i:
-            ids.append(stair[bj - 1].id)
-            i = bj
+            x = qx[j]
+            if x < xi and t_prev[j] + alone[j] - below[x] == target:
+                break
+        else:
+            raise RuntimeError(f"no pick reaches layer {layer}'s value {target} at position {i}")
+        ids.append(stair[j - 1].id)
+        i = j
     return frozenset(ids)
 
 

@@ -381,16 +381,17 @@ PLAIN_LOOKING = ["007", "-007", "00", "-0", "5-3", "--1", "-", "1-", "9" * 19, "
 
 @pytest.mark.parametrize("token", PLAIN_LOOKING, ids=lambda token: token[:20])
 def test_plain_points_reads_each_token_as_int_or_declines_the_block(token):
-    for at in range(3):
-        toks = ["3", "-4", "5"]
-        toks[at] = token
-        rows = [["1", "2", "3"], toks, ["-6", "0", "8"]]
-        found = instances._plain_points(b"".join(" ".join(row).encode() + b"\n" for row in rows))
-        try:
-            expected = tuple([int(row[i]) for row in rows] for i in range(3))
-        except ValueError:  # ``int`` refuses it: so must the block
-            expected = None
-        assert found is None or found == expected, (token[:20], at)
+    for fields in (3, 2):  # point lines and query lines
+        for at in range(fields):
+            toks = ["3", "-4", "5"][:fields]
+            toks[at] = token
+            rows = [["1", "2", "3"][:fields], toks, ["-6", "0", "8"][:fields]]
+            found = instances._plain_lines(b"".join(" ".join(row).encode() + b"\n" for row in rows), fields)
+            try:
+                expected = tuple([int(row[i]) for row in rows] for i in range(fields))
+            except ValueError:  # ``int`` refuses it: so must the block
+                expected = None
+            assert found is None or found == expected, (token[:20], fields, at)
 
 
 def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
@@ -418,15 +419,29 @@ def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
     assert bad.value.line_no == 46 and "'5-3'" in str(bad.value)
 
 
+def _spy_plain(monkeypatch) -> list:
+    """The ``(block, fields, plain)`` of every later ``_plain_lines`` call, in call order."""
+    calls, plain_lines = [], instances._plain_lines
+
+    def spy(block, fields):
+        found = plain_lines(block, fields)
+        calls.append((block, fields, found is not None))
+        return found
+
+    monkeypatch.setattr(instances, "_plain_lines", spy)
+    return calls
+
+
 def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
-    # 64-byte chunks: every block that lies wholly inside the point lines,
-    # and the head of the block that runs past them, cut where they end, go
-    # through ``_plain_points``; only the header's block, the note's block
-    # and the query lines are decoded and go through ``_batches``
+    # 64-byte chunks: the first block is cut after the header line, and the
+    # block that runs past the point lines where they end; every piece after
+    # the header line goes through ``_plain_lines``, as point lines up to
+    # that cut and as query lines after it; only the header line and the
+    # note's block are decoded, and only the note's block goes through
+    # ``_batches``
     monkeypatch.setattr(instances, "_CHUNK", 64)
-    plain, fallbacks = [], []
-    plain_points, batches = instances._plain_points, instances._batches
-    monkeypatch.setattr(instances, "_plain_points", lambda block: plain.append(block) or plain_points(block))
+    fallbacks, batches = [], instances._batches
+    calls = _spy_plain(monkeypatch)
     monkeypatch.setattr(instances, "_batches", lambda data, *args: fallbacks.extend(data) or batches(data, *args))
     lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(60)]
     lines[20] = "# note"
@@ -435,7 +450,7 @@ def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
     def parsed():
         text = "\n".join(["59 2 0", *lines, "1 1", "5 6"]) + "\n"
         path.write_bytes(text.encode())
-        plain.clear()
+        calls.clear()
         fallbacks.clear()
         return text, _outcome(parse, path)
 
@@ -443,43 +458,105 @@ def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
     assert found == _parse_line_by_line(text)
     data = text.encode()
     blocks = list(instances._whole_lines(data[i : i + 64] for i in range(0, len(data), 64)))
+    head = blocks[0].index(b"\n") + 1
     at = next(i for i, b in enumerate(blocks) if b"\n1 1\n" in b)  # the queries' block, after point lines
     cut = blocks[at].index(b"\n1 1\n") + 1
-    pieces = blocks[:at] + [blocks[at][:cut], blocks[at][cut:]] + blocks[at + 1 :]
-    inside = [b for b in pieces[1:] if all(len(line.split()) == 3 or b"#" in line for line in b.splitlines())]
-    assert len(inside) > 5 and plain == inside
-    mixed = [b for b in pieces if b not in inside or b"#" in b]  # the header's, the note's and the query lines'
-    assert len(mixed) == 4
-    assert sorted(fallbacks) == sorted(
-        line for b in mixed for line in b.decode().splitlines()[b is pieces[0] :] if line != "# note"
-    )
+    pieces = [blocks[0][:head], blocks[0][head:], *blocks[1:at], blocks[at][:cut], blocks[at][cut:], *blocks[at + 1 :]]
+    queries = pieces.index(blocks[at][cut:])
+    assert calls == [(b, 3 if i < queries else 2, b"#" not in b) for i, b in enumerate(pieces) if i]
+    assert queries > 5 and calls[-1][1:] == (2, True)
+    mixed = [b for i, b in enumerate(pieces) if not i or b"#" in b]  # the header line's and the note's
+    assert len(mixed) == 2
+    assert sorted(fallbacks) == sorted(line for line in mixed[1].decode().splitlines() if line != "# note")
     lines[45] = "5-3 1 1"  # the 47th line of the file, after plain blocks
     _, found = parsed()
     assert found[:2] == ("error", 47) and "'5-3'" in found[2]
-    assert "5-3 1 1" in fallbacks and any(b"5-3" in b for b in plain)
+    assert "5-3 1 1" in fallbacks and any(b"5-3" in b for b, _, _ in calls)
 
 
 @pytest.mark.parametrize("gap", ["# queries", "", "  "])
 def test_parse_cuts_the_queries_block_before_a_comment_or_blank_line(tmp_path, monkeypatch, gap):
     # 64-byte chunks: the last point lines, cut from the block that holds
-    # the queries, are plain; the gap line goes with the queries
+    # the queries, are plain; the gap line goes with the queries, whose
+    # piece is then not
     monkeypatch.setattr(instances, "_CHUNK", 64)
-    plain, plain_points = [], instances._plain_points
-    monkeypatch.setattr(instances, "_plain_points", lambda block: plain.append(block) or plain_points(block))
+    calls = _spy_plain(monkeypatch)
     lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(40)]
     text = "\n".join(["40 2 0", *lines, gap, "1 1", "5 6"]) + "\n"
     path = tmp_path / "inst.txt"
     path.write_bytes(text.encode())
     assert _outcome(parse, path) == _parse_line_by_line(text)
-    last = plain[-1]
-    assert last.endswith(b"\n39 78 1\n") and plain_points(last)[0][-1] == 39
+    last = [b for b, fields, _ in calls if fields == 3][-1]
+    assert last.endswith(b"\n39 78 1\n") and instances._plain_lines(last, 3)[0][-1] == 39
+    assert not any(plain for _, fields, plain in calls if fields == 2)
     for result in _outcomes(text, path):
         assert result == _parse_line_by_line(text)
 
 
+def test_parse_converts_plain_query_lines_after_a_commented_header(tmp_path, monkeypatch):
+    # a small file is one block, cut after the header line, which follows
+    # comment and blank lines, and after the last point line: the point
+    # lines and the query lines are each one plain piece
+    calls = _spy_plain(monkeypatch)
+    text = "# made by hand\n\n  \n# n m k\n3 2 1\n0 0 1\n2 3 -4\n5 5 5\n1 1\n5 6\n"
+    path = tmp_path / "inst.txt"
+    path.write_bytes(text.encode())
+    assert _outcome(parse, path) == _parse_line_by_line(text)
+    assert calls == [(b"0 0 1\n2 3 -4\n5 5 5\n", 3, True), (b"1 1\n5 6\n", 2, True)]
+    for result in _outcomes(text, path):
+        assert result == _parse_line_by_line(text)
+
+
+POINTS = "3 2 1\n0 0 1\n2 3 -4\n5 5 5\n"
+
+
+# Query lines that are not all plain, and the bytes that send their piece to the line path.
+@pytest.mark.parametrize(
+    "queries, odd",
+    [
+        ("1 1\n# between\n5 6\n", b"# between"),
+        ("1 1\n\n5 6\n", b"\n\n"),
+        ("1 1\n5 6", b"5 6"),  # no final newline
+        ("1 1\r\n5 6\r\n", b"\r"),
+        ("1 1\n5 6\n7 7\n", b"7 7"),  # one extra line
+        ("1 1\n5 6\n\n", b"\n\n"),
+    ],
+    ids=["comment", "blank", "no-final-newline", "crlf", "extra-line", "trailing-blank"],
+)
+def test_query_lines_that_are_not_plain_parse_line_by_line(tmp_path, monkeypatch, queries, odd):
+    calls = _spy_plain(monkeypatch)
+    decoded, block_data = [], instances._block_data
+    monkeypatch.setattr(instances, "_block_data", lambda block, *args: decoded.append(block) or block_data(block, *args))
+    text = POINTS + queries
+    path = tmp_path / "inst.txt"
+    path.write_bytes(text.encode())
+    assert _outcome(parse, path) == _outcome(_parse_line_by_line, text)
+    assert any(odd in block for block in decoded)
+    assert not any(plain and odd in block for block, _, plain in calls)
+    for result in _outcomes(text, path):
+        assert result == _outcome(_parse_line_by_line, text)
+
+
+def test_a_decimal_batch_converts_by_column_and_reports_its_first_bad_line(tmp_path, monkeypatch):
+    # the int columns of a decimal batch take one ``map(int, ...)``, its
+    # decimal column one ``_number`` a token, and no line goes through
+    # ``_rows``; a bad x on a later line and a bad w on an earlier one
+    # report the earlier line
+    rows, calls = instances._rows, []
+    monkeypatch.setattr(instances, "_rows", lambda lines, *args: calls.append(lines) or rows(lines, *args))
+    text = "3 1 1\n0 0 0.5\n1 1 -2.25\n2 2 1e-1\n1 1\n"
+    assert parse_text(text) == _parse_line_by_line(text) and calls == []
+    bad = "3 1 1\n0 0 0.5\n1 1 x\ny 2 0.25\n1 1\n"
+    expected = _outcome(_parse_line_by_line, bad)
+    assert expected[:2] == ("error", 3) and "'x'" in expected[2]
+    assert _outcome(parse_text, bad) == expected and calls
+    for result in _outcomes(bad, tmp_path / "inst.txt"):
+        assert result == expected
+
+
 def test_parse_of_a_cr_only_file_is_one_block(tmp_path, monkeypatch):
     # no "\n" to cut at: the header's block is the whole file, and none of it is plain
-    monkeypatch.setattr(instances, "_plain_points", lambda block: pytest.fail("a plain block in a CR-only file"))
+    monkeypatch.setattr(instances, "_plain_lines", lambda *args: pytest.fail("a plain block in a CR-only file"))
     lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(40)]
     text = "\r".join(["40 2 0", *lines, "# queries", "1 1", "5 6"]) + "\r"
     for result in _outcomes(text, tmp_path / "inst.txt"):
@@ -488,11 +565,13 @@ def test_parse_of_a_cr_only_file_is_one_block(tmp_path, monkeypatch):
 
 def test_no_block_is_converted_after_a_bad_value(tmp_path, monkeypatch):
     # 64-byte chunks: once a block's bad value is held, every later block
-    # is only decoded and counted, and none goes through ``_plain_points``
+    # is only decoded and counted, and none goes through ``_plain_lines``
     monkeypatch.setattr(instances, "_CHUNK", 64)
     events = []  # ("plain" or "data", block), in call order
-    plain_points, block_data = instances._plain_points, instances._block_data
-    monkeypatch.setattr(instances, "_plain_points", lambda block: events.append(("plain", block)) or plain_points(block))
+    plain_lines, block_data = instances._plain_lines, instances._block_data
+    monkeypatch.setattr(
+        instances, "_plain_lines", lambda block, fields: events.append(("plain", block)) or plain_lines(block, fields)
+    )
     monkeypatch.setattr(
         instances, "_block_data", lambda block, *args: events.append(("data", block)) or block_data(block, *args)
     )

@@ -31,7 +31,7 @@ from maxdom.solver import (
     tree_layers,
 )
 
-from util import random_instance, small_instances, tie_instances
+from util import random_instance, reference_walk, small_instances, tie_instances
 
 
 def prepared(inst):
@@ -221,10 +221,11 @@ def test_tree_engine_matches_simple_dp_and_oracle(data):
 
 def assert_walk_covers_every_layer(inst, grid, tables, alone, k_eff):
     """At every budget up to ``k_eff``, the walk's picks off the same tables
-    cover that layer's optimum: the walk at budget k reads layers k - 1 down
-    to 0."""
+    are the full-scan reference's and cover that layer's optimum: the walk
+    at budget k reads layers k - 1 down to 0."""
     for k in range(1, k_eff + 1):
         sol = _solution(grid, tables, alone, k)
+        assert sol.chosen == reference_walk(grid, tables, alone, k)
         assert weight_of_dom(inst.P, [q for q in inst.Q if q.id in sol.chosen]) == sol.value
 
 
@@ -258,13 +259,29 @@ def test_both_engines_give_each_querys_weight_alone(inst, weight, data):
 
 
 def test_walk_picks_cover_every_layers_optimum():
-    # many small instances at k = m: an off-by-one in the walk's strips
-    # shows on about one in a hundred
+    # many small instances at k = m, off both engines' tables: an off-by-one
+    # in the walk's strips shows on about one in a hundred
     rng = SplitMix64(53)
     for _ in range(500):
         inst = random_instance(rng, max_n=30, max_m=8, span=10)
         grid = build_row_sums(build_grid(inst))
-        assert_walk_covers_every_layer(inst, grid, *dp_layers(replace(inst, k=inst.m), grid))
+        for engine in (dp_layers, tree_layers):
+            assert_walk_covers_every_layer(inst, grid, *engine(replace(inst, k=inst.m), grid))
+
+
+def test_walk_raises_where_no_pick_reaches_a_tables_value():
+    # the walk stops at the value the tables hold: one entry raised by 1,
+    # which no self-link or pick reaches, is an error, not a pick
+    rng = SplitMix64(29)
+    for _ in range(50):
+        inst = random_instance(rng, max_n=30, max_m=8, span=10, k=8)
+        grid = build_row_sums(build_grid(inst))
+        tables, alone, k_eff = tree_layers(inst, grid)
+        for layer in range(1, k_eff + 1):
+            raised = [list(t) for t in tables]
+            raised[layer][-1] += 1
+            with pytest.raises(RuntimeError, match=f"no pick reaches layer {layer}'s value"):
+                maxdom.solver._walk(grid, raised, alone, layer)
 
 
 def test_tree_engine_matches_simple_dp_on_every_family():

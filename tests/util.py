@@ -1,7 +1,7 @@
 """Shared builders for the test suite."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, lcm
 
 import hypothesis.strategies as st
@@ -124,6 +124,46 @@ def reference_oracle(inst: Instance, limit: int = 1_000_000) -> Solution:
             if value > best_value:
                 best, best_value = frozenset(q.id for q in combo), value
     return Solution(best, exact(best_value, scale))
+
+
+def reference_walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
+    """The ids of the picks along the optimal path from the sentinel, by a full scan of every
+    eligible j at each row: the reference that ``solver._walk`` must match pick for pick.
+
+    At row i the walk needs ``cov(i, j) = alone[j] - S_i(qx[j])``, with
+    ``S_i(x)`` the weight of strips i..m at rank x's up to x.  Its rows come
+    in decreasing i, so the per-rank weights of strips i..m are kept by
+    adding strips as i falls, and each row's ``S_i`` is one ``accumulate``
+    over them.  Ties resolve to the self-link first, which picks nothing,
+    then to the smallest j, so an all-zero optimum walks to the empty pick
+    set; the optimum value is independent of tie-breaking.
+    """
+    qx, per_row, stair = grid.qx, grid.per_row, grid.stair
+    last = len(qx) - 1
+    dense = [0] * qx[last]  # per rank x below the sentinel's, the weight of strips upto..m
+    below = [0] * qx[last]  # S_last: no strip
+    upto = last
+    ids = []
+    i = last
+    for layer in range(k_eff, 0, -1):
+        if upto != i:  # a self-link keeps i, and so its row
+            for strip in per_row[i - 1 : upto - 1]:
+                for x, w in strip:
+                    dense[x] += w
+            upto = i
+            below = list(accumulate(dense))
+        t_prev = tables[layer - 1]
+        xi = qx[i]
+        best, bj = t_prev[i], i
+        for j in range(1, i):
+            if qx[j] < xi:
+                v = t_prev[j] + alone[j] - below[qx[j]]
+                if v > best:
+                    best, bj = v, j
+        if bj != i:
+            ids.append(stair[bj - 1].id)
+            i = bj
+    return frozenset(ids)
 
 
 def exact_cells(grid: CellGrid) -> dict[CellKey, Fraction]:
