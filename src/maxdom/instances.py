@@ -14,25 +14,27 @@ shortest round-trip text, which reads back as exactly that decimal.
 
 The parser streams the file (``parse``) as bytes, a block of whole lines at
 a time (``_whole_lines``), straight into the columns of
-``model.PointColumns``.  A block is cut after the header line and where
-the point lines end (``_cut``), so that a piece lies wholly inside the
-point lines or wholly inside the query lines.  Such a piece that holds
-plain lines (integer tokens one space apart, three a point line and two a
-query line, as the serializer writes them) is converted in one go from its
-bytes, by one JSON scan (``_plain_lines``).  Any other piece is decoded,
-its blank and comment lines are dropped (``_block_data``) and its point and
-query lines are converted a batch at a time, a column at a time
-(``_batches``).  Each column starts as an int64
-``array('q')`` and takes whole converted batches; the first batch it cannot
-take (a decimal, or an int beyond int64) turns that column alone into a
-list.  The generators build the same columns and the serializer writes from
-them, so none of the three builds a per-point object.
+``model.PointColumns``.  The block that holds the header is cut after the
+header's line (``_header_end``).  Each later piece whose lines all fall
+within the data lines is tried as plain lines (integer tokens one space
+apart, three a point line and two a query line, as the serializer writes
+them): keyed by how many point lines are still due and how many query
+lines follow, it is checked and converted in one go from its bytes, by one
+JSON scan (``_plain_lines``).  Any other piece is decoded, its blank and
+comment lines are dropped (``_block_data``) and its point and query lines
+are converted a batch at a time, a column at a time (``_batches``).  Each
+column starts as an int64 ``array('q')`` and takes whole converted
+batches; the first batch it cannot take (a decimal, or an int beyond
+int64) turns that column alone into a list.  The generators build the
+same columns and the serializer writes from them, so none of the three
+builds a per-point object.
 
 ``point_ranges`` and ``point_batches`` let ``maxdom solve`` parse a large
-file's point lines in parts: the header and the queries are read from the
-file's head and tail, and each byte range of point lines goes through the
-same blocks and the same per-block conversion as ``parse`` (``_block``),
-which hands its batches to the caller instead of keeping them.
+file's point lines in parts: the header is found in the file's head as
+``parse`` finds it (``_read_header``) and the queries are read from its
+tail, and each byte range of point lines goes through the same blocks and
+the same per-block conversion as ``parse``, tried as plain point lines
+alone, which hands its batches to the caller instead of keeping them.
 
 The serializer writes a file a block of ``_BATCH`` point lines at a time
 (``serialize_blocks``), as UTF-8 with ``"\\n"`` line ends on every platform.
@@ -159,36 +161,17 @@ def _whole_lines(pieces: Iterable[bytes]) -> Iterator[bytes]:
         yield rest
 
 
-def _cut(block: bytes, newlines: int, lines: int) -> tuple[bytes, int, bytes, int]:
-    """``(head, its newlines, rest, its newlines)``: ``block``, of ``newlines`` newlines, cut after its ``lines``-th.
-
-    Where no newline follows the ``lines``-th, the head is all of ``block``
-    and the rest is empty.  ``_parse`` cuts a block after the header line
-    (``_header_lines``) and where the point lines end, so that the point
-    lines and the query lines may each be plain.  The cut falls after a
-    ``"\\n"``, as a block's end does, so the lines of the two pieces are the
-    block's.
-    """
-    if not 0 < lines < newlines:
-        return block, newlines, b"", 0
-    cut = 0
-    for _ in range(lines):
-        cut = block.index(b"\n", cut) + 1
-    return block[:cut], lines, block[cut:], newlines - lines
-
-
-def _header_lines(block: bytes) -> int:
-    """The newlines of ``block`` up to the one that ends its first data line, the header; 0 where none does.
+def _header_end(block: bytes) -> int:
+    """The byte after the ``"\\n"``-ended piece of ``block`` that holds its header, its first data line; 0 if none does.
 
     Each ``"\\n"``-ended piece is decoded on its own and split as
     ``str.splitlines`` splits it, so a header after a ``"\\r"`` in the same
     piece is found, and the piece goes before the cut whole.
     """
-    start = lines = 0
+    start = 0
     while end := block.find(b"\n", start) + 1:
-        lines += 1
         if any(map(_is_data, block[start:end].decode().splitlines())):
-            return lines
+            return end
         start = end
     return 0
 
@@ -267,59 +250,44 @@ def _rows(lines: list[str], line_nos: Sequence[int], fields: int) -> list[list]:
     return cols
 
 
-def _block(block: bytes, line_base: int, fields: int) -> tuple[tuple | None, list[str], Sequence[int], int]:
-    """``(batch, data, line_nos, count)`` for a block of whole lines numbered on after ``line_base``.
-
-    Where ``fields`` is 3 or 2 and the block holds plain lines of that many
-    fields, ``batch`` is their columns (``_plain_lines``) and ``data`` is
-    empty; otherwise ``batch`` is None and ``data`` and ``line_nos`` are the
-    block's data lines (``_block_data``).  ``count`` is the number of lines
-    in the block.
-    """
-    batch = _plain_lines(block, fields) if fields else None
-    if batch is None:
-        return None, *_block_data(block, line_base)
-    return batch, [], (), len(batch[0])
-
-
 def _parse(f) -> Instance:
     """Parse the instance file open for binary reading as ``f``; see ``parse``.
 
-    Each block is cut into pieces (``_cut``): while the header is unread,
-    after the header line (``_header_lines``), and then where the point
-    lines end.  A piece that lies wholly inside the point lines, or wholly
-    inside the query lines, is tried as plain lines of 3 or 2 fields.
-    Every block is read before an error is raised, so an undecodable byte
-    anywhere in the file wins.  A wrong header or data-line count is
-    reported in preference to a malformed line, so the first conversion
-    error is held until the whole file has been counted.  Once an error is
-    held, no later piece is converted: each is only decoded and, after a
-    bad value, its data lines counted.
+    While the header is unread, a block is cut after the header's piece
+    (``_header_end``).  Every later piece whose lines all fall within the
+    n + m data lines is tried as plain lines (``_plain_lines``): as many
+    point lines as are still due, the rest query lines.  Any other piece
+    takes the line path (``_block_data``, ``_batches``).  Every block is
+    read before an error is raised, so an undecodable byte anywhere in the
+    file wins.  A wrong header or data-line count is reported in preference
+    to a malformed line, so the first conversion error is held until the
+    whole file has been counted.  Once an error is held, no later piece is
+    converted: each is only decoded and, after a bad value, its data lines
+    counted.
     """
     cols = array("q"), array("q"), array("q")
     queries = []
-    n = m = -1  # until the header is read
+    n = m = -1  # until the header is read, so that no piece is tried as plain
     error = first_bad = None  # error: a bad header or an extra line; first_bad: a bad value
     count = 0  # data lines after the header
     line_base = 0  # lines in the blocks before this one
     last_no = 0  # line number of the last data line
-    for rest in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
-        newlines = rest.count(b"\n")
-        while rest:
-            cut = n - count if n >= 0 else _header_lines(rest) if error is None else 0
-            block, ends, rest, newlines = _cut(rest, newlines, cut)
-            fields = 0  # the plain lines to try the piece as: none, points (3) or queries (2)
-            if error is None and first_bad is None and n >= 0:
-                fields = 3 if count + ends <= n else 2 if n <= count and count + ends <= n + m else 0
-            batch, data, line_nos, lines = _block(block, line_base, fields)
-            line_base += lines
-            if batch is not None:
-                if fields == 3:
-                    cols = tuple(map(_append, cols, batch))
-                else:
-                    queries += zip(*batch)
+    for block in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
+        cut = _header_end(block) if n < 0 and error is None else 0
+        for piece in filter(None, (block[:cut], block[cut:])):
+            lines = piece.count(b"\n")
+            plain = None
+            if error is None and first_bad is None and count + lines <= n + m:
+                points = min(lines, max(0, n - count))
+                plain = _plain_lines(piece, points, lines - points)
+            if plain is not None:
+                cols = tuple(map(_append, cols, plain[:3]))
+                queries += zip(*plain[3:])
                 count += lines
-                last_no = line_base
+                line_base = last_no = line_base + lines
+                continue
+            data, line_nos, lines = _block_data(piece, line_base)
+            line_base += lines
             if not data or error is not None:
                 continue
             last_no = line_nos[-1]
@@ -394,18 +362,17 @@ def parse(path) -> Instance:
     The file is read as bytes, ``_CHUNK`` at a time, each chunk cut after
     its last newline into a block of whole lines (``_whole_lines``), as a
     split part reads its range (``point_batches``).  The block that holds
-    the header is cut after the header line, and the block that runs past
-    the point lines after their last newline (``_cut``), as a chunk could
-    have been cut.  A piece that lies wholly inside the point lines, or
-    wholly inside the query lines, and holds plain lines of three or two
-    integers is converted in one go from its bytes (``_plain_lines``).  Any
-    other piece, such as the header line or one that holds a comment, a
-    blank line or a decimal, is decoded on its own as UTF-8, whatever the
-    locale, its blank and comment lines are skipped and its data lines
-    converted a batch at a time (``_batches``).  The point values go
-    straight into the x, y and w columns.  So the
-    parser never holds the file text or a string per line beside the
-    columns: its peak is the finished instance plus one chunk and one
+    the header is cut after the header's line (``_header_end``).  Each
+    later piece whose lines all fall within the n + m data lines, and that
+    holds plain lines of integers, three a point line for as many point
+    lines as are still due and then two a query line, is converted in one
+    go from its bytes (``_plain_lines``).  Any other piece, such as the
+    header's or one that holds a comment, a blank line, a decimal or the
+    file's last line without its newline, is decoded on its own as UTF-8,
+    whatever the locale, its blank and comment lines are skipped and its
+    data lines converted a batch at a time (``_batches``).  The point
+    values go straight into the x, y and w columns.  So the parser never
+    holds the file text or a string per line beside the columns: its peak is the finished instance plus one chunk and one
     block's values, and, for a column that a decimal or a beyond-int64
     value made a list, that list.  Values and ``ParseError``s are those of
     parsing the whole text at once, with ``str.splitlines``' line breaks.
@@ -424,20 +391,17 @@ _TAIL_BYTES_PER_QUERY = 64
 
 
 def _read_header(f) -> tuple[tuple[int, int, int], int]:
-    """``((n, m, k), end)`` off the lines of the binary file ``f`` up to its header, ``end`` the byte after it.
+    """``((n, m, k), end)`` off the first ``_CHUNK`` bytes of the binary file ``f``, ``end`` the byte after the header's piece.
 
-    A bad header, or none within the first ``_CHUNK`` bytes, raises ``ParseError`` (``parse`` names the line).
+    The header is found as ``parse`` finds it (``_header_end``).  A bad
+    header, or none within those bytes, raises ``ParseError``.
     """
-    end = 0
-    while True:
-        raw = f.readline(_CHUNK - end)
-        if not raw.endswith(b"\n"):  # the file or its first ``_CHUNK`` bytes end first
-            raise ParseError(0, "no header line within the first chunk")
-        # ``parse``'s lines: ``str.splitlines`` also breaks at "\r" and a few other characters
-        for line in raw.decode().splitlines(True):
-            end += len(line.encode())
-            if _is_data(line):
-                return _header(line, 0), end
+    head = f.read(_CHUNK)
+    end = _header_end(head)
+    data, line_nos, _ = _block_data(head[:end], 0)
+    if not data:
+        raise ParseError(0, "no header line within the first chunk")
+    return _header(data[0], line_nos[0]), end
 
 
 def point_ranges(path, parts: int):
@@ -453,8 +417,8 @@ def point_ranges(path, parts: int):
     at most ``parts`` ``(start, stop)`` ranges of about equal size.  None
     where the file, or its point lines, are smaller than ``SPLIT_MIN_BYTES``
     or anything above does not hold (a bad header or query line raises
-    ``ParseError``, its line number not the file's); ``parse`` then reads
-    the file whole and reports what is wrong.
+    ``ParseError``, a query line's number not the file's); ``parse`` then
+    reads the file whole and reports what is wrong.
     Whether the ranges hold n point lines is for their parser to count
     (``point_batches``).
     """
@@ -491,10 +455,12 @@ def point_ranges(path, parts: int):
 def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
     """The x, y and w values of the point lines in bytes ``[start, stop)`` of a file, a batch at a time.
 
-    The range must start and end at line starts.  It is read and converted
-    block by block as ``parse`` reads a file (``_whole_lines``, ``_block``),
-    except that every data line is a point line: the first malformed one
-    raises ``ParseError``, with line numbers counted from the range's start.
+    The range must start and end at line starts.  It is read block by
+    block as ``parse`` reads a file (``_whole_lines``), and each block is
+    tried as plain point lines alone (``_plain_lines``) or else takes
+    ``parse``'s line path, where every data line is a point line: the first
+    malformed one raises ``ParseError``, with line numbers counted from the
+    range's start.
     The batches hold every point line once, so their lengths add up to the
     range's data-line count.
     """
@@ -503,42 +469,48 @@ def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
         f.seek(start)
         pieces = (f.read(min(_CHUNK, stop - at)) for at in range(start, stop, _CHUNK))
         for block in _whole_lines(pieces):
-            batch, data, line_nos, count = _block(block, line_base, 3)
-            yield from _batches(data, line_nos) if batch is None else (batch,)
-            line_base += count
+            lines = block.count(b"\n")
+            plain = _plain_lines(block, lines, 0)
+            if plain is None:
+                data, line_nos, lines = _block_data(block, line_base)
+                yield from _batches(data, line_nos)
+            else:
+                yield plain[:3]
+            line_base += lines
 
 
 # Turns a plain block's spaces and newlines into the commas of a JSON array.
 _COMMAS = bytes.maketrans(b" \n", b",,")
 
 
-def _plain_lines(block: bytes, fields: int) -> tuple[list, ...] | None:
-    """The ``fields`` columns of a block of plain lines, or None where it holds anything else.
+def _plain_lines(block: bytes, points: int, queries: int) -> tuple[list, ...] | None:
+    """The columns x, y, w of ``points`` plain point lines and x, y of ``queries`` query lines after them, or None.
 
-    Plain lines are ``fields`` tokens of digits and ``-``, one space apart,
-    each line ended by ``"\\n"``, and every token a JSON integer: an
-    optional minus sign and digits without a leading zero.  Point lines
-    have 3 fields and query lines 2.  The block is checked and converted by
-    C-level calls over its bytes alone: with the digits and minus signs
-    deleted it must be ``fields - 1`` spaces and a newline once per line,
-    and with its spaces and newlines turned into commas it must read as
-    one JSON array of ``fields`` numbers a line (a last line without its
-    newline adds tokens).  Such a block is neither decoded into line
-    strings nor split into tokens.  Every token JSON reads, ``int`` reads
-    as the same value; the tokens it refuses go to the caller's
-    line-by-line path, which reads ``007`` as ``int`` does and names the
-    line of ``5-3``.
+    ``block`` must be exactly those lines.  Plain lines are integer tokens
+    of digits and ``-``, one space apart, three a point line and two a
+    query line, each line ended by ``"\\n"``, and every token a JSON
+    integer: an optional minus sign and digits without a leading zero.
+    The block is checked and converted by three C-level steps over its
+    bytes alone: with the digits and minus signs deleted it must be
+    ``"  \\n"`` once per point line and then ``" \\n"`` once per query line;
+    with its spaces and newlines turned into commas it must read as one
+    JSON array of that many numbers (a last line without its newline adds
+    tokens); and the values are split at ``3 * points``.  Such a block is
+    neither decoded into line strings nor split into tokens.  Every token
+    JSON reads, ``int`` reads as the same value; the tokens it refuses go
+    to the caller's line path, which reads ``007`` as ``int`` does and
+    names the line of ``5-3``.
     """
-    lines = block.count(b"\n")
-    if block.translate(None, b"0123456789-") != (b" " * (fields - 1) + b"\n") * lines:
+    if block.translate(None, b"0123456789-") != b"  \n" * points + b" \n" * queries:
         return None
     try:
         values = json.loads(b"[" + block.rstrip(b"\n").translate(_COMMAS) + b"]")
     except ValueError:  # ``007``, ``5-3``, ``-``, ``--1``, or a token over ``int``'s digit limit
         return None
-    if len(values) != fields * lines:
+    cut = 3 * points
+    if len(values) != cut + 2 * queries:
         return None
-    return tuple(values[i::fields] for i in range(fields))
+    return values[0:cut:3], values[1:cut:3], values[2:cut:3], values[cut::2], values[cut + 1 :: 2]
 
 
 def decimal_text(value) -> str:

@@ -337,7 +337,9 @@ def _outcome(parser, text):
         return ("error", exc.line_no, str(exc))
 
 
-CHUNKS = (instances._CHUNK, 1, 7)  # tiny chunks cut lines, tokens and CRLF pairs apart
+# tiny chunks cut lines, tokens and CRLF pairs apart; 64-byte ones make plain
+# blocks that straddle the header, point and query boundaries
+CHUNKS = (instances._CHUNK, 1, 7, 64)
 BATCHES = (instances._BATCH, 1, 3)  # small batches put a bad line in a later batch
 
 
@@ -379,19 +381,36 @@ def test_parse_matches_line_by_line(tmp_path_factory, inst, data):
 PLAIN_LOOKING = ["007", "-007", "00", "-0", "5-3", "--1", "-", "1-", "9" * 19, "1" * 4301]
 
 
+POINT_ROWS = [["1", "2", "3"], ["3", "-4", "5"], ["-6", "0", "8"]]
+QUERY_ROWS = [["9", "2"], ["3", "-4"], ["-6", "0"]]
+
+
 @pytest.mark.parametrize("token", PLAIN_LOOKING, ids=lambda token: token[:20])
 def test_plain_points_reads_each_token_as_int_or_declines_the_block(token):
-    for fields in (3, 2):  # point lines and query lines
-        for at in range(fields):
-            toks = ["3", "-4", "5"][:fields]
-            toks[at] = token
-            rows = [["1", "2", "3"][:fields], toks, ["-6", "0", "8"][:fields]]
-            found = instances._plain_lines(b"".join(" ".join(row).encode() + b"\n" for row in rows), fields)
-            try:
-                expected = tuple([int(row[i]) for row in rows] for i in range(fields))
-            except ValueError:  # ``int`` refuses it: so must the block
-                expected = None
-            assert found is None or found == expected, (token[:20], fields, at)
+    # point lines alone, query lines alone, and point lines followed by query lines
+    for points, queries in ((3, 0), (0, 3), (3, 3)):
+        for i in range(points + queries):
+            for at in range(3 if i < points else 2):
+                rows = [row[:] for row in POINT_ROWS[:points] + QUERY_ROWS[:queries]]
+                rows[i][at] = token
+                block = b"".join(" ".join(row).encode() + b"\n" for row in rows)
+                found = instances._plain_lines(block, points, queries)
+                try:
+                    values = [[int(tok) for tok in row] for row in rows]
+                except ValueError:  # ``int`` refuses it: so must the block
+                    expected = None
+                else:
+                    expected = (*([row[j] for row in values[:points]] for j in range(3)),
+                                *([row[j] for row in values[points:]] for j in range(2)))
+                assert found is None or found == expected, (token[:20], points, queries, i, at)
+
+
+def test_plain_lines_are_keyed_by_their_point_and_query_counts():
+    block = b"1 2 3\n4 5 6\n7 8\n"
+    assert instances._plain_lines(block, 2, 1) == ([1, 4], [2, 5], [3, 6], [7], [8])
+    for points, queries in ((3, 0), (1, 2), (2, 0), (2, 2)):
+        assert instances._plain_lines(block, points, queries) is None
+    assert instances._plain_lines(block + b"9", 2, 1) is None  # a last line without its newline
 
 
 def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
@@ -420,12 +439,12 @@ def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
 
 
 def _spy_plain(monkeypatch) -> list:
-    """The ``(block, fields, plain)`` of every later ``_plain_lines`` call, in call order."""
+    """The ``(block, points, queries, plain)`` of every later ``_plain_lines`` call, in call order."""
     calls, plain_lines = [], instances._plain_lines
 
-    def spy(block, fields):
-        found = plain_lines(block, fields)
-        calls.append((block, fields, found is not None))
+    def spy(block, points, queries):
+        found = plain_lines(block, points, queries)
+        calls.append((block, points, queries, found is not None))
         return found
 
     monkeypatch.setattr(instances, "_plain_lines", spy)
@@ -433,12 +452,12 @@ def _spy_plain(monkeypatch) -> list:
 
 
 def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
-    # 64-byte chunks: the first block is cut after the header line, and the
-    # block that runs past the point lines where they end; every piece after
-    # the header line goes through ``_plain_lines``, as point lines up to
-    # that cut and as query lines after it; only the header line and the
-    # note's block are decoded, and only the note's block goes through
-    # ``_batches``
+    # 64-byte chunks: the first block is cut after the header line; every
+    # later block goes through ``_plain_lines`` whole, keyed by the point
+    # lines still due and the query lines after them, so the block that
+    # holds the last point lines and the first query lines is one plain
+    # call; only the header line and the note's block are decoded, and only
+    # the note's block goes through ``_batches``
     monkeypatch.setattr(instances, "_CHUNK", 64)
     fallbacks, batches = [], instances._batches
     calls = _spy_plain(monkeypatch)
@@ -459,52 +478,71 @@ def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
     data = text.encode()
     blocks = list(instances._whole_lines(data[i : i + 64] for i in range(0, len(data), 64)))
     head = blocks[0].index(b"\n") + 1
-    at = next(i for i, b in enumerate(blocks) if b"\n1 1\n" in b)  # the queries' block, after point lines
-    cut = blocks[at].index(b"\n1 1\n") + 1
-    pieces = [blocks[0][:head], blocks[0][head:], *blocks[1:at], blocks[at][:cut], blocks[at][cut:], *blocks[at + 1 :]]
-    queries = pieces.index(blocks[at][cut:])
-    assert calls == [(b, 3 if i < queries else 2, b"#" not in b) for i, b in enumerate(pieces) if i]
-    assert queries > 5 and calls[-1][1:] == (2, True)
-    mixed = [b for i, b in enumerate(pieces) if not i or b"#" in b]  # the header line's and the note's
+    expected, count = [], 0  # count: the data lines before each block
+    for block in [blocks[0][head:], *blocks[1:]]:
+        lines_in = block.count(b"\n")
+        points = min(lines_in, max(0, 59 - count))
+        expected.append((block, points, lines_in - points, b"#" not in block))
+        count += lines_in - block.count(b"#")
+    assert calls == expected and len(calls) > 5
+    [straddle] = [call for call in calls if call[1] and call[2]]
+    assert b"\n1 1\n" in straddle[0] and straddle[3] and calls[-1][3]
+    mixed = [blocks[0][:head], *(b for b, *_ in calls if b"#" in b)]  # the header line's and the note's
     assert len(mixed) == 2
     assert sorted(fallbacks) == sorted(line for line in mixed[1].decode().splitlines() if line != "# note")
     lines[45] = "5-3 1 1"  # the 47th line of the file, after plain blocks
     _, found = parsed()
     assert found[:2] == ("error", 47) and "'5-3'" in found[2]
-    assert "5-3 1 1" in fallbacks and any(b"5-3" in b for b, _, _ in calls)
+    assert "5-3 1 1" in fallbacks and any(b"5-3" in b for b, *_ in calls)
 
 
 @pytest.mark.parametrize("gap", ["# queries", "", "  "])
 def test_parse_cuts_the_queries_block_before_a_comment_or_blank_line(tmp_path, monkeypatch, gap):
-    # 64-byte chunks: the last point lines, cut from the block that holds
-    # the queries, are plain; the gap line goes with the queries, whose
-    # piece is then not
+    # 64-byte chunks: no block is cut where the point lines end; the block
+    # that holds the gap line, with the last point lines and the queries,
+    # takes the line path whole, and every block before it is plain
     monkeypatch.setattr(instances, "_CHUNK", 64)
     calls = _spy_plain(monkeypatch)
+    decoded, block_data = [], instances._block_data
+    monkeypatch.setattr(
+        instances, "_block_data", lambda block, *args: decoded.append(block) or block_data(block, *args)
+    )
     lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(40)]
     text = "\n".join(["40 2 0", *lines, gap, "1 1", "5 6"]) + "\n"
     path = tmp_path / "inst.txt"
     path.write_bytes(text.encode())
     assert _outcome(parse, path) == _parse_line_by_line(text)
-    last = [b for b, fields, _ in calls if fields == 3][-1]
-    assert last.endswith(b"\n39 78 1\n") and instances._plain_lines(last, 3)[0][-1] == 39
-    assert not any(plain for _, fields, plain in calls if fields == 2)
+    gap_block = decoded[-1]
+    assert f"39 78 1\n{gap}\n1 1\n".encode() in gap_block  # the last point line, the gap and the queries
+    assert gap_block.endswith(b"\n5 6\n") and len(decoded) == 2  # the header line's, then the gap's
+    # with the gap line it holds one line more than the data lines still due, so it is not tried as plain
+    assert calls and all(plain for *_, plain in calls) and gap_block not in [block for block, *_ in calls]
     for result in _outcomes(text, path):
         assert result == _parse_line_by_line(text)
 
 
 def test_parse_converts_plain_query_lines_after_a_commented_header(tmp_path, monkeypatch):
     # a small file is one block, cut after the header line, which follows
-    # comment and blank lines, and after the last point line: the point
-    # lines and the query lines are each one plain piece
+    # comment and blank lines: the point lines and the query lines are one
+    # plain piece, keyed by 3 point lines and 2 query lines
     calls = _spy_plain(monkeypatch)
     text = "# made by hand\n\n  \n# n m k\n3 2 1\n0 0 1\n2 3 -4\n5 5 5\n1 1\n5 6\n"
     path = tmp_path / "inst.txt"
     path.write_bytes(text.encode())
     assert _outcome(parse, path) == _parse_line_by_line(text)
-    assert calls == [(b"0 0 1\n2 3 -4\n5 5 5\n", 3, True), (b"1 1\n5 6\n", 2, True)]
+    assert calls == [(b"0 0 1\n2 3 -4\n5 5 5\n1 1\n5 6\n", 3, 2, True)]
     for result in _outcomes(text, path):
         assert result == _parse_line_by_line(text)
+
+
+def test_an_m_heavy_parse_is_one_plain_call(tmp_path, monkeypatch):
+    # the header line is decoded; its 500 point lines and 512 query lines are one plain piece
+    calls = _spy_plain(monkeypatch)
+    inst = generate(GeneratorSpec("uniform", n=500, m=512, k=16, seed=1))
+    path = tmp_path / "inst.txt"
+    serialize(inst, path)
+    assert parse(path) == inst
+    assert [call[1:] for call in calls] == [(500, 512, True)]
 
 
 POINTS = "3 2 1\n0 0 1\n2 3 -4\n5 5 5\n"
@@ -531,8 +569,8 @@ def test_query_lines_that_are_not_plain_parse_line_by_line(tmp_path, monkeypatch
     path = tmp_path / "inst.txt"
     path.write_bytes(text.encode())
     assert _outcome(parse, path) == _outcome(_parse_line_by_line, text)
-    assert any(odd in block for block in decoded)
-    assert not any(plain and odd in block for block, _, plain in calls)
+    assert decoded[0] == b"3 2 1\n" and any(odd in block for block in decoded[1:])
+    assert not any(plain and odd in block for block, *_, plain in calls)
     for result in _outcomes(text, path):
         assert result == _outcome(_parse_line_by_line, text)
 
@@ -570,7 +608,7 @@ def test_no_block_is_converted_after_a_bad_value(tmp_path, monkeypatch):
     events = []  # ("plain" or "data", block), in call order
     plain_lines, block_data = instances._plain_lines, instances._block_data
     monkeypatch.setattr(
-        instances, "_plain_lines", lambda block, fields: events.append(("plain", block)) or plain_lines(block, fields)
+        instances, "_plain_lines", lambda block, *args: events.append(("plain", block)) or plain_lines(block, *args)
     )
     monkeypatch.setattr(
         instances, "_block_data", lambda block, *args: events.append(("data", block)) or block_data(block, *args)

@@ -280,9 +280,14 @@ def test_a_process_with_other_threads_is_not_forked(tmp_path, monkeypatch):
     assert not waiter.is_alive()
 
 
-@pytest.mark.parametrize("head, splits", [("", True), ("# note\r", True), ("#" * 70 + "\n", False)])
+@pytest.mark.parametrize(
+    "head, splits",
+    [("", True), ("# note\r", True), ("#" * 70 + "\n", False), ("\n  \n", True), ("# crlf\r\n", True)],
+)
 def test_the_header_is_read_from_the_first_chunk(tmp_path, monkeypatch, head, splits):
-    # A lone "\r" ends a line for ``parse``; a header past ``_CHUNK`` bytes is left to ``parse``.
+    # The header is found as ``parse`` finds it: a lone "\r" ends a line, and
+    # blank and comment lines, "\r\n"-ended too, come before it; a header
+    # past ``_CHUNK`` bytes is left to ``parse``.
     path = _big_file(tmp_path)
     path.write_bytes(head.encode() + path.read_bytes())
     monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
