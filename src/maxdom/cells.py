@@ -8,8 +8,10 @@ weight stands for all of its points: the non-empty cells are the compressed
 ground set, with at most min(n, m^2) entries.
 
 ``build_grid`` sums the points' int weights (``PointColumns.int_weights``)
-over slices of the point columns, and ``sum_batches`` over batches of parsed
-points that are not kept; both run ``_sum_cells``.  A cell is named by its
+over slices of the point columns by ``_sum_cells``, which each part of a
+split solve also runs over its batches of parsed points, under one
+staircase sorted before the parts start; ``add_parts`` adds the parts' cell
+sums into the grid that ``build_grid`` gives the whole.  A cell is named by its
 strip and by the rank x (``CellGrid.qx``, as in ``rank_transform``) of the
 query at its right edge, the leftmost query above the strip that covers it,
 so an instance gridded in its own coordinates and its rank-normalized form
@@ -159,29 +161,22 @@ def build_grid(inst: Instance) -> CellGrid:
     return CellGrid(per_row, retained, scale, stair, qx)
 
 
-def sum_batches(queries: Instance, batches) -> tuple[tuple, int, int]:
-    """``(per_row, retained, count)`` of ``build_grid`` over ``(xs, ys, ws)`` int-weight batches, not kept."""
-    stair = y_sorted_queries(queries)
-    return _sum_cells(stair, _x_ranks(stair), batches)
+def add_parts(stair, qx, parts) -> CellGrid:
+    """The grid under ``stair`` and its rank x's ``qx`` of a ground set in parts, from each part's ``_sum_cells``.
 
-
-def add_parts(inst: Instance, parts) -> CellGrid:
-    """The grid of ``inst``'s queries over a ground set in parts, from each part's ``(per_row, retained)``.
-
-    ``parts`` holds those two fields of ``sum_batches`` over each part of
-    the int-weight points; the result equals ``build_grid`` of all of them.
+    ``parts`` holds ``_sum_cells(stair, qx, ...)`` over each part of the
+    int-weight points; the result equals ``build_grid`` of all of them.
     """
     per_row = []
-    for rows in zip(*(part_rows for part_rows, _ in parts)):
+    for rows in zip(*(part_rows for part_rows, _, _ in parts)):
         sums: dict[int, int] = {}
         get = sums.get
         for row in rows:
             for col, w in row:
                 sums[col] = get(col, 0) + w
         per_row.append(tuple(sorted(sums.items())))
-    retained = sum(part_retained for _, part_retained in parts)
-    stair = y_sorted_queries(inst)
-    return CellGrid(tuple(per_row), retained, stair=stair, qx=_x_ranks(stair))
+    retained = sum(part_retained for _, part_retained, _ in parts)
+    return CellGrid(tuple(per_row), retained, stair=stair, qx=qx)
 
 
 def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:

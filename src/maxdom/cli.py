@@ -53,24 +53,24 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
-def _peak_rss_mb(children: bool = False) -> float | None:
-    """Peak resident memory so far in MB, or None where it cannot be read.
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident memory so far in MB, or None where it cannot be read.
 
-    This process's, from ``VmHWM`` in ``/proc/self/status`` where that
-    exists, since Linux's ``ru_maxrss`` keeps the peak of the process that
-    exec'd this one, and else from ``getrusage``; with ``children``, the
-    largest of its reaped child processes' (0 if none), from ``getrusage``.
+    From ``VmHWM`` in ``/proc/self/status`` where that exists, since Linux's
+    ``ru_maxrss`` keeps the peak of the process that exec'd this one, and
+    else from ``getrusage``.  The parts that a split solve forks report
+    their own peaks when they are reaped (``grid_parts``).
     """
-    if not children:
-        with suppress(OSError), open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return round(int(line.split()[1]) / 1024, 1)  # in kB
-    if resource is None:
-        return None
-    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
-    peak = resource.getrusage(who).ru_maxrss  # bytes on macOS, KiB elsewhere
-    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+    with suppress(OSError), open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return round(int(line.split()[1]) / 1024, 1)  # in kB
+    return None if resource is None else _mb(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _mb(maxrss: int) -> float:
+    """A ``ru_maxrss`` value in MB: bytes on macOS, KiB elsewhere."""
+    return round(maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
 def cmd_solve(args) -> int:
@@ -79,10 +79,10 @@ def cmd_solve(args) -> int:
         _price_header(args.path, args.k)
     split = grid_parts(args.path) if args.algo == "dp" else None
     if split is None:
-        inst, parts = parse(args.path), None
-        n = inst.n
+        inst = parse(args.path)
+        n, grid, peaks = inst.n, None, ()
     else:
-        n, inst, parts = split  # inst: the queries and the file's k, with no points
+        n, inst, grid, peaks = split  # inst: the queries and the file's k, with no points
     inst = _with_k(inst, args)
     t1 = perf_counter()
     if args.algo == "oracle":
@@ -90,7 +90,7 @@ def cmd_solve(args) -> int:
         stages = {"oracle": perf_counter() - t1}
         retained = cells = compressed_size = dp_pairs = engine = estimates = None
     else:
-        res = run_pipeline(inst, parts=parts)
+        res = run_pipeline(inst, grid=grid)
         sol, stages = res.solution, res.stage_seconds
         retained, cells, compressed_size = res.retained, res.cells, res.compressed_size
         dp_pairs = res.dp_pairs
@@ -113,9 +113,9 @@ def cmd_solve(args) -> int:
         "estimates_s": estimates,
         "stages": {s: round(t, 6) for s, t in {"parse": t1 - t0, **stages}.items()},
         "total_seconds": round(total, 6),
-        "parts": 1 if parts is None else len(parts),  # processes that parsed and gridded the points
+        "parts": len(peaks) + 1,  # processes that parsed and gridded the points
         "peak_rss_mb": _peak_rss_mb(),
-        "peak_rss_children_mb": _peak_rss_mb(children=True),
+        "peak_rss_children_mb": max(map(_mb, peaks), default=None),
     }
     print(_dumps(record))
     return 0

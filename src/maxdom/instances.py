@@ -31,10 +31,11 @@ builds a per-point object.
 
 ``point_ranges`` and ``point_batches`` let ``maxdom solve`` parse a large
 file's point lines in parts: the header is found in the file's head as
-``parse`` finds it (``_read_header``) and the queries are read from its
-tail, and each byte range of point lines goes through the same blocks and
-the same per-block conversion as ``parse``, tried as plain point lines
-alone, which hands its batches to the caller instead of keeping them.
+``parse`` finds it (``_read_header``), the queries are read from its tail
+by ``_parse`` itself, and each byte range of point lines goes through the
+same blocks and the same per-block conversion as ``parse``, tried as plain
+point lines alone, which hands its batches to the caller instead of
+keeping them.
 
 The serializer writes a file a block of ``_BATCH`` point lines at a time
 (``serialize_blocks``), as UTF-8 with ``"\\n"`` line ends on every platform.
@@ -408,17 +409,17 @@ def point_ranges(path, parts: int):
     """``(n, queries, ranges)`` for parsing the point lines of an all-plain file in parts, or None.
 
     The header is read from the head of the file (``_read_header``) and the
-    queries from its tail: the last m lines, which must all be query lines,
-    each with two numbers, the last one with or without a final newline;
-    they are converted by ``parse``'s batch converter (``_batches``).
-    ``queries`` is the instance of those queries with no points and the
-    file's budget k.  The bytes between the header line and the first query
-    line, which should hold the n point lines, are cut after a newline into
-    at most ``parts`` ``(start, stop)`` ranges of about equal size.  None
-    where the file, or its point lines, are smaller than ``SPLIT_MIN_BYTES``
-    or anything above does not hold (a bad header or query line raises
-    ``ParseError``, a query line's number not the file's); ``parse`` then
-    reads the file whole and reports what is wrong.
+    queries from its tail: the last m ``"\\n"``-ended lines, the last one
+    with or without its newline, which ``_parse`` reads as a file of 0
+    points and m query lines under the file's budget k.  ``queries`` is the
+    instance it returns.  The bytes between the header line and the first
+    query line, which should hold the n point lines, are cut after a newline
+    into at most ``parts`` ``(start, stop)`` ranges of about equal size.
+    None where the file, or its point lines, are smaller than
+    ``SPLIT_MIN_BYTES`` or the tail read back (``_TAIL_BYTES_PER_QUERY``
+    per query) holds fewer than m lines; a bad header, or a tail that is
+    not m query lines, raises (``ParseError``, its line number not the
+    file's).  ``parse`` then reads the file whole and reports what is wrong.
     Whether the ranges hold n point lines is for their parser to count
     (``point_batches``).
     """
@@ -435,11 +436,7 @@ def point_ranges(path, parts: int):
             if cut < 0:
                 return None
         tail = tail[cut + 1 :]
-        lines = tail.decode().splitlines()
-        if len(lines) != m:
-            return None
-        rows = [row for batch in _batches(lines, [0] * m, 2) for row in zip(*batch)]
-        queries = Instance.from_columns((), (), (), rows, k)
+        queries = _parse(io.BytesIO(b"0 %d %d\n" % (m, k) + tail))
         stop = size - len(tail)
         if stop - start < max(SPLIT_MIN_BYTES, 1):
             return None

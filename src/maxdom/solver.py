@@ -9,8 +9,9 @@ reaches the same cell sums the ranked way (rank every point and grid in rank
 space, where the grid skips the uncovered points) and runs the same DP;
 ``verify`` and the tests compare the pipeline against it.  ``maxdom solve``
 of a large file whose weights are all ints parses and grids its point lines
-in parts, one process per CPU (``grid_parts``), and hands the parts' cells
-to the same pipeline.
+in parts, one process per CPU, under one staircase sorted before the parts
+start, and adds the parts' cells into the grid (``grid_parts``) that it
+hands to the same pipeline.
 
 The DP takes any instance, ranked or not: it walks the queries in the
 staircase order (``CellGrid.stair``) and compares their rank x's
@@ -53,11 +54,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from time import perf_counter
 
-from .cells import CellGrid, add_parts, build_grid, sum_batches
+from .cells import CellGrid, _sum_cells, _x_ranks, add_parts, build_grid
 from .coverage import CoverageSweep, build_row_sums
 from .instances import _read_header, point_batches, point_ranges
 from .model import Instance, Solution, _all_ints, exact
-from .ranking import rank_transform
+from .ranking import rank_transform, y_sorted_queries
 
 
 def dp_layers(inst: Instance, grid: CellGrid):
@@ -456,14 +457,15 @@ class PipelineResult:
     estimates: dict[str, float]  # predicted dp seconds per engine, see ``_costs``
 
 
-def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineResult:
+def run_pipeline(inst: Instance, engine: str = "auto", grid: CellGrid | None = None) -> PipelineResult:
     """sum the cells -> layered DP -> reconstruct.
 
     The cells are summed straight from ``inst``'s point columns in its own
-    coordinates; the nonzero cells are the compressed ground set, whose size
-    is reported as ``compressed_size``.  Where ``parts`` is given, it holds
-    the cells of ``inst``'s queries over each part of the ground set, as
-    ``grid_parts`` returns them, and the grid stage adds them instead.
+    coordinates (``build_grid``); the nonzero cells are the compressed
+    ground set, whose size is reported as ``compressed_size``.  Where
+    ``grid`` is given, it is the grid of ``inst``'s queries over the ground
+    set, as ``grid_parts`` returns it, and the grid stage only drops its
+    zero-weight cells.
 
     ``engine`` is ``"auto"`` (the default), which runs whichever engine
     ``_costs`` predicts faster on the zero-free grid, ``"sweep"`` (the
@@ -480,7 +482,7 @@ def run_pipeline(inst: Instance, engine: str = "auto", parts=None) -> PipelineRe
     k_eff = min(inst.k, inst.m)
     _choose(engine, *_costs(inst.m, k_eff))
     t0 = perf_counter()
-    grid = build_grid(inst) if parts is None else add_parts(inst, parts)
+    grid = build_grid(inst) if grid is None else grid
     cells = sum(map(len, grid.per_row))
     grid = build_row_sums(grid)
     nonzero = sum(map(len, grid.per_row))
@@ -519,19 +521,19 @@ def _price_header(path, k: int | None) -> None:
         _choose("auto", *_costs(m, min(k, m)))
 
 
-def _grid_range(path, start: int, stop: int, queries: Instance) -> tuple:
-    """``(per_row, retained, count)`` of the point lines in bytes ``[start, stop)``.
+def _grid_range(path, start: int, stop: int, stair, qx) -> tuple:
+    """``(per_row, retained, count)`` of the point lines in bytes ``[start, stop)`` under ``stair`` and its rank x's ``qx``.
 
-    ``per_row`` and ``retained`` are those of their grid over ``queries``
-    and ``count`` is how many there are: what a child sends back, summed
-    batch by batch as it is parsed (``cells.sum_batches``).  Raises
+    What a part of ``grid_parts`` computes, and a child sends back: the
+    cells' sums, summed batch by batch as the lines are parsed
+    (``cells._sum_cells``), and how many point lines there are.  Raises
     ``ValueError`` for a batch whose weights are not all ints
     (``model._all_ints``, ``PointColumns.int_weights``' rule for scale 1):
     the parts' cell sums are added as they are, while decimal weights would
     first need one scale common to every part.  Coordinates may be any
     numbers ``parse`` reads.
     """
-    return sum_batches(queries, map(_int_weight_batch, point_batches(path, start, stop)))
+    return _sum_cells(stair, qx, map(_int_weight_batch, point_batches(path, start, stop)))
 
 
 def _int_weight_batch(batch):
@@ -542,21 +544,24 @@ def _int_weight_batch(batch):
 
 
 def grid_parts(path):
-    """``(n, queries, parts)`` for the instance file at ``path``, parsed and gridded in parts, or None.
+    """``(n, queries, grid, peaks)`` for the instance file at ``path``, parsed and gridded in parts, or None.
 
-    The point lines are cut into one byte range per usable CPU
-    (``instances.point_ranges``).  This process parses and grids the first
-    range; one forked child does each other one and sends back
-    ``_grid_range``'s result, pickled over a pipe.  ``queries`` is the
-    file's queries and k with no points, ``parts`` each part's
-    ``(per_row, retained)``, and ``add_parts(queries, parts)`` is
-    ``build_grid(parse(path))`` exactly; ``maxdom solve`` prices the file
-    (``_price_header``) before it calls this and sets ``--k`` on what it
-    returns.  None, leaving the file to ``parse``, where the file is small
-    or not plain enough to be split, ``fork`` is missing or this process
-    runs other threads (a lock one of them holds would stay held in the
-    child), a part holds a weight that is not an int (``_grid_range``), a
-    part fails in any way or the parts' point counts do not add up to n;
+    The point lines are cut into one byte range per usable CPU, and the
+    queries read, by ``instances.point_ranges``: ``queries`` is the file's
+    queries and k with no points.  Their staircase (``y_sorted_queries``)
+    and rank x's (``_x_ranks``) are found once, before any fork.  This
+    process parses and grids the first range; one forked child does each
+    other one and sends back ``_grid_range``'s result, pickled over a pipe.
+    ``grid`` adds up the parts (``add_parts``) and equals
+    ``build_grid(parse(path))`` exactly.  Each child is reaped by
+    ``os.wait4``, and ``peaks`` holds each child's ``ru_maxrss`` as it
+    reports it, empty where the file was one part.  ``maxdom solve`` prices
+    the file (``_price_header``) before it calls this and sets ``--k`` on
+    what it returns.  None, leaving the file to ``parse``, where the file is
+    small or not plain enough to be split, ``fork`` is missing or this
+    process runs other threads (a lock one of them holds would stay held in
+    the child), a part holds a weight that is not an int (``_grid_range``),
+    a part fails in any way or the parts' point counts do not add up to n;
     the children are reaped in every case.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -569,10 +574,13 @@ def grid_parts(path):
     if plan is None:
         return None
     n, queries, ranges = plan
+    stair = y_sorted_queries(queries)
+    qx = _x_ranks(stair)
     import pickle  # here, so that a process that never splits does not hold the module
 
     children = []  # (pid, the read end of its pipe)
     results = None
+    peaks = []
     try:
         for start, stop in ranges[1:]:
             read, write = os.pipe()
@@ -582,13 +590,13 @@ def grid_parts(path):
                 try:
                     os.close(read)
                     with open(write, "wb") as out:
-                        pickle.dump(_grid_range(path, start, stop, queries), out, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(_grid_range(path, start, stop, stair, qx), out, pickle.HIGHEST_PROTOCOL)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = [_grid_range(path, *ranges[0], queries)]
+        results = [_grid_range(path, *ranges[0], stair, qx)]
         results += [pickle.load(reader) for _, reader in children]
     except Exception:  # whatever went wrong, ``parse`` of the whole file reports it
         results = None
@@ -597,11 +605,13 @@ def grid_parts(path):
             reader.close()
             if results is None:
                 os.kill(pid, signal.SIGKILL)
-            if os.waitpid(pid, 0)[1]:
+            _, status, usage = os.wait4(pid, 0)
+            if status:
                 results = None
+            peaks.append(usage.ru_maxrss)
     if results is None or sum(count for _, _, count in results) != n:
         return None
-    return n, queries, [(per_row, retained) for per_row, retained, _ in results]
+    return n, queries, add_parts(stair, qx, results), peaks
 
 
 def solve_pipeline(inst: Instance) -> Solution:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdom import instances, solver
-from maxdom.cells import build_grid, compress
+from maxdom.cells import _x_ranks, build_grid, compress
 from maxdom.cli import main
 from maxdom.instances import (
     GeneratorSpec,
@@ -24,7 +24,7 @@ from maxdom.instances import (
     strict_skyline,
 )
 from maxdom.model import Instance, WeightedPoint
-from maxdom.ranking import drop_uncovered, rank_transform
+from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
 
 from util import scalar_generate, small_instances
 
@@ -684,9 +684,11 @@ def test_part_grid_peak_memory_does_not_grow_with_the_points(tmp_path, monkeypat
         path = tmp_path / f"big{n}.txt"
         serialize(generate(GeneratorSpec("uniform", n=n, m=16, k=4, seed=6)), path)
         _, queries, [(start, stop)] = instances.point_ranges(path, 1)
+        stair = y_sorted_queries(queries)
+        qx = _x_ranks(stair)
         tracemalloc.start()
         try:
-            per_row, retained, count = solver._grid_range(path, start, stop, queries)
+            per_row, retained, count = solver._grid_range(path, start, stop, stair, qx)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdom import instances, solver
-from maxdom.cells import add_parts, build_grid
+from maxdom.cells import build_grid
 from maxdom.cli import main
 from maxdom.instances import FAMILIES, GeneratorSpec, generate, parse, serialize, serialize_text
 from maxdom.solver import grid_parts, run_pipeline
@@ -122,10 +122,11 @@ def test_split_grid_and_record_equal_the_plain_ones(tmp_path_factory, case):
                 split = _grid_parts(path, parts)
                 assert (split is not None) == splits, (chunk, parts)
                 if split is not None:
-                    n, queries, found = split
+                    n, queries, found, peaks = split
                     assert (n, queries.Q, queries.k, len(queries.P)) == (inst.n, inst.Q, inst.k, 0)
-                    assert 1 <= len(found) <= parts
-                    assert add_parts(queries, found) == grid  # cells, per_row and retained
+                    assert len(peaks) < parts  # one peak per forked part
+                    assert found == grid  # cells, per_row and retained
+                    assert (found.stair, list(found.qx)) == (grid.stair, list(grid.qx))
             code, rec, err = _solve(path)
         assert (code, err) == (0, "")
         assert _untimed(rec) == _untimed(plain)
@@ -151,9 +152,9 @@ def test_split_grid_with_ties_equals_the_plain_one(tmp_path_factory, inst):
         mp.setattr(os, "fork", counted_fork)
         for parts in range(1, 5):
             forks.clear()
-            _, queries, found = _grid_parts(path, parts)
-            assert add_parts(queries, found) == grid  # cells, per_row and retained
-            assert len(forks) == len(found) - 1 and len(found) <= parts  # no fork for one part
+            _, _, found, peaks = _grid_parts(path, parts)
+            assert found == grid  # cells, per_row and retained
+            assert len(forks) == len(peaks) < parts  # no fork for one part
     assert _unreaped() == 0
 
 
@@ -188,9 +189,9 @@ def test_only_a_decimal_weight_keeps_a_file_whole(tmp_path, monkeypatch):
     assert plain_code == 0 and plain["value"] != 0
     monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    n, queries_only, found = grid_parts(path)
-    assert (n, len(found)) == (inst.n, 2)
-    assert add_parts(queries_only, found) == build_grid(parse(path))
+    n, _, found, peaks = grid_parts(path)
+    assert (n, len(peaks)) == (inst.n, 1)
+    assert found == build_grid(parse(path))
     code, rec, _ = _solve(path)
     assert (code, rec["parts"]) == (0, 2)
     assert _untimed(rec) == _untimed(plain)
@@ -295,7 +296,7 @@ def test_the_header_is_read_from_the_first_chunk(tmp_path, monkeypatch, head, sp
     split = _grid_parts(path, 2)
     assert (split is not None) == splits
     if split is not None:
-        assert add_parts(split[1], split[2]) == build_grid(parse(path))
+        assert split[2] == build_grid(parse(path))
 
 
 def test_split_record_keys_and_stages(tmp_path, monkeypatch):
@@ -307,7 +308,7 @@ def test_split_record_keys_and_stages(tmp_path, monkeypatch):
     assert code == 0 and rec["parts"] == 3 and plain["parts"] == 1
     assert list(rec["stages"]) == list(plain["stages"]) == ["parse", "grid", "dp", "reconstruct"]
     assert rec["total_seconds"] >= sum(rec["stages"].values()) - 1e-5
-    assert rec["peak_rss_children_mb"] is None or rec["peak_rss_children_mb"] > 0
+    assert rec["peak_rss_children_mb"] > 0 and plain["peak_rss_children_mb"] is None  # no part forked
     assert _untimed(rec) == _untimed(plain)
 
 
@@ -389,12 +390,21 @@ def test_query_lines_longer_than_the_tail_read_are_left_to_parse(tmp_path, monke
     _declined_as_plain(_file_with_queries(tmp_path, long))
 
 
-@pytest.mark.parametrize("query", ["{} {}\f", "{}\f{}"])
-def test_a_form_feed_in_a_query_line_leaves_the_file_to_parse(tmp_path, monkeypatch, query):
-    # "\f" ends a line for ``parse``: the last m lines are m + 1 lines, a
-    # blank one after each query (a record) or each query cut in two (an error)
+@pytest.mark.parametrize("query, splits", [("{} {}\f", True), ("{}\f{}", False)])
+def test_a_form_feed_in_a_query_line_reads_as_parse_reads_it(tmp_path, monkeypatch, query, splits):
+    # "\f" ends a line for ``parse``, which reads a split's queries too: the
+    # last m lines hold a blank line after each query (a split, with the
+    # plain record) or each query cut in two (declined, with the plain error)
     monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
-    _declined_as_plain(_file_with_queries(tmp_path, query))
+    path = _file_with_queries(tmp_path, query)
+    if not splits:
+        _declined_as_plain(path)
+        return
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, rec, err = _solve(path)
+    assert (code, err, rec["parts"]) == (0, "", 2)
+    assert _untimed(rec) == _untimed(_plain(path)[1])
+    assert _unreaped() == 0
 
 
 def test_point_lines_under_the_split_size_are_left_to_parse(tmp_path, monkeypatch):
@@ -422,13 +432,18 @@ def test_a_header_that_cannot_be_priced_is_left_to_parse(tmp_path, monkeypatch, 
 RSS_MARGIN_MB = 4
 
 
+def _src_env() -> dict:
+    """This process's environment with the tested ``maxdom``'s source tree first on ``PYTHONPATH``."""
+    src = str(Path(instances.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.slow
 def test_cli_splits_a_large_file(tmp_path):
     path = tmp_path / "large.txt"
     serialize(generate(GeneratorSpec("uniform", 200_000, 32, 6, seed=21)), path)
     assert path.stat().st_size >= instances.SPLIT_MIN_BYTES
-    src = str(Path(instances.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
 
     def run(*args):
         # Started from a small Python process: on Linux a process reports the
@@ -447,3 +462,35 @@ def test_cli_splits_a_large_file(tmp_path):
         assert rec["peak_rss_mb"] - baseline < RSS_MARGIN_MB, (rec["peak_rss_mb"], baseline)
         if rec["parts"] >= 2:
             assert rec["peak_rss_children_mb"] - baseline < RSS_MARGIN_MB, (rec["peak_rss_children_mb"], baseline)
+
+
+def test_children_memory_is_the_forked_parts_own(tmp_path):
+    # Each solve is exec'd by a process that first reaped a child holding
+    # 200 MB.  ``getrusage``'s peak of the reaped children keeps that child
+    # across exec; the record reports the parts that the solve itself
+    # forked, each as ``os.wait4`` reaped it, and null where it forked none.
+    small, large = tmp_path / "small.txt", tmp_path / "large.txt"
+    serialize(generate(GeneratorSpec("uniform", 2_000, 16, 4, seed=3)), small)
+    serialize(generate(GeneratorSpec("uniform", 80_000, 16, 4, seed=3)), large)
+    assert small.stat().st_size < instances.SPLIT_MIN_BYTES <= large.stat().st_size
+    env = _src_env()
+    launcher = (
+        "import os, subprocess, sys; "
+        "subprocess.run([sys.executable, '-c', 'held = b\"x\" * (200 << 20)'], check=True); "
+        "os.execv(sys.executable, sys.argv[1:])"
+    )
+
+    def solve(path):
+        cmd = [sys.executable, "-c", launcher, sys.executable, "-m", "maxdom", "solve", str(path)]
+        return json.loads(subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stdout)
+
+    plain = solve(small)
+    assert (plain["parts"], plain["peak_rss_children_mb"]) == (1, None)
+    rec = solve(large)
+    if rec["parts"] < 2:  # a single usable CPU: nothing forked
+        assert rec["peak_rss_children_mb"] is None
+        return
+    bare = [sys.executable, "-c", "import maxdom.cli; print(maxdom.cli._peak_rss_mb())"]
+    baseline = json.loads(subprocess.run(bare, capture_output=True, text=True, env=env, check=True).stdout)
+    if baseline is not None:  # None where this platform reports no peak of its own
+        assert abs(rec["peak_rss_children_mb"] - baseline) < RSS_MARGIN_MB, (rec["peak_rss_children_mb"], baseline)

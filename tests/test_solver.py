@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxdom.cells
+import maxdom.instances
 import maxdom.model
 import maxdom.solver
 from maxdom.cells import build_grid
 from maxdom.coverage import build_row_sums
-from maxdom.instances import FAMILIES, GeneratorSpec, generate
+from maxdom.instances import FAMILIES, GeneratorSpec, generate, serialize
 from maxdom.model import Instance, QueryPoint, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
@@ -25,6 +27,7 @@ from maxdom.solver import (
     _field_bytes,
     _solution,
     dp_layers,
+    grid_parts,
     run_pipeline,
     solve_pipeline,
     solve_reference,
@@ -461,8 +464,18 @@ def test_tables_are_nondecreasing_in_the_layer(data):
         assert all(a <= b for lower, upper in zip(tables, tables[1:]) for a, b in zip(lower, upper))
 
 
-def test_one_staircase_sort_per_solve(monkeypatch):
-    # the grid sorts the queries, and the DP and the reconstruction reuse it
+def _two_part_file(tmp_path, monkeypatch, inst):
+    """The path of ``inst``'s file, which ``grid_parts`` now cuts into two parts."""
+    path = tmp_path / "inst.txt"
+    serialize(inst, path)
+    monkeypatch.setattr(maxdom.instances, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return path
+
+
+def test_one_staircase_sort_per_solve(tmp_path, monkeypatch):
+    # the grid sorts the queries, and the DP and the reconstruction reuse it;
+    # a split solve sorts them before its parts start, and merges under them
     calls = []
 
     def counted(inst):
@@ -476,13 +489,22 @@ def test_one_staircase_sort_per_solve(monkeypatch):
         calls.clear()
         run_pipeline(inst, engine)
         assert calls == [inst]
+    if not hasattr(os, "fork"):
+        return
+    path = _two_part_file(tmp_path, monkeypatch, inst)
+    for engine in ("sweep", "tree"):
+        expected = run_pipeline(inst, engine).solution
+        calls.clear()
+        _, queries, grid, peaks = grid_parts(path)
+        assert run_pipeline(queries, engine, grid=grid).solution == expected
+        assert calls == [queries] and len(peaks) == 1
 
 
-def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(monkeypatch):
-    # the x-ranks serve the engine and the pair count; the weights of a point
-    # set are scaled to ints once, for every solve, the oracle and
-    # ``weight_of_dom`` alike, while the ranked reference solve scales its
-    # own, ranked point set
+def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(tmp_path, monkeypatch):
+    # the x-ranks serve the engine and the pair count, and in a split solve
+    # every part and the merge too; the weights of a point set are scaled
+    # to ints once, for every solve, the oracle and ``weight_of_dom`` alike,
+    # while the ranked reference solve scales its own, ranked point set
     calls = []
 
     def counted(name, fn):
@@ -502,6 +524,14 @@ def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(mon
     assert calls == []
     solve_reference(inst)
     assert calls == ["scale", "ranks"]
+    if not hasattr(os, "fork"):
+        return
+    path = _two_part_file(tmp_path, monkeypatch, base)
+    for engine in ("sweep", "tree"):
+        calls.clear()
+        _, queries, grid, peaks = grid_parts(path)
+        run_pipeline(queries, engine, grid=grid)
+        assert calls == ["ranks"] and len(peaks) == 1
 
 
 def test_calibration_script_times_the_trees_tables():
