@@ -8,7 +8,8 @@ File format (decimal numbers, whitespace separated)::
     x y        <- m query lines; ids are assigned in file order
 
 Every number is read exactly (``_number``): an integer token as an ``int``,
-any other finite number, such as ``0.07`` or ``25e-2``, as a ``Decimal``.
+any other finite number, such as ``0.07`` or ``25e-2``, as a ``Decimal``
+(``_exact_decimal``).
 Integer instances round-trip byte-exactly, and a float is written as its
 shortest round-trip text, which reads back as exactly that decimal.
 
@@ -16,25 +17,25 @@ The parser streams the file (``parse``) as bytes, a block of whole lines at
 a time (``_whole_lines``), straight into the columns of
 ``model.PointColumns``.  The block that holds the header is cut after the
 header's line (``_header_end``).  Each later piece whose lines all fall
-within the data lines is tried as plain lines (integer tokens one space
-apart, three a point line and two a query line, as the serializer writes
-them): keyed by how many point lines are still due and how many query
-lines follow, it is checked and converted in one go from its bytes, by one
-JSON scan (``_plain_lines``).  Any other piece is decoded, its blank and
-comment lines are dropped (``_block_data``) and its point and query lines
-are converted a batch at a time, a column at a time (``_batches``).  Each
-column starts as an int64 ``array('q')`` and takes whole converted
-batches; the first batch it cannot take (a decimal, or an int beyond
-int64) turns that column alone into a list.  The generators build the
-same columns and the serializer writes from them, so none of the three
-builds a per-point object.
+within the data lines is tried as plain lines (JSON number tokens one
+space or tab apart, three a point line and two a query line, with
+``"\\n"`` or ``"\\r\\n"`` line ends, as the serializer writes them): keyed
+by how many point lines are still due and how many query lines follow, it
+is checked and converted in one go from its bytes, by one JSON scan
+(``_plain_lines``).  Any other piece is decoded, its blank and comment
+lines are dropped (``_block_data``) and its point and query lines are
+converted one line at a time (``_rows``).  Each column starts as an int64
+``array('q')`` and takes each piece's values whole; the first piece it
+cannot take (a decimal, or an int beyond int64) turns that column alone
+into a list.  The generators build the same columns and the serializer
+writes from them, so none of the three builds a per-point object.
 
 ``point_ranges`` and ``point_batches`` let ``maxdom solve`` parse a large
 file's point lines in parts: the header is found in the file's head as
 ``parse`` finds it (``_read_header``), the queries are read from its tail
 by ``_parse`` itself, and each byte range of point lines goes through the
 same blocks and the same per-block conversion as ``parse``, tried as plain
-point lines alone, which hands its batches to the caller instead of
+point lines alone, which hands each block's values to the caller instead of
 keeping them.
 
 The serializer writes a file a block of ``_BATCH`` point lines at a time
@@ -60,7 +61,6 @@ from functools import cache, partial
 from itertools import chain, repeat
 from math import isfinite
 from operator import add, mod, mul
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .model import Instance, _column
@@ -94,31 +94,39 @@ def _decimal():
     return Decimal
 
 
-def _number(token: str, line_no: int):
-    """``token`` as an int, or else exactly as a ``Decimal`` where ``float`` reads it as a finite number.
+def _exact_decimal(token: str):
+    """``token`` exactly as a ``Decimal``, where ``float`` reads it as a finite number; else ``ValueError``.
 
     A nonzero token that ``float`` rounds to 0 is refused: read exactly,
     ``1e-99999999`` would scale the weights by 10**99999999.  So is an integer
     token over ``int``'s digit limit, which ``Decimal`` would read only slowly.
     """
     try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
         value = float(token)
     except ValueError:
-        raise ParseError(line_no, f"not a number: {token!r}") from None
+        raise ValueError(f"not a number: {token!r}") from None
     if not isfinite(value):
         digits = token.lstrip("+-")
         if digits.isdigit():  # refused by ``int`` for its length alone
             limit = sys.get_int_max_str_digits()
-            raise ParseError(line_no, f"integer of {len(digits)} digits, over the int-string limit of {limit}")
-        raise ParseError(line_no, f"non-finite number: {token!r}")
+            raise ValueError(f"integer of {len(digits)} digits, over the int-string limit of {limit}")
+        raise ValueError(f"non-finite number: {token!r}")
     number = _decimal()(token)
     if number and not value:
-        raise ParseError(line_no, f"nonzero number too small for a float: {token!r}")
+        raise ValueError(f"nonzero number too small for a float: {token!r}")
     return number
+
+
+def _number(token: str, line_no: int):
+    """``token`` as an int, or else as its ``_exact_decimal``; a ``ParseError`` of ``line_no`` where neither reads it."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return _exact_decimal(token)
+    except ValueError as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 def _int(token: str, line_no: int, what: str) -> int:
@@ -134,8 +142,8 @@ def _int(token: str, line_no: int, what: str) -> int:
 # takes 0.29-0.43 s of CPU at a traced peak of 0.96 MB (chunk, one block's
 # values and columns), against 0.29-0.48 s and 15.2 MB at 1 MiB.
 _CHUNK = 1 << 16
-# Lines converted per batch, written per serializer block and points drawn
-# per generator block; bounds the token strings, text or draws alive at once.
+# Point lines written per serializer block and points drawn per generator
+# block; bounds the text or draws alive at once.
 _BATCH = 4096
 
 
@@ -205,41 +213,13 @@ def _block_data(block: bytes, line_base: int) -> tuple[list[str], Sequence[int],
     return data, line_nos, len(lines)
 
 
-def _batches(data: list[str], line_nos: Sequence[int], fields: int = 3) -> Iterator[list[list]]:
-    """The columns of the point lines (``fields`` 3) or query lines (2) ``data``, one batch of lines at a time.
-
-    A batch of lines of ``fields`` fields each is converted a column at a
-    time: by one ``map(int, ...)``, or, for a column that it refuses, such
-    as one of decimal weights, token by token (``_number``).  A batch with
-    a line of another field count, or a token that no number reads, is
-    converted line by line (``_rows``), which finds its first malformed line.
-    """
-    for start in range(0, len(data), _BATCH):
-        lines = data[start : start + _BATCH]
-        nos = line_nos[start : start + _BATCH]
-        toks = []  # the batch's tokens, line after line; column i is toks[i::fields]
-        try:
-            for line in lines:
-                line_toks = line.split()
-                if len(line_toks) != fields:
-                    raise ValueError
-                toks += line_toks
-            batch = [_numbers(toks[i::fields], nos) for i in range(fields)]
-        except ValueError:  # a field count, or a ``ParseError`` of a column's token
-            batch = _rows(lines, nos, fields)
-        yield batch
-
-
-def _numbers(toks: list[str], line_nos: Sequence[int]) -> list:
-    """``toks``, one per line of ``line_nos``, by one ``map(int, ...)``, else each by ``_number``."""
-    try:
-        return list(map(int, toks))
-    except ValueError:
-        return list(map(_number, toks, line_nos))
-
-
 def _rows(lines: list[str], line_nos: Sequence[int], fields: int) -> list[list]:
-    """``_batches``' columns of ``lines``, converted one line at a time."""
+    """The columns of the point lines (``fields`` 3) or query lines (2) ``lines``, converted one line at a time.
+
+    Each token is read by ``_number``.  The first line, in ``line_nos``
+    order, with another field count or a token that no number reads raises
+    its ``ParseError``.
+    """
     cols = [[] for _ in range(fields)]
     for line_no, line in zip(line_nos, lines):
         toks = line.split()
@@ -258,7 +238,7 @@ def _parse(f) -> Instance:
     (``_header_end``).  Every later piece whose lines all fall within the
     n + m data lines is tried as plain lines (``_plain_lines``): as many
     point lines as are still due, the rest query lines.  Any other piece
-    takes the line path (``_block_data``, ``_batches``).  Every block is
+    takes the line path (``_block_data``, ``_rows``).  Every block is
     read before an error is raised, so an undecodable byte anywhere in the
     file wins.  A wrong header or data-line count is reported in preference
     to a malformed line, so the first conversion error is held until the
@@ -307,10 +287,8 @@ def _parse(f) -> Instance:
                 error = ParseError(line_nos[b], "unexpected extra data line")
             elif first_bad is None:
                 try:
-                    for batch in _batches(data[:a], line_nos[:a]):
-                        cols = tuple(map(_append, cols, batch))
-                    for batch in _batches(data[a:b], line_nos[a:b], 2):
-                        queries += zip(*batch)
+                    cols = tuple(map(_append, cols, _rows(data[:a], line_nos[:a], 3)))
+                    queries += zip(*_rows(data[a:b], line_nos[a:b], 2))
                 except ParseError as exc:
                     first_bad = exc
     if error is not None:
@@ -365,18 +343,20 @@ def parse(path) -> Instance:
     split part reads its range (``point_batches``).  The block that holds
     the header is cut after the header's line (``_header_end``).  Each
     later piece whose lines all fall within the n + m data lines, and that
-    holds plain lines of integers, three a point line for as many point
+    holds plain lines of numbers, three a point line for as many point
     lines as are still due and then two a query line, is converted in one
     go from its bytes (``_plain_lines``).  Any other piece, such as the
-    header's or one that holds a comment, a blank line, a decimal or the
-    file's last line without its newline, is decoded on its own as UTF-8,
-    whatever the locale, its blank and comment lines are skipped and its
-    data lines converted a batch at a time (``_batches``).  The point
-    values go straight into the x, y and w columns.  So the parser never
-    holds the file text or a string per line beside the columns: its peak is the finished instance plus one chunk and one
-    block's values, and, for a column that a decimal or a beyond-int64
-    value made a list, that list.  Values and ``ParseError``s are those of
-    parsing the whole text at once, with ``str.splitlines``' line breaks.
+    header's or one that holds a comment, a blank line, a run of blanks, a
+    token such as ``+5``, ``007`` or ``.5``, or the file's last line
+    without its newline, is decoded on its own as UTF-8, whatever the
+    locale, its blank and comment lines are skipped and its data lines
+    converted one line at a time (``_rows``).  The point values go straight
+    into the x, y and w columns.  So the parser never holds the file text
+    or a string per line beside the columns: its peak is the finished
+    instance plus one chunk and one block's values, and, for a column that
+    a decimal or a beyond-int64 value made a list, that list.  Values and
+    ``ParseError``s are those of parsing the whole text at once, with
+    ``str.splitlines``' line breaks.
     """
     with open(path, "rb") as f:
         return _parse(f)
@@ -450,14 +430,14 @@ def point_ranges(path, parts: int):
 
 
 def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
-    """The x, y and w values of the point lines in bytes ``[start, stop)`` of a file, a batch at a time.
+    """The x, y and w values of the point lines in bytes ``[start, stop)`` of a file, one batch a block.
 
     The range must start and end at line starts.  It is read block by
     block as ``parse`` reads a file (``_whole_lines``), and each block is
     tried as plain point lines alone (``_plain_lines``) or else takes
-    ``parse``'s line path, where every data line is a point line: the first
-    malformed one raises ``ParseError``, with line numbers counted from the
-    range's start.
+    ``parse``'s line path (``_block_data``, ``_rows``), where every data
+    line is a point line: the first malformed one raises ``ParseError``,
+    with line numbers counted from the range's start.
     The batches hold every point line once, so their lengths add up to the
     range's data-line count.
     """
@@ -467,42 +447,50 @@ def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
         pieces = (f.read(min(_CHUNK, stop - at)) for at in range(start, stop, _CHUNK))
         for block in _whole_lines(pieces):
             lines = block.count(b"\n")
-            plain = _plain_lines(block, lines, 0)
-            if plain is None:
+            columns = _plain_lines(block, lines, 0)
+            if columns is None:
                 data, line_nos, lines = _block_data(block, line_base)
-                yield from _batches(data, line_nos)
-            else:
-                yield plain[:3]
+                columns = _rows(data, line_nos, 3)
+            yield columns[:3]
             line_base += lines
 
 
-# Turns a plain block's spaces and newlines into the commas of a JSON array.
-_COMMAS = bytes.maketrans(b" \n", b",,")
+# A plain block's tabs as spaces, for its shape check.
+_SPACES = bytes.maketrans(b"\t", b" ")
+# Turns a plain block's spaces, tabs and newlines into the commas of a JSON array.
+_COMMAS = bytes.maketrans(b" \t\n", b",,,")
 
 
 def _plain_lines(block: bytes, points: int, queries: int) -> tuple[list, ...] | None:
     """The columns x, y, w of ``points`` plain point lines and x, y of ``queries`` query lines after them, or None.
 
-    ``block`` must be exactly those lines.  Plain lines are integer tokens
-    of digits and ``-``, one space apart, three a point line and two a
-    query line, each line ended by ``"\\n"``, and every token a JSON
-    integer: an optional minus sign and digits without a leading zero.
-    The block is checked and converted by three C-level steps over its
-    bytes alone: with the digits and minus signs deleted it must be
+    ``block`` must be exactly those lines.  Plain lines are number tokens
+    one space or tab apart, three a point line and two a query line, each
+    line ended by ``"\\n"`` or ``"\\r\\n"``, and every token a JSON number:
+    an optional minus sign, digits without a leading zero, then an optional
+    fraction and exponent, such as ``-7``, ``0.25`` or ``1E+5``.  The block
+    is checked and converted by C-level steps over its bytes alone: its
+    ``"\\r\\n"`` pairs become ``"\\n"``; with its tabs as spaces and the
+    digits, ``-``, ``.``, ``e``, ``E`` and ``+`` deleted it must be
     ``"  \\n"`` once per point line and then ``" \\n"`` once per query line;
-    with its spaces and newlines turned into commas it must read as one
-    JSON array of that many numbers (a last line without its newline adds
-    tokens); and the values are split at ``3 * points``.  Such a block is
-    neither decoded into line strings nor split into tokens.  Every token
-    JSON reads, ``int`` reads as the same value; the tokens it refuses go
-    to the caller's line path, which reads ``007`` as ``int`` does and
-    names the line of ``5-3``.
+    with its spaces, tabs and newlines turned into commas it must read as
+    one JSON array of that many numbers (a last line without its newline
+    adds tokens); and the values are split at ``3 * points``.  Such a block
+    is neither decoded into line strings nor split into tokens.  Every
+    token JSON reads, ``_number`` reads as the same value: an integer as
+    ``int`` does, any other number by ``_exact_decimal``.  A block with a
+    token that JSON refuses, such as ``007``, ``+5``, ``.5`` or ``5-3``, or
+    that ``_exact_decimal`` refuses, such as ``1e400``, goes to the
+    caller's line path (``_rows``), which reads the first three as
+    ``_number`` does and names the line of the others.
     """
-    if block.translate(None, b"0123456789-") != b"  \n" * points + b" \n" * queries:
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")  # a lone "\r" is left, to fail the shape check
+    if block.translate(_SPACES, b"0123456789-.eE+") != b"  \n" * points + b" \n" * queries:
         return None
     try:
-        values = json.loads(b"[" + block.rstrip(b"\n").translate(_COMMAS) + b"]")
-    except ValueError:  # ``007``, ``5-3``, ``-``, ``--1``, or a token over ``int``'s digit limit
+        values = json.loads(b"[" + block.rstrip(b"\n").translate(_COMMAS) + b"]", parse_float=_exact_decimal)
+    except ValueError:  # ``007``, ``5-3``, ``1e400``, or a token over ``int``'s digit limit
         return None
     cut = 3 * points
     if len(values) != cut + 2 * queries:

@@ -3,6 +3,7 @@ import tracemalloc
 from array import array
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -184,7 +185,7 @@ def test_unknown_family_and_bad_sizes():
         generate(GeneratorSpec("uniform", n=1, m=1, k=1, weights=(5, -5)))
 
 
-# The batched parser must agree with a plain line-by-line parser on every
+# The streamed parser must agree with a plain line-by-line parser on every
 # file: the same values, or a ParseError on the same line.
 
 def test_integer_columns_are_int64_arrays():
@@ -200,8 +201,47 @@ def test_parse_of_serialize_is_the_generated_instance(family):
     assert parse_text(serialize_text(inst)) == inst
 
 
+# Weights the serializer writes as ints, floats (``1e-06``), decimals
+# (``3E+5``, ``0.03``) and fractions' decimal texts (``0.125``).
+WEIGHTS = {
+    "int": lambda i, w: w,
+    "float": lambda i, w: w / 1e6,
+    "decimal": lambda i, w: Decimal(w).scaleb(5 if i % 2 else -2),
+    "fraction": lambda i, w: Fraction(w, 8),
+}
+# The serializer's LF text, and the same lines with CRLF ends or tab separators.
+LAYOUTS = {
+    "lf": lambda data: data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "tab": lambda data: data.replace(b" ", b"\t"),
+}
+
+
+@pytest.mark.parametrize("family", instances.FAMILIES)
+def test_serialized_files_parse_as_plain_lines_alone(tmp_path, monkeypatch, family):
+    # every point and query line, whatever its weights, line ends and
+    # separators, is read by the JSON scan: no line goes through ``_rows``
+    calls = _spy_plain(monkeypatch)
+    rows, lines = instances._rows, []
+    monkeypatch.setattr(instances, "_rows", lambda data, *args: lines.extend(data) or rows(data, *args))
+    base = generate(GeneratorSpec(family, n=300, m=7, k=3, seed=4))
+    path = tmp_path / "inst.txt"
+    for kind, weight in WEIGHTS.items():
+        points = [(p.x, p.y, weight(i, p.w)) for i, p in enumerate(base.P)]
+        serialize(Instance.from_rows(points, [(q.x, q.y) for q in base.Q], base.k), path)
+        written = path.read_bytes()
+        for layout, lay_out in LAYOUTS.items():
+            data = lay_out(written)
+            path.write_bytes(data)
+            calls.clear()
+            assert parse(path) == _parse_line_by_line(data.decode()), (kind, layout)
+            assert calls and all(plain for *_, plain in calls), (kind, layout)
+            assert sum(block.count(b"\n") for block, *_ in calls) == base.n + base.m, (kind, layout)
+            assert lines == [], (kind, layout)
+
+
 def test_a_late_float_turns_only_its_column_into_a_tuple(monkeypatch):
-    monkeypatch.setattr(instances, "_BATCH", 2)
+    monkeypatch.setattr(instances, "_CHUNK", 16)  # a few lines a block: the float and the big int come in later ones
     rows = ["0 1 2", "3 4 5", "6 7 8", "9 10 1.5", "11 12 13", f"14 15 {2**63}"]
     inst = parse_text(f"{len(rows)} 1 1\n" + "\n".join(rows) + "\n1 1\n")
     assert type(inst.P.xs) is array and type(inst.P.ys) is array
@@ -340,26 +380,26 @@ def _outcome(parser, text):
 # tiny chunks cut lines, tokens and CRLF pairs apart; 64-byte ones make plain
 # blocks that straddle the header, point and query boundaries
 CHUNKS = (instances._CHUNK, 1, 7, 64)
-BATCHES = (instances._BATCH, 1, 3)  # small batches put a bad line in a later batch
 
 
 def _outcomes(text, path):
-    """``parse_text(text)`` and ``parse(path)`` at every chunk and batch size."""
+    """``parse_text(text)`` and ``parse(path)`` at every chunk size."""
     path.write_bytes(text.encode())
     for chunk in CHUNKS:
-        for batch in BATCHES:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(instances, "_CHUNK", chunk)
-                mp.setattr(instances, "_BATCH", batch)
-                yield _outcome(parse_text, text)
-                yield _outcome(parse, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(instances, "_CHUNK", chunk)
+            yield _outcome(parse_text, text)
+            yield _outcome(parse, path)
 
 
 @settings(deadline=None, max_examples=150)
 @given(small_instances(max_n=8, max_m=3), st.data())
 def test_parse_matches_line_by_line(tmp_path_factory, inst, data):
     lines = serialize_text(inst).splitlines()
-    noise = st.sampled_from(["", "  ", "# note", "1.5", "2e1", "nan", "x", "-0", "007", "5-3", "3 4", "\t9 9 9"])
+    noise = st.sampled_from(
+        ["", "  ", "# note", "1.5", "2e1", "nan", "x", "-0", "007", "5-3", "3 4", "\t9 9 9",
+         "1e400", "1e-400", "1E+5", "+5", ".5", "5.", "0.50"]
+    )
     for _ in range(data.draw(st.integers(0, 3))):
         at = data.draw(st.integers(0, len(lines)) | st.just(len(lines)))
         if data.draw(st.booleans()):
@@ -415,10 +455,10 @@ def test_plain_lines_are_keyed_by_their_point_and_query_counts():
 
 def test_point_batches_number_lines_from_the_range_start(tmp_path, monkeypatch):
     # 64-byte chunks: blocks of plain lines are converted from their bytes,
-    # only the blocks with a comment or a bad line go through ``_batches``
+    # only the blocks with a comment or a bad line go through ``_rows``
     monkeypatch.setattr(instances, "_CHUNK", 64)
-    fallbacks, batches = [], instances._batches
-    monkeypatch.setattr(instances, "_batches", lambda data, *args: fallbacks.append(data) or batches(data, *args))
+    fallbacks, rows = [], instances._rows
+    monkeypatch.setattr(instances, "_rows", lambda data, *args: fallbacks.append(data) or rows(data, *args))
     lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(60)]
     lines[20] = "# note"
     path = tmp_path / "points.txt"
@@ -457,11 +497,11 @@ def test_parse_converts_plain_blocks_from_their_bytes(tmp_path, monkeypatch):
     # lines still due and the query lines after them, so the block that
     # holds the last point lines and the first query lines is one plain
     # call; only the header line and the note's block are decoded, and only
-    # the note's block goes through ``_batches``
+    # the note's block goes through ``_rows``
     monkeypatch.setattr(instances, "_CHUNK", 64)
-    fallbacks, batches = [], instances._batches
+    fallbacks, rows = [], instances._rows
     calls = _spy_plain(monkeypatch)
-    monkeypatch.setattr(instances, "_batches", lambda data, *args: fallbacks.extend(data) or batches(data, *args))
+    monkeypatch.setattr(instances, "_rows", lambda data, *args: fallbacks.extend(data) or rows(data, *args))
     lines = [f"{i} {2 * i} {i % 7 - 3}" for i in range(60)]
     lines[20] = "# note"
     path = tmp_path / "inst.txt"
@@ -555,11 +595,13 @@ POINTS = "3 2 1\n0 0 1\n2 3 -4\n5 5 5\n"
         ("1 1\n# between\n5 6\n", b"# between"),
         ("1 1\n\n5 6\n", b"\n\n"),
         ("1 1\n5 6", b"5 6"),  # no final newline
-        ("1 1\r\n5 6\r\n", b"\r"),
         ("1 1\n5 6\n7 7\n", b"7 7"),  # one extra line
         ("1 1\n5 6\n\n", b"\n\n"),
+        ("1 1\n5  6\n", b"5  6"),  # two spaces between tokens
+        ("1 1\n+5 6\n", b"+5"),
+        ("1 1\r5 6\n", b"\r"),  # a lone CR
     ],
-    ids=["comment", "blank", "no-final-newline", "crlf", "extra-line", "trailing-blank"],
+    ids=["comment", "blank", "no-final-newline", "extra-line", "trailing-blank", "two-spaces", "plus-sign", "cr"],
 )
 def test_query_lines_that_are_not_plain_parse_line_by_line(tmp_path, monkeypatch, queries, odd):
     calls = _spy_plain(monkeypatch)
@@ -575,19 +617,37 @@ def test_query_lines_that_are_not_plain_parse_line_by_line(tmp_path, monkeypatch
         assert result == _outcome(_parse_line_by_line, text)
 
 
-def test_a_decimal_batch_converts_by_column_and_reports_its_first_bad_line(tmp_path, monkeypatch):
-    # the int columns of a decimal batch take one ``map(int, ...)``, its
-    # decimal column one ``_number`` a token, and no line goes through
-    # ``_rows``; a bad x on a later line and a bad w on an earlier one
-    # report the earlier line
-    rows, calls = instances._rows, []
-    monkeypatch.setattr(instances, "_rows", lambda lines, *args: calls.append(lines) or rows(lines, *args))
+# Query lines that are plain: CRLF line ends, tab separators and decimal tokens.
+@pytest.mark.parametrize(
+    "queries", ["1 1\r\n5 6\r\n", "1\t1\n5\t6\n", "1.5 1\n5 6E+1\n"], ids=["crlf", "tab", "decimal"]
+)
+def test_crlf_tab_and_decimal_query_lines_are_plain(tmp_path, monkeypatch, queries):
+    calls = _spy_plain(monkeypatch)
+    decoded, block_data = [], instances._block_data
+    monkeypatch.setattr(instances, "_block_data", lambda block, *args: decoded.append(block) or block_data(block, *args))
+    text = POINTS + queries
+    path = tmp_path / "inst.txt"
+    path.write_bytes(text.encode())
+    assert _outcome(parse, path) == _parse_line_by_line(text)
+    assert decoded == [b"3 2 1\n"] and calls == [(text.encode()[len(b"3 2 1\n") :], 3, 2, True)]
+    for result in _outcomes(text, path):
+        assert result == _parse_line_by_line(text)
+
+
+def test_a_decimal_piece_is_plain_and_a_bad_one_reports_its_first_bad_line(tmp_path, monkeypatch):
+    # decimal tokens are read by the JSON scan, and no line goes through
+    # ``_rows``; in a piece that is not plain, a bad x on a later line and a
+    # bad w on an earlier one report the earlier line
+    calls = _spy_plain(monkeypatch)
+    rows, lines = instances._rows, []
+    monkeypatch.setattr(instances, "_rows", lambda data, *args: lines.extend(data) or rows(data, *args))
     text = "3 1 1\n0 0 0.5\n1 1 -2.25\n2 2 1e-1\n1 1\n"
-    assert parse_text(text) == _parse_line_by_line(text) and calls == []
+    assert parse_text(text) == _parse_line_by_line(text)
+    assert [call[1:] for call in calls] == [(3, 1, True)] and lines == []
     bad = "3 1 1\n0 0 0.5\n1 1 x\ny 2 0.25\n1 1\n"
     expected = _outcome(_parse_line_by_line, bad)
     assert expected[:2] == ("error", 3) and "'x'" in expected[2]
-    assert _outcome(parse_text, bad) == expected and calls
+    assert _outcome(parse_text, bad) == expected and "1 1 x" in lines
     for result in _outcomes(bad, tmp_path / "inst.txt"):
         assert result == expected
 
@@ -667,7 +727,7 @@ def test_parse_peak_memory_is_bounded_by_the_instance(tmp_path, monkeypatch):
 
 
 def test_parse_peak_memory_of_crlf_files(tmp_path, monkeypatch):
-    # No block of a CRLF file is plain: every one is decoded and converted by ``_batches``.
+    # Every block of a CRLF file is plain: its pairs become "\n" before the JSON scan.
     def serialize_crlf(inst, path):
         path.write_bytes(serialize_text(inst).replace("\n", "\r\n").encode())
 

@@ -327,11 +327,17 @@ def test_an_over_budget_file_is_refused_before_a_fork(tmp_path, monkeypatch):
     refusal = (
         "error: refusing to solve: the tree dp would hold 1.06e+08 list slots, over the budget of 5e+07\n"
     )
-    batches, convert = [], instances._batches
-    with pytest.MonkeyPatch.context() as mp:  # the plain path refuses before it converts a point line
-        mp.setattr(instances, "_batches", lambda *args: batches.append(1) or convert(*args))
+    converted = []
+
+    def spy(name):
+        convert = getattr(instances, name)
+        return lambda *args: converted.append(name) or convert(*args)
+
+    with pytest.MonkeyPatch.context() as mp:  # the plain path refuses before it converts a line
+        for name in ("_plain_lines", "_rows"):
+            mp.setattr(instances, name, spy(name))
         assert _plain(path) == (1, None, refusal)
-    assert batches == []
+    assert converted == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     calls, fork, grid_range = [], os.fork, solver._grid_range
     monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or fork())
