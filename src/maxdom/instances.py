@@ -484,7 +484,7 @@ def _plain_lines(block: bytes, points: int, queries: int) -> tuple[list, ...] | 
     caller's line path (``_rows``), which reads the first three as
     ``_number`` does and names the line of the others.
     """
-    if b"\r" in block:
+    if b"\r" in block:  # a byte scan: the pair search of ``replace`` costs about 50 times as much
         block = block.replace(b"\r\n", b"\n")  # a lone "\r" is left, to fail the shape check
     if block.translate(_SPACES, b"0123456789-.eE+") != b"  \n" * points + b" \n" * queries:
         return None
