@@ -10,14 +10,17 @@ ground set, with at most min(n, m^2) entries.
 ``build_grid`` sums the points' int weights (``PointColumns.int_weights``)
 over slices of the point columns by ``_sum_cells``, which each part of a
 split solve also runs over its batches of parsed points, under one
-staircase sorted before the parts start; ``add_parts`` adds the parts' cell
-sums into the grid that ``build_grid`` gives the whole.  A cell is named by its
-strip and by the rank x (``CellGrid.qx``, as in ``rank_transform``) of the
-query at its right edge, the leftmost query above the strip that covers it,
-so an instance gridded in its own coordinates and its rank-normalized form
-give the same cells and sums.  ``cell_boxes`` and ``compress`` read cell
-corners off the query coordinates, so they take a rank-normalized instance;
-they serve ``maxdom compress`` and rendering.
+staircase (``ranking.staircase``) sorted before the parts start;
+``add_parts`` adds the parts' cell sums into the grid that ``build_grid``
+gives the whole.  Both read the query columns and ids, and build no query
+object.  A cell is named by its strip and by the rank x (``CellGrid.qx``,
+as in ``rank_transform``) of the query at its right edge, the leftmost
+query above the strip that covers it, so an instance gridded in its own
+coordinates and its rank-normalized form give the same cells and sums.
+``cell_boxes`` and ``compress`` give cell corners in rank coordinates,
+read off the grid's rank x's and the staircase positions' rank y's, for
+the rank-normalized instance; they serve ``maxdom compress`` and
+rendering.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from itertools import groupby, repeat
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .model import Instance, QueryPoint, WeightedPoint, exact
-from .ranking import _axis_transform, y_sorted_queries
+from .model import Instance, QueryColumns, WeightedPoint, exact
+from .ranking import staircase
 
 _SLICE = 4096  # points ``build_grid`` keys at a time: bounds its memory whatever n is
 
@@ -51,10 +54,10 @@ class CellGrid:
     per_row: tuple[tuple[tuple[int, int], ...], ...]  # per_row[i-1]: strip i's (col, weight), col-sorted; m strips
     retained: int = 0  # ground points summed into the cells
     scale: int = 1  # a cell holds its points' weights summed times this (``PointColumns.int_weights``)
-    # The queries by staircase position (``y_sorted_queries``) in the gridded
-    # instance's own coordinates, strip i below stair[i - 1], and their rank
-    # x's (``_x_ranks``): found once for the whole solve, not part of the cells.
-    stair: tuple[QueryPoint, ...] = field(default=(), compare=False, repr=False)
+    # The query ids by staircase position, strip i below stair[i - 1], and
+    # their rank x's (``ranking.staircase``): found once for the whole solve,
+    # not part of the cells.
+    stair: Sequence[int] = field(default=(), compare=False, repr=False)
     qx: Sequence[int] = field(default=(), compare=False, repr=False)
 
     @property
@@ -93,19 +96,14 @@ def _merge_into(prefix: list, new) -> None:
         prefix.sort()
 
 
-def _x_ranks(stair) -> list[int]:
-    """``[0, x_1, ..., x_m, 2m + 2]``: ``stair``'s x-ranks by ``(x, id)`` as in ``rank_transform``, sentinel last."""
-    ranks, _ = _axis_transform([q.x for q in stair], [q.id for q in stair], ())
-    return [0, *ranks, 2 * len(stair) + 2]
+def _sum_cells(Q: QueryColumns, qx, batches) -> tuple[tuple, int, int]:
+    """``(per_row, retained, count)`` of ``(xs, ys, ws)`` batches of int-weight points under the queries ``Q``.
 
-
-def _sum_cells(stair, qx, batches) -> tuple[tuple, int, int]:
-    """``(per_row, retained, count)`` of ``(xs, ys, ws)`` batches of int-weight points under ``stair``.
-
-    ``qx`` is ``_x_ranks(stair)`` and ``count`` how many points the batches
-    hold.  Each point is keyed by its strip, the number of query y-values
-    below it, and its x-slot r, the number of query x-values left of it:
-    ``strip * (m + 1) + r``, two C-level bisect maps a batch.  Only each
+    ``qx`` is their staircase's rank x's (``ranking.staircase``) and
+    ``count`` how many points the batches hold.  Each point is keyed by its
+    strip, the number of query y-values below it, and its x-slot r, the
+    number of query x-values left of it: ``strip * (m + 1) + r``, two
+    C-level bisect maps a batch.  Only each
     key's weight sum and point count are kept, O(min(n, m^2)) entries however
     many points there are; int sums do not depend on the order of the points.
     At the end the keys are walked strip by strip: the r queries left of a
@@ -113,9 +111,8 @@ def _sum_cells(stair, qx, batches) -> tuple[tuple, int, int]:
     above 2r + 1 among the sorted rank x's of the queries above the strip,
     brought up to date only at strips with keys.
     """
-    m = len(stair)
-    ys_asc = [q.y for q in reversed(stair)]
-    xs_asc = sorted(q.x for q in stair)
+    m = len(Q)
+    ys_asc, xs_asc = sorted(Q.ys), sorted(Q.xs)
     width = m + 1
     sums: dict[int, int] = {}
     get = sums.get
@@ -152,20 +149,19 @@ def build_grid(inst: Instance) -> CellGrid:
     The cells and their sums are those of ``inst``'s ranked form, whichever
     coordinates it is given in.
     """
-    stair = y_sorted_queries(inst)
     ws, scale = inst.P.int_weights()
-    qx = _x_ranks(stair)
-    cols = (inst.P.xs, inst.P.ys, ws)
-    batches = ([col[i : i + _SLICE] for col in cols] for i in range(0, inst.n, _SLICE))
-    per_row, retained, _count = _sum_cells(stair, qx, batches)
+    stair, qx = staircase(inst.Q)
+    batches = ([col[i : i + _SLICE] for col in (inst.P.xs, inst.P.ys, ws)] for i in range(0, inst.n, _SLICE))
+    per_row, retained, _count = _sum_cells(inst.Q, qx, batches)
     return CellGrid(per_row, retained, scale, stair, qx)
 
 
 def add_parts(stair, qx, parts) -> CellGrid:
-    """The grid under ``stair`` and its rank x's ``qx`` of a ground set in parts, from each part's ``_sum_cells``.
+    """The grid under the staircase ``stair`` and ``qx`` of a ground set in parts, from each part's ``_sum_cells``.
 
-    ``parts`` holds ``_sum_cells(stair, qx, ...)`` over each part of the
-    int-weight points; the result equals ``build_grid`` of all of them.
+    ``parts`` holds ``_sum_cells(Q, qx, ...)`` over each part of the
+    int-weight points, ``(stair, qx)`` being ``staircase(Q)``; the result
+    equals ``build_grid`` of all of them.
     """
     per_row = []
     for rows in zip(*(part_rows for part_rows, _, _ in parts)):
@@ -180,21 +176,23 @@ def add_parts(stair, qx, parts) -> CellGrid:
 
 
 def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
-    """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance, ``x_hi`` its name."""
-    qs = y_sorted_queries(rinst)
+    """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance, ``x_hi`` its name.
+
+    In rank space the query at staircase position i has y = 2 (m - i + 1)
+    and x = ``grid.qx[i]``.
+    """
+    m = rinst.m
     boxes: dict[CellKey, tuple] = {}
     xs_prefix: list = []  # x-values of the ``done`` highest queries, sorted
     done = 0
     for i, row in enumerate(grid.per_row, 1):
         if not row:
             continue
-        _merge_into(xs_prefix, [q.x for q in qs[done:i]])
+        _merge_into(xs_prefix, grid.qx[done + 1 : i + 1])
         done = i
-        y_hi = qs[i - 1].y
-        y_lo = qs[i].y if i < len(qs) else 0
         for col, _w in row:
             s = bisect_left(xs_prefix, col)
-            boxes[CellKey(i, col)] = (xs_prefix[s - 1] if s else 0, y_lo, col, y_hi)
+            boxes[CellKey(i, col)] = (xs_prefix[s - 1] if s else 0, 2 * (m - i), col, 2 * (m - i + 1))
     return boxes
 
 

@@ -23,7 +23,7 @@ except ImportError:  # not on every platform
 from . import bench as bench_mod
 from .cells import build_grid, compress
 from .instances import FAMILIES, GeneratorSpec, decimal_text, generate, parse, serialize, serialize_blocks
-from .model import Instance, weight_of_dom
+from .model import Instance, QueryPoint, weight_of_dom
 from .oracle import oracle_solve
 from .ranking import rank_transform
 from .render import render_svg
@@ -126,10 +126,12 @@ def cmd_verify(args) -> int:
     sol_oracle = oracle_solve(inst, limit=args.limit)
     sol_dp = solve_pipeline(inst)
     sol_ref = solve_reference(inst)
+    # query objects for the picks alone
+    picks = [QueryPoint(*q) for q in zip(*inst.Q.columns()) if q[2] in sol_dp.chosen]
     values = {
         "value_dp": sol_dp.value,
         "value_dp_no_compress": sol_ref.value,
-        "recomputed_from_chosen": weight_of_dom(inst.P, [q for q in inst.Q if q.id in sol_dp.chosen]),
+        "recomputed_from_chosen": weight_of_dom(inst.P, picks),
     }
     disagree = [key for key, value in values.items() if value != sol_oracle.value]
     record = {"value_oracle": sol_oracle.value, **values, "equal": not disagree}

@@ -15,20 +15,20 @@ shortest round-trip text, which reads back as exactly that decimal.
 
 The parser streams the file (``parse``) as bytes, a block of whole lines at
 a time (``_whole_lines``), straight into the columns of
-``model.PointColumns``.  The block that holds the header is cut after the
-header's line (``_header_end``).  Each later piece whose lines all fall
-within the data lines is tried as plain lines (JSON number tokens one
-space or tab apart, three a point line and two a query line, with
-``"\\n"`` or ``"\\r\\n"`` line ends, as the serializer writes them): keyed
-by how many point lines are still due and how many query lines follow, it
-is checked and converted in one go from its bytes, by one JSON scan
-(``_plain_lines``).  Any other piece is decoded, its blank and comment
+``model.PointColumns`` and ``model.QueryColumns``.  The block that holds the
+header is cut after the header's line (``_header_end``).  Each later piece
+whose lines all fall within the data lines is tried as plain lines (JSON
+number tokens one space or tab apart, three a point line and two a query
+line, with ``"\\n"`` or ``"\\r\\n"`` line ends, as the serializer writes
+them): keyed by how many point lines are still due and how many query lines
+follow, it is checked and converted in one go from its bytes, by one JSON
+scan (``_plain_lines``).  Any other piece is decoded, its blank and comment
 lines are dropped (``_block_data``) and its point and query lines are
 converted one line at a time (``_rows``).  Each column starts as an int64
 ``array('q')`` and takes each piece's values whole; the first piece it
-cannot take (a decimal, or an int beyond int64) turns that column alone
-into a list.  The generators build the same columns and the serializer
-writes from them, so none of the three builds a per-point object.
+cannot take (a decimal, or an int beyond int64) turns that column alone into
+a list.  The generators build the same columns and the serializer writes
+from them, so none of the three builds a per-point or per-query object.
 
 ``point_ranges`` and ``point_batches`` let ``maxdom solve`` parse a large
 file's point lines in parts: the header is found in the file's head as
@@ -63,7 +63,7 @@ from math import isfinite
 from operator import add, mod, mul
 from typing import Iterable, Iterator, Sequence
 
-from .model import Instance, _column
+from .model import Instance, PointColumns, QueryColumns, _column
 from .prng import SplitMix64
 
 COORD_SPAN = 1_000_000
@@ -246,8 +246,7 @@ def _parse(f) -> Instance:
     converted: each is only decoded and, after a bad value, its data lines
     counted.
     """
-    cols = array("q"), array("q"), array("q")
-    queries = []
+    cols = tuple(array("q") for _ in range(5))  # the points' x, y and w, the queries' x and y
     n = m = -1  # until the header is read, so that no piece is tried as plain
     error = first_bad = None  # error: a bad header or an extra line; first_bad: a bad value
     count = 0  # data lines after the header
@@ -262,8 +261,7 @@ def _parse(f) -> Instance:
                 points = min(lines, max(0, n - count))
                 plain = _plain_lines(piece, points, lines - points)
             if plain is not None:
-                cols = tuple(map(_append, cols, plain[:3]))
-                queries += zip(*plain[3:])
+                cols = tuple(map(_append, cols, plain))
                 count += lines
                 line_base = last_no = line_base + lines
                 continue
@@ -287,8 +285,8 @@ def _parse(f) -> Instance:
                 error = ParseError(line_nos[b], "unexpected extra data line")
             elif first_bad is None:
                 try:
-                    cols = tuple(map(_append, cols, _rows(data[:a], line_nos[:a], 3)))
-                    queries += zip(*_rows(data[a:b], line_nos[a:b], 2))
+                    rows = _rows(data[:a], line_nos[:a], 3) + _rows(data[a:b], line_nos[a:b], 2)
+                    cols = tuple(map(_append, cols, rows))
                 except ParseError as exc:
                     first_bad = exc
     if error is not None:
@@ -301,12 +299,12 @@ def _parse(f) -> Instance:
         raise first_bad
     # Each list column is dropped as its tuple replaces it, so the peak is
     # the finished columns plus one list, not two copies of all three.
-    xs, ys, ws = cols
+    xs, ys, ws, qxs, qys = cols
     del cols
     xs = _column(xs)
     ys = _column(ys)
     ws = _column(ws)
-    return Instance.from_columns(xs, ys, ws, queries, k)
+    return Instance(PointColumns(xs, ys, ws), QueryColumns(qxs, qys), k)
 
 
 def _append(col, values: list):
@@ -351,8 +349,9 @@ def parse(path) -> Instance:
     without its newline, is decoded on its own as UTF-8, whatever the
     locale, its blank and comment lines are skipped and its data lines
     converted one line at a time (``_rows``).  The point values go straight
-    into the x, y and w columns.  So the parser never holds the file text
-    or a string per line beside the columns: its peak is the finished
+    into the x, y and w columns, the query values into the query x and y
+    columns.  So the parser never holds the file text or a string per line
+    beside the columns: its peak is the finished
     instance plus one chunk and one block's values, and, for a column that
     a decimal or a beyond-int64 value made a list, that list.  Values and
     ``ParseError``s are those of parsing the whole text at once, with
@@ -517,22 +516,23 @@ def _text(value) -> str:
 
 
 def serialize_blocks(inst: Instance) -> Iterator[str]:
-    """The instance file of ``inst`` as text blocks, written from its point columns.
+    """The instance file of ``inst`` as text blocks, written from its point and query columns.
 
-    The header, then ``_BATCH`` point lines per block, then the query lines;
-    every line ends with ``"\\n"``.  Numbers are written with ``str``, which
-    for a float is its shortest round-trip representation; a ``Fraction``,
-    such as a weight of ``cells.compress``, is written as its exact decimal
-    text.  A column that is not an int64 array is turned into these texts
-    first, so each block is one ``%`` format of its values, line by line.
+    The header, then ``_BATCH`` point lines per block, then ``_BATCH``
+    query lines per block; every line ends with ``"\\n"``.  Numbers are
+    written with ``str``, which for a float is its shortest round-trip
+    representation; a ``Fraction``, such as a weight of ``cells.compress``,
+    is written as its exact decimal text.  A column that is not an int64
+    array is turned into these texts first, so each block is one ``%``
+    format of its values, line by line.
     """
-    P = inst.P
-    cols = [col if type(col) is array else list(map(_text, col)) for col in (P.xs, P.ys, P.ws)]
     yield f"{inst.n} {inst.m} {inst.k}\n"
-    for start in range(0, inst.n, _BATCH):
-        xs, ys, ws = (col[start : start + _BATCH] for col in cols)
-        yield ("%s %s %s\n" * len(xs)) % tuple(chain.from_iterable(zip(xs, ys, ws)))
-    yield "".join(f"{_text(q.x)} {_text(q.y)}\n" for q in inst.Q)
+    for cols in ((inst.P.xs, inst.P.ys, inst.P.ws), (inst.Q.xs, inst.Q.ys)):
+        cols = [col if type(col) is array else list(map(_text, col)) for col in cols]
+        line = " ".join(["%s"] * len(cols)) + "\n"
+        for start in range(0, len(cols[0]), _BATCH):
+            block = [col[start : start + _BATCH] for col in cols]
+            yield (line * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
 def serialize_text(inst: Instance) -> str:

@@ -6,8 +6,9 @@ query covers it, and it counts exactly once no matter how many chosen queries
 cover it.  An empty cover has weight zero.  Weights may be negative.
 
 This module owns the ground-set format.  An ``Instance`` holds its points as
-``PointColumns``: three parallel columns of x, y and w values, which every
-stage reads directly, so no solve builds a per-point object.  A column of
+``PointColumns``: three parallel columns of x, y and w values, and its
+queries as ``QueryColumns`` of x, y and id values, which every stage reads
+directly, so no solve builds a per-point or per-query object.  A column of
 ints that fit in 64 bits is an ``array('q')``; any other column (``Decimal``s
 from a file, library floats or ``Fraction``s, larger ints) is a tuple.
 
@@ -72,8 +73,6 @@ class QueryPoint:
     id: int
 
     def __post_init__(self) -> None:
-        if type(self.x) is int and type(self.y) is int:  # finite as it is; a bool is not an ``int`` here
-            return
         if not (_finite(self.x) and _finite(self.y)):
             raise ValueError(f"non-finite query point ({self.x}, {self.y})")
 
@@ -111,43 +110,83 @@ def _sum(values):
         return nan
 
 
-class PointColumns(Sequence):
-    """Ground points stored as parallel ``xs``, ``ys`` and ``ws`` columns.
+class _Columns(Sequence):
+    """Parallel columns, one per field of the row class ``_row``, read as an immutable sequence of its objects.
 
     Each column is an ``array('q')`` when all its values are ints that fit
     in int64, and a tuple otherwise; equality compares values, not storage.
-
-    Reads as an immutable sequence of ``WeightedPoint`` (length, indexing,
-    iteration, equality with any sequence of points).  The point objects are
-    built once, on the first per-point access, and cached; code that reads
-    the columns never builds them.  Every value must be finite.
+    The row objects are built once, on the first per-row access, and
+    cached; code that reads the columns never builds them.  Every value
+    must be finite.
     """
 
-    __slots__ = ("xs", "ys", "ws", "_points", "_int_weights")
+    __slots__ = ("_points",)
+    _row: type
+    _fields: tuple[str, ...]  # ``_row``'s fields; the column of field ``x`` is the attribute ``xs``
 
-    def __init__(self, xs: Iterable, ys: Iterable, ws: Iterable):
-        xs, ys, ws = _column(xs), _column(ys), _column(ws)
-        if not len(xs) == len(ys) == len(ws):
-            raise ValueError("point columns differ in length")
-        # an int64 array holds only ints, so it is finite and stands in as the int 0
-        sums = [_sum(c) if type(c) is tuple else 0 for c in (xs, ys, ws)]
-        if not all(map(_finite, sums)):  # a finite sum leaves no nan or infinity
-            for x, y, w in zip(xs, ys, ws):
-                if not (_finite(x) and _finite(y) and _finite(w)):
-                    raise ValueError(f"non-finite weighted point ({x}, {y}, {w})")
-        self.xs, self.ys, self.ws = xs, ys, ws
-        self._points: tuple[WeightedPoint, ...] | None = None
-        self._int_weights: tuple | None = None
+    def _store(self, *cols) -> None:
+        if len(set(map(len, cols))) > 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length")
+        for field, col in zip(self._fields, cols):
+            setattr(self, field + "s", col)
+        # An int64 array or a range holds only ints, so it is finite, and a
+        # finite sum leaves no nan or infinity; else each row checks its own.
+        finite = all(_finite(_sum(c)) for c in cols if type(c) is tuple)
+        self._points = None if finite else tuple(map(self._row, *cols))
+
+    def columns(self) -> tuple:
+        return tuple(getattr(self, field + "s") for field in self._fields)
 
     @classmethod
-    def of(cls, points: Iterable) -> "PointColumns":
-        """``points`` itself if it is already columnar, else its columns."""
-        if isinstance(points, cls):
-            return points
-        pts = tuple(points)
-        cols = cls([p.x for p in pts], [p.y for p in pts], [p.w for p in pts])
-        cols._points = pts
+    def of(cls, rows: Iterable):
+        """``rows`` itself if it is already columnar, else its columns, with ``rows`` kept as their view."""
+        if isinstance(rows, cls):
+            return rows
+        rows = tuple(rows)
+        cols = cls(*([getattr(r, field) for r in rows] for field in cls._fields))
+        cols._points = rows
         return cols
+
+    def points(self) -> tuple:
+        """The cached view of ``_row`` objects, built on first use."""
+        if self._points is None:
+            self._points = tuple(map(self._row, *self.columns()))
+        return self._points
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, index):
+        return self.points()[index]
+
+    def __iter__(self):
+        return iter(self.points())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return tuple(map(tuple, self.columns())) == tuple(map(tuple, other.columns()))
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and self.points() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.points())
+
+    def __repr__(self) -> str:
+        cols = ", ".join(f"{field}s={col!r}" for field, col in zip(self._fields, self.columns()))
+        return f"{type(self).__name__}({cols})"
+
+
+class PointColumns(_Columns):
+    """Ground points stored as parallel ``xs``, ``ys`` and ``ws`` columns, read as a sequence of ``WeightedPoint``."""
+
+    __slots__ = ("xs", "ys", "ws", "_int_weights")
+    _row = WeightedPoint
+    _fields = ("x", "y", "w")
+
+    def __init__(self, xs: Iterable, ys: Iterable, ws: Iterable):
+        self._store(_column(xs), _column(ys), _column(ws))
+        self._int_weights: tuple | None = None
 
     def int_weights(self) -> tuple:
         """``(ints, scale)``: the weights times their least common denominator ``scale``, computed once.
@@ -165,61 +204,50 @@ class PointColumns(Sequence):
                 self._int_weights = [num * (scale // den) for num, den in ratios], scale
         return self._int_weights
 
-    def points(self) -> tuple[WeightedPoint, ...]:
-        """The cached ``WeightedPoint`` view, built on first use."""
-        if self._points is None:
-            self._points = tuple(map(WeightedPoint, self.xs, self.ys, self.ws))
-        return self._points
 
-    def __len__(self) -> int:
-        return len(self.xs)
+class QueryColumns(_Columns):
+    """Query candidates stored as parallel ``xs``, ``ys`` and ``ids`` columns, read as a sequence of ``QueryPoint``.
 
-    def __getitem__(self, index):
-        return self.points()[index]
+    ``ids`` defaults to the positions, which are kept as a ``range``.
+    """
 
-    def __iter__(self):
-        return iter(self.points())
+    __slots__ = ("xs", "ys", "ids")
+    _row = QueryPoint
+    _fields = ("x", "y", "id")
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PointColumns):
-            return all(
-                a == b if type(a) is type(b) else tuple(a) == tuple(b)
-                for a, b in zip((self.xs, self.ys, self.ws), (other.xs, other.ys, other.ws))
-            )
-        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
-            return len(self) == len(other) and self.points() == tuple(other)
-        return NotImplemented
+    def __init__(self, xs: Iterable, ys: Iterable, ids: Iterable | None = None):
+        xs = _column(xs)
+        positions = range(len(xs))
+        self._store(xs, _column(ys), positions if ids is None or ids == positions else _column(ids))
 
-    def __hash__(self) -> int:
-        return hash(self.points())
-
-    def __repr__(self) -> str:
-        return f"PointColumns(xs={self.xs!r}, ys={self.ys!r}, ws={self.ws!r})"
+    def by_id(self) -> Sequence[int]:
+        """The query indices in increasing id order."""
+        return self.ids if type(self.ids) is range else sorted(range(len(self)), key=self.ids.__getitem__)
 
 
 @dataclass(frozen=True)
 class Instance:
     """A problem input: ground set ``P``, query candidates ``Q``, pick budget ``k``.
 
-    ``P`` may be given as any sequence of ``WeightedPoint``; it is stored as
-    ``PointColumns``.  ``dataclasses.replace`` passes the stored columns on,
-    so changing ``k`` builds no point objects.  ``k`` may exceed ``len(Q)``;
-    that is equivalent to ``k == len(Q)``.
+    ``P`` may be given as any sequence of ``WeightedPoint`` and ``Q`` as any
+    sequence of ``QueryPoint``; they are stored as ``PointColumns`` and
+    ``QueryColumns``.  ``dataclasses.replace`` passes the stored columns
+    on, so changing ``k`` builds no point or query objects.  ``k`` may
+    exceed ``len(Q)``; that is equivalent to ``k == len(Q)``.
     """
 
     P: PointColumns
-    Q: tuple[QueryPoint, ...]
+    Q: QueryColumns
     k: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "P", PointColumns.of(self.P))
-        object.__setattr__(self, "Q", tuple(self.Q))
+        object.__setattr__(self, "Q", QueryColumns.of(self.Q))
         if len(self.Q) < 1:
             raise ValueError("instance needs at least one query point")
         if self.k < 0:
             raise ValueError("budget k must be non-negative")
-        ids = {q.id for q in self.Q}
-        if len(ids) != len(self.Q):
+        if type(self.Q.ids) is not range and len(set(self.Q.ids)) != len(self.Q):
             raise ValueError("query ids must be unique")
 
     @property
@@ -234,8 +262,7 @@ class Instance:
     def from_columns(xs: Iterable, ys: Iterable, ws: Iterable, queries: Iterable[tuple], k: int) -> "Instance":
         """Build from point columns and ``(x, y)`` query rows, assigning query ids by position."""
         qxs, qys = list(zip(*queries, strict=True)) or ((), ())
-        Q = tuple(map(QueryPoint, qxs, qys, range(len(qxs))))
-        return Instance(PointColumns(xs, ys, ws), Q, k)
+        return Instance(PointColumns(xs, ys, ws), QueryColumns(qxs, qys), k)
 
     @staticmethod
     def from_rows(points: Iterable[tuple], queries: Iterable[tuple], k: int) -> "Instance":

@@ -32,11 +32,11 @@ def _cover(inst: Instance) -> tuple[list[int], Callable[[int], int]]:
         """The int whose bit i is bit ``j`` of ``data[i]``, read in one ``int(s, 2)``."""
         return int(b"0" + data[::-1].translate(_DIGITS[j]), 2)
 
-    P = inst.P
+    P, Q = inst.P, inst.Q
     ws = P.int_weights()[0]
     masks = [
-        bits_of(bytes(map(le, P.xs, repeat(q.x)))) & bits_of(bytes(map(le, P.ys, repeat(q.y))))
-        for q in sorted(inst.Q, key=lambda q: q.id)
+        bits_of(bytes(map(le, P.xs, repeat(Q.xs[t])))) & bits_of(bytes(map(le, P.ys, repeat(Q.ys[t]))))
+        for t in Q.by_id()
     ]
     if len(ws) <= _BIT_BY_BIT_MAX_N:
         def weigh(new: int) -> int:
@@ -96,5 +96,5 @@ def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
 
     if k:
         walk(0, 0, 0, 1)
-    ids = sorted(q.id for q in inst.Q)
+    ids = sorted(inst.Q.ids)
     return Solution(frozenset(ids[i] for i in best), exact(best_value, inst.P.int_weights()[1]))

@@ -14,46 +14,67 @@ deterministic across runs and platforms.  The result is a plain
 ``Instance`` whose points stay columnar.  The solve path never ranks the
 points; ``solver.solve_reference``, compression and rendering do.
 
-``y_sorted_queries`` is the one definition of the staircase order, by
-decreasing ``(y, id)``, which the cell grid and the DP share.
+``staircase`` is the one definition of the staircase order, by decreasing
+``(y, id)``, and of the queries' rank x's, by ``(x, id)``, which the cell
+grid and the DP share: stable C-level sorts of the query columns' indices,
+with no per-query object.  ``y_sorted_queries`` is the object view of the
+same order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import replace
-from operator import attrgetter
+from itertools import accumulate
+from math import inf
 
-from .model import Instance, PointColumns, QueryPoint
+from .model import Instance, PointColumns, QueryColumns, QueryPoint
 
 
 def y_sorted_queries(inst: Instance) -> tuple[QueryPoint, ...]:
-    """Queries by decreasing ``(y, id)``; position t is the t-th highest."""
-    return tuple(sorted(inst.Q, key=attrgetter("y", "id"), reverse=True))
+    """Queries by decreasing ``(y, id)``, position t the t-th highest: the object view of ``staircase``'s order."""
+    by_id = dict(zip(inst.Q.ids, inst.Q))
+    return tuple(map(by_id.__getitem__, staircase(inst.Q)[0]))
 
 
-def _axis_transform(q_values, q_ids, p_values):
-    """Per-axis rank mapping: queries to even ranks, points to odd ranks."""
-    m = len(q_values)
-    order = sorted(range(m), key=list(zip(q_values, q_ids)).__getitem__)
-    q_coord = [0] * m
-    for rank, t in enumerate(order, start=1):
-        q_coord[t] = 2 * rank
-    sorted_vals = [q_values[t] for t in order]
-    # A point lands just below the first query value >= its own, so a tie on
-    # the original axis keeps the point covered by every tied query.
-    p_coord = [2 * bisect_left(sorted_vals, v) + 1 for v in p_values]
-    return q_coord, p_coord
+def staircase(Q: QueryColumns) -> tuple[Sequence, list[int]]:
+    """``(stair, qx)``: the query ids by decreasing ``(y, id)``, and ``[0, x_1, ..., x_m, 2m + 2]``, their rank x's
+    by ``(x, id)`` as in ``rank_transform``, sentinel last."""
+    by_id = Q.by_id()
+    order = sorted(reversed(by_id), key=Q.ys.__getitem__, reverse=True)  # stable: ties by falling id
+    x_rank = _even_ranks(Q.xs, by_id)
+    # a range of ids is the indices themselves
+    stair = order if type(Q.ids) is range else list(map(Q.ids.__getitem__, order))
+    return stair, [0, *map(x_rank.__getitem__, order), 2 * len(order) + 2]
+
+
+def _even_ranks(values, by_id) -> list[int]:
+    """Each index's rank 2, 4, ..., 2m by ``(value, id)`` among ``values``, ``by_id`` being the indices by id."""
+    rank = [0] * len(by_id)
+    # a stable sort keeps ties by rising id
+    for place, t in enumerate(sorted(by_id, key=values.__getitem__), start=1):
+        rank[t] = 2 * place
+    return rank
+
+
+def _axis_transform(q_values, by_id, p_values):
+    """Per-axis rank mapping: queries to even ranks by ``(value, id)``, points to odd ranks.
+
+    A point lands just below the first query value >= its own, so a tie on
+    the original axis keeps the point covered by every tied query.
+    """
+    sorted_vals = sorted(q_values)
+    return _even_ranks(q_values, by_id), [2 * bisect_left(sorted_vals, v) + 1 for v in p_values]
 
 
 def rank_transform(inst: Instance) -> Instance:
     """Map an instance to rank space, preserving every closed-dominance pair."""
     Q, P = inst.Q, inst.P
-    ids = [q.id for q in Q]
-    qx, px = _axis_transform([q.x for q in Q], ids, P.xs)
-    qy, py = _axis_transform([q.y for q in Q], ids, P.ys)
-    new_q = tuple(QueryPoint(qx[t], qy[t], Q[t].id) for t in range(len(Q)))
-    return Instance(PointColumns(px, py, P.ws), new_q, inst.k)
+    by_id = Q.by_id()
+    qx, px = _axis_transform(Q.xs, by_id, P.xs)
+    qy, py = _axis_transform(Q.ys, by_id, P.ys)
+    return Instance(PointColumns(px, py, P.ws), QueryColumns(qx, qy, Q.ids), inst.k)
 
 
 def drop_uncovered(inst: Instance) -> Instance:
@@ -62,12 +83,8 @@ def drop_uncovered(inst: Instance) -> Instance:
     A point survives iff some query lies weakly above and right of it, which
     one pass over the x-sorted queries with a suffix maximum of y decides.
     """
-    m = inst.m
-    by_x = sorted((q.x, q.y) for q in inst.Q)
-    x_keys = [x for x, _ in by_x]
-    suff_max_y = [float("-inf")] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suff_max_y[t] = max(by_x[t][1], suff_max_y[t + 1])
+    x_keys, ys = zip(*sorted(zip(inst.Q.xs, inst.Q.ys)))
+    suff_max_y = [*accumulate(reversed(ys), max)][::-1] + [-inf]
     P = inst.P
     # the queries weakly right of a point start at bisect_left(x_keys, x)
     keep = [i for i, (x, y) in enumerate(zip(P.xs, P.ys)) if suff_max_y[bisect_left(x_keys, x)] >= y]

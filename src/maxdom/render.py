@@ -27,7 +27,7 @@ def render_svg(inst: Instance, chosen: Iterable[int] | None = None, *, scale: in
     """
     if inst.m > MAX_RENDER_M:
         raise ValueError(f"rendering is capped at m <= {MAX_RENDER_M}")
-    unknown = sorted(set(chosen or ()) - {q.id for q in inst.Q})
+    unknown = sorted(set(chosen or ()) - set(inst.Q.ids))
     if unknown:
         raise ValueError(f"unknown query ids: {', '.join(map(str, unknown))}")
     rr = drop_uncovered(rank_transform(inst))
@@ -35,8 +35,7 @@ def render_svg(inst: Instance, chosen: Iterable[int] | None = None, *, scale: in
     comp = compress(grid, rr)
     boxes = cell_boxes(grid, rr)
     qs = y_sorted_queries(rr)
-    m = rr.m
-    top = 2 * m + 2
+    top = 2 * rr.m + 2
     pad = scale
 
     def sx(x):
@@ -71,8 +70,7 @@ def render_svg(inst: Instance, chosen: Iterable[int] | None = None, *, scale: in
             )
 
     right = 0
-    for i in range(1, m + 1):
-        q = qs[i - 1]
+    for q in qs:
         right = max(right, q.x)
         parts.append(
             f'<line x1="{sx(0)}" y1="{sy(q.y)}" x2="{sx(right)}" y2="{sy(q.y)}" '

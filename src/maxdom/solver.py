@@ -14,7 +14,7 @@ start, and adds the parts' cells into the grid (``grid_parts``) that it
 hands to the same pipeline.
 
 The DP takes any instance, ranked or not: it walks the queries in the
-staircase order (``CellGrid.stair``) and compares their rank x's
+staircase order (``CellGrid.stair``, their ids) and compares their rank x's
 (``CellGrid.qx``), ties broken by id as in the rank transform.  Layer l
 computes, for every position i in decreasing-y order, the best covered
 weight achievable with at most l picks drawn from the queries in the closed
@@ -54,11 +54,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from time import perf_counter
 
-from .cells import CellGrid, _sum_cells, _x_ranks, add_parts, build_grid
+from .cells import CellGrid, _sum_cells, add_parts, build_grid
 from .coverage import CoverageSweep, build_row_sums
 from .instances import _read_header, point_batches, point_ranges
 from .model import Instance, Solution, _all_ints, exact
-from .ranking import rank_transform, y_sorted_queries
+from .ranking import rank_transform, staircase
 
 
 def dp_layers(inst: Instance, grid: CellGrid):
@@ -323,15 +323,14 @@ def _walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
                 break
         else:
             raise RuntimeError(f"no pick reaches layer {layer}'s value {target} at position {i}")
-        ids.append(stair[j - 1].id)
+        ids.append(stair[j - 1])
         i = j
     return frozenset(ids)
 
 
 def _solution(grid: CellGrid, tables, alone, k_eff: int) -> Solution:
     """The optimum, its pick set (``_walk``) and each layer's optimum off the DP's int tables, divided by the scale once."""
-    last = len(grid.stair) + 1
-    layers = tuple(exact(tables[l][last], grid.scale) for l in range(1, k_eff + 1))
+    layers = tuple(exact(tables[l][-1], grid.scale) for l in range(1, k_eff + 1))  # at the sentinel, last
     return Solution(_walk(grid, tables, alone, k_eff), layers[-1] if layers else 0, layers)
 
 
@@ -521,8 +520,8 @@ def _price_header(path, k: int | None) -> None:
         _choose("auto", *_costs(m, min(k, m)))
 
 
-def _grid_range(path, start: int, stop: int, stair, qx) -> tuple:
-    """``(per_row, retained, count)`` of the point lines in bytes ``[start, stop)`` under ``stair`` and its rank x's ``qx``.
+def _grid_range(path, start: int, stop: int, Q, qx) -> tuple:
+    """``(per_row, retained, count)`` of the point lines in bytes ``[start, stop)`` under the queries ``Q`` and their rank x's ``qx``.
 
     What a part of ``grid_parts`` computes, and a child sends back: the
     cells' sums, summed batch by batch as the lines are parsed
@@ -533,7 +532,7 @@ def _grid_range(path, start: int, stop: int, stair, qx) -> tuple:
     first need one scale common to every part.  Coordinates may be any
     numbers ``parse`` reads.
     """
-    return _sum_cells(stair, qx, map(_int_weight_batch, point_batches(path, start, stop)))
+    return _sum_cells(Q, qx, map(_int_weight_batch, point_batches(path, start, stop)))
 
 
 def _int_weight_batch(batch):
@@ -548,8 +547,8 @@ def grid_parts(path):
 
     The point lines are cut into one byte range per usable CPU, and the
     queries read, by ``instances.point_ranges``: ``queries`` is the file's
-    queries and k with no points.  Their staircase (``y_sorted_queries``)
-    and rank x's (``_x_ranks``) are found once, before any fork.  This
+    queries and k with no points.  Their staircase and rank x's
+    (``ranking.staircase``) are found once, before any fork.  This
     process parses and grids the first range; one forked child does each
     other one and sends back ``_grid_range``'s result, pickled over a pipe.
     ``grid`` adds up the parts (``add_parts``) and equals
@@ -574,8 +573,7 @@ def grid_parts(path):
     if plan is None:
         return None
     n, queries, ranges = plan
-    stair = y_sorted_queries(queries)
-    qx = _x_ranks(stair)
+    stair, qx = staircase(queries.Q)
     import pickle  # here, so that a process that never splits does not hold the module
 
     children = []  # (pid, the read end of its pipe)
@@ -590,13 +588,13 @@ def grid_parts(path):
                 try:
                     os.close(read)
                     with open(write, "wb") as out:
-                        pickle.dump(_grid_range(path, start, stop, stair, qx), out, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(_grid_range(path, start, stop, queries.Q, qx), out, pickle.HIGHEST_PROTOCOL)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = [_grid_range(path, *ranges[0], stair, qx)]
+        results = [_grid_range(path, *ranges[0], queries.Q, qx)]
         results += [pickle.load(reader) for _, reader in children]
     except Exception:  # whatever went wrong, ``parse`` of the whole file reports it
         results = None

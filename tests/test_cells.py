@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxdom.cells import CellKey, _sum_cells, _x_ranks, build_grid, cell_boxes, compress
+from maxdom.cells import CellKey, _sum_cells, build_grid, cell_boxes, compress
 from maxdom.instances import GeneratorSpec, generate, parse_text, serialize_text
 from maxdom.model import Instance, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
-from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
+from maxdom.ranking import drop_uncovered, rank_transform, staircase, y_sorted_queries
 from maxdom.solver import solve_pipeline, solve_reference
 
 from util import (
@@ -226,10 +226,10 @@ def test_cells_summed_by_key_equal_the_grid(inst, size):
     P = inst.P
     batches = [(P.xs[i : i + size], P.ys[i : i + size], P.ws[i : i + size]) for i in range(0, inst.n, size)]
     ref = reference_grid(inst)
-    stair = y_sorted_queries(inst)
-    assert _sum_cells(stair, _x_ranks(stair), batches) == (ref.per_row, ref.retained, inst.n)
+    _stair, qx = staircase(inst.Q)
+    assert _sum_cells(inst.Q, qx, batches) == (ref.per_row, ref.retained, inst.n)
     assert build_grid(inst) == ref
-    assert _sum_cells(stair, _x_ranks(stair), []) == (((),) * inst.m, 0, 0)
+    assert _sum_cells(inst.Q, qx, []) == (((),) * inst.m, 0, 0)
 
 
 def test_tall_staircase_over_few_points_equals_ranked_reference():
@@ -243,8 +243,7 @@ def test_tall_staircase_over_few_points_equals_ranked_reference():
     ref = build_grid(ranked(inst))
     assert got == ref
     assert got.retained == 5 and len(got.cells) == 5
-    stair = y_sorted_queries(inst)
-    assert _sum_cells(stair, _x_ranks(stair), [(inst.P.xs, inst.P.ys, inst.P.ws)]) == (got.per_row, 5, 5)
+    assert _sum_cells(inst.Q, got.qx, [(inst.P.xs, inst.P.ys, inst.P.ws)]) == (got.per_row, 5, 5)
 
 
 def test_cell_boxes_of_a_tall_staircase_over_few_points():

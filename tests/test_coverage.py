@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from maxdom.cells import CellGrid, build_grid
 from maxdom.coverage import CoverageSweep, build_row_sums
-from maxdom.model import Instance, QueryPoint
+from maxdom.model import Instance
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
 
@@ -33,7 +33,7 @@ def test_build_row_sums_keeps_a_row_without_zero_cells_as_it_is():
 
 
 def test_build_row_sums_drops_zero_weight_cells_and_keeps_the_rest_of_the_grid():
-    stair = (QueryPoint(1, 2, 0), QueryPoint(2, 1, 1))
+    stair = (0, 1)  # the query ids by staircase position
     grid = CellGrid((((1, 0),), ((1, 4), (2, 0), (3, -4), (4, 1))), 9, 10, stair)
     built = build_row_sums(grid)
     assert built.per_row == ((), ((1, 4), (3, -4), (4, 1)))  # col 2 of row 2 not stored

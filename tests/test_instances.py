@@ -1,4 +1,6 @@
 import hashlib
+import json
+import os
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdom import instances, solver
-from maxdom.cells import _x_ranks, build_grid, compress
+from maxdom.cells import build_grid, compress
 from maxdom.cli import main
 from maxdom.instances import (
     GeneratorSpec,
@@ -21,11 +23,12 @@ from maxdom.instances import (
     parse,
     parse_text,
     serialize,
+    serialize_blocks,
     serialize_text,
     strict_skyline,
 )
-from maxdom.model import Instance, WeightedPoint
-from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
+from maxdom.model import Instance, QueryPoint, WeightedPoint
+from maxdom.ranking import drop_uncovered, rank_transform, staircase
 
 from util import scalar_generate, small_instances
 
@@ -744,11 +747,10 @@ def test_part_grid_peak_memory_does_not_grow_with_the_points(tmp_path, monkeypat
         path = tmp_path / f"big{n}.txt"
         serialize(generate(GeneratorSpec("uniform", n=n, m=16, k=4, seed=6)), path)
         _, queries, [(start, stop)] = instances.point_ranges(path, 1)
-        stair = y_sorted_queries(queries)
-        qx = _x_ranks(stair)
+        _stair, qx = staircase(queries.Q)
         tracemalloc.start()
         try:
-            per_row, retained, count = solver._grid_range(path, start, stop, stair, qx)
+            per_row, retained, count = solver._grid_range(path, start, stop, queries.Q, qx)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -773,3 +775,47 @@ def test_solve_builds_no_point_objects(tmp_path, monkeypatch, capsys):
     assert main(["solve", str(path), "--k", "1"]) == 0
     capsys.readouterr()
     assert built == []
+
+
+def test_solve_builds_no_query_objects(tmp_path, monkeypatch, capsys):
+    # the queries stay columns from the generator and the serializer through
+    # the parse, a new budget, the staircase and the pick walk, in one
+    # process or in two parts
+    built = []
+    monkeypatch.setattr(QueryPoint, "__post_init__", lambda self: built.append(self))
+    path = tmp_path / "inst.txt"
+    inst = generate(GeneratorSpec("uniform", n=500, m=12, k=3, seed=4))
+    serialize(inst, path)
+    assert replace(inst, k=1).Q is inst.Q
+    assert main(["solve", str(path)]) == 0
+    assert main(["solve", str(path), "--k", "1"]) == 0
+    plain = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [record["parts"] for record in plain] == [1, 1]
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["solve", str(path), "--k", "1"]) == 0
+        split = json.loads(capsys.readouterr().out)
+        assert split["parts"] == 2 and split["chosen"] == plain[1]["chosen"]
+    assert built == []
+
+
+def test_verify_builds_a_query_object_for_each_pick_alone(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.txt"
+    serialize(generate(GeneratorSpec("uniform", n=30, m=8, k=3, seed=5)), path)
+    chosen = solver.solve_pipeline(parse(path)).chosen
+    built = []
+    check = QueryPoint.__post_init__
+    monkeypatch.setattr(QueryPoint, "__post_init__", lambda self: built.append(self.id) or check(self))
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["equal"]
+    assert chosen and sorted(built) == sorted(chosen)
+
+
+def test_query_lines_are_written_from_the_columns_in_blocks(monkeypatch):
+    # each query value is written as a point value is, ``_BATCH`` lines a block
+    monkeypatch.setattr(instances, "_BATCH", 2)
+    Q = [(1, 2), (0.5, Decimal("2.50")), (Fraction(1, 8), 10**30), (-3, 1e-06), (2**63, 7)]
+    blocks = list(serialize_blocks(Instance.from_rows([(0, 0, 1)], Q, 1)))
+    lines = ["1 2\n0.5 2.50\n", "0.125 1000000000000000000000000000000\n-3 1e-06\n", "9223372036854775808 7\n"]
+    assert blocks == ["1 5 1\n", "0 0 1\n", *lines]

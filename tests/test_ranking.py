@@ -1,11 +1,15 @@
-from hypothesis import given, settings
+from fractions import Fraction
 
-from maxdom.model import Instance, dominates_closed, weight_of_dom
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxdom.model import Instance, QueryColumns, QueryPoint, dominates_closed, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
-from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
+from maxdom.ranking import drop_uncovered, rank_transform, staircase, y_sorted_queries
 
-from util import random_instance, small_instances
+from util import random_instance, reference_x_ranks, reference_y_sorted_queries, small_instances
 
 
 def test_query_ranks_break_ties_by_id():
@@ -108,3 +112,48 @@ def test_weight_of_dom_agrees_across_transform():
             a = weight_of_dom(inst.P, [inst.Q[i] for i in sel])
             b = weight_of_dom(rr.P, [rr.Q[i] for i in sel])
             assert a == b
+
+
+@st.composite
+def tied_queries(draw):
+    """``(instance, query objects)``: queries heavy with equal x's, equal y's and duplicate points, of int,
+    float and ``Fraction`` values, with positional ids, shuffled ids or sparse ids in any order."""
+    value = st.builds(lambda v, kind: kind(v), st.integers(0, 3), st.sampled_from([int, float, Fraction]))
+    rows = draw(st.lists(st.tuples(value, value), min_size=1, max_size=25))
+    m = len(rows)
+    kind = draw(st.sampled_from(["positional", "shuffled", "sparse"]))
+    if kind == "positional":
+        ids = list(range(m))
+    elif kind == "shuffled":
+        ids = draw(st.permutations(range(m)))
+    else:
+        ids = draw(st.lists(st.integers(-1000, 1000), min_size=m, max_size=m, unique=True))
+    Q = tuple(QueryPoint(x, y, i) for (x, y), i in zip(rows, ids))
+    P = [(x, y, 1) for x, y in rows[:3]]
+    if kind == "positional":
+        return Instance.from_rows(P, rows, m), Q
+    return Instance(Instance.from_rows(P, [(0, 0)], 0).P, Q, m), Q
+
+
+@settings(deadline=None, max_examples=300)
+@given(tied_queries())
+def test_columnar_staircase_and_ranks_equal_the_object_reference(case):
+    # the staircase's index order by decreasing (y, id) and the rank x's by
+    # (x, id), from stable sorts of the columns, are those of sorting and
+    # ranking the query objects, for any ids, and for the ranked instance,
+    # whose queries keep their ids
+    inst, Q = case
+    for rinst in (inst, rank_transform(inst)):
+        ref = reference_y_sorted_queries(rinst)
+        stair, qx = staircase(rinst.Q)
+        assert list(stair) == [q.id for q in ref]
+        assert qx == reference_x_ranks(ref)
+        assert y_sorted_queries(rinst) == ref
+    assert list(rank_transform(inst).Q.ids) == [q.id for q in Q]
+    # the object view, the instance's hash (that of its rows) and the id check are unchanged
+    assert inst.Q == Q and tuple(inst.Q) == Q and inst.Q.points() == Q
+    assert hash(inst) == hash((tuple(inst.P), Q, inst.k))
+    with pytest.raises(ValueError, match="query ids must be unique"):
+        Instance(inst.P, Q + (QueryPoint(0, 0, Q[-1].id),), 1)
+    with pytest.raises(ValueError, match="query ids must be unique"):
+        Instance(inst.P, QueryColumns([0, 1], [1, 0], [Q[0].id] * 2), 1)

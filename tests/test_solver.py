@@ -19,7 +19,8 @@ from maxdom.instances import FAMILIES, GeneratorSpec, generate, serialize
 from maxdom.model import Instance, QueryPoint, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
-from maxdom.ranking import drop_uncovered, rank_transform, y_sorted_queries
+import maxdom.ranking
+from maxdom.ranking import drop_uncovered, rank_transform, staircase, y_sorted_queries
 from maxdom.solver import (
     DP_SLOT_BUDGET,
     _choose,
@@ -256,8 +257,8 @@ def test_both_engines_give_each_querys_weight_alone(inst, weight, data):
     tables, alone, k_eff = dp_layers(inst, grid)
     assert tree_layers(inst, grid)[1] == alone
     assert len(alone) == inst.m + 2 and alone[0] == alone[-1] == 0
-    for j, q in enumerate(grid.stair, 1):
-        assert alone[j] == weight_of_dom(inst.P, [q]) * grid.scale
+    for j, q_id in enumerate(grid.stair, 1):
+        assert alone[j] == weight_of_dom(inst.P, [inst.Q[q_id]]) * grid.scale
     assert_walk_covers_every_layer(inst, grid, tables, alone, k_eff)
 
 
@@ -478,17 +479,17 @@ def test_one_staircase_sort_per_solve(tmp_path, monkeypatch):
     # a split solve sorts them before its parts start, and merges under them
     calls = []
 
-    def counted(inst):
-        calls.append(inst)
-        return y_sorted_queries(inst)
+    def counted(Q):
+        calls.append(Q)
+        return staircase(Q)
 
     for module in (maxdom.cells, maxdom.solver):
-        monkeypatch.setattr(module, "y_sorted_queries", counted, raising=False)
+        monkeypatch.setattr(module, "staircase", counted)
     inst = random_instance(SplitMix64(47), n=30, m=8, k=3)
     for engine in ("sweep", "tree"):
         calls.clear()
         run_pipeline(inst, engine)
-        assert calls == [inst]
+        assert calls == [inst.Q]
     if not hasattr(os, "fork"):
         return
     path = _two_part_file(tmp_path, monkeypatch, inst)
@@ -497,20 +498,21 @@ def test_one_staircase_sort_per_solve(tmp_path, monkeypatch):
         calls.clear()
         _, queries, grid, peaks = grid_parts(path)
         assert run_pipeline(queries, engine, grid=grid).solution == expected
-        assert calls == [queries] and len(peaks) == 1
+        assert calls == [queries.Q] and len(peaks) == 1
 
 
 def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(tmp_path, monkeypatch):
     # the x-ranks serve the engine and the pair count, and in a split solve
     # every part and the merge too; the weights of a point set are scaled
     # to ints once, for every solve, the oracle and ``weight_of_dom`` alike,
-    # while the ranked reference solve scales its own, ranked point set
+    # while the ranked reference solve ranks both axes of every point and
+    # then scales and grids its own, ranked point set
     calls = []
 
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    monkeypatch.setattr(maxdom.cells, "_axis_transform", counted("ranks", maxdom.cells._axis_transform))
+    monkeypatch.setattr(maxdom.ranking, "_even_ranks", counted("ranks", maxdom.ranking._even_ranks))
     monkeypatch.setattr(maxdom.model, "lcm", counted("scale", maxdom.model.lcm))
     base = random_instance(SplitMix64(47), n=30, m=8, k=3)
     inst = Instance.from_rows([(p.x, p.y, Fraction(p.w, 4)) for p in base.P], [(q.x, q.y) for q in base.Q], 3)
@@ -523,7 +525,7 @@ def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(tmp
     weight_of_dom(inst.P, inst.Q)
     assert calls == []
     solve_reference(inst)
-    assert calls == ["scale", "ranks"]
+    assert calls == ["ranks", "ranks", "scale", "ranks"]
     if not hasattr(os, "fork"):
         return
     path = _two_part_file(tmp_path, monkeypatch, base)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, lcm
+from operator import attrgetter
 
 import hypothesis.strategies as st
 
@@ -50,6 +51,22 @@ def tie_instances(draw, max_m=40, max_n=60):
         for _ in range(draw(st.integers(1, max_n)))
     ]
     return Instance.from_rows(P, Q, draw(st.integers(0, m)))
+
+
+def reference_y_sorted_queries(inst: Instance) -> tuple:
+    """The query objects by decreasing ``(y, id)``, sorted by attribute: the reference that
+    ``ranking.staircase``'s order and ``ranking.y_sorted_queries`` must match."""
+    return tuple(sorted(inst.Q, key=attrgetter("y", "id"), reverse=True))
+
+
+def reference_x_ranks(stair) -> list[int]:
+    """``[0, x_1, ..., x_m, 2m + 2]``: the rank x's by ``(x, id)`` of the query objects ``stair``, in its
+    order, sentinel last, through Python lists: the reference for ``ranking.staircase``'s rank x's."""
+    keys = [(q.x, q.id) for q in stair]
+    ranks = [0] * len(stair)
+    for rank, t in enumerate(sorted(range(len(stair)), key=keys.__getitem__), start=1):
+        ranks[t] = 2 * rank
+    return [0, *ranks, 2 * len(stair) + 2]
 
 
 def _brute_row_col(inst: Instance, p) -> tuple[int, int | None]:
@@ -161,7 +178,7 @@ def reference_walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
                 if v > best:
                     best, bj = v, j
         if bj != i:
-            ids.append(stair[bj - 1].id)
+            ids.append(stair[bj - 1])
             i = bj
     return frozenset(ids)
 
