@@ -4,7 +4,10 @@
 
 For each shape it grids one ``uniform`` instance and times ``dp_layers``
 (the simple DP) at the shape's k and ``tree_layers`` (the segment tree) at
-every k of ``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``.
+every k of ``TREE_KS`` (``replace(inst, k=...)``), each best of ``--reps``,
+on the grid as ``build_grid`` built it, zero-weight cells and all, as a
+solve hands it to them.  ``cells`` counts the nonzero ones, as
+``solver._costs`` does.
 Both engines return their tables and no picks, which the walk finds later
 (``solver._walk``); the grid stores the x-ranks, the cells' total is kept on
 it after the first repetition, and the shapes' weights (-10..10) fit
@@ -25,7 +28,6 @@ from statistics import linear_regression, median
 from time import perf_counter
 
 from maxdom.cells import build_grid
-from maxdom.coverage import build_row_sums
 from maxdom.instances import GeneratorSpec, generate
 from maxdom.solver import (
     SWEEP_NS,
@@ -78,8 +80,8 @@ def main() -> None:
     )
     for n, m, k in SHAPES:
         inst = generate(GeneratorSpec("uniform", n, m, k, seed=args.seed))
-        grid = build_row_sums(build_grid(inst))
-        cells = sum(map(len, grid.per_row))
+        grid = build_grid(inst)
+        cells = sum(1 for row in grid.per_row for _, w in row if w)
         sweep_s = best_of(args.reps, lambda: dp_layers(inst, grid))
         sweep_ns.append(sweep_s * 1e9 / units(m, k, cells)[0])
         tree = []

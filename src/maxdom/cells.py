@@ -4,8 +4,9 @@ The region covered by at least one query splits into axis-aligned cells:
 horizontal strips between consecutive query y-values, each strip cut at the
 x-values of the queries above it.  All points inside one cell are covered by
 exactly the same set of queries, so for every pick set the cell's total
-weight stands for all of its points: the non-empty cells are the compressed
-ground set, with at most min(n, m^2) entries.
+weight stands for all of its points: the nonzero cells are the compressed
+ground set, with at most min(n, m^2) entries.  The grid keeps every
+non-empty cell, zero-weight ones too, and the DP reads it as built.
 
 ``build_grid`` sums the points' int weights (``PointColumns.int_weights``)
 over slices of the point columns by ``_sum_cells``, which each part of a
@@ -46,9 +47,11 @@ class CellKey(NamedTuple):
 
 @dataclass(frozen=True)
 class CellGrid:
-    """Per-strip weight totals of the non-empty cells, zero-weight ones kept until ``build_row_sums``.
+    """Per-strip weight totals of the non-empty cells, zero-weight ones included.
 
-    The one stored form of the cells: the DP reads ``per_row``, ``qx`` and ``total``.
+    The one stored form of the cells, and the DP's input as built: the DP
+    reads ``per_row``, ``qx`` and ``total``, and a zero-weight cell adds
+    nothing to it.
     """
 
     per_row: tuple[tuple[tuple[int, int], ...], ...]  # per_row[i-1]: strip i's (col, weight), col-sorted; m strips

@@ -1,4 +1,4 @@
-"""Zero-free cell rows for the DP and the incremental coverage sweep.
+"""The incremental coverage sweep over the grid's cell rows.
 
 The solver needs, at sweep row i and for every position j <= i (positions
 count queries in decreasing y), the total weight of ground points that lie
@@ -6,10 +6,12 @@ strictly above the i-th highest query and inside the closed quadrant of the
 j-th highest query.  Cell weights make this incremental: moving the sweep
 from row i to i+1 adds, for each query, the strip-i cells named at or left
 of its rank x (``cells.CellKey``), a prefix of strip i in name order.  The
-DP reads the grid itself (``CellGrid.per_row``), each strip's nonzero cells
-as the grid summed them, ints, so one advance costs time linear in the row
-index plus the row's stored cells.  The grid also stores the rank x's
-(``CellGrid.qx``) and caches the cells' absolute total (``CellGrid.total``).
+DP reads the grid as built (``CellGrid.per_row``), each strip's cells as
+the grid summed them, ints, zero-weight ones adding nothing, so one advance
+costs time linear in the row index plus the row's stored cells.  The grid
+also stores the rank x's (``CellGrid.qx``) and caches the cells' absolute
+total (``CellGrid.total``).  ``build_row_sums``, a zero filter over the
+rows, is on no solve path.
 """
 
 from __future__ import annotations

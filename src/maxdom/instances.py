@@ -363,7 +363,8 @@ def parse(path) -> Instance:
 
 # Point-line bytes below which ``point_ranges`` declines a parse in parts:
 # under it, starting a second process costs more than half the parse and
-# grid saves (measured in the README, "Parsing in parts").
+# grid saves (measured in the README, "Parsing in parts").  Half of it is
+# the fewest point-line bytes that a part of a split gets.
 SPLIT_MIN_BYTES = 1 << 20
 # Bytes read back from the end of the file per query line: room for two
 # shortest-repr floats; a tail of longer lines is left to ``parse``.
@@ -393,7 +394,8 @@ def point_ranges(path, parts: int):
     points and m query lines under the file's budget k.  ``queries`` is the
     instance it returns.  The bytes between the header line and the first
     query line, which should hold the n point lines, are cut after a newline
-    into at most ``parts`` ``(start, stop)`` ranges of about equal size.
+    into at most ``parts`` ``(start, stop)`` ranges of about equal size, and
+    at most one per ``SPLIT_MIN_BYTES // 2`` of those bytes.
     None where the file, or its point lines, are smaller than
     ``SPLIT_MIN_BYTES`` or the tail read back (``_TAIL_BYTES_PER_QUERY``
     per query) holds fewer than m lines; a bad header, or a tail that is
@@ -419,6 +421,8 @@ def point_ranges(path, parts: int):
         stop = size - len(tail)
         if stop - start < max(SPLIT_MIN_BYTES, 1):
             return None
+        if SPLIT_MIN_BYTES // 2:
+            parts = min(parts, (stop - start) // (SPLIT_MIN_BYTES // 2))
         cuts = [start]
         for i in range(1, parts):
             f.seek(start + (stop - start) * i // parts)

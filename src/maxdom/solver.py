@@ -2,9 +2,9 @@
 
 The pipeline sums the ground points' int weights into the cells of the
 covered region straight from the instance's point columns
-(``cells.build_grid``), drops the zero-weight cells and runs the DP on the
-grid's rows: O(n log m) on the n-side, with no per-point object, and the
-cell sums are themselves the compressed ground set.  ``solve_reference``
+(``cells.build_grid``) and runs the DP on the grid's rows as built:
+O(n log m) on the n-side, with no per-point object, and the nonzero cell
+sums are themselves the compressed ground set.  ``solve_reference``
 reaches the same cell sums the ranked way (rank every point and grid in rank
 space, where the grid skips the uncovered points) and runs the same DP;
 ``verify`` and the tests compare the pipeline against it.  ``maxdom solve``
@@ -51,11 +51,11 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from time import perf_counter
 
 from .cells import CellGrid, _sum_cells, add_parts, build_grid
-from .coverage import CoverageSweep, build_row_sums
+from .coverage import CoverageSweep
 from .instances import _read_header, point_batches, point_ranges
 from .model import Instance, Solution, _all_ints, exact
 from .ranking import rank_transform, staircase
@@ -64,9 +64,9 @@ from .ranking import rank_transform, staircase
 def dp_layers(inst: Instance, grid: CellGrid):
     """All layer tables, layer 0 identically zero, and each query's weight on its own.
 
-    ``grid`` must hold the per-strip cells of ``inst``, as
-    ``build_row_sums(build_grid(inst))`` gives them; every layer consumes a
-    fresh ``CoverageSweep`` over them.
+    ``grid`` must hold the per-strip cells of ``inst``, as ``build_grid(inst)``
+    gives them, zero-weight cells and all; every layer consumes a fresh
+    ``CoverageSweep`` over them.
 
     Returns ``(tables, alone, k_eff)`` where ``tables[l][i]`` is the layer-l
     optimum at position i (1-based, sentinel last) and ``alone[j]`` is
@@ -119,29 +119,18 @@ def tree_layers(inst: Instance, grid: CellGrid):
     whose leaves are the queries' rank x's (x at leaf ``x // 2 - 1``).  For
     layer l, leaf j holds ``t_{l-1}[j] + cov(i, j)`` once position j is
     inserted: before position i, every nonzero cell of strip i - 1 adds its
-    weight to the leaves at or right of its name's, ``t_l[i]`` is the better
-    of its self-link ``t_{l-1}[i]`` and the maximum over the leaves left of
-    it, and position i is then inserted.  One tree holds all k layers, each
-    node value packing one field per layer into one int (``_tree_tables``):
-    O(k (c + m) log m) time in all, c the nonzero cells.
+    weight to the leaves at or right of its name's (a zero-weight one is
+    skipped), ``t_l[i]`` is the better of its self-link ``t_{l-1}[i]`` and
+    the maximum over the leaves left of it, and position i is then
+    inserted.  One tree holds all k layers, each node value packing one
+    field per layer into one int (``_tree_tables``): O(k (c + m) log m)
+    time in all, c the nonzero cells.
 
-    Returns ``dp_layers``' ``(tables, alone, k_eff)``.  With ``P(s, x)`` the
-    weight of strips 1..s at rank x's up to x, ``alone[j] = P(m, qx[j]) -
-    corner[j]``, the corner sums as ``_tree_tables`` records them: one pass
-    over the cells and one ``accumulate``.
+    Returns ``dp_layers``' ``(tables, alone, k_eff)``, ``alone`` read off
+    the leaves once the sweep ends (``_tree_tables``).
     """
-    qx = grid.qx
-    last = len(qx) - 1
-    k_eff = min(inst.k, last - 1)
-    tables, corner = _tree_tables(qx, grid.per_row, k_eff, grid.total)
-    if not k_eff:
-        return tables, [], k_eff
-    dense = [0] * qx[last]  # per rank x below the sentinel's, the weight of all strips
-    for strip in grid.per_row:
-        for x, w in strip:
-            dense[x] += w
-    below = list(accumulate(dense))
-    return tables, [below[qx[j]] - corner[j] for j in range(last)] + [0], k_eff
+    k_eff = min(inst.k, len(grid.qx) - 2)
+    return (*_tree_tables(grid, k_eff), k_eff)
 
 
 def _tree_width(m: int) -> int:
@@ -166,13 +155,13 @@ def _unpack(rows: list[int], k: int, nbytes: int) -> list[list[int]]:
     return [flat[l::k] for l in range(k)]
 
 
-def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], list[int]]:
-    """``tree_layers``' tables and corner sums from the stair's rank x's and the zero-free grid's rows and total.
+def _tree_tables(grid: CellGrid, k_eff: int) -> tuple[list[list[int]], list[int]]:
+    """``tree_layers``' tables and ``alone`` from the grid's rank x's, rows and total.
 
     A suffix add of w from leaf j is kept as a point add at leaf j: with
     ``A[j]`` the adds made at leaf j so far, a leaf's value is its base plus
     ``A`` summed over the leaves up to it.  The base is -W - 1 (W =
-    ``total``) until the leaf is inserted, so the value stays negative, and
+    ``grid.total``) until the leaf is inserted, so the value stays negative, and
     is then set so that the value is the inserted entry.  Node ``p`` keeps
     two ints of one field per layer, field l - 1 for layer l: ``S[p]``, the
     sum of ``A`` over its leaves in every field, and ``M[p]``, per layer the
@@ -202,15 +191,19 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
     one field, layer 1's field holding ``t_0[i] = 0``.  The rows stay packed
     and are unpacked once, at the end.
 
-    No cell of strips 1..i - 1 lies at position i's leaf, so the adds left
-    of the leaf that its insert subtracts are ``corner[i]`` in every field,
-    the weight of strips 1..i - 1 at leaves up to it, which ``tree_layers``
-    needs for ``alone``.  Returns ``(tables, corner)``, ``corner`` indexed by
-    position.
+    The sentinel's row reads the root, ``M[1]``: no leaf right of the last
+    query's is ever inserted, so its value stays at or below -1 and leaves
+    the fieldwise maximum with 0 as it is.  Once strip m is added, layer
+    1's field of position j's leaf holds ``t_0[j] + cov(m + 1, j)``, which
+    is ``alone[j]``: field 0 of the leaf's ``M`` less the bias, plus the
+    sign-extended field 0 of ``S`` summed over the leaves left of it, one
+    ``accumulate``.  Returns ``(tables, alone)``, ``alone`` indexed by
+    position, 0 at position 0 and at the sentinel, and empty at k_eff = 0.
     """
+    qx, per_row, total = grid.qx, grid.per_row, grid.total
     last = len(qx) - 1
     size = _tree_width(last - 1)
-    leaf = [size + x // 2 - 1 for x in qx]  # the sentinel's is past the end when m == size
+    leaf = [size + x // 2 - 1 for x in qx[:last]]  # by position, the sentinel's aside
     bias = 2 * total + 1
     nbytes = _field_bytes(total)
     f = 8 * nbytes
@@ -222,10 +215,11 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
     S = [0] * (2 * size)
     M = [(bias - total - 1) * ones] * (2 * size)
     rows = [0]  # rows[i]: t_1[i], ..., t_k[i], packed
-    corner = [0] * last
     for i in range(1, last + 1):
         if i > 1:
             for x, w in per_row[i - 2]:  # strip i - 1: suffix add from rank x's leaf
+                if not w:
+                    continue
                 d = w * ones
                 p = x // 2 + size - 1
                 S[p] += d
@@ -239,8 +233,10 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
                     y = M[a + 1] + s
                     t = ((x | guards) - y) & guards
                     M[p] = y ^ ((x ^ y) & (t - (t >> g)))
-        p = leaf[i]
-        if p < 2 * size:
+        if i == last:  # the sentinel: every query's leaf lies left of it
+            res = M[1]
+        else:
+            p = leaf[i]
             res = None  # every layer's maximum left of the leaf, plus the bias
             left = 0  # the adds left of the leaf, times ``ones``
             while p > 1:
@@ -255,8 +251,6 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
                         res = y ^ ((x ^ y) & (t - (t >> g)))
                     left += s
                 p >>= 1
-        else:  # the sentinel, m a power of two: every leaf lies left of it
-            res = M[1]
         if res is None:  # no leaf left of position i: it keeps t_0[i] = 0 everywhere
             row = zero
         else:
@@ -264,8 +258,6 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
             row = zero ^ ((res ^ zero) & (t - (t >> g)))
         rows.append(row - zero)
         if i < last:  # insert position i: layer l's leaf value becomes t_{l-1}[i]
-            if ones:  # none at k = 0, where ``alone`` needs no corner sums
-                corner[i] = left // ones
             p = leaf[i]
             M[p] = (((row << f) | bias) & full) - left
             while p > 1:
@@ -278,8 +270,13 @@ def _tree_tables(qx, per_row, k_eff: int, total: int) -> tuple[list[list[int]], 
                 if new == M[p]:
                     break
                 M[p] = new
+    alone = []
+    if k_eff:
+        mask, half = (1 << f) - 1, 1 << g
+        before = list(accumulate([((s & mask) ^ half) - half for s in S[size : size + last - 1]], initial=0))
+        alone = [0, *[(M[p] & mask) - bias + before[p - size] for p in leaf[1:]], 0]
     del S, M  # the tables take their place
-    return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)], corner
+    return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)], alone
 
 
 def _walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
@@ -310,13 +307,13 @@ def _walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
         target = tables[layer][i]
         if target == t_prev[i]:  # the self-link: keep i
             continue
+        xi = qx[i]
         if upto != i:
             for strip in per_row[i - 1 : upto - 1]:
                 for x, w in strip:
                     dense[x] += w
             upto = i
-            below = list(accumulate(dense))
-        xi = qx[i]
+            below = list(accumulate(islice(dense, xi)))  # a scan reads S_i below x_i only
         for j in range(1, i):
             x = qx[j]
             if x < xi and t_prev[j] + alone[j] - below[x] == target:
@@ -460,14 +457,15 @@ def run_pipeline(inst: Instance, engine: str = "auto", grid: CellGrid | None = N
     """sum the cells -> layered DP -> reconstruct.
 
     The cells are summed straight from ``inst``'s point columns in its own
-    coordinates (``build_grid``); the nonzero cells are the compressed
-    ground set, whose size is reported as ``compressed_size``.  Where
+    coordinates (``build_grid``) and handed to the engine as built; the
+    nonzero cells are the compressed ground set, whose size is reported as
+    ``compressed_size``, counted in the same pass as ``cells``.  Where
     ``grid`` is given, it is the grid of ``inst``'s queries over the ground
-    set, as ``grid_parts`` returns it, and the grid stage only drops its
-    zero-weight cells.
+    set, as ``grid_parts`` returns it, and the grid stage only counts its
+    cells.
 
     ``engine`` is ``"auto"`` (the default), which runs whichever engine
-    ``_costs`` predicts faster on the zero-free grid, ``"sweep"`` (the
+    ``_costs`` predicts faster on the grid, ``"sweep"`` (the
     paper's simple DP) or ``"tree"``; both give the same tables and
     ``alone``.  For either, ``dp`` times the tables and ``reconstruct``
     walks the picks and reads the solution off them (``_solution``); where
@@ -482,9 +480,8 @@ def run_pipeline(inst: Instance, engine: str = "auto", grid: CellGrid | None = N
     _choose(engine, *_costs(inst.m, k_eff))
     t0 = perf_counter()
     grid = build_grid(inst) if grid is None else grid
-    cells = sum(map(len, grid.per_row))
-    grid = build_row_sums(grid)
-    nonzero = sum(map(len, grid.per_row))
+    weights = [w for row in grid.per_row for _, w in row]  # every stored cell's, zero-weight ones too
+    nonzero = len(weights) - weights.count(0)
     estimates, slots = _costs(inst.m, k_eff, nonzero, grid.total)
     engine = _choose(engine, estimates, slots)
     t1 = perf_counter()
@@ -496,7 +493,7 @@ def run_pipeline(inst: Instance, engine: str = "auto", grid: CellGrid | None = N
     return PipelineResult(
         solution,
         grid.retained,
-        cells,
+        len(weights),
         nonzero,
         dp_pairs,
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},
@@ -545,8 +542,8 @@ def _int_weight_batch(batch):
 def grid_parts(path):
     """``(n, queries, grid, peaks)`` for the instance file at ``path``, parsed and gridded in parts, or None.
 
-    The point lines are cut into one byte range per usable CPU, and the
-    queries read, by ``instances.point_ranges``: ``queries`` is the file's
+    The point lines are cut into at most one byte range per usable CPU,
+    and the queries read, by ``instances.point_ranges``: ``queries`` is the file's
     queries and k with no points.  Their staircase and rank x's
     (``ranking.staircase``) are found once, before any fork.  This
     process parses and grids the first range; one forked child does each
@@ -625,5 +622,5 @@ def solve_reference(inst: Instance) -> Solution:
     equal ``solve_pipeline``'s.
     """
     rr = rank_transform(inst)
-    grid = build_row_sums(build_grid(rr))
+    grid = build_grid(rr)
     return _solution(grid, *dp_layers(rr, grid))

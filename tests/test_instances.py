@@ -738,6 +738,30 @@ def test_parse_peak_memory_of_crlf_files(tmp_path, monkeypatch):
     test_parse_peak_memory_is_bounded_by_the_instance(tmp_path, monkeypatch)
 
 
+def test_a_split_part_gets_at_least_half_the_split_threshold(tmp_path, monkeypatch):
+    # however many CPUs ask for parts, a part gets at least
+    # ``SPLIT_MIN_BYTES // 2`` point-line bytes; two parts are always
+    # allowed, and a threshold of 0 caps nothing
+    half = instances.SPLIT_MIN_BYTES // 2
+    line = 18  # bytes of each point line written below
+
+    def write(point_bytes):
+        path = tmp_path / f"points{point_bytes}.txt"
+        n = point_bytes // line
+        points = "".join(f"{1_000_000 + j} {2_000_000 + j} {j % 9}\n" for j in range(n))
+        path.write_text(f"{n} 3 2\n" + points + "1 5\n2 4\n3 3\n")
+        return path, n
+
+    for point_bytes, parts in ((2 * half + 5_000, 2), (7 * half + 5_000, 7)):
+        path, n = write(point_bytes)
+        for asked in (2, parts, 64):
+            got, queries, ranges = instances.point_ranges(path, asked)
+            assert (got, queries.m, len(ranges)) == (n, 3, min(asked, parts))
+            assert all(stop - start > half - line for start, stop in ranges)
+    monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+    assert len(instances.point_ranges(write(3_000 * line)[0], 64)[2]) == 64
+
+
 def test_part_grid_peak_memory_does_not_grow_with_the_points(tmp_path, monkeypatch):
     # A part of a split solve sums each converted batch into its cells and
     # keeps no point: point columns would add 24 bytes a point line, strips 16.

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxdom.cells
+import maxdom.coverage
 import maxdom.instances
 import maxdom.model
 import maxdom.solver
@@ -204,12 +205,12 @@ def test_work_counters_match_direct_count():
 
 
 def assert_engines_agree(inst):
-    """The tree engine's tables and solution equal the simple DP's; returns the solution."""
-    row_sums = build_row_sums(build_grid(inst))
-    tables, alone, k_eff = dp_layers(inst, row_sums)
-    tree_tables, tree_alone, tree_k = tree_layers(inst, row_sums)
+    """The tree engine's tables and solution equal the simple DP's on the grid as built; returns the solution."""
+    grid = build_grid(inst)
+    tables, alone, k_eff = dp_layers(inst, grid)
+    tree_tables, tree_alone, tree_k = tree_layers(inst, grid)
     assert (tree_tables, tree_alone, tree_k) == (tables, alone, k_eff)
-    sol = _solution(row_sums, tables, alone, k_eff)
+    sol = _solution(grid, tables, alone, k_eff)
     assert run_pipeline(inst, "tree").solution == run_pipeline(inst, "sweep").solution == sol
     return sol
 
@@ -233,12 +234,14 @@ def assert_walk_covers_every_layer(inst, grid, tables, alone, k_eff):
         assert weight_of_dom(inst.P, [q for q in inst.Q if q.id in sol.chosen]) == sol.value
 
 
-# int, quarter, decimal and all-negative weights over a tie-heavy instance's int ones
+# int, quarter, decimal, all-negative and -1/0/1 weights (many zero-weight
+# cells) over a tie-heavy instance's int ones
 WEIGHT_FORMS = (
     lambda w: w,
     lambda w: Fraction(w, 4),
     lambda w: Decimal(w) / 10,
     lambda w: -abs(w) - 1,
+    lambda w: w % 3 - 1,
 )
 
 
@@ -247,19 +250,26 @@ WEIGHT_FORMS = (
 def test_both_engines_give_each_querys_weight_alone(inst, weight, data):
     # ``alone[j]``, which the walk recomputes cov(i, j) from, is the weight
     # that position j's query covers over all points, at the grid's scale;
-    # the walk's picks off it cover each layer's optimum
+    # the walk's picks off it cover each layer's optimum.  Both engines read
+    # the grid as built, zero-weight cells and all, and give the tables,
+    # ``alone`` and picks that they give without those cells
     inst = Instance.from_rows(
         [(p.x, p.y, weight(p.w)) for p in inst.P],
         [(q.x, q.y) for q in inst.Q],
         data.draw(st.integers(1, inst.m + 1)),
     )
-    grid = build_row_sums(build_grid(inst))
+    grid = build_grid(inst)
     tables, alone, k_eff = dp_layers(inst, grid)
-    assert tree_layers(inst, grid)[1] == alone
+    assert tree_layers(inst, grid) == (tables, alone, k_eff)
+    zero_free = build_row_sums(grid)
+    for engine in (dp_layers, tree_layers):
+        assert engine(inst, zero_free) == (tables, alone, k_eff)
     assert len(alone) == inst.m + 2 and alone[0] == alone[-1] == 0
     for j, q_id in enumerate(grid.stair, 1):
         assert alone[j] == weight_of_dom(inst.P, [inst.Q[q_id]]) * grid.scale
     assert_walk_covers_every_layer(inst, grid, tables, alone, k_eff)
+    for k in range(k_eff + 1):
+        assert _solution(grid, tables, alone, k) == _solution(zero_free, tables, alone, k)
 
 
 def test_walk_picks_cover_every_layers_optimum():
@@ -297,10 +307,12 @@ def test_tree_engine_matches_simple_dp_on_every_family():
             assert_engines_agree(replace(inst, k=4 * k))  # more lanes per tree node
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17])
 def test_tree_engine_when_the_sentinel_reads_the_root(m):
-    # m a power of two fills the tree, so the sentinel's leaf lies past it;
-    # few points over a tall staircase also merge many queries at once
+    # the sentinel reads the root whatever m is: m a power of two fills the
+    # tree, and at any other m the leaves right of the last query's are never
+    # inserted; few points over a tall staircase also merge many queries at
+    # once
     rng = SplitMix64(m)
     for n in (0, 3, 40):
         for _ in range(4):
@@ -499,6 +511,33 @@ def test_one_staircase_sort_per_solve(tmp_path, monkeypatch):
         _, queries, grid, peaks = grid_parts(path)
         assert run_pipeline(queries, engine, grid=grid).solution == expected
         assert calls == [queries.Q] and len(peaks) == 1
+
+
+def test_no_solve_drops_the_zero_weight_cells(tmp_path, monkeypatch):
+    # the engines read the grid as built: neither solve, plain or over a
+    # split's grid, nor the ranked reference calls the zero filter, and the
+    # zero-weight cells count in ``cells`` but not in ``compressed_size``
+    calls = []
+
+    def spied(grid):
+        calls.append(grid)
+        return build_row_sums(grid)
+
+    for module in (maxdom.coverage, maxdom.solver):
+        monkeypatch.setattr(module, "build_row_sums", spied, raising=False)
+    inst = random_instance(SplitMix64(59), n=40, m=8, k=3, span=6, wlo=-1, whi=1)
+    grid = build_grid(inst)
+    assert 0 in grid.cells.values()
+    expected = solve_reference(inst)
+    for engine in ("sweep", "tree"):
+        res = run_pipeline(inst, engine)
+        assert res.solution == expected
+        assert (res.cells, res.compressed_size) == (len(grid.cells), sum(map(bool, grid.cells.values())))
+    if hasattr(os, "fork"):
+        path = _two_part_file(tmp_path, monkeypatch, inst)
+        _, queries, parts_grid, peaks = grid_parts(path)
+        assert len(peaks) == 1 and run_pipeline(queries, grid=parts_grid).solution == expected
+    assert calls == []
 
 
 def test_one_x_rank_pass_per_solve_and_one_weight_scaling_pass_per_point_set(tmp_path, monkeypatch):
