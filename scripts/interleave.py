@@ -15,8 +15,12 @@ that is removed at the end; with ``--files`` instead, the operation of
 each given file is ``solve``.  Then, ``--rounds`` times, every file's
 operation runs once on each tree, the tree that goes first alternating from
 one operation to the next: ``cli.main([command, FILE])`` with its output
-discarded, or, with ``--call instances.parse`` (any ``module.function`` of
-the package), that function of the file's path.  Each pair gives the ratio
+discarded, or, with ``--call`` (any ``module.function`` of the package),
+that function of one argument: the file's path for a function of
+``instances``, such as ``--call instances.parse``, and otherwise the
+``Instance`` that the tree's own ``instances.parse`` reads from the file,
+parsed once before the rounds and outside the timings, so that ``--call
+cells.build_grid`` times the grid alone.  Each pair gives the ratio
 of the change's time to the parent's.  Prints the median ratio, its
 quartiles, the pairs in which the change was faster and each tree's median
 time.
@@ -52,7 +56,11 @@ def load(tree: Path, name: str) -> None:
 
 
 def operation(name: str, call: str | None, command: str, path: str):
-    """A no-argument callable that runs one operation on the package ``name``; a failed ``cli.main`` raises."""
+    """A no-argument callable that runs one operation on the package ``name``; a failed ``cli.main`` raises.
+
+    A ``call`` outside ``instances`` is handed the instance that ``name``'s
+    ``instances.parse`` reads from ``path``, parsed here, not in the callable.
+    """
     if call is None:
         main = sys.modules[f"{name}.cli"].main
         argv = [command, path]
@@ -66,7 +74,8 @@ def operation(name: str, call: str | None, command: str, path: str):
         return run
     module, _, func = call.rpartition(".")
     func = getattr(importlib.import_module(f"{name}.{module}"), func)
-    return lambda: func(path)
+    arg = path if module == "instances" else importlib.import_module(f"{name}.instances").parse(path)
+    return lambda: func(arg)
 
 
 def timed(run) -> int:
@@ -83,7 +92,8 @@ def main() -> int:
     source.add_argument("--files", nargs="+", metavar="PATH", help="instance files to time instead of a workload's")
     ap.add_argument("--seeds", type=seeds, metavar="A-B")
     ap.add_argument("--rounds", type=int, default=5, help="passes over every file (default 5)")
-    ap.add_argument("--call", help="time this module.function of the package on each file instead of cli.main")
+    ap.add_argument("--call", help="time this module.function of the package on each file (its parsed instance "
+                    "outside instances) instead of cli.main")
     args = ap.parse_args()
     if args.workload and args.seeds is None:
         ap.error("--workload needs --seeds")

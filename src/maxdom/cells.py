@@ -21,12 +21,15 @@ coordinates and its rank-normalized form give the same cells and sums.
 ``cell_boxes`` and ``compress`` give cell corners in rank coordinates,
 read off the grid's rank x's and the staircase positions' rank y's, for
 the rank-normalized instance; they serve ``maxdom compress`` and
-rendering.
+rendering.  ``_sum_cells`` names a cell, and ``cell_boxes`` finds its left
+edge, by one walk up the strips over a union-find (``_root``) of the rank
+x's of the queries still above the strip: a query leaves it once the walk
+has climbed past the query's y-value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,20 +86,16 @@ class CompressedP:
     provenance: tuple[CellKey, ...]
 
 
-def _merge_into(prefix: list, new) -> None:
-    """Merge the values of ``new`` into the sorted list ``prefix``, in place.
+def _root(parent: list, t: int) -> int:
+    """The first index that ``parent`` maps to itself on the way from ``t``, each step halving the path.
 
-    A few values are inserted one at a time; more are appended and sorted,
-    which timsort does as one merge of the sorted run with the sorted tail.
-    Either way a call moves O(len(prefix)) entries, however many values it
-    merges, instead of one shift of the list per value.
+    ``parent`` is a "next alive" union-find (Tarjan, JACM 1975): an index
+    maps to itself while its query is above the strip, and to a neighbour
+    once the query has left, so the root is the nearest query still above.
     """
-    if len(new) <= 8:
-        for x in new:
-            insort(prefix, x)
-    else:
-        prefix += new
-        prefix.sort()
+    while parent[t] != t:
+        parent[t] = t = parent[parent[t]]
+    return t
 
 
 def _sum_cells(Q: QueryColumns, qx, batches) -> tuple[tuple, int, int]:
@@ -109,10 +108,16 @@ def _sum_cells(Q: QueryColumns, qx, batches) -> tuple[tuple, int, int]:
     C-level bisect maps a batch.  Only each
     key's weight sum and point count are kept, O(min(n, m^2)) entries however
     many points there are; int sums do not depend on the order of the points.
-    At the end the keys are walked strip by strip: the r queries left of a
-    point hold the rank x's 2..2r, so the cell's name is the first rank x
-    above 2r + 1 among the sorted rank x's of the queries above the strip,
-    brought up to date only at strips with keys.
+    At the end the keys are walked strip by strip from the bottom up, strip
+    0 first, with ``after`` holding one index per rank x 2, 4, ..., 2m and
+    the sentinel 2m + 2.  Every query starts above the strip; before a
+    strip's keys are read, the queries below the strip leave, each linking
+    its index to the next one up.  The r queries left of a point hold the
+    rank x's 2..2r, so the cell's name is the nearest rank x above 2r + 1
+    still above the strip, ``_root`` of index r; a root at the sentinel
+    means no query above the strip covers the point.  A strip costs one
+    link per leaving query and its keys' ``_root`` steps, not a pass over
+    the queries above it.
     """
     m = len(Q)
     ys_asc, xs_asc = sorted(Q.ys), sorted(Q.xs)
@@ -128,17 +133,18 @@ def _sum_cells(Q: QueryColumns, qx, batches) -> tuple[tuple, int, int]:
             sums[key] = get(key, 0) + w
     per_row: list[tuple[tuple[int, int], ...]] = [()] * m
     retained = 0
-    prefix: list = []  # rank x's of the ``done`` highest queries, sorted
-    done = 0
-    for strip, keys in groupby(sorted(sums, reverse=True), key=lambda key: key // width):
+    after = list(range(width))  # after[j]: j if the query of rank x 2j + 2 is above the strip, else a later index
+    done = m
+    for strip, keys in groupby(sorted(sums), key=lambda key: key // width):
         row = m - strip
-        _merge_into(prefix, qx[done + 1 : row + 1])
+        for x in qx[row + 1 : done + 1]:
+            after[x // 2 - 1] = x // 2
         done = row
         cells: dict[int, int] = {}
         for key in keys:
-            slot = bisect_left(prefix, 2 * (key % width) + 1)
-            if slot < row:  # else right of every query above the strip: uncovered
-                col = prefix[slot]
+            j = _root(after, key % width)
+            if j < m:  # else right of every query above the strip: uncovered
+                col = 2 * j + 2
                 cells[col] = cells.get(col, 0) + sums[key]
                 retained += counts[key]
         if cells:
@@ -182,20 +188,25 @@ def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
     """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance, ``x_hi`` its name.
 
     In rank space the query at staircase position i has y = 2 (m - i + 1)
-    and x = ``grid.qx[i]``.
+    and x = ``grid.qx[i]``.  The rows are walked from the bottom up, row m
+    first, as ``_sum_cells`` walks its strips, with ``before`` holding index
+    0 for x = 0 and one index per rank x 2, 4, ..., 2m: a query that leaves
+    links its index to the next one down, so a cell's left edge is the
+    nearest rank x below its name still above the strip, ``_root`` of the
+    name's index less one, and 0 where there is none.
     """
     m = rinst.m
     boxes: dict[CellKey, tuple] = {}
-    xs_prefix: list = []  # x-values of the ``done`` highest queries, sorted
-    done = 0
-    for i, row in enumerate(grid.per_row, 1):
+    before = list(range(m + 1))  # before[j]: j if the query of rank x 2j is above the strip, else an earlier index
+    done = m
+    for i, row in zip(range(m, 0, -1), reversed(grid.per_row)):
         if not row:
             continue
-        _merge_into(xs_prefix, grid.qx[done + 1 : i + 1])
+        for x in grid.qx[i + 1 : done + 1]:
+            before[x // 2] = x // 2 - 1
         done = i
         for col, _w in row:
-            s = bisect_left(xs_prefix, col)
-            boxes[CellKey(i, col)] = (xs_prefix[s - 1] if s else 0, 2 * (m - i), col, 2 * (m - i + 1))
+            boxes[CellKey(i, col)] = (2 * _root(before, col // 2 - 1), 2 * (m - i), col, 2 * (m - i + 1))
     return boxes
 
 

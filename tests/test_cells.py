@@ -18,6 +18,7 @@ from util import (
     exact_cells,
     random_instance,
     reference_grid,
+    reference_y_sorted_queries,
     same_dominators_check,
     small_instances,
     tie_instances,
@@ -233,8 +234,10 @@ def test_cells_summed_by_key_equal_the_grid(inst, size):
 
 
 def test_tall_staircase_over_few_points_equals_ranked_reference():
-    # 100,000 queries and five points: each point's cell is read off at most
-    # 17 sorted blocks of query x-ranks, made for the five keys alone
+    # Cells are named by one walk up the strips, a query leaving the
+    # union-find of rank x's as the walk climbs past its y-value.  First,
+    # 100,000 queries over five points: the walk reads five strips and
+    # passes nearly every query between them
     m = 100_000
     inst = Instance.from_rows(
         [(i, 3 * i, i + 1) for i in range(5)], [(i, m - i) for i in range(m)], 4
@@ -244,11 +247,30 @@ def test_tall_staircase_over_few_points_equals_ranked_reference():
     assert got == ref
     assert got.retained == 5 and len(got.cells) == 5
     assert _sum_cells(inst.Q, got.qx, [(inst.P.xs, inst.P.ys, inst.P.ws)]) == (got.per_row, 5, 5)
+    # Then the worst case for naming: x falls along the staircase, query i
+    # at (2i, 2i), and strip s, between the y's of queries s - 1 and s,
+    # holds one point, so a query leaves before every strip's keys.  The
+    # queries above strip s are s..m-1, of rank x 2s + 2..2m, and a point
+    # at x is named by the first of them at or right of x; every third
+    # point is left of every query, so its x-slot's root is reached through
+    # the queries that have left
+    m = 20_000
+    xs = [-1 if s % 3 == 0 else (37 * s) % (2 * m + 4) - 2 for s in range(m)]
+    inst = Instance.from_rows(
+        [(x, 2 * s - 1, s + 1) for s, x in enumerate(xs)], [(2 * i, 2 * i) for i in range(m)], 4
+    )
+    named = {s: max(s, -(-x // 2)) for s, x in enumerate(xs)}
+    cells = {CellKey(m - s, 2 * t + 2): s + 1 for s, t in named.items() if t < m}
+    got = build_grid(inst)
+    assert got.cells == cells and got.retained == len(cells) > m // 2
+    assert got == build_grid(ranked(inst))
+    assert _sum_cells(inst.Q, got.qx, [(inst.P.xs, inst.P.ys, inst.P.ws)]) == (got.per_row, len(cells), m)
 
 
 def test_cell_boxes_of_a_tall_staircase_over_few_points():
-    # x falls along the staircase, so every query enters the sorted x-prefix
-    # at its front; the boxes are checked against the definition: a cell's
+    # x falls along the staircase, so the queries that leave the walk below
+    # a cell are the leftmost ones, and its left edge's root is reached
+    # through them; the boxes are checked against the definition: a cell's
     # right edge is the query above its strip that names it, and its left
     # edge the next x-value left of that one above the strip, or 0
     m = 20_000
@@ -262,6 +284,26 @@ def test_cell_boxes_of_a_tall_staircase_over_few_points():
         assert col in xs
         x_lo = max((x for x in xs if x < col), default=0)
         assert box == (x_lo, qs[row].y if row < m else 0, col, qs[row - 1].y)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(tie_instances(), small_instances(), gridding_instances()))
+def test_cell_boxes_match_their_definition(inst):
+    # every box of the ranked instance's grid against the definition: its
+    # right edge is its name, the rank x of a query above its strip; its
+    # left edge the largest rank x below the name among those queries, or
+    # 0; its y-range the strip's, between the y's of the queries at
+    # staircase positions row + 1 and row (0 below the lowest)
+    rr = ranked(inst)
+    grid = build_grid(rr)
+    boxes = cell_boxes(grid, rr)
+    assert boxes.keys() == grid.cells.keys()
+    qs = reference_y_sorted_queries(rr)
+    for (row, col), (x_lo, y_lo, x_hi, y_hi) in boxes.items():
+        xs = {q.x for q in qs[:row]}
+        assert x_hi == col and col in xs
+        assert x_lo == max((x for x in xs if x < col), default=0)
+        assert (y_lo, y_hi) == (qs[row].y if row < rr.m else 0, qs[row - 1].y)
 
 
 def test_grid_holds_no_int_object_per_point():
