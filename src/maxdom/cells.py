@@ -33,7 +33,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -117,7 +117,10 @@ def _sum_cells(Q: QueryColumns, qx, batches) -> tuple[tuple, int, int]:
     still above the strip, ``_root`` of index r; a root at the sentinel
     means no query above the strip covers the point.  A strip costs one
     link per leaving query and its keys' ``_root`` steps, not a pass over
-    the queries above it.
+    the queries above it.  All the keys are walked as one ascending run:
+    within a strip a rising r never meets a lower root, so a cell's keys
+    are adjacent, each cell's sum is closed when the name changes, and the
+    strip's row comes out sorted, with no per-strip dict or sort.
     """
     m = len(Q)
     ys_asc, xs_asc = sorted(Q.ys), sorted(Q.xs)
@@ -134,22 +137,43 @@ def _sum_cells(Q: QueryColumns, qx, batches) -> tuple[tuple, int, int]:
     per_row: list[tuple[tuple[int, int], ...]] = [()] * m
     retained = 0
     after = list(range(width))  # after[j]: j if the query of rank x 2j + 2 is above the strip, else a later index
-    done = m
-    for strip, keys in groupby(sorted(sums), key=lambda key: key // width):
-        row = m - strip
-        for x in qx[row + 1 : done + 1]:
-            after[x // 2 - 1] = x // 2
-        done = row
-        cells: dict[int, int] = {}
-        for key in keys:
-            j = _root(after, key % width)
-            if j < m:  # else right of every query above the strip: uncovered
-                col = 2 * j + 2
-                cells[col] = cells.get(col, 0) + sums[key]
-                retained += counts[key]
-        if cells:
-            per_row[row - 1] = tuple(sorted(cells.items()))
+    row = m  # the strip's staircase position: strip s lies below the query at position m - s
+    stop = 0  # the first key past the strip
+    cols: list[int] = []  # the strip's cells so far, names rising, and their sums
+    cell_sums: list[int] = []
+    last = -1  # the index of the strip's last cell, -1 before its first
+    for key in sorted(sums):
+        if key >= stop:  # the first key of a higher strip
+            if cols:
+                per_row[row - 1] = _pairs(cols, cell_sums)
+                cols, cell_sums, last = [], [], -1
+            strip = key // width
+            stop = strip * width + width
+            for x in qx[m - strip + 1 : row + 1]:
+                after[x // 2 - 1] = x // 2
+            row = m - strip
+        j = _root(after, key % width)
+        if j < m:  # else right of every query above the strip: uncovered
+            if j == last:
+                cell_sums[-1] += sums[key]
+            else:
+                last = j
+                cols.append(2 * j + 2)
+                cell_sums.append(sums[key])
+            retained += counts[key]
+    if cols:
+        per_row[row - 1] = _pairs(cols, cell_sums)
     return tuple(per_row), retained, counts.total()
+
+
+def _pairs(cols: list[int], cell_sums: list[int]) -> tuple[tuple[int, int], ...]:
+    """``tuple(zip(cols, cell_sums))``, built from a list of its exact size.
+
+    A tuple built from the ``zip`` itself is grown and then cut to size,
+    and CPython's tuple free lists then keep more and more blocks from one
+    grid to the next: 0.3 MB more peak memory over m-heavy's ten solves.
+    """
+    return tuple(list(zip(cols, cell_sums)))
 
 
 def build_grid(inst: Instance) -> CellGrid:

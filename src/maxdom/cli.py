@@ -239,14 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("dp", "oracle"), default="dp")
     p.set_defaults(func=cmd_solve)
 
+    # verify and compress read the path as argv gives it, building no Path
+    # per call; solve's record and render's default output name write the
+    # path back out as pathlib spells it (``./a`` as ``a``), so those keep it.
     p = sub.add_parser("verify", help="cross-check the solver against the oracle")
-    p.add_argument("path", type=Path)
+    p.add_argument("path")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--limit", type=int, default=1_000_000, help="oracle subset cap")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compress", help="inspect the representative compression")
-    p.add_argument("path", type=Path)
+    p.add_argument("path")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", type=Path, default=None, help="write the compressed instance (rank coordinates)")
     p.set_defaults(func=cmd_compress)

@@ -100,7 +100,21 @@ def _exact_decimal(token: str):
     A nonzero token that ``float`` rounds to 0 is refused: read exactly,
     ``1e-99999999`` would scale the weights by 10**99999999.  So is an integer
     token over ``int``'s digit limit, which ``Decimal`` would read only slowly.
+    The token is read by ``Decimal`` first.  A finite value whose adjusted
+    exponent lies within +-300 is 0 or of a magnitude in [1e-300, 1e301),
+    which ``float`` reads as 0 or as a finite nonzero number, so it is
+    returned with no ``float`` read.  Every other token, and one with an
+    ``_`` (which ``Decimal`` drops wherever it stands, ``float`` only
+    between digits), takes the ``float`` checks.
     """
+    if "_" not in token:
+        try:
+            number = _decimal()(token)
+        except ArithmeticError:  # ``InvalidOperation``: no number to ``Decimal`` either
+            pass
+        else:
+            if number.is_finite() and -300 <= number.adjusted() <= 300:
+                return number
     try:
         value = float(token)
     except ValueError:
@@ -462,6 +476,8 @@ def point_batches(path, start: int, stop: int) -> Iterator[Sequence[list]]:
 _SPACES = bytes.maketrans(b"\t", b" ")
 # Turns a plain block's spaces, tabs and newlines into the commas of a JSON array.
 _COMMAS = bytes.maketrans(b" \t\n", b",,,")
+# The one reader of plain blocks: a decoder and its scanner are built once, not per block.
+_JSON = json.JSONDecoder(parse_float=_exact_decimal)
 
 
 def _plain_lines(block: bytes, points: int, queries: int) -> tuple[list, ...] | None:
@@ -478,8 +494,10 @@ def _plain_lines(block: bytes, points: int, queries: int) -> tuple[list, ...] | 
     ``"  \\n"`` once per point line and then ``" \\n"`` once per query line;
     with its spaces, tabs and newlines turned into commas it must read as
     one JSON array of that many numbers (a last line without its newline
-    adds tokens); and the values are split at ``3 * points``.  Such a block
-    is neither decoded into line strings nor split into tokens.  Every
+    adds tokens); and the values are split at ``3 * points``.  The array is
+    read by the module's one decoder (``_JSON``), whose scanner is built
+    once, not per block, from the block's ASCII text.  Such a block is
+    neither decoded into line strings nor split into tokens.  Every
     token JSON reads, ``_number`` reads as the same value: an integer as
     ``int`` does, any other number by ``_exact_decimal``.  A block with a
     token that JSON refuses, such as ``007``, ``+5``, ``.5`` or ``5-3``, or
@@ -492,7 +510,7 @@ def _plain_lines(block: bytes, points: int, queries: int) -> tuple[list, ...] | 
     if block.translate(_SPACES, b"0123456789-.eE+") != b"  \n" * points + b" \n" * queries:
         return None
     try:
-        values = json.loads(b"[" + block.rstrip(b"\n").translate(_COMMAS) + b"]", parse_float=_exact_decimal)
+        values = _JSON.decode("[" + block.rstrip(b"\n").translate(_COMMAS).decode() + "]")
     except ValueError:  # ``007``, ``5-3``, ``1e400``, or a token over ``int``'s digit limit
         return None
     cut = 3 * points

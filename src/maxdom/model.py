@@ -193,6 +193,7 @@ class PointColumns(_Columns):
 
         Exact for ints, floats, ``Decimal``s and ``Fraction``s alike
         (``as_integer_ratio``); a column of ints is returned as it is, scale 1.
+        Columns that ``_moved`` made from these share this pair, not a copy.
         """
         if self._int_weights is None:
             ws = self.ws
@@ -203,6 +204,18 @@ class PointColumns(_Columns):
                 scale = lcm(*[den for _, den in ratios])
                 self._int_weights = [num * (scale // den) for num, den in ratios], scale
         return self._int_weights
+
+
+def _moved(P: PointColumns, xs: list[int], ys: list[int]) -> PointColumns:
+    """``P``'s weights at the int coordinates ``xs`` and ``ys``, one per point, sharing ``P.int_weights()``.
+
+    The weights are ``P``'s own column, already checked finite, so they are
+    neither checked nor scaled again.
+    """
+    moved = PointColumns.__new__(PointColumns)
+    moved.xs, moved.ys, moved.ws = _column(xs), _column(ys), P.ws
+    moved._points, moved._int_weights = None, P.int_weights()
+    return moved
 
 
 class QueryColumns(_Columns):

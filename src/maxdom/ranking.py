@@ -26,10 +26,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import inf
 
-from .model import Instance, PointColumns, QueryColumns, QueryPoint
+from .model import Instance, PointColumns, QueryColumns, QueryPoint, _moved
 
 
 def y_sorted_queries(inst: Instance) -> tuple[QueryPoint, ...]:
@@ -62,19 +62,26 @@ def _axis_transform(q_values, by_id, p_values):
     """Per-axis rank mapping: queries to even ranks by ``(value, id)``, points to odd ranks.
 
     A point lands just below the first query value >= its own, so a tie on
-    the original axis keeps the point covered by every tied query.
+    the original axis keeps the point covered by every tied query.  The
+    points take C-level maps: a bisect, then the odd rank it indexes.
     """
-    sorted_vals = sorted(q_values)
-    return _even_ranks(q_values, by_id), [2 * bisect_left(sorted_vals, v) + 1 for v in p_values]
+    odd = range(1, 2 * len(q_values) + 2, 2)
+    places = map(bisect_left, repeat(sorted(q_values)), p_values)
+    return _even_ranks(q_values, by_id), list(map(odd.__getitem__, places))
 
 
 def rank_transform(inst: Instance) -> Instance:
-    """Map an instance to rank space, preserving every closed-dominance pair."""
+    """Map an instance to rank space, preserving every closed-dominance pair.
+
+    Only the coordinates move: the ranked points keep the instance's weight
+    column and share its int scaling (``model._moved``), so nothing rescales
+    the weights.
+    """
     Q, P = inst.Q, inst.P
     by_id = Q.by_id()
     qx, px = _axis_transform(Q.xs, by_id, P.xs)
     qy, py = _axis_transform(Q.ys, by_id, P.ys)
-    return Instance(PointColumns(px, py, P.ws), QueryColumns(qx, qy, Q.ids), inst.k)
+    return Instance(_moved(P, px, py), QueryColumns(qx, qy, Q.ids), inst.k)
 
 
 def drop_uncovered(inst: Instance) -> Instance:

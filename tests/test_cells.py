@@ -18,9 +18,11 @@ from util import (
     exact_cells,
     random_instance,
     reference_grid,
+    reference_sum_cells,
     reference_y_sorted_queries,
     same_dominators_check,
     small_instances,
+    staircase_instances,
     tie_instances,
 )
 
@@ -175,6 +177,21 @@ def gridding_instances(draw):
         for _ in range(draw(st.integers(0, 30)))
     ]
     return Instance.from_rows(P, Q, draw(st.integers(0, m)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(tie_instances(), staircase_instances()), st.integers(0, 150))
+def test_strip_runs_equal_the_per_strip_dict(inst, cut):
+    # a strip's keys, walked in rising order, name its cells in rising
+    # order, so each cell's keys are adjacent and its row comes out sorted:
+    # the same rows as summing each strip in a dict and sorting it, in one
+    # batch or in two
+    _, qx = staircase(inst.Q)
+    cols = (inst.P.xs, inst.P.ys, inst.P.int_weights()[0])
+    expected = reference_sum_cells(inst.Q, qx, [cols])
+    assert _sum_cells(inst.Q, qx, [cols]) == expected
+    assert _sum_cells(inst.Q, qx, [[c[:cut] for c in cols], [c[cut:] for c in cols]]) == expected
+    assert build_grid(inst).per_row == expected[0]
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -17,8 +18,10 @@ from maxdom.cli import main
 from maxdom.instances import (
     GeneratorSpec,
     ParseError,
+    _exact_decimal,
     _int,
     _number,
+    _rows,
     generate,
     parse,
     parse_text,
@@ -30,7 +33,7 @@ from maxdom.instances import (
 from maxdom.model import Instance, QueryPoint, WeightedPoint
 from maxdom.ranking import drop_uncovered, rank_transform, staircase
 
-from util import scalar_generate, small_instances
+from util import float_checked_decimal, scalar_generate, small_instances
 
 
 def test_parse_minimal():
@@ -265,6 +268,61 @@ def test_decimal_tokens_are_read_exactly():
     assert inst.P.ws == (Decimal("0.07"), Decimal("0.25")) and 0.07 not in inst.P.ws
     assert inst.P.xs[0] < inst.P.xs[1]  # one float, two decimals
     assert parse_text("1 1 1\n0 0 -0.0\n1 1\n").P.ws == (0,)
+
+
+_LIMIT = sys.get_int_max_str_digits()
+# Tokens at the edges of ``_exact_decimal``'s ``Decimal``-first reading, whose
+# adjusted exponent must lie within +-300, and past them: exponents +-299,
+# +-300, +-308 and +-324, zeros, non-finite tokens, underscores, and digit
+# strings at and just over the int-string limit.
+EDGE_TOKENS = [
+    *(f"{lead}e{sign}{e}" for e in (299, 300, 301, 308, 324) for sign in ("", "-") for lead in ("1", "-9.5")),
+    "0.001e-297", "12.5e298", "5e-324", "2e-324", "0", "-0.0", "0e-500", "0e500",
+    "1e400", "1e-400", "1_000", "1_0.5", "1__0.5", "_1.5", "1.5_",
+    "nan", "-inf", "inf", "Infinity", "NaN5", "sNaN",
+    "9" * _LIMIT, "-" + "9" * _LIMIT, "9" * (_LIMIT + 1), "-" + "9" * (_LIMIT + 1), "9" * (_LIMIT + 1) + ".5",
+]
+
+
+def _token_outcome(read, token):
+    """``("value", type, text)`` of what ``read(token)`` gives, or ``("error", type, message)``."""
+    try:
+        value = read(token)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+    return "value", type(value), str(value)
+
+
+def _number_as_before(token: str, line_no: int):
+    """``_number`` with the ``float``-checked reading: an int where ``int`` reads it, else ``float_checked_decimal``."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return float_checked_decimal(token)
+    except ValueError as exc:
+        raise ParseError(line_no, str(exc)) from None
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS, ids=lambda t: t if len(t) < 20 else f"{t[:3]}..{len(t)}")
+def test_decimal_first_reading_matches_the_float_checked_one(token):
+    # a plain block, a block that the comment sends down the line path, and
+    # ``_rows`` itself give the value or the ParseError text that reading
+    # every token by ``float`` first gives
+    assert _token_outcome(_exact_decimal, token) == _token_outcome(float_checked_decimal, token)
+    for text, line_no in ((f"1 1 1\n0 0 {token}\n1 1\n", 2), (f"1 1 1\n# c\n0 0 {token}\n1 1\n", 3)):
+        got = _token_outcome(lambda t: parse_text(text).P.ws[0], token)
+        assert got == _token_outcome(lambda t: _number_as_before(t, line_no), token), text[:40]
+    got = _token_outcome(lambda t: _rows([f"0 0 {t}"], [7], 3)[2][0], token)
+    assert got == _token_outcome(lambda t: _number_as_before(t, 7), token)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789.-+eE_nafiNsI", min_size=1, max_size=12)
+       | st.builds("{}e{}".format, st.decimals(allow_nan=False, allow_infinity=False), st.integers(-340, 340)))
+def test_decimal_first_reading_matches_the_float_checked_one_on_any_token(token):
+    assert _token_outcome(_exact_decimal, token) == _token_outcome(float_checked_decimal, token)
 
 
 # Tokens that are refused as numbers, each with the start of its message.

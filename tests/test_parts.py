@@ -20,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdom import instances, solver
-from maxdom.cells import build_grid
+from maxdom.cells import add_parts, build_grid
 from maxdom.cli import main
 from maxdom.instances import FAMILIES, GeneratorSpec, generate, parse, serialize, serialize_text
 from maxdom.solver import grid_parts, run_pipeline
 
 from test_instances import MALFORMED
-from util import reference_grid, tie_instances
+from util import reference_grid, reference_sum_cells, staircase_instances, tie_instances
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -131,6 +131,27 @@ def test_split_grid_and_record_equal_the_plain_ones(tmp_path_factory, case):
         assert (code, err) == (0, "")
         assert _untimed(rec) == _untimed(plain)
         assert (rec["parts"] > 1) <= splits
+    assert _unreaped() == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(tie_instances(), staircase_instances()))
+def test_each_parts_strip_runs_equal_the_per_strip_dict(tmp_path_factory, inst):
+    # each part of a two-part split, the parent's and the child's, walks its
+    # strips as the per-strip dict sums them, over the part's own lines
+    path = tmp_path_factory.getbasetemp() / "strips.txt"
+    serialize(inst, path)
+    merged = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instances, "SPLIT_MIN_BYTES", 0)
+        mp.setattr(solver, "add_parts", lambda stair, qx, parts: merged.append((qx, parts)) or add_parts(stair, qx, parts))
+        _, queries, grid, _ = _grid_parts(path, 2)
+        _, _, ranges = instances.point_ranges(path, 2)
+    [(qx, parts)] = merged
+    assert len(parts) == len(ranges)
+    for (start, stop), part in zip(ranges, parts):
+        assert part == reference_sum_cells(queries.Q, qx, instances.point_batches(path, start, stop))
+    assert grid.per_row == build_grid(inst).per_row
     assert _unreaped() == 0
 
 

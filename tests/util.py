@@ -1,13 +1,17 @@
 """Shared builders for the test suite."""
 
+import sys
+from bisect import bisect_left
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, combinations
-from math import comb, lcm
-from operator import attrgetter
+from itertools import accumulate, combinations, groupby, repeat
+from math import comb, isfinite, lcm
+from operator import add, attrgetter, mul
 
 import hypothesis.strategies as st
 
-from maxdom.cells import CellGrid, CellKey
+from maxdom.cells import CellGrid, CellKey, _root
 from maxdom.instances import COORD_SPAN, GeneratorSpec, strict_skyline
 from maxdom.model import Instance, Solution, covered_total, dominates_closed, exact
 from maxdom.prng import SplitMix64
@@ -51,6 +55,73 @@ def tie_instances(draw, max_m=40, max_n=60):
         for _ in range(draw(st.integers(1, max_n)))
     ]
     return Instance.from_rows(P, Q, draw(st.integers(0, m)))
+
+
+@st.composite
+def staircase_instances(draw, max_m=30, max_n=150):
+    """All-int instances on a tall staircase: queries on an anti-diagonal,
+    some sharing an x or a y, and many points per strip, so that a strip
+    holds many keys and several of them fall in one cell."""
+    m = draw(st.integers(1, max_m))
+    xs = sorted(draw(st.lists(st.integers(0, m), min_size=m, max_size=m)))
+    ys = sorted(draw(st.lists(st.integers(0, m), min_size=m, max_size=m)), reverse=True)
+    coord = st.integers(-1, m + 1)
+    P = [(draw(coord), draw(coord), draw(st.integers(-9, 9))) for _ in range(draw(st.integers(1, max_n)))]
+    return Instance.from_rows(P, list(zip(xs, ys)), draw(st.integers(0, m)))
+
+
+def reference_sum_cells(Q, qx, batches) -> tuple[tuple, int, int]:
+    """``cells._sum_cells`` with each strip's cells summed in a dict and sorted, strips grouped by
+    ``groupby``: the reference that the one ascending walk over the keys must match."""
+    m = len(Q)
+    ys_asc, xs_asc = sorted(Q.ys), sorted(Q.xs)
+    width = m + 1
+    sums: dict[int, int] = {}
+    counts: Counter = Counter()
+    for xs, ys, ws in batches:
+        strips = map(bisect_left, repeat(ys_asc), ys)
+        keys = list(map(add, map(mul, strips, repeat(width)), map(bisect_left, repeat(xs_asc), xs)))
+        counts.update(keys)
+        for key, w in zip(keys, ws):
+            sums[key] = sums.get(key, 0) + w
+    per_row: list[tuple[tuple[int, int], ...]] = [()] * m
+    retained = 0
+    after = list(range(width))
+    done = m
+    for strip, keys in groupby(sorted(sums), key=lambda key: key // width):
+        row = m - strip
+        for x in qx[row + 1 : done + 1]:
+            after[x // 2 - 1] = x // 2
+        done = row
+        cells: dict[int, int] = {}
+        for key in keys:
+            j = _root(after, key % width)
+            if j < m:
+                col = 2 * j + 2
+                cells[col] = cells.get(col, 0) + sums[key]
+                retained += counts[key]
+        if cells:
+            per_row[row - 1] = tuple(sorted(cells.items()))
+    return tuple(per_row), retained, counts.total()
+
+
+def float_checked_decimal(token: str):
+    """``token`` as a ``Decimal``, every token read by ``float`` first: the reference that
+    ``instances._exact_decimal``'s ``Decimal``-first reading must match in value and in error."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"not a number: {token!r}") from None
+    if not isfinite(value):
+        digits = token.lstrip("+-")
+        if digits.isdigit():
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"integer of {len(digits)} digits, over the int-string limit of {limit}")
+        raise ValueError(f"non-finite number: {token!r}")
+    number = Decimal(token)
+    if number and not value:
+        raise ValueError(f"nonzero number too small for a float: {token!r}")
+    return number
 
 
 def reference_y_sorted_queries(inst: Instance) -> tuple:
