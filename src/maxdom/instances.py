@@ -30,6 +30,12 @@ cannot take (a decimal, or an int beyond int64) turns that column alone into
 a list.  The generators build the same columns and the serializer writes
 from them, so none of the three builds a per-point or per-query object.
 
+Every reader has one error rule: the first fault in line order raises where
+it is read, and nothing past its piece is read.  A bad header, field count
+or token, or an extra data line, raises a ``ParseError`` naming its line;
+an undecodable byte raises ``UnicodeDecodeError`` when its piece is
+decoded; a file short of data lines raises the count error at its end.
+
 ``point_ranges`` and ``point_batches`` let ``maxdom solve`` parse a large
 file's point lines in parts: the header is found in the file's head as
 ``parse`` finds it (``_read_header``), the queries are read from its tail
@@ -99,13 +105,15 @@ def _exact_decimal(token: str):
 
     A nonzero token that ``float`` rounds to 0 is refused: read exactly,
     ``1e-99999999`` would scale the weights by 10**99999999.  So is an integer
-    token over ``int``'s digit limit, which ``Decimal`` would read only slowly.
-    The token is read by ``Decimal`` first.  A finite value whose adjusted
-    exponent lies within +-300 is 0 or of a magnitude in [1e-300, 1e301),
-    which ``float`` reads as 0 or as a finite nonzero number, so it is
-    returned with no ``float`` read.  Every other token, and one with an
-    ``_`` (which ``Decimal`` drops wherever it stands, ``float`` only
-    between digits), takes the ``float`` checks.
+    token over ``int``'s digit limit, which ``Decimal`` would read only slowly,
+    and one with an exponent that no ``Decimal`` holds, such as
+    ``0e-99999999999999999999``, which ``float`` reads as 0.  The token is
+    read by ``Decimal`` first.  A finite value whose adjusted exponent lies
+    within +-300 is 0 or of a magnitude in [1e-300, 1e301), which ``float``
+    reads as 0 or as a finite nonzero number, so it is returned with no
+    ``float`` read.  Every other token, and one with an ``_`` (which
+    ``Decimal`` drops wherever it stands, ``float`` only between digits),
+    takes the ``float`` checks.
     """
     if "_" not in token:
         try:
@@ -125,7 +133,10 @@ def _exact_decimal(token: str):
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"integer of {len(digits)} digits, over the int-string limit of {limit}")
         raise ValueError(f"non-finite number: {token!r}")
-    number = _decimal()(token)
+    try:
+        number = _decimal()(token)
+    except ArithmeticError:  # ``InvalidOperation``: an exponent beyond ``Decimal``'s
+        raise ValueError(f"exponent out of range: {token!r}") from None
     if number and not value:
         raise ValueError(f"nonzero number too small for a float: {token!r}")
     return number
@@ -252,26 +263,22 @@ def _parse(f) -> Instance:
     (``_header_end``).  Every later piece whose lines all fall within the
     n + m data lines is tried as plain lines (``_plain_lines``): as many
     point lines as are still due, the rest query lines.  Any other piece
-    takes the line path (``_block_data``, ``_rows``).  Every block is
-    read before an error is raised, so an undecodable byte anywhere in the
-    file wins.  A wrong header or data-line count is reported in preference
-    to a malformed line, so the first conversion error is held until the
-    whole file has been counted.  Once an error is held, no later piece is
-    converted: each is only decoded and, after a bad value, its data lines
-    counted.
+    takes the line path (``_block_data``, ``_rows``).  Each fault raises
+    as its piece is read, and a piece's rows are converted before its
+    extra data line is named, so the first fault in line order is the one
+    raised.  Only a short file's count error waits for the file's end.
     """
     cols = tuple(array("q") for _ in range(5))  # the points' x, y and w, the queries' x and y
     n = m = -1  # until the header is read, so that no piece is tried as plain
-    error = first_bad = None  # error: a bad header or an extra line; first_bad: a bad value
     count = 0  # data lines after the header
     line_base = 0  # lines in the blocks before this one
     last_no = 0  # line number of the last data line
     for block in _whole_lines(iter(partial(f.read, _CHUNK), b"")):
-        cut = _header_end(block) if n < 0 and error is None else 0
+        cut = _header_end(block) if n < 0 else 0
         for piece in filter(None, (block[:cut], block[cut:])):
             lines = piece.count(b"\n")
             plain = None
-            if error is None and first_bad is None and count + lines <= n + m:
+            if count + lines <= n + m:
                 points = min(lines, max(0, n - count))
                 plain = _plain_lines(piece, points, lines - points)
             if plain is not None:
@@ -281,36 +288,24 @@ def _parse(f) -> Instance:
                 continue
             data, line_nos, lines = _block_data(piece, line_base)
             line_base += lines
-            if not data or error is not None:
+            if not data:
                 continue
             last_no = line_nos[-1]
             if n < 0:
-                try:
-                    n, m, k = _header(data[0], line_nos[0])
-                except ParseError as exc:
-                    error = exc
-                    continue
+                n, m, k = _header(data[0], line_nos[0])
                 data, line_nos = data[1:], line_nos[1:]
             # data[:a] are point lines, data[a:b] query lines, anything after is extra
             a = max(0, min(len(data), n - count))
-            b = max(0, min(len(data), n + m - count))
+            b = min(len(data), n + m - count)
             count += len(data)
+            rows = _rows(data[:a], line_nos[:a], 3) + _rows(data[a:b], line_nos[a:b], 2)
             if b < len(data):
-                error = ParseError(line_nos[b], "unexpected extra data line")
-            elif first_bad is None:
-                try:
-                    rows = _rows(data[:a], line_nos[:a], 3) + _rows(data[a:b], line_nos[a:b], 2)
-                    cols = tuple(map(_append, cols, rows))
-                except ParseError as exc:
-                    first_bad = exc
-    if error is not None:
-        raise error
+                raise ParseError(line_nos[b], "unexpected extra data line")
+            cols = tuple(map(_append, cols, rows))
     if n < 0:
         raise ParseError(1, "empty instance file")
     if count < n + m:
         raise ParseError(last_no, f"expected {n + m} data lines after the header, got {count}")
-    if first_bad is not None:
-        raise first_bad
     # Each list column is dropped as its tuple replaces it, so the peak is
     # the finished columns plus one list, not two copies of all three.
     xs, ys, ws, qxs, qys = cols
@@ -367,9 +362,13 @@ def parse(path) -> Instance:
     columns.  So the parser never holds the file text or a string per line
     beside the columns: its peak is the finished
     instance plus one chunk and one block's values, and, for a column that
-    a decimal or a beyond-int64 value made a list, that list.  Values and
-    ``ParseError``s are those of parsing the whole text at once, with
-    ``str.splitlines``' line breaks.
+    a decimal or a beyond-int64 value made a list, that list.  Values are
+    those of parsing the whole text at once, with ``str.splitlines``' line
+    breaks.  The first fault in line order raises where it is read, and no
+    chunk past its piece is read: a bad header, field count or token, or
+    an extra data line, as a ``ParseError`` naming its line, and an
+    undecodable byte as ``UnicodeDecodeError`` when its piece is decoded.
+    A file short of data lines raises the count error at its end.
     """
     with open(path, "rb") as f:
         return _parse(f)

@@ -50,6 +50,7 @@ import signal
 import sys
 import threading
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from time import perf_counter
@@ -334,19 +335,16 @@ def _solution(grid: CellGrid, tables, alone, k_eff: int) -> Solution:
 def _dp_pairs(qx, k_eff: int) -> int:
     """Transitions the DP visits: (layer, i, j) with j < i in y-order and x_j <= x_i.
 
-    Counted off the rank x's alone, in O(m log m): a Fenwick tree over x // 2
-    (sentinel included) counts each position's earlier ones left of it.
+    Counted off the rank x's alone, sentinel last and included: each
+    position counts the earlier x's below its own by a bisect into them,
+    kept ascending as ``CoverageSweep`` keeps them.  Rank x's are distinct,
+    so below is at or below.
     """
-    seen = [0] * len(qx)  # Fenwick sums of the positions counted so far
-    per_layer = 0
+    xs, per_layer = [], 0
     for x in qx[1:]:
-        r = s = x // 2
-        while r:
-            per_layer += seen[r]
-            r &= r - 1
-        while s < len(seen):
-            seen[s] += 1
-            s += s & -s
+        at = bisect_left(xs, x)
+        per_layer += at
+        xs.insert(at, x)
     return per_layer * k_eff
 
 

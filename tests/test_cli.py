@@ -167,6 +167,15 @@ def test_an_integer_over_the_int_string_limit_is_refused_by_name(capsys, tmp_pat
     assert f"line 2: integer of 5000 digits, over the int-string limit of {sys.get_int_max_str_digits()}" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_an_exponent_that_no_decimal_holds_is_refused_by_line(capsys, tmp_path, command):
+    path = tmp_path / "tiny-exponent.txt"
+    path.write_text("1 1 1\n0 0 1e-999999999999999999999\n1 1\n")
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2: ") and "exponent out of range" in err and "Traceback" not in err
+
+
 def test_compress_of_a_file_with_uncovered_points(capsys, tmp_path):
     # three points lie outside every quadrant, one of them with the only
     # eighths; two covered ones cancel out in one cell

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import sys
@@ -273,13 +274,15 @@ def test_decimal_tokens_are_read_exactly():
 _LIMIT = sys.get_int_max_str_digits()
 # Tokens at the edges of ``_exact_decimal``'s ``Decimal``-first reading, whose
 # adjusted exponent must lie within +-300, and past them: exponents +-299,
-# +-300, +-308 and +-324, zeros, non-finite tokens, underscores, and digit
-# strings at and just over the int-string limit.
+# +-300, +-308 and +-324, zeros, non-finite tokens, underscores, exponents
+# beyond any ``Decimal``'s, and digit strings at and just over the int-string
+# limit.
 EDGE_TOKENS = [
     *(f"{lead}e{sign}{e}" for e in (299, 300, 301, 308, 324) for sign in ("", "-") for lead in ("1", "-9.5")),
     "0.001e-297", "12.5e298", "5e-324", "2e-324", "0", "-0.0", "0e-500", "0e500",
     "1e400", "1e-400", "1_000", "1_0.5", "1__0.5", "_1.5", "1.5_",
     "nan", "-inf", "inf", "Infinity", "NaN5", "sNaN",
+    "1e-999999999999999999999", "0e-99999999999999999999", "1_0e-99999999999999999999", "1e999999999999999999999",
     "9" * _LIMIT, "-" + "9" * _LIMIT, "9" * (_LIMIT + 1), "-" + "9" * (_LIMIT + 1), "9" * (_LIMIT + 1) + ".5",
 ]
 
@@ -333,6 +336,8 @@ REFUSED_TOKENS = [
     ("inf", "non-finite number"),
     ("1e400", "non-finite number"),
     ("7/100", "not a number"),
+    ("1e-999999999999999999999", "exponent out of range"),  # no ``Decimal`` holds the exponent
+    ("0e-99999999999999999999", "exponent out of range"),
 ]
 
 
@@ -354,9 +359,9 @@ MALFORMED = [
     ("1 2 0\n0 0 1\n1 1\n2 2 2\n", 4),  # query line with 3 fields
     ("2 1 0\n0 x 1\n0 0 y\n1 1\n", 2),  # first bad line wins
     ("1 1 0\n\n# c\n0 0 1\n1 1\n\n7 7\n", 7),  # extra line after blanks
-    # a wrong line count is reported before a malformed line
-    ("2 1 0\n0 x 1\n1 1\n", 3),  # bad token, a line short
-    ("1 1 0\n0 0 1\nx 1\n9 9\n", 4),  # bad token, a line over
+    # the first fault in line order is reported, a wrong line count only at the end
+    ("2 1 0\n0 x 1\n1 1\n", 2),  # bad token, a line short
+    ("1 1 0\n0 0 1\nx 1\n9 9\n", 3),  # bad token, a line over
     ("1 1 0\n0 0\n# c\n\n", 2),  # bad field count, a line short
     ("1 1 0\n0 0 nan\n1 1", 2),  # count right, no final newline: the token's error
     ("3 1 0\n0 0 1\n1 1 1\n", 3),  # two lines short, the last one a plain point line
@@ -365,7 +370,7 @@ MALFORMED = [
     ("2 1 0\n0 0 1\n1 - 1\n1 1\n", 3),
     ("1 1 0\n0 0 --1\n1 1\n", 2),
     ("1 1 0\n0  1\n1 1\n", 2),  # two spaces, two fields
-    ("2 1 0\n0 0 1 2 2 2\n\n1 1\n", 4),  # six fields and a blank line: three a line on average
+    ("2 1 0\n0 0 1 2 2 2\n\n1 1\n", 2),  # six fields and a blank line: three a line on average
 ]
 
 
@@ -403,7 +408,11 @@ def test_parse_path_equals_parse_text(tmp_path):
 
 
 def _parse_line_by_line(text):
-    """Reference parser: every data line tokenized and counted, then converted in order."""
+    """Reference parser: the data lines walked in order, each checked and converted as it is reached.
+
+    The first fault raises where it stands; a file short of data lines
+    raises the count error at its end.
+    """
     rows = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -417,17 +426,17 @@ def _parse_line_by_line(text):
     n, m, k = (_int(t, head_no, what) for t, what in zip(head, "nmk"))
     if n < 0 or m < 1 or k < 0:
         raise ParseError(head_no, "need n >= 0, m >= 1, k >= 0")
-    if len(rows) - 1 < n + m:
-        raise ParseError(rows[-1][0], f"expected {n + m} data lines after the header, got {len(rows) - 1}")
-    if len(rows) - 1 > n + m:
-        raise ParseError(rows[1 + n + m][0], "unexpected extra data line")
     converted = []
     for i, (line_no, toks) in enumerate(rows[1:]):
+        if i == n + m:
+            raise ParseError(line_no, "unexpected extra data line")
         if i < n and len(toks) != 3:
             raise ParseError(line_no, f"ground-point line needs 'x y w', got {len(toks)} fields")
         if i >= n and len(toks) != 2:
             raise ParseError(line_no, f"query line needs 'x y', got {len(toks)} fields")
         converted.append(tuple(_number(t, line_no) for t in toks))
+    if len(converted) < n + m:
+        raise ParseError(rows[-1][0], f"expected {n + m} data lines after the header, got {len(converted)}")
     return Instance.from_rows(converted[:n], converted[n:], k)
 
 
@@ -723,8 +732,8 @@ def test_parse_of_a_cr_only_file_is_one_block(tmp_path, monkeypatch):
 
 
 def test_no_block_is_converted_after_a_bad_value(tmp_path, monkeypatch):
-    # 64-byte chunks: once a block's bad value is held, every later block
-    # is only decoded and counted, and none goes through ``_plain_lines``
+    # 64-byte chunks: the block that holds a bad value is tried as plain,
+    # then takes the line path, which raises; no later block is read
     monkeypatch.setattr(instances, "_CHUNK", 64)
     events = []  # ("plain" or "data", block), in call order
     plain_lines, block_data = instances._plain_lines, instances._block_data
@@ -741,20 +750,70 @@ def test_no_block_is_converted_after_a_bad_value(tmp_path, monkeypatch):
     path.write_bytes(text.encode())
     found = _outcome(parse, path)
     assert found == _outcome(_parse_line_by_line, text) and found[:2] == ("error", 22)
-    bad = events.index(next(e for e in events if e[0] == "data" and b"20 x 1" in e[1]))
-    assert ("plain", events[bad][1]) in events[:bad]  # tried as plain, before the error was held
-    assert len(events[bad + 1 :]) > 5 and all(kind == "data" for kind, _ in events[bad + 1 :])
+    assert events[-1][0] == "data" and b"20 x 1" in events[-1][1]
+    assert events[-2] == ("plain", events[-1][1]) and len(events) > 3
 
 
-def test_undecodable_tail_wins_over_an_early_parse_error(tmp_path, monkeypatch):
-    # as when the whole file was read first, a bad byte after a bad header
-    # or an extra line is still a decoding error
+class _Reads(io.BytesIO):
+    """A binary file in memory that records the position after each read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.ends = []
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.ends.append(self.tell())
+        return chunk
+
+
+POINT_LINES = [f"{i} {2 * i} {i % 7 - 3}" for i in range(60)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize(
+    "lines, line_no",
+    [
+        (["60 2", *POINT_LINES], 1),
+        (["60 2 0", *POINT_LINES[:20], "20 x 1", *POINT_LINES[21:]], 22),
+        (["60 2 0", *POINT_LINES[:20], "20 40", *POINT_LINES[21:]], 22),
+        (["1 1 0", "0 0 1", *(f"{i} {i}" for i in range(60))], 4),
+    ],
+    ids=["header", "token", "field-count", "extra-line"],
+)
+def test_parse_reads_no_chunk_past_the_piece_of_the_first_fault(monkeypatch, chunk, lines, line_no):
+    # the file goes on past its first fault to a second one, an undecodable
+    # byte at its end; the last chunk read is the one that ends the fault's line
+    monkeypatch.setattr(instances, "_CHUNK", chunk)
+    text = "\n".join(lines) + "\n"
+    f = _Reads(text.encode() + b"\xff\n")
+    expected = _outcome(_parse_line_by_line, text)
+    assert expected[:2] == ("error", line_no)
+    assert _outcome(instances._parse, f) == expected
+    end = len("".join(line + "\n" for line in lines[:line_no]).encode())  # the byte after the fault's line
+    assert max(f.ends) == -(-end // chunk) * chunk < len(text) // 2
+
+
+def test_a_fault_before_an_undecodable_piece_is_the_error_raised(tmp_path, monkeypatch):
+    # a bad header, an extra line or a bad token, then a comment with a bad byte past the read buffer
     monkeypatch.setattr(instances, "_CHUNK", 4)
-    for head in (b"1 2\n", b"1 1 0\n0 0 1\n1 1\n9 9\n"):
+    for head in (b"1 2\n", b"1 1 0\n0 0 1\n1 1\n9 9\n", b"1 1 0\n0 x 1\n1 1\n"):
         path = tmp_path / "inst.txt"
-        path.write_bytes(head + b"# " + b"." * 20_000 + b"\xff\n")  # past the read buffer
-        with pytest.raises(UnicodeDecodeError):
-            parse(path)
+        path.write_bytes(head + b"# " + b"." * 20_000 + b"\xff\n")
+        expected = _outcome(_parse_line_by_line, head.decode())
+        assert expected[0] == "error" and _outcome(parse, path) == expected
+
+
+def test_an_undecodable_piece_before_any_fault_raises_unicode_decode_error(tmp_path, monkeypatch):
+    # the bad byte in a comment or in a point line, the first fault after it;
+    # in one chunk, or in a piece of its own
+    for chunk in (instances._CHUNK, 4):
+        monkeypatch.setattr(instances, "_CHUNK", chunk)
+        for bad in (b"# \xff\n0 0 1\n", b"0 0 \xff\n"):
+            path = tmp_path / "inst.txt"
+            path.write_bytes(b"2 1 0\n" + bad + b"0 x 1\n1 1\n9 9\n")
+            with pytest.raises(UnicodeDecodeError):
+                parse(path)
 
 
 def _parse_memory(path):

@@ -244,6 +244,34 @@ def _big_file(tmp_path, n=3_000, m=8) -> Path:
     return path
 
 
+# Two faults in a split-sized file, each as ``(index, line)``: ``line`` takes
+# the place of the file's line at that index (the header is 0), or where it
+# is None, that line is removed.  Index 101 falls in the parent's part and
+# 2,901 in a child's; 3,009 is an extra line after the 8 queries.
+TWO_FAULTS = {
+    "parent-then-child": ((101, "1 x 1"), (2_901, "2 2")),
+    "child-then-extra": ((2_901, "1 1 nan"), (3_009, "9 9")),
+    "fields-then-short": ((101, "1 1"), (3_008, None)),
+}
+
+
+@pytest.mark.parametrize("faults", TWO_FAULTS.values(), ids=TWO_FAULTS)
+def test_a_two_fault_split_file_raises_its_first_fault(tmp_path, monkeypatch, faults):
+    # whichever part meets a fault, the split falls back, and ``parse`` names the first one in line order
+    lines = serialize_text(generate(GeneratorSpec("uniform", 3_000, 8, 3, seed=11))).splitlines()
+    for at, line in reversed(faults):
+        lines[at : at + 1] = [] if line is None else [line]
+    path = tmp_path / "two-faults.txt"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+    with pytest.raises(instances.ParseError) as expected:
+        parse(path)
+    assert expected.value.line_no == faults[0][0] + 1
+    assert _grid_parts(path, 3) is None
+    assert _solve(path) == (1, None, f"error: {expected.value}\n")
+    assert _unreaped() == 0
+
+
 @pytest.mark.parametrize("fault", ["exit", "count", "raise"])
 def test_a_failing_part_falls_back_and_leaves_no_child(tmp_path, monkeypatch, fault):
     path = _big_file(tmp_path)

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import random
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +27,7 @@ from maxdom.solver import (
     DP_SLOT_BUDGET,
     _choose,
     _costs,
+    _dp_pairs,
     _field_bytes,
     _solution,
     dp_layers,
@@ -202,6 +204,17 @@ def test_work_counters_match_direct_count():
         res = run_pipeline(inst)
         assert res.compressed_size == nonzero_cells
         assert res.dp_pairs == (pairs if res.engine == "sweep" else None)  # the tree visits no pairs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 257, 2_000])
+def test_dp_pairs_equal_the_quadratic_count_on_random_rank_orders(m):
+    # any order of the rank x's 2, 4, ..., 2m, sentinel last; the count of
+    # ``test_work_counters_match_direct_count``, without an instance behind it
+    for seed in range(3):
+        xs = random.Random(seed * 10_000 + m).sample(range(2, 2 * m + 1, 2), m) + [2 * m + 2]
+        per_layer = sum(1 for i in range(len(xs)) for j in range(i) if xs[j] <= xs[i])
+        for k in (0, 1, 7):
+            assert _dp_pairs([0, *xs], k) == per_layer * k
 
 
 def assert_engines_agree(inst):

@@ -118,7 +118,10 @@ def float_checked_decimal(token: str):
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"integer of {len(digits)} digits, over the int-string limit of {limit}")
         raise ValueError(f"non-finite number: {token!r}")
-    number = Decimal(token)
+    try:
+        number = Decimal(token)
+    except ArithmeticError:
+        raise ValueError(f"exponent out of range: {token!r}") from None
     if number and not value:
         raise ValueError(f"nonzero number too small for a float: {token!r}")
     return number
