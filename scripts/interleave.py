@@ -2,6 +2,7 @@
 """Time two source trees' ``maxdom`` against each other in one process, one operation at a time.
 
     python3 scripts/interleave.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B [--rounds R] [--call FUNC]
+    python3 scripts/interleave.py PARENT_TREE CHANGE_TREE --shape S --seeds A-B [--rounds R] [--call FUNC]
     python3 scripts/interleave.py PARENT_TREE CHANGE_TREE --files PATH ... [--rounds R] [--call FUNC]
 
 Each tree's ``src/maxdom`` is imported under its own package name
@@ -11,10 +12,11 @@ the same heap and at the same CPU speed: runs in separate processes swing by
 For each seed from A to B the workload's files are written as
 ``scripts/same_records.py`` writes them (PARENT_TREE's
 ``perfbench/workloads.py``, run as a script), into a temporary directory
-that is removed at the end; with ``--files`` instead, the operation of
-each given file is ``solve``.  Then, ``--rounds`` times, every file's
-operation runs once on each tree, the tree that goes first alternating from
-one operation to the next: ``cli.main([command, FILE])`` with its output
+that is removed at the end; with ``--shape``, the named shape of
+``shapes.py`` is written the same way; with ``--files`` instead, the
+operation of each given file is ``solve``.  Then, ``--rounds`` times,
+every file's operation runs once on each tree, the tree that goes first
+alternating from one operation to the next: ``cli.main([command, FILE])`` with its output
 discarded, or, with ``--call`` (any ``module.function`` of the package),
 that function of one argument: the file's path for a function of
 ``instances``, such as ``--call instances.parse``, and otherwise the
@@ -40,7 +42,7 @@ from pathlib import Path
 from statistics import median, quantiles
 from time import perf_counter_ns
 
-from same_records import seeds, write_files
+from same_records import script_of, seeds, write_files
 
 NAMES = ("maxdom_parent", "maxdom_change")
 
@@ -89,26 +91,27 @@ def main() -> int:
     ap.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="PARENT_TREE CHANGE_TREE")
     source = ap.add_mutually_exclusive_group(required=True)
     source.add_argument("--workload", help="n-heavy, m-heavy or desk-verify, written for each of --seeds")
+    source.add_argument("--shape", help="a shape of shapes.py, written for each of --seeds")
     source.add_argument("--files", nargs="+", metavar="PATH", help="instance files to time instead of a workload's")
     ap.add_argument("--seeds", type=seeds, metavar="A-B")
     ap.add_argument("--rounds", type=int, default=5, help="passes over every file (default 5)")
     ap.add_argument("--call", help="time this module.function of the package on each file (its parsed instance "
                     "outside instances) instead of cli.main")
     args = ap.parse_args()
-    if args.workload and args.seeds is None:
-        ap.error("--workload needs --seeds")
+    if not args.files and args.seeds is None:
+        ap.error("--workload and --shape need --seeds")
     trees = [tree.resolve() for tree in args.trees]
-    for tree, name in zip(trees, NAMES):
-        load(tree, name)
-    script = trees[0] / "perfbench" / "workloads.py"
+    for tree, package in zip(trees, NAMES):
+        load(tree, package)
+    name, script = (None, None) if args.files else script_of(args, trees[0])
     times: list[list[int]] = [[], []]
     with tempfile.TemporaryDirectory(prefix="interleave_") as tmp:
         if args.files:
             files = [("solve", path) for path in args.files]
         else:
             files = [op for seed in args.seeds
-                     for op in write_files(script, trees[0], args.workload, seed, Path(tmp) / str(seed))]
-        ops = [[operation(name, args.call, command, path) for name in NAMES] for command, path in files]
+                     for op in write_files(script, trees[0], name, seed, Path(tmp) / str(seed))]
+        ops = [[operation(package, args.call, command, path) for package in NAMES] for command, path in files]
         for _ in range(args.rounds):
             for pair in ops:
                 first = len(times[0]) % 2  # the tree that goes first alternates
@@ -118,7 +121,7 @@ def main() -> int:
     ratios = [b / a for a, b in zip(*times)]
     q1, _, q3 = quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     won = sum(r < 1 for r in ratios)
-    print(f"{args.workload or 'files'} {args.call or 'cli.main'}: change/parent ratio {median(ratios):.3f} "
+    print(f"{name or 'files'} {args.call or 'cli.main'}: change/parent ratio {median(ratios):.3f} "
           f"(IQR {q1:.3f}-{q3:.3f}), change faster in {won} of {len(ratios)} pairs")
     for tree, ts in zip(trees, times):
         print(f"{tree}: median {median(ts) / 1e6:.3f} ms per operation")

@@ -2,12 +2,15 @@
 """Check that two source trees give the same ``maxdom`` records on the benchmark's own files.
 
     python3 scripts/same_records.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B [--args "--k 1"]
+    python3 scripts/same_records.py PARENT_TREE CHANGE_TREE --shape S --seeds A-B [--args "--k 1"]
 
 For each seed from A to B (or the one seed ``--seeds A``) the workload's
 files are written as the benchmark writes them, once per tree: the first
 tree's ``perfbench/workloads.py`` runs as a script with that tree's ``src``
 on ``PYTHONPATH``, into a temporary directory that is removed after the
-seed.  Every file whose bytes differ between the two trees counts as a
+seed.  With ``--shape`` instead, the script is this directory's
+``shapes.py``, run the same way, which writes the named shape's one file.
+Every file whose bytes differ between the two trees counts as a
 difference.  Every operation on the first tree's files (``maxdom solve
 FILE`` or ``maxdom verify FILE``, followed by the ``--args`` arguments, if
 any) then runs once per tree, each in a fresh ``python -m maxdom`` process
@@ -51,6 +54,17 @@ def write_files(script: Path, tree: Path, workload: str, seed: int, out_dir: Pat
     return json.loads(out)["ops"]
 
 
+def script_of(args, tree: Path) -> tuple[str, Path]:
+    """``--workload`` or ``--shape``, and the script that writes its files.
+
+    A workload's is ``tree``'s ``perfbench/workloads.py``, a shape's the
+    ``shapes.py`` beside this script.
+    """
+    if args.shape:
+        return args.shape, Path(__file__).resolve().parent / "shapes.py"
+    return args.workload, tree / "perfbench" / "workloads.py"
+
+
 def start(tree: Path, command: str, path: str, extra: list) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "maxdom", command, path, *extra]
@@ -70,19 +84,21 @@ def outcome(proc: subprocess.Popen) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="PARENT_TREE CHANGE_TREE")
-    ap.add_argument("--workload", required=True, help="n-heavy, m-heavy or desk-verify")
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload", help="n-heavy, m-heavy or desk-verify")
+    source.add_argument("--shape", help="a shape of shapes.py: c-large, k-large, c-large-nonneg or staircase-nonneg")
     ap.add_argument("--seeds", type=seeds, required=True, metavar="A-B")
     ap.add_argument("--args", type=shlex.split, default=[], help='arguments appended to every operation, such as "--k 1"')
     args = ap.parse_args()
     trees = [tree.resolve() for tree in args.trees]
-    script = trees[0] / "perfbench" / "workloads.py"
+    name, script = script_of(args, trees[0])
     differ = ops = files = differ_files = 0
     parts = [Counter(), Counter()]
     one_side: list[set] = [set(), set()]
     for seed in args.seeds:
         with tempfile.TemporaryDirectory(prefix="same_records_") as tmp:
             dirs = [Path(tmp) / "a", Path(tmp) / "b"]
-            made = [write_files(script, tree, args.workload, seed, out) for tree, out in zip(trees, dirs)]
+            made = [write_files(script, tree, name, seed, out) for tree, out in zip(trees, dirs)]
             for (_, path), (_, other) in zip(*made):
                 files += 1
                 if Path(path).read_bytes() != Path(other).read_bytes():
@@ -103,8 +119,8 @@ def main() -> int:
                     elif a[key] != b[key]:
                         differ += 1
                         print(f"seed {seed} {command} {Path(path).name} {key}: {a[key]!r} != {b[key]!r}")
-    print(f"{args.workload}: {files} files, {differ_files} differing files")
-    print(f"{args.workload}: {ops} operations, {differ} differing values")
+    print(f"{name}: {files} files, {differ_files} differing files")
+    print(f"{name}: {ops} operations, {differ} differing values")
     for tree, used, keys in zip(trees, parts, one_side):
         print(f"{tree}: parts {dict(sorted(used.items()))}, keys in its records only: {sorted(keys)}")
     return 1 if differ or differ_files else 0

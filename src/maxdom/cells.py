@@ -11,7 +11,8 @@ non-empty cell, zero-weight ones too, and the DP reads it as built.
 ``build_grid`` sums the points' int weights (``PointColumns.int_weights``)
 over slices of the point columns by ``_sum_cells``, which each part of a
 split solve also runs over its batches of parsed points, under one
-staircase (``ranking.staircase``) sorted before the parts start;
+staircase (``ranking.staircase``) sorted before the parts start, and which
+refuses a batch holding a weight that is not an int;
 ``add_parts`` adds the parts' cell sums into the grid that ``build_grid``
 gives the whole.  Both read the query columns and ids, and build no query
 object.  A cell is named by its strip and by the rank x (``CellGrid.qx``,
@@ -37,7 +38,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .model import Instance, QueryColumns, WeightedPoint, exact
+from .model import Instance, QueryColumns, WeightedPoint, _all_ints, exact
 from .ranking import staircase
 
 _SLICE = 4096  # points ``build_grid`` keys at a time: bounds its memory whatever n is
@@ -102,10 +103,13 @@ def _sum_cells(Q: QueryColumns, qx, batches) -> tuple[tuple, int, int]:
     """``(per_row, retained, count)`` of ``(xs, ys, ws)`` batches of int-weight points under the queries ``Q``.
 
     ``qx`` is their staircase's rank x's (``ranking.staircase``) and
-    ``count`` how many points the batches hold.  Each point is keyed by its
-    strip, the number of query y-values below it, and its x-slot r, the
-    number of query x-values left of it: ``strip * (m + 1) + r``, two
-    C-level bisect maps a batch.  Only each
+    ``count`` how many points the batches hold.  A batch whose weights are
+    not all ints (``model._all_ints``, ``PointColumns.int_weights``' rule
+    for scale 1) raises ``ValueError`` before any of its keys is summed, so
+    every sum is at scale 1, as ``add_parts`` adds a split solve's parts.
+    Each point is keyed by its strip, the number of query y-values below
+    it, and its x-slot r, the number of query x-values left of it:
+    ``strip * (m + 1) + r``, two C-level bisect maps a batch.  Only each
     key's weight sum and point count are kept, O(min(n, m^2)) entries however
     many points there are; int sums do not depend on the order of the points.
     At the end the keys are walked strip by strip from the bottom up, strip
@@ -129,6 +133,8 @@ def _sum_cells(Q: QueryColumns, qx, batches) -> tuple[tuple, int, int]:
     get = sums.get
     counts: Counter = Counter()
     for xs, ys, ws in batches:
+        if not _all_ints(ws):
+            raise ValueError("a point weight that is not an int")
         strips = map(bisect_left, repeat(ys_asc), ys)
         keys = list(map(add, map(mul, strips, repeat(width)), map(bisect_left, repeat(xs_asc), xs)))
         counts.update(keys)

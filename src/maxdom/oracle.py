@@ -71,12 +71,15 @@ def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
     beats zero).  ``model.covered_total`` stays the definition of a pick
     set's weight, since it reads the closed quadrant straight off the
     points; the tests hold the bitset weight and this walk to it.  Refuses
-    instances whose subset count exceeds ``limit`` before building any mask.
+    instances whose subset count exceeds ``limit`` before building any mask,
+    and builds none at k = 0, whose one pick set is the empty one.
     """
     k = min(inst.k, inst.m)
     total = sum(comb(inst.m, t) for t in range(k + 1))
     if total > limit:
         raise ValueError(f"{total} subsets exceed the oracle limit of {limit}")
+    if not k:
+        return Solution(frozenset(), exact(0, inst.P.int_weights()[1]))
     masks, weigh = _cover(inst)
     picks = [0] * k  # picks[:size]: the current pick set, as indices into masks
     best, best_value = [], 0
@@ -94,7 +97,6 @@ def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
             if size < k:
                 walk(i + 1, union | mask, v, size + 1)
 
-    if k:
-        walk(0, 0, 0, 1)
+    walk(0, 0, 0, 1)
     ids = sorted(inst.Q.ids)
     return Solution(frozenset(ids[i] for i in best), exact(best_value, inst.P.int_weights()[1]))

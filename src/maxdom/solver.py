@@ -39,8 +39,9 @@ whichever engine is priced faster on the grid (the paper's min{}), and
 refuses a solve priced over ``DP_BUDGET_S`` or
 ``DP_SLOT_BUDGET``, already before the grid where even no cells would be
 over; ``maxdom solve`` runs that pre-grid pricing off the file's header
-before it reads a point line (``_price_header``).  ``maxdom bench`` times
-the simple DP by name.
+before it reads a point line (``_price_header``), and ``solve_reference``
+prices its sweep before it ranks a point.  ``maxdom bench`` times the
+simple DP by name.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from time import perf_counter
 from .cells import CellGrid, _sum_cells, add_parts, build_grid
 from .coverage import CoverageSweep
 from .instances import _read_header, point_batches, point_ranges
-from .model import Instance, Solution, _all_ints, exact
+from .model import Instance, Solution, exact
 from .ranking import rank_transform, staircase
 
 
@@ -106,32 +107,11 @@ def _field_bytes(total: int) -> int:
     """Bytes per lane field of the tree over int cell weights of total absolute weight ``total``.
 
     With W = ``total``, every value a field holds lies in [0, 3W + 1] once
-    biased by 2W + 1 (``_tree_tables``), and the field's top bit must stay
+    biased by 2W + 1 (``tree_layers``), and the field's top bit must stay
     clear: 1, 2, 4 or 8 bytes, or as many as it takes.
     """
     need = ((3 * total + 1).bit_length() + 8) // 8  # one bit more, in whole bytes
     return need if need > 8 else 1 << (need - 1).bit_length()
-
-
-def tree_layers(inst: Instance, grid: CellGrid):
-    """``dp_layers``' tables and ``alone`` from one segment-tree sweep that carries all k layers.
-
-    The sweep visits the positions in staircase order over a segment tree
-    whose leaves are the queries' rank x's (x at leaf ``x // 2 - 1``).  For
-    layer l, leaf j holds ``t_{l-1}[j] + cov(i, j)`` once position j is
-    inserted: before position i, every nonzero cell of strip i - 1 adds its
-    weight to the leaves at or right of its name's (a zero-weight one is
-    skipped), ``t_l[i]`` is the better of its self-link ``t_{l-1}[i]`` and
-    the maximum over the leaves left of it, and position i is then
-    inserted.  One tree holds all k layers, each node value packing one
-    field per layer into one int (``_tree_tables``): O(k (c + m) log m)
-    time in all, c the nonzero cells.
-
-    Returns ``dp_layers``' ``(tables, alone, k_eff)``, ``alone`` read off
-    the leaves once the sweep ends (``_tree_tables``).
-    """
-    k_eff = min(inst.k, len(grid.qx) - 2)
-    return (*_tree_tables(grid, k_eff), k_eff)
 
 
 def _tree_width(m: int) -> int:
@@ -156,8 +136,19 @@ def _unpack(rows: list[int], k: int, nbytes: int) -> list[list[int]]:
     return [flat[l::k] for l in range(k)]
 
 
-def _tree_tables(grid: CellGrid, k_eff: int) -> tuple[list[list[int]], list[int]]:
-    """``tree_layers``' tables and ``alone`` from the grid's rank x's, rows and total.
+def tree_layers(inst: Instance, grid: CellGrid):
+    """``dp_layers``' tables, ``alone`` and k_eff from one segment-tree sweep that carries all k layers.
+
+    The sweep visits the positions in staircase order over a segment tree
+    whose leaves are the queries' rank x's (x at leaf ``x // 2 - 1``).  For
+    layer l, leaf j holds ``t_{l-1}[j] + cov(i, j)`` once position j is
+    inserted: before position i, every nonzero cell of strip i - 1 adds its
+    weight to the leaves at or right of its name's (a zero-weight one is
+    skipped), ``t_l[i]`` is the better of its self-link ``t_{l-1}[i]`` and
+    the maximum over the leaves left of it, and position i is then
+    inserted.  One tree holds all k layers, each node value packing one
+    field per layer into one int: O(k (c + m) log m) time in all, c the
+    nonzero cells.
 
     A suffix add of w from leaf j is kept as a point add at leaf j: with
     ``A[j]`` the adds made at leaf j so far, a leaf's value is its base plus
@@ -198,11 +189,12 @@ def _tree_tables(grid: CellGrid, k_eff: int) -> tuple[list[list[int]], list[int]
     1's field of position j's leaf holds ``t_0[j] + cov(m + 1, j)``, which
     is ``alone[j]``: field 0 of the leaf's ``M`` less the bias, plus the
     sign-extended field 0 of ``S`` summed over the leaves left of it, one
-    ``accumulate``.  Returns ``(tables, alone)``, ``alone`` indexed by
-    position, 0 at position 0 and at the sentinel, and empty at k_eff = 0.
+    ``accumulate``, so ``alone`` is 0 at position 0 and at the sentinel, and
+    empty at k_eff = 0.
     """
     qx, per_row, total = grid.qx, grid.per_row, grid.total
     last = len(qx) - 1
+    k_eff = min(inst.k, last - 1)
     size = _tree_width(last - 1)
     leaf = [size + x // 2 - 1 for x in qx[:last]]  # by position, the sentinel's aside
     bias = 2 * total + 1
@@ -277,7 +269,7 @@ def _tree_tables(grid: CellGrid, k_eff: int) -> tuple[list[list[int]], list[int]
         before = list(accumulate([((s & mask) ^ half) - half for s in S[size : size + last - 1]], initial=0))
         alone = [0, *[(M[p] & mask) - bias + before[p - size] for p in leaf[1:]], 0]
     del S, M  # the tables take their place
-    return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)], alone
+    return [[0] * (last + 1), *_unpack(rows, k_eff, nbytes)], alone, k_eff
 
 
 def _walk(grid: CellGrid, tables, alone, k_eff: int) -> frozenset[int]:
@@ -388,7 +380,7 @@ def _costs(m: int, k_eff: int, cells: int = 0, total: int = 0) -> tuple[dict[str
     (``_walk``) lists of m + 2 entries are not counted.  The tree holds as
     many entries again, its rows by position, whose ints are a field wide.
     Each node of the tree adds two ints of k fields
-    (``_tree_tables``' ``M`` and ``S``): a lane counts once at one word,
+    (``tree_layers``' ``M`` and ``S``): a lane counts once at one word,
     where both of its fields of at most 8 bytes fit the bytes of one slot,
     and twice for every further word.  The sweep's time budget binds before
     its slots do: over ``DP_SLOT_BUDGET`` slots at k <= m needs m above
@@ -520,21 +512,13 @@ def _grid_range(path, start: int, stop: int, Q, qx) -> tuple:
 
     What a part of ``grid_parts`` computes, and a child sends back: the
     cells' sums, summed batch by batch as the lines are parsed
-    (``cells._sum_cells``), and how many point lines there are.  Raises
-    ``ValueError`` for a batch whose weights are not all ints
-    (``model._all_ints``, ``PointColumns.int_weights``' rule for scale 1):
-    the parts' cell sums are added as they are, while decimal weights would
-    first need one scale common to every part.  Coordinates may be any
-    numbers ``parse`` reads.
+    (``cells._sum_cells``), and how many point lines there are.  A batch
+    whose weights are not all ints raises ``ValueError`` there: the parts'
+    cell sums are added as they are, while decimal weights would first need
+    one scale common to every part.  Coordinates may be any numbers
+    ``parse`` reads.
     """
-    return _sum_cells(Q, qx, map(_int_weight_batch, point_batches(path, start, stop)))
-
-
-def _int_weight_batch(batch):
-    """``batch`` itself; ``ValueError`` where a weight is not an int."""
-    if not _all_ints(batch[2]):
-        raise ValueError("a point weight that is not an int")
-    return batch
+    return _sum_cells(Q, qx, point_batches(path, start, stop))
 
 
 def grid_parts(path):
@@ -617,8 +601,12 @@ def solve_reference(inst: Instance) -> Solution:
 
     Every point is rank-transformed and the ranked points are gridded, the
     uncovered ones skipped; the cell sums, and so the value and the picks,
-    equal ``solve_pipeline``'s.
+    equal ``solve_pipeline``'s.  The sweep that it runs is priced first, as
+    ``run_pipeline`` prices an engine, and refused with the same
+    ``ValueError`` where it is over budget: its seconds and slots do not
+    depend on the cells, so the price off m and k is its full price.
     """
+    _choose("sweep", *_costs(inst.m, min(inst.k, inst.m)))
     rr = rank_transform(inst)
     grid = build_grid(rr)
     return _solution(grid, *dp_layers(rr, grid))

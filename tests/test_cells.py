@@ -1,10 +1,12 @@
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxdom.cells
 from maxdom.cells import CellKey, _sum_cells, build_grid, cell_boxes, compress
 from maxdom.instances import GeneratorSpec, generate, parse_text, serialize_text
 from maxdom.model import Instance, weight_of_dom
@@ -15,6 +17,7 @@ from maxdom.solver import solve_pipeline, solve_reference
 
 from util import (
     assign_cells,
+    decimal_instance_files,
     exact_cells,
     random_instance,
     reference_grid,
@@ -248,6 +251,38 @@ def test_cells_summed_by_key_equal_the_grid(inst, size):
     assert _sum_cells(inst.Q, qx, batches) == (ref.per_row, ref.retained, inst.n)
     assert build_grid(inst) == ref
     assert _sum_cells(inst.Q, qx, []) == (((),) * inst.m, 0, 0)
+
+
+@pytest.mark.parametrize("w", [Decimal("0.5"), Decimal(3), Fraction(1, 2), Fraction(3), 0.5, 3.0, True])
+def test_sum_cells_refuses_a_batch_with_a_weight_that_is_not_an_int(w):
+    # int sums are scale 1 sums, the scale a split solve's parts are added
+    # at; an all-int batch before the refused one changes nothing
+    Q = Instance.from_rows([], [(5, 5), (9, 1)], 1).Q
+    _stair, qx = staircase(Q)
+    with pytest.raises(ValueError, match="a point weight that is not an int"):
+        _sum_cells(Q, qx, [([0], [0], [4]), ([1, 2], [1, 2], [7, w])])
+
+
+@settings(deadline=None, max_examples=60)
+@given(decimal_instance_files())
+def test_build_grid_of_decimal_weights_never_trips_the_int_check(text):
+    # ``build_grid`` hands ``_sum_cells`` the scaled int weights, so every
+    # slice it checks is all ints
+    inst = parse_text(text)
+    checked = []
+
+    def spy(values):
+        checked.append(all_ints(values))
+        return checked[-1]
+
+    all_ints = maxdom.cells._all_ints
+    maxdom.cells._all_ints = spy
+    try:
+        grid = build_grid(inst)
+    finally:
+        maxdom.cells._all_ints = all_ints
+    assert all(checked) and len(checked) == -(-inst.n // maxdom.cells._SLICE)
+    assert grid == reference_grid(inst)
 
 
 def test_tall_staircase_over_few_points_equals_ranked_reference():

@@ -11,6 +11,7 @@ from time import perf_counter, sleep
 import pytest
 
 import maxdom.cli
+import maxdom.oracle
 import maxdom.solver
 from maxdom.cells import build_grid
 from maxdom.cli import main
@@ -61,6 +62,43 @@ def test_verify_subcommand(capsys, tiny):
     assert set(rec) == {"value_oracle", "value_dp", "value_dp_no_compress", "recomputed_from_chosen", "equal"}
     assert rec["equal"] is True
     assert rec["value_dp_no_compress"] == rec["value_dp"]
+
+
+def test_verify_and_oracle_at_budget_zero_build_no_masks(capsys, monkeypatch, tmp_path):
+    def no_cover(_inst):
+        raise AssertionError("built cover masks at k = 0")
+
+    monkeypatch.setattr(maxdom.oracle, "_cover", no_cover)
+    path = tmp_path / "dec.txt"
+    path.write_text("2 2 1\n0 0 0.25\n2 1 -1\n1 1\n3 3\n")
+    code, out, _ = run(capsys, "verify", path, "--k", "0")
+    assert code == 0
+    assert json.loads(out) == {"value_oracle": 0, "value_dp": 0, "value_dp_no_compress": 0,
+                               "recomputed_from_chosen": 0, "equal": True}
+    code, out, _ = run(capsys, "solve", path, "--algo", "oracle", "--k", "0")
+    rec = json.loads(out)
+    assert code == 0 and (rec["value"], rec["chosen"], rec["layers"]) == (0, [], None)
+
+
+def test_verify_refuses_an_over_budget_reference_before_ranking(capsys, monkeypatch, tmp_path):
+    # k = 1: the oracle admits m + 1 subsets and the tree prices the
+    # pipeline in budget, while the reference's sweep is priced over it
+    m = 100_000
+    lines = [f"5 {m} 1"] + [f"{i} {i} 1" for i in range(5)] + [f"{i} {m - i}" for i in range(m)]
+    path = tmp_path / "wide.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert maxdom.solver._costs(m, 1)[0]["sweep"] > DP_BUDGET_S
+
+    def no_ranks(_inst):
+        raise AssertionError("ranked an instance whose reference is refused anyway")
+
+    monkeypatch.setattr(maxdom.solver, "rank_transform", no_ranks)
+    with pytest.raises(ValueError, match="^refusing to solve: the sweep dp is estimated at "):
+        solve_reference(parse(path))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: refusing to solve: the sweep dp is estimated at ")
+    assert f"over the budget of {DP_BUDGET_S:g} s" in err
 
 
 def test_verify_names_the_disagreeing_values(capsys, monkeypatch, tiny):

@@ -1,12 +1,14 @@
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import maxdom.oracle
 from maxdom.cells import build_grid, compress
-from maxdom.model import Instance, PointColumns, QueryPoint, covered_total
+from maxdom.model import Instance, PointColumns, QueryPoint, Solution, covered_total
 from maxdom.oracle import _BIT_BY_BIT_MAX_N, _cover, oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform
@@ -15,10 +17,16 @@ from maxdom.solver import run_pipeline
 from util import random_instance, reference_oracle, tie_instances
 
 
-def test_budget_zero():
-    inst = Instance.from_rows([(0, 0, 4)], [(1, 1)], 0)
-    sol = oracle_solve(inst)
-    assert sol.chosen == frozenset() and sol.value == 0
+def test_budget_zero(monkeypatch):
+    # the one pick set at k = 0 is the empty one, weighed at the instance's
+    # scale with no cover mask built
+    def no_cover(_inst):
+        raise AssertionError("built cover masks at k = 0")
+
+    monkeypatch.setattr(maxdom.oracle, "_cover", no_cover)
+    for w, value in ((4, 0), (Decimal("0.25"), Fraction(0, 4))):
+        sol = oracle_solve(Instance.from_rows([(0, 0, w), (2, 1, -1)], [(1, 1), (3, 3)], 0))
+        assert sol == Solution(frozenset(), value) and type(sol.value) is type(value)
 
 
 def test_negative_weight_never_helps():
