@@ -178,14 +178,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = bench_mod.sweep(
-        args.family,
-        _ints(args.n),
-        _ints(args.m),
-        _ints(args.k),
-        reps=args.reps,
-        seed=args.seed,
-    )
+    ns, ms, ks = _ints(args.n), _ints(args.m), _ints(args.k)
+    rows = bench_mod.sweep(args.family, ns, ms, ks, reps=args.reps, seed=args.seed)
     flagged = False
     print(f"{'family':<22}{'n':>9}{'m':>6}{'k':>4}  {'stage':<12}{'seconds':>10}")
     for r in rows:
@@ -198,7 +192,6 @@ def cmd_bench(args) -> int:
         )
     if flagged:
         print(f"* under-timed cell (< {bench_mod.UNDER_TIMED}s); treat with caution")
-    ns, ms, ks = _ints(args.n), _ints(args.m), _ints(args.k)
     for axis, values, others in (("m", ms, (ns, ks)), ("k", ks, (ns, ms))):
         if len(set(values)) >= 3 and all(len(set(o)) == 1 for o in others):
             xs, ys = bench_mod.stage_series(rows, "dp", axis)
@@ -245,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check the solver against the oracle")
     p.add_argument("path")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--limit", type=int, default=1_000_000, help="oracle subset cap")
+    p.add_argument("--limit", type=int, default=1_000_000, help="oracle cap on subsets and on mask 64-bit words")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compress", help="inspect the representative compression")

@@ -6,17 +6,19 @@ strictly above the i-th highest query and inside the closed quadrant of the
 j-th highest query.  Cell weights make this incremental: moving the sweep
 from row i to i+1 adds, for each query, the strip-i cells named at or left
 of its rank x (``cells.CellKey``), a prefix of strip i in name order.  The
-DP reads the grid as built (``CellGrid.per_row``), each strip's cells as
-the grid summed them, ints, zero-weight ones adding nothing, so one advance
-costs time linear in the row index plus the row's stored cells.  The grid
-also stores the rank x's (``CellGrid.qx``) and caches the cells' absolute
-total (``CellGrid.total``).  ``build_row_sums``, a zero filter over the
-rows, is on no solve path.
+sweep keeps the positions reached so far in rank-x order (``by_x``), one
+insort per advance, and the DP scans a prefix of that same list.  It reads
+the grid as built (``CellGrid.per_row``), each strip's cells as the grid
+summed them, ints, zero-weight ones adding nothing, so one advance costs
+time linear in the row index plus the row's stored cells.  The grid also
+stores the rank x's (``CellGrid.qx``) and caches the cells' absolute total
+(``CellGrid.total``).  ``build_row_sums``, a zero filter over the rows, is
+on no solve path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import replace
 from operator import itemgetter
 from typing import Sequence
@@ -36,9 +38,12 @@ class CoverageSweep:
 
     After advancing to row i, ``cov[j]`` equals the total weight of ground
     points strictly above the i-th highest query that the j-th highest query
-    covers, for every j <= i; ``cov[i]`` itself is always 0.  ``x_by_pos[j]``
-    must be position j's rank x, as ``CellGrid.qx`` or a rank-normalized
-    instance gives it.  Not safe to share mid-sweep between threads.
+    covers, for every j <= i; ``cov[i]`` itself is always 0, since no cell
+    is added to a position before it is reached.  ``by_x`` holds a
+    ``(rank x, position)`` pair for each position 1..min(i, m), ascending.
+    ``x_by_pos[j]`` must be position j's rank x, as ``CellGrid.qx`` or a
+    rank-normalized instance gives it, so no two pairs tie on x.  Not safe
+    to share mid-sweep between threads.
     """
 
     def __init__(self, grid: CellGrid, x_by_pos: Sequence):
@@ -47,27 +52,21 @@ class CoverageSweep:
         self.current = 1
         self.cov: list[int] = [0] * (self.m + 2)
         self._x_by_pos = x_by_pos
-        self._pi = [1]
-        self._xs = [x_by_pos[1]]
+        self.by_x = [(x_by_pos[1], 1)]
 
     def advance(self) -> None:
         """Move from row i to i+1 by adding strip i's cells in name order."""
         i = self.current
         if i > self.m:
             raise ValueError("cannot advance past the sentinel row")
-        pi = self._pi
         pairs = self.per_row[i - 1]
         cov = self.cov
         ptr, cum, npairs = 0, 0, len(pairs)
-        for x, j in zip(self._xs, pi):  # queries by rank x, each covering the cells named up to it
+        for x, j in self.by_x:  # queries by rank x, each covering the cells named up to it
             while ptr < npairs and pairs[ptr][0] <= x:
                 cum += pairs[ptr][1]
                 ptr += 1
             cov[j] += cum
         self.current = i + 1
-        cov[i + 1] = 0
-        if i + 1 <= self.m:
-            x = self._x_by_pos[i + 1]
-            s = bisect_left(self._xs, x)
-            self._xs.insert(s, x)
-            self._pi.insert(s, i + 1)
+        if i < self.m:
+            insort(self.by_x, (self._x_by_pos[i + 1], i + 1))

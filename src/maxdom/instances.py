@@ -76,14 +76,6 @@ COORD_SPAN = 1_000_000
 MAX_N = 5_000_000
 MAX_M = 100_000
 
-FAMILIES = (
-    "uniform",
-    "clustered",
-    "one-cell-adversarial",
-    "skyline-unit-weight",
-    "negative-mix",
-)
-
 
 class ParseError(ValueError):
     """Malformed instance file; carries the offending line number."""
@@ -692,6 +684,7 @@ _BUILDERS = {
     "skyline-unit-weight": _gen_skyline,
     "negative-mix": _gen_negative_mix,
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 def generate(spec: GeneratorSpec) -> Instance:

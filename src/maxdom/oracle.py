@@ -72,7 +72,9 @@ def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
     set's weight, since it reads the closed quadrant straight off the
     points; the tests hold the bitset weight and this walk to it.  Refuses
     instances whose subset count exceeds ``limit`` before building any mask,
-    and builds none at k = 0, whose one pick set is the empty one.
+    and builds none at k = 0, whose one pick set is the empty one.  ``limit``
+    also caps the masks' 64-bit words, m * (n // 64 + 1), checked before
+    they are built; the cost of weighing each subset is not priced.
     """
     k = min(inst.k, inst.m)
     total = sum(comb(inst.m, t) for t in range(k + 1))
@@ -80,6 +82,9 @@ def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
         raise ValueError(f"{total} subsets exceed the oracle limit of {limit}")
     if not k:
         return Solution(frozenset(), exact(0, inst.P.int_weights()[1]))
+    words = inst.m * (inst.n // 64 + 1)
+    if words > limit:
+        raise ValueError(f"{words} mask words exceed the oracle limit of {limit}")
     masks, weigh = _cover(inst)
     picks = [0] * k  # picks[:size]: the current pick set, as indices into masks
     best, best_value = [], 0

@@ -11,7 +11,7 @@ from typing import Iterable
 
 from .cells import build_grid, cell_boxes, compress
 from .model import Instance
-from .ranking import drop_uncovered, rank_transform, y_sorted_queries
+from .ranking import drop_uncovered, rank_transform
 
 MAX_RENDER_M = 200
 MAX_DRAWN_POINTS = 2000
@@ -34,7 +34,8 @@ def render_svg(inst: Instance, chosen: Iterable[int] | None = None, *, scale: in
     grid = build_grid(rr)
     comp = compress(grid, rr)
     boxes = cell_boxes(grid, rr)
-    qs = y_sorted_queries(rr)
+    by_id = {q.id: q for q in rr.Q}
+    qs = [by_id[t] for t in grid.stair]
     top = 2 * rr.m + 2
     pad = scale
 
@@ -60,7 +61,6 @@ def render_svg(inst: Instance, chosen: Iterable[int] | None = None, *, scale: in
         )
 
     if chosen:
-        by_id = {q.id: q for q in rr.Q}
         for qid in sorted(chosen):
             q = by_id[qid]
             parts.append(

@@ -68,7 +68,10 @@ def dp_layers(inst: Instance, grid: CellGrid):
 
     ``grid`` must hold the per-strip cells of ``inst``, as ``build_grid(inst)``
     gives them, zero-weight cells and all; every layer consumes a fresh
-    ``CoverageSweep`` over them.
+    ``CoverageSweep`` over them.  At position i a layer scans the sweep's
+    ``by_x``, the positions reached so far by rank x, up to the first x at
+    or past x_i, so it visits exactly the transitions into i: the j < i
+    with x_j < x_i, in x order (rank x's are distinct).
 
     Returns ``(tables, alone, k_eff)`` where ``tables[l][i]`` is the layer-l
     optimum at position i (1-based, sentinel last) and ``alone[j]`` is
@@ -86,6 +89,7 @@ def dp_layers(inst: Instance, grid: CellGrid):
         sweep = CoverageSweep(grid, qx)
         advance = sweep.advance
         cov = alone = sweep.cov  # mutated in place by advance, never reassigned
+        by_x = sweep.by_x  # grown in place by advance
         t_prev = tables[-1]
         t_cur = [0] * (last + 1)
         t_cur[1] = t_prev[1]
@@ -93,11 +97,12 @@ def dp_layers(inst: Instance, grid: CellGrid):
             advance()
             xi = qx[i]
             best = t_prev[i]  # self-link: keep the layer-(l-1) set, pick nothing at i
-            for j in range(1, i):
-                if qx[j] <= xi:
-                    v = t_prev[j] + cov[j]
-                    if v > best:
-                        best = v
+            for x, j in by_x:
+                if x >= xi:
+                    break
+                v = t_prev[j] + cov[j]
+                if v > best:
+                    best = v
             t_cur[i] = best
         tables.append(t_cur)
     return tables, alone, k_eff
@@ -329,8 +334,8 @@ def _dp_pairs(qx, k_eff: int) -> int:
 
     Counted off the rank x's alone, sentinel last and included: each
     position counts the earlier x's below its own by a bisect into them,
-    kept ascending as ``CoverageSweep`` keeps them.  Rank x's are distinct,
-    so below is at or below.
+    kept ascending as ``CoverageSweep.by_x`` keeps them.  Rank x's are
+    distinct, so below is at or below.
     """
     xs, per_layer = [], 0
     for x in qx[1:]:
@@ -368,9 +373,10 @@ DP_SLOT_BUDGET = 50_000_000
 def _costs(m: int, k_eff: int, cells: int = 0, total: int = 0) -> tuple[dict[str, float], dict[str, int]]:
     """Each engine's predicted dp-stage seconds and peak list slots, from closed-form work counts.
 
-    The simple DP (``dp_layers``, "sweep") scans k * m^2 (layer, i, j)
-    slots; the segment tree (``tree_layers``, "tree") walks c + 2m root
-    paths of depth ``m.bit_length()`` = ceil(log2(m + 1)), c the nonzero
+    The simple DP (``dp_layers``, "sweep") is priced at k * m^2 (layer,
+    i, j) slots, which bound the pairs it scans, those with x_j < x_i, and
+    its advances; the segment tree (``tree_layers``, "tree") walks c + 2m
+    root paths of depth ``m.bit_length()`` = ceil(log2(m + 1)), c the nonzero
     cells, each node visit costing a fixed part plus one per lane and
     64-bit word of its field (``_field_bytes(total)``, ``total`` the cells'
     absolute total).  No cells and a total of 0, one-byte fields, price an

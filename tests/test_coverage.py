@@ -58,8 +58,10 @@ def test_sweep_matches_direct_definition():
         inst = random_instance(rng, max_n=40, max_m=8, span=15)
         rr, rows = prepared(inst)
         sweep = fresh_sweep(rr, rows)
+        xs = [0] + [q.x for q in y_sorted_queries(rr)]
         for i in range(2, rr.m + 2):
             sweep.advance()
+            assert sweep.by_x == sorted((xs[j], j) for j in range(1, min(i, rr.m) + 1))
             for j in range(1, min(i, rr.m) + 1):
                 assert sweep.cov[j] == direct_cov_with_sentinel(rr, i, j)
 

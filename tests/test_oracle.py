@@ -53,6 +53,17 @@ def test_refuses_oversized_instances():
         oracle_solve(inst, limit=1000)
 
 
+def test_refuses_masks_over_the_limit_before_building_them(monkeypatch):
+    # 4 subsets fit under 10, but 3 masks of 640 points take 3 * 11 words
+    def no_cover(_inst):
+        raise AssertionError("built cover masks over the limit")
+
+    monkeypatch.setattr(maxdom.oracle, "_cover", no_cover)
+    inst = Instance.from_rows([(0, 0, 1)] * 640, [(1, 1), (2, 2), (3, 3)], 1)
+    with pytest.raises(ValueError, match="33 mask words exceed the oracle limit of 10"):
+        oracle_solve(inst, limit=10)
+
+
 def test_value_invariant_under_preprocessing():
     rng = SplitMix64(909)
     for _ in range(25):

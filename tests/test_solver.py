@@ -18,7 +18,7 @@ import maxdom.solver
 from maxdom.cells import build_grid
 from maxdom.coverage import build_row_sums
 from maxdom.instances import FAMILIES, GeneratorSpec, generate, serialize
-from maxdom.model import Instance, QueryPoint, weight_of_dom
+from maxdom.model import Instance, PointColumns, QueryColumns, QueryPoint, weight_of_dom
 from maxdom.oracle import oracle_solve
 from maxdom.prng import SplitMix64
 import maxdom.ranking
@@ -318,6 +318,35 @@ def test_tree_engine_matches_simple_dp_on_every_family():
             inst = generate(GeneratorSpec(family, n, m, k, seed=100 * t + seed))
             assert_engines_agree(inst)
             assert_engines_agree(replace(inst, k=4 * k))  # more lanes per tree node
+
+
+def test_layers_are_unchanged_by_transforms_that_keep_dominance():
+    # Metamorphic relations (Chen, Cheung & Yiu, HKUST-CS98-01, 1998) at
+    # sizes past the oracle's reach: swapping the axes, a strictly
+    # increasing map of one axis and a permutation of the query ids keep
+    # every closed quadrant's points, so every layer's optimum, while the
+    # staircase, ties by id, cells and DP order all change.  Tie-heavy:
+    # few distinct coordinates on both axes.
+    rng = SplitMix64(1414)
+    shuffle = random.Random(1414).shuffle
+    for t in range(30):
+        m = rng.randint(1, 300)
+        inst = random_instance(rng, n=rng.randint(0, 3000), m=m, k=rng.randint(1, 12), span=rng.randint(1, m))
+        P, Q = inst.P, inst.Q
+        ids = list(range(m))
+        shuffle(ids)
+        points, queries = [P.xs, P.ys], [Q.xs, Q.ys]
+        axis = t % 2
+        points[axis], queries[axis] = [v**3 for v in points[axis]], [v**3 for v in queries[axis]]
+        transformed = (
+            Instance(PointColumns(P.ys, P.xs, P.ws), QueryColumns(Q.ys, Q.xs), inst.k),
+            Instance(PointColumns(*points, P.ws), QueryColumns(*queries), inst.k),
+            Instance(P, QueryColumns(Q.xs, Q.ys, ids), inst.k),
+        )
+        expect = run_pipeline(inst, "sweep").solution.layer_values
+        for other in transformed:
+            for engine in ("sweep", "tree"):
+                assert run_pipeline(other, engine).solution.layer_values == expect, (t, engine)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17])
