@@ -13,7 +13,9 @@ verdict, the pairs the change won and the pairs compared.  Each workload
 also gets each side's run count, failed share and median speed factor.  At
 the top: the git revision of this repository (HEAD, and whether the working
 tree differs from it), both null outside a git checkout, and the Python
-version that runs the script.
+version that runs the script.  A result file that is empty, or holds no line
+starting with ``{``, has no result to load: each such file is named on
+stderr, nothing is written, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import importlib.util
 import json
 import platform
 import subprocess
+import sys
 from pathlib import Path
 from statistics import median
 
@@ -44,6 +47,15 @@ def _git(*args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
+
+
+def _without_result(directory: Path) -> list[Path]:
+    """The result files in ``directory`` with no line that ``compare.load`` reads as a record."""
+    return [
+        path
+        for path in sorted(directory.glob("*.json"))
+        if not any(line.startswith("{") for line in path.read_text().strip().splitlines())
+    ]
 
 
 def _side(compare, values: list[float]) -> dict:
@@ -81,6 +93,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    empty = _without_result(args.parent) + _without_result(args.change)
+    for path in empty:
+        print(f"error: {path}: no result line", file=sys.stderr)
+    if empty:
+        return 1
     compare = _compare()
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent, change = compare.load(args.parent), compare.load(args.change)

@@ -27,7 +27,6 @@ from .model import (
     weight_of_dom,
 )
 from .oracle import oracle_solve
-from .render import render_svg
 from .solver import (
     PipelineResult,
     run_pipeline,
@@ -51,7 +50,6 @@ __all__ = [
     "oracle_solve",
     "parse",
     "parse_text",
-    "render_svg",
     "run_pipeline",
     "serialize",
     "serialize_text",

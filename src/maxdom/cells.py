@@ -21,11 +21,11 @@ query above the strip that covers it, so an instance gridded in its own
 coordinates and its rank-normalized form give the same cells and sums.
 ``cell_boxes`` and ``compress`` give cell corners in rank coordinates,
 read off the grid's rank x's and the staircase positions' rank y's, for
-the rank-normalized instance; they serve ``maxdom compress`` and
-rendering.  ``_sum_cells`` names a cell, and ``cell_boxes`` finds its left
-edge, by one walk up the strips over a union-find (``_root``) of the rank
-x's of the queries still above the strip: a query leaves it once the walk
-has climbed past the query's y-value.
+the rank-normalized instance; they serve ``maxdom compress`` only.
+``_sum_cells`` names a cell, and ``cell_boxes`` finds its left edge, by
+one walk up the strips over a union-find (``_root``) of the rank x's of the
+queries still above the strip: a query leaves it once the walk has climbed
+past the query's y-value.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class CompressedP:
     """One representative point per non-empty cell with nonzero total weight."""
 
     points: tuple[WeightedPoint, ...]
-    provenance: tuple[CellKey, ...]
 
 
 def _root(parent: list, t: int) -> int:
@@ -251,12 +250,9 @@ def compress(grid: CellGrid, rinst: Instance) -> CompressedP:
     """
     boxes = cell_boxes(grid, rinst)
     points: list[WeightedPoint] = []
-    provenance: list[CellKey] = []
     for i, row in enumerate(grid.per_row, 1):
         for col, w in row:
             if w:
-                key = CellKey(i, col)
-                x_lo, y_lo, _x_hi, _y_hi = boxes[key]
+                x_lo, y_lo, _x_hi, _y_hi = boxes[CellKey(i, col)]
                 points.append(WeightedPoint(x_lo + 1, y_lo + 1, exact(w, grid.scale)))
-                provenance.append(key)
-    return CompressedP(tuple(points), tuple(provenance))
+    return CompressedP(tuple(points))

@@ -1,4 +1,4 @@
-"""Command-line front door: solve, verify, compress, generate, bench, render.
+"""Command-line front door: solve, verify, compress, generate, bench.
 
 Every record is one line of JSON, with each value that is not an int written
 as a JSON number of its exact decimal expansion (``_dumps``).
@@ -26,7 +26,6 @@ from .instances import FAMILIES, GeneratorSpec, decimal_text, generate, parse, s
 from .model import Instance, QueryPoint, weight_of_dom
 from .oracle import oracle_solve
 from .ranking import rank_transform
-from .render import render_svg
 from .solver import _price_header, grid_parts, run_pipeline, solve_pipeline, solve_reference
 
 
@@ -202,20 +201,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    inst = _load(args)
-    chosen = None
-    if args.chosen:
-        chosen = set(_ints(args.chosen))
-    elif args.solve:
-        chosen = solve_pipeline(inst).chosen
-    svg = render_svg(inst, chosen, scale=args.scale)
-    out = args.out or f"{args.path}.svg"
-    Path(out).write_text(svg)
-    print(out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxdom",
@@ -233,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     # verify and compress read the path as argv gives it, building no Path
-    # per call; solve's record and render's default output name write the
-    # path back out as pathlib spells it (``./a`` as ``a``), so those keep it.
+    # per call; solve's record writes the path back out as pathlib spells it
+    # (``./a`` as ``a``), so solve keeps it.
     p = sub.add_parser("verify", help="cross-check the solver against the oracle")
     p.add_argument("path")
     p.add_argument("--k", type=int, default=None)
@@ -267,15 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", type=Path, default=None)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("render", help="write an SVG of cells, representatives, and picks")
-    p.add_argument("path", type=Path)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--scale", type=int, default=14)
-    p.add_argument("--solve", action="store_true", help="overlay the solver's pick set")
-    p.add_argument("--chosen", default=None, help="overlay these query ids (comma separated)")
-    p.set_defaults(func=cmd_render)
 
     return parser
 

@@ -12,7 +12,7 @@ any query, so every later boundary comparison is strict and exact.  Ties
 among queries on an axis are broken by query id, making the transform
 deterministic across runs and platforms.  The result is a plain
 ``Instance`` whose points stay columnar.  The solve path never ranks the
-points; ``solver.solve_reference``, compression and rendering do.
+points; ``solver.solve_reference`` and compression do.
 
 ``staircase`` is the one definition of the staircase order, by decreasing
 ``(y, id)``, and of the queries' rank x's, by ``(x, id)``, which the cell
@@ -89,6 +89,7 @@ def drop_uncovered(inst: Instance) -> Instance:
 
     A point survives iff some query lies weakly above and right of it, which
     one pass over the x-sorted queries with a suffix maximum of y decides.
+    No solve or command path calls it; it is kept for the acceptance gates.
     """
     x_keys, ys = zip(*sorted(zip(inst.Q.xs, inst.Q.ys)))
     suff_max_y = [*accumulate(reversed(ys), max)][::-1] + [-inf]

@@ -17,7 +17,6 @@ PUBLIC = [
     "oracle_solve",
     "parse",
     "parse_text",
-    "render_svg",
     "run_pipeline",
     "serialize",
     "serialize_text",

@@ -52,3 +52,16 @@ def test_record_holds_compares_figures_and_verdicts(tmp_path):
     assert metrics["op_p50_s raw"]["verdict"] == "better"
     assert (metrics["setup_s"]["verdict"], metrics["setup_s"]["won"]) == ("unchanged", 0)
     assert metrics["peak_rss_mb"]["verdict"] == "unchanged"
+
+
+def test_a_result_file_without_a_result_line_is_named_not_loaded(tmp_path, capsys):
+    script = _script()
+    _write_runs(tmp_path / "parent", 1.0)
+    _write_runs(tmp_path / "change", 0.9)
+    (tmp_path / "parent" / "desk-verify.3.json").write_text("")
+    (tmp_path / "change" / "desk-verify.7.json").write_text("Traceback (most recent call last):\n")
+    out = tmp_path / "bench.json"
+    assert script.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out)]) == 1
+    named = [line.split(": ")[1] for line in capsys.readouterr().err.splitlines()]
+    assert named == [str(tmp_path / "parent" / "desk-verify.3.json"), str(tmp_path / "change" / "desk-verify.7.json")]
+    assert not out.exists()

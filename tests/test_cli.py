@@ -1,6 +1,6 @@
+import argparse
 import json
 import os
-import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -241,76 +241,29 @@ def test_bench_csv_schema(capsys, tmp_path):
     assert stages == {"grid", "dp", "reconstruct", "total"}
 
 
-def test_render_marks_occupied_strip(capsys, tmp_path):
-    # points only between the 3rd and 4th highest query: every shaded cell
-    # carries data-row="3"
-    queries = [(50, 90), (70, 80), (10, 70), (90, 40), (30, 20)]
-    points = [(30, 60, 1), (5, 50, 2)]
-    path = tmp_path / "fig.txt"
-    serialize(Instance.from_rows(points, queries, 2), path)
-    out_svg = tmp_path / "fig.svg"
-    code, _, _ = run(capsys, "render", path, "--out", out_svg)
-    assert code == 0
-    svg = out_svg.read_text()
-    rects = [line for line in svg.splitlines() if "data-row" in line and "<rect" in line]
-    assert rects and all('data-row="3"' in r for r in rects)
+def test_the_parser_offers_exactly_the_five_commands(capsys):
+    [commands] = [a.choices for a in maxdom.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == ["solve", "verify", "compress", "generate", "bench"]
+    with pytest.raises(SystemExit) as exited:
+        main(["render", "inst.txt"])
+    assert exited.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
-def test_render_empty_ground_set_draws_grid_only(capsys, tmp_path):
-    path = tmp_path / "empty.txt"
-    serialize(Instance.from_rows([], [(1, 1), (2, 2)], 1), path)
-    out_svg = tmp_path / "empty.svg"
-    code, _, _ = run(capsys, "render", path, "--out", out_svg)
-    assert code == 0
-    svg = out_svg.read_text()
-    assert "<line" in svg and "data-row" not in svg
-
-
-def test_render_solution_overlay(capsys, tmp_path):
-    path = tmp_path / "sol.txt"
-    serialize(Instance.from_rows([(0, 0, 5)], [(1, 1), (9, 9)], 1), path)
-    out_svg = tmp_path / "sol.svg"
-    code, _, _ = run(capsys, "render", path, "--solve", "--out", out_svg)
-    assert code == 0
-    assert "data-chosen" in out_svg.read_text()
-
-
-def test_solve_render_and_library_report_the_same_picks(capsys, tmp_path):
+def test_solve_and_library_report_the_same_picks(capsys, tmp_path):
     # decimal weights whose binary-float sums differ in the last bits with
     # the order they are added in, so that engines adding floats in
     # different orders pick different optimal sets; both add the same ints
     inst = generate(GeneratorSpec("uniform", 46, 51, 4, (-1000, 1000), seed=6))
     inst = Instance.from_rows([(p.x, p.y, p.w / 100) for p in inst.P], [(q.x, q.y) for q in inst.Q], 4)
-    path, out_svg = tmp_path / "inst.txt", tmp_path / "inst.svg"
+    path = tmp_path / "inst.txt"
     serialize(inst, path)
     code, out, _ = run(capsys, "solve", path)
     rec = json.loads(out, parse_float=Decimal)
-    assert code == 0 and rec["engine"] == "tree"
-    code, _, _ = run(capsys, "render", path, "--solve", "--out", out_svg)
-    assert code == 0
-    drawn = sorted(int(qid) for qid in re.findall(r'data-chosen="(-?\d+)"', out_svg.read_text()))
-    assert drawn == rec["chosen"] != []
+    assert code == 0 and rec["engine"] == "tree" and rec["chosen"] != []
     parsed = parse(path)
     tree, sweep = run_pipeline(parsed, "tree").solution, run_pipeline(parsed, "sweep").solution
     assert tree == sweep == solve_pipeline(parsed)
     assert tree.value == Fraction(rec["value"]) and sorted(tree.chosen) == rec["chosen"]
-
-
-@pytest.mark.parametrize("chosen", ["7", "-1", "0,7"])
-def test_render_rejects_unknown_chosen_id(capsys, tmp_path, chosen):
-    path = tmp_path / "sol.txt"
-    serialize(Instance.from_rows([(0, 0, 5)], [(1, 1), (9, 9)], 1), path)
-    out_svg = tmp_path / "sol.svg"
-    code, _, err = run(capsys, "render", path, "--chosen", chosen, "--out", out_svg)
-    assert code == 1 and err.startswith("error: ") and chosen.split(",")[-1] in err
-    assert not out_svg.exists()
-
-
-def test_render_rejects_oversized(capsys, tmp_path):
-    path = tmp_path / "big.txt"
-    serialize(generate(GeneratorSpec("uniform", n=1, m=201, k=1, seed=0)), path)
-    code, _, err = run(capsys, "render", path)
-    assert code == 1 and "cap" in err
 
 
 def test_repeated_main_calls_share_no_state(capsys, tiny):
