@@ -1,7 +1,10 @@
-"""Stage-timing sweeps and log-log slope fits for the solver pipeline.
+"""Stage-timing sweeps and log-log slope fits: the helpers of acceptance criterion 7.
 
-The sweeps ask for the paper's simple DP (the ``"sweep"`` engine) by name,
-whichever engine a solve would pick: its dp stage is what they measure.
+Criterion 7 (``tests/test_acceptance.py``) fits the dp stage's log-log slope
+against m and against k over two size sweeps; run it alone with
+``pytest tests/test_acceptance.py -k criterion_7 -s``.  The sweeps ask for
+the paper's simple DP (the ``"sweep"`` engine) by name, whichever engine a
+solve would pick: its dp stage is what they measure.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from .model import Instance
 from .solver import run_pipeline
 
 STAGES = ("grid", "dp", "reconstruct")
-UNDER_TIMED = 0.005  # seconds; below this a cell is too fast to trust
 
 
 def time_pipeline(inst: Instance, reps: int = 1) -> dict[str, float]:
@@ -51,13 +53,6 @@ def sweep(family: str, ns, ms, ks, *, reps: int = 3, seed: int = 0) -> list[dict
         for stage in (*STAGES, "total"):
             rows.append({"family": family, "n": n, "m": m, "k": k, "stage": stage, "seconds": stages[stage]})
     return rows
-
-
-def to_csv(rows) -> str:
-    out = ["family,n,m,k,stage,seconds"]
-    for r in rows:
-        out.append(f"{r['family']},{r['n']},{r['m']},{r['k']},{r['stage']},{r['seconds']:.6f}")
-    return "\n".join(out) + "\n"
 
 
 def stage_series(rows, stage: str, axis: str) -> tuple[list, list]:

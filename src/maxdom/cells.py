@@ -21,7 +21,8 @@ query above the strip that covers it, so an instance gridded in its own
 coordinates and its rank-normalized form give the same cells and sums.
 ``cell_boxes`` and ``compress`` give cell corners in rank coordinates,
 read off the grid's rank x's and the staircase positions' rank y's, for
-the rank-normalized instance; they serve ``maxdom compress`` only.
+the rank-normalized instance; no solve calls them, and acceptance criteria 2
+and 3 hold the compression to its weights and its size.
 ``_sum_cells`` names a cell, and ``cell_boxes`` finds its left edge, by
 one walk up the strips over a union-find (``_root``) of the rank x's of the
 queries still above the strip: a query leaves it once the walk has climbed

@@ -1,4 +1,4 @@
-"""Command-line front door: solve, verify, compress, generate, bench.
+"""Command-line front door: solve, verify, generate.
 
 Every record is one line of JSON, with each value that is not an int written
 as a JSON number of its exact decimal expansion (``_dumps``).
@@ -20,22 +20,15 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from . import bench as bench_mod
-from .cells import build_grid, compress
 from .instances import FAMILIES, GeneratorSpec, decimal_text, generate, parse, serialize, serialize_blocks
 from .model import Instance, QueryPoint, weight_of_dom
 from .oracle import oracle_solve
-from .ranking import rank_transform
 from .solver import _price_header, grid_parts, run_pipeline, solve_pipeline, solve_reference
 
 
 def _with_k(inst: Instance, args) -> Instance:
     """``inst`` with ``--k`` as its budget, where that is given."""
     return inst if args.k is None else replace(inst, k=args.k)
-
-
-def _load(args) -> Instance:
-    return _with_k(parse(args.path), args)
 
 
 _MARK = "\0"  # stands in for a non-int value in ``_dumps``; no other string in a record holds it
@@ -46,10 +39,6 @@ def _dumps(record: dict) -> str:
     texts = []  # the values' texts, in the order json meets them
     text = json.dumps(record, default=lambda v: texts.append(decimal_text(v)) or _MARK)
     return "".join(p + t for p, t in zip(text.split(json.dumps(_MARK)), [*texts, ""]))
-
-
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
 
 
 def _peak_rss_mb() -> float | None:
@@ -74,9 +63,8 @@ def _mb(maxrss: int) -> float:
 
 def cmd_solve(args) -> int:
     t0 = perf_counter()
-    if args.algo == "dp":  # an over-budget solve is refused before any point line is read
-        _price_header(args.path, args.k)
-    split = grid_parts(args.path) if args.algo == "dp" else None
+    _price_header(args.path, args.k)  # an over-budget solve is refused before any point line is read
+    split = grid_parts(args.path)
     if split is None:
         inst = parse(args.path)
         n, grid, peaks = inst.n, None, ()
@@ -84,19 +72,10 @@ def cmd_solve(args) -> int:
         n, inst, grid, peaks = split  # inst: the queries and the file's k, with no points
     inst = _with_k(inst, args)
     t1 = perf_counter()
-    if args.algo == "oracle":
-        sol = oracle_solve(inst)
-        stages = {"oracle": perf_counter() - t1}
-        retained = cells = compressed_size = dp_pairs = engine = estimates = None
-    else:
-        res = run_pipeline(inst, grid=grid)
-        sol, stages = res.solution, res.stage_seconds
-        retained, cells, compressed_size = res.retained, res.cells, res.compressed_size
-        dp_pairs = res.dp_pairs
-        engine, estimates = res.engine, {e: round(t, 6) for e, t in res.estimates.items()}
+    res = run_pipeline(inst, grid=grid)
+    sol = res.solution
     total = perf_counter() - t0
     record = {
-        "algo": args.algo,
         "file": str(args.path),
         "n": n,
         "m": inst.m,
@@ -104,13 +83,13 @@ def cmd_solve(args) -> int:
         "value": sol.value,
         "chosen": sorted(sol.chosen),
         "layers": sol.layer_values,
-        "compressed_size": compressed_size,
-        "retained": retained,
-        "cells": cells,
-        "dp_pairs": dp_pairs,
-        "engine": engine,
-        "estimates_s": estimates,
-        "stages": {s: round(t, 6) for s, t in {"parse": t1 - t0, **stages}.items()},
+        "compressed_size": res.compressed_size,
+        "retained": res.retained,
+        "cells": res.cells,
+        "dp_pairs": res.dp_pairs,
+        "engine": res.engine,
+        "estimates_s": {e: round(t, 6) for e, t in res.estimates.items()},
+        "stages": {s: round(t, 6) for s, t in {"parse": t1 - t0, **res.stage_seconds}.items()},
         "total_seconds": round(total, 6),
         "parts": len(peaks) + 1,  # processes that parsed and gridded the points
         "peak_rss_mb": _peak_rss_mb(),
@@ -121,7 +100,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _load(args)
+    inst = _with_k(parse(args.path), args)
     sol_oracle = oracle_solve(inst, limit=args.limit)
     sol_dp = solve_pipeline(inst)
     sol_ref = solve_reference(inst)
@@ -142,29 +121,6 @@ def cmd_verify(args) -> int:
     return 1 if disagree else 0
 
 
-def cmd_compress(args) -> int:
-    inst = _load(args)
-    rr = rank_transform(inst)
-    grid = build_grid(rr)  # skips the uncovered points
-    comp = compress(grid, rr)
-    bound = min(inst.n, inst.m**2)
-    record = {
-        "n": inst.n,
-        "m": inst.m,
-        "k": inst.k,
-        "retained": grid.retained,
-        "nonempty_cells": sum(map(len, grid.per_row)),
-        "compressed_size": len(comp.points),
-        "bound": bound,
-        "bound_ok": len(comp.points) <= bound,
-    }
-    if args.out:
-        serialize(Instance(comp.points, rr.Q, inst.k), args.out)
-        record["out"] = str(args.out)
-    print(json.dumps(record))
-    return 0
-
-
 def cmd_generate(args) -> int:
     spec = GeneratorSpec(args.family, args.n, args.m, args.k, (args.wmin, args.wmax), args.seed)
     inst = generate(spec)
@@ -173,31 +129,6 @@ def cmd_generate(args) -> int:
         print(args.out)
     else:
         sys.stdout.writelines(serialize_blocks(inst))
-    return 0
-
-
-def cmd_bench(args) -> int:
-    ns, ms, ks = _ints(args.n), _ints(args.m), _ints(args.k)
-    rows = bench_mod.sweep(args.family, ns, ms, ks, reps=args.reps, seed=args.seed)
-    flagged = False
-    print(f"{'family':<22}{'n':>9}{'m':>6}{'k':>4}  {'stage':<12}{'seconds':>10}")
-    for r in rows:
-        mark = ""
-        if r["stage"] != "total" and r["seconds"] < bench_mod.UNDER_TIMED:
-            mark, flagged = " *", True
-        print(
-            f"{r['family']:<22}{r['n']:>9}{r['m']:>6}{r['k']:>4}  "
-            f"{r['stage']:<12}{r['seconds']:>10.6f}{mark}"
-        )
-    if flagged:
-        print(f"* under-timed cell (< {bench_mod.UNDER_TIMED}s); treat with caution")
-    for axis, values, others in (("m", ms, (ns, ks)), ("k", ks, (ns, ms))):
-        if len(set(values)) >= 3 and all(len(set(o)) == 1 for o in others):
-            xs, ys = bench_mod.stage_series(rows, "dp", axis)
-            print(f"dp-stage log-log slope vs {axis}: {bench_mod.fit_loglog(xs, ys):.3f}")
-    if args.csv:
-        Path(args.csv).write_text(bench_mod.to_csv(rows))
-        print(f"csv written to {args.csv}")
     return 0
 
 
@@ -214,23 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance file")
     p.add_argument("path", type=Path)
     p.add_argument("--k", type=int, default=None, help="override the file's budget")
-    p.add_argument("--algo", choices=("dp", "oracle"), default="dp")
     p.set_defaults(func=cmd_solve)
 
-    # verify and compress read the path as argv gives it, building no Path
-    # per call; solve's record writes the path back out as pathlib spells it
-    # (``./a`` as ``a``), so solve keeps it.
+    # verify reads the path as argv gives it, building no Path per call;
+    # solve's record writes the path back out as pathlib spells it (``./a``
+    # as ``a``), so solve keeps it.
     p = sub.add_parser("verify", help="cross-check the solver against the oracle")
     p.add_argument("path")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--limit", type=int, default=1_000_000, help="oracle cap on subsets and on mask 64-bit words")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("compress", help="inspect the representative compression")
-    p.add_argument("path")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None, help="write the compressed instance (rank coordinates)")
-    p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("generate", help="emit a deterministic instance")
     p.add_argument("family", choices=FAMILIES)
@@ -242,16 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="stage timings over a size sweep")
-    p.add_argument("--family", choices=FAMILIES, default="uniform")
-    p.add_argument("--n", default="2000", help="comma-separated n values")
-    p.add_argument("--m", default="64,128,256", help="comma-separated m values")
-    p.add_argument("--k", default="8", help="comma-separated k values")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", type=Path, default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -5,6 +5,12 @@ A weighted point counts toward a selection's value when at least one chosen
 query covers it, and it counts exactly once no matter how many chosen queries
 cover it.  An empty cover has weight zero.  Weights may be negative.
 
+The quadrants are closed, so a query covers a point at exactly its own
+place.  The paper's dominance is strict and leaves that point out; the two
+agree unless a point sits exactly on a query.  The file ``1 1 1 / 5 5 7 /
+5 5``, one point of weight 7 at the place of its one query, solves to 7 here
+and to 0 under the paper's definition.
+
 This module owns the ground-set format.  An ``Instance`` holds its points as
 ``PointColumns``: three parallel columns of x, y and w values, and its
 queries as ``QueryColumns`` of x, y and id values, which every stage reads

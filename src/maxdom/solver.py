@@ -40,8 +40,8 @@ refuses a solve priced over ``DP_BUDGET_S`` or
 ``DP_SLOT_BUDGET``, already before the grid where even no cells would be
 over; ``maxdom solve`` runs that pre-grid pricing off the file's header
 before it reads a point line (``_price_header``), and ``solve_reference``
-prices its sweep before it ranks a point.  ``maxdom bench`` times the
-simple DP by name.
+prices its sweep before it ranks a point.  Acceptance criterion 7
+(``bench``) times the simple DP by name.
 """
 
 from __future__ import annotations

@@ -36,14 +36,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_solve_dp_matches_oracle(capsys, tiny):
-    path, inst = tiny
-    code, out, _ = run(capsys, "solve", path, "--algo", "dp")
-    assert code == 0
-    dp = json.loads(out)
-    code, out, _ = run(capsys, "solve", path, "--algo", "oracle")
-    assert code == 0
-    assert json.loads(out)["value"] == dp["value"] == oracle_solve(inst).value
+def test_solve_dp_matches_oracle(capsys, tmp_path, tiny):
+    # the second file's one point sits exactly on its one query: a closed
+    # quadrant covers it, so the value is 7, where strict dominance gives 0
+    on_query = tmp_path / "on-query.txt"
+    on_query.write_text("1 1 1\n5 5 7\n5 5\n")
+    for path, inst in (tiny, (on_query, parse(on_query))):
+        code, out, _ = run(capsys, "solve", path)
+        assert code == 0 and json.loads(out)["value"] == oracle_solve(inst).value
+    assert json.loads(out)["value"] == 7
 
 
 def test_solve_budget_zero(capsys, tiny):
@@ -75,9 +76,6 @@ def test_verify_and_oracle_at_budget_zero_build_no_masks(capsys, monkeypatch, tm
     assert code == 0
     assert json.loads(out) == {"value_oracle": 0, "value_dp": 0, "value_dp_no_compress": 0,
                                "recomputed_from_chosen": 0, "equal": True}
-    code, out, _ = run(capsys, "solve", path, "--algo", "oracle", "--k", "0")
-    rec = json.loads(out)
-    assert code == 0 and (rec["value"], rec["chosen"], rec["layers"]) == (0, [], None)
 
 
 def test_verify_refuses_an_over_budget_reference_before_ranking(capsys, monkeypatch, tmp_path):
@@ -125,21 +123,6 @@ def test_verify_names_the_disagreeing_values(capsys, monkeypatch, tiny):
     assert code == 1
     assert rec["disagree"] == ["value_dp", "value_dp_no_compress", "recomputed_from_chosen"]
     assert rec["first_layer_mismatch"] is None
-
-
-def test_compress_inspect_and_out_file(capsys, tmp_path, tiny):
-    path, inst = tiny
-    out_file = tmp_path / "compressed.txt"
-    code, out, _ = run(capsys, "compress", path, "--out", out_file)
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["bound_ok"] is True
-    assert rec["compressed_size"] <= min(rec["n"], rec["m"] ** 2)
-    from maxdom.instances import parse
-
-    comp_inst = parse(out_file)
-    assert comp_inst.n == rec["compressed_size"]
-    assert oracle_solve(comp_inst).value == oracle_solve(inst).value
 
 
 def test_generate_writes_deterministic_file(capsys, tmp_path):
@@ -214,39 +197,19 @@ def test_an_exponent_that_no_decimal_holds_is_refused_by_line(capsys, tmp_path, 
     assert err.startswith("error: line 2: ") and "exponent out of range" in err and "Traceback" not in err
 
 
-def test_compress_of_a_file_with_uncovered_points(capsys, tmp_path):
-    # three points lie outside every quadrant, one of them with the only
-    # eighths; two covered ones cancel out in one cell
-    path, out_path = tmp_path / "in.txt", tmp_path / "out.txt"
-    path.write_text("8 3 2\n0 0 3\n1 1 -3\n2 4 1.25\n5 1 2\n0 7 4\n7 7 0.125\n10 0 2.25\n4 9 -1\n3 5\n6 2\n1 8\n")
-    code, out, _ = run(capsys, "compress", path, "--out", out_path)
-    assert code == 0
-    assert out == (
-        '{"n": 8, "m": 3, "k": 2, "retained": 5, "nonempty_cells": 4, "compressed_size": 3, '
-        f'"bound": 8, "bound_ok": true, "out": "{out_path}"}}\n'
-    )
-    assert out_path.read_text() == "3 3 2\n1 5 4\n3 3 1.25\n5 1 2\n4 4\n6 2\n2 6\n"
-
-
-def test_bench_csv_schema(capsys, tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    code, out, _ = run(
-        capsys, "bench", "--family", "uniform", "--n", "200", "--m", "8,16",
-        "--k", "2", "--reps", "1", "--csv", csv_path,
-    )
-    assert code == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "family,n,m,k,stage,seconds"
-    stages = {line.split(",")[4] for line in lines[1:]}
-    assert stages == {"grid", "dp", "reconstruct", "total"}
-
-
-def test_the_parser_offers_exactly_the_five_commands(capsys):
+def test_the_parser_offers_exactly_the_three_commands(capsys):
     [commands] = [a.choices for a in maxdom.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(commands) == ["solve", "verify", "compress", "generate", "bench"]
-    with pytest.raises(SystemExit) as exited:
-        main(["render", "inst.txt"])
-    assert exited.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    assert list(commands) == ["solve", "verify", "generate"]
+    for argv, error in (
+        (["compress", "inst.txt"], "invalid choice: 'compress'"),
+        (["bench"], "invalid choice: 'bench'"),
+        (["render", "inst.txt"], "invalid choice: 'render'"),
+        (["solve", "inst.txt", "--algo", "oracle"], "unrecognized arguments: --algo oracle"),
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exited.value.code == 2 and "\nmaxdom: error: " in err and error in err
 
 
 def test_solve_and_library_report_the_same_picks(capsys, tmp_path):
@@ -268,20 +231,21 @@ def test_solve_and_library_report_the_same_picks(capsys, tmp_path):
 
 def test_repeated_main_calls_share_no_state(capsys, tiny):
     path, inst = tiny
+    generated = path.parent / "generated.txt"
     _, out, _ = run(capsys, "solve", path, "--k", "1")
     assert json.loads(out)["k"] == 1
-    _, out, _ = run(capsys, "solve", path, "--algo", "oracle")
-    assert json.loads(out)["algo"] == "oracle"
+    _, out, _ = run(capsys, "generate", "uniform", "--n", "4", "--m", "2", "--k", "1", "--out", generated)
+    assert out == f"{generated}\n"
     _, out, _ = run(capsys, "verify", path, "--limit", "50")
     assert json.loads(out)["equal"] is True
     code, out, _ = run(capsys, "solve", path)
     rec = json.loads(out)
     assert code == 0
-    assert (rec["k"], rec["algo"]) == (inst.k, "dp") and rec["compressed_size"] is not None
+    assert rec["k"] == inst.k and rec["compressed_size"] is not None
     code, _, err = run(capsys, "verify", path, "--limit", "1")
     assert code == 1 and "oracle limit" in err
-    _, out, _ = run(capsys, "compress", path)
-    assert "out" not in json.loads(out)
+    _, out, _ = run(capsys, "generate", "uniform", "--n", "4", "--m", "2", "--k", "1")
+    assert out == generated.read_text()
 
 
 def test_solve_record_counters_and_wall_time(capsys, tiny):
@@ -307,11 +271,6 @@ def test_solve_record_counters_and_wall_time(capsys, tiny):
         assert len(layers) == min(k, inst.m)
         assert all(a <= b for a, b in zip(layers, layers[1:]))
         assert k == 0 or layers[-1] == rec["value"]
-    _, out, _ = run(capsys, "solve", path, "--algo", "oracle")
-    rec = json.loads(out)
-    assert list(rec["stages"]) == ["parse", "oracle"]
-    assert rec["retained"] is rec["cells"] is rec["compressed_size"] is None
-    assert rec["dp_pairs"] is rec["layers"] is None
 
 
 def test_dp_pairs_are_counted_in_the_reconstruct_stage(monkeypatch, tiny):
@@ -358,9 +317,6 @@ def test_solve_picks_the_cheaper_engine(capsys, tmp_path, engine, n, m):
     assert set(estimates) == {"sweep", "tree"} and min(estimates, key=estimates.get) == engine
     default = run_pipeline(inst)  # the library default chooses as the command does
     assert default.engine == engine and default.solution.value == rec["value"]
-    _, out, _ = run(capsys, "solve", path, "--algo", "oracle", "--k", "0")
-    rec = json.loads(out)
-    assert rec["engine"] is rec["estimates_s"] is None
 
 
 def test_solve_refuses_an_over_budget_dp_before_gridding(capsys, monkeypatch, tmp_path):

@@ -12,7 +12,7 @@ from maxdom.model import Instance, PointColumns, QueryPoint, Solution, covered_t
 from maxdom.oracle import _BIT_BY_BIT_MAX_N, _cover, oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform
-from maxdom.solver import run_pipeline
+from maxdom.solver import DP_BUDGET_S, run_pipeline
 
 from util import random_instance, reference_oracle, tie_instances
 
@@ -62,6 +62,21 @@ def test_refuses_masks_over_the_limit_before_building_them(monkeypatch):
     inst = Instance.from_rows([(0, 0, 1)] * 640, [(1, 1), (2, 2), (3, 3)], 1)
     with pytest.raises(ValueError, match="33 mask words exceed the oracle limit of 10"):
         oracle_solve(inst, limit=10)
+
+
+def test_refuses_a_walk_over_the_budget_before_building_masks(monkeypatch):
+    # within both limits: 616,666 subsets and 20 * 46,876 = 937,520 mask
+    # words; but each step walks five weight planes of 3,000,000 bits
+    def no_cover(_inst):
+        raise AssertionError("built cover masks for a walk that is refused anyway")
+
+    monkeypatch.setattr(maxdom.oracle, "_cover", no_cover)
+    n = 3_000_000
+    inst = Instance.from_columns([0] * n, [0] * n, [-10, 10] * (n // 2), [(1, 1)] * 20, 10)
+    with pytest.raises(ValueError) as refused:
+        oracle_solve(inst)
+    assert str(refused.value).startswith("refusing the oracle: its walk over 616666 subsets is estimated at ")
+    assert str(refused.value).endswith(f" s, over the budget of {DP_BUDGET_S:g} s")
 
 
 def test_value_invariant_under_preprocessing():

@@ -411,11 +411,13 @@ def test_small_files_and_the_oracle_are_not_split(tmp_path, monkeypatch):
     path = _big_file(tmp_path, n=200)
     assert path.stat().st_size < instances.SPLIT_MIN_BYTES
     assert _grid_parts(path, 2) is None
+    # verify, which runs the oracle, reads even a file past the split size whole
     monkeypatch.setattr(instances, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a part for the oracle"))
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(["solve", str(path), "--algo", "oracle", "--k", "1"]) == 0
-    assert json.loads(out.getvalue())["parts"] == 1
+        assert main(["verify", str(path), "--k", "1"]) == 0
+    assert json.loads(out.getvalue())["equal"] is True
 
 
 def _declined_as_plain(path):
