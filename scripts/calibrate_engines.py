@@ -1,4 +1,4 @@
-"""Time both DP engines and print the nanoseconds per unit of their work estimates.
+"""Time both DP engines and the oracle's walk, and print the nanoseconds per unit of their work estimates.
 
     PYTHONPATH=src python3 scripts/calibrate_engines.py [--reps 3]
 
@@ -18,17 +18,28 @@ over the shapes is the value for ``solver.SWEEP_NS``; a least-squares line
 through the tree's (k, ns per node visit) points gives
 ``solver.TREE_NODE_NS`` (its intercept) and ``solver.TREE_LANE_NS`` (its
 slope).
+
+Then it times the oracle's walk alone on one ``uniform`` instance per n of
+``WALK_NS``, at m = 24 and k = 4: ``oracle_solve`` with ``oracle._cover``
+handing back the instance's masks, built beforehand.  A step, one per
+nonempty pick set, is priced at ``WALK_STEP_NS`` plus
+(n // 64 + 1) * (planes + 2) * ``WALK_WORD_NS``; the median over the shapes
+of a step's time less its priced words is the value for
+``oracle.WALK_STEP_NS``, and each shape's time over its price is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import replace
+from math import comb
 from statistics import linear_regression, median
 from time import perf_counter
 
+import maxdom.oracle
 from maxdom.cells import build_grid
 from maxdom.instances import GeneratorSpec, generate
+from maxdom.oracle import WALK_STEP_NS, WALK_WORD_NS, oracle_solve
 from maxdom.solver import (
     SWEEP_NS,
     TREE_LANE_NS,
@@ -51,6 +62,9 @@ SHAPES = (
     (2_000, 2048, 8),
 )
 TREE_KS = (1, 2, 4, 8, 16, 32)
+# n of the walk's shapes: bit-by-bit weighs up to 128 points, bit planes past it
+WALK_NS = (8, 40, 128, 129, 500, 2_000, 8_000)
+WALK_M, WALK_K = 24, 4
 
 
 def units(m: int, k: int, cells: int) -> tuple[float, float]:
@@ -97,6 +111,28 @@ def main() -> None:
         )
     slope, intercept = linear_regression(tree_ks, tree_ns)
     print(f"SWEEP_NS {median(sweep_ns):.1f}  TREE_NODE_NS {intercept:.1f}  TREE_LANE_NS {slope:.2f}")
+    print(f"{'n':>8}{'m':>6}{'k':>4}{'steps':>7}  {'walk_s':>9}{'ns/step':>9}{'words':>7}{'/price':>8}")
+    step_ns = [walk_step(n, args) for n in WALK_NS]
+    print(f"WALK_STEP_NS {median(step_ns):.0f}")
+
+
+def walk_step(n: int, args) -> float:
+    """Time the oracle's walk alone on one shape, print its line and return a step's ns less its priced words."""
+    inst = generate(GeneratorSpec("uniform", n, WALK_M, WALK_K, seed=args.seed))
+    built = maxdom.oracle._cover(inst)
+    cover, maxdom.oracle._cover = maxdom.oracle._cover, lambda _inst: built
+    try:
+        walk_s = best_of(args.reps, lambda: oracle_solve(inst))
+    finally:
+        maxdom.oracle._cover = cover
+    steps = sum(comb(WALK_M, t) for t in range(1, WALK_K + 1))
+    ws = inst.P.int_weights()[0]
+    words = (n // 64 + 1) * ((max(ws) - min(ws)).bit_length() + 2)
+    ns = walk_s * 1e9 / steps
+    priced = WALK_STEP_NS + words * WALK_WORD_NS
+    print(f"{n:>8}{WALK_M:>6}{WALK_K:>4}{steps:>7}  {walk_s:>9.4f}{ns:>9.0f}{words:>7}{ns / priced:>8.2f}", flush=True)
+    return ns - words * WALK_WORD_NS
+
 
 if __name__ == "__main__":
     main()

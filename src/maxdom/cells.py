@@ -19,14 +19,13 @@ object.  A cell is named by its strip and by the rank x (``CellGrid.qx``,
 as in ``rank_transform``) of the query at its right edge, the leftmost
 query above the strip that covers it, so an instance gridded in its own
 coordinates and its rank-normalized form give the same cells and sums.
-``cell_boxes`` and ``compress`` give cell corners in rank coordinates,
-read off the grid's rank x's and the staircase positions' rank y's, for
-the rank-normalized instance; no solve calls them, and acceptance criteria 2
-and 3 hold the compression to its weights and its size.
-``_sum_cells`` names a cell, and ``cell_boxes`` finds its left edge, by
-one walk up the strips over a union-find (``_root``) of the rank x's of the
-queries still above the strip: a query leaves it once the walk has climbed
-past the query's y-value.
+``compress`` places one point inside each nonzero cell, in rank coordinates
+read off the cell's name and strip alone, for the rank-normalized instance;
+no solve calls it, and acceptance criteria 2 and 3 hold the compression to
+its weights and its size.
+``_sum_cells`` names a cell by one walk up the strips over a union-find
+(``_root``) of the rank x's of the queries still above the strip: a query
+leaves it once the walk has climbed past the query's y-value.
 """
 
 from __future__ import annotations
@@ -214,46 +213,24 @@ def add_parts(stair, qx, parts) -> CellGrid:
     return CellGrid(tuple(per_row), retained, stair=stair, qx=qx)
 
 
-def cell_boxes(grid: CellGrid, rinst: Instance) -> dict[CellKey, tuple]:
-    """``(x_lo, y_lo, x_hi, y_hi)`` for every non-empty cell of a rank-normalized instance, ``x_hi`` its name.
-
-    In rank space the query at staircase position i has y = 2 (m - i + 1)
-    and x = ``grid.qx[i]``.  The rows are walked from the bottom up, row m
-    first, as ``_sum_cells`` walks its strips, with ``before`` holding index
-    0 for x = 0 and one index per rank x 2, 4, ..., 2m: a query that leaves
-    links its index to the next one down, so a cell's left edge is the
-    nearest rank x below its name still above the strip, ``_root`` of the
-    name's index less one, and 0 where there is none.
-    """
-    m = rinst.m
-    boxes: dict[CellKey, tuple] = {}
-    before = list(range(m + 1))  # before[j]: j if the query of rank x 2j is above the strip, else an earlier index
-    done = m
-    for i, row in zip(range(m, 0, -1), reversed(grid.per_row)):
-        if not row:
-            continue
-        for x in grid.qx[i + 1 : done + 1]:
-            before[x // 2] = x // 2 - 1
-        done = i
-        for col, _w in row:
-            boxes[CellKey(i, col)] = (2 * _root(before, col // 2 - 1), 2 * (m - i), col, 2 * (m - i + 1))
-    return boxes
-
-
 def compress(grid: CellGrid, rinst: Instance) -> CompressedP:
     """Replace each nonzero-weight cell by one interior representative point.
 
-    Representatives sit one unit up-right of the cell's lower-left corner, so
-    they keep odd coordinates and are covered by exactly the queries that
-    cover the cell, and carry the cell's total divided by the grid's scale
+    The representative of cell ``(i, col)`` sits at ``(col - 1, 2 (m - i) + 1)``
+    in the rank coordinates of the rank-normalized ``rinst``: strip i lies
+    between the y's 2 (m - i) and 2 (m - i + 1) of the queries at staircase
+    positions i + 1 and i, and the cell's left edge, 0 or the rank x of a
+    query above the strip left of ``col``, is even and so at most
+    ``col - 2``.  So the point is covered by exactly the queries that cover
+    the cell, and carries the cell's total divided by the grid's scale
     (``model.exact``): for every subset of queries, the covered
     representatives carry exactly the weight of the covered original points.
     """
-    boxes = cell_boxes(grid, rinst)
-    points: list[WeightedPoint] = []
-    for i, row in enumerate(grid.per_row, 1):
-        for col, w in row:
-            if w:
-                x_lo, y_lo, _x_hi, _y_hi = boxes[CellKey(i, col)]
-                points.append(WeightedPoint(x_lo + 1, y_lo + 1, exact(w, grid.scale)))
+    m = rinst.m
+    points = (
+        WeightedPoint(col - 1, 2 * (m - i) + 1, exact(w, grid.scale))
+        for i, row in enumerate(grid.per_row, 1)
+        for col, w in row
+        if w
+    )
     return CompressedP(tuple(points))

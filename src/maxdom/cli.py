@@ -20,7 +20,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from .instances import FAMILIES, GeneratorSpec, decimal_text, generate, parse, serialize, serialize_blocks
+from .instances import FAMILIES, GeneratorSpec, _decimal, decimal_text, generate, parse, serialize, serialize_blocks
 from .model import Instance, QueryPoint, weight_of_dom
 from .oracle import oracle_solve
 from .solver import _price_header, grid_parts, run_pipeline, solve_pipeline, solve_reference
@@ -35,10 +35,23 @@ _MARK = "\0"  # stands in for a non-int value in ``_dumps``; no other string in 
 
 
 def _dumps(record: dict) -> str:
-    """``json.dumps(record)``, with each non-int value, such as a ``Fraction``, as its exact decimal text."""
+    """``json.dumps(record)``, with each non-int value, such as a ``Fraction``, as its exact decimal text.
+
+    So is an int past 64 bits, alone or in a list or tuple, which ``str`` may refuse
+    (``sys.get_int_max_str_digits``): it goes to ``decimal_text`` as an
+    exact ``Decimal``.
+    """
     texts = []  # the values' texts, in the order json meets them
+    record = {key: _wide_as_decimal(value) for key, value in record.items()}
     text = json.dumps(record, default=lambda v: texts.append(decimal_text(v)) or _MARK)
     return "".join(p + t for p, t in zip(text.split(json.dumps(_MARK)), [*texts, ""]))
+
+
+def _wide_as_decimal(value):
+    """``value``, with an int past 64 bits, or each such int of a list or tuple, as a ``Decimal`` of the same value."""
+    if type(value) in (list, tuple):
+        return list(map(_wide_as_decimal, value))
+    return _decimal()(value) if type(value) is int and value.bit_length() > 64 else value
 
 
 def _peak_rss_mb() -> float | None:
@@ -101,7 +114,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _with_k(parse(args.path), args)
-    sol_oracle = oracle_solve(inst, limit=args.limit)
+    sol_oracle = oracle_solve(inst)
     sol_dp = solve_pipeline(inst)
     sol_ref = solve_reference(inst)
     # query objects for the picks alone
@@ -150,10 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     # verify reads the path as argv gives it, building no Path per call;
     # solve's record writes the path back out as pathlib spells it (``./a``
     # as ``a``), so solve keeps it.
-    p = sub.add_parser("verify", help="cross-check the solver against the oracle")
+    p = sub.add_parser(
+        "verify", help="cross-check the solver against the oracle, refused where its walk is priced over the budget"
+    )
     p.add_argument("path")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--limit", type=int, default=1_000_000, help="oracle cap on subsets and on mask 64-bit words")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="emit a deterministic instance")

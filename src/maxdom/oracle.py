@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from itertools import repeat
-from math import comb
 from operator import le, sub
 
 from .model import Instance, Solution, exact
@@ -22,6 +21,13 @@ _BIT_BY_BIT_MAX_N = 128
 # built beforehand, on n = 200,000 to 3,000,000 random points with 1 to 18 weight planes,
 # 2-core x86-64 KVM guest, CPython 3.11.7: 2.29 to 4.50 ns over nine shapes, median 3.25.
 WALK_WORD_NS = 3.25
+# Nanoseconds of one walk step's Python work, whatever its words: the loop, the call and
+# the weigh.  ``scripts/calibrate_engines.py`` times the walk alone on uniform n = 8 to
+# 8,000, m = 24, k = 4, and fits the median over the shapes of a step's time less its
+# priced words: 1,034 to 1,327 ns over six runs on the guest above.
+WALK_STEP_NS = 1100.0
+# The most 64-bit words that the cover masks, m * (n // 64 + 1), may take.
+MASK_WORD_BUDGET = 1_000_000
 
 
 def _cover(inst: Instance) -> tuple[list[int], Callable[[int], int]]:
@@ -63,7 +69,7 @@ def _cover(inst: Instance) -> tuple[list[int], Callable[[int], int]]:
     return masks, weigh
 
 
-def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
+def oracle_solve(inst: Instance) -> Solution:
     """Try every pick set of size at most k on the original coordinates.
 
     Each query's cover is one int of point bits (``_cover``).  A depth-first
@@ -76,33 +82,40 @@ def oracle_solve(inst: Instance, limit: int = 1_000_000) -> Solution:
     first maximizer by size and then by id order (the empty set when nothing
     beats zero).  ``model.covered_total`` stays the definition of a pick
     set's weight, since it reads the closed quadrant straight off the
-    points; the tests hold the bitset weight and this walk to it.  Refuses
-    instances whose subset count exceeds ``limit`` before building any mask,
-    and builds none at k = 0, whose one pick set is the empty one.  ``limit``
-    also caps the masks' 64-bit words, m * (n // 64 + 1), checked before
-    they are built.  Then the walk is priced, also before any mask is
-    built: each subset's step ORs, ANDs and popcounts ints of n // 64 + 1
-    words over every bit plane of the weights' range, so the walk is
-    estimated at subsets * (n // 64 + 1) * (planes + 2) * ``WALK_WORD_NS``
-    ns and refused over ``solver.DP_BUDGET_S``.
+    points; the tests hold the bitset weight and this walk to it.
+
+    Builds no mask at k = 0, whose one pick set is the empty one.  Else,
+    before any mask is built, refuses masks of more than
+    ``MASK_WORD_BUDGET`` 64-bit words, m * (n // 64 + 1), and prices the
+    walk: a step, one per nonempty pick set, costs ``WALK_STEP_NS`` plus
+    its ORs, ANDs and popcounts of ints of n // 64 + 1 words over every
+    bit plane of the weights' range, (n // 64 + 1) * (planes + 2) *
+    ``WALK_WORD_NS`` ns.  The pick sets are counted size by size, and the
+    walk is refused as soon as those counted are priced over
+    ``solver.DP_BUDGET_S``, so the count stays within what the budget
+    allows however large C(m, k) is.
     """
-    k = min(inst.k, inst.m)
-    total = sum(comb(inst.m, t) for t in range(k + 1))
-    if total > limit:
-        raise ValueError(f"{total} subsets exceed the oracle limit of {limit}")
+    m, k = inst.m, min(inst.k, inst.m)
     if not k:
         return Solution(frozenset(), exact(0, inst.P.int_weights()[1]))
     width = inst.n // 64 + 1  # 64-bit words of one mask
-    if inst.m * width > limit:
-        raise ValueError(f"{inst.m * width} mask words exceed the oracle limit of {limit}")
+    if m * width > MASK_WORD_BUDGET:
+        raise ValueError(
+            f"refusing the oracle: its masks would take {m * width} 64-bit words, "
+            f"over the budget of {MASK_WORD_BUDGET}"
+        )
     ws = inst.P.int_weights()[0]
     planes = (max(ws, default=0) - min(ws, default=0)).bit_length()  # as _cover reads them
-    walk_s = total * width * (planes + 2) * WALK_WORD_NS * 1e-9
-    if walk_s > DP_BUDGET_S:
-        raise ValueError(
-            f"refusing the oracle: its walk over {total} subsets is estimated at {walk_s:.3g} s, "
-            f"over the budget of {DP_BUDGET_S:g} s"
-        )
+    step_s = (WALK_STEP_NS + width * (planes + 2) * WALK_WORD_NS) * 1e-9
+    subsets, sets = 0, 1  # sets: C(m, size), from C(m, 0) on
+    for size in range(1, k + 1):
+        sets = sets * (m - size + 1) // size
+        subsets += sets
+        if subsets * step_s > DP_BUDGET_S:
+            raise ValueError(
+                f"refusing the oracle: its walk over the {subsets} subsets of up to {size} picks "
+                f"is estimated at {subsets * step_s:.3g} s, over the budget of {DP_BUDGET_S:g} s"
+            )
     masks, weigh = _cover(inst)
     picks = [0] * k  # picks[:size]: the current pick set, as indices into masks
     best, best_value = [], 0

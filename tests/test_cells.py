@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxdom.cells
-from maxdom.cells import CellKey, _sum_cells, build_grid, cell_boxes, compress
+from maxdom.cells import CellKey, _sum_cells, build_grid, compress
 from maxdom.instances import GeneratorSpec, generate, parse_text, serialize_text
 from maxdom.model import Instance, weight_of_dom
 from maxdom.oracle import oracle_solve
@@ -22,7 +22,6 @@ from util import (
     random_instance,
     reference_grid,
     reference_sum_cells,
-    reference_y_sorted_queries,
     same_dominators_check,
     small_instances,
     staircase_instances,
@@ -57,11 +56,6 @@ def test_cell_key_matches_corner_definition():
     rr = ranked(Instance.from_rows([point], queries, 1))
     grid = build_grid(rr)
     assert list(grid.cells) == [CellKey(3, 6)]
-    # the box's x-range is (x(q3), x(q1)) and its y-range is (y(q4), y(q3))
-    x0, y0, x1, y1 = cell_boxes(grid, rr)[CellKey(3, 6)]
-    ranked_q = {q.id: q for q in rr.Q}
-    assert (x0, x1) == (ranked_q[2].x, ranked_q[0].x) == (2, 6)
-    assert (y0, y1) == (ranked_q[3].y, ranked_q[2].y)
 
 
 @settings(deadline=None, max_examples=80)
@@ -218,9 +212,12 @@ def test_one_pass_cells_equal_ranked_reference(inst):
 @given(st.one_of(tie_instances(), small_instances(), gridding_instances()))
 def test_grid_equals_brute_force_reference(inst):
     # cells, rows, retained count and scale against a point-by-point brute
-    # force that adds each cell's weights as Fractions
+    # force that adds each cell's weights as Fractions; and each cell is
+    # named by the rank x of a query above its strip, one of the queries at
+    # staircase positions 1..row
     got, ref = build_grid(inst), reference_grid(inst)
     assert got == ref
+    assert all(col in got.qx[1 : row + 1] for row, col in got.cells)
     assert repr(sorted(got.cells.items())) == repr(sorted(ref.cells.items()))
     assert repr(got.per_row) == repr(ref.per_row)
 
@@ -317,45 +314,6 @@ def test_tall_staircase_over_few_points_equals_ranked_reference():
     assert got.cells == cells and got.retained == len(cells) > m // 2
     assert got == build_grid(ranked(inst))
     assert _sum_cells(inst.Q, got.qx, [(inst.P.xs, inst.P.ys, inst.P.ws)]) == (got.per_row, len(cells), m)
-
-
-def test_cell_boxes_of_a_tall_staircase_over_few_points():
-    # x falls along the staircase, so the queries that leave the walk below
-    # a cell are the leftmost ones, and its left edge's root is reached
-    # through them; the boxes are checked against the definition: a cell's
-    # right edge is the query above its strip that names it, and its left
-    # edge the next x-value left of that one above the strip, or 0
-    m = 20_000
-    P = [(19_000 - 3000 * j, 1000 + 3000 * j, 1) for j in range(5)]
-    rr = ranked(Instance.from_rows(P, [(i + 9, i + 9) for i in range(m)], 1))
-    grid = build_grid(rr)
-    assert len(grid.cells) == 5 and max(col for _row, col in grid.cells) > 20_000
-    qs = sorted(rr.Q, key=lambda q: -q.y)
-    for (row, col), box in cell_boxes(grid, rr).items():
-        xs = [q.x for q in qs[:row]]
-        assert col in xs
-        x_lo = max((x for x in xs if x < col), default=0)
-        assert box == (x_lo, qs[row].y if row < m else 0, col, qs[row - 1].y)
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.one_of(tie_instances(), small_instances(), gridding_instances()))
-def test_cell_boxes_match_their_definition(inst):
-    # every box of the ranked instance's grid against the definition: its
-    # right edge is its name, the rank x of a query above its strip; its
-    # left edge the largest rank x below the name among those queries, or
-    # 0; its y-range the strip's, between the y's of the queries at
-    # staircase positions row + 1 and row (0 below the lowest)
-    rr = ranked(inst)
-    grid = build_grid(rr)
-    boxes = cell_boxes(grid, rr)
-    assert boxes.keys() == grid.cells.keys()
-    qs = reference_y_sorted_queries(rr)
-    for (row, col), (x_lo, y_lo, x_hi, y_hi) in boxes.items():
-        xs = {q.x for q in qs[:row]}
-        assert x_hi == col and col in xs
-        assert x_lo == max((x for x in xs if x < col), default=0)
-        assert (y_lo, y_hi) == (qs[row].y if row < rr.m else 0, qs[row - 1].y)
 
 
 def test_grid_holds_no_int_object_per_point():

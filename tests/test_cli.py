@@ -99,6 +99,36 @@ def test_verify_refuses_an_over_budget_reference_before_ranking(capsys, monkeypa
     assert f"over the budget of {DP_BUDGET_S:g} s" in err
 
 
+def test_verify_refuses_a_large_k_oracle_at_once(capsys, tmp_path):
+    # C(20,000, <= 5,000) has about 4,900 digits, more than ``str`` writes
+    # for an int; the walk is priced size by size and refused on a small
+    # count, before any mask is built and in well under a second
+    m = 20_000
+    path = tmp_path / "wide.txt"
+    path.write_text(f"1 {m} 5000\n0 0 1\n" + "".join(f"{i} {i}\n" for i in range(m)))
+    t0 = perf_counter()
+    code, out, err = run(capsys, "verify", path)
+    assert perf_counter() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: refusing the oracle: its walk over the ") and "integer string" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_value_longer_than_an_int_string_is_printed_exactly(capsys, tmp_path, command):
+    # each weight fits the int-string limit, but their sum has one digit more
+    nines = "9" * (sys.get_int_max_str_digits() or 4300)
+    path = tmp_path / "long.txt"
+    path.write_text(f"2 1 1\n0 0 {nines}\n0 0 {nines}\n1 1\n")
+    code, out, err = run(capsys, command, path)
+    assert (code, err) == (0, "")
+    total = "1" + "9" * (len(nines) - 1) + "8"  # 2 * (10 ** len(nines) - 1)
+    rec = json.loads(out, parse_int=Decimal)
+    values = [rec[key] for key in rec if key.startswith("value") or key == "recomputed_from_chosen"]
+    assert len(values) == (1 if command == "solve" else 4)
+    assert all(str(value) == total for value in values)
+    assert command == "verify" or list(map(str, rec["layers"])) == [total]
+
+
 def test_verify_names_the_disagreeing_values(capsys, monkeypatch, tiny):
     path, inst = tiny
     right = solve_reference(inst)
@@ -117,7 +147,7 @@ def test_verify_names_the_disagreeing_values(capsys, monkeypatch, tiny):
     assert rec["first_layer_mismatch"] == 2
     # a wrong oracle: all three differ from it, while the two tables agree
     monkeypatch.setattr(maxdom.cli, "solve_reference", solve_reference)
-    monkeypatch.setattr(maxdom.cli, "oracle_solve", lambda _inst, limit: Solution(frozenset(), -1, None))
+    monkeypatch.setattr(maxdom.cli, "oracle_solve", lambda _inst: Solution(frozenset(), -1, None))
     code, out, _ = run(capsys, "verify", path)
     rec = json.loads(out)
     assert code == 1
@@ -205,6 +235,7 @@ def test_the_parser_offers_exactly_the_three_commands(capsys):
         (["bench"], "invalid choice: 'bench'"),
         (["render", "inst.txt"], "invalid choice: 'render'"),
         (["solve", "inst.txt", "--algo", "oracle"], "unrecognized arguments: --algo oracle"),
+        (["verify", "inst.txt", "--limit", "5"], "unrecognized arguments: --limit 5"),
     ):
         with pytest.raises(SystemExit) as exited:
             main(argv)
@@ -236,14 +267,18 @@ def test_repeated_main_calls_share_no_state(capsys, tiny):
     assert json.loads(out)["k"] == 1
     _, out, _ = run(capsys, "generate", "uniform", "--n", "4", "--m", "2", "--k", "1", "--out", generated)
     assert out == f"{generated}\n"
-    _, out, _ = run(capsys, "verify", path, "--limit", "50")
+    _, out, _ = run(capsys, "verify", path, "--k", "2")
     assert json.loads(out)["equal"] is True
     code, out, _ = run(capsys, "solve", path)
     rec = json.loads(out)
     assert code == 0
     assert rec["k"] == inst.k and rec["compressed_size"] is not None
-    code, _, err = run(capsys, "verify", path, "--limit", "1")
-    assert code == 1 and "oracle limit" in err
+    wide = path.parent / "wide.txt"
+    wide.write_text("1 40 20\n0 0 1\n" + "".join(f"{i} {i}\n" for i in range(40)))
+    code, _, err = run(capsys, "verify", wide)
+    assert code == 1 and err.startswith("error: refusing the oracle: ")
+    _, out, _ = run(capsys, "verify", path)
+    assert json.loads(out)["equal"] is True
     _, out, _ = run(capsys, "generate", "uniform", "--n", "4", "--m", "2", "--k", "1")
     assert out == generated.read_text()
 

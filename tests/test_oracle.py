@@ -1,6 +1,8 @@
+import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,26 +49,41 @@ def test_monotone_in_budget():
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_refuses_oversized_instances():
+def test_refuses_oversized_instances(monkeypatch):
+    # about 6.1e8 pick sets of up to 15 of 30 queries: the sets are counted
+    # size by size, and the walk is refused, before any mask is built, at
+    # the first size whose running count is priced over the budget
+    def no_cover(_inst):
+        raise AssertionError("built cover masks for a walk that is refused anyway")
+
+    monkeypatch.setattr(maxdom.oracle, "_cover", no_cover)
     inst = Instance.from_rows([], [(i, i) for i in range(30)], 15)
-    with pytest.raises(ValueError):
-        oracle_solve(inst, limit=1000)
+    with pytest.raises(ValueError) as refused:
+        oracle_solve(inst)
+    found = re.match(r"refusing the oracle: its walk over the (\d+) subsets of up to (\d+) picks ", str(refused.value))
+    subsets, size = map(int, found.groups())
+    assert size < 15 and subsets == sum(comb(30, t) for t in range(1, size + 1))
+    step_s = (maxdom.oracle.WALK_STEP_NS + 2 * maxdom.oracle.WALK_WORD_NS) * 1e-9  # n = 0: one word, no plane
+    assert (subsets - comb(30, size)) * step_s <= DP_BUDGET_S < subsets * step_s
 
 
 def test_refuses_masks_over_the_limit_before_building_them(monkeypatch):
-    # 4 subsets fit under 10, but 3 masks of 640 points take 3 * 11 words
+    # 3 masks of 640 points take 3 * 11 words, over a budget of 10
     def no_cover(_inst):
         raise AssertionError("built cover masks over the limit")
 
     monkeypatch.setattr(maxdom.oracle, "_cover", no_cover)
+    monkeypatch.setattr(maxdom.oracle, "MASK_WORD_BUDGET", 10)
     inst = Instance.from_rows([(0, 0, 1)] * 640, [(1, 1), (2, 2), (3, 3)], 1)
-    with pytest.raises(ValueError, match="33 mask words exceed the oracle limit of 10"):
-        oracle_solve(inst, limit=10)
+    with pytest.raises(ValueError, match="^refusing the oracle: its masks would take 33 64-bit words, over the budget of 10"):
+        oracle_solve(inst)
 
 
 def test_refuses_a_walk_over_the_budget_before_building_masks(monkeypatch):
-    # within both limits: 616,666 subsets and 20 * 46,876 = 937,520 mask
-    # words; but each step walks five weight planes of 3,000,000 bits
+    # 20 * 46,876 = 937,520 mask words, within their budget; but each step
+    # walks five weight planes of 3,000,000 bits, about 1.07 ms, so the
+    # 263,949 sets of up to 8 picks are over the budget, and the count
+    # stops there, short of the 616,665 sets of up to 10
     def no_cover(_inst):
         raise AssertionError("built cover masks for a walk that is refused anyway")
 
@@ -75,8 +92,9 @@ def test_refuses_a_walk_over_the_budget_before_building_masks(monkeypatch):
     inst = Instance.from_columns([0] * n, [0] * n, [-10, 10] * (n // 2), [(1, 1)] * 20, 10)
     with pytest.raises(ValueError) as refused:
         oracle_solve(inst)
-    assert str(refused.value).startswith("refusing the oracle: its walk over 616666 subsets is estimated at ")
-    assert str(refused.value).endswith(f" s, over the budget of {DP_BUDGET_S:g} s")
+    message = str(refused.value)
+    assert message.startswith("refusing the oracle: its walk over the 263949 subsets of up to 8 picks is estimated at ")
+    assert message.endswith(f" s, over the budget of {DP_BUDGET_S:g} s")
 
 
 def test_value_invariant_under_preprocessing():
