@@ -26,6 +26,15 @@ nonempty pick set, is priced at ``WALK_STEP_NS`` plus
 (n // 64 + 1) * (planes + 2) * ``WALK_WORD_NS``; the median over the shapes
 of a step's time less its priced words is the value for
 ``oracle.WALK_STEP_NS``, and each shape's time over its price is printed.
+
+Last it times whole ``oracle_solve`` calls, masks included, with each of
+``oracle._cover``'s two weighs, on ``WEIGH_SEEDS`` ``uniform`` instances
+per n of ``WEIGH_NS`` and weight range of ``WEIGH_RANGES``, at m = 24 and
+k = 4: summed bit by bit (``_BIT_BY_BIT_MAX_N`` set to n) and read from
+the bit planes (set to n - 1), each instance best of ``--reps``.  It
+prints each shape's bit-by-bit time over its bit-plane time, and the n
+where a least-squares line through the (n, ratio) points of both ranges
+reaches 1: the value for ``oracle._BIT_BY_BIT_MAX_N``.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from time import perf_counter
 import maxdom.oracle
 from maxdom.cells import build_grid
 from maxdom.instances import GeneratorSpec, generate
-from maxdom.oracle import WALK_STEP_NS, WALK_WORD_NS, oracle_solve
+from maxdom.oracle import _BIT_BY_BIT_MAX_N, WALK_STEP_NS, WALK_WORD_NS, oracle_solve
 from maxdom.solver import (
     SWEEP_NS,
     TREE_LANE_NS,
@@ -62,9 +71,14 @@ SHAPES = (
     (2_000, 2048, 8),
 )
 TREE_KS = (1, 2, 4, 8, 16, 32)
-# n of the walk's shapes: bit-by-bit weighs up to 128 points, bit planes past it
-WALK_NS = (8, 40, 128, 129, 500, 2_000, 8_000)
+# n of the walk's shapes, on either side of the weighs' cutoff
+WALK_NS = (8, 40, _BIT_BY_BIT_MAX_N, _BIT_BY_BIT_MAX_N + 1, 128, 500, 2_000, 8_000)
 WALK_M, WALK_K = 24, 4
+# n and weight ranges of the weighs' comparison: the int weights of ints in -10..10
+# and of hundredths in -10.00..10.00
+WEIGH_NS = (32, 48, 64, 96, 128)
+WEIGH_RANGES = ((-10, 10), (-1000, 1000))
+WEIGH_SEEDS = 8  # instances per shape, from --seed on: their covers differ widely
 
 
 def units(m: int, k: int, cells: int) -> tuple[float, float]:
@@ -114,6 +128,11 @@ def main() -> None:
     print(f"{'n':>8}{'m':>6}{'k':>4}{'steps':>7}  {'walk_s':>9}{'ns/step':>9}{'words':>7}{'/price':>8}")
     step_ns = [walk_step(n, args) for n in WALK_NS]
     print(f"WALK_STEP_NS {median(step_ns):.0f}")
+    print(f"{'n':>8}{'m':>6}{'k':>4}{'weights':>13}  {'bits_s':>9}{'planes_s':>9}{'ratio':>7}")
+    shapes = [(n, weights) for weights in WEIGH_RANGES for n in WEIGH_NS]
+    ratios = [weigh_ratio(n, weights, args) for n, weights in shapes]
+    slope, intercept = linear_regression([n for n, _ in shapes], ratios)
+    print(f"_BIT_BY_BIT_MAX_N {(1 - intercept) / slope:.0f}")
 
 
 def walk_step(n: int, args) -> float:
@@ -132,6 +151,23 @@ def walk_step(n: int, args) -> float:
     priced = WALK_STEP_NS + words * WALK_WORD_NS
     print(f"{n:>8}{WALK_M:>6}{WALK_K:>4}{steps:>7}  {walk_s:>9.4f}{ns:>9.0f}{words:>7}{ns / priced:>8.2f}", flush=True)
     return ns - words * WALK_WORD_NS
+
+
+def weigh_ratio(n: int, weights: tuple[int, int], args) -> float:
+    """Time whole oracle calls on one shape with each weigh, print its line and return bit-by-bit over bit-plane time."""
+    seeds = range(args.seed, args.seed + WEIGH_SEEDS)
+    insts = [generate(GeneratorSpec("uniform", n, WALK_M, WALK_K, weights, seed)) for seed in seeds]
+    cutoff, times = maxdom.oracle._BIT_BY_BIT_MAX_N, []
+    try:
+        for forced in (n, n - 1):  # bit by bit, then bit planes
+            maxdom.oracle._BIT_BY_BIT_MAX_N = forced
+            times.append(sum(best_of(args.reps, lambda: oracle_solve(inst)) for inst in insts))
+    finally:
+        maxdom.oracle._BIT_BY_BIT_MAX_N = cutoff
+    bits_s, planes_s = times
+    span = f"{weights[0]}..{weights[1]}"
+    print(f"{n:>8}{WALK_M:>6}{WALK_K:>4}{span:>13}  {bits_s:>9.4f}{planes_s:>9.4f}{bits_s / planes_s:>7.2f}", flush=True)
+    return bits_s / planes_s
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ split solve also runs over its batches of parsed points, under one
 staircase (``ranking.staircase``) sorted before the parts start, and which
 refuses a batch holding a weight that is not an int;
 ``add_parts`` adds the parts' cell sums into the grid that ``build_grid``
-gives the whole.  Both read the query columns and ids, and build no query
+gives the whole.  Both read the query columns, and build no query
 object.  A cell is named by its strip and by the rank x (``CellGrid.qx``,
 as in ``rank_transform``) of the query at its right edge, the leftmost
 query above the strip that covers it, so an instance gridded in its own
@@ -61,9 +61,9 @@ class CellGrid:
     per_row: tuple[tuple[tuple[int, int], ...], ...]  # per_row[i-1]: strip i's (col, weight), col-sorted; m strips
     retained: int = 0  # ground points summed into the cells
     scale: int = 1  # a cell holds its points' weights summed times this (``PointColumns.int_weights``)
-    # The query ids by staircase position, strip i below stair[i - 1], and
-    # their rank x's (``ranking.staircase``): found once for the whole solve,
-    # not part of the cells.
+    # The query ids (their positions in Q) by staircase position, strip i
+    # below stair[i - 1], and their rank x's (``ranking.staircase``): found
+    # once for the whole solve, not part of the cells.
     stair: Sequence[int] = field(default=(), compare=False, repr=False)
     qx: Sequence[int] = field(default=(), compare=False, repr=False)
 

@@ -117,8 +117,8 @@ def cmd_verify(args) -> int:
     sol_oracle = oracle_solve(inst)
     sol_dp = solve_pipeline(inst)
     sol_ref = solve_reference(inst)
-    # query objects for the picks alone
-    picks = [QueryPoint(*q) for q in zip(*inst.Q.columns()) if q[2] in sol_dp.chosen]
+    # query objects for the picks alone, a query's id being its position
+    picks = [QueryPoint(inst.Q.xs[t], inst.Q.ys[t], t) for t in sol_dp.chosen]
     values = {
         "value_dp": sol_dp.value,
         "value_dp_no_compress": sol_ref.value,

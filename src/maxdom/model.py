@@ -13,10 +13,12 @@ and to 0 under the paper's definition.
 
 This module owns the ground-set format.  An ``Instance`` holds its points as
 ``PointColumns``: three parallel columns of x, y and w values, and its
-queries as ``QueryColumns`` of x, y and id values, which every stage reads
-directly, so no solve builds a per-point or per-query object.  A column of
-ints that fit in 64 bits is an ``array('q')``; any other column (``Decimal``s
-from a file, library floats or ``Fraction``s, larger ints) is a tuple.
+queries as ``QueryColumns`` of x and y values, which every stage reads
+directly, so no solve builds a per-point or per-query object.  A query's id
+is its 0-based position in Q: a file's line order, or the order in which a
+library caller lists the queries.  A column of ints that fit in 64 bits is
+an ``array('q')``; any other column (``Decimal``s from a file, library
+floats or ``Fraction``s, larger ints) is a tuple.
 
 Weights are summed exactly: ``PointColumns.int_weights`` scales them once by
 their least common denominator, every stage that sums weights adds those
@@ -72,7 +74,7 @@ class WeightedPoint:
 
 @dataclass(frozen=True, slots=True)
 class QueryPoint:
-    """A candidate pick; ``id`` is its stable index in the input order."""
+    """A candidate pick; ``id`` is its 0-based position in the instance's queries."""
 
     x: int | float | Decimal | Fraction
     y: int | float | Decimal | Fraction
@@ -225,23 +227,33 @@ def _moved(P: PointColumns, xs: list[int], ys: list[int]) -> PointColumns:
 
 
 class QueryColumns(_Columns):
-    """Query candidates stored as parallel ``xs``, ``ys`` and ``ids`` columns, read as a sequence of ``QueryPoint``.
+    """Query candidates stored as parallel ``xs`` and ``ys`` columns, read as a sequence of ``QueryPoint``.
 
-    ``ids`` defaults to the positions, which are kept as a ``range``.
+    A query's id is its 0-based position, so ``ids`` is ``range(m)``.
     """
 
     __slots__ = ("xs", "ys", "ids")
     _row = QueryPoint
     _fields = ("x", "y", "id")
 
-    def __init__(self, xs: Iterable, ys: Iterable, ids: Iterable | None = None):
+    def __init__(self, xs: Iterable, ys: Iterable):
         xs = _column(xs)
-        positions = range(len(xs))
-        self._store(xs, _column(ys), positions if ids is None or ids == positions else _column(ids))
+        self._store(xs, _column(ys), range(len(xs)))
 
-    def by_id(self) -> Sequence[int]:
-        """The query indices in increasing id order."""
-        return self.ids if type(self.ids) is range else sorted(range(len(self)), key=self.ids.__getitem__)
+    @classmethod
+    def of(cls, rows: Iterable):
+        """``rows`` itself if it is already columnar, else its columns, with ``rows`` kept as their view.
+
+        Raises ``ValueError`` naming the first row whose ``id`` is not its position.
+        """
+        if isinstance(rows, cls):
+            return rows
+        rows = tuple(rows)
+        if (off := next((t for t, q in enumerate(rows) if q.id != t), None)) is not None:
+            raise ValueError(f"query {rows[off]} is at position {off}: a query's id must be its position")
+        cols = cls([q.x for q in rows], [q.y for q in rows])
+        cols._points = rows
+        return cols
 
 
 @dataclass(frozen=True)
@@ -249,9 +261,10 @@ class Instance:
     """A problem input: ground set ``P``, query candidates ``Q``, pick budget ``k``.
 
     ``P`` may be given as any sequence of ``WeightedPoint`` and ``Q`` as any
-    sequence of ``QueryPoint``; they are stored as ``PointColumns`` and
-    ``QueryColumns``.  ``dataclasses.replace`` passes the stored columns
-    on, so changing ``k`` builds no point or query objects.  ``k`` may
+    sequence of ``QueryPoint``, each with its position as its ``id``; they
+    are stored as ``PointColumns`` and ``QueryColumns``.
+    ``dataclasses.replace`` passes the stored columns on, so changing ``k``
+    builds no point or query objects.  ``k`` may
     exceed ``len(Q)``; that is equivalent to ``k == len(Q)``.
     """
 
@@ -266,8 +279,6 @@ class Instance:
             raise ValueError("instance needs at least one query point")
         if self.k < 0:
             raise ValueError("budget k must be non-negative")
-        if type(self.Q.ids) is not range and len(set(self.Q.ids)) != len(self.Q):
-            raise ValueError("query ids must be unique")
 
     @property
     def n(self) -> int:

@@ -12,10 +12,12 @@ from .solver import DP_BUDGET_S
 # _DIGITS[j] maps a byte to b"1" where its bit j is set, else to b"0"
 _DIGITS = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
 # Up to this many points ``_cover`` sums the new bits one at a time, past it from bit planes.
-# oracle_solve on uniform instances, m = 7..12, k = 2..4, 2-core x86-64, CPython 3.11: the
-# bit planes take over near n = 100 for weights in -10..10 and quarters, near n = 350 for
-# hundredths; at n = 8..40 the one-at-a-time sum is 1.1 to 11 times faster per call.
-_BIT_BY_BIT_MAX_N = 128
+# ``scripts/calibrate_engines.py`` times whole oracle_solve calls with each weigh on uniform
+# n = 32 to 128, m = 24, k = 4, eight instances a shape, for int weights in -10..10 and in
+# -1000..1000 (hundredths), and fits the n where the bit-by-bit time reaches the bit-plane
+# time: 71 to 84 over nine runs, median 80, 2-core x86-64 KVM guest, CPython 3.11.7.
+# desk-sized files, n <= 40, stay on the bit-by-bit sum.
+_BIT_BY_BIT_MAX_N = 80
 # Nanoseconds per 64-bit word of one walk step's int operations, priced as
 # (n // 64 + 1) * (planes + 2) words a step (``oracle_solve``).  The walk alone, its masks
 # built beforehand, on n = 200,000 to 3,000,000 random points with 1 to 18 weight planes,
@@ -31,7 +33,7 @@ MASK_WORD_BUDGET = 1_000_000
 
 
 def _cover(inst: Instance) -> tuple[list[int], Callable[[int], int]]:
-    """``(masks, weigh)``: one int per query in id order, bit i set where it covers point i,
+    """``(masks, weigh)``: one int per query by position, bit i set where it covers point i,
     and the function from a set of point bits to the sum of their scaled int weights.
 
     Up to ``_BIT_BY_BIT_MAX_N`` points the set bits are summed one at a time.
@@ -47,8 +49,8 @@ def _cover(inst: Instance) -> tuple[list[int], Callable[[int], int]]:
     P, Q = inst.P, inst.Q
     ws = P.int_weights()[0]
     masks = [
-        bits_of(bytes(map(le, P.xs, repeat(Q.xs[t])))) & bits_of(bytes(map(le, P.ys, repeat(Q.ys[t]))))
-        for t in Q.by_id()
+        bits_of(bytes(map(le, P.xs, repeat(x)))) & bits_of(bytes(map(le, P.ys, repeat(y))))
+        for x, y in zip(Q.xs, Q.ys)
     ]
     if len(ws) <= _BIT_BY_BIT_MAX_N:
         def weigh(new: int) -> int:
@@ -73,16 +75,17 @@ def oracle_solve(inst: Instance) -> Solution:
     """Try every pick set of size at most k on the original coordinates.
 
     Each query's cover is one int of point bits (``_cover``).  A depth-first
-    walk in id order extends its pick set by one query a step: the union
-    takes one OR, and the step's gain is the weight of the newly covered
-    bits only, in the scaled int weights (``PointColumns.int_weights``);
-    only the best value is divided back.  The walk visits the sets of each
-    size in id-lexicographic order, and a set replaces the incumbent on a
-    strict gain or on an equal value with fewer picks, so the witness is the
-    first maximizer by size and then by id order (the empty set when nothing
-    beats zero).  ``model.covered_total`` stays the definition of a pick
-    set's weight, since it reads the closed quadrant straight off the
-    points; the tests hold the bitset weight and this walk to it.
+    walk in id order (a query's id is its position) extends its pick set by
+    one query a step: the union takes one OR, and the step's gain is the
+    weight of the newly covered bits only, in the scaled int weights
+    (``PointColumns.int_weights``); only the best value is divided back.
+    The walk visits the sets of each size in id-lexicographic order, and a
+    set replaces the incumbent on a strict gain or on an equal value with
+    fewer picks, so the witness is the first maximizer by size and then by
+    id order (the empty set when nothing beats zero).
+    ``model.covered_total`` stays the definition of a pick set's weight,
+    since it reads the closed quadrant straight off the points; the tests
+    hold the bitset weight and this walk to it.
 
     Builds no mask at k = 0, whose one pick set is the empty one.  Else,
     before any mask is built, refuses masks of more than
@@ -117,7 +120,7 @@ def oracle_solve(inst: Instance) -> Solution:
                 f"is estimated at {subsets * step_s:.3g} s, over the budget of {DP_BUDGET_S:g} s"
             )
     masks, weigh = _cover(inst)
-    picks = [0] * k  # picks[:size]: the current pick set, as indices into masks
+    picks = [0] * k  # picks[:size]: the current pick set, as query ids
     best, best_value = [], 0
 
     def walk(start: int, union: int, value: int, size: int) -> None:
@@ -134,5 +137,4 @@ def oracle_solve(inst: Instance) -> Solution:
                 walk(i + 1, union | mask, v, size + 1)
 
     walk(0, 0, 0, 1)
-    ids = sorted(inst.Q.ids)
-    return Solution(frozenset(ids[i] for i in best), exact(best_value, inst.P.int_weights()[1]))
+    return Solution(frozenset(best), exact(best_value, inst.P.int_weights()[1]))

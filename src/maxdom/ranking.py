@@ -9,14 +9,14 @@ that
 
 The parity split guarantees that no ground point shares a coordinate with
 any query, so every later boundary comparison is strict and exact.  Ties
-among queries on an axis are broken by query id, making the transform
-deterministic across runs and platforms.  The result is a plain
-``Instance`` whose points stay columnar.  The solve path never ranks the
-points; ``solver.solve_reference`` and compression do.
+among queries on an axis are broken by query id, their position in Q,
+making the transform deterministic across runs and platforms.  The result
+is a plain ``Instance`` whose points stay columnar.  The solve path never
+ranks the points; ``solver.solve_reference`` and compression do.
 
 ``staircase`` is the one definition of the staircase order, by decreasing
 ``(y, id)``, and of the queries' rank x's, by ``(x, id)``, which the cell
-grid and the DP share: stable C-level sorts of the query columns' indices,
+grid and the DP share: stable C-level sorts of the positions ``range(m)``,
 with no per-query object.  ``y_sorted_queries`` is the object view of the
 same order.
 """
@@ -24,7 +24,6 @@ same order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import replace
 from itertools import accumulate, repeat
 from math import inf
@@ -34,32 +33,28 @@ from .model import Instance, PointColumns, QueryColumns, QueryPoint, _moved
 
 def y_sorted_queries(inst: Instance) -> tuple[QueryPoint, ...]:
     """Queries by decreasing ``(y, id)``, position t the t-th highest: the object view of ``staircase``'s order."""
-    by_id = dict(zip(inst.Q.ids, inst.Q))
-    return tuple(map(by_id.__getitem__, staircase(inst.Q)[0]))
+    return tuple(map(inst.Q.__getitem__, staircase(inst.Q)[0]))
 
 
-def staircase(Q: QueryColumns) -> tuple[Sequence, list[int]]:
-    """``(stair, qx)``: the query ids by decreasing ``(y, id)``, and ``[0, x_1, ..., x_m, 2m + 2]``, their rank x's
-    by ``(x, id)`` as in ``rank_transform``, sentinel last."""
-    by_id = Q.by_id()
-    order = sorted(reversed(by_id), key=Q.ys.__getitem__, reverse=True)  # stable: ties by falling id
-    x_rank = _even_ranks(Q.xs, by_id)
-    # a range of ids is the indices themselves
-    stair = order if type(Q.ids) is range else list(map(Q.ids.__getitem__, order))
-    return stair, [0, *map(x_rank.__getitem__, order), 2 * len(order) + 2]
+def staircase(Q: QueryColumns) -> tuple[list[int], list[int]]:
+    """``(stair, qx)``: the query positions by decreasing ``(y, id)``, and ``[0, x_1, ..., x_m, 2m + 2]``, their
+    rank x's by ``(x, id)`` as in ``rank_transform``, sentinel last; a query's id is its position."""
+    stair = sorted(reversed(range(len(Q))), key=Q.ys.__getitem__, reverse=True)  # stable: ties by falling position
+    x_rank = _even_ranks(Q.xs)
+    return stair, [0, *map(x_rank.__getitem__, stair), 2 * len(Q) + 2]
 
 
-def _even_ranks(values, by_id) -> list[int]:
-    """Each index's rank 2, 4, ..., 2m by ``(value, id)`` among ``values``, ``by_id`` being the indices by id."""
-    rank = [0] * len(by_id)
-    # a stable sort keeps ties by rising id
-    for place, t in enumerate(sorted(by_id, key=values.__getitem__), start=1):
+def _even_ranks(values) -> list[int]:
+    """Each position's rank 2, 4, ..., 2m by ``(value, position)`` among ``values``."""
+    rank = [0] * len(values)
+    # a stable sort keeps ties by rising position
+    for place, t in enumerate(sorted(range(len(values)), key=values.__getitem__), start=1):
         rank[t] = 2 * place
     return rank
 
 
-def _axis_transform(q_values, by_id, p_values):
-    """Per-axis rank mapping: queries to even ranks by ``(value, id)``, points to odd ranks.
+def _axis_transform(q_values, p_values):
+    """Per-axis rank mapping: queries to even ranks by ``(value, position)``, points to odd ranks.
 
     A point lands just below the first query value >= its own, so a tie on
     the original axis keeps the point covered by every tied query.  The
@@ -67,7 +62,7 @@ def _axis_transform(q_values, by_id, p_values):
     """
     odd = range(1, 2 * len(q_values) + 2, 2)
     places = map(bisect_left, repeat(sorted(q_values)), p_values)
-    return _even_ranks(q_values, by_id), list(map(odd.__getitem__, places))
+    return _even_ranks(q_values), list(map(odd.__getitem__, places))
 
 
 def rank_transform(inst: Instance) -> Instance:
@@ -78,10 +73,9 @@ def rank_transform(inst: Instance) -> Instance:
     the weights.
     """
     Q, P = inst.Q, inst.P
-    by_id = Q.by_id()
-    qx, px = _axis_transform(Q.xs, by_id, P.xs)
-    qy, py = _axis_transform(Q.ys, by_id, P.ys)
-    return Instance(_moved(P, px, py), QueryColumns(qx, qy, Q.ids), inst.k)
+    qx, px = _axis_transform(Q.xs, P.xs)
+    qy, py = _axis_transform(Q.ys, P.ys)
+    return Instance(_moved(P, px, py), QueryColumns(qx, qy), inst.k)
 
 
 def drop_uncovered(inst: Instance) -> Instance:

@@ -14,12 +14,12 @@ start, and adds the parts' cells into the grid (``grid_parts``) that it
 hands to the same pipeline.
 
 The DP takes any instance, ranked or not: it walks the queries in the
-staircase order (``CellGrid.stair``, their ids) and compares their rank x's
-(``CellGrid.qx``), ties broken by id as in the rank transform.  Layer l
-computes, for every position i in decreasing-y order, the best covered
-weight achievable with at most l picks drawn from the queries in the closed
-upper-left region of position i, measured on the points strictly above
-position i.  A transition picks the lowest selected query j, whose quadrant
+staircase order (``CellGrid.stair``, their ids, which are their positions
+in Q) and compares their rank x's (``CellGrid.qx``), ties broken by id as
+in the rank transform.  Layer l computes, for every position i in
+decreasing-y order, the best covered weight achievable with at most l
+picks drawn from the queries in the closed upper-left region of position
+i, measured on the points strictly above position i.  A transition picks the lowest selected query j, whose quadrant
 contributes the sweep's cov(i, j), and inherits the rest from layer l-1 at
 j.  A sentinel position m + 1, right of and below every query, turns its
 entry into the global optimum; it exists only inside the DP.

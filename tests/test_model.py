@@ -1,3 +1,4 @@
+import re
 from array import array
 from decimal import Decimal
 from fractions import Fraction
@@ -179,9 +180,20 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         Instance((), (q(0, 0, 0),), -1)  # negative budget
     with pytest.raises(ValueError):
-        Instance((), (q(0, 0, 0), q(1, 1, 0)), 1)  # duplicate ids
+        Instance((), (q(0, 0, 0), q(1, 1, 0)), 1)  # an id that is not its position
     inst = Instance.from_rows([(0, 0, 1)], [(1, 1)], 5)  # k > m is fine
     assert inst.n == 1 and inst.m == 1 and inst.k == 5
+
+
+def test_a_query_id_is_its_position():
+    # query objects whose ids are their positions keep the columns' range,
+    # and the first object that is off is named
+    inst = Instance([p(1, 1, 1)], [q(2, 2, 0), q(3, 1, 1)], 1)
+    assert type(inst.Q.ids) is range and inst.Q.ids == range(2)
+    assert inst.Q == [q(2, 2, 0), q(3, 1, 1)]
+    for ids, off in (((1, 0), q(2, 2, 1)), ((0, 2), q(3, 1, 2)), ((-1, 1), q(2, 2, -1))):
+        with pytest.raises(ValueError, match=re.escape(f"query {off} is at position {ids.index(off.id)}")):
+            Instance([p(1, 1, 1)], [q(2, 2, ids[0]), q(3, 1, ids[1])], 1)
 
 
 def test_solution_coerces_chosen():

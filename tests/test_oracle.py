@@ -129,13 +129,13 @@ WEIGHTS = {
 @st.composite
 def witness_instances(draw):
     """Tie-heavy instances (``tie_instances``) of up to six queries, with up to two duplicate
-    queries added and the ids shuffled, the first 0 to all of their points with weights of one
-    ``WEIGHTS`` kind, and any budget from 0 to m + 2."""
+    queries added and the query rows shuffled, the first 0 to all of their points with weights of
+    one ``WEIGHTS`` kind, and any budget from 0 to m + 2."""
     base = draw(tie_instances(max_m=6, max_n=40))
     rows = [(q.x, q.y) for q in base.Q]
     rows += draw(st.lists(st.sampled_from(rows), max_size=2))
-    ids = draw(st.permutations(range(len(rows))))
-    Q = [QueryPoint(x, y, i) for (x, y), i in zip(rows, ids)]
+    rows = draw(st.permutations(rows))
+    Q = [QueryPoint(x, y, i) for i, (x, y) in enumerate(rows)]
     n = draw(st.integers(0, base.n))
     weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
     P = PointColumns(base.P.xs[:n], base.P.ys[:n], [draw(weight) for _ in range(n)])

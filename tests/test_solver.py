@@ -323,25 +323,25 @@ def test_tree_engine_matches_simple_dp_on_every_family():
 def test_layers_are_unchanged_by_transforms_that_keep_dominance():
     # Metamorphic relations (Chen, Cheung & Yiu, HKUST-CS98-01, 1998) at
     # sizes past the oracle's reach: swapping the axes, a strictly
-    # increasing map of one axis and a permutation of the query ids keep
+    # increasing map of one axis and a permutation of the query rows keep
     # every closed quadrant's points, so every layer's optimum, while the
-    # staircase, ties by id, cells and DP order all change.  Tie-heavy:
-    # few distinct coordinates on both axes.
+    # staircase, ties by id (a query's position), cells and DP order all
+    # change.  Tie-heavy: few distinct coordinates on both axes.
     rng = SplitMix64(1414)
     shuffle = random.Random(1414).shuffle
     for t in range(30):
         m = rng.randint(1, 300)
         inst = random_instance(rng, n=rng.randint(0, 3000), m=m, k=rng.randint(1, 12), span=rng.randint(1, m))
         P, Q = inst.P, inst.Q
-        ids = list(range(m))
-        shuffle(ids)
+        order = list(range(m))
+        shuffle(order)
         points, queries = [P.xs, P.ys], [Q.xs, Q.ys]
         axis = t % 2
         points[axis], queries[axis] = [v**3 for v in points[axis]], [v**3 for v in queries[axis]]
         transformed = (
             Instance(PointColumns(P.ys, P.xs, P.ws), QueryColumns(Q.ys, Q.xs), inst.k),
             Instance(PointColumns(*points, P.ws), QueryColumns(*queries), inst.k),
-            Instance(P, QueryColumns(Q.xs, Q.ys, ids), inst.k),
+            Instance(P, QueryColumns([Q.xs[i] for i in order], [Q.ys[i] for i in order]), inst.k),
         )
         expect = run_pipeline(inst, "sweep").solution.layer_values
         for other in transformed:
