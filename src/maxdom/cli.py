@@ -1,6 +1,8 @@
 """Command-line front door: solve, verify, generate.
 
-Every record is one line of JSON, with each value that is not an int written
+``verify`` ranks nothing: it grids the file once and checks the engine that
+``solve`` runs against the other one on that grid, and both against the
+exhaustive oracle.  Every record is one line of JSON, with each value that is not an int written
 as a JSON number of its exact decimal expansion (``_dumps``).
 """
 
@@ -21,9 +23,10 @@ except ImportError:  # not on every platform
     resource = None
 
 from .instances import FAMILIES, GeneratorSpec, _decimal, decimal_text, generate, parse, serialize, serialize_blocks
-from .model import Instance, QueryPoint, weight_of_dom
+from .cells import CellGrid, build_grid
+from .model import Instance, QueryPoint, Solution, weight_of_dom
 from .oracle import oracle_solve
-from .solver import _price_header, grid_parts, run_pipeline, solve_pipeline, solve_reference
+from .solver import _choose, _grid_costs, _price_header, grid_parts, run_pipeline
 
 
 def _with_k(inst: Instance, args) -> Instance:
@@ -115,23 +118,37 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _with_k(parse(args.path), args)
     sol_oracle = oracle_solve(inst)
-    sol_dp = solve_pipeline(inst)
-    sol_ref = solve_reference(inst)
-    # query objects for the picks alone, a query's id being its position
-    picks = [QueryPoint(inst.Q.xs[t], inst.Q.ys[t], t) for t in sol_dp.chosen]
+    grid = build_grid(inst)
+    first = _choose("auto", *_grid_costs(inst, grid)[2:])  # the engine that ``solve`` runs
+    sol_dp = _walked(inst, first, grid)
+    sol_other = _walked(inst, "tree" if first == "sweep" else "sweep", grid)
     values = {
-        "value_dp": sol_dp.value,
-        "value_dp_no_compress": sol_ref.value,
-        "recomputed_from_chosen": weight_of_dom(inst.P, picks),
+        "value_dp": None if sol_dp is None else sol_dp.value,
+        "value_dp_no_compress": None if sol_other is None else sol_other.value,
+        "recomputed_from_chosen": None,
     }
+    if sol_dp is not None:  # query objects for the picks alone, a query's id being its position
+        picks = [QueryPoint(inst.Q.xs[t], inst.Q.ys[t], t) for t in sol_dp.chosen]
+        values["recomputed_from_chosen"] = weight_of_dom(inst.P, picks)
     disagree = [key for key, value in values.items() if value != sol_oracle.value]
     record = {"value_oracle": sol_oracle.value, **values, "equal": not disagree}
     if disagree:  # only a failing record carries the explanation
-        layers = enumerate(zip(sol_dp.layer_values, sol_ref.layer_values))
+        both = sol_dp is not None and sol_other is not None
+        layers = enumerate(zip(sol_dp.layer_values, sol_other.layer_values) if both else ())
         record["disagree"] = disagree
         record["first_layer_mismatch"] = next((i for i, (a, b) in layers if a != b), None)
     print(_dumps(record))
     return 1 if disagree else 0
+
+
+def _walked(inst: Instance, engine: str, grid: CellGrid) -> Solution | None:
+    """``run_pipeline``'s solution with ``engine`` on ``grid``, or None where the pick walk finds no pick
+    that reaches a value of the engine's tables (``RuntimeError``): the error goes to stderr."""
+    try:
+        return run_pipeline(inst, engine, grid).solution
+    except RuntimeError as exc:
+        print(f"error: the {engine} dp: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_generate(args) -> int:
@@ -164,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     # solve's record writes the path back out as pathlib spells it (``./a``
     # as ``a``), so solve keeps it.
     p = sub.add_parser(
-        "verify", help="cross-check the solver against the oracle, refused where its walk is priced over the budget"
+        "verify", help="cross-check both dp engines against the oracle, refused where either is priced over the budget"
     )
     p.add_argument("path")
     p.add_argument("--k", type=int, default=None)

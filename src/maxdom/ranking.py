@@ -12,7 +12,8 @@ any query, so every later boundary comparison is strict and exact.  Ties
 among queries on an axis are broken by query id, their position in Q,
 making the transform deterministic across runs and platforms.  The result
 is a plain ``Instance`` whose points stay columnar.  The solve path never
-ranks the points; ``solver.solve_reference`` and compression do.
+ranks the points, nor does ``maxdom verify``; ``solver.solve_reference``, the
+tests' reference, and compression do.
 
 ``staircase`` is the one definition of the staircase order, by decreasing
 ``(y, id)``, and of the queries' rank x's, by ``(x, id)``, which the cell

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -134,7 +135,12 @@ def test_verify_names_the_disagreeing_values(capsys, monkeypatch, tiny):
     right = solve_reference(inst)
     assert len(right.layer_values) == 3
     wrong = Solution(right.chosen, right.value + 1, (*right.layer_values[:2], right.value + 1))
-    monkeypatch.setattr(maxdom.cli, "solve_reference", lambda _inst: wrong)
+
+    def second_wrong(inst, engine, grid):  # the first solve runs the sweep, the second the tree
+        res = run_pipeline(inst, engine, grid)
+        return replace(res, solution=wrong) if engine == "tree" else res
+
+    monkeypatch.setattr(maxdom.cli, "run_pipeline", second_wrong)
     code, out, _ = run(capsys, "verify", path)
     assert code == 1
     rec = json.loads(out)
@@ -146,13 +152,57 @@ def test_verify_names_the_disagreeing_values(capsys, monkeypatch, tiny):
     assert rec["disagree"] == ["value_dp_no_compress"]
     assert rec["first_layer_mismatch"] == 2
     # a wrong oracle: all three differ from it, while the two tables agree
-    monkeypatch.setattr(maxdom.cli, "solve_reference", solve_reference)
+    monkeypatch.setattr(maxdom.cli, "run_pipeline", run_pipeline)
     monkeypatch.setattr(maxdom.cli, "oracle_solve", lambda _inst: Solution(frozenset(), -1, None))
     code, out, _ = run(capsys, "verify", path)
     rec = json.loads(out)
     assert code == 1
     assert rec["disagree"] == ["value_dp", "value_dp_no_compress", "recomputed_from_chosen"]
     assert rec["first_layer_mismatch"] is None
+
+
+def test_verify_catches_a_tree_fault_on_a_desk_sized_file(capsys, monkeypatch, tmp_path):
+    # the sweep solves first and the tree second; layer 3 beats layer 2
+    path = tmp_path / "desk.txt"
+    serialize(generate(GeneratorSpec("uniform", n=20, m=6, k=3, seed=9)), path)
+    tree, sweep = maxdom.solver.tree_layers, maxdom.solver.dp_layers
+
+    def faulty(layers, fault):
+        def engine(inst, grid):
+            tables, alone, k_eff = layers(inst, grid)
+            fault(tables, k_eff)
+            return tables, alone, k_eff
+        return engine
+
+    def repeat_last_lane(tables, k):
+        tables[k] = tables[k - 1]
+
+    def raise_sentinel(tables, k):
+        tables[k][-1] += 1
+
+    monkeypatch.setattr(maxdom.solver, "tree_layers", faulty(tree, repeat_last_lane))
+    code, out, err = run(capsys, "verify", path)
+    rec = json.loads(out)
+    assert (code, err) == (1, "")
+    assert rec["value_dp"] == rec["value_oracle"] == 15 and rec["value_dp_no_compress"] == 8
+    assert rec["disagree"] == ["value_dp_no_compress"] and rec["first_layer_mismatch"] == 2
+    # the walk finds no pick that reaches the raised value: that solve reads null
+    monkeypatch.setattr(maxdom.solver, "tree_layers", faulty(tree, raise_sentinel))
+    code, out, err = run(capsys, "verify", path)
+    rec = json.loads(out)
+    assert code == 1 and err.startswith("error: the tree dp: no pick reaches layer 3's value ")
+    assert rec["value_dp"] == rec["recomputed_from_chosen"] == rec["value_oracle"] == 15
+    assert rec["value_dp_no_compress"] is None
+    assert rec["disagree"] == ["value_dp_no_compress"] and rec["first_layer_mismatch"] is None
+    # the same fault in the first solve's engine leaves its picks unknown too
+    monkeypatch.setattr(maxdom.solver, "tree_layers", tree)
+    monkeypatch.setattr(maxdom.solver, "dp_layers", faulty(sweep, raise_sentinel))
+    code, out, err = run(capsys, "verify", path)
+    rec = json.loads(out)
+    assert code == 1 and err.startswith("error: the sweep dp: no pick reaches layer 3's value ")
+    assert rec["value_dp"] is None and rec["recomputed_from_chosen"] is None
+    assert rec["value_dp_no_compress"] == rec["value_oracle"] == 15
+    assert rec["disagree"] == ["value_dp", "recomputed_from_chosen"] and rec["first_layer_mismatch"] is None
 
 
 def test_generate_writes_deterministic_file(capsys, tmp_path):
