@@ -29,13 +29,12 @@ of a step's time less its priced words is the value for
 
 Last it times whole ``oracle_solve`` calls, masks included, with each of
 ``oracle._cover``'s two weighs, on ``WEIGH_SEEDS`` ``uniform`` instances
-per n of ``WEIGH_NS`` and weight range of ``WEIGH_RANGES``, at m = 16 and
-k = 3: summed bit by bit (``_BIT_BY_BIT_N_PER_PLANE`` set to n) and read
-from the bit planes (set to 0), each best of ``--reps``, the two weighs
-one after the other on each instance.  It prints each shape's bit-by-bit
-time over its bit-plane time, and the n per bit plane of the range where
-a least-squares line through the (n / planes, ratio) points of both
-ranges reaches 1: the value for ``oracle._BIT_BY_BIT_N_PER_PLANE``.
+per n of ``WEIGH_NS`` and weight range of ``WEIGH_RANGES``, at m = 24 and
+k = 4: summed bit by bit (``_BIT_BY_BIT_MAX_N`` set to n) and read from
+the bit planes (set to n - 1), each instance best of ``--reps``.  It
+prints each shape's bit-by-bit time over its bit-plane time, and the n
+where a least-squares line through the (n, ratio) points of both ranges
+reaches 1: the value for ``oracle._BIT_BY_BIT_MAX_N``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from time import perf_counter
 import maxdom.oracle
 from maxdom.cells import build_grid
 from maxdom.instances import GeneratorSpec, generate
-from maxdom.oracle import _BIT_BY_BIT_N_PER_PLANE, WALK_STEP_NS, WALK_WORD_NS, oracle_solve
+from maxdom.oracle import _BIT_BY_BIT_MAX_N, WALK_STEP_NS, WALK_WORD_NS, oracle_solve
 from maxdom.solver import (
     SWEEP_NS,
     TREE_LANE_NS,
@@ -72,18 +71,14 @@ SHAPES = (
     (2_000, 2048, 8),
 )
 TREE_KS = (1, 2, 4, 8, 16, 32)
-# n of the walk's shapes, on either side of the weighs' cutoff at the 5 bit planes of ints in -10..10
-WALK_NS = (8, 40, 5 * _BIT_BY_BIT_N_PER_PLANE, 5 * _BIT_BY_BIT_N_PER_PLANE + 1, 128, 500, 2_000, 8_000)
+# n of the walk's shapes, on either side of the weighs' cutoff
+WALK_NS = (8, 40, _BIT_BY_BIT_MAX_N, _BIT_BY_BIT_MAX_N + 1, 128, 500, 2_000, 8_000)
 WALK_M, WALK_K = 24, 4
 # n and weight ranges of the weighs' comparison: the int weights of ints in -10..10
 # and of hundredths in -10.00..10.00
 WEIGH_NS = (32, 48, 64, 96, 128)
 WEIGH_RANGES = ((-10, 10), (-1000, 1000))
 WEIGH_SEEDS = 8  # instances per shape, from --seed on: their covers differ widely
-# m and k of the weighs' comparison.  The crossover moves with them too: at m = 24, k = 4,
-# where the deeper pick sets' unions leave fewer new bits a step, it lies near 12 points
-# per plane, and near 9 at m = 16, k = 3.
-WEIGH_M, WEIGH_K = 16, 3
 
 
 def units(m: int, k: int, cells: int) -> tuple[float, float]:
@@ -136,24 +131,22 @@ def main() -> None:
     print(f"{'n':>8}{'m':>6}{'k':>4}{'weights':>13}  {'bits_s':>9}{'planes_s':>9}{'ratio':>7}")
     shapes = [(n, weights) for weights in WEIGH_RANGES for n in WEIGH_NS]
     ratios = [weigh_ratio(n, weights, args) for n, weights in shapes]
-    per_plane = [n / (weights[1] - weights[0]).bit_length() for n, weights in shapes]
-    slope, intercept = linear_regression(per_plane, ratios)
-    print(f"_BIT_BY_BIT_N_PER_PLANE {(1 - intercept) / slope:.1f}")
+    slope, intercept = linear_regression([n for n, _ in shapes], ratios)
+    print(f"_BIT_BY_BIT_MAX_N {(1 - intercept) / slope:.0f}")
 
 
 def walk_step(n: int, args) -> float:
     """Time the oracle's walk alone on one shape, print its line and return a step's ns less its priced words."""
     inst = generate(GeneratorSpec("uniform", n, WALK_M, WALK_K, seed=args.seed))
-    ws = inst.P.int_weights()[0]
-    planes = (max(ws) - min(ws)).bit_length()
-    built = maxdom.oracle._cover(inst, planes)
-    cover, maxdom.oracle._cover = maxdom.oracle._cover, lambda *_: built
+    built = maxdom.oracle._cover(inst)
+    cover, maxdom.oracle._cover = maxdom.oracle._cover, lambda _inst: built
     try:
         walk_s = best_of(args.reps, lambda: oracle_solve(inst))
     finally:
         maxdom.oracle._cover = cover
     steps = sum(comb(WALK_M, t) for t in range(1, WALK_K + 1))
-    words = (n // 64 + 1) * (planes + 2)
+    ws = inst.P.int_weights()[0]
+    words = (n // 64 + 1) * ((max(ws) - min(ws)).bit_length() + 2)
     ns = walk_s * 1e9 / steps
     priced = WALK_STEP_NS + words * WALK_WORD_NS
     print(f"{n:>8}{WALK_M:>6}{WALK_K:>4}{steps:>7}  {walk_s:>9.4f}{ns:>9.0f}{words:>7}{ns / priced:>8.2f}", flush=True)
@@ -163,18 +156,17 @@ def walk_step(n: int, args) -> float:
 def weigh_ratio(n: int, weights: tuple[int, int], args) -> float:
     """Time whole oracle calls on one shape with each weigh, print its line and return bit-by-bit over bit-plane time."""
     seeds = range(args.seed, args.seed + WEIGH_SEEDS)
-    insts = [generate(GeneratorSpec("uniform", n, WEIGH_M, WEIGH_K, weights, seed)) for seed in seeds]
-    cutoff, times = maxdom.oracle._BIT_BY_BIT_N_PER_PLANE, [0.0, 0.0]
+    insts = [generate(GeneratorSpec("uniform", n, WALK_M, WALK_K, weights, seed)) for seed in seeds]
+    cutoff, times = maxdom.oracle._BIT_BY_BIT_MAX_N, []
     try:
-        for inst in insts:
-            for side, forced in enumerate((n, 0)):  # bit by bit, then bit planes
-                maxdom.oracle._BIT_BY_BIT_N_PER_PLANE = forced
-                times[side] += best_of(args.reps, lambda: oracle_solve(inst))
+        for forced in (n, n - 1):  # bit by bit, then bit planes
+            maxdom.oracle._BIT_BY_BIT_MAX_N = forced
+            times.append(sum(best_of(args.reps, lambda: oracle_solve(inst)) for inst in insts))
     finally:
-        maxdom.oracle._BIT_BY_BIT_N_PER_PLANE = cutoff
+        maxdom.oracle._BIT_BY_BIT_MAX_N = cutoff
     bits_s, planes_s = times
     span = f"{weights[0]}..{weights[1]}"
-    print(f"{n:>8}{WEIGH_M:>6}{WEIGH_K:>4}{span:>13}  {bits_s:>9.4f}{planes_s:>9.4f}{bits_s / planes_s:>7.2f}", flush=True)
+    print(f"{n:>8}{WALK_M:>6}{WALK_K:>4}{span:>13}  {bits_s:>9.4f}{planes_s:>9.4f}{bits_s / planes_s:>7.2f}", flush=True)
     return bits_s / planes_s
 
 

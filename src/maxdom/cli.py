@@ -1,8 +1,8 @@
 """Command-line front door: solve, verify, generate.
 
-``verify`` ranks nothing: it grids the file once and checks the engine that
-``solve`` runs against the other one on that grid, and both against the
-exhaustive oracle.  Every record is one line of JSON, with each value that is not an int written
+``verify`` ranks nothing: it grids the file once and checks the sweep
+against the tree on that grid, and both against the exhaustive oracle.
+Every record is one line of JSON, with each value that is not an int written
 as a JSON number of its exact decimal expansion (``_dumps``).
 """
 
@@ -26,7 +26,7 @@ from .instances import FAMILIES, GeneratorSpec, _decimal, decimal_text, generate
 from .cells import CellGrid, build_grid
 from .model import Instance, QueryPoint, Solution, weight_of_dom
 from .oracle import oracle_solve
-from .solver import _choose, _grid_costs, _price_header, grid_parts, run_pipeline
+from .solver import _price_header, grid_parts, run_pipeline
 
 
 def _with_k(inst: Instance, args) -> Instance:
@@ -119,9 +119,7 @@ def cmd_verify(args) -> int:
     inst = _with_k(parse(args.path), args)
     sol_oracle = oracle_solve(inst)
     grid = build_grid(inst)
-    first = _choose("auto", *_grid_costs(inst, grid)[2:])  # the engine that ``solve`` runs
-    sol_dp = _walked(inst, first, grid)
-    sol_other = _walked(inst, "tree" if first == "sweep" else "sweep", grid)
+    sol_dp, sol_other = [_walked(inst, engine, grid) for engine in ("sweep", "tree")]
     values = {
         "value_dp": None if sol_dp is None else sol_dp.value,
         "value_dp_no_compress": None if sol_other is None else sol_other.value,

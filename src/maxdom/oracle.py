@@ -11,15 +11,13 @@ from .solver import DP_BUDGET_S
 
 # _DIGITS[j] maps a byte to b"1" where its bit j is set, else to b"0"
 _DIGITS = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
-# Up to this many points per bit plane of the weights' range, ``_cover`` sums the new bits
-# one at a time, past it from the planes: a bit-by-bit step costs about one loop per new
-# bit, a bit-plane step one popcount per plane.  ``scripts/calibrate_engines.py`` times
-# whole oracle_solve calls with each weigh on uniform n = 32 to 128, m = 16, k = 3, eight
-# instances a shape, for int weights in -10..10 (5 planes) and in -1000..1000 (hundredths,
-# 11 planes), and fits the n per plane where the bit-by-bit time reaches the bit-plane
-# time: 8.6 to 9.4 over five runs, median 8.6, 2-core x86-64 KVM guest, CPython 3.11.7.
-# Desk-sized files, n <= 40 with 7 or 11 planes, stay on the bit-by-bit sum.
-_BIT_BY_BIT_N_PER_PLANE = 9
+# Up to this many points ``_cover`` sums the new bits one at a time, past it from bit planes.
+# ``scripts/calibrate_engines.py`` times whole oracle_solve calls with each weigh on uniform
+# n = 32 to 128, m = 24, k = 4, eight instances a shape, for int weights in -10..10 and in
+# -1000..1000 (hundredths), and fits the n where the bit-by-bit time reaches the bit-plane
+# time: 71 to 84 over nine runs, median 80, 2-core x86-64 KVM guest, CPython 3.11.7.
+# desk-sized files, n <= 40, stay on the bit-by-bit sum.
+_BIT_BY_BIT_MAX_N = 80
 # Nanoseconds per 64-bit word of one walk step's int operations, priced as
 # (n // 64 + 1) * (planes + 2) words a step (``oracle_solve``).  The walk alone, its masks
 # built beforehand, on n = 200,000 to 3,000,000 random points with 1 to 18 weight planes,
@@ -34,14 +32,13 @@ WALK_STEP_NS = 1100.0
 MASK_WORD_BUDGET = 1_000_000
 
 
-def _cover(inst: Instance, planes: int) -> tuple[list[int], Callable[[int], int]]:
+def _cover(inst: Instance) -> tuple[list[int], Callable[[int], int]]:
     """``(masks, weigh)``: one int per query by position, bit i set where it covers point i,
     and the function from a set of point bits to the sum of their scaled int weights.
 
-    ``planes`` is the bit length of the scaled int weights' range.  Up to
-    ``_BIT_BY_BIT_N_PER_PLANE`` points per plane the set bits are summed one
-    at a time.  Past that, the weight is read from the bit planes of each
-    weight's excess over the least weight ``lo``: lo · popcount(bits) + the sum of
+    Up to ``_BIT_BY_BIT_MAX_N`` points the set bits are summed one at a time.
+    Past that, the weight is read from the bit planes of each weight's excess
+    over the least weight ``lo``: lo · popcount(bits) + the sum of
     2^b · popcount(bits & plane_b), so no step costs time quadratic in n.
     """
 
@@ -55,7 +52,7 @@ def _cover(inst: Instance, planes: int) -> tuple[list[int], Callable[[int], int]
         bits_of(bytes(map(le, P.xs, repeat(x)))) & bits_of(bytes(map(le, P.ys, repeat(y))))
         for x, y in zip(Q.xs, Q.ys)
     ]
-    if len(ws) <= _BIT_BY_BIT_N_PER_PLANE * planes:
+    if len(ws) <= _BIT_BY_BIT_MAX_N:
         def weigh(new: int) -> int:
             total = 0
             while new:
@@ -65,12 +62,12 @@ def _cover(inst: Instance, planes: int) -> tuple[list[int], Callable[[int], int]
             return total
         return masks, weigh
     lo = min(ws)
-    width = (planes + 7) // 8
+    width = ((max(ws) - lo).bit_length() + 7) // 8
     data = b"".join(map(int.to_bytes, map(sub, ws, repeat(lo)), repeat(width), repeat("little")))
-    set_planes = [(b, plane) for b in range(8 * width) if (plane := bits_of(data[b // 8 :: width], b % 8))]
+    planes = [(b, plane) for b in range(8 * width) if (plane := bits_of(data[b // 8 :: width], b % 8))]
 
     def weigh(new: int) -> int:
-        return lo * new.bit_count() + sum((new & plane).bit_count() << b for b, plane in set_planes)
+        return lo * new.bit_count() + sum((new & plane).bit_count() << b for b, plane in planes)
     return masks, weigh
 
 
@@ -122,7 +119,7 @@ def oracle_solve(inst: Instance) -> Solution:
                 f"refusing the oracle: its walk over the {subsets} subsets of up to {size} picks "
                 f"is estimated at {subsets * step_s:.3g} s, over the budget of {DP_BUDGET_S:g} s"
             )
-    masks, weigh = _cover(inst, planes)
+    masks, weigh = _cover(inst)
     picks = [0] * k  # picks[:size]: the current pick set, as query ids
     best, best_value = [], 0
 

@@ -8,8 +8,7 @@ sums are themselves the compressed ground set.  ``solve_reference``
 reaches the same cell sums the ranked way (rank every point and grid in rank
 space, where the grid skips the uncovered points) and runs the same DP;
 the tests compare the pipeline against it.  ``maxdom verify`` runs both
-engines on one grid instead (``_grid_costs`` and ``_choose`` name the one
-that ``solve`` runs).  ``maxdom solve``
+engines on one grid instead.  ``maxdom solve``
 of a large file whose weights are all ints parses and grids its point lines
 in parts, one process per CPU, under one staircase sorted before the parts
 start, and adds the parts' cells into the grid (``grid_parts``) that it
@@ -437,13 +436,6 @@ def _choose(engine: str, estimates: dict[str, float], slots: dict[str, int]) -> 
     )
 
 
-def _grid_costs(inst: Instance, grid: CellGrid) -> tuple[int, int, dict[str, float], dict[str, int]]:
-    """``(cells, nonzero, estimates, slots)``: ``grid``'s stored and nonzero cells, and ``_costs`` on them."""
-    weights = [w for row in grid.per_row for _, w in row]  # every stored cell's, zero-weight ones too
-    nonzero = len(weights) - weights.count(0)
-    return len(weights), nonzero, *_costs(inst.m, min(inst.k, inst.m), nonzero, grid.total)
-
-
 @dataclass
 class PipelineResult:
     """A solve with its stage timings, grid statistics and DP work counts."""
@@ -481,10 +473,13 @@ def run_pipeline(inst: Instance, engine: str = "auto", grid: CellGrid | None = N
     ``DP_SLOT_BUDGET`` list slots raises ``ValueError`` at the first pricing
     that is over, so before any DP work.
     """
-    _choose(engine, *_costs(inst.m, min(inst.k, inst.m)))
+    k_eff = min(inst.k, inst.m)
+    _choose(engine, *_costs(inst.m, k_eff))
     t0 = perf_counter()
     grid = build_grid(inst) if grid is None else grid
-    cells, nonzero, estimates, slots = _grid_costs(inst, grid)
+    weights = [w for row in grid.per_row for _, w in row]  # every stored cell's, zero-weight ones too
+    nonzero = len(weights) - weights.count(0)
+    estimates, slots = _costs(inst.m, k_eff, nonzero, grid.total)
     engine = _choose(engine, estimates, slots)
     t1 = perf_counter()
     tables, alone, k_eff = globals()[_ENGINES[engine]](inst, grid)
@@ -495,7 +490,7 @@ def run_pipeline(inst: Instance, engine: str = "auto", grid: CellGrid | None = N
     return PipelineResult(
         solution,
         grid.retained,
-        cells,
+        len(weights),
         nonzero,
         dp_pairs,
         {"grid": t1 - t0, "dp": t2 - t1, "reconstruct": t3 - t2},

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import maxdom.oracle
 from maxdom.cells import build_grid, compress
 from maxdom.model import Instance, PointColumns, QueryPoint, Solution, covered_total
-from maxdom.oracle import _BIT_BY_BIT_N_PER_PLANE, _cover, oracle_solve
+from maxdom.oracle import _BIT_BY_BIT_MAX_N, _cover, oracle_solve
 from maxdom.prng import SplitMix64
 from maxdom.ranking import drop_uncovered, rank_transform
 from maxdom.solver import DP_BUDGET_S, run_pipeline
@@ -154,23 +154,21 @@ def test_value_and_witness_match_the_reference_enumerator(inst):
 
 
 def test_value_and_witness_match_the_reference_enumerator_on_both_weighing_paths():
-    # one bit at a time up to _BIT_BY_BIT_N_PER_PLANE points per bit plane, bit planes past it:
-    # ints in -10..10 take 5 planes, hundredths in -10.00..10.00 take 11
+    # one bit at a time up to _BIT_BY_BIT_MAX_N points, bit planes past it
     rng = SplitMix64(311)
-    per = _BIT_BY_BIT_N_PER_PLANE
-    for n, wlo, whi, scale in ((5 * per, -10, 10, 1), (5 * per + 1, -10, 10, 1), (11 * per, -1000, 1000, 100),
-                               (300, -1000, 1000, 100), (400, -40, 40, 4), (500, -9, -1, 1), (300, 0, 3, 1)):
+    cut = _BIT_BY_BIT_MAX_N
+    for n, wlo, whi, scale in ((cut, -10, 10, 1), (cut + 1, -10, 10, 1), (300, -1000, 1000, 100),
+                               (400, -40, 40, 4), (500, -9, -1, 1), (300, 0, 3, 1)):
         base = random_instance(rng, n=n, m=7, k=3, span=12, wlo=wlo, whi=whi)
         inst = Instance.from_columns(base.P.xs, base.P.ys, [Decimal(w) / scale for w in base.P.ws],
                                      [(q.x, q.y) for q in base.Q], base.k)
         assert_same_as_reference(inst)
 
 
-def test_bitset_weight_is_the_covered_total(monkeypatch):
-    # ``covered_total`` is the definition of a pick set's weight; each instance is
-    # weighed bit by bit (a cutoff of n points per plane) and from its planes (0)
+def test_bitset_weight_is_the_covered_total():
+    # ``covered_total`` is the definition of a pick set's weight
     rng = SplitMix64(313)
-    for n in (0, 1, 40, 99, 600):
+    for n in (0, 1, 40, _BIT_BY_BIT_MAX_N, _BIT_BY_BIT_MAX_N + 1, 600):
         for kind in ("small", "wide", "positive", "decimal"):
             inst = random_instance(rng, n=n, m=8, span=12)
             ws = [rng.randint(-10, 10) << rng.below(72) if kind == "wide"
@@ -178,21 +176,14 @@ def test_bitset_weight_is_the_covered_total(monkeypatch):
                   else Decimal(rng.randint(-10**5, 10**5)) / 100 if kind == "decimal" else w
                   for w in inst.P.ws]
             inst = Instance(PointColumns(inst.P.xs, inst.P.ys, ws), inst.Q, inst.k)
-            int_ws = inst.P.int_weights()[0]
-            planes = (max(int_ws, default=0) - min(int_ws, default=0)).bit_length()
-            covers = []
-            for per_plane in (n, 0):
-                monkeypatch.setattr(maxdom.oracle, "_BIT_BY_BIT_N_PER_PLANE", per_plane)
-                covers.append(_cover(inst, planes))
-            points = list(zip(inst.P.xs, inst.P.ys, int_ws))
+            masks, weigh = _cover(inst)
+            points = list(zip(inst.P.xs, inst.P.ys, inst.P.int_weights()[0]))
             for _ in range(20):
                 picks = [i for i in range(inst.m) if rng.below(2)]
-                total = covered_total(points, [inst.Q[i] for i in picks])
-                for masks, weigh in covers:
-                    union = 0
-                    for i in picks:
-                        union |= masks[i]
-                    assert weigh(union) == total, (n, kind)
+                union = 0
+                for i in picks:
+                    union |= masks[i]
+                assert weigh(union) == covered_total(points, [inst.Q[i] for i in picks]), (n, kind)
 
 
 @settings(deadline=None, max_examples=40)
